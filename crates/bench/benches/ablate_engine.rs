@@ -1,8 +1,8 @@
 //! Ablation A1: the literal Figure-5 engine (rational timestamps, set-based
 //! states) versus the fast engine (dense ranks, canonicalising states) —
-//! plus a sweep of the *exploration* engines (sequential reference vs the
-//! batched parallel engine) over a real lock client, so one bench file
-//! covers both engine axes of DESIGN.md — plus ablation A4
+//! plus a sweep of the *exploration* engines (sequential vs the batched
+//! parallel engine) over a real lock client, so one bench file covers
+//! both engine axes of DESIGN.md — plus ablation A4
 //! (`canon_vs_fingerprint`): the per-successor cost of materialised
 //! canonicalisation + key clone (what visited-dedup used to pay on every
 //! edge) against the zero-rebuild canonical fingerprint that replaced it,
@@ -98,7 +98,7 @@ fn bench(c: &mut Criterion) {
     g.finish();
 }
 
-/// The exploration-engine axis: sequential reference vs the batched
+/// The exploration-engine axis: sequential vs the batched
 /// parallel engine (via `choose_engine`) over a three-thread ticket-lock
 /// client, with identical-state-count assertions on every iteration.
 fn bench_exploration(c: &mut Criterion) {
@@ -139,14 +139,15 @@ fn bench_exploration(c: &mut Criterion) {
 /// successor configurations from a ticket-lock exploration, then compare
 /// what the visited structures pay per successor:
 ///
-/// * `canonicalise_and_clone` — the old cost: materialise the canonical
-///   form (rebuilding every op record, `mo` vector and view) and clone it
-///   as the map key;
-/// * `fingerprint_only` — the new duplicate-hit fast path: one
+/// * `canonicalise_and_clone` — materialise the canonical form
+///   (rebuilding every op record, `mo` vector and view) and clone it as a
+///   map key, what materialised-canonical dedup (today only the reference
+///   oracle) pays on every edge;
+/// * `fingerprint_only` — the engines' duplicate-hit fast path: one
 ///   zero-rebuild hash walk;
-/// * `fingerprint_plus_confirm` — the full new duplicate path including
-///   the collision-bucket `canonical_eq` confirmation walk against the
-///   interned representative.
+/// * `fingerprint_plus_confirm` — the engines' full duplicate path
+///   including the collision-bucket `canonical_eq` confirmation walk
+///   against the interned representative.
 ///
 /// The acceptance bar (checked here, not just plotted): fingerprinting is
 /// strictly faster per successor than materialised canonicalisation.
@@ -229,30 +230,6 @@ fn bench_canon_vs_fingerprint(c: &mut Criterion) {
          fingerprint {fp_ns:.0} ns/succ ({:.2}x), fingerprint+confirm {confirm_ns:.0} ns/succ",
         canon_ns / fp_ns
     );
-    // End to end: the same sequential exploration with fingerprint dedup
-    // on (default) and off (legacy materialised-canonical keys).
-    let explore_secs = |fingerprint: bool| -> (f64, usize) {
-        let opts =
-            ExploreOptions { record_traces: false, fingerprint, ..Default::default() };
-        let mut best = f64::INFINITY;
-        let mut states = 0;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            let r = Engine::Sequential.explore(&prog, &NoObjects, &opts);
-            best = best.min(t0.elapsed().as_secs_f64());
-            states = r.states;
-        }
-        (best, states)
-    };
-    let (on, on_states) = explore_secs(true);
-    let (off, off_states) = explore_secs(false);
-    assert_eq!(on_states, off_states, "dedup mode must not change the state count");
-    eprintln!(
-        "[canon_vs_fingerprint] full exploration: fingerprint on {:.1} ms, off {:.1} ms ({:.2}x)",
-        on * 1e3,
-        off * 1e3,
-        off / on
-    );
     bench::record_bench_json(
         "canon_vs_fingerprint",
         &[
@@ -260,9 +237,6 @@ fn bench_canon_vs_fingerprint(c: &mut Criterion) {
             ("fingerprint_only_ns_per_succ", fp_ns),
             ("fingerprint_plus_confirm_ns_per_succ", confirm_ns),
             ("speedup_fingerprint_vs_canonical", canon_ns / fp_ns),
-            ("explore_fp_on_ms", on * 1e3),
-            ("explore_fp_off_ms", off * 1e3),
-            ("explore_speedup_fp_on_vs_off", off / on),
         ],
     );
     assert!(

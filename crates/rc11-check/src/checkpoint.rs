@@ -25,7 +25,7 @@
 //! exploration, which expands every thread of every node.
 //!
 //! A header binds the checkpoint to the program and the semantic options
-//! (fingerprint/por/dpor/symmetry/record_traces/step): a stale or foreign
+//! (por/dpor/symmetry/record_traces/step/max_states): a stale or foreign
 //! checkpoint is ignored and the run starts fresh with a
 //! `Note::CheckpointError`. Budgets are deliberately *not* part of the
 //! signature — resuming a deadline-stopped run without the deadline is the

@@ -11,9 +11,9 @@
 //!
 //! The two engines are proven equivalent — identical state, transition and
 //! terminal counts and identical violation sets — by the differential suite
-//! (`tests/engine_agreement.rs` at the workspace root), with the sequential
-//! explorer serving as the reference oracle. [`choose_engine`] picks the
-//! engine for a requested worker count.
+//! (`tests/engine_agreement.rs` at the workspace root), which holds both to
+//! the small [`crate::reference`] explorer as the oracle. [`choose_engine`]
+//! picks the engine for a requested worker count.
 
 use crate::chaos::ChaosState;
 use crate::checkpoint::CheckpointOpts;
@@ -204,6 +204,14 @@ impl fmt::Display for Note {
 }
 
 /// Exploration limits and knobs, shared by both engines.
+///
+/// There is no dedup knob: both engines deduplicate visited states on
+/// zero-rebuild 128-bit canonical fingerprints ([`crate::fxhash::Fp128`]),
+/// confirm every fingerprint hit with a `canonical_eq` walk against the
+/// interned representative, and intern each canonical configuration
+/// exactly once (ablation A4 in DESIGN.md). The differential suites hold
+/// that path to [`crate::reference`], a small breadth-first explorer over
+/// materialised canonical forms that no option selects.
 #[derive(Debug, Clone)]
 pub struct ExploreOptions {
     /// Step-generation options (local fusion).
@@ -212,7 +220,7 @@ pub struct ExploreOptions {
     /// report marks truncation). The parallel engine checks the cap
     /// against a racy running counter, so its visited map may transiently
     /// overshoot by up to one batch of successors per worker; the report
-    /// reconciles that to the sequential oracle's verdict — whenever the
+    /// reconciles that to the sequential engine's verdict — whenever the
     /// cap was exceeded, `truncated` is set and `states` is clamped to
     /// `max_states` (still a valid lower bound on the reachable space) —
     /// so cap-hitting runs agree across engines.
@@ -221,16 +229,6 @@ pub struct ExploreOptions {
     /// Both engines honour this: the sequential explorer keeps a parent
     /// array, the parallel engine a sharded parent-pointer map.
     pub record_traces: bool,
-    /// Deduplicate visited states on zero-rebuild 128-bit canonical
-    /// fingerprints (`rc11_check::fxhash::Fp128`) instead of materialised
-    /// canonical [`Config`] keys. Successors then cost one hash walk
-    /// instead of a full renumber-and-rebuild plus a key clone; canonical
-    /// configurations are interned exactly once, and fingerprint hits are
-    /// confirmed against the interned representative, so verdicts are
-    /// bit-identical either way (enforced by the fingerprint-on/off
-    /// differential in `tests/engine_agreement.rs`; ablation A4 in
-    /// DESIGN.md). Off = the legacy materialised-canonical dedup path.
-    pub fingerprint: bool,
     /// Partial-order reduction: sleep-set pruning over the
     /// [`rc11_core::StepFootprint`] independence oracle (ablation A5 in
     /// DESIGN.md, machinery in `crate::por`). Prunes **transitions only,
@@ -274,9 +272,9 @@ pub struct ExploreOptions {
     /// violation and terminal/deadlock sets stay bit-identical to the
     /// unreduced search: the check callback runs on every distinct orbit
     /// member at discovery, and terminal sets are orbit-expanded before
-    /// the report is returned. Composes with [`ExploreOptions::por`] and
-    /// both dedup modes. Programs without symmetric threads pay one cheap
-    /// static analysis and then run the unchanged fast path. Default
+    /// the report is returned. Composes with [`ExploreOptions::por`].
+    /// Programs without symmetric threads pay one cheap static analysis
+    /// and then run the unchanged fast path. Default
     /// **off** this release; `rc11 run --symmetry` and the A6 benches turn
     /// it on. Ignored by the outline checker (Owicki–Gries classification
     /// is per-edge and per-thread).
@@ -323,7 +321,6 @@ impl Default for ExploreOptions {
             step: StepOptions::default(),
             max_states: 5_000_000,
             record_traces: true,
-            fingerprint: true,
             por: false,
             dpor: false,
             symmetry: false,
@@ -426,7 +423,7 @@ impl EngineReport {
 /// question; the differential suite holds them to identical answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// The sequential reference explorer ([`crate::explore::Explorer`]).
+    /// The sequential explorer ([`crate::explore::Explorer`]).
     Sequential,
     /// The batched work-stealing parallel explorer
     /// ([`crate::parallel::par_explore`]) with this many workers.
@@ -438,7 +435,7 @@ pub enum Engine {
 
 /// Pick an engine for a requested worker count: one worker (or zero) gets
 /// the sequential explorer — it has no synchronisation overhead and is the
-/// reference oracle — more workers get the parallel engine.
+/// only engine that checkpoints — more workers get the parallel engine.
 pub fn choose_engine(n_workers: usize) -> Engine {
     if n_workers <= 1 {
         Engine::Sequential

@@ -1,4 +1,4 @@
-//! The sequential state-space explorer — the reference oracle.
+//! The sequential state-space explorer.
 //!
 //! Exhaustive exploration of all reachable configurations of
 //! a compiled program under the RC11 RAR semantics, deduplicating on
@@ -7,16 +7,16 @@
 //! the paper's "for all executions" quantifier: every lemma is checked at
 //! every reachable configuration.
 //!
-//! Deduplication is keyed on zero-rebuild **canonical fingerprints** by
-//! default ([`ExploreOptions::fingerprint`]): each successor is hashed in
-//! canonical order without materialising the canonical form, the visited
-//! map sends `Fp128 → state ids`, and every canonical configuration is
-//! **interned exactly once** in the node arena (which doubles as the
-//! parent-pointer store for trace reconstruction). A fingerprint hit is
-//! confirmed with a zero-rebuild `canonical_eq` walk against the interned
-//! representative(s) in its (rare) collision bucket, so verdicts are
-//! bit-identical to the legacy materialised-canonical path — which remains
-//! available with `fingerprint: false` (ablation A4 in DESIGN.md).
+//! Deduplication has one mode, keyed on zero-rebuild **canonical
+//! fingerprints**: each successor is hashed in canonical order without
+//! materialising the canonical form, the visited map sends `Fp128 → state
+//! ids`, and every canonical configuration is **interned exactly once** in
+//! the node arena (which doubles as the parent-pointer store for trace
+//! reconstruction). A fingerprint hit is confirmed with a zero-rebuild
+//! `canonical_eq` walk against the interned representative(s) in its
+//! (rare) collision bucket, so verdicts equal those of
+//! [`crate::reference`], the breadth-first oracle over materialised
+//! canonical forms (ablation A4 in DESIGN.md).
 //!
 //! With [`ExploreOptions::por`], expansion additionally applies sleep-set
 //! partial-order reduction (`crate::por`, ablation A5): work items carry
@@ -43,8 +43,8 @@
 //! The option/report/violation types shared with the parallel engine live
 //! in [`crate::engine`]; `Report` is a compatibility alias for
 //! [`EngineReport`](crate::engine::EngineReport). The differential suite
-//! (`tests/engine_agreement.rs`) holds the parallel engine to this
-//! explorer's answers, which makes this file the semantic ground truth.
+//! (`tests/engine_agreement.rs`) holds this explorer and the parallel
+//! engine to [`crate::reference`]'s answers.
 
 use crate::checkpoint::{self, CheckpointOpts, ViolationRec};
 use crate::engine::{Note, StopReason};
@@ -81,8 +81,7 @@ struct Node {
 }
 
 /// The visited index shared by the sequential explorer and the sequential
-/// outline checker: either the fingerprint → arena-ids map (default) or
-/// the legacy materialised-canonical key map. The index never owns the
+/// outline checker: a fingerprint → arena-ids map. The index never owns the
 /// interned configurations — callers keep them in an arena and hand
 /// lookups an `interned(id)` accessor — so each canonical configuration
 /// is stored exactly once, whatever the arena's element type.
@@ -92,37 +91,26 @@ struct Node {
 /// collisions, interned states — are tallied where they happen, without
 /// threading a sink through every probe/commit signature.
 pub(crate) struct VisitedIndex {
-    mode: IndexMode,
+    map: FxHashMap<Fp128, IdBucket>,
     tel: Option<Arc<Telemetry>>,
 }
 
-enum IndexMode {
-    Fp(FxHashMap<Fp128, IdBucket>),
-    Exact(FxHashMap<Config, u32>),
-}
-
 /// The outcome of probing a successor against the visited index: already
-/// interned, or novel with the probe work (fingerprint + permutations, or
-/// the materialised canonical form) carried over for the insert. The
-/// `NovelExact` payload is boxed: it carries a whole materialised
-/// configuration and only exists on the legacy path.
+/// interned, or novel with the probe work (fingerprint + permutations)
+/// carried over for the insert.
 pub(crate) enum Probe {
     /// Already interned, under this arena id (POR duplicate hits consult
     /// the node's `explored` mask for the wake-up rule, after transporting
     /// the arriving masks through the carried group permutation).
     Dup(u32, Option<Vec<u8>>),
-    NovelFp(Fp128, rc11_core::CanonPerms),
-    NovelExact(Box<Config>, Option<Vec<u8>>),
+    /// Not interned yet: the fingerprint and canonical permutations
+    /// [`VisitedIndex::commit`] reuses.
+    Novel(Fp128, rc11_core::CanonPerms),
 }
 
 impl VisitedIndex {
-    pub(crate) fn new(fingerprint: bool, tel: Option<Arc<Telemetry>>) -> VisitedIndex {
-        let mode = if fingerprint {
-            IndexMode::Fp(FxHashMap::default())
-        } else {
-            IndexMode::Exact(FxHashMap::default())
-        };
-        VisitedIndex { mode, tel }
+    pub(crate) fn new(tel: Option<Arc<Telemetry>>) -> VisitedIndex {
+        VisitedIndex { map: FxHashMap::default(), tel }
     }
 
     /// Tally a duplicate probe hit (and, when the match went through a
@@ -137,62 +125,41 @@ impl VisitedIndex {
         }
     }
 
-    /// Probe a raw (non-canonical) successor. The fingerprint path never
-    /// materialises the canonical form: one hash walk, plus a
-    /// `canonical_eq` confirmation walk per candidate in the (almost
-    /// always empty or single-entry, matching) bucket — `interned` reads
-    /// the candidate's canonical configuration out of the caller's arena.
-    /// With a symmetry spec, the walk first installs the canonical group
-    /// permutation (`sym::sym_perms`), so the whole orbit probes to one
-    /// interned representative.
+    /// Probe a raw (non-canonical) successor without materialising its
+    /// canonical form: one hash walk, plus a `canonical_eq` confirmation
+    /// walk per candidate in the (almost always empty or single-entry,
+    /// matching) bucket — `interned` reads the candidate's canonical
+    /// configuration out of the caller's arena. With a symmetry spec, the
+    /// walk first installs the canonical group permutation
+    /// (`sym::sym_perms`), so the whole orbit probes to one interned
+    /// representative.
     pub(crate) fn probe<'a>(
         &self,
         succ: &Config,
         symm: Option<&SymmetrySpec>,
         interned: impl Fn(u32) -> &'a Config,
     ) -> Probe {
-        match &self.mode {
-            IndexMode::Fp(map) => {
-                let mut perms = succ.canonical_perms();
-                if let Some(spec) = symm {
-                    perms.threads = spec.choose(succ, &perms);
-                }
-                let fp = match symm {
-                    Some(spec) => sym::fingerprint_sym(succ, &perms, spec),
-                    None => succ.fingerprint_with(&perms),
+        let mut perms = succ.canonical_perms();
+        if let Some(spec) = symm {
+            perms.threads = spec.choose(succ, &perms);
+        }
+        let fp = match symm {
+            Some(spec) => sym::fingerprint_sym(succ, &perms, spec),
+            None => succ.fingerprint_with(&perms),
+        };
+        if let Some(bucket) = self.map.get(&fp) {
+            for &id in bucket.ids() {
+                let eq = match symm {
+                    Some(spec) => succ.canonical_eq_sym(&perms, spec.maps(), interned(id)),
+                    None => succ.canonical_eq_with(&perms, interned(id)),
                 };
-                if let Some(bucket) = map.get(&fp) {
-                    for &id in bucket.ids() {
-                        let eq = match symm {
-                            Some(spec) => {
-                                succ.canonical_eq_sym(&perms, spec.maps(), interned(id))
-                            }
-                            None => succ.canonical_eq_with(&perms, interned(id)),
-                        };
-                        if eq {
-                            self.count_dup(&perms.threads);
-                            return Probe::Dup(id, perms.threads);
-                        }
-                    }
-                }
-                Probe::NovelFp(fp, perms)
-            }
-            IndexMode::Exact(map) => {
-                let (canon, sigma) = match symm {
-                    Some(spec) => {
-                        let perms = sym::sym_perms(spec, succ);
-                        (succ.canonical_sym(&perms, spec.maps()), perms.threads)
-                    }
-                    None => (succ.canonical(), None),
-                };
-                if let Some(&id) = map.get(&canon) {
-                    self.count_dup(&sigma);
-                    Probe::Dup(id, sigma)
-                } else {
-                    Probe::NovelExact(Box::new(canon), sigma)
+                if eq {
+                    self.count_dup(&perms.threads);
+                    return Probe::Dup(id, perms.threads);
                 }
             }
         }
+        Probe::Novel(fp, perms)
     }
 
     /// Intern a probed-novel successor under id `new_id`, returning its
@@ -207,37 +174,30 @@ impl VisitedIndex {
         symm: Option<&SymmetrySpec>,
         new_id: u32,
     ) -> (Config, Option<Vec<u8>>) {
-        let VisitedIndex { mode, tel } = self;
-        if let Some(t) = tel {
+        let Probe::Novel(fp, perms) = probe else {
+            unreachable!("only a novel probe is committed")
+        };
+        if let Some(t) = &self.tel {
             t.incr(Counter::States);
         }
-        match (mode, probe) {
-            (IndexMode::Fp(map), Probe::NovelFp(fp, perms)) => {
-                let canon = match symm {
-                    Some(spec) => succ.canonical_sym(&perms, spec.maps()),
-                    None => succ.canonical_with(&perms),
-                };
-                match map.entry(fp) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        // Two distinct canonical states share this Fp128:
-                        // a real, confirmed fingerprint collision.
-                        if let Some(t) = tel {
-                            t.incr(Counter::FpCollisions);
-                        }
-                        e.get_mut().push(new_id);
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(IdBucket::One(new_id));
-                    }
+        let canon = match symm {
+            Some(spec) => succ.canonical_sym(&perms, spec.maps()),
+            None => succ.canonical_with(&perms),
+        };
+        match self.map.entry(fp) {
+            std::collections::hash_map::Entry::Occupied(mut e) => {
+                // Two distinct canonical states share this Fp128: a real,
+                // confirmed fingerprint collision.
+                if let Some(t) = &self.tel {
+                    t.incr(Counter::FpCollisions);
                 }
-                (canon, perms.threads)
+                e.get_mut().push(new_id);
             }
-            (IndexMode::Exact(map), Probe::NovelExact(canon, sigma)) => {
-                map.insert((*canon).clone(), new_id);
-                (*canon, sigma)
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert(IdBucket::One(new_id));
             }
-            _ => unreachable!("probe/commit mode mismatch"),
         }
+        (canon, perms.threads)
     }
 }
 
@@ -275,7 +235,7 @@ impl<'a> Explorer<'a> {
         let tel = self.opts.telemetry.clone();
         let tel0 = tel.as_ref().map(|t| t.snapshot());
         let mut report = Report::default();
-        let mut index = VisitedIndex::new(self.opts.fingerprint, tel.clone());
+        let mut index = VisitedIndex::new(tel.clone());
         // The interned state arena: every canonical configuration stored
         // exactly once, with its first-discovery parent edge.
         let mut nodes: Vec<Node> = Vec::new();
@@ -398,7 +358,7 @@ impl<'a> Explorer<'a> {
                     }
                     Err(message) => {
                         report.note(Note::CheckpointError { message });
-                        index = VisitedIndex::new(self.opts.fingerprint, tel.clone());
+                        index = VisitedIndex::new(tel.clone());
                         nodes = Vec::new();
                     }
                 }
@@ -745,7 +705,6 @@ impl<'a> Explorer<'a> {
         let mut h = crate::fxhash::Fx128Hasher::default();
         format!("{:?}", self.prog).hash(&mut h);
         (
-            self.opts.fingerprint,
             self.opts.por,
             self.opts.dpor,
             self.opts.symmetry,
@@ -769,7 +728,7 @@ impl<'a> Explorer<'a> {
         data: &checkpoint::CheckpointData,
         symm: Option<&SymmetrySpec>,
     ) -> Result<(VisitedIndex, Vec<Node>), String> {
-        let mut index = VisitedIndex::new(self.opts.fingerprint, self.opts.telemetry.clone());
+        let mut index = VisitedIndex::new(self.opts.telemetry.clone());
         let mut nodes: Vec<Node> = Vec::with_capacity(data.nodes.len());
         let root = match data.nodes.first() {
             Some(r) if r.parent == u32::MAX => r,

@@ -2,29 +2,29 @@
 //!
 //! For each generated program ([`crate::gen`]) the harness decides the same
 //! reachability question many ways and requires every answer to agree with
-//! the sequential, materialised-canonical-dedup oracle:
+//! the [`crate::reference`] oracle, a breadth-first explorer over
+//! materialised canonical configurations:
 //!
-//! * sequential with fingerprint dedup on (ablation A4's fast path);
-//! * the parallel engine at each configured worker count, fingerprint on
-//!   *and* off;
+//! * the sequential engine, whose fingerprint dedup must reproduce the
+//!   oracle's counts exactly (ablation A4);
+//! * the parallel engine at each configured worker count;
 //! * the `.litmus` printer/parser round-trip: printing the program as text
 //!   and re-parsing it must preserve the outcome set (pinning the text
 //!   front-end to the builder);
 //! * the partial-order-reduction lane ([`DiffOptions::por`]): sleep-set
 //!   pruning must preserve states, terminal/deadlock counts and the
-//!   outcome set while generating no more transitions, under both engines
-//!   and both dedup modes;
+//!   outcome set while generating no more transitions, under both engines;
 //! * the thread-symmetry lane ([`DiffOptions::symmetry`]): symmetry
 //!   reduction may only shrink state/transition counts and must preserve
 //!   the terminal/deadlock counts and the outcome set exactly, under both
-//!   engines, both dedup modes, and composed with POR (the generator's
-//!   thread-cloning mode makes programs with real symmetry to reduce);
+//!   engines and composed with POR (the generator's thread-cloning mode
+//!   makes programs with real symmetry to reduce);
 //! * the persistent-set DPOR lane ([`DiffOptions::dpor`]): persistent
 //!   sets may shed both states and transitions (unlike sleep sets, which
 //!   preserve states), so the lane holds DPOR to the A7 contract — state
 //!   and transition counts bounded above by the unreduced oracle,
 //!   terminal/deadlock counts and the outcome set preserved exactly —
-//!   under both engines, both dedup modes, and composed with symmetry;
+//!   under both engines and composed with symmetry;
 //! * the request-path/cache parity lane ([`DiffOptions::request`]): the
 //!   shared [`crate::request::CheckService`] pipeline must reproduce the
 //!   oracle's report field-for-field on a cold check, and a warm
@@ -44,6 +44,7 @@ use crate::checkpoint::CheckpointOpts;
 use crate::engine::{Engine, EngineReport, ExploreOptions};
 use crate::gen::{generate, shrink, GProg, GenOptions};
 use crate::random::sample_terminals;
+use crate::reference;
 use crate::request::{CheckParams, CheckService, Served};
 use rc11_core::Val;
 use rc11_lang::compile;
@@ -53,8 +54,7 @@ use std::collections::BTreeSet;
 /// Differential-check configuration.
 #[derive(Debug, Clone)]
 pub struct DiffOptions {
-    /// Parallel worker counts to cross-check (each runs fingerprint on and
-    /// off).
+    /// Parallel worker counts to cross-check.
     pub workers: Vec<usize>,
     /// State cap per exploration; a generated program that exceeds it is
     /// skipped (counted, not failed).
@@ -68,8 +68,8 @@ pub struct DiffOptions {
     /// and require outcome-set equality.
     pub round_trip: bool,
     /// Add the partial-order-reduction parity lane: re-explore the program
-    /// with [`ExploreOptions::por`] on — sequentially in both dedup modes
-    /// and in parallel at every configured worker count — and require the
+    /// with [`ExploreOptions::por`] on — sequentially and in parallel at
+    /// every configured worker count — and require the
     /// state count, terminal/deadlock counts and outcome set to match the
     /// unreduced oracle exactly, with no more transitions generated.
     /// Default off (mirroring `ExploreOptions::por`); the fixed-seed
@@ -77,8 +77,8 @@ pub struct DiffOptions {
     /// turn it on.
     pub por: bool,
     /// Add the thread-symmetry parity lane: re-explore with
-    /// [`ExploreOptions::symmetry`] on — sequentially in both dedup modes,
-    /// in parallel at every configured worker count, and once more with
+    /// [`ExploreOptions::symmetry`] on — sequentially, in parallel at
+    /// every configured worker count, and once more with
     /// POR stacked on top — and require the terminal/deadlock counts and
     /// the outcome set to match the unreduced oracle exactly, with no more
     /// states or transitions than it. Default off (mirroring
@@ -88,8 +88,8 @@ pub struct DiffOptions {
     /// generated programs actually have symmetric threads to reduce.
     pub symmetry: bool,
     /// Add the persistent-set DPOR parity lane: re-explore with
-    /// [`ExploreOptions::dpor`] on — sequentially in both dedup modes, in
-    /// parallel at every configured worker count, and once more composed
+    /// [`ExploreOptions::dpor`] on — sequentially, in parallel at every
+    /// configured worker count, and once more composed
     /// with symmetry — and require the terminal/deadlock counts and the
     /// outcome set to match the unreduced oracle exactly, with no more
     /// states or transitions than it (persistent sets skip whole threads,
@@ -367,33 +367,22 @@ pub fn diff_one(g: &GProg, seed: u64, opts: &DiffOptions) -> DiffVerdict {
         max_states: opts.max_states,
         ..Default::default()
     };
-    let exact = ExploreOptions { fingerprint: false, ..base.clone() };
-    let fp = ExploreOptions { fingerprint: true, ..base };
 
-    // The oracle: sequential, materialised-canonical dedup.
-    let oracle = Engine::Sequential.explore(&prog, &NoObjects, &exact);
+    // The oracle: the small breadth-first reference explorer.
+    let oracle = reference::explore(&prog, &NoObjects, opts.max_states, |_, _| {});
     if oracle.truncated() {
         return DiffVerdict::Skipped;
     }
     let oracle_outcomes = outcome_set(g, &oracle);
+    // The sequential engine's own report, kept for the checkpoint lane,
+    // which compares reports bit for bit (order included).
+    let seq = Engine::Sequential.explore(&prog, &NoObjects, &base);
 
     match (|| -> Result<(), String> {
-        // Fingerprint on/off parity, sequentially.
-        let seq_fp = Engine::Sequential.explore(&prog, &NoObjects, &fp);
-        compare("sequential fingerprint", g, &oracle, &oracle_outcomes, &seq_fp)?;
-
-        // Sequential vs parallel, in both dedup modes.
+        compare("sequential", g, &oracle, &oracle_outcomes, &seq)?;
         for &w in &opts.workers {
-            for (mode, o) in [("fp", &fp), ("exact", &exact)] {
-                let par = Engine::Parallel { workers: w }.explore(&prog, &NoObjects, o);
-                compare(
-                    &format!("parallel[{w} workers, {mode}]"),
-                    g,
-                    &oracle,
-                    &oracle_outcomes,
-                    &par,
-                )?;
-            }
+            let par = Engine::Parallel { workers: w }.explore(&prog, &NoObjects, &base);
+            compare(&format!("parallel[{w} workers]"), g, &oracle, &oracle_outcomes, &par)?;
         }
 
         // Printer/parser round-trip preserves the outcome set. The printed
@@ -407,9 +396,12 @@ pub fn diff_one(g: &GProg, seed: u64, opts: &DiffOptions) -> DiffVerdict {
             let parsed = rc11_lang::parse::parse_litmus(&src)
                 .map_err(|e| format!("round-trip: printed source fails to parse: {e}"))?;
             let rt_prog = compile(&parsed.prog);
-            let rt_opts =
-                ExploreOptions { max_states: opts.max_states.saturating_mul(16), ..exact.clone() };
-            let rt = Engine::Sequential.explore(&rt_prog, &NoObjects, &rt_opts);
+            let rt = reference::explore(
+                &rt_prog,
+                &NoObjects,
+                opts.max_states.saturating_mul(16),
+                |_, _| {},
+            );
             if rt.truncated() {
                 return Err("round-trip: reparsed program truncated".into());
             }
@@ -428,92 +420,51 @@ pub fn diff_one(g: &GProg, seed: u64, opts: &DiffOptions) -> DiffVerdict {
         }
 
         // POR parity: sleep-set reduction must preserve the whole report
-        // shape except the transition count — sequentially in both dedup
-        // modes and in parallel at every worker count.
+        // shape except the transition count — sequentially and in
+        // parallel at every worker count.
         if opts.por {
-            for (mode, o) in [("fp", &fp), ("exact", &exact)] {
-                let por_opts = ExploreOptions { por: true, ..o.clone() };
-                let seq = Engine::Sequential.explore(&prog, &NoObjects, &por_opts);
-                compare_por(
-                    &format!("por[seq, {mode}]"),
-                    g,
-                    &oracle,
-                    &oracle_outcomes,
-                    &seq,
-                )?;
-            }
-            let por_fp = ExploreOptions { por: true, ..fp.clone() };
+            let por = ExploreOptions { por: true, ..base.clone() };
+            let seq = Engine::Sequential.explore(&prog, &NoObjects, &por);
+            compare_por("por[seq]", g, &oracle, &oracle_outcomes, &seq)?;
             for &w in &opts.workers {
-                let par = Engine::Parallel { workers: w }.explore(&prog, &NoObjects, &por_fp);
-                compare_por(
-                    &format!("por[{w} workers, fp]"),
-                    g,
-                    &oracle,
-                    &oracle_outcomes,
-                    &par,
-                )?;
+                let par = Engine::Parallel { workers: w }.explore(&prog, &NoObjects, &por);
+                compare_por(&format!("por[{w} workers]"), g, &oracle, &oracle_outcomes, &par)?;
             }
         }
 
         // Symmetry parity: thread-symmetry reduction may only shrink the
         // state/transition counts while reproducing the exact terminal,
-        // deadlock and outcome picture — sequentially in both dedup modes,
-        // in parallel at every worker count, and composed with POR.
+        // deadlock and outcome picture — sequentially, in parallel at
+        // every worker count, and composed with POR.
         if opts.symmetry {
-            for (mode, o) in [("fp", &fp), ("exact", &exact)] {
-                let sym_opts = ExploreOptions { symmetry: true, ..o.clone() };
-                let seq = Engine::Sequential.explore(&prog, &NoObjects, &sym_opts);
-                compare_sym(&format!("sym[seq, {mode}]"), g, &oracle, &oracle_outcomes, &seq)?;
-            }
-            let sym_por = ExploreOptions { symmetry: true, por: true, ..fp.clone() };
-            let seq = Engine::Sequential.explore(&prog, &NoObjects, &sym_por);
-            compare_sym("sym+por[seq, fp]", g, &oracle, &oracle_outcomes, &seq)?;
-            let sym_fp = ExploreOptions { symmetry: true, ..fp.clone() };
-            for &w in &opts.workers {
-                let par = Engine::Parallel { workers: w }.explore(&prog, &NoObjects, &sym_fp);
-                compare_sym(&format!("sym[{w} workers, fp]"), g, &oracle, &oracle_outcomes, &par)?;
-                let par = Engine::Parallel { workers: w }.explore(&prog, &NoObjects, &sym_por);
-                compare_sym(
-                    &format!("sym+por[{w} workers, fp]"),
-                    g,
-                    &oracle,
-                    &oracle_outcomes,
-                    &par,
-                )?;
+            let sym = ExploreOptions { symmetry: true, ..base.clone() };
+            let sym_por = ExploreOptions { symmetry: true, por: true, ..base.clone() };
+            for (lane, o) in [("sym", &sym), ("sym+por", &sym_por)] {
+                let seq = Engine::Sequential.explore(&prog, &NoObjects, o);
+                compare_sym(&format!("{lane}[seq]"), g, &oracle, &oracle_outcomes, &seq)?;
+                for &w in &opts.workers {
+                    let par = Engine::Parallel { workers: w }.explore(&prog, &NoObjects, o);
+                    let what = format!("{lane}[{w} workers]");
+                    compare_sym(&what, g, &oracle, &oracle_outcomes, &par)?;
+                }
             }
         }
 
         // DPOR parity: persistent-set reduction may shed states and
         // transitions but must reproduce the exact terminal, deadlock and
-        // outcome picture — sequentially in both dedup modes, in parallel
-        // at every worker count, and composed with symmetry.
+        // outcome picture — sequentially, in parallel at every worker
+        // count, and composed with symmetry.
         if opts.dpor {
-            for (mode, o) in [("fp", &fp), ("exact", &exact)] {
-                let dpor_opts = ExploreOptions { dpor: true, ..o.clone() };
-                let seq = Engine::Sequential.explore(&prog, &NoObjects, &dpor_opts);
-                compare_dpor(&format!("dpor[seq, {mode}]"), g, &oracle, &oracle_outcomes, &seq)?;
-            }
-            let dpor_sym = ExploreOptions { dpor: true, symmetry: true, ..fp.clone() };
-            let seq = Engine::Sequential.explore(&prog, &NoObjects, &dpor_sym);
-            compare_dpor("dpor+sym[seq, fp]", g, &oracle, &oracle_outcomes, &seq)?;
-            let dpor_fp = ExploreOptions { dpor: true, ..fp.clone() };
-            for &w in &opts.workers {
-                let par = Engine::Parallel { workers: w }.explore(&prog, &NoObjects, &dpor_fp);
-                compare_dpor(
-                    &format!("dpor[{w} workers, fp]"),
-                    g,
-                    &oracle,
-                    &oracle_outcomes,
-                    &par,
-                )?;
-                let par = Engine::Parallel { workers: w }.explore(&prog, &NoObjects, &dpor_sym);
-                compare_dpor(
-                    &format!("dpor+sym[{w} workers, fp]"),
-                    g,
-                    &oracle,
-                    &oracle_outcomes,
-                    &par,
-                )?;
+            let dpor = ExploreOptions { dpor: true, ..base.clone() };
+            let dpor_sym = ExploreOptions { dpor: true, symmetry: true, ..base.clone() };
+            for (lane, o) in [("dpor", &dpor), ("dpor+sym", &dpor_sym)] {
+                let seq = Engine::Sequential.explore(&prog, &NoObjects, o);
+                compare_dpor(&format!("{lane}[seq]"), g, &oracle, &oracle_outcomes, &seq)?;
+                for &w in &opts.workers {
+                    let par = Engine::Parallel { workers: w }.explore(&prog, &NoObjects, o);
+                    let what = format!("{lane}[{w} workers]");
+                    compare_dpor(&what, g, &oracle, &oracle_outcomes, &par)?;
+                }
             }
         }
 
@@ -529,7 +480,7 @@ pub fn diff_one(g: &GProg, seed: u64, opts: &DiffOptions) -> DiffVerdict {
                 let plan = FaultPlan::from_seed(fault_seed);
                 // Parallel engine: worker panics and injector stalls.
                 let chaos_opts =
-                    ExploreOptions { chaos: Some(ChaosState::new(plan)), ..fp.clone() };
+                    ExploreOptions { chaos: Some(ChaosState::new(plan)), ..base.clone() };
                 let got =
                     Engine::Parallel { workers: w }.explore(&prog, &NoObjects, &chaos_opts);
                 let what = format!("chaos[par, seed {fault_seed:#x}, plan {plan:?}]");
@@ -567,8 +518,8 @@ pub fn diff_one(g: &GProg, seed: u64, opts: &DiffOptions) -> DiffVerdict {
                 }
                 // Sequential engine with checkpointing: an injected
                 // checkpoint-write failure must never corrupt the run —
-                // the report stays bit-identical to the oracle's, modulo
-                // the CheckpointError note.
+                // the report stays bit-identical to the unfaulted
+                // sequential run's, modulo the CheckpointError note.
                 let dir = std::env::temp_dir().join(format!(
                     "rc11-chaos-{}-{fault_seed:x}",
                     std::process::id()
@@ -585,15 +536,15 @@ pub fn diff_one(g: &GProg, seed: u64, opts: &DiffOptions) -> DiffVerdict {
                         ..FaultPlan::none()
                     })),
                     checkpoint: Some(CheckpointOpts { dir: dir.clone(), every }),
-                    ..exact.clone()
+                    ..base.clone()
                 };
-                let seq = Engine::Sequential.explore(&prog, &NoObjects, &ck_opts);
+                let ck = Engine::Sequential.explore(&prog, &NoObjects, &ck_opts);
                 let _ = std::fs::remove_dir_all(&dir);
-                if !seq.same_results(&oracle) {
+                if !ck.same_results(&seq) {
                     return Err(format!(
                         "chaos[seq-ckpt, seed {fault_seed:#x}]: a failed checkpoint write \
                          changed the report (states {} vs {}, stop {} vs {})",
-                        seq.states, oracle.states, seq.stop, oracle.stop
+                        ck.states, seq.states, ck.stop, seq.stop
                     ));
                 }
             }
@@ -607,11 +558,7 @@ pub fn diff_one(g: &GProg, seed: u64, opts: &DiffOptions) -> DiffVerdict {
             let program = g.to_program("fuzz");
             let observe = g.observe();
             let service = CheckService::with_cache(VerdictCache::new(4));
-            let params = CheckParams {
-                max_states: opts.max_states,
-                fingerprint: false,
-                ..CheckParams::default()
-            };
+            let params = CheckParams { max_states: opts.max_states, ..CheckParams::default() };
             let cold =
                 service.check_parts("fuzz", &program, &observe, &oracle_outcomes, &params);
             if cold.served != Served::Explored {
@@ -724,6 +671,18 @@ impl FuzzReport {
     }
 }
 
+/// A shrunk counterexample as replayable `.litmus` source, its expected
+/// set recovered from the [`crate::reference`] oracle.
+fn repro_source(shrunk: &GProg, seed: u64, what: &str, max_states: usize) -> String {
+    let prog = compile(&shrunk.to_program("fuzz"));
+    let oracle = reference::explore(&prog, &NoObjects, max_states, |_, _| {});
+    shrunk.to_litmus_source(
+        &format!("fuzz-fail-{seed}"),
+        &format!("shrunk fuzz counterexample: {what}"),
+        &outcome_set(shrunk, &oracle),
+    )
+}
+
 /// Generate and differentially check `iters` programs from `seed`,
 /// stopping (after shrinking) at the first failure. `progress` is called
 /// after every program with the running report.
@@ -755,24 +714,7 @@ pub fn fuzz(
                     DiffVerdict::Fail(e) => e,
                     other => format!("unstable failure after shrinking: {other:?}"),
                 };
-                // Recover the oracle's outcome set for the repro source.
-                let prog = compile(&shrunk.to_program("fuzz"));
-                let oracle = Engine::Sequential.explore(
-                    &prog,
-                    &NoObjects,
-                    &ExploreOptions {
-                        record_traces: false,
-                        max_states: diff_opts.max_states,
-                        fingerprint: false,
-                        ..Default::default()
-                    },
-                );
-                let outcomes = outcome_set(&shrunk, &oracle);
-                let source = shrunk.to_litmus_source(
-                    &format!("fuzz-fail-{prog_seed}"),
-                    &format!("shrunk fuzz counterexample: {what}"),
-                    &outcomes,
-                );
+                let source = repro_source(&shrunk, prog_seed, &what, diff_opts.max_states);
                 report.failure =
                     Some(FuzzFailure { iter: i, seed: prog_seed, what, shrunk, source });
                 progress(&report);
@@ -809,6 +751,23 @@ mod tests {
         );
         assert!(report.passed + report.skipped == 10);
         assert!(report.passed > 0, "at least some programs must be checkable");
+    }
+
+    /// The failure path's repro source carries the reference oracle's
+    /// outcome set, so replaying it through the request pipeline passes:
+    /// a printed counterexample disagrees with the engines only where the
+    /// engines are wrong.
+    #[test]
+    fn repro_source_expects_the_reference_outcomes() {
+        let service = CheckService::new();
+        let gen_opts = GenOptions { max_threads: 2, max_stmts: 3, ..Default::default() };
+        for seed in 1..6 {
+            let g = generate(seed, &gen_opts);
+            let src = repro_source(&g, seed, "test", 1 << 14);
+            let resp = service.check_source(&src, &CheckParams::default()).expect("repro parses");
+            assert!(resp.stop.is_complete() && !resp.observed.is_empty(), "seed {seed}");
+            assert!(resp.pass, "seed {seed}: engine disagrees with the reference:\n{src}");
+        }
     }
 
     #[test]

@@ -395,7 +395,7 @@ impl GProg {
     }
 
     /// Print as `.litmus` surface syntax with the given exact expected
-    /// outcome set (normally the sequential oracle's observed set), so a
+    /// outcome set (normally the reference oracle's observed set), so a
     /// failing program is replayable via `rc11 run`.
     pub fn to_litmus_source(
         &self,

@@ -17,13 +17,20 @@
 //!   bit-identically to uninterrupted ones;
 //! * [`explore::Explorer`] — sequential exhaustive search over canonical configurations
 //!   with invariant checking, terminal-outcome collection and counterexample
-//!   traces — the reference oracle for the differential suite;
+//!   traces;
 //! * [`outline_check`] — proof-outline validity (Figures 3, 7; Lemma 4)
 //!   with Owicki–Gries violation classification (local vs interference),
 //!   runnable under either engine ([`outline_check::check_outline_with`]);
 //! * [`parallel`] — the batched work-stealing parallel engine over a
 //!   sharded fingerprint-keyed interned state store, with counterexample
-//!   traces (ablations A3/A4);
+//!   traces (ablations A3/A4). Both engines share one dedup mode:
+//!   zero-rebuild canonical fingerprints confirmed against the interned
+//!   representative;
+//! * [`reference`](mod@reference) — the oracle: a small breadth-first
+//!   explorer over materialised canonical configurations in a std
+//!   `HashSet`, with no options, reductions or threads. Only tests and
+//!   `rc11 fuzz` call it; every differential compares the engines
+//!   against it;
 //! * `por` (internal) — sleep-set partial-order reduction over the
 //!   [`rc11_core::StepFootprint`] independence oracle with
 //!   `rc11_analyze`'s static may-conflict matrix as a pre-filter, layered
@@ -34,9 +41,10 @@
 //! * [`gen`] — seeded random litmus-program generation over the full
 //!   statement alphabet, with deletion-based shrinking;
 //! * [`fuzz`] — the generative differential harness: every generated
-//!   program must produce identical reports under sequential/parallel
-//!   engines, fingerprint on/off, the `.litmus` printer/parser round-trip,
-//!   and sampler-soundness (`random_walk` ⊆ exhaustive outcomes);
+//!   program must produce the [`reference`](mod@reference) oracle's
+//!   report under the sequential and parallel engines, survive the
+//!   `.litmus` printer/parser round-trip, and pass sampler-soundness
+//!   (`random_walk` ⊆ exhaustive outcomes);
 //! * [`random`] — reproducible random-walk sampling for outcome frequency;
 //! * [`telemetry`] — wire encoding for [`rc11_telemetry`] snapshots, the
 //!   `--trace` JSONL stream ([`telemetry::TraceWriter`]) and its
@@ -61,6 +69,7 @@ pub mod parallel;
 pub(crate) mod por;
 pub mod pretty;
 pub mod random;
+pub mod reference;
 pub mod request;
 pub(crate) mod sym;
 pub mod telemetry;
@@ -80,7 +89,7 @@ pub use fxhash::{CanonicalFingerprint, Fp128, Fx128Hasher};
 pub use outline_check::{
     check_outline, check_outline_with, OgClass, OutlineKind, OutlineReport, OutlineViolation,
 };
-pub use parallel::{par_explore, ShardedFpMap, ShardedMap, ShardedSet};
+pub use parallel::{par_explore, ShardedFpMap};
 pub use random::{random_walk, sample_terminals, SampleError};
 pub use request::{option_words, CheckParams, CheckResponse, CheckService, Served, StatsSnapshot};
 pub use telemetry::{read_trace, snapshot_from_json, snapshot_json, TraceStats, TraceWriter};

@@ -229,7 +229,7 @@ impl Recorder {
 }
 
 /// Check `outline` against the full reachable space of `prog` with the
-/// sequential reference engine. See [`check_outline_with`] to pick the
+/// sequential engine. See [`check_outline_with`] to pick the
 /// engine explicitly.
 pub fn check_outline(
     prog: &CfgProgram,
@@ -300,10 +300,10 @@ fn seq_check_outline(
     let mut mem_bytes: usize = 0;
 
     // The interned canonical configurations; frontier entries index it.
-    // Deduplication reuses the explorer's two-mode visited index
+    // Deduplication reuses the explorer's fingerprint-keyed visited index
     // (`crate::explore::VisitedIndex`) over this arena.
     let mut arena: Vec<Config> = Vec::new();
-    let mut index = VisitedIndex::new(opts.fingerprint, opts.telemetry.clone());
+    let mut index = VisitedIndex::new(opts.telemetry.clone());
 
     let init = Config::initial(prog).canonical();
     let (fails, checks) = annots.failures(&init);

@@ -30,9 +30,8 @@
 //!   fingerprints ([`crate::fxhash::Fp128`]): duplicate successors (the
 //!   vast majority) cost one hash walk plus a `canonical_eq` confirmation
 //!   walk instead of a full canonical rebuild plus a key clone, and each
-//!   canonical configuration is interned exactly once. The legacy
-//!   materialised-canonical [`ShardedMap`] path remains selectable with
-//!   [`ExploreOptions::fingerprint`]` = false` (ablation A4).
+//!   canonical configuration is interned exactly once. This is the only
+//!   dedup mode (ablation A4).
 //! * **Batched, double-checked shard insertion** — all successors of one
 //!   expansion are grouped by shard (parking_lot RwLock shards) and
 //!   inserted with one read-lock filter pass plus one write-lock pass per
@@ -42,7 +41,7 @@
 //! * **Mixed shard indexing** — shard selection feeds the key's hash
 //!   through an avalanche mixer ([`spread`]) instead of using a fixed bit
 //!   window, so stride-aligned or low-entropy key patterns still populate
-//!   every shard (property-tested in `tests/sharded_props.rs`).
+//!   every shard (unit-tested below).
 //! * **Counterexample traces** — the visited store keeps
 //!   `(parent configuration, moving thread)` first-discovery parent
 //!   pointers next to each interned state (when
@@ -53,15 +52,15 @@
 //!   traces are *valid* paths from the initial configuration, not shortest
 //!   ones — in either engine.)
 //!
-//! Engine selection is [`crate::engine::choose_engine`]; the sequential
-//! explorer remains the reference oracle, and `tests/engine_agreement.rs`
-//! (workspace root) proves state/transition/terminal/violation parity on
-//! the full litmus gallery and the outline programs at 1/2/4/8 workers.
+//! Engine selection is [`crate::engine::choose_engine`];
+//! `tests/engine_agreement.rs` (workspace root) proves state/transition/
+//! terminal/violation parity with the [`crate::reference`] oracle on the
+//! full litmus gallery and the outline programs at 1/2/4/8 workers.
 //! This is ablation A3 of DESIGN.md: the benches sweep worker counts to
 //! show exploration scaling.
 
 use crate::engine::{EngineReport, ExploreOptions, Note, StopReason, Violation};
-use crate::fxhash::{CanonicalFingerprint, Fp128, FxBuildHasher, FxHashMap, FxHashSet};
+use crate::fxhash::{CanonicalFingerprint, Fp128, FxHashMap};
 use crate::por::{self, ThreadMask};
 use crate::sym;
 use crossbeam::deque::{Injector, Steal};
@@ -71,7 +70,6 @@ use rc11_core::{CanonPerms, Tid};
 use rc11_lang::cfg::CfgProgram;
 use rc11_lang::machine::{thread_successors, Config, ObjectSemantics};
 use rc11_telemetry::{Counter, Telemetry};
-use std::hash::{BuildHasher, Hash};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -90,204 +88,16 @@ pub const FLUSH_BATCH: usize = 64;
 /// frontier other workers can fan out on.
 pub const KEEP_LOCAL: usize = 2 * FLUSH_BATCH;
 
-/// Avalanche-mix a hash into a shard index base: xor-fold and multiply so
-/// every input bit influences the low bits the mask keeps. Keys whose
-/// hashes differ only in high bits (stride-aligned patterns, low-entropy
-/// hash functions) still spread across shards.
+/// Avalanche-mix a hash into a shard index base (MurmurHash3's `fmix64`:
+/// two xor-fold-and-multiply rounds) so every input bit influences the
+/// low bits the mask keeps. Keys whose hashes differ only in high bits
+/// (stride-aligned patterns, low-entropy hash functions) still spread
+/// across shards; a single round leaves some strides with empty shards.
 #[inline]
 fn spread(h: u64) -> usize {
-    let h = h ^ (h >> 33);
-    let h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    let h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    let h = (h ^ (h >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
     (h ^ (h >> 33)) as usize
-}
-
-/// A concurrent set sharded by hash, for visited-state deduplication.
-///
-/// `insert` is linearisable per value: the membership test is re-validated
-/// under the shard's write lock (double-checked locking), so for any value
-/// inserted concurrently by many threads exactly one caller observes
-/// `true`. [`len`](ShardedSet::len) and [`is_empty`](ShardedSet::is_empty)
-/// are **racy snapshots**: they lock the shards one at a time, so under
-/// concurrent insertion they return a value between the set's size when the
-/// call started and its size when the call finished — exact only at
-/// quiescence (e.g. after workers join).
-pub struct ShardedSet<T> {
-    shards: Vec<RwLock<FxHashSet<T>>>,
-    hasher: FxBuildHasher,
-    mask: usize,
-}
-
-impl<T: Hash + Eq> ShardedSet<T> {
-    /// A set with `2^shard_bits` shards.
-    pub fn new(shard_bits: u32) -> ShardedSet<T> {
-        let n = 1usize << shard_bits;
-        ShardedSet {
-            shards: (0..n).map(|_| RwLock::new(FxHashSet::default())).collect(),
-            hasher: FxBuildHasher::default(),
-            mask: n - 1,
-        }
-    }
-
-    #[inline]
-    fn shard_of(&self, v: &T) -> usize {
-        spread(self.hasher.hash_one(v)) & self.mask
-    }
-
-    /// Insert; returns true iff the value was new. A read-lock fast path
-    /// rejects known values; the slow path re-validates membership under
-    /// the write lock, so concurrent inserters of the same value elect
-    /// exactly one winner.
-    pub fn insert(&self, v: T) -> bool {
-        let shard = &self.shards[self.shard_of(&v)];
-        if shard.read().contains(&v) {
-            return false;
-        }
-        shard.write().insert(v)
-    }
-
-    /// Total elements across shards — a racy snapshot (see the type docs);
-    /// exact when no insert is in flight.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
-    }
-
-    /// True iff no elements — racy under concurrent insertion, like
-    /// [`len`](ShardedSet::len).
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().is_empty())
-    }
-
-    /// Per-shard element counts (racy snapshot), for occupancy diagnostics
-    /// and the shard-distribution property tests.
-    pub fn shard_occupancy(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.read().len()).collect()
-    }
-}
-
-/// A concurrent map sharded by key hash. The parallel engine stores visited
-/// configurations here, each mapped to its first-discovery parent pointer
-/// (`(parent configuration, moving thread)`), from which counterexample
-/// traces are reconstructed after the workers join.
-///
-/// Same concurrency contract as [`ShardedSet`]: inserts are double-checked
-/// under the shard write lock (exactly one winner per key, first value
-/// wins), while [`len`](ShardedMap::len)/[`is_empty`](ShardedMap::is_empty)
-/// are racy snapshots, exact only at quiescence.
-pub struct ShardedMap<K, V> {
-    shards: Vec<RwLock<FxHashMap<K, V>>>,
-    hasher: FxBuildHasher,
-    mask: usize,
-}
-
-impl<K: Hash + Eq, V> ShardedMap<K, V> {
-    /// A map with `2^shard_bits` shards.
-    pub fn new(shard_bits: u32) -> ShardedMap<K, V> {
-        let n = 1usize << shard_bits;
-        ShardedMap {
-            shards: (0..n).map(|_| RwLock::new(FxHashMap::default())).collect(),
-            hasher: FxBuildHasher::default(),
-            mask: n - 1,
-        }
-    }
-
-    #[inline]
-    fn shard_of(&self, k: &K) -> usize {
-        spread(self.hasher.hash_one(k)) & self.mask
-    }
-
-    /// Insert `k → v` if `k` is absent; returns true iff it was. Membership
-    /// is re-validated under the write lock, so racing inserters of one key
-    /// elect exactly one winner and the winner's value is kept.
-    pub fn insert(&self, k: K, v: V) -> bool {
-        let shard = &self.shards[self.shard_of(&k)];
-        if shard.read().contains_key(&k) {
-            return false;
-        }
-        match shard.write().entry(k) {
-            std::collections::hash_map::Entry::Occupied(_) => false,
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(v);
-                true
-            }
-        }
-    }
-
-    /// Batched insert: the items are grouped by shard so each touched shard
-    /// is locked once for a read-phase membership filter and (only if some
-    /// item survived) once for the write-phase insert, which re-checks
-    /// membership before committing. Returns the keys that were newly
-    /// inserted, in shard-grouped order; for duplicate keys within one
-    /// batch the first occurrence wins.
-    pub fn insert_batch(&self, items: Vec<(K, V)>) -> Vec<K>
-    where
-        K: Clone,
-    {
-        let mut tagged: Vec<(usize, Option<(K, V)>)> =
-            items.into_iter().map(|kv| (self.shard_of(&kv.0), Some(kv))).collect();
-        tagged.sort_by_key(|t| t.0);
-        let mut novel = Vec::new();
-        let mut i = 0;
-        while i < tagged.len() {
-            let s = tagged[i].0;
-            let mut j = i;
-            while j < tagged.len() && tagged[j].0 == s {
-                j += 1;
-            }
-            let shard = &self.shards[s];
-            {
-                let rd = shard.read();
-                for t in &mut tagged[i..j] {
-                    if rd.contains_key(&t.1.as_ref().expect("unconsumed item").0) {
-                        t.1 = None;
-                    }
-                }
-            }
-            if tagged[i..j].iter().any(|t| t.1.is_some()) {
-                let mut wr = shard.write();
-                for t in &mut tagged[i..j] {
-                    if let Some((k, v)) = t.1.take() {
-                        if !wr.contains_key(&k) {
-                            wr.insert(k.clone(), v);
-                            novel.push(k);
-                        }
-                    }
-                }
-            }
-            i = j;
-        }
-        novel
-    }
-
-    /// The value for `k`, cloned out from under the shard read lock.
-    pub fn get_cloned(&self, k: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.shards[self.shard_of(k)].read().get(k).cloned()
-    }
-
-    /// True iff `k` is present.
-    pub fn contains_key(&self, k: &K) -> bool {
-        self.shards[self.shard_of(k)].read().contains_key(k)
-    }
-
-    /// Total entries across shards — a racy snapshot (see the type docs);
-    /// exact when no insert is in flight.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
-    }
-
-    /// True iff no entries — racy under concurrent insertion, like
-    /// [`len`](ShardedMap::len).
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().is_empty())
-    }
-
-    /// Per-shard entry counts (racy snapshot), for occupancy diagnostics
-    /// and the shard-distribution property tests.
-    pub fn shard_occupancy(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.read().len()).collect()
-    }
 }
 
 /// One interned state in a [`ShardedFpMap`]: the canonical configuration
@@ -331,37 +141,46 @@ impl<V> FpShard<V> {
     }
 }
 
-/// The fingerprint-keyed equivalent of [`ShardedMap`], specialised to the
-/// engines' visited structure: keys are [`Fp128`] canonical fingerprints,
-/// and each entry **interns** its canonical [`Config`] exactly once (the
-/// confirmation representative and, for the engine, the trace endpoint)
-/// next to the caller's value. Same sharding (avalanche-mixed index),
-/// locking (read-filter pass + double-checked write pass) and batching
-/// discipline as [`ShardedMap`]; same racy-snapshot contract for `len`.
+/// The engines' concurrent visited structure: a map sharded by key hash
+/// whose keys are [`Fp128`] canonical fingerprints, and whose entries
+/// **intern** their canonical [`Config`] exactly once (the confirmation
+/// representative and, for the engine, the trace endpoint) next to the
+/// caller's value.
+///
+/// Shard selection avalanche-mixes the fingerprint (`spread`). Inserts
+/// are batched: one read-lock filter pass plus one double-checked
+/// write-lock pass per touched shard, so for any state inserted
+/// concurrently by many workers exactly one caller observes it as novel.
+/// [`len`](ShardedFpMap::len) and [`is_empty`](ShardedFpMap::is_empty)
+/// are **racy snapshots**: they lock the shards one at a time, so under
+/// concurrent insertion they return a value between the map's size when
+/// the call started and when it finished — exact only at quiescence (e.g.
+/// after workers join).
 pub struct ShardedFpMap<V> {
     shards: Vec<RwLock<FpShard<V>>>,
     mask: usize,
+    /// Telemetry sink injected at construction, so dedup events (dup
+    /// hits, symmetry folds, confirmed collisions) are tallied inside the
+    /// batched insert path without widening its signature.
+    tel: Option<Arc<Telemetry>>,
 }
 
 impl<V> ShardedFpMap<V> {
-    /// A map with `2^shard_bits` shards.
-    pub fn new(shard_bits: u32) -> ShardedFpMap<V> {
+    /// A map with `2^shard_bits` shards, tallying dedup events into `tel`.
+    pub fn new(shard_bits: u32, tel: Option<Arc<Telemetry>>) -> ShardedFpMap<V> {
         let n = 1usize << shard_bits;
         ShardedFpMap {
             shards: (0..n).map(|_| RwLock::new(FpShard::default())).collect(),
             mask: n - 1,
+            tel,
         }
     }
 
+    /// The shard a state with fingerprint `fp` lives in — exposed for
+    /// occupancy diagnostics of the shard index.
     #[inline]
-    fn shard_of(&self, fp: Fp128) -> usize {
+    pub fn shard_of(&self, fp: Fp128) -> usize {
         spread(fp.lo ^ fp.hi) & self.mask
-    }
-
-    /// Insert the (already canonical) initial configuration.
-    fn insert_init(&self, fp: Fp128, cfg: Config, val: V) {
-        let mut shard = self.shards[self.shard_of(fp)].write();
-        shard.map.insert(fp, FpEntry { cfg, val });
     }
 
     /// True iff a state canonically equal to the **raw** configuration
@@ -377,7 +196,8 @@ impl<V> ShardedFpMap<V> {
 
     /// [`contains_state`](ShardedFpMap::contains_state) with an optional
     /// thread-symmetry spec: membership is then decided up to the symmetry
-    /// group, matching the keys `insert_batch_por_sym` stores under.
+    /// group, matching the keys [`insert_batch`](ShardedFpMap::insert_batch)
+    /// stores under.
     pub(crate) fn contains_state_sym(
         &self,
         succ: &Config,
@@ -404,13 +224,10 @@ impl<V> ShardedFpMap<V> {
             .map(|e| e.val.clone())
     }
 
-    /// Total interned states — a racy snapshot like
-    /// [`ShardedMap::len`]; exact at quiescence.
+    /// Total interned states — a racy snapshot (see the type docs); exact
+    /// at quiescence.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| {
-            let s = s.read();
-            s.map.len() + s.overflow.len()
-        }).sum()
+        self.shard_occupancy().iter().sum()
     }
 
     /// True iff no states are interned — racy like
@@ -442,9 +259,16 @@ impl<V> ShardedFpMap<V> {
 /// lock, so the "exactly one winner" insert contract extends to "exactly
 /// one waker per missing thread".
 #[derive(Clone)]
-pub(crate) struct Masked<V> {
+pub struct Masked<V> {
     val: V,
     explored: ThreadMask,
+}
+
+impl<V> Masked<V> {
+    /// The caller's value.
+    pub fn value(&self) -> &V {
+        &self.val
+    }
 }
 
 /// A successor queued for POR-aware insertion: the raw configuration, the
@@ -467,50 +291,60 @@ type PorNovel = (Config, ThreadMask, ThreadMask);
 /// re-expansion inherits.
 type PorWoken = (Config, ThreadMask, ThreadMask);
 
-/// Generic-key counterparts of [`PorNovel`]/[`PorWoken`] for the
-/// materialised-canonical store.
-type PorNovelK<K> = (K, ThreadMask, ThreadMask);
-type PorWokenK<K> = (K, ThreadMask, ThreadMask);
-
 impl<V> ShardedFpMap<Masked<V>> {
-    /// Batched insert of raw successors (the engines' hot path, POR-aware
-    /// — the single implementation both modes share; a full-mask proposal
-    /// makes wake-ups impossible and reduces this to plain insertion).
-    /// Items are fingerprinted (one zero-rebuild walk each), grouped by
-    /// shard, and filtered with one read-lock pass per touched shard
-    /// confirming fingerprint hits via `canonical_eq`; only the survivors
-    /// — novel states and wake-up candidates — are then materialised to
-    /// canonical form (outside any lock, reusing the probe's permutations)
-    /// and committed with a double-checked write pass. Duplicate hits
-    /// whose stored explored mask misses threads of the incoming proposal
-    /// are *woken*: the mask grows under the write lock and the state is
-    /// returned for partial re-expansion. The read-phase drop is sound
-    /// because explored masks only ever grow: a duplicate fully absorbed
-    /// under the read lock stays absorbed.
-    #[cfg(test)]
-    pub(crate) fn insert_batch_por(
-        &self,
-        items: Vec<PorItem<V>>,
-    ) -> (Vec<PorNovel>, Vec<PorWoken>) {
-        self.insert_batch_por_sym(items, None, false, None)
+    /// Insert the (already canonical) initial configuration.
+    fn insert_init(&self, canon: Config, val: V, explored: ThreadMask) {
+        let fp = canon.canonical_fingerprint();
+        let mut shard = self.shards[self.shard_of(fp)].write();
+        shard.map.insert(fp, FpEntry { cfg: canon, val: Masked { val, explored } });
     }
 
-    /// [`insert_batch_por`](ShardedFpMap::insert_batch_por) with an
-    /// optional thread-symmetry spec: items are then keyed by their
-    /// symmetry-canonical form (one interned representative per orbit),
-    /// and — when `remap_masks` is set, i.e. under POR — each explored
-    /// proposal is transported through the item's group permutation `σ`
-    /// (bit `t` → bit `σ[t]`) so stored masks always live in the
-    /// representative's thread numbering. `remap_masks` must be false
-    /// without POR: full masks carry bits `≥ n_threads` that `σ` cannot
-    /// index.
-    pub(crate) fn insert_batch_por_sym(
+    /// Intern the raw configuration `succ` with value `val` unless a
+    /// canonically equal state is already present; true iff this call
+    /// interned it. However many callers race on one state, exactly one
+    /// sees `true`, and its value is the one kept.
+    pub fn insert(&self, succ: Config, val: V) -> bool {
+        !self.insert_all(vec![(succ, val)]).is_empty()
+    }
+
+    /// Batched [`insert`](ShardedFpMap::insert) through the engines' hot
+    /// path with full explored masks (no partial-order reduction, so no
+    /// state is ever woken). Returns the canonical forms of the states
+    /// this call interned; within a batch the first occurrence wins.
+    pub fn insert_all(&self, items: Vec<(Config, V)>) -> Vec<Config> {
+        let items = items.into_iter().map(|(succ, val)| (succ, val, !0, 0)).collect();
+        let (novel, _) = self.insert_batch(items, None, false);
+        novel.into_iter().map(|(canon, ..)| canon).collect()
+    }
+
+    /// Batched insert of raw successors — the engines' hot path, POR-aware
+    /// (a full-mask proposal makes wake-ups impossible and reduces this to
+    /// plain insertion). Items are fingerprinted (one zero-rebuild walk
+    /// each), grouped by shard, and filtered with one read-lock pass per
+    /// touched shard confirming fingerprint hits via `canonical_eq`; only
+    /// the survivors — novel states and wake-up candidates — are then
+    /// materialised to canonical form (outside any lock, reusing the
+    /// probe's permutations) and committed with a double-checked write
+    /// pass. Duplicate hits whose stored explored mask misses threads of
+    /// the incoming proposal are *woken*: the mask grows under the write
+    /// lock and the state is returned for partial re-expansion. The
+    /// read-phase drop is sound because explored masks only ever grow: a
+    /// duplicate fully absorbed under the read lock stays absorbed.
+    ///
+    /// With a symmetry spec, items are keyed by their symmetry-canonical
+    /// form (one interned representative per orbit), and — when
+    /// `remap_masks` is set, i.e. under POR — each explored proposal is
+    /// transported through the item's group permutation `σ` (bit `t` →
+    /// bit `σ[t]`) so stored masks always live in the representative's
+    /// thread numbering. `remap_masks` must be false without POR: full
+    /// masks carry bits `≥ n_threads` that `σ` cannot index.
+    pub(crate) fn insert_batch(
         &self,
         items: Vec<PorItem<V>>,
         symm: Option<&SymmetrySpec>,
         remap_masks: bool,
-        tel: Option<&Telemetry>,
     ) -> (Vec<PorNovel>, Vec<PorWoken>) {
+        let tel = self.tel.as_deref();
         // Tally a duplicate hit (and a symmetry-orbit fold when the match
         // went through a non-identity group permutation).
         let count_dup = |sigma: &Option<Vec<u8>>| {
@@ -651,219 +485,18 @@ impl<V> ShardedFpMap<Masked<V>> {
     }
 }
 
-impl<K: Hash + Eq + Clone, V> ShardedMap<K, Masked<V>> {
-    /// The materialised-canonical-key counterpart of
-    /// [`ShardedFpMap::insert_batch_por`]: same read-filter plus
-    /// double-checked write pass as [`ShardedMap::insert_batch`], with
-    /// duplicate hits applying the POR wake-up rule under the write lock.
-    /// This — not the plain `insert_batch` — is the exact-mode engine
-    /// path.
-    pub(crate) fn insert_batch_por(
-        &self,
-        items: Vec<(K, V, ThreadMask, ThreadMask)>,
-        tel: Option<&Telemetry>,
-    ) -> (Vec<PorNovelK<K>>, Vec<PorWokenK<K>>) {
-        struct Item<K, V> {
-            shard: usize,
-            /// `None` once dropped as an absorbed duplicate (or consumed).
-            kv: Option<(K, V)>,
-            proposal: ThreadMask,
-            sleep: ThreadMask,
-        }
-        let mut tagged: Vec<Item<K, V>> = items
-            .into_iter()
-            .map(|(k, v, proposal, sleep)| Item {
-                shard: self.shard_of(&k),
-                kv: Some((k, v)),
-                proposal,
-                sleep,
-            })
-            .collect();
-        tagged.sort_by_key(|t| t.shard);
-        let mut novel = Vec::new();
-        let mut woken = Vec::new();
-        let mut i = 0;
-        while i < tagged.len() {
-            let s = tagged[i].shard;
-            let mut j = i;
-            while j < tagged.len() && tagged[j].shard == s {
-                j += 1;
-            }
-            let shard = &self.shards[s];
-            {
-                let rd = shard.read();
-                for t in &mut tagged[i..j] {
-                    let k = &t.kv.as_ref().expect("unconsumed item").0;
-                    if let Some(e) = rd.get(k) {
-                        if t.proposal & !e.explored == 0 {
-                            if let Some(tl) = tel {
-                                tl.incr(Counter::DupHits);
-                            }
-                            t.kv = None; // absorbed: masks only grow
-                        }
-                    }
-                }
-            }
-            if tagged[i..j].iter().any(|t| t.kv.is_some()) {
-                let mut wr = shard.write();
-                for t in &mut tagged[i..j] {
-                    if let Some((k, v)) = t.kv.take() {
-                        match wr.entry(k) {
-                            std::collections::hash_map::Entry::Occupied(mut e) => {
-                                if let Some(tl) = tel {
-                                    tl.incr(Counter::DupHits);
-                                }
-                                let missing = t.proposal & !e.get().explored;
-                                if missing != 0 {
-                                    e.get_mut().explored |= missing;
-                                    woken.push((e.key().clone(), missing, t.sleep));
-                                }
-                            }
-                            std::collections::hash_map::Entry::Vacant(e) => {
-                                novel.push((e.key().clone(), t.proposal, t.sleep));
-                                e.insert(Masked { val: v, explored: t.proposal });
-                            }
-                        }
-                    }
-                }
-            }
-            i = j;
-        }
-        (novel, woken)
-    }
-}
-
 /// A visited entry's parent pointer: `None` for the initial configuration.
 type Parent = Option<(Config, Tid)>;
-
-/// The visited structure behind [`par_walk`], chosen by
-/// [`ExploreOptions::fingerprint`]: the fingerprint-keyed interned store
-/// (default) or the legacy map keyed by materialised canonical
-/// configurations (ablation A4's baseline). Both intern each canonical
-/// configuration exactly once — with its `explored` thread mask for the
-/// POR wake-up rule — and agree on every membership decision.
-pub(crate) struct VisitedStore<V> {
-    mode: StoreMode<V>,
-    /// Telemetry sink injected at construction, so dedup events (dup
-    /// hits, symmetry folds, confirmed collisions) are tallied inside the
-    /// batched insert paths without widening every signature.
-    tel: Option<Arc<Telemetry>>,
-}
-
-enum StoreMode<V> {
-    Fp(ShardedFpMap<Masked<V>>),
-    Exact(ShardedMap<Config, Masked<V>>),
-}
-
-impl<V: Clone> VisitedStore<V> {
-    fn new(fingerprint: bool, shard_bits: u32, tel: Option<Arc<Telemetry>>) -> VisitedStore<V> {
-        let mode = if fingerprint {
-            StoreMode::Fp(ShardedFpMap::new(shard_bits))
-        } else {
-            StoreMode::Exact(ShardedMap::new(shard_bits))
-        };
-        VisitedStore { mode, tel }
-    }
-
-    fn insert_init(&self, canon: Config, val: V, explored: ThreadMask) {
-        let val = Masked { val, explored };
-        match &self.mode {
-            StoreMode::Fp(m) => m.insert_init(canon.canonical_fingerprint(), canon, val),
-            StoreMode::Exact(m) => {
-                m.insert(canon, val);
-            }
-        }
-    }
-
-    /// Membership of a raw successor (used only on the rare cap-hit path),
-    /// decided up to the symmetry group when a spec is active.
-    fn contains_state(&self, succ: &Config, symm: Option<&SymmetrySpec>) -> bool {
-        match &self.mode {
-            StoreMode::Fp(m) => m.contains_state_sym(succ, symm),
-            StoreMode::Exact(m) => {
-                let canon = match symm {
-                    Some(spec) => {
-                        let perms = sym::sym_perms(spec, succ);
-                        succ.canonical_sym(&perms, spec.maps())
-                    }
-                    None => succ.canonical(),
-                };
-                m.contains_key(&canon)
-            }
-        }
-    }
-
-    /// Batched insert of raw successors with the POR wake-up rule; returns
-    /// the novel canonical configurations with their stored explored masks
-    /// plus any woken duplicates (see [`ShardedFpMap::insert_batch_por`]).
-    /// With a symmetry spec, keys are symmetry-canonical (one interned
-    /// representative per orbit) and — under POR (`remap_masks`) — mask
-    /// proposals are transported into representative numbering. The exact
-    /// backend materialises every successor first — that is precisely the
-    /// per-successor rebuild the fingerprint path eliminates.
-    fn insert_batch(
-        &self,
-        items: Vec<PorItem<V>>,
-        symm: Option<&SymmetrySpec>,
-        remap_masks: bool,
-    ) -> (Vec<PorNovel>, Vec<PorWoken>) {
-        let tel = self.tel.as_deref();
-        match &self.mode {
-            StoreMode::Fp(m) => m.insert_batch_por_sym(items, symm, remap_masks, tel),
-            StoreMode::Exact(m) => m.insert_batch_por(
-                items
-                    .into_iter()
-                    .map(|(raw, v, p, slp)| match symm {
-                        Some(spec) => {
-                            let perms = sym::sym_perms(spec, &raw);
-                            let (p, slp) = match (&perms.threads, remap_masks) {
-                                (Some(sg), true) => {
-                                    (sym::remap_mask(p, sg), sym::remap_mask(slp, sg))
-                                }
-                                _ => (p, slp),
-                            };
-                            (raw.canonical_sym(&perms, spec.maps()), v, p, slp)
-                        }
-                        None => (raw.canonical(), v, p, slp),
-                    })
-                    .collect(),
-                tel,
-            ),
-        }
-    }
-
-    fn get_cloned(&self, canon: &Config) -> Option<V> {
-        match &self.mode {
-            StoreMode::Fp(m) => m.get_cloned(canon).map(|m| m.val),
-            StoreMode::Exact(m) => m.get_cloned(canon).map(|m| m.val),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match &self.mode {
-            StoreMode::Fp(m) => m.len(),
-            StoreMode::Exact(m) => m.len(),
-        }
-    }
-
-    /// Per-shard interned-state counts (exact at quiescence).
-    fn shard_occupancy(&self) -> Vec<usize> {
-        match &self.mode {
-            StoreMode::Fp(m) => m.shard_occupancy(),
-            StoreMode::Exact(m) => m.shard_occupancy(),
-        }
-    }
-}
 
 /// Rebuild the step sequence from the initial configuration to `last` by
 /// walking the parent-pointer store (quiescent after the workers join).
 fn reconstruct_trace(
-    visited: &VisitedStore<Parent>,
+    visited: &ShardedFpMap<Masked<Parent>>,
     last: &Config,
 ) -> Vec<(Tid, Config)> {
     let mut rev: Vec<(Tid, Config)> = Vec::new();
     let mut cur = last.clone();
-    while let Some(Some((parent, tid))) = visited.get_cloned(&cur) {
+    while let Some(Masked { val: Some((parent, tid)), .. }) = visited.get_cloned(&cur) {
         rev.push((tid, cur));
         cur = parent;
     }
@@ -874,7 +507,7 @@ fn reconstruct_trace(
 /// Statistics a [`par_walk`] hands back alongside the visited map.
 pub(crate) struct WalkStats {
     /// Distinct canonical configurations counted (clamped to
-    /// `max_states` when the cap was hit, matching the sequential oracle).
+    /// `max_states` when the cap was hit, matching the sequential engine).
     pub states: usize,
     /// Transitions generated.
     pub transitions: usize,
@@ -931,7 +564,7 @@ struct WorkItem {
 ///
 /// The state cap is enforced against a racy running counter, so the store
 /// may transiently overshoot `opts.max_states`; the returned
-/// [`WalkStats`] reconciles that to the sequential oracle's verdict
+/// [`WalkStats`] reconciles that to the sequential engine's verdict
 /// (truncated, `states == max_states`) whenever the cap was exceeded, so
 /// cap-hitting runs agree across engines.
 #[allow(clippy::too_many_arguments)]
@@ -944,7 +577,7 @@ pub(crate) fn par_walk<V, FV, FE, FN>(
     edge_value: FV,
     on_edge: FE,
     on_novel: FN,
-) -> (VisitedStore<V>, WalkStats)
+) -> (ShardedFpMap<Masked<V>>, WalkStats)
 where
     V: Clone + Send + Sync,
     FV: Fn(&Config, Tid) -> V + Sync,
@@ -952,7 +585,7 @@ where
     FN: Fn(&Config, &mut Vec<String>) + Sync,
 {
     let tel = opts.telemetry.clone();
-    let visited: VisitedStore<V> = VisitedStore::new(opts.fingerprint, 6, tel.clone());
+    let visited: ShardedFpMap<Masked<V>> = ShardedFpMap::new(6, tel.clone());
     let injector: Injector<Vec<WorkItem>> = Injector::new();
     // Worker indices for the per-worker expansion slots: handed out
     // first-come by the spawned threads themselves, so the spawn loop
@@ -1251,7 +884,7 @@ where
                                     // the sequential explorers.
                                     if items
                                         .iter()
-                                        .any(|(succ, ..)| !visited.contains_state(succ, symm))
+                                        .any(|(succ, ..)| !visited.contains_state_sym(succ, symm))
                                     {
                                         truncated.store(true, Ordering::Relaxed);
                                     }
@@ -1370,7 +1003,7 @@ where
     .expect("uncontained worker panic escaped catch_unwind");
 
     // Reconcile the racy cap: when workers overshot `max_states`, report
-    // the sequential oracle's verdict — `StateCap`, with `states` clamped
+    // the sequential engine's verdict — `StateCap`, with `states` clamped
     // to the cap (still a valid lower bound on the reachable space).
     let mut states = visited.len();
     let mut final_stop = StopReason::from_u8(stop.into_inner());
@@ -1517,10 +1150,13 @@ pub fn par_explore(
 mod tests {
     use super::*;
     use crate::explore::Explorer;
+    use crate::reference;
+    use proptest::prelude::*;
     use rc11_lang::builder::*;
     use rc11_lang::compile;
-    use rc11_lang::machine::NoObjects;
+    use rc11_lang::machine::{successors, NoObjects};
     use rc11_objects::AbstractObjects;
+    use std::collections::HashSet;
 
     fn sb_prog() -> rc11_lang::CfgProgram {
         let mut p = ProgramBuilder::new("sb");
@@ -1535,21 +1171,39 @@ mod tests {
         compile(&p.build())
     }
 
+    /// Every raw (non-canonical) successor of every reachable state of
+    /// `prog` — many representations per canonical state, exactly what
+    /// the engines hand the store — plus the number of distinct
+    /// canonical states among them.
+    fn raw_successors(prog: &rc11_lang::CfgProgram) -> (Vec<Config>, usize) {
+        let init = Config::initial(prog).canonical();
+        let mut seen: HashSet<Config> = HashSet::from([init.clone()]);
+        let mut frontier = vec![init];
+        let mut raw = Vec::new();
+        let mut distinct: HashSet<Config> = HashSet::new();
+        while let Some(cfg) = frontier.pop() {
+            for (_, succ) in successors(prog, &NoObjects, &cfg, Default::default()) {
+                let canon = succ.canonical();
+                distinct.insert(canon.clone());
+                if seen.insert(canon.clone()) {
+                    frontier.push(canon);
+                }
+                raw.push(succ);
+            }
+        }
+        (raw, distinct.len())
+    }
+
     #[test]
     fn parallel_matches_sequential_state_count() {
         let prog = sb_prog();
-        let seq_report = Explorer::new(&prog, &NoObjects).explore();
+        let oracle = reference::explore(&prog, &NoObjects, usize::MAX, |_, _| {});
         for workers in [1, 2, 4] {
-            for fingerprint in [true, false] {
-                let opts = ExploreOptions { fingerprint, ..Default::default() };
-                let par_report = par_explore(&prog, &NoObjects, &opts, workers, |_, _| {});
-                assert_eq!(
-                    par_report.states, seq_report.states,
-                    "workers = {workers}, fingerprint = {fingerprint}"
-                );
-                assert_eq!(par_report.terminated.len(), seq_report.terminated.len());
-                assert_eq!(par_report.transitions, seq_report.transitions);
-            }
+            let par_report =
+                par_explore(&prog, &NoObjects, &ExploreOptions::default(), workers, |_, _| {});
+            assert_eq!(par_report.states, oracle.states, "workers = {workers}");
+            assert_eq!(par_report.terminated.len(), oracle.terminated.len());
+            assert_eq!(par_report.transitions, oracle.transitions);
         }
     }
 
@@ -1628,25 +1282,24 @@ mod tests {
     fn sharded_fp_map_interns_by_canonical_identity() {
         let prog = sb_prog();
         let init = Config::initial(&prog).canonical();
-        let succs =
-            rc11_lang::machine::successors(&prog, &NoObjects, &init, Default::default());
+        let succs = successors(&prog, &NoObjects, &init, Default::default());
         assert!(!succs.is_empty());
         let raw = succs[0].1.clone();
         let canon = raw.canonical();
         assert_ne!(raw, canon, "raw successor ids differ from canonical ids");
 
-        let m: ShardedFpMap<Masked<u32>> = ShardedFpMap::new(3);
+        let m: ShardedFpMap<Masked<u32>> = ShardedFpMap::new(3, None);
         // Same state under two representations in one batch: one winner
         // (the full-mask proposal makes wake-ups impossible, mirroring a
         // non-POR engine run).
         let (novel, woken) =
-            m.insert_batch_por(vec![(raw.clone(), 1, !0, 0), (canon.clone(), 2, !0, 0)]);
+            m.insert_batch(vec![(raw.clone(), 1, !0, 0), (canon.clone(), 2, !0, 0)], None, false);
         assert_eq!(novel, vec![(canon.clone(), !0, 0)]);
         assert!(woken.is_empty());
         assert_eq!(m.len(), 1);
         // Across batches: both representations are already known.
         let (novel, woken) =
-            m.insert_batch_por(vec![(canon.clone(), 3, !0, 0), (raw.clone(), 4, !0, 0)]);
+            m.insert_batch(vec![(canon.clone(), 3, !0, 0), (raw.clone(), 4, !0, 0)], None, false);
         assert!(novel.is_empty() && woken.is_empty());
         assert!(m.contains_state(&raw));
         assert!(m.contains_state(&canon));
@@ -1664,117 +1317,182 @@ mod tests {
     fn sharded_fp_map_wakes_underexplored_duplicates() {
         let prog = sb_prog();
         let init = Config::initial(&prog).canonical();
-        let succs =
-            rc11_lang::machine::successors(&prog, &NoObjects, &init, Default::default());
+        let succs = successors(&prog, &NoObjects, &init, Default::default());
         let raw = succs[0].1.clone();
         let canon = raw.canonical();
 
-        let m: ShardedFpMap<Masked<u32>> = ShardedFpMap::new(3);
+        let m: ShardedFpMap<Masked<u32>> = ShardedFpMap::new(3, None);
         // First arrival: threads {0} explored, thread 1 slept.
-        let (novel, woken) = m.insert_batch_por(vec![(raw.clone(), 1, 0b01, 0b10)]);
+        let (novel, woken) = m.insert_batch(vec![(raw.clone(), 1, 0b01, 0b10)], None, false);
         assert_eq!(novel, vec![(canon.clone(), 0b01, 0b10)]);
         assert!(woken.is_empty());
         // A smaller-or-equal proposal is absorbed silently.
-        let (novel, woken) = m.insert_batch_por(vec![(canon.clone(), 2, 0b01, 0b10)]);
+        let (novel, woken) = m.insert_batch(vec![(canon.clone(), 2, 0b01, 0b10)], None, false);
         assert!(novel.is_empty() && woken.is_empty());
         // A larger proposal wakes exactly the missing thread, handing the
         // re-expansion the *arriving* sleep set…
-        let (novel, woken) = m.insert_batch_por(vec![(raw.clone(), 3, 0b11, 0)]);
+        let (novel, woken) = m.insert_batch(vec![(raw.clone(), 3, 0b11, 0)], None, false);
         assert!(novel.is_empty());
         assert_eq!(woken, vec![(canon.clone(), 0b10, 0)]);
         // …and only once: the stored mask has grown.
-        let (novel, woken) = m.insert_batch_por(vec![(canon, 4, 0b11, 0)]);
+        let (novel, woken) = m.insert_batch(vec![(canon, 4, 0b11, 0)], None, false);
         assert!(novel.is_empty() && woken.is_empty());
     }
 
+    /// Used as a set — unit values, the way the outline checker's walk
+    /// uses it — the store reports each canonical state novel once, in one
+    /// batch or across many, however many raw representations arrive.
     #[test]
     fn sharded_set_dedups() {
-        let s: ShardedSet<u64> = ShardedSet::new(4);
-        assert!(s.insert(1));
-        assert!(!s.insert(1));
-        assert!(s.insert(2));
-        assert_eq!(s.len(), 2);
+        let (raw, distinct) = raw_successors(&sb_prog());
+        assert!(raw.len() > distinct, "the program must produce duplicate successors");
+        let s: ShardedFpMap<Masked<()>> = ShardedFpMap::new(4, None);
+        let items = |cfgs: &[Config]| cfgs.iter().map(|c| (c.clone(), (), !0, 0)).collect();
+        let (novel, woken) = s.insert_batch(items(&raw), None, false);
+        assert_eq!(novel.len(), distinct);
+        assert!(woken.is_empty());
+        let (novel, _) = s.insert_batch(items(&raw), None, false);
+        assert!(novel.is_empty(), "a second pass finds every state known");
+        assert_eq!(s.len(), distinct);
         assert!(!s.is_empty());
     }
 
-    /// Racing inserts of the same values from many threads: each distinct
-    /// value must be reported new by exactly one thread.
-    #[test]
-    fn sharded_set_concurrent_insert_unique_winner() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        const VALUES: u64 = 2_000;
-        const THREADS: usize = 8;
-        let s: ShardedSet<u64> = ShardedSet::new(4);
-        let wins = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for t in 0..THREADS {
-                let (s, wins) = (&s, &wins);
-                scope.spawn(move || {
-                    // Interleave directions so threads collide on the same
-                    // values at the same time instead of racing in lockstep.
-                    for i in 0..VALUES {
-                        let v = if t % 2 == 0 { i } else { VALUES - 1 - i };
-                        if s.insert(v) {
-                            wins.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(wins.into_inner(), VALUES as usize, "each value must have one winner");
-        assert_eq!(s.len(), VALUES as usize);
+    /// Thread `t`'s insertion order over the shared successor list:
+    /// interleaved differently per thread so the threads collide on the
+    /// same states at the same time instead of racing in lockstep.
+    fn thread_order(raw: &[Config], t: usize) -> Vec<Config> {
+        let mut v = raw.to_vec();
+        let n = v.len().max(1);
+        match t % 3 {
+            0 => {}
+            1 => v.reverse(),
+            _ => v.rotate_left(t % n),
+        }
+        v
     }
 
-    /// The configured shard count is honored even for hash distributions
-    /// that are unfriendly to power-of-two masking (stride-aligned keys):
-    /// every shard must receive elements and the per-shard totals must sum
-    /// to `len()`.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Racing threads batch-insert the raw successors of one small
+        /// program: exactly one thread wins each canonical state (the
+        /// double-checked write-lock re-validation), and once the threads
+        /// join, `len()` and the per-shard occupancy are exact.
+        #[test]
+        fn sharded_set_concurrent_insert_unique_winner(
+            threads in 2usize..6,
+            batch in 1usize..48,
+            shard_bits in 0u32..6,
+        ) {
+            let (raw, distinct) = raw_successors(&sb_prog());
+            let s: ShardedFpMap<Masked<usize>> = ShardedFpMap::new(shard_bits, None);
+            let wins = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for t in 0..threads {
+                    let (s, wins, order) = (&s, &wins, thread_order(&raw, t));
+                    scope.spawn(move || {
+                        for chunk in order.chunks(batch) {
+                            let items = chunk.iter().map(|c| (c.clone(), t, !0, 0)).collect();
+                            let (novel, _) = s.insert_batch(items, None, false);
+                            wins.fetch_add(novel.len(), Ordering::Relaxed);
+                        }
+                    });
+                }
+            });
+            prop_assert_eq!(wins.into_inner(), distinct, "one winner per canonical state");
+            prop_assert_eq!(s.len(), distinct, "quiescent len() is exact");
+            prop_assert_eq!(s.shard_occupancy().iter().sum::<usize>(), distinct);
+        }
+    }
+
+    /// Per-shard counts of `keys` under the store's shard index.
+    fn occupancy(shard_bits: u32, keys: impl Iterator<Item = Fp128>) -> Vec<usize> {
+        let s: ShardedFpMap<()> = ShardedFpMap::new(shard_bits, None);
+        let mut counts = vec![0usize; 1 << shard_bits];
+        for fp in keys {
+            counts[s.shard_of(fp)] += 1;
+        }
+        counts
+    }
+
+    /// Stride-aligned keys (constant low bits, the classic failure of
+    /// masking a weak hash) in either fingerprint half still reach every
+    /// shard through [`spread`], with no shard holding most of them.
     #[test]
     fn sharded_set_spreads_awkward_distributions() {
         for shard_bits in [1u32, 3, 5] {
-            let s: ShardedSet<u64> = ShardedSet::new(shard_bits);
-            assert_eq!(s.shard_occupancy().len(), 1 << shard_bits);
-            // Stride-128 keys: low bits constant, so a naive `hash & mask`
-            // of an identity-style hash would land everything in one shard.
-            for i in 0..4_096u64 {
-                assert!(s.insert(i * 128));
+            let n_keys = 64u64 << shard_bits;
+            for stride_log in 0..16 {
+                for base in [0u64, 1, 977] {
+                    let key = |i: u64| base + (i << stride_log);
+                    for per_shard in [
+                        occupancy(shard_bits, (0..n_keys).map(|i| Fp128 { hi: 0, lo: key(i) })),
+                        occupancy(shard_bits, (0..n_keys).map(|i| Fp128 { hi: key(i), lo: 0 })),
+                    ] {
+                        assert_eq!(per_shard.iter().sum::<usize>() as u64, n_keys);
+                        assert!(
+                            per_shard.iter().all(|&n| n > 0),
+                            "empty shard for stride 2^{stride_log}: {per_shard:?}"
+                        );
+                        let max = *per_shard.iter().max().expect("non-empty");
+                        assert!(
+                            max as u64 <= n_keys * 3 / 4,
+                            "one shard holds over three quarters of the keys: {per_shard:?}"
+                        );
+                    }
+                }
             }
-            let per_shard = s.shard_occupancy();
-            assert_eq!(per_shard.iter().sum::<usize>(), 4_096);
-            assert_eq!(s.len(), 4_096);
-            let empty = per_shard.iter().filter(|&&n| n == 0).count();
-            assert_eq!(
-                empty, 0,
-                "all {} shards should be populated, got counts {:?}",
-                1 << shard_bits,
-                per_shard
+        }
+    }
+
+    /// Keys that differ only inside one byte-wide bit window, at any
+    /// shift, still reach every shard through [`spread`].
+    #[test]
+    fn narrow_bit_window_keys_populate_every_shard() {
+        for shift in 0..56 {
+            let per_shard = occupancy(4, (0u64..256).map(|v| Fp128 { hi: 0, lo: v << shift }));
+            assert!(
+                per_shard.iter().all(|&n| n > 0),
+                "empty shard for window shift {shift}: {per_shard:?}"
             );
         }
     }
 
+    /// Racing or repeated inserts of one state keep the first value.
     #[test]
     fn sharded_map_first_value_wins() {
-        let m: ShardedMap<u64, &str> = ShardedMap::new(3);
-        assert!(m.insert(7, "first"));
-        assert!(!m.insert(7, "second"));
-        assert_eq!(m.get_cloned(&7), Some("first"));
+        let (raw, _) = raw_successors(&sb_prog());
+        let canon = raw[0].canonical();
+        let m: ShardedFpMap<Masked<&str>> = ShardedFpMap::new(3, None);
+        let (novel, _) = m.insert_batch(vec![(raw[0].clone(), "first", !0, 0)], None, false);
+        assert_eq!(novel.len(), 1);
+        let (novel, _) = m.insert_batch(vec![(canon.clone(), "second", !0, 0)], None, false);
+        assert!(novel.is_empty());
+        assert_eq!(m.get_cloned(&canon).map(|v| v.val), Some("first"));
         assert_eq!(m.len(), 1);
-        assert!(!m.is_empty());
     }
 
+    /// Batched inserts dedup within one batch (the first occurrence wins)
+    /// and filter states already interned by earlier batches.
     #[test]
     fn sharded_map_batch_insert_dedups_within_and_across_batches() {
-        let m: ShardedMap<u64, u64> = ShardedMap::new(4);
-        // Duplicate key inside one batch: first occurrence wins.
-        let novel = m.insert_batch(vec![(1, 10), (2, 20), (1, 11)]);
-        let mut sorted = novel.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![1, 2]);
-        assert_eq!(m.get_cloned(&1), Some(10));
-        // Across batches: already-present keys are filtered.
-        let novel = m.insert_batch(vec![(2, 21), (3, 30)]);
-        assert_eq!(novel, vec![3]);
-        assert_eq!(m.len(), 3);
+        let (raw, distinct) = raw_successors(&sb_prog());
+        let canons: Vec<Config> = raw.iter().map(Config::canonical).collect();
+        let m: ShardedFpMap<Masked<usize>> = ShardedFpMap::new(4, None);
+        let half = raw.len() / 2;
+        let batch = |r: std::ops::Range<usize>| -> Vec<PorItem<usize>> {
+            r.map(|i| (raw[i].clone(), i, !0, 0)).collect()
+        };
+        let (first, _) = m.insert_batch(batch(0..half), None, false);
+        let first_distinct: HashSet<&Config> = canons[..half].iter().collect();
+        assert_eq!(first.len(), first_distinct.len());
+        for c in &first_distinct {
+            let winner = canons.iter().position(|k| k == *c).expect("present");
+            assert_eq!(m.get_cloned(c).map(|v| v.val), Some(winner), "first occurrence wins");
+        }
+        let (second, _) = m.insert_batch(batch(half..raw.len()), None, false);
+        assert_eq!(first.len() + second.len(), distinct);
+        assert!(second.iter().all(|(c, ..)| !first_distinct.contains(c)));
+        assert_eq!(m.len(), distinct);
     }
 }

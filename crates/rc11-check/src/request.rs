@@ -48,12 +48,10 @@ use std::time::{Duration, Instant};
 /// not — see [`option_words`].
 #[derive(Clone)]
 pub struct CheckParams {
-    /// Engine selection: 1 = sequential reference, n > 1 = parallel.
+    /// Engine selection: 1 = sequential, n > 1 = parallel.
     pub workers: usize,
     /// Hard state cap (in the key: truncation changes the report).
     pub max_states: usize,
-    /// Canonical-fingerprint dedup on/off (ablation A4).
-    pub fingerprint: bool,
     /// Sleep-set partial-order reduction (ablation A5).
     pub por: bool,
     /// Thread-symmetry reduction (ablation A6).
@@ -84,7 +82,6 @@ impl Default for CheckParams {
         CheckParams {
             workers: 1,
             max_states: base.max_states,
-            fingerprint: base.fingerprint,
             por: base.por,
             symmetry: base.symmetry,
             dpor: base.dpor,
@@ -107,7 +104,6 @@ impl Default for CheckParams {
 pub fn option_words(params: &CheckParams) -> Vec<u64> {
     vec![
         params.max_states as u64,
-        params.fingerprint as u64,
         params.por as u64,
         params.symmetry as u64,
         params.dpor as u64,
@@ -175,6 +171,18 @@ pub struct CheckResponse {
     /// set — the cached verdict was not re-explored, so there are no
     /// fresh engine counters to report.
     pub telemetry: Option<TelemetrySnapshot>,
+}
+
+impl CheckResponse {
+    /// Attribute `nanos` of parsing to this response's telemetry snapshot
+    /// (a no-op without one). Front ends parse before
+    /// [`CheckService::check_parts`] takes its per-request baseline, so
+    /// the parse phase is folded in afterwards.
+    pub fn attribute_parse(&mut self, nanos: u64) {
+        if let Some(snap) = &mut self.telemetry {
+            snap.phase_nanos[Phase::Parse as usize] += nanos;
+        }
+    }
 }
 
 /// A point-in-time view of the service counters (the daemon's `stats`
@@ -260,12 +268,17 @@ impl CheckService {
     /// parser's span-carrying message; everything after the parse —
     /// including engine panics — comes back as a [`CheckResponse`].
     pub fn check_source(&self, src: &str, params: &CheckParams) -> Result<CheckResponse, String> {
-        let parsed = match &params.telemetry {
-            Some(t) => t.time_phase(Phase::Parse, || parse_litmus(src)),
-            None => parse_litmus(src),
+        let started = Instant::now();
+        let parsed = parse_litmus(src);
+        let parse_nanos = started.elapsed().as_nanos() as u64;
+        if let Some(t) = &params.telemetry {
+            t.add_phase_nanos(Phase::Parse, parse_nanos);
         }
-        .map_err(|e| e.to_string())?;
-        Ok(self.check_parts(&parsed.name, &parsed.prog, &parsed.observe, &parsed.expected, params))
+        let parsed = parsed.map_err(|e| e.to_string())?;
+        let mut response =
+            self.check_parts(&parsed.name, &parsed.prog, &parsed.observe, &parsed.expected, params);
+        response.attribute_parse(parse_nanos);
+        Ok(response)
     }
 
     /// Check an already-parsed litmus test. This is the one pipeline:
@@ -354,7 +367,6 @@ impl CheckService {
         let opts = ExploreOptions {
             record_traces: false,
             max_states: params.max_states,
-            fingerprint: params.fingerprint,
             por: params.por,
             symmetry: params.symmetry,
             dpor: params.dpor,

@@ -393,7 +393,7 @@ expected { (0, 0) (0, 1) (1, 1) }
         let mut buf = Vec::new();
         {
             let mut w = TraceWriter::new(&mut buf);
-            w.run_start(1, 1, obj(vec![("fingerprint", Json::Bool(true))])).unwrap();
+            w.run_start(1, 1, obj(vec![("por", Json::Bool(false))])).unwrap();
             w.heartbeat(&tel.snapshot(), 1234.5, 0, 1).unwrap();
             w.file_verdict(&resp).unwrap();
             w.note("corpus pass complete").unwrap();
@@ -409,6 +409,7 @@ expected { (0, 0) (0, 1) (1, 1) }
         assert_eq!(stats.files_with_telemetry, 1);
         assert_eq!(stats.counter(Counter::States), resp.states as u64);
         assert!(stats.phase(Phase::Explore) > 0, "explore phase attributed");
+        assert!(stats.phase(Phase::Parse) > 0, "parse phase attributed");
         assert_eq!(stats.events_by_kind.get("heartbeat"), Some(&1));
     }
 

@@ -15,6 +15,9 @@
 //! control character, `"` and `\`; the parser accepts arbitrary key order
 //! and the full escape set including `\uXXXX` (surrogate pairs left as-is:
 //! the protocol never emits them, and unpaired surrogates are replaced).
+//! The parser recurses once per array/object level, so nesting is capped
+//! at [`MAX_DEPTH`]: a hostile line of a million `[` is a [`JsonError`],
+//! not a stack overflow that would abort the daemon.
 
 use std::fmt::Write as _;
 
@@ -178,9 +181,14 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parse one JSON value; trailing (non-whitespace) input is an error.
+/// The deepest array/object nesting [`parse_json`] accepts. The protocol
+/// itself never nests past a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse one JSON value; trailing (non-whitespace) input is an error, and
+/// so is nesting deeper than [`MAX_DEPTH`].
 pub fn parse_json(src: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { src: src.as_bytes(), pos: 0 };
+    let mut p = Parser { src: src.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -193,6 +201,8 @@ pub fn parse_json(src: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     src: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -242,12 +252,27 @@ impl Parser<'_> {
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(format!("unexpected `{}`", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -424,6 +449,17 @@ mod tests {
         for bad in ["", "{", "[1,", "\"open", "{\"a\" 1}", "1 2", "truth", "nul"] {
             assert!(parse_json(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_the_offending_offset() {
+        let ok = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse_json(&ok).is_ok(), "exactly MAX_DEPTH levels parse");
+        let err = parse_json(&"[".repeat(2 << 20)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH, "the first level past the cap is reported");
+        assert!(err.msg.contains("nesting"), "{err}");
+        let err = parse_json(&"{\"a\":".repeat(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.msg.contains("nesting"), "{err}");
     }
 
     #[test]

@@ -100,6 +100,15 @@ pub fn load_file(path: impl AsRef<Path>) -> Result<Litmus, LoadError> {
 /// including entries whose directory iteration errors, which surface as
 /// [`LoadError::Io`] entries rather than vanishing from the list.
 pub fn load_dir(dir: impl AsRef<Path>) -> std::io::Result<Vec<(PathBuf, Result<Litmus, LoadError>)>> {
+    load_dir_with(dir, |p| load_file(p))
+}
+
+/// [`load_dir`] with a caller-supplied loader run once per file, in the
+/// returned order (`rc11 run` uses it to time each load).
+pub fn load_dir_with(
+    dir: impl AsRef<Path>,
+    mut load: impl FnMut(&Path) -> Result<Litmus, LoadError>,
+) -> std::io::Result<Vec<(PathBuf, Result<Litmus, LoadError>)>> {
     let dir = dir.as_ref();
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut broken: Vec<(PathBuf, Result<Litmus, LoadError>)> = Vec::new();
@@ -116,7 +125,7 @@ pub fn load_dir(dir: impl AsRef<Path>) -> std::io::Result<Vec<(PathBuf, Result<L
     }
     paths.sort();
     let mut out: Vec<(PathBuf, Result<Litmus, LoadError>)> =
-        paths.into_iter().map(|p| (p.clone(), load_file(&p))).collect();
+        paths.into_iter().map(|p| (p.clone(), load(&p))).collect();
     out.extend(broken);
     Ok(out)
 }
@@ -159,7 +168,7 @@ pub fn objects_for(l: &Litmus) -> &'static (dyn ObjectSemantics + Sync) {
 }
 
 /// Run a litmus test by exhaustive exploration with the sequential
-/// reference engine.
+/// engine.
 pub fn run(l: &Litmus) -> LitmusResult {
     run_with(l, &Engine::Sequential)
 }

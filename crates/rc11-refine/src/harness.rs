@@ -8,7 +8,7 @@
 //!
 //! The exploration helpers ([`explore_abstract`], [`explore_concrete`]) are
 //! engine-parametric: every harness client can be swept under the
-//! sequential reference explorer or the parallel engine
+//! sequential explorer or the parallel engine
 //! ([`rc11_check::Engine`]) interchangeably.
 
 use rc11_check::{Engine, EngineReport, ExploreOptions};

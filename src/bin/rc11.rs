@@ -69,9 +69,7 @@ RUN OPTIONS:
   --engine <seq|parallel>    engine family (default: seq; `parallel` implies
                              the --workers list, default 4)
   --workers <N[,N...]>       worker counts to run each test at; 1 = the
-                             sequential reference engine (default: 1)
-  --no-fingerprint           use materialised-canonical dedup instead of
-                             zero-rebuild canonical fingerprints
+                             sequential engine (default: 1)
   --por                      explore with sleep-set partial-order reduction
                              (ablation A5). Every test additionally runs
                              once unreduced: state counts and outcome sets
@@ -129,6 +127,10 @@ RUN OPTIONS:
                              validates and aggregates it
   -q, --quiet                only print failures and the final summary
 
+  Both engines deduplicate visited states one way: zero-rebuild canonical
+  fingerprints, each hit confirmed against the interned state. There is
+  no dedup switch.
+
   Each file's run is contained: a panic inside an engine is caught,
   reported as a FAIL row, and the batch continues. The summary NOTES
   column surfaces engine degradations (por-cap, dpor-cap, sym-cap),
@@ -141,6 +143,10 @@ LINT OPTIONS:
                              before the exit code is decided
 
 FUZZ OPTIONS:
+  Every generated program is decided by the reference explorer (a small
+  breadth-first search over materialised canonical states) and by both
+  engines at every worker count; any disagreement is shrunk to a .litmus
+  repro.
   --seed <S>                 base seed (default: 1)
   --iters <N>                programs to generate (default: 200)
   --workers <N[,N...]>       parallel worker counts to cross-check
@@ -165,8 +171,8 @@ FUZZ OPTIONS:
                              growing the state count
   --dpor                     add the persistent-set DPOR report-parity
                              lane: every program re-explores with
-                             ExploreOptions::dpor on — both engines, both
-                             dedup modes, composed with symmetry — and
+                             ExploreOptions::dpor on — both engines,
+                             alone and composed with symmetry — and
                              must preserve terminal/deadlock counts and
                              outcome sets while never growing states or
                              transitions
@@ -336,7 +342,6 @@ fn cmd_run(raw: &[String]) -> ExitCode {
         Ok(v) => v,
         Err(e) => return fail_usage(&e),
     };
-    let fingerprint = !opts.flag(&["--no-fingerprint"]);
     let por = opts.flag(&["--por"]);
     let symmetry = opts.flag(&["--symmetry"]);
     let dpor = opts.flag(&["--dpor"]);
@@ -378,14 +383,34 @@ fn cmd_run(raw: &[String]) -> ExitCode {
         workers
     };
 
+    // One cumulative sink backs the whole batch when --progress or
+    // --trace is on: the heartbeat thread reads it live while every
+    // engine run attaches only its own delta to its response. It exists
+    // before the first file loads, so each load is timed under
+    // `Phase::Parse` and credited to that file's first response.
+    let telemetry: Option<std::sync::Arc<rc11::telemetry::Telemetry>> =
+        (progress.is_some() || trace_path.is_some()).then(rc11::telemetry::Telemetry::shared);
+    let mut parse_nanos: std::collections::HashMap<PathBuf, u64> = Default::default();
+    let mut load = |p: &std::path::Path| {
+        let started = std::time::Instant::now();
+        let loaded = litmus::load_file(p);
+        let nanos = started.elapsed().as_nanos() as u64;
+        if let Some(t) = &telemetry {
+            t.add_phase_nanos(rc11::telemetry::Phase::Parse, nanos);
+        }
+        parse_nanos.insert(p.to_path_buf(), nanos);
+        loaded
+    };
+
     // Collect and load the work list (directories via the library's
-    // `load_dir`, so the CLI and the test suite share one enumeration).
+    // `load_dir_with`, so the CLI and the test suite share one
+    // enumeration).
     let mut files: Vec<(PathBuf, Result<Litmus, litmus::LoadError>)> = Vec::new();
     let mut broken = 0usize;
     for arg in &opts.args {
         let p = PathBuf::from(arg);
         if p.is_dir() {
-            match litmus::load_dir(&p) {
+            match litmus::load_dir_with(&p, &mut load) {
                 Ok(entries) if entries.is_empty() => {
                     eprintln!("rc11: no .litmus files in {}", p.display());
                     broken += 1;
@@ -397,7 +422,8 @@ fn cmd_run(raw: &[String]) -> ExitCode {
                 }
             }
         } else {
-            files.push((p.clone(), litmus::load_file(&p)));
+            let loaded = load(&p);
+            files.push((p, loaded));
         }
     }
 
@@ -415,15 +441,9 @@ fn cmd_run(raw: &[String]) -> ExitCode {
         },
         None => CheckService::new(),
     };
-    // One cumulative sink backs the whole batch when --progress or
-    // --trace is on: the heartbeat thread reads it live while every
-    // engine run attaches only its own delta to its response.
-    let telemetry: Option<std::sync::Arc<rc11::telemetry::Telemetry>> =
-        (progress.is_some() || trace_path.is_some()).then(rc11::telemetry::Telemetry::shared);
     let budget = rc11::check::Budget { deadline, max_transitions, max_mem_bytes: mem_budget };
     let base_params = CheckParams {
         max_states,
-        fingerprint,
         por,
         symmetry,
         dpor,
@@ -438,7 +458,6 @@ fn cmd_run(raw: &[String]) -> ExitCode {
     let explore_opts = rc11::check::ExploreOptions {
         record_traces: false,
         max_states,
-        fingerprint,
         por,
         symmetry,
         dpor,
@@ -453,7 +472,6 @@ fn cmd_run(raw: &[String]) -> ExitCode {
             Ok(f) => {
                 let mut w = rc11::check::TraceWriter::new(f);
                 let options = rc11::check::obj(vec![
-                    ("fingerprint", Json::Bool(fingerprint)),
                     ("por", Json::Bool(por)),
                     ("symmetry", Json::Bool(symmetry)),
                     ("dpor", Json::Bool(dpor)),
@@ -566,7 +584,7 @@ fn cmd_run(raw: &[String]) -> ExitCode {
     // result is consumed here. Every file runs inside `catch_unwind`: a
     // panicking engine is reported as that file's failure and the batch
     // finishes — one poisoned input never hides the rest of the corpus.
-    for (_path, loaded) in &files {
+    for (path, loaded) in &files {
         let litmus = match loaded {
             Ok(l) => l,
             Err(e) => {
@@ -586,6 +604,7 @@ fn cmd_run(raw: &[String]) -> ExitCode {
                 symmetry,
                 dpor,
                 max_states,
+                parse_nanos.get(path).copied().unwrap_or(0),
                 trace.as_deref(),
             )
         })) {
@@ -681,10 +700,9 @@ fn cmd_run(raw: &[String]) -> ExitCode {
 
     print!(
         "\n{} file(s): {passed} passed, {failed} failed, {broken} unreadable; \
-         engines: {:?} worker(s), fingerprint {}",
+         engines: {:?} worker(s)",
         files.len(),
-        workers,
-        if fingerprint { "on" } else { "off" }
+        workers
     );
     if por && por_transitions_total > 0 {
         print!(
@@ -777,6 +795,7 @@ fn run_one(
     symmetry: bool,
     dpor: bool,
     max_states: usize,
+    mut parse_nanos: u64,
     trace: Option<&std::sync::Mutex<rc11::check::TraceWriter<std::fs::File>>>,
 ) -> FileRun {
     let mut ok = true;
@@ -791,13 +810,15 @@ fn run_one(
     for &w in workers {
         let mut params = base_params.clone();
         params.workers = w;
-        let res = service.check_parts(
+        let mut res = service.check_parts(
             &litmus.name,
             &litmus.prog,
             &litmus.observe,
             &litmus.expected,
             &params,
         );
+        // The file was parsed once, before its first run.
+        res.attribute_parse(std::mem::take(&mut parse_nanos));
         states = res.states;
         transitions = res.transitions;
         run_deadlocks = res.deadlocks;

@@ -15,11 +15,11 @@
 //!
 //! * `{"cmd":"check","source":"litmus …", …}` — check a `.litmus`
 //!   source. Optional fields: `workers` (default 1), `max_states`,
-//!   `deadline_ms`, `max_transitions`, `max_mem_bytes`, `fingerprint`
-//!   (default true), `por`, `symmetry`, `dpor` (default false),
-//!   `no_cache` (default false: probe and populate the verdict cache),
-//!   `telemetry` (default false: attach a per-job sink; the response's
-//!   `telemetry` field carries its snapshot).
+//!   `deadline_ms`, `max_transitions`, `max_mem_bytes`, `por`,
+//!   `symmetry`, `dpor` (default false), `no_cache` (default false: probe
+//!   and populate the verdict cache), `telemetry` (default false: attach
+//!   a per-job sink; the response's `telemetry` field carries its
+//!   snapshot). Unknown fields are ignored.
 //! * `{"cmd":"stats"}` — service counters: uptime, request and cache
 //!   hit/miss counts, states explored, states/s, the queue-depth gauge
 //!   and its peak since startup, the echoed config, and — when started
@@ -31,9 +31,10 @@
 //!   drain: queued jobs resolve with `"stop":"cancelled"`, never hang.
 //!
 //! Every response carries `"ok"`; failures (parse errors, malformed
-//! requests, a full queue) are `{"ok":false,"error":"…"}` — the
-//! connection survives them. Check responses mirror
-//! [`CheckResponse`] field-for-field with stable encodings: values in
+//! requests including JSON nested deeper than
+//! [`rc11_check::wire::MAX_DEPTH`], a full queue) are
+//! `{"ok":false,"error":"…"}` — the connection survives them. Check
+//! responses mirror [`CheckResponse`] field-for-field with stable encodings: values in
 //! the corpus literal syntax (`0`, `true`, `empty`, `bot`), stop
 //! reasons and notes via their `Display` strings, the fingerprint as 32
 //! hex digits.
@@ -582,9 +583,6 @@ fn decode_params(request: &Json, kill: &CancelToken) -> Result<CheckParams, Stri
     }
     if let Some(n) = usize_field("max_mem_bytes")? {
         params.budget.max_mem_bytes = Some(n);
-    }
-    if let Some(b) = bool_field("fingerprint")? {
-        params.fingerprint = b;
     }
     if let Some(b) = bool_field("por")? {
         params.por = b;

@@ -10,9 +10,10 @@
 //!   file that drifted from its twin).
 //! * **Corpus-wide exactness**: every corpus file (the twins plus the
 //!   classics that exist only as text) passes — observed = expected — at
-//!   1, 2, 4 and 8 workers, in both dedup modes.
+//!   1, 2, 4 and 8 workers, and under the `rc11_check::reference` oracle.
 //! * **Inventory**: ≥ 30 files, unique test names, every file parses.
 
+use rc11::check::reference;
 use rc11::prelude::*;
 use rc11_litmus as litmus;
 use std::collections::BTreeSet;
@@ -116,11 +117,11 @@ fn whole_corpus_is_exact_under_both_engines_at_every_worker_count() {
 }
 
 /// Ablation A5: the whole corpus decided with sleep-set partial-order
-/// reduction on, at 1/2/4/8 workers and in both dedup modes. POR prunes
-/// transitions only, so this demands more than verdict parity: the state
-/// count must equal the unreduced run's exactly, the outcome set must
-/// equal the expected set, no run may deadlock or truncate, and the
-/// reduced transition count must never exceed the unreduced one.
+/// reduction on, at 1/2/4/8 workers. POR prunes transitions only, so this
+/// demands more than verdict parity: the state count must equal the
+/// unreduced run's exactly, the outcome set must equal the expected set,
+/// no run may deadlock or truncate, and the reduced transition count must
+/// never exceed the unreduced one.
 #[test]
 fn whole_corpus_is_exact_with_por_on() {
     let entries = litmus::load_dir(corpus_dir()).expect("corpus/ must exist");
@@ -134,55 +135,43 @@ fn whole_corpus_is_exact_with_por_on() {
             &ExploreOptions { record_traces: false, ..Default::default() },
         );
         for workers in [1usize, 2, 4, 8] {
-            for fingerprint in [true, false] {
-                let opts = ExploreOptions {
-                    record_traces: false,
-                    fingerprint,
-                    por: true,
-                    ..Default::default()
-                };
-                let engine = choose_engine(workers);
-                let report = engine.explore(&prog, objs, &opts);
-                assert!(
-                    !report.truncated() && report.deadlocked.is_empty(),
-                    "{} ({}) @ {workers} worker(s), fingerprint {fingerprint}",
-                    l.name,
-                    path.display()
-                );
-                assert_eq!(
-                    report.states, full.states,
-                    "{} @ {workers} worker(s), fingerprint {fingerprint}: POR lost states",
-                    l.name
-                );
-                assert!(
-                    report.transitions <= full.transitions,
-                    "{} @ {workers} worker(s), fingerprint {fingerprint}: \
-                     POR generated more transitions ({} > {})",
-                    l.name,
-                    report.transitions,
-                    full.transitions
-                );
-                let observed: BTreeSet<Vec<Val>> = report
-                    .terminated
-                    .iter()
-                    .map(|c| l.observe.iter().map(|&(t, r)| c.reg(t, r)).collect())
-                    .collect();
-                assert_eq!(
-                    observed, l.expected,
-                    "{} @ {workers} worker(s), fingerprint {fingerprint}: POR verdict",
-                    l.name
-                );
-            }
+            let opts = ExploreOptions { record_traces: false, por: true, ..Default::default() };
+            let engine = choose_engine(workers);
+            let report = engine.explore(&prog, objs, &opts);
+            assert!(
+                !report.truncated() && report.deadlocked.is_empty(),
+                "{} ({}) @ {workers} worker(s)",
+                l.name,
+                path.display()
+            );
+            assert_eq!(
+                report.states, full.states,
+                "{} @ {workers} worker(s): POR lost states",
+                l.name
+            );
+            assert!(
+                report.transitions <= full.transitions,
+                "{} @ {workers} worker(s): POR generated more transitions ({} > {})",
+                l.name,
+                report.transitions,
+                full.transitions
+            );
+            let observed: BTreeSet<Vec<Val>> = report
+                .terminated
+                .iter()
+                .map(|c| l.observe.iter().map(|&(t, r)| c.reg(t, r)).collect())
+                .collect();
+            assert_eq!(observed, l.expected, "{} @ {workers} worker(s): POR verdict", l.name);
         }
     }
 }
 
 /// Ablation A6: the whole corpus decided with thread-symmetry reduction
-/// on, alone and combined with POR, at 1/2/4/8 workers and in both dedup
-/// modes. Symmetry collapses each orbit to one representative, so the
-/// state count may only shrink; the orbit expansion of the terminal and
-/// deadlock sets must restore them bit-identically, which the observed
-/// outcome set (== expected) and the terminal multiset pin down.
+/// on, alone and combined with POR, at 1/2/4/8 workers. Symmetry
+/// collapses each orbit to one representative, so the state count may
+/// only shrink; the orbit expansion of the terminal and deadlock sets
+/// must restore them bit-identically, which the observed outcome set
+/// (== expected) and the terminal multiset pin down.
 #[test]
 fn whole_corpus_is_exact_with_symmetry_on() {
     let entries = litmus::load_dir(corpus_dir()).expect("corpus/ must exist");
@@ -204,60 +193,53 @@ fn whole_corpus_is_exact_with_symmetry_on() {
         };
         let full_terminals = multiset(&full.terminated);
         for workers in [1usize, 2, 4, 8] {
-            for fingerprint in [true, false] {
-                for por in [false, true] {
-                    let opts = ExploreOptions {
-                        record_traces: false,
-                        fingerprint,
-                        por,
-                        symmetry: true,
-                        ..Default::default()
-                    };
-                    let engine = choose_engine(workers);
-                    let report = engine.explore(&prog, objs, &opts);
-                    let tag = format!(
-                        "{} ({}) @ {workers} worker(s), fingerprint {fingerprint}, por {por}",
-                        l.name,
-                        path.display()
-                    );
-                    assert!(!report.truncated() && report.deadlocked.is_empty(), "{tag}");
-                    assert!(
-                        report.states <= full.states,
-                        "{tag}: symmetry grew the state count ({} > {})",
-                        report.states,
-                        full.states
-                    );
-                    assert_eq!(
-                        report.terminated.len(),
-                        full.terminated.len(),
-                        "{tag}: orbit expansion changed the terminal count"
-                    );
-                    assert_eq!(
-                        multiset(&report.terminated),
-                        full_terminals,
-                        "{tag}: orbit expansion changed the terminal set"
-                    );
-                    let observed: BTreeSet<Vec<Val>> = report
-                        .terminated
-                        .iter()
-                        .map(|c| l.observe.iter().map(|&(t, r)| c.reg(t, r)).collect())
-                        .collect();
-                    assert_eq!(observed, l.expected, "{tag}: symmetry verdict");
-                }
+            for por in [false, true] {
+                let opts = ExploreOptions {
+                    record_traces: false,
+                    por,
+                    symmetry: true,
+                    ..Default::default()
+                };
+                let engine = choose_engine(workers);
+                let report = engine.explore(&prog, objs, &opts);
+                let tag =
+                    format!("{} ({}) @ {workers} worker(s), por {por}", l.name, path.display());
+                assert!(!report.truncated() && report.deadlocked.is_empty(), "{tag}");
+                assert!(
+                    report.states <= full.states,
+                    "{tag}: symmetry grew the state count ({} > {})",
+                    report.states,
+                    full.states
+                );
+                assert_eq!(
+                    report.terminated.len(),
+                    full.terminated.len(),
+                    "{tag}: orbit expansion changed the terminal count"
+                );
+                assert_eq!(
+                    multiset(&report.terminated),
+                    full_terminals,
+                    "{tag}: orbit expansion changed the terminal set"
+                );
+                let observed: BTreeSet<Vec<Val>> = report
+                    .terminated
+                    .iter()
+                    .map(|c| l.observe.iter().map(|&(t, r)| c.reg(t, r)).collect())
+                    .collect();
+                assert_eq!(observed, l.expected, "{tag}: symmetry verdict");
             }
         }
     }
 }
 
 /// Ablation A7: the whole corpus decided with persistent-set DPOR on, at
-/// 1/2/4/8 workers, in both dedup modes, alone and composed with
-/// symmetry reduction. DPOR may shed *states* as well as transitions
-/// (configurations reachable only by commuting a postponed thread first
-/// are never built), and state/transition counts may differ between
-/// engines (arrival order decides wake-up patterns) — so the binding
-/// contract is: states ≤ unreduced, transitions ≤ unreduced, terminal
-/// and deadlock **multisets bit-identical**, observed outcome set ==
-/// expected.
+/// 1/2/4/8 workers, alone and composed with symmetry reduction. DPOR may
+/// shed *states* as well as transitions (configurations reachable only by
+/// commuting a postponed thread first are never built), and
+/// state/transition counts may differ between engines (arrival order
+/// decides wake-up patterns) — so the binding contract is: states ≤
+/// unreduced, transitions ≤ unreduced, terminal and deadlock **multisets
+/// bit-identical**, observed outcome set == expected.
 #[test]
 fn whole_corpus_is_exact_with_dpor_on() {
     let entries = litmus::load_dir(corpus_dir()).expect("corpus/ must exist");
@@ -279,48 +261,44 @@ fn whole_corpus_is_exact_with_dpor_on() {
         };
         let full_terminals = multiset(&full.terminated);
         for workers in [1usize, 2, 4, 8] {
-            for fingerprint in [true, false] {
-                for symmetry in [false, true] {
-                    let opts = ExploreOptions {
-                        record_traces: false,
-                        fingerprint,
-                        dpor: true,
-                        symmetry,
-                        ..Default::default()
-                    };
-                    let engine = choose_engine(workers);
-                    let report = engine.explore(&prog, objs, &opts);
-                    let tag = format!(
-                        "{} ({}) @ {workers} worker(s), fingerprint {fingerprint}, \
-                         symmetry {symmetry}",
-                        l.name,
-                        path.display()
-                    );
-                    assert!(!report.truncated() && report.deadlocked.is_empty(), "{tag}");
-                    assert!(
-                        report.states <= full.states,
-                        "{tag}: DPOR grew the state count ({} > {})",
-                        report.states,
-                        full.states
-                    );
-                    assert!(
-                        report.transitions <= full.transitions,
-                        "{tag}: DPOR generated more transitions ({} > {})",
-                        report.transitions,
-                        full.transitions
-                    );
-                    assert_eq!(
-                        multiset(&report.terminated),
-                        full_terminals,
-                        "{tag}: DPOR changed the terminal multiset"
-                    );
-                    let observed: BTreeSet<Vec<Val>> = report
-                        .terminated
-                        .iter()
-                        .map(|c| l.observe.iter().map(|&(t, r)| c.reg(t, r)).collect())
-                        .collect();
-                    assert_eq!(observed, l.expected, "{tag}: DPOR verdict");
-                }
+            for symmetry in [false, true] {
+                let opts = ExploreOptions {
+                    record_traces: false,
+                    dpor: true,
+                    symmetry,
+                    ..Default::default()
+                };
+                let engine = choose_engine(workers);
+                let report = engine.explore(&prog, objs, &opts);
+                let tag = format!(
+                    "{} ({}) @ {workers} worker(s), symmetry {symmetry}",
+                    l.name,
+                    path.display()
+                );
+                assert!(!report.truncated() && report.deadlocked.is_empty(), "{tag}");
+                assert!(
+                    report.states <= full.states,
+                    "{tag}: DPOR grew the state count ({} > {})",
+                    report.states,
+                    full.states
+                );
+                assert!(
+                    report.transitions <= full.transitions,
+                    "{tag}: DPOR generated more transitions ({} > {})",
+                    report.transitions,
+                    full.transitions
+                );
+                assert_eq!(
+                    multiset(&report.terminated),
+                    full_terminals,
+                    "{tag}: DPOR changed the terminal multiset"
+                );
+                let observed: BTreeSet<Vec<Val>> = report
+                    .terminated
+                    .iter()
+                    .map(|c| l.observe.iter().map(|&(t, r)| c.reg(t, r)).collect())
+                    .collect();
+                assert_eq!(observed, l.expected, "{tag}: DPOR verdict");
             }
         }
     }
@@ -409,29 +387,23 @@ fn whole_corpus_is_lint_clean() {
     }
 }
 
-/// The corpus must also be exact under the legacy materialised-canonical
-/// dedup path (fingerprint off) — the corpus doubles as an end-to-end
-/// fingerprint differential on programs that exist only as text.
+/// The corpus is exact under the `rc11_check::reference` oracle too — a
+/// breadth-first search over materialised canonical states with no
+/// fingerprints — so every expected set is pinned independently of the
+/// engines' fingerprint dedup, on programs that exist only as text.
 #[test]
 fn whole_corpus_is_exact_with_fingerprints_off() {
     let entries = litmus::load_dir(corpus_dir()).expect("corpus/ must exist");
-    let opts = ExploreOptions { record_traces: false, fingerprint: false, ..Default::default() };
     for (path, loaded) in entries {
         let l = loaded.unwrap_or_else(|e| panic!("{e}"));
         let prog = compile(&l.prog);
-        for engine in [Engine::Sequential, Engine::Parallel { workers: 4 }] {
-            let report = engine.explore(&prog, litmus::objects_for(&l), &opts);
-            assert!(!report.truncated() && report.deadlocked.is_empty(), "{}", path.display());
-            let observed: BTreeSet<Vec<Val>> = report
-                .terminated
-                .iter()
-                .map(|c| l.observe.iter().map(|&(t, r)| c.reg(t, r)).collect())
-                .collect();
-            assert_eq!(
-                observed, l.expected,
-                "{} ({engine:?}, fingerprint off): verdict",
-                l.name
-            );
-        }
+        let report = reference::explore(&prog, litmus::objects_for(&l), usize::MAX, |_, _| {});
+        assert!(!report.truncated() && report.deadlocked.is_empty(), "{}", path.display());
+        let observed: BTreeSet<Vec<Val>> = report
+            .terminated
+            .iter()
+            .map(|c| l.observe.iter().map(|&(t, r)| c.reg(t, r)).collect())
+            .collect();
+        assert_eq!(observed, l.expected, "{} (reference): verdict", l.name);
     }
 }

@@ -17,14 +17,18 @@
 //!   plus a mid-queue shutdown: every request resolves (a report, a
 //!   `cancelled` stop, or an explicit error) and the daemon's threads
 //!   all join. Never a hang.
+//! * **Hostile input** — a 2 MB line of `[` comes back as an error
+//!   response and the daemon keeps serving. Never a crash.
 
-use rc11::check::wire::Json;
+use rc11::check::wire::{parse_json, Json};
 use rc11::check::{choose_engine, ExploreOptions};
 use rc11::core::Val;
 use rc11::daemon::{start, Client, DaemonConfig};
 use rc11::lang::parse::val_literal;
 use rc11::litmus;
 use std::collections::BTreeSet;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 
 fn corpus_dir() -> PathBuf {
@@ -251,6 +255,35 @@ fn rejects_malformed_requests_without_dropping_the_connection() {
     assert!(!is_ok(&parse_error));
     assert!(str_of(&parse_error, "error").starts_with("parse:"));
     // The connection survives both failures.
+    assert!(client.ping().expect("daemon still answers"));
+    handle.stop();
+}
+
+/// The JSON parser recurses per nesting level; a line of 2 MB of `[`
+/// once overflowed the connection thread's stack, which `catch_unwind`
+/// cannot contain, and aborted the whole daemon. It must now come back as
+/// an error response on a connection that keeps working, with the daemon
+/// still answering new clients.
+#[test]
+fn deeply_nested_request_line_is_an_error_not_a_crash() {
+    let handle = start(&DaemonConfig::default()).expect("daemon starts");
+    let stream = TcpStream::connect(handle.addr()).expect("client connects");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    let mut ask = |line: &str| -> Json {
+        writer.write_all(line.as_bytes()).expect("send line");
+        writer.write_all(b"\n").expect("send newline");
+        writer.flush().expect("flush");
+        let mut response = String::new();
+        assert!(reader.read_line(&mut response).expect("read response") > 0, "daemon hung up");
+        parse_json(&response).expect("response is JSON")
+    };
+    let hostile = ask(&"[".repeat(2 << 20));
+    assert!(!is_ok(&hostile), "{}", hostile.to_string_line());
+    assert!(str_of(&hostile, "error").contains("nesting"), "{}", hostile.to_string_line());
+    // The same connection, and a fresh one, still answer.
+    assert_eq!(ask(r#"{"cmd":"ping"}"#).get("pong").and_then(Json::as_bool), Some(true));
+    let mut client = Client::connect(handle.addr()).expect("second client connects");
     assert!(client.ping().expect("daemon still answers"));
     handle.stop();
 }

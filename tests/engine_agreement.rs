@@ -1,21 +1,18 @@
 //! The cross-engine differential suite.
 //!
-//! The sequential explorer is the reference oracle; the batched parallel
-//! engine must agree with it **exactly** — states, transitions, terminal
-//! counts and violation sets — on every litmus-gallery program and on the
-//! Figure-3/Figure-7 proof-outline programs, at 1, 2, 4 and 8 workers.
-//! Any divergence is a bug in one of the engines (most likely a lost or
-//! double-counted state in the parallel one), which is why CI also runs
-//! this suite under the optimized release build the benches use.
-//!
-//! The suite is additionally **fingerprint-differential**: every engine
-//! must produce the identical report with zero-rebuild canonical
-//! fingerprint dedup ([`ExploreOptions::fingerprint`], the default) and
-//! with the legacy materialised-canonical dedup it replaced. The
-//! fingerprint path's collision-bucket fallback makes its membership
-//! decisions provably equal, and this suite holds it to that, gallery-wide
-//! and at every worker count.
+//! The oracle is `rc11_check::reference`: a small breadth-first explorer
+//! over materialised canonical configurations in a std `HashSet`, with no
+//! fingerprints, reductions or threads. Both engines — whose one dedup
+//! mode keys visited states on zero-rebuild canonical fingerprints — must
+//! agree with it **exactly** (states, transitions, terminal and deadlock
+//! counts, violation sets) on every litmus-gallery program and on the
+//! Figure-1/Figure-2 outline programs, at 1, 2, 4 and 8 workers, and with
+//! each other on the proof-outline reports. Any divergence is a bug in an
+//! engine (most likely a lost or double-counted state, or a fingerprint
+//! hit confirmed wrongly), which is why CI also runs this suite under the
+//! optimized release build the benches use.
 
+use rc11::check::reference;
 use rc11::figures;
 use rc11::prelude::*;
 use rc11_check::fxhash::FxHashMap;
@@ -86,12 +83,13 @@ fn litmus_gallery_reports_agree_across_engines() {
     }
 }
 
-/// The fingerprint-on/off differential: on the whole gallery, the
-/// materialised-canonical dedup path and the fingerprint path must produce
-/// byte-identical reports — states, transitions, terminal counts and
-/// violation sets — under the sequential engine and under the parallel
-/// engine at every worker count. This is the soundness gate for ablation
-/// A4: rekeying the visited structures must not change a single verdict.
+/// The dedup differential: on the whole gallery, the engines'
+/// fingerprint dedup must reproduce the reference explorer's
+/// materialised-canonical dedup — states, transitions, terminal and
+/// deadlock counts and violation sets — under the sequential engine and
+/// under the parallel engine at every worker count. This is the soundness
+/// gate for ablation A4: keying the visited structures on fingerprints
+/// must not change a single verdict.
 #[test]
 fn fingerprint_and_materialised_dedup_reports_agree() {
     for l in litmus::all() {
@@ -102,52 +100,38 @@ fn fingerprint_and_materialised_dedup_reports_agree() {
                 out.push("terminal".to_string());
             }
         };
-        let exact_opts = ExploreOptions {
-            record_traces: false,
-            fingerprint: false,
-            ..Default::default()
-        };
-        let fp_opts = ExploreOptions { fingerprint: true, ..exact_opts.clone() };
-        let oracle = Engine::Sequential.explore_with(&prog, objs, &exact_opts, check);
+        let opts = ExploreOptions { record_traces: false, ..Default::default() };
+        let oracle = reference::explore(&prog, objs, usize::MAX, check);
 
-        let seq_fp = Engine::Sequential.explore_with(&prog, objs, &fp_opts, check);
-        assert_reports_agree(&l.name, 1, &oracle, &seq_fp);
-
+        let seq = Engine::Sequential.explore_with(&prog, objs, &opts, check);
+        assert_reports_agree(&format!("{} [seq]", l.name), 1, &oracle, &seq);
         for workers in WORKERS {
-            for (mode, opts) in [("fp", &fp_opts), ("exact", &exact_opts)] {
-                let par = Engine::Parallel { workers }.explore_with(&prog, objs, opts, check);
-                assert_reports_agree(&format!("{} [{mode}]", l.name), workers, &oracle, &par);
-            }
+            let par = Engine::Parallel { workers }.explore_with(&prog, objs, &opts, check);
+            assert_reports_agree(&format!("{} [par]", l.name), workers, &oracle, &par);
         }
     }
 }
 
-/// The same differential for the outline checker: both dedup modes agree
-/// on the full outline report (including assertion-evaluation counts) for
-/// a valid outline and for one with violations, under both engines.
+/// The same differential for the outline checker: on a valid outline and
+/// on one with violations, both engines' outline reports must count the
+/// reference explorer's states, transitions, terminals and deadlocks.
 #[test]
 fn fingerprint_and_materialised_outline_reports_agree() {
     for (name, f) in [("fig3-on-fig2", figures::fig2()), ("fig3-on-fig1", figures::fig1())] {
         let outline = figures::fig3_outline(&f);
         let prog = compile(&f.prog);
-        let exact_opts = ExploreOptions { fingerprint: false, ..Default::default() };
-        let fp_opts = ExploreOptions::default();
-        let oracle =
-            check_outline_with(&prog, &AbstractObjects, &outline, &exact_opts, &Engine::Sequential);
-        let seq_fp =
-            check_outline_with(&prog, &AbstractObjects, &outline, &fp_opts, &Engine::Sequential);
-        assert_outline_reports_agree(name, 1, &oracle, &seq_fp);
-        for workers in WORKERS {
-            for opts in [&fp_opts, &exact_opts] {
-                let par = check_outline_with(
-                    &prog,
-                    &AbstractObjects,
-                    &outline,
-                    opts,
-                    &Engine::Parallel { workers },
-                );
-                assert_outline_reports_agree(name, workers, &oracle, &par);
-            }
+        let oracle = reference::explore(&prog, &AbstractObjects, usize::MAX, |_, _| {});
+        let opts = ExploreOptions::default();
+        let engines = std::iter::once(Engine::Sequential)
+            .chain(WORKERS.map(|workers| Engine::Parallel { workers }));
+        for engine in engines {
+            let r = check_outline_with(&prog, &AbstractObjects, &outline, &opts, &engine);
+            let tag = format!("{name} ({engine:?})");
+            assert_eq!(r.states, oracle.states, "{tag}: states");
+            assert_eq!(r.transitions, oracle.transitions, "{tag}: transitions");
+            assert_eq!(r.terminated, oracle.terminated.len(), "{tag}: terminated");
+            assert_eq!(r.deadlocked, oracle.deadlocked.len(), "{tag}: deadlocked");
+            assert!(!r.truncated(), "{tag}: truncated");
         }
     }
 }
@@ -305,8 +289,8 @@ fn config_multiset(cfgs: &[Config]) -> FxHashMap<Config, usize> {
 
 /// Ablation A5: sleep-set partial-order reduction prunes **transitions
 /// only** — the visited state count, the terminal and deadlock multisets
-/// and the violation set must be bit-identical to the unreduced search,
-/// under both engines, at every worker count, in both dedup modes. The
+/// and the violation set must be bit-identical to the unreduced
+/// reference search, under both engines, at every worker count. The
 /// transition count must never grow, and must strictly shrink somewhere
 /// across the gallery (the reduction is real, not vacuous).
 #[test]
@@ -321,76 +305,71 @@ fn por_prunes_transitions_but_preserves_reports() {
                 out.push("terminal".to_string());
             }
         };
-        let base = ExploreOptions { record_traces: false, ..Default::default() };
-        let oracle = Engine::Sequential.explore_with(&prog, objs, &base, check);
+        let oracle = reference::explore(&prog, objs, usize::MAX, check);
         full_total += oracle.transitions;
 
-        for (mode, fingerprint) in [("fp", true), ("exact", false)] {
-            let opts = ExploreOptions { por: true, fingerprint, ..base.clone() };
-            let seq = Engine::Sequential.explore_with(&prog, objs, &opts, check);
-            assert_eq!(seq.states, oracle.states, "{} [{mode}]: POR lost states", l.name);
+        let opts = ExploreOptions { record_traces: false, por: true, ..Default::default() };
+        let seq = Engine::Sequential.explore_with(&prog, objs, &opts, check);
+        assert_eq!(seq.states, oracle.states, "{}: POR lost states", l.name);
+        assert_eq!(
+            config_multiset(&seq.terminated),
+            config_multiset(&oracle.terminated),
+            "{}: POR changed the terminal set",
+            l.name
+        );
+        assert_eq!(
+            config_multiset(&seq.deadlocked),
+            config_multiset(&oracle.deadlocked),
+            "{}: POR changed the deadlock set",
+            l.name
+        );
+        assert_eq!(
+            violation_set(&seq),
+            violation_set(&oracle),
+            "{}: POR changed the violation set",
+            l.name
+        );
+        assert!(
+            seq.transitions <= oracle.transitions,
+            "{}: POR generated more transitions ({} > {})",
+            l.name,
+            seq.transitions,
+            oracle.transitions
+        );
+        assert!(!seq.truncated(), "{}", l.name);
+        por_total += seq.transitions;
+
+        for workers in WORKERS {
+            let par = Engine::Parallel { workers }.explore_with(&prog, objs, &opts, check);
             assert_eq!(
-                config_multiset(&seq.terminated),
+                par.states, oracle.states,
+                "{} @ {workers} workers: POR lost states",
+                l.name
+            );
+            assert_eq!(
+                config_multiset(&par.terminated),
                 config_multiset(&oracle.terminated),
-                "{} [{mode}]: POR changed the terminal set",
+                "{} @ {workers} workers: terminal set",
                 l.name
             );
             assert_eq!(
-                config_multiset(&seq.deadlocked),
+                config_multiset(&par.deadlocked),
                 config_multiset(&oracle.deadlocked),
-                "{} [{mode}]: POR changed the deadlock set",
+                "{} @ {workers} workers: deadlock set",
                 l.name
             );
             assert_eq!(
-                violation_set(&seq),
+                violation_set(&par),
                 violation_set(&oracle),
-                "{} [{mode}]: POR changed the violation set",
+                "{} @ {workers} workers: violation set",
                 l.name
             );
             assert!(
-                seq.transitions <= oracle.transitions,
-                "{} [{mode}]: POR generated more transitions ({} > {})",
-                l.name,
-                seq.transitions,
-                oracle.transitions
+                par.transitions <= oracle.transitions,
+                "{} @ {workers} workers: more transitions under POR",
+                l.name
             );
-            assert!(!seq.truncated(), "{} [{mode}]", l.name);
-            if fingerprint {
-                por_total += seq.transitions;
-            }
-
-            for workers in WORKERS {
-                let par = Engine::Parallel { workers }.explore_with(&prog, objs, &opts, check);
-                assert_eq!(
-                    par.states, oracle.states,
-                    "{} [{mode}] @ {workers} workers: POR lost states",
-                    l.name
-                );
-                assert_eq!(
-                    config_multiset(&par.terminated),
-                    config_multiset(&oracle.terminated),
-                    "{} [{mode}] @ {workers} workers: terminal set",
-                    l.name
-                );
-                assert_eq!(
-                    config_multiset(&par.deadlocked),
-                    config_multiset(&oracle.deadlocked),
-                    "{} [{mode}] @ {workers} workers: deadlock set",
-                    l.name
-                );
-                assert_eq!(
-                    violation_set(&par),
-                    violation_set(&oracle),
-                    "{} [{mode}] @ {workers} workers: violation set",
-                    l.name
-                );
-                assert!(
-                    par.transitions <= oracle.transitions,
-                    "{} [{mode}] @ {workers} workers: more transitions under POR",
-                    l.name
-                );
-                assert!(!par.truncated(), "{} [{mode}] @ {workers} workers", l.name);
-            }
+            assert!(!par.truncated(), "{} @ {workers} workers", l.name);
         }
     }
     assert!(
@@ -404,8 +383,8 @@ fn por_prunes_transitions_but_preserves_reports() {
 /// orbit, so the state count may only shrink — while the orbit expansion
 /// of terminals, deadlocks and check callbacks must keep the terminal and
 /// deadlock multisets and the violation set bit-identical to the
-/// unreduced search, under both engines, at every worker count, in both
-/// dedup modes, alone and composed with POR. The gallery's `2RMW` entry
+/// unreduced reference search, under both engines, at every worker
+/// count, alone and composed with POR. The gallery's `2RMW` entry
 /// (two threads FAI-ing one location, identical modulo register renaming)
 /// must shed states strictly — the reduction is real, not vacuous.
 #[test]
@@ -420,51 +399,47 @@ fn symmetry_preserves_reports_and_sheds_states() {
             }
         };
         let base = ExploreOptions { record_traces: false, ..Default::default() };
-        let oracle = Engine::Sequential.explore_with(&prog, objs, &base, check);
+        let oracle = reference::explore(&prog, objs, usize::MAX, check);
 
-        for (mode, fingerprint) in [("fp", true), ("exact", false)] {
-            for por in [false, true] {
-                let opts = ExploreOptions { symmetry: true, por, fingerprint, ..base.clone() };
-                let tag = |workers: usize| {
-                    format!("{} [{mode}, por {por}] @ {workers} workers", l.name)
-                };
-                let seq = Engine::Sequential.explore_with(&prog, objs, &opts, check);
-                if seq.states < oracle.states {
-                    reduced_somewhere = true;
-                }
-                let assert_sym = |name: &str, r: &EngineReport| {
-                    assert!(
-                        r.states <= oracle.states,
-                        "{name}: symmetry grew the state count ({} > {})",
-                        r.states,
-                        oracle.states
-                    );
-                    assert!(
-                        r.transitions <= oracle.transitions,
-                        "{name}: symmetry generated more transitions"
-                    );
-                    assert_eq!(
-                        config_multiset(&r.terminated),
-                        config_multiset(&oracle.terminated),
-                        "{name}: orbit expansion changed the terminal multiset"
-                    );
-                    assert_eq!(
-                        config_multiset(&r.deadlocked),
-                        config_multiset(&oracle.deadlocked),
-                        "{name}: orbit expansion changed the deadlock multiset"
-                    );
-                    assert_eq!(
-                        violation_set(r),
-                        violation_set(&oracle),
-                        "{name}: symmetry changed the violation set"
-                    );
-                    assert!(!r.truncated(), "{name}: truncated");
-                };
-                assert_sym(&tag(1), &seq);
-                for workers in WORKERS {
-                    let par = Engine::Parallel { workers }.explore_with(&prog, objs, &opts, check);
-                    assert_sym(&tag(workers), &par);
-                }
+        for por in [false, true] {
+            let opts = ExploreOptions { symmetry: true, por, ..base.clone() };
+            let tag = |workers: usize| format!("{} [por {por}] @ {workers} workers", l.name);
+            let seq = Engine::Sequential.explore_with(&prog, objs, &opts, check);
+            if seq.states < oracle.states {
+                reduced_somewhere = true;
+            }
+            let assert_sym = |name: &str, r: &EngineReport| {
+                assert!(
+                    r.states <= oracle.states,
+                    "{name}: symmetry grew the state count ({} > {})",
+                    r.states,
+                    oracle.states
+                );
+                assert!(
+                    r.transitions <= oracle.transitions,
+                    "{name}: symmetry generated more transitions"
+                );
+                assert_eq!(
+                    config_multiset(&r.terminated),
+                    config_multiset(&oracle.terminated),
+                    "{name}: orbit expansion changed the terminal multiset"
+                );
+                assert_eq!(
+                    config_multiset(&r.deadlocked),
+                    config_multiset(&oracle.deadlocked),
+                    "{name}: orbit expansion changed the deadlock multiset"
+                );
+                assert_eq!(
+                    violation_set(r),
+                    violation_set(&oracle),
+                    "{name}: symmetry changed the violation set"
+                );
+                assert!(!r.truncated(), "{name}: truncated");
+            };
+            assert_sym(&tag(1), &seq);
+            for workers in WORKERS {
+                let par = Engine::Parallel { workers }.explore_with(&prog, objs, &opts, check);
+                assert_sym(&tag(workers), &par);
             }
         }
         if l.name == "2RMW" {
@@ -487,9 +462,9 @@ fn symmetry_preserves_reports_and_sheds_states() {
 /// Ablation A7: persistent-set DPOR postpones whole threads, so both the
 /// state and the transition count may shrink — while the terminal and
 /// deadlock multisets and the violation set must stay bit-identical to
-/// the unreduced search (every terminal and deadlock is still visited,
-/// and visited exactly once), under both engines, at every worker count,
-/// in both dedup modes, alone and composed with symmetry. Strict
+/// the unreduced reference search (every terminal and deadlock is still
+/// visited, and visited exactly once), under both engines, at every
+/// worker count, alone and composed with symmetry. Strict
 /// shedding is asserted corpus-side (`dpor_corpus_entries_shed_at_least_
 /// 5x_transitions`): the gallery's programs are mostly single-component,
 /// where persistent sets legitimately degenerate to the full thread set.
@@ -504,48 +479,45 @@ fn dpor_preserves_reports_and_sheds_work() {
             }
         };
         let base = ExploreOptions { record_traces: false, ..Default::default() };
-        let oracle = Engine::Sequential.explore_with(&prog, objs, &base, check);
+        let oracle = reference::explore(&prog, objs, usize::MAX, check);
 
-        for (mode, fingerprint) in [("fp", true), ("exact", false)] {
-            for symmetry in [false, true] {
-                let opts = ExploreOptions { dpor: true, symmetry, fingerprint, ..base.clone() };
-                let tag = |workers: usize| {
-                    format!("{} [{mode}, sym {symmetry}] @ {workers} workers", l.name)
-                };
-                let assert_dpor = |name: &str, r: &EngineReport| {
-                    assert!(
-                        r.states <= oracle.states,
-                        "{name}: DPOR grew the state count ({} > {})",
-                        r.states,
-                        oracle.states
-                    );
-                    assert!(
-                        r.transitions <= oracle.transitions,
-                        "{name}: DPOR generated more transitions"
-                    );
-                    assert_eq!(
-                        config_multiset(&r.terminated),
-                        config_multiset(&oracle.terminated),
-                        "{name}: DPOR changed the terminal multiset"
-                    );
-                    assert_eq!(
-                        config_multiset(&r.deadlocked),
-                        config_multiset(&oracle.deadlocked),
-                        "{name}: DPOR changed the deadlock multiset"
-                    );
-                    assert_eq!(
-                        violation_set(r),
-                        violation_set(&oracle),
-                        "{name}: DPOR changed the violation set"
-                    );
-                    assert!(!r.truncated(), "{name}: truncated");
-                };
-                let seq = Engine::Sequential.explore_with(&prog, objs, &opts, check);
-                assert_dpor(&tag(1), &seq);
-                for workers in WORKERS {
-                    let par = Engine::Parallel { workers }.explore_with(&prog, objs, &opts, check);
-                    assert_dpor(&tag(workers), &par);
-                }
+        for symmetry in [false, true] {
+            let opts = ExploreOptions { dpor: true, symmetry, ..base.clone() };
+            let tag =
+                |workers: usize| format!("{} [sym {symmetry}] @ {workers} workers", l.name);
+            let assert_dpor = |name: &str, r: &EngineReport| {
+                assert!(
+                    r.states <= oracle.states,
+                    "{name}: DPOR grew the state count ({} > {})",
+                    r.states,
+                    oracle.states
+                );
+                assert!(
+                    r.transitions <= oracle.transitions,
+                    "{name}: DPOR generated more transitions"
+                );
+                assert_eq!(
+                    config_multiset(&r.terminated),
+                    config_multiset(&oracle.terminated),
+                    "{name}: DPOR changed the terminal multiset"
+                );
+                assert_eq!(
+                    config_multiset(&r.deadlocked),
+                    config_multiset(&oracle.deadlocked),
+                    "{name}: DPOR changed the deadlock multiset"
+                );
+                assert_eq!(
+                    violation_set(r),
+                    violation_set(&oracle),
+                    "{name}: DPOR changed the violation set"
+                );
+                assert!(!r.truncated(), "{name}: truncated");
+            };
+            let seq = Engine::Sequential.explore_with(&prog, objs, &opts, check);
+            assert_dpor(&tag(1), &seq);
+            for workers in WORKERS {
+                let par = Engine::Parallel { workers }.explore_with(&prog, objs, &opts, check);
+                assert_dpor(&tag(workers), &par);
             }
         }
     }
@@ -723,7 +695,7 @@ fn por_violation_traces_replay() {
 /// Cap parity: when `max_states` cuts a run short, both engines must
 /// return the same verdict — `truncated == true` and `states ==
 /// max_states` — even though the parallel engine's cap check is racy (its
-/// report reconciles any overshoot to the sequential oracle's verdict).
+/// report reconciles any overshoot to the sequential engine's verdict).
 /// Transition and terminal counts legitimately differ under truncation
 /// (the engines drop different states), so only the verdict is compared.
 #[test]

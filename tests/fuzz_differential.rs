@@ -5,8 +5,8 @@
 //! sweep is `#[ignore]`d and runs on demand
 //! (`cargo test --release -- --ignored`) or from the CLI
 //! (`rc11 fuzz --iters N`). Every generated program is checked for:
-//! sequential-vs-parallel report parity, fingerprint-on/off parity, the
-//! `.litmus` printer/parser round-trip, POR-on/off report parity (states,
+//! report parity of both engines with the `rc11_check::reference`
+//! oracle, the `.litmus` printer/parser round-trip, POR-on/off report parity (states,
 //! terminals and outcome sets preserved, transitions never grow — both
 //! engines), persistent-set DPOR parity (states and transitions bounded
 //! above, terminal/deadlock counts and outcome sets preserved exactly,

@@ -22,7 +22,7 @@
 use proptest::prelude::*;
 use rc11::check::gen::{generate, GenOptions};
 use rc11::check::{
-    ChaosState, CheckParams, CheckResponse, CheckService, Engine, ExploreOptions, FaultPlan,
+    reference, ChaosState, CheckParams, CheckResponse, CheckService, FaultPlan,
     Note, Served, StopReason, VerdictCache,
 };
 use rc11::core::Val;
@@ -31,17 +31,11 @@ use rc11::lang::machine::NoObjects;
 use std::collections::BTreeSet;
 
 /// A generated program as replayable `.litmus` source (expected set =
-/// the sequential oracle's outcomes); `None` if the oracle truncated.
+/// the reference oracle's outcomes); `None` if the oracle truncated.
 fn generated_source(seed: u64) -> Option<String> {
     let g = generate(seed, &GenOptions { max_stmts: 3, ..Default::default() });
     let prog = compile(&g.to_program("m"));
-    let opts = ExploreOptions {
-        record_traces: false,
-        max_states: 1 << 16,
-        fingerprint: false,
-        ..Default::default()
-    };
-    let report = Engine::Sequential.explore(&prog, &NoObjects, &opts);
+    let report = reference::explore(&prog, &NoObjects, 1 << 16, |_, _| {});
     if report.truncated() {
         return None;
     }

@@ -46,7 +46,7 @@ fn assert_trace_replays(
 
 /// The chaos differential, gallery-wide: under seeded worker panics,
 /// stalls and checkpoint-write failures, every run either matches the
-/// unfaulted sequential oracle exactly or stops with an explicit
+/// unfaulted sequential run exactly or stops with an explicit
 /// non-`Complete` reason and sound lower bounds.
 #[test]
 fn chaos_faults_never_silently_corrupt_gallery_results() {

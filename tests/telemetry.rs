@@ -13,6 +13,8 @@
 //! * **Delta isolation**: one cumulative sink shared across several
 //!   runs (the `--progress` configuration) still attaches exact per-run
 //!   snapshots.
+//! * **Trace attribution**: `rc11 run --trace` credits each file's load
+//!   to the parse phase, so `trace-report` never reads a 0 ms parse.
 
 use rc11::prelude::*;
 use rc11::telemetry::{Counter, Telemetry};
@@ -181,4 +183,25 @@ fn shared_sink_still_attaches_exact_per_run_deltas() {
     assert!(checked >= 2, "need at least two runs to exercise delta isolation");
     // The cumulative sink kept the totals (it is what --progress reads).
     assert!(tel.snapshot().get(Counter::States) > 0);
+}
+
+#[test]
+fn run_trace_records_a_nonzero_parse_phase() {
+    let trace = std::env::temp_dir().join(format!("rc11-parse-trace-{}.jsonl", std::process::id()));
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_rc11"))
+        .arg("run")
+        .arg(corpus_dir().join("mp_ra.litmus"))
+        .arg(corpus_dir().join("sb_ra.litmus"))
+        .arg("--trace")
+        .arg(&trace)
+        .arg("-q")
+        .output()
+        .expect("rc11 runs");
+    assert!(out.status.success(), "rc11 run failed: {}", String::from_utf8_lossy(&out.stderr));
+    let text = std::fs::read_to_string(&trace).expect("trace written");
+    let _ = std::fs::remove_file(&trace);
+    let stats = rc11::check::read_trace(&text).expect("trace validates");
+    assert_eq!(stats.files, 2);
+    assert!(stats.phase(rc11::telemetry::Phase::Parse) > 0, "parse phase attributed");
+    assert!(stats.phase(rc11::telemetry::Phase::Explore) > 0, "explore phase attributed");
 }
