@@ -100,7 +100,8 @@ fn bench(c: &mut Criterion) {
 
 /// The exploration-engine axis: sequential vs the batched
 /// parallel engine (via `choose_engine`) over a three-thread ticket-lock
-/// client, with identical-state-count assertions on every iteration.
+/// client, unreduced, with identical-state-count assertions on every
+/// iteration.
 fn bench_exploration(c: &mut Criterion) {
     if !criterion::selected("exploration_engine") {
         return;
@@ -108,7 +109,8 @@ fn bench_exploration(c: &mut Criterion) {
     let (client, l) = harness::counter_client(3);
     let conc = instantiate(&client, l, &rc11_locks::ticket());
     let prog = compile(&conc);
-    let opts = ExploreOptions { record_traces: false, ..Default::default() };
+    let opts =
+        ExploreOptions { record_traces: false, reduce: Reduction::None, ..Default::default() };
     let seq = Engine::Sequential.explore(&prog, &NoObjects, &opts);
     eprintln!(
         "[ablate_engine] exploration reference: {} states, {} transitions",
@@ -246,284 +248,145 @@ fn bench_canon_vs_fingerprint(c: &mut Criterion) {
     );
 }
 
-/// Ablation A5: sleep-set partial-order reduction. For each entry the
-/// same exploration is decided with `ExploreOptions::por` off and on; POR
-/// must preserve the state count bit-exactly (it prunes commuted sibling
-/// orders, not states) while generating fewer transitions. The headline
-/// metric is the *transition reduction factor* (full / reduced), recorded
-/// into `BENCH_explore.json`; the acceptance bar — checked here, not just
-/// plotted — is ≥ 1.5× on the spinlock (`ttas4`) and MP-spin (`mp_spin4`)
-/// corpus entries, the diamond-dense shapes sleep sets prune hardest. The
-/// smaller two-thread corpus twins ride along as report-only context, as
-/// does the ticket-lock client the other ablations measure.
-fn bench_por(c: &mut Criterion) {
-    if !criterion::selected("por_reduction") {
+/// What a `reduction` entry must shed under `Reduction::Full`, measured on
+/// the query whose reductions the bar is about.
+#[derive(Clone, Copy)]
+enum Bar {
+    /// Report-only context.
+    None,
+    /// A5: a state query (sleep sets + symmetry) generates at least this
+    /// factor fewer transitions — the diamond-dense spin shapes sleep
+    /// sets prune hardest.
+    StateTransitions(f64),
+    /// A6: a state query keeps at least this factor fewer states — one
+    /// representative per orbit of fully symmetric threads.
+    StateStates(f64),
+    /// A7: an outcome query (adding persistent sets) generates at least
+    /// this factor fewer transitions — independent conflict components
+    /// run one after another, collapsing their product into a sum.
+    OutcomeTransitions(f64),
+}
+
+/// Ablations A5–A7 behind the one reduction switch. Every entry is decided
+/// unreduced (`Reduction::None`) and under `Reduction::Full`, both as an
+/// outcome query (`explore`: sleep sets, persistent sets, symmetry) and as
+/// a state query (`explore_with`: sleep sets, symmetry). Checked on every
+/// entry, not just plotted: terminal and deadlock counts are exact under
+/// both queries, states and transitions never grow, and on programs
+/// without symmetric threads the state query keeps every state (sleep
+/// sets prune transitions only). The acceptance bars: ≥ 1.5× transitions
+/// on `ttas4`/`mp_spin4` (A5), ≥ 3× states on `sym_cas3`/`sym_inc3`/
+/// `sym_fai4` (A6), ≥ 5× transitions on `ttas2x2`/`mp_spin2x3`/
+/// `deqspin2x2` (A7). Counts and factors go to `BENCH_explore.json`.
+fn bench_reduction(c: &mut Criterion) {
+    if !criterion::selected("reduction") {
         return;
     }
     let corpus = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
-    // (json key, corpus file, must hit the ≥1.5× acceptance bar)
-    let corpus_entries: [(&str, &str, bool); 4] = [
-        ("spinlock_ttas4", "ttas4.litmus", true),
-        ("mp_spin4", "mp_spin4.litmus", true),
-        ("caslock", "caslock.litmus", false),
-        ("mp_spin_ra", "mp_spin_ra.litmus", false),
+    let corpus_entries: [(&str, &str, Bar); 13] = [
+        ("spinlock_ttas4", "ttas4.litmus", Bar::StateTransitions(1.5)),
+        ("mp_spin4", "mp_spin4.litmus", Bar::StateTransitions(1.5)),
+        ("sym_cas3", "sym_cas3.litmus", Bar::StateStates(3.0)),
+        ("sym_inc3", "sym_inc3.litmus", Bar::StateStates(3.0)),
+        ("sym_fai4", "sym_fai4.litmus", Bar::StateStates(3.0)),
+        ("ttas2x2", "ttas2x2.litmus", Bar::OutcomeTransitions(5.0)),
+        ("mp_spin2x3", "mp_spin2x3.litmus", Bar::OutcomeTransitions(5.0)),
+        ("deqspin2x2", "deqspin2x2.litmus", Bar::OutcomeTransitions(5.0)),
+        ("caslock", "caslock.litmus", Bar::None),
+        ("mp_spin_ra", "mp_spin_ra.litmus", Bar::None),
+        ("two_rmw", "2rmw.litmus", Bar::None),
+        ("popspin2x2", "popspin2x2.litmus", Bar::None),
+        ("ticket2", "ticket2.litmus", Bar::None),
     ];
-    let mut progs: Vec<(&str, bool, rc11_lang::CfgProgram, bool)> = corpus_entries
+    let mut progs: Vec<(&str, Bar, rc11_lang::CfgProgram, bool)> = corpus_entries
         .iter()
-        .map(|&(key, file, must)| {
+        .map(|&(key, file, bar)| {
             let l = rc11_litmus::load_file(corpus.join(file))
                 .unwrap_or_else(|e| panic!("{file}: {e}"));
             let uses_objects = !l.prog.objects.is_empty();
-            (key, must, compile(&l.prog), uses_objects)
+            (key, bar, compile(&l.prog), uses_objects)
         })
         .collect();
     let (client, l) = harness::counter_client(3);
     let conc = instantiate(&client, l, &rc11_locks::ticket());
-    progs.push(("ticket_counter3", false, compile(&conc), false));
+    progs.push(("ticket_counter3", Bar::None, compile(&conc), false));
 
-    let base = ExploreOptions { record_traces: false, ..Default::default() };
-    let por_opts = ExploreOptions { por: true, ..base.clone() };
+    let full = ExploreOptions { record_traces: false, ..Default::default() };
+    let none = ExploreOptions { reduce: Reduction::None, ..full.clone() };
     let mut json: Vec<(String, f64)> = Vec::new();
-    let mut bench_progs = Vec::new();
-    for (key, must_reduce, prog, uses_objects) in progs {
-        let objs: &(dyn rc11_lang::machine::ObjectSemantics + Sync) =
-            if uses_objects { &AbstractObjects } else { &NoObjects };
-        let full = Engine::Sequential.explore(&prog, objs, &base);
-        let por = Engine::Sequential.explore(&prog, objs, &por_opts);
-        assert_eq!(por.states, full.states, "{key}: POR must not change the state count");
-        assert_eq!(
-            por.terminated.len(),
-            full.terminated.len(),
-            "{key}: POR must not change the terminal count"
-        );
-        assert!(por.transitions <= full.transitions, "{key}: POR must not add transitions");
-        let factor = full.transitions as f64 / por.transitions.max(1) as f64;
-        eprintln!(
-            "[por_reduction] {key}: {} states, {} → {} transitions ({factor:.2}x)",
-            full.states, full.transitions, por.transitions
-        );
-        if must_reduce {
-            assert!(
-                factor >= 1.5,
-                "{key}: POR reduction {factor:.2}x below the 1.5x acceptance bar \
-                 ({} vs {} transitions)",
-                por.transitions,
-                full.transitions
-            );
-        }
-        json.push((format!("{key}_transitions_full"), full.transitions as f64));
-        json.push((format!("{key}_transitions_por"), por.transitions as f64));
-        json.push((format!("{key}_reduction"), factor));
-        bench_progs.push((key, prog, uses_objects));
-    }
-
-    // Wall-clock lines for the spinlock entry: the reduction must also be
-    // a real time win, not just a transition count.
-    let mut g = c.benchmark_group("por_reduction");
-    g.sample_size(10);
-    for (key, prog, uses_objects) in &bench_progs {
-        if *key != "spinlock_ttas4" && *key != "ticket_counter3" {
-            continue;
-        }
+    for (key, bar, prog, uses_objects) in &progs {
         let objs: &(dyn rc11_lang::machine::ObjectSemantics + Sync) =
             if *uses_objects { &AbstractObjects } else { &NoObjects };
-        for (mode, opts) in [("full", base.clone()), ("por", por_opts.clone())] {
-            g.bench_function(format!("{key}/{mode}"), |b| {
-                b.iter(|| black_box(Engine::Sequential.explore(prog, objs, &opts).states))
-            });
-        }
-    }
-    g.finish();
-
-    let borrowed: Vec<(&str, f64)> = json.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-    bench::record_bench_json("por_reduction", &borrowed);
-}
-
-/// Ablation A6: thread-symmetry reduction. Each entry is decided with
-/// `ExploreOptions::symmetry` off and on; the reduction collapses every
-/// orbit of thread-permuted states to one representative, so the headline
-/// metric is the *state reduction factor* (full / symmetric states),
-/// recorded into `BENCH_explore.json`. The acceptance bar — checked here,
-/// not just plotted — is ≥ 3× on the fully symmetric corpus entries
-/// (`sym_cas3`, `sym_inc3`, `sym_fai4`). Orbit expansion must keep the
-/// terminal count bit-identical, which every iteration asserts. The
-/// gallery's two-thread `2RMW` rides along as report-only context.
-fn bench_symmetry(c: &mut Criterion) {
-    if !criterion::selected("symmetry_reduction") {
-        return;
-    }
-    let corpus = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
-    // (json key, corpus file, must hit the ≥3x acceptance bar)
-    let corpus_entries: [(&str, &str, bool); 4] = [
-        ("sym_cas3", "sym_cas3.litmus", true),
-        ("sym_inc3", "sym_inc3.litmus", true),
-        ("sym_fai4", "sym_fai4.litmus", true),
-        ("two_rmw", "2rmw.litmus", false),
-    ];
-    let progs: Vec<(&str, bool, rc11_lang::CfgProgram)> = corpus_entries
-        .iter()
-        .map(|&(key, file, must)| {
-            let l = rc11_litmus::load_file(corpus.join(file))
-                .unwrap_or_else(|e| panic!("{file}: {e}"));
-            (key, must, compile(&l.prog))
-        })
-        .collect();
-
-    let base = ExploreOptions { record_traces: false, ..Default::default() };
-    let sym_opts = ExploreOptions { symmetry: true, ..base.clone() };
-    let mut json: Vec<(String, f64)> = Vec::new();
-    for (key, must_reduce, prog) in &progs {
-        let full = Engine::Sequential.explore(prog, &NoObjects, &base);
-        let sym = Engine::Sequential.explore(prog, &NoObjects, &sym_opts);
-        assert!(sym.states <= full.states, "{key}: symmetry must not add states");
-        assert_eq!(
-            sym.terminated.len(),
-            full.terminated.len(),
-            "{key}: orbit expansion must restore the terminal count"
-        );
-        let factor = full.states as f64 / sym.states.max(1) as f64;
-        eprintln!(
-            "[symmetry_reduction] {key}: {} → {} states ({factor:.2}x), {} terminals",
-            full.states,
-            sym.states,
-            full.terminated.len()
-        );
-        if *must_reduce {
+        let unreduced = Engine::Sequential.explore(prog, objs, &none);
+        let outcomes = Engine::Sequential.explore(prog, objs, &full);
+        let states = Engine::Sequential.explore_with(prog, objs, &full, |_, _| {});
+        for (query, r) in [("outcome", &outcomes), ("state", &states)] {
+            assert_eq!(
+                (r.terminated.len(), r.deadlocked.len()),
+                (unreduced.terminated.len(), unreduced.deadlocked.len()),
+                "{key}: a {query} query changed the terminal or deadlock count"
+            );
             assert!(
-                factor >= 3.0,
-                "{key}: symmetry reduction {factor:.2}x below the 3x acceptance bar \
-                 ({} vs {} states)",
-                sym.states,
-                full.states
+                r.states <= unreduced.states && r.transitions <= unreduced.transitions,
+                "{key}: a {query} query grew the counts"
             );
         }
-        json.push((format!("{key}_states_full"), full.states as f64));
-        json.push((format!("{key}_states_sym"), sym.states as f64));
+        if rc11::analyze::thread_symmetry(prog).is_trivial() {
+            assert_eq!(states.states, unreduced.states, "{key}: sleep sets lost states");
+        }
+        let ratio = |a: usize, b: usize| a as f64 / b.max(1) as f64;
+        let (what, factor, floor) = match *bar {
+            Bar::None => ("outcome transitions", ratio(unreduced.transitions, outcomes.transitions), 0.0),
+            Bar::StateTransitions(f) => {
+                ("state-query transitions", ratio(unreduced.transitions, states.transitions), f)
+            }
+            Bar::StateStates(f) => ("state-query states", ratio(unreduced.states, states.states), f),
+            Bar::OutcomeTransitions(f) => {
+                ("outcome transitions", ratio(unreduced.transitions, outcomes.transitions), f)
+            }
+        };
+        eprintln!(
+            "[reduction] {key}: {}/{} unreduced, {}/{} state query, {}/{} outcome query \
+             (states/transitions); {what} {factor:.2}x",
+            unreduced.states,
+            unreduced.transitions,
+            states.states,
+            states.transitions,
+            outcomes.states,
+            outcomes.transitions
+        );
+        assert!(factor >= floor, "{key}: {what} reduction {factor:.2}x below the {floor}x bar");
+        for (mode, r) in [("none", &unreduced), ("state", &states), ("outcome", &outcomes)] {
+            json.push((format!("{key}_states_{mode}"), r.states as f64));
+            json.push((format!("{key}_transitions_{mode}"), r.transitions as f64));
+        }
         json.push((format!("{key}_reduction"), factor));
     }
 
-    // Wall-clock lines for the widest orbit (4! = 24 on sym_fai4) — plotted
-    // context only: on entries this small the orbit bookkeeping dominates,
-    // so the acceptance bar is the state count, not the time.
-    let mut g = c.benchmark_group("symmetry_reduction");
-    g.sample_size(10);
-    for (key, _, prog) in &progs {
-        if *key != "sym_fai4" {
-            continue;
-        }
-        for (mode, opts) in [("full", base.clone()), ("sym", sym_opts.clone())] {
-            g.bench_function(format!("{key}/{mode}"), |b| {
-                b.iter(|| black_box(Engine::Sequential.explore(prog, &NoObjects, &opts).states))
-            });
-        }
-    }
-    g.finish();
-
-    let borrowed: Vec<(&str, f64)> = json.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-    bench::record_bench_json("symmetry_reduction", &borrowed);
-}
-
-/// Ablation A7: persistent-set DPOR on top of sleep sets. Each entry is
-/// decided with sleep sets only (`ExploreOptions::por`) and with the
-/// persistent-set layer added (`ExploreOptions::dpor`); persistent sets
-/// postpone whole threads, collapsing the state-space *product* of
-/// independent conflict components into a sum, so the headline metric is
-/// the *transition reduction factor* versus the sleep-set baseline
-/// (sleep / dpor transitions), recorded into `BENCH_explore.json`. The
-/// acceptance bar — checked here, not just plotted — is ≥ 5× on the
-/// multi-component corpus entries (`ttas2x2`, `mp_spin2x3`,
-/// `deqspin2x2`). Every iteration asserts the A7 exactness contract:
-/// terminal counts bit-identical, states and transitions never grow. The
-/// single-component `ticket2` (pc-sensitivity only, factor 1×) and the
-/// stack pipe `popspin2x2` ride along as report-only context, as does
-/// `mp_spin4` from the A5 group.
-fn bench_dpor(c: &mut Criterion) {
-    if !criterion::selected("dpor_reduction") {
-        return;
-    }
-    let corpus = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
-    // (json key, corpus file, must hit the ≥5x acceptance bar)
-    let corpus_entries: [(&str, &str, bool); 6] = [
-        ("ttas2x2", "ttas2x2.litmus", true),
-        ("mp_spin2x3", "mp_spin2x3.litmus", true),
-        ("deqspin2x2", "deqspin2x2.litmus", true),
-        ("popspin2x2", "popspin2x2.litmus", false),
-        ("ticket2", "ticket2.litmus", false),
-        ("mp_spin4", "mp_spin4.litmus", false),
-    ];
-    let progs: Vec<(&str, bool, rc11_lang::CfgProgram, bool)> = corpus_entries
-        .iter()
-        .map(|&(key, file, must)| {
-            let l = rc11_litmus::load_file(corpus.join(file))
-                .unwrap_or_else(|e| panic!("{file}: {e}"));
-            let uses_objects = !l.prog.objects.is_empty();
-            (key, must, compile(&l.prog), uses_objects)
-        })
-        .collect();
-
-    let base = ExploreOptions { record_traces: false, ..Default::default() };
-    let sleep_opts = ExploreOptions { por: true, ..base.clone() };
-    let dpor_opts = ExploreOptions { dpor: true, ..base.clone() };
-    let mut json: Vec<(String, f64)> = Vec::new();
-    for (key, must_reduce, prog, uses_objects) in &progs {
-        let objs: &(dyn rc11_lang::machine::ObjectSemantics + Sync) =
-            if *uses_objects { &AbstractObjects } else { &NoObjects };
-        let sleep = Engine::Sequential.explore(prog, objs, &sleep_opts);
-        let dpor = Engine::Sequential.explore(prog, objs, &dpor_opts);
-        assert!(dpor.states <= sleep.states, "{key}: DPOR must not add states");
-        assert!(
-            dpor.transitions <= sleep.transitions,
-            "{key}: DPOR must not add transitions"
-        );
-        assert_eq!(
-            dpor.terminated.len(),
-            sleep.terminated.len(),
-            "{key}: DPOR must not change the terminal count"
-        );
-        let factor = sleep.transitions as f64 / dpor.transitions.max(1) as f64;
-        eprintln!(
-            "[dpor_reduction] {key}: {} → {} states, {} → {} transitions ({factor:.2}x)",
-            sleep.states, dpor.states, sleep.transitions, dpor.transitions
-        );
-        if *must_reduce {
-            assert!(
-                factor >= 5.0,
-                "{key}: DPOR reduction {factor:.2}x below the 5x acceptance bar \
-                 ({} vs {} transitions)",
-                dpor.transitions,
-                sleep.transitions
-            );
-        }
-        json.push((format!("{key}_transitions_sleep"), sleep.transitions as f64));
-        json.push((format!("{key}_transitions_dpor"), dpor.transitions as f64));
-        json.push((format!("{key}_states_sleep"), sleep.states as f64));
-        json.push((format!("{key}_states_dpor"), dpor.states as f64));
-        json.push((format!("{key}_reduction"), factor));
-    }
-
-    // Wall-clock lines for the largest entry: the product→sum collapse
-    // must also be a real time win, not just a transition count.
-    let mut g = c.benchmark_group("dpor_reduction");
+    // Wall-clock lines: the reduction must also be a real time win on the
+    // spin and lock entries, not just a count.
+    let mut g = c.benchmark_group("reduction");
     g.sample_size(10);
     for (key, _, prog, uses_objects) in &progs {
-        if *key != "ttas2x2" {
+        if !["spinlock_ttas4", "ttas2x2", "sym_fai4", "ticket_counter3"].contains(key) {
             continue;
         }
         let objs: &(dyn rc11_lang::machine::ObjectSemantics + Sync) =
             if *uses_objects { &AbstractObjects } else { &NoObjects };
-        for (mode, opts) in [("sleep", sleep_opts.clone()), ("dpor", dpor_opts.clone())] {
+        for (mode, opts) in [("none", &none), ("full", &full)] {
             g.bench_function(format!("{key}/{mode}"), |b| {
-                b.iter(|| black_box(Engine::Sequential.explore(prog, objs, &opts).states))
+                b.iter(|| black_box(Engine::Sequential.explore(prog, objs, opts).states))
             });
         }
     }
     g.finish();
 
     let borrowed: Vec<(&str, f64)> = json.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-    bench::record_bench_json("dpor_reduction", &borrowed);
+    bench::record_bench_json("reduction", &borrowed);
 }
 
-/// The telemetry tax (DESIGN.md §9). The same ticket-lock exploration is
+/// The telemetry tax (DESIGN.md §9). The same unreduced ticket-lock
+/// exploration (so state counts match at every worker count) is
 /// decided with no sink on `ExploreOptions::telemetry` (the default — one
 /// `Option` test per instrumentation point) and with a live sink attached
 /// (sharded relaxed counters + frontier gauge + phase timer). The two
@@ -541,7 +404,8 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     let (client, l) = harness::counter_client(3);
     let conc = instantiate(&client, l, &rc11_locks::ticket());
     let prog = compile(&conc);
-    let off_opts = ExploreOptions { record_traces: false, ..Default::default() };
+    let off_opts =
+        ExploreOptions { record_traces: false, reduce: Reduction::None, ..Default::default() };
     let reference = Engine::Sequential.explore(&prog, &NoObjects, &off_opts);
     eprintln!(
         "[telemetry_overhead] reference: {} states, {} transitions",
@@ -622,9 +486,7 @@ criterion_group!(
     bench,
     bench_exploration,
     bench_canon_vs_fingerprint,
-    bench_por,
-    bench_symmetry,
-    bench_dpor,
+    bench_reduction,
     bench_telemetry_overhead
 );
 criterion_main!(benches);

@@ -1,4 +1,4 @@
-//! Ablation A3: parallel exploration scaling — plus the A5 POR lines.
+//! Ablation A3: parallel exploration scaling — plus the reduction lines.
 //!
 //! Two workloads:
 //!
@@ -24,11 +24,13 @@
 //! worker is pure context-switch overhead and the "shape" cannot be
 //! observed. The always-on assertions are CPU-count-independent:
 //! identical state counts everywhere, and the one-worker engine within 2×
-//! of sequential.
+//! of sequential. Both workloads run unreduced (`Reduction::None`), so
+//! state counts are the same at every worker count.
 //!
-//! The A5 lines re-run the deep workload with sleep-set POR on
-//! (`ExploreOptions::por`): same state count, fewer transitions, and the
-//! recorded `deep_por_*` throughput shows what the reduction buys
+//! The reduction lines re-run the deep workload under the default
+//! `Reduction::Full` (an outcome query: sleep sets, persistent sets,
+//! symmetry): never more states or transitions, the same terminal count,
+//! and the recorded `deep_full_*` factors show what the reduction buys
 //! end-to-end.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -47,7 +49,8 @@ fn bench(c: &mut Criterion) {
         return;
     }
     let prog = build_prog(4);
-    let opts = ExploreOptions { record_traces: false, ..Default::default() };
+    let opts =
+        ExploreOptions { record_traces: false, reduce: Reduction::None, ..Default::default() };
 
     let seq = Engine::Sequential.explore(&prog, &NoObjects, &opts);
     eprintln!(
@@ -132,24 +135,33 @@ fn bench(c: &mut Criterion) {
         entries.push((format!("deep_parallel_{workers}w_states_per_sec"), tput));
     }
 
-    // A5: the same deep exploration with sleep-set POR on. States must not
-    // change; the transition reduction is the work POR saves end-to-end.
-    let por_opts = ExploreOptions { por: true, ..opts.clone() };
-    let deep_por = Engine::Sequential.explore(&deep, &NoObjects, &por_opts);
-    assert_eq!(deep_por.states, deep_seq.states, "POR must not change the state count");
-    assert!(deep_por.transitions <= deep_seq.transitions);
+    // The same deep exploration under the default reduction: never more
+    // states or transitions, the same terminals, and the speedup is the
+    // work the reduction saves end-to-end.
+    let full_opts = ExploreOptions { reduce: Reduction::Full, ..opts.clone() };
+    let best_secs = |opts: &ExploreOptions| -> (f64, EngineReport) {
+        let mut best = f64::INFINITY;
+        let mut report = EngineReport::default();
+        for _ in 0..2 {
+            let t0 = Instant::now();
+            report = Engine::Sequential.explore(&deep, &NoObjects, opts);
+            best = best.min(t0.elapsed().as_secs_f64());
+        }
+        (best, report)
+    };
+    let (full_secs, deep_full) = best_secs(&full_opts);
+    let (none_secs, _) = best_secs(&opts);
+    assert!(deep_full.states <= deep_seq.states && deep_full.transitions <= deep_seq.transitions);
+    assert_eq!(deep_full.terminated.len(), deep_seq.terminated.len());
     entries.push((
-        "deep_por_transition_reduction".to_string(),
-        deep_seq.transitions as f64 / deep_por.transitions.max(1) as f64,
+        "deep_full_state_reduction".to_string(),
+        deep_seq.states as f64 / deep_full.states.max(1) as f64,
     ));
     entries.push((
-        "deep_por_sequential_states_per_sec".to_string(),
-        states_per_sec(&Engine::Sequential, &por_opts),
+        "deep_full_transition_reduction".to_string(),
+        deep_seq.transitions as f64 / deep_full.transitions.max(1) as f64,
     ));
-    entries.push((
-        "deep_por_parallel_4w_states_per_sec".to_string(),
-        states_per_sec(&Engine::Parallel { workers: 4 }, &por_opts),
-    ));
+    entries.push(("deep_full_sequential_speedup".to_string(), none_secs / full_secs));
 
     for (name, v) in &entries {
         eprintln!("[parallel_scaling] {name}: {v:.0}");

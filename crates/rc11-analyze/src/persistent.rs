@@ -28,12 +28,10 @@
 //! engines, and every arrival at a state, agree on the set without
 //! coordination.
 //!
-//! Capacity: footprint masks are `u128` bit vectors over the program's
-//! distinct `(component, location)` pairs. Programs touching more than
-//! 128 locations return `None` from [`future_footprints`] and the
-//! checkers degrade to sleep-sets-only reduction (sound, just coarser);
-//! thread counts beyond 64 are already handled by the engines' POR
-//! fallback.
+//! Footprint masks are word-vector bitsets over the program's distinct
+//! `(component, location)` pairs — one `u64` word per 64 locations, so
+//! every program gets future footprints; thread counts beyond 64 are
+//! handled by the engines' POR fallback.
 
 use rc11_lang::ast::Method;
 use rc11_lang::cfg::{CfgProgram, Instr};
@@ -42,82 +40,85 @@ use rc11_lang::cfg::{CfgProgram, Instr};
 /// `(thread, pc)`. Built once per exploration by [`future_footprints`].
 #[derive(Debug, Clone)]
 pub struct FutureFootprints {
-    /// `touch[t][pc]`: bit `i` set iff location-index `i` may be touched
-    /// by some instruction reachable from `pc` in thread `t`.
-    touch: Vec<Vec<u128>>,
+    /// `u64` words per location bitset (at least one).
+    words: usize,
+    /// `touch[t][pc * words..][..words]`: bit `i` set iff location-index
+    /// `i` may be touched by some instruction reachable from `pc` in
+    /// thread `t`.
+    touch: Vec<Vec<u64>>,
     /// Like `touch`, but only accesses that may modify the location's
     /// history.
-    write: Vec<Vec<u128>>,
+    write: Vec<Vec<u64>>,
     /// Per-thread halt pc (a thread parked there has no future steps).
     halt: Vec<u32>,
 }
 
-/// Build the future static footprints of `prog`, or `None` if the
-/// program touches more than 128 distinct `(component, location)` pairs
-/// (callers then fall back to sleep-sets-only reduction).
-pub fn future_footprints(prog: &CfgProgram) -> Option<FutureFootprints> {
+/// The static access of one instruction: `(component, location, writes)`,
+/// or `None` for purely local instructions.
+fn access(i: &Instr) -> Option<(rc11_core::Comp, rc11_core::Loc, bool)> {
+    match i {
+        Instr::Write { var, .. } => Some((var.comp, var.loc, true)),
+        Instr::Read { var, .. } => Some((var.comp, var.loc, false)),
+        // Statically writes, whatever the dynamic refinement says.
+        Instr::Cas { var, .. } | Instr::Fai { var, .. } => Some((var.comp, var.loc, true)),
+        Instr::Method { obj, method, .. } => {
+            Some((rc11_core::Comp::Lib, obj.loc, !matches!(method, Method::RegRead)))
+        }
+        Instr::Assign(..) | Instr::Jmp(_) | Instr::JmpUnless { .. } | Instr::Halt => None,
+    }
+}
+
+/// Build the future static footprints of `prog`.
+pub fn future_footprints(prog: &CfgProgram) -> FutureFootprints {
     // Index the program's distinct (component, location) pairs.
     let mut locs: Vec<(rc11_core::Comp, rc11_core::Loc)> = Vec::new();
-    let mut access = |i: &Instr| -> Option<(u128, u128)> {
-        let (comp, loc, writes) = match i {
-            Instr::Write { var, .. } => (var.comp, var.loc, true),
-            Instr::Read { var, .. } => (var.comp, var.loc, false),
-            // Statically writes, whatever the dynamic refinement says.
-            Instr::Cas { var, .. } | Instr::Fai { var, .. } => (var.comp, var.loc, true),
-            Instr::Method { obj, method, .. } => {
-                (rc11_core::Comp::Lib, obj.loc, !matches!(method, Method::RegRead))
-            }
-            Instr::Assign(..) | Instr::Jmp(_) | Instr::JmpUnless { .. } | Instr::Halt => {
-                return Some((0, 0))
-            }
-        };
-        let i = match locs.iter().position(|&p| p == (comp, loc)) {
-            Some(i) => i,
-            None => {
-                if locs.len() >= 128 {
-                    return None;
-                }
+    for th in &prog.threads {
+        for (comp, loc, _) in th.instrs.iter().filter_map(access) {
+            if !locs.contains(&(comp, loc)) {
                 locs.push((comp, loc));
-                locs.len() - 1
             }
-        };
-        let bit = 1u128 << i;
-        Some((bit, if writes { bit } else { 0 }))
-    };
+        }
+    }
+    let words = locs.len().div_ceil(64).max(1);
 
-    let mut touch: Vec<Vec<u128>> = Vec::with_capacity(prog.n_threads());
-    let mut write: Vec<Vec<u128>> = Vec::with_capacity(prog.n_threads());
+    let mut touch: Vec<Vec<u64>> = Vec::with_capacity(prog.n_threads());
+    let mut write: Vec<Vec<u64>> = Vec::with_capacity(prog.n_threads());
     let mut halt: Vec<u32> = Vec::with_capacity(prog.n_threads());
     for th in &prog.threads {
         let n = th.instrs.len();
-        let own: Vec<(u128, u128)> =
-            th.instrs.iter().map(&mut access).collect::<Option<_>>()?;
-        let mut t_masks = vec![0u128; n];
-        let mut w_masks = vec![0u128; n];
+        let mut t_masks = vec![0u64; n * words];
+        let mut w_masks = vec![0u64; n * words];
+        for (pc, instr) in th.instrs.iter().enumerate() {
+            if let Some((comp, loc, writes)) = access(instr) {
+                let i = locs.iter().position(|&p| p == (comp, loc)).expect("indexed above");
+                t_masks[pc * words + i / 64] |= 1 << (i % 64);
+                if writes {
+                    w_masks[pc * words + i / 64] |= 1 << (i % 64);
+                }
+            }
+        }
         // Monotone fixpoint over instruction successors; reverse pc order
         // converges in one pass for straight-line code and in a handful
         // of passes around loops.
         loop {
             let mut changed = false;
             for pc in (0..n).rev() {
-                let (mut tm, mut wm) = own[pc];
-                let mut succ = |s: usize| {
-                    tm |= t_masks[s];
-                    wm |= w_masks[s];
+                let succs: &[usize] = match &th.instrs[pc] {
+                    Instr::Halt => &[],
+                    Instr::Jmp(target) => &[*target as usize],
+                    Instr::JmpUnless { target, .. } => &[pc + 1, *target as usize],
+                    _ => &[pc + 1],
                 };
-                match &th.instrs[pc] {
-                    Instr::Halt => {}
-                    Instr::Jmp(target) => succ(*target as usize),
-                    Instr::JmpUnless { target, .. } => {
-                        succ(pc + 1);
-                        succ(*target as usize);
+                for &s in succs {
+                    for w in 0..words {
+                        let (tm, wm) = (t_masks[s * words + w], w_masks[s * words + w]);
+                        let (t, wr) = (&mut t_masks[pc * words + w], &mut w_masks[pc * words + w]);
+                        if tm & !*t != 0 || wm & !*wr != 0 {
+                            *t |= tm;
+                            *wr |= wm;
+                            changed = true;
+                        }
                     }
-                    _ => succ(pc + 1),
-                }
-                if tm != t_masks[pc] || wm != w_masks[pc] {
-                    t_masks[pc] = tm;
-                    w_masks[pc] = wm;
-                    changed = true;
                 }
             }
             if !changed {
@@ -128,7 +129,7 @@ pub fn future_footprints(prog: &CfgProgram) -> Option<FutureFootprints> {
         write.push(w_masks);
         halt.push(th.halt_pc());
     }
-    Some(FutureFootprints { touch, write, halt })
+    FutureFootprints { words, touch, write, halt }
 }
 
 impl FutureFootprints {
@@ -136,9 +137,11 @@ impl FutureFootprints {
     /// conflicting steps — i.e. do their future footprints share a
     /// location one side may write?
     pub fn conflicts(&self, t: usize, pc_t: u32, u: usize, pc_u: u32) -> bool {
-        let (tt, tw) = (self.touch[t][pc_t as usize], self.write[t][pc_t as usize]);
-        let (ut, uw) = (self.touch[u][pc_u as usize], self.write[u][pc_u as usize]);
-        (tt & uw) | (tw & ut) != 0
+        let w = self.words;
+        let (a, b) = (pc_t as usize * w, pc_u as usize * w);
+        let (tt, tw) = (&self.touch[t][a..a + w], &self.write[t][a..a + w]);
+        let (ut, uw) = (&self.touch[u][b..b + w], &self.write[u][b..b + w]);
+        (0..w).any(|i| (tt[i] & uw[i]) | (tw[i] & ut[i]) != 0)
     }
 
     /// Has thread `t` halted at `pcs`' program point?
@@ -204,7 +207,7 @@ mod tests {
 
     fn fps(src: &str) -> (CfgProgram, FutureFootprints) {
         let prog = compile(&parse_litmus(src).unwrap().prog);
-        let fps = future_footprints(&prog).expect("small program");
+        let fps = future_footprints(&prog);
         (prog, fps)
     }
 
@@ -300,6 +303,29 @@ mod tests {
         );
         let p = fps.persistent_mask(&[0, 0, 0]);
         assert_eq!(p, 0b100, "C touches nothing shared: expand it alone");
+    }
+
+    /// Programs past 128 locations still get future footprints: the
+    /// bitset grows a word per 64 locations, and conflicts on the last
+    /// word are seen like any other.
+    #[test]
+    fn wide_programs_get_persistent_sets() {
+        let vars: String = (0..130).map(|i| format!("var x{i} = 0\n")).collect();
+        let writes: String = (0..130).map(|i| format!("x{i} = 1; ")).collect();
+        let (_prog, fps) = fps(&format!(
+            r#"
+            litmus "wide"
+            {vars}
+            thread A {{ {writes} }}
+            thread B {{ r = x129; }}
+            thread C {{ s = 1; }}
+            observe B.r C.s
+            expected {{ (0,1) (1,1) }}
+        "#
+        ));
+        assert!(fps.conflicts(0, 0, 1, 0), "A's write of x129 meets B's read");
+        assert_eq!(fps.persistent_mask(&[0, 0, 0]), 0b100, "C alone: it touches nothing");
+        assert_eq!(fps.persistent_mask(&[0, 0, 1]), 0b011, "then the x129 pair");
     }
 
     #[test]

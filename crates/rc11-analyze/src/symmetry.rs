@@ -193,7 +193,7 @@ pub fn thread_symmetry(prog: &CfgProgram) -> SymmetrySpec {
         }
     }
 
-    let orbit: usize = groups.iter().map(|g| factorial(g.len())).product();
+    let orbit = orbit_of(&groups);
     let capped = (orbit > ORBIT_CAP).then_some(orbit);
     if capped.is_some() {
         groups.clear();
@@ -235,8 +235,11 @@ pub fn thread_symmetry(prog: &CfgProgram) -> SymmetrySpec {
     SymmetrySpec { groups, maps: SymMaps { to_rep, from_rep }, n_threads: n, capped }
 }
 
-fn factorial(n: usize) -> usize {
-    (2..=n).product::<usize>().max(1)
+/// The orbit size of `groups`: the product of `|group|!`, saturating at
+/// `usize::MAX` (64 symmetric threads overflow any fixed-width count, and
+/// any saturated orbit is past [`ORBIT_CAP`]).
+fn orbit_of(groups: &[Vec<u8>]) -> usize {
+    groups.iter().flat_map(|g| 2..=g.len()).fold(1usize, |a, k| a.saturating_mul(k))
 }
 
 impl SymmetrySpec {
@@ -263,7 +266,7 @@ impl SymmetrySpec {
 
     /// The orbit size: product over groups of `|group|!`.
     pub fn orbit_size(&self) -> usize {
-        self.groups.iter().map(|g| factorial(g.len())).product()
+        orbit_of(&self.groups)
     }
 
     /// When detection hit [`ORBIT_CAP`] and degraded to the trivial spec,

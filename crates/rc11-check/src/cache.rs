@@ -273,7 +273,6 @@ fn verdict_words(v: &CachedVerdict, out: &mut Vec<u64>) {
                 out.push(0);
                 out.push(*threads as u64);
             }
-            Note::DporLocationCap => out.push(1),
             Note::SymmetryOrbitCap { orbit } => {
                 out.push(2);
                 out.push(*orbit as u64);
@@ -348,7 +347,6 @@ impl Cursor<'_> {
         for _ in 0..n_notes {
             notes.push(match self.word()? {
                 0 => Note::PorThreadCap { threads: self.word()? as usize },
-                1 => Note::DporLocationCap,
                 2 => Note::SymmetryOrbitCap { orbit: self.word()? as usize },
                 3 => Note::WorkerFault { message: self.string()? },
                 4 => Note::CheckpointError { message: self.string()? },

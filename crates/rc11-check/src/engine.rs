@@ -18,7 +18,7 @@
 use crate::chaos::ChaosState;
 use crate::checkpoint::CheckpointOpts;
 use crate::explore::Explorer;
-use crate::parallel::par_explore;
+use crate::parallel::par_run;
 use rc11_core::Tid;
 use rc11_lang::cfg::CfgProgram;
 use rc11_lang::machine::{Config, ObjectSemantics, StepOptions};
@@ -154,17 +154,13 @@ impl CancelToken {
 /// now [`Note::PorThreadCap`]; `rc11 run` prints notes as a column.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Note {
-    /// POR was requested but the program exceeds the 64-thread mask
-    /// ceiling; the walk ran unreduced (results stay exact).
+    /// Sleep sets were due but the program exceeds the 64-thread mask
+    /// ceiling; the walk ran without them (results stay exact).
     PorThreadCap {
         /// The program's thread count.
         threads: usize,
     },
-    /// DPOR was requested but the program exceeds the 128-location
-    /// future-footprint capacity; the walk degraded to sleep-sets-only
-    /// (sound, fewer transitions pruned).
-    DporLocationCap,
-    /// Symmetry reduction was requested but the detected groups' orbit
+    /// Symmetry reduction was due but the detected groups' orbit
     /// exceeds `rc11_analyze::symmetry::ORBIT_CAP`; the walk ran without
     /// reduction (results stay exact).
     SymmetryOrbitCap {
@@ -191,15 +187,82 @@ impl fmt::Display for Note {
             Note::PorThreadCap { threads } => {
                 write!(f, "por-fallback: {threads} threads exceed the 64-thread POR ceiling")
             }
-            Note::DporLocationCap => {
-                f.write_str("dpor-fallback: >128 locations, sleep-sets only")
-            }
             Note::SymmetryOrbitCap { orbit } => {
                 write!(f, "symmetry-fallback: orbit {orbit} exceeds cap, unreduced")
             }
             Note::WorkerFault { message } => write!(f, "worker-fault: {message}"),
             Note::CheckpointError { message } => write!(f, "checkpoint: {message}"),
         }
+    }
+}
+
+/// The reduction switch ([`ExploreOptions::reduce`]).
+///
+/// It names no algorithm: the engine derives, per query, the strongest
+/// reduction that preserves what that query observes (DESIGN.md A5–A7).
+///
+/// | query | `Full` runs |
+/// |---|---|
+/// | [`Engine::explore`] (outcomes only) | sleep sets + persistent sets + symmetry |
+/// | [`Engine::explore_with`], [`Engine::check_invariant`] | sleep sets + symmetry |
+/// | the outline checker (per-edge classification) | nothing |
+///
+/// Outcome queries keep the terminal, deadlock and outcome sets exact;
+/// `states` and `transitions` are bounded above by the unreduced search.
+/// State queries additionally hand the callback every reachable state
+/// (each orbit member included), so violation sets stay exact and
+/// `states` is the number of orbit representatives — equal to the
+/// unreduced count on programs without symmetric threads. `None` runs
+/// the unreduced search everywhere.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Reduction {
+    /// The unreduced search.
+    None,
+    /// The strongest sound reduction for each query (the default).
+    #[default]
+    Full,
+}
+
+/// What a walk must preserve, which decides its [`Level`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Query {
+    /// Terminal and deadlock sets only (no per-state callback).
+    Outcomes,
+    /// Every reachable state, handed to a per-state callback.
+    States,
+    /// Every edge of the reachable graph (Owicki–Gries classification).
+    Edges,
+}
+
+/// The reductions one walk runs, derived from [`Reduction`] and the
+/// [`Query`] — never set by callers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct Level {
+    /// Sleep-set POR (A5): prunes transitions, never states.
+    pub sleep: bool,
+    /// Persistent sets (A7): may shed states; implies `sleep`.
+    pub persistent: bool,
+    /// Thread symmetry (A6): one representative per orbit.
+    pub symmetry: bool,
+}
+
+impl Level {
+    /// The strongest level `reduce` allows for `query`.
+    pub(crate) fn of(reduce: Reduction, query: Query) -> Level {
+        match (reduce, query) {
+            (Reduction::None, _) | (_, Query::Edges) => Level::default(),
+            (Reduction::Full, Query::Outcomes) => {
+                Level { sleep: true, persistent: true, symmetry: true }
+            }
+            (Reduction::Full, Query::States) => {
+                Level { sleep: true, persistent: false, symmetry: true }
+            }
+        }
+    }
+
+    /// One word naming the level (checkpoint signatures).
+    pub(crate) fn word(self) -> u8 {
+        self.sleep as u8 | (self.persistent as u8) << 1 | (self.symmetry as u8) << 2
     }
 }
 
@@ -229,56 +292,12 @@ pub struct ExploreOptions {
     /// Both engines honour this: the sequential explorer keeps a parent
     /// array, the parallel engine a sharded parent-pointer map.
     pub record_traces: bool,
-    /// Partial-order reduction: sleep-set pruning over the
-    /// [`rc11_core::StepFootprint`] independence oracle (ablation A5 in
-    /// DESIGN.md, machinery in `crate::por`). Prunes **transitions only,
-    /// never states**: the visited state set, terminal/deadlock sets and
-    /// violation sets are identical to the unreduced search (enforced
-    /// gallery-, corpus- and fuzz-wide by the POR differentials), while
-    /// `transitions` shrinks by the number of commuted sibling orders
-    /// skipped. Both engines honour it. Default **off** this release;
-    /// `rc11 run --por` and the A5 benches turn it on. Ignored by the
-    /// outline checker, whose Owicki–Gries classification needs every
-    /// edge.
-    pub por: bool,
-    /// Dynamic partial-order reduction with persistent sets (ablation A7
-    /// in DESIGN.md, machinery in `rc11_analyze::persistent` plus
-    /// `crate::por`). Implies [`ExploreOptions::por`]: on top of the
-    /// sleep-set masks, each state expands only a *persistent set* of
-    /// threads — the smallest closure of pc-sensitive future-footprint
-    /// conflicts — so whole threads are skipped, not just sibling orders.
-    /// Unlike A5/A6 this **may shed states**: configurations only
-    /// reachable by commuting an outside-the-set thread first are never
-    /// built. Terminal, deadlock, outcome and violation multisets stay
-    /// bit-identical to the unreduced search (Godefroid's persistent-set
-    /// theorem; enforced gallery-, corpus- and fuzz-wide by the DPOR
-    /// differentials), but `states` and `transitions` are only *bounded
-    /// above* by the unreduced counts and may differ between engines —
-    /// arrival order changes which duplicate wakes which mask. Checks
-    /// that must see every reachable intermediate configuration (e.g.
-    /// global invariants over non-terminal states) should use sleep-only
-    /// POR or the unreduced search instead. Degrades silently to
-    /// sleep-sets-only when the program exceeds the 128-location future-
-    /// footprint capacity, and to the unreduced search past 64 threads
-    /// (reported via [`EngineReport::por_fallback`]). Default **off**;
-    /// `rc11 run --dpor` and the A7 benches turn it on.
-    pub dpor: bool,
-    /// Thread-symmetry reduction (ablation A6 in DESIGN.md, machinery in
-    /// `rc11_analyze::symmetry` plus `crate::sym`): configurations that
-    /// differ only by a permutation of provably-symmetric threads are
-    /// identified, so the visited state count shrinks by up to the orbit
-    /// size (`N!` for `N` fully-symmetric threads) — redundancy POR cannot
-    /// see (POR prunes transitions; symmetry identifies states). Outcome,
-    /// violation and terminal/deadlock sets stay bit-identical to the
-    /// unreduced search: the check callback runs on every distinct orbit
-    /// member at discovery, and terminal sets are orbit-expanded before
-    /// the report is returned. Composes with [`ExploreOptions::por`].
-    /// Programs without symmetric threads pay one cheap static analysis
-    /// and then run the unchanged fast path. Default
-    /// **off** this release; `rc11 run --symmetry` and the A6 benches turn
-    /// it on. Ignored by the outline checker (Owicki–Gries classification
-    /// is per-edge and per-thread).
-    pub symmetry: bool,
+    /// The reduction switch, [`Reduction::Full`] by default: each query
+    /// runs the strongest reduction that preserves what it observes (see
+    /// [`Reduction`]). Under `Full`, parallel state and transition counts
+    /// may vary with arrival order; [`Reduction::None`] pins them to the
+    /// unreduced search's.
+    pub reduce: Reduction,
     /// Resource budgets (deadline, transition cap, approximate memory
     /// cap). Checked cooperatively between work items in both engines'
     /// hot loops; tripping one stops the walk with the matching
@@ -321,9 +340,7 @@ impl Default for ExploreOptions {
             step: StepOptions::default(),
             max_states: 5_000_000,
             record_traces: true,
-            por: false,
-            dpor: false,
-            symmetry: false,
+            reduce: Reduction::Full,
             budget: Budget::default(),
             cancel: CancelToken::default(),
             checkpoint: None,
@@ -363,8 +380,8 @@ pub struct EngineReport {
     /// means the results are a sound lower bound on the reachable space
     /// (the old `truncated` bool generalised to a lattice).
     pub stop: StopReason,
-    /// Structured warnings: silent degradations surfaced (POR/DPOR/
-    /// symmetry caps), contained worker faults, checkpoint errors. Notes
+    /// Structured warnings: silent degradations surfaced (POR thread and
+    /// symmetry orbit caps), contained worker faults, checkpoint errors. Notes
     /// never change the verdict; `rc11 run` prints them as a column.
     pub notes: Vec<Note>,
     /// Monotonic wall-clock duration of the exploration, measured inside
@@ -391,8 +408,8 @@ impl EngineReport {
         !self.stop.is_complete()
     }
 
-    /// True iff POR was requested but fell back to the unreduced search
-    /// (the old `por_fallback` field, now [`Note::PorThreadCap`]).
+    /// True iff sleep sets were due but the walk ran without them (the
+    /// old `por_fallback` field, now [`Note::PorThreadCap`]).
     pub fn por_fallback(&self) -> bool {
         self.notes.iter().any(|n| matches!(n, Note::PorThreadCap { .. }))
     }
@@ -459,7 +476,9 @@ impl Engine {
     /// engine (one per worker in the parallel engine), so violation-free
     /// configurations — the overwhelmingly common case — allocate nothing.
     /// The callback must be `Sync` because the parallel engine evaluates
-    /// it from every worker.
+    /// it from every worker. A state query: under [`Reduction::Full`] the
+    /// callback still sees every reachable configuration (see
+    /// [`Reduction`]).
     pub fn explore_with(
         &self,
         prog: &CfgProgram,
@@ -467,22 +486,35 @@ impl Engine {
         opts: &ExploreOptions,
         check: impl Fn(&Config, &mut Vec<String>) + Sync,
     ) -> EngineReport {
-        match self {
-            Engine::Sequential => Explorer::new(prog, objs)
-                .with_options(opts.clone())
-                .explore_with(|c, out| check(c, out)),
-            Engine::Parallel { workers } => par_explore(prog, objs, opts, *workers, check),
-        }
+        self.run(prog, objs, opts, Query::States, check)
     }
 
-    /// Plain reachability (no property).
+    /// Plain reachability (no property): an outcome query, so
+    /// [`Reduction::Full`] may skip intermediate states — terminal and
+    /// deadlock sets stay exact.
     pub fn explore(
         &self,
         prog: &CfgProgram,
         objs: &(dyn ObjectSemantics + Sync),
         opts: &ExploreOptions,
     ) -> EngineReport {
-        self.explore_with(prog, objs, opts, |_, _| {})
+        self.run(prog, objs, opts, Query::Outcomes, |_, _| {})
+    }
+
+    fn run(
+        &self,
+        prog: &CfgProgram,
+        objs: &(dyn ObjectSemantics + Sync),
+        opts: &ExploreOptions,
+        query: Query,
+        check: impl Fn(&Config, &mut Vec<String>) + Sync,
+    ) -> EngineReport {
+        match self {
+            Engine::Sequential => Explorer::new(prog, objs)
+                .with_options(opts.clone())
+                .walk(query, |c, out| check(c, out)),
+            Engine::Parallel { workers } => par_run(prog, objs, opts, *workers, query, check),
+        }
     }
 
     /// Check a predicate as a global invariant. Honours budgets,
@@ -509,6 +541,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rc11_lang::machine::NoObjects;
 
     #[test]
     fn choose_engine_prefers_sequential_for_one_worker() {
@@ -516,6 +549,29 @@ mod tests {
         assert_eq!(choose_engine(1), Engine::Sequential);
         assert_eq!(choose_engine(2), Engine::Parallel { workers: 2 });
         assert_eq!(choose_engine(8), Engine::Parallel { workers: 8 });
+    }
+
+    /// Past 128 locations persistent sets still apply (the footprint
+    /// bitsets grow a word per 64 locations), and the reduced outcome
+    /// query keeps the reference's terminal set at every worker count.
+    #[test]
+    fn wide_programs_reduce_and_keep_reference_outcomes() {
+        let vars: String = (0..130).map(|i| format!("var x{i} = 0\n")).collect();
+        let writes: String = (0..130).map(|i| format!("x{i} = 1; ")).collect();
+        let src = format!(
+            "litmus \"wide\"\n{vars}thread A {{ {writes} }}\nthread B {{ r = x129; }}\n\
+             thread C {{ s = 1; }}\nobserve B.r C.s\nexpected {{ (0,1) }}\n"
+        );
+        let prog = rc11_lang::compile(&rc11_lang::parse_litmus(&src).unwrap().prog);
+        let oracle = crate::reference::explore(&prog, &NoObjects, usize::MAX, |_, _| {});
+        let want: std::collections::HashSet<&Config> = oracle.terminated.iter().collect();
+        for engine in [Engine::Sequential, Engine::Parallel { workers: 2 }] {
+            let r = engine.explore(&prog, &NoObjects, &ExploreOptions::default());
+            assert!(r.ok() && r.deadlocked.is_empty(), "{engine:?}");
+            assert!(r.transitions < oracle.transitions, "{engine:?}: persistent sets shed work");
+            assert_eq!(r.terminated.len(), oracle.terminated.len(), "{engine:?}");
+            assert_eq!(r.terminated.iter().collect::<std::collections::HashSet<_>>(), want);
+        }
     }
 
     #[test]

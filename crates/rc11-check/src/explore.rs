@@ -18,19 +18,20 @@
 //! [`crate::reference`], the breadth-first oracle over materialised
 //! canonical forms (ablation A4 in DESIGN.md).
 //!
-//! With [`ExploreOptions::por`], expansion additionally applies sleep-set
-//! partial-order reduction (`crate::por`, ablation A5): work items carry
-//! sleep/expansion thread masks, arena nodes remember which threads have
-//! been expanded (for the wake-up rule on duplicate hits), and commuted
-//! sibling orders are pruned before their successors are generated —
-//! transitions shrink, states and verdicts provably do not.
+//! Under [`Reduction::Full`](crate::engine::Reduction) the walk layers on
+//! the reductions the query allows (see
+//! [`Reduction`](crate::engine::Reduction)). Sleep-set partial-order
+//! reduction (`crate::por`, ablation A5): work items carry sleep/expansion
+//! thread masks, arena nodes remember which threads have been expanded
+//! (for the wake-up rule on duplicate hits), and commuted sibling orders
+//! are pruned before their successors are generated — transitions shrink,
+//! states and verdicts provably do not.
 //!
-//! With [`ExploreOptions::dpor`] (which implies `por`), expansion further
-//! restricts each state to a **persistent set** of threads
-//! ([`rc11_analyze::persistent`], ablation A7): the smallest closure of
-//! pc-sensitive future-footprint conflicts. Threads outside the closure
-//! commute with every member for the rest of the run, so postponing them
-//! preserves every terminal, deadlock and violation — but not every
+//! Outcome queries further restrict each state to a **persistent set** of
+//! threads ([`rc11_analyze::persistent`], ablation A7): the smallest
+//! closure of pc-sensitive future-footprint conflicts. Threads outside the
+//! closure commute with every member for the rest of the run, so
+//! postponing them preserves every terminal and deadlock — but not every
 //! intermediate state, so `states` may shrink too. Work items then carry
 //! the *true* arriving sleep set (`full & !proposal` would over-sleep the
 //! postponed threads), duplicate arrivals wake underexplored threads
@@ -47,7 +48,7 @@
 //! engine to [`crate::reference`]'s answers.
 
 use crate::checkpoint::{self, CheckpointOpts, ViolationRec};
-use crate::engine::{Note, StopReason};
+use crate::engine::{Level, Note, Query, StopReason};
 use crate::fxhash::{CanonicalFingerprint, Fp128, FxHashMap, IdBucket};
 use crate::por::{self, ThreadMask};
 use crate::sym;
@@ -223,11 +224,21 @@ impl<'a> Explorer<'a> {
     /// Exhaustive reachability with a per-configuration check callback.
     /// The callback pushes a description into the reusable buffer for
     /// every property the configuration violates, so violation-free
-    /// configurations allocate nothing.
-    pub fn explore_with(
+    /// configurations allocate nothing. A state query (see
+    /// [`Reduction`](crate::engine::Reduction)).
+    pub fn explore_with(&self, check: impl FnMut(&Config, &mut Vec<String>)) -> Report {
+        self.walk(Query::States, check)
+    }
+
+    /// The walk behind every query, at the level `opts.reduce` allows for
+    /// `query`. Orbit members are handed to `check` only for state
+    /// queries: outcome queries have no per-state callback.
+    pub(crate) fn walk(
         &self,
+        query: Query,
         mut check: impl FnMut(&Config, &mut Vec<String>),
     ) -> Report {
+        let level = Level::of(self.opts.reduce, query);
         let run_start = Instant::now();
         // Telemetry rides as a delta: snapshot the (possibly shared,
         // cumulative) sink at entry and attach only this run's
@@ -244,7 +255,7 @@ impl<'a> Explorer<'a> {
         // POR's thread masks cap at 64 bits; larger programs fall back to
         // the unreduced search (which iterates threads by index and
         // supports any count `Tid` can name), flagged on the report.
-        let mut por = self.opts.por || self.opts.dpor;
+        let mut por = level.sleep;
         if por && n_threads > 64 {
             por = false;
             report.note(Note::PorThreadCap { threads: n_threads });
@@ -253,7 +264,7 @@ impl<'a> Explorer<'a> {
             }
         }
         let full = if por { por::full_mask(n_threads) } else { !0 };
-        let (spec, capped_orbit) = sym::active_spec(self.prog, self.opts.symmetry);
+        let (spec, capped_orbit) = sym::active_spec(self.prog, level.symmetry);
         if let Some(orbit) = capped_orbit {
             report.note(Note::SymmetryOrbitCap { orbit });
             if let Some(t) = &tel {
@@ -261,19 +272,9 @@ impl<'a> Explorer<'a> {
             }
         }
         let symm = spec.as_ref();
+        let members = if query == Query::States { symm } else { None };
         let statics = por.then(|| rc11_analyze::conflict_matrix(self.prog));
-        // Persistent-set machinery (A7): `None` unless dpor is on *and*
-        // the program fits the 128-location future-footprint capacity —
-        // otherwise we degrade to sleep-sets-only, which is sound.
-        let pers = (por && self.opts.dpor)
-            .then(|| rc11_analyze::future_footprints(self.prog))
-            .flatten();
-        if por && self.opts.dpor && pers.is_none() {
-            report.note(Note::DporLocationCap);
-            if let Some(t) = &tel {
-                t.incr(Counter::CapDegradations);
-            }
-        }
+        let pers = (por && level.persistent).then(|| rc11_analyze::future_footprints(self.prog));
 
         // Resilience machinery: budgets are checked between work items (so
         // every stop lands on a clean item boundary and the report is a
@@ -283,7 +284,7 @@ impl<'a> Explorer<'a> {
         let deadline = budget.deadline.map(|d| Instant::now() + d);
         let mut mem_bytes: u64 = 0;
         let ckpt = self.opts.checkpoint.clone();
-        let sig = ckpt.as_ref().map(|_| self.checkpoint_sig());
+        let sig = ckpt.as_ref().map(|_| self.checkpoint_sig(level));
         // Id-keyed mirrors of the report, maintained only when
         // checkpointing (`crate::checkpoint` stores references, not
         // configurations).
@@ -295,8 +296,8 @@ impl<'a> Explorer<'a> {
         // first visit?)`. Without POR every item is `(id, full, ∅, true)`
         // and the loop below degenerates to the classical search (same
         // expansion order, same transition counts). See `crate::por` for
-        // the sleep-set rules. Under dpor the expansion mask starts from
-        // the state's persistent set instead of `full`.
+        // the sleep-set rules. With persistent sets the expansion mask
+        // starts from the state's persistent set instead of `full`.
         let mut frontier: Vec<(u32, ThreadMask, ThreadMask, bool)> = Vec::new();
 
         // Resume from a matching checkpoint, or seed afresh. A resumed run
@@ -477,7 +478,7 @@ impl<'a> Explorer<'a> {
                 };
                 let tid = Tid(t as u8);
                 for (si, succ) in succs.into_iter().enumerate() {
-                    // The successor's persistent set (full without dpor).
+                    // The successor's persistent set (full without A7).
                     // A pure function of the program counters, computed on
                     // the raw successor and transported through σ with the
                     // sleep mask — symmetric threads have equal future
@@ -508,8 +509,8 @@ impl<'a> Explorer<'a> {
                                 // with the proposal transported into the
                                 // stored state's thread numbering first.
                                 // The queued item carries the arrival's
-                                // true sleep set: under dpor `full &
-                                // !prop` would unsoundly sleep the merely
+                                // true sleep set: under A7 `full & !prop`
+                                // would unsoundly sleep the merely
                                 // postponed outside-persistent threads.
                                 let (prop, slp) = match &dsigma {
                                     Some(sg) => (
@@ -570,11 +571,11 @@ impl<'a> Explorer<'a> {
                             }),
                         });
                     }
-                    // Under symmetry the check must see every state of the
-                    // orbit, not just the representative: observation
-                    // tuples and invariants may distinguish thread
-                    // identities the reduction just modded out.
-                    if let Some(spec) = symm {
+                    // Under symmetry a state query's check must see every
+                    // state of the orbit, not just the representative:
+                    // observation tuples and invariants may distinguish
+                    // thread identities the reduction just modded out.
+                    if let Some(spec) = members {
                         for (pi, member) in sym::orbit_members(spec, &canon) {
                             check(&member, &mut buf);
                             for what in buf.drain(..) {
@@ -636,7 +637,7 @@ impl<'a> Explorer<'a> {
                         report.deadlocked.push(cfg);
                     }
                 } else {
-                    // Retry rule (dpor): every expanded thread was blocked
+                    // Retry rule (A7): every expanded thread was blocked
                     // — a persistent member stuck on a lock acquire, say —
                     // but the state is not terminal. Persistence cannot
                     // promise an outside thread will unblock a member
@@ -644,8 +645,8 @@ impl<'a> Explorer<'a> {
                     // grow the expansion to every non-slept thread never
                     // queued here. Slept threads stay out: their steps are
                     // covered from a sibling state (the A5 argument).
-                    // Without dpor `explored` already covers `full &
-                    // !sleep`, so `rest` is zero and nothing changes.
+                    // Without A7 `explored` already covers `full & !sleep`,
+                    // so `rest` is zero and nothing changes.
                     let rest = full & !sleep & !nodes[id as usize].explored;
                     if rest != 0
                         && por::has_any_successor(self.prog, self.objs, &cfg, rest, self.opts.step)
@@ -700,14 +701,12 @@ impl<'a> Explorer<'a> {
     /// budgets and cancellation are not (they stop on clean item
     /// boundaries — resuming a deadline-stopped run *without* the
     /// deadline is the point).
-    fn checkpoint_sig(&self) -> u64 {
+    fn checkpoint_sig(&self, level: Level) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = crate::fxhash::Fx128Hasher::default();
         format!("{:?}", self.prog).hash(&mut h);
         (
-            self.opts.por,
-            self.opts.dpor,
-            self.opts.symmetry,
+            level.word(),
             self.opts.record_traces,
             self.opts.step.fuse_local,
             self.opts.max_states,
@@ -830,9 +829,9 @@ impl<'a> Explorer<'a> {
         }
     }
 
-    /// Plain reachability (no property).
+    /// Plain reachability (no property): an outcome query.
     pub fn explore(&self) -> Report {
-        self.explore_with(|_, _| {})
+        self.walk(Query::Outcomes, |_, _| {})
     }
 
     /// Check a predicate as a global invariant.

@@ -8,7 +8,8 @@
 //! * [`engine`] — the unified exploration surface: [`engine::Engine`],
 //!   [`engine::choose_engine`], and the shared
 //!   [`engine::EngineReport`]/[`engine::Violation`] types both engines
-//!   produce, plus the resilience layer ([`engine::Budget`],
+//!   produce, the one reduction switch [`engine::Reduction`] (the engine
+//!   picks the sound level per query), plus the resilience layer ([`engine::Budget`],
 //!   [`engine::CancelToken`], [`engine::StopReason`], [`engine::Note`]);
 //! * [`chaos`] — seeded deterministic fault injection (worker panics,
 //!   stalls, checkpoint-write failures) for the resilience harness;
@@ -34,10 +35,10 @@
 //! * `por` (internal) — sleep-set partial-order reduction over the
 //!   [`rc11_core::StepFootprint`] independence oracle with
 //!   `rc11_analyze`'s static may-conflict matrix as a pre-filter, layered
-//!   on both engines behind [`engine::ExploreOptions::por`] (ablation A5);
+//!   on both engines (ablation A5), plus the persistent-set retry rule
+//!   (ablation A7);
 //! * `sym` (internal) — the engine-side glue for thread-symmetry
-//!   reduction ([`rc11_analyze::symmetry`]), behind
-//!   [`engine::ExploreOptions::symmetry`] (ablation A6);
+//!   reduction ([`rc11_analyze::symmetry`], ablation A6);
 //! * [`gen`] — seeded random litmus-program generation over the full
 //!   statement alphabet, with deletion-based shrinking;
 //! * [`fuzz`] — the generative differential harness: every generated
@@ -79,8 +80,8 @@ pub use cache::{CacheStats, CacheTier, CachedVerdict, VerdictCache};
 pub use chaos::{ChaosState, FaultPlan};
 pub use checkpoint::CheckpointOpts;
 pub use engine::{
-    choose_engine, Budget, CancelToken, Engine, EngineReport, ExploreOptions, Note, StopReason,
-    Violation,
+    choose_engine, Budget, CancelToken, Engine, EngineReport, ExploreOptions, Note, Reduction,
+    StopReason, Violation,
 };
 pub use fuzz::{diff_one, fuzz, DiffOptions, DiffVerdict, FuzzFailure, FuzzReport};
 pub use gen::{generate, shrink, GProg, GRhs, GStmt, GenOptions};

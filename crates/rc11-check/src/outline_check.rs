@@ -23,7 +23,7 @@
 //! the strongest classification observed across incoming edges
 //! (interference > local > inherited > initial).
 
-use crate::engine::{Engine, ExploreOptions, Note, StopReason};
+use crate::engine::{Engine, ExploreOptions, Level, Note, Query, StopReason};
 use crate::explore::{Probe, VisitedIndex};
 use crate::fxhash::FxHashMap;
 use crate::parallel::par_walk;
@@ -246,13 +246,13 @@ pub fn check_outline(
 /// (kind, configuration) → strongest-class violation map; only `mover`
 /// tie-breaks and violation order may differ in the parallel engine.
 ///
-/// [`ExploreOptions::por`] is ignored (cleared) here: Owicki–Gries
-/// classification is a property of *edges* — interference vs inherited
-/// depends on which thread moved into the violating configuration over
-/// which incoming edge — and sleep-set reduction prunes exactly edges
-/// (never states). An outline checked under POR could report a weaker
-/// classification or miss an interference edge entirely, so the checker
-/// always explores the unreduced graph.
+/// An edge query: [`ExploreOptions::reduce`] allows no reduction here.
+/// Owicki–Gries classification is a property of *edges* — interference vs
+/// inherited depends on which thread moved into the violating
+/// configuration over which incoming edge — and sleep-set reduction prunes
+/// exactly edges (never states). An outline checked under POR could
+/// report a weaker classification or miss an interference edge entirely,
+/// so the checker always explores the unreduced graph.
 pub fn check_outline_with(
     prog: &CfgProgram,
     objs: &(dyn ObjectSemantics + Sync),
@@ -260,10 +260,9 @@ pub fn check_outline_with(
     opts: &ExploreOptions,
     engine: &Engine,
 ) -> OutlineReport {
-    let opts = ExploreOptions { por: false, symmetry: false, ..opts.clone() };
     match engine {
-        Engine::Sequential => seq_check_outline(prog, objs, outline, &opts),
-        Engine::Parallel { workers } => par_check_outline(prog, objs, outline, &opts, *workers),
+        Engine::Sequential => seq_check_outline(prog, objs, outline, opts),
+        Engine::Parallel { workers } => par_check_outline(prog, objs, outline, opts, *workers),
     }
 }
 
@@ -435,6 +434,7 @@ fn par_check_outline(
         prog,
         objs,
         opts,
+        Level::of(opts.reduce, Query::Edges),
         n_workers,
         (),
         |_, _| (),

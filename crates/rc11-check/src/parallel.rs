@@ -10,18 +10,18 @@
 //!   chunks (exported past [`KEEP_LOCAL`] or when the injector runs dry),
 //!   so steal traffic and queue-lock contention scale with the *shared*
 //!   frontier, not the state count.
-//! * **Sleep-set partial-order reduction** — with
-//!   [`ExploreOptions::por`], work items carry sleep-set/expansion masks
-//!   and the visited stores keep each state's `explored` mask for the
-//!   wake-up rule (see `crate::por`); POR prunes transitions only, never
-//!   states, so reports stay differential-tested-identical.
-//! * **Persistent-set DPOR** — with [`ExploreOptions::dpor`], each
-//!   state's expansion proposal further shrinks to its persistent set
+//! * **Sleep-set partial-order reduction** — under
+//!   [`Reduction::Full`](crate::engine::Reduction), work items carry
+//!   sleep-set/expansion masks and the visited stores keep each state's
+//!   `explored` mask for the wake-up rule (see `crate::por`); POR prunes
+//!   transitions only, never states.
+//! * **Persistent-set DPOR** — for outcome queries, each state's
+//!   expansion proposal further shrinks to its persistent set
 //!   ([`rc11_analyze::persistent`], ablation A7), items carry the true
 //!   arriving sleep set (no longer the proposal's complement — postponed
 //!   outside-persistent threads stay wakeable), and blocked persistent
 //!   sets re-submit through the store's wake-up rule (the retry rule in
-//!   `crate::explore`'s docs). Terminal/deadlock/violation multisets stay
+//!   `crate::explore`'s docs). Terminal/deadlock multisets stay
 //!   oracle-identical; state and transition counts become upper-bounded
 //!   rather than pinned — arrival order decides which duplicate wakes
 //!   which mask.
@@ -59,7 +59,7 @@
 //! This is ablation A3 of DESIGN.md: the benches sweep worker counts to
 //! show exploration scaling.
 
-use crate::engine::{EngineReport, ExploreOptions, Note, StopReason, Violation};
+use crate::engine::{EngineReport, ExploreOptions, Level, Note, Query, StopReason, Violation};
 use crate::fxhash::{CanonicalFingerprint, Fp128, FxHashMap};
 use crate::por::{self, ThreadMask};
 use crate::sym;
@@ -274,10 +274,10 @@ impl<V> Masked<V> {
 /// A successor queued for POR-aware insertion: the raw configuration, the
 /// caller's value, the *explored-mask proposal* — the threads the arrival
 /// wants queued for expansion (`full` when POR is off, which makes
-/// wake-ups impossible; the persistent set minus the sleep set under
-/// dpor) — and the sleep set the successor inherits over this edge. The
-/// sleep travels separately because under dpor it is **not** the
-/// proposal's complement: threads outside the persistent set are merely
+/// wake-ups impossible; the persistent set minus the sleep set under A7)
+/// — and the sleep set the successor inherits over this edge. The sleep
+/// travels separately because under A7 it is **not** the proposal's
+/// complement: threads outside the persistent set are merely
 /// postponed (wakeable by later arrivals), not slept.
 type PorItem<V> = (Config, V, ThreadMask, ThreadMask);
 
@@ -519,8 +519,8 @@ pub(crate) struct WalkStats {
     /// else = sound lower bound). Budget trips, cancellation, the state
     /// cap and contained worker faults all land here, max-combined.
     pub stop: StopReason,
-    /// Structured degradation/fault warnings (POR/DPOR/symmetry caps,
-    /// contained worker panics).
+    /// Structured degradation/fault warnings (POR thread and symmetry
+    /// orbit caps, contained worker panics).
     pub notes: Vec<Note>,
 }
 
@@ -536,10 +536,10 @@ struct WorkItem {
     first: bool,
 }
 
-/// The shared batched work-stealing walk both parallel checkers run on:
-/// expands every reached canonical configuration exactly once (plus POR
-/// wake-up re-expansions of newly woken threads) and drives three
-/// callbacks —
+/// The shared batched work-stealing walk both parallel checkers run on,
+/// at the reduction `level` the caller's query allows: expands every
+/// reached canonical configuration exactly once (plus POR wake-up
+/// re-expansions of newly woken threads) and drives three callbacks —
 ///
 /// * `edge_value(parent, tid)` — the value stored in the visited store for
 ///   a successor first discovered over that edge (the engine stores parent
@@ -572,6 +572,7 @@ pub(crate) fn par_walk<V, FV, FE, FN>(
     prog: &CfgProgram,
     objs: &(dyn ObjectSemantics + Sync),
     opts: &ExploreOptions,
+    level: Level,
     n_workers: usize,
     init_value: V,
     edge_value: FV,
@@ -616,7 +617,7 @@ where
     // bits; larger programs fall back to the unreduced search (which
     // iterates threads by index and supports any count `Tid` can name),
     // surfaced as a structured note.
-    let mut por = opts.por || opts.dpor;
+    let mut por = level.sleep;
     if por && n_threads > 64 {
         por = false;
         notes.push(Note::PorThreadCap { threads: n_threads });
@@ -625,7 +626,7 @@ where
         }
     }
     let full = if por { por::full_mask(n_threads) } else { !0 };
-    let (spec, capped_orbit) = sym::active_spec(prog, opts.symmetry);
+    let (spec, capped_orbit) = sym::active_spec(prog, level.symmetry);
     if let Some(orbit) = capped_orbit {
         notes.push(Note::SymmetryOrbitCap { orbit });
         if let Some(t) = &tel {
@@ -634,16 +635,7 @@ where
     }
     let symm = spec.as_ref();
     let statics = por.then(|| rc11_analyze::conflict_matrix(prog));
-    // Persistent-set machinery (A7): `None` unless dpor is on *and* the
-    // program fits the 128-location future-footprint capacity — otherwise
-    // degrade to sleep-sets-only, which is sound (and noted).
-    let pers = (por && opts.dpor).then(|| rc11_analyze::future_footprints(prog)).flatten();
-    if por && opts.dpor && pers.is_none() {
-        notes.push(Note::DporLocationCap);
-        if let Some(t) = &tel {
-            t.incr(Counter::CapDegradations);
-        }
-    }
+    let pers = (por && level.persistent).then(|| rc11_analyze::future_footprints(prog));
     let n_workers = n_workers.max(1);
 
     let init = Config::initial(prog).canonical();
@@ -772,7 +764,7 @@ where
                                         on_edge(&cfg, tid, &succ);
                                         let v = edge_value(&cfg, tid);
                                         // The successor's persistent set
-                                        // (full without dpor): a pure
+                                        // (full without A7): a pure
                                         // function of the program counters,
                                         // computed on the raw successor and
                                         // transported through σ by the
@@ -829,7 +821,7 @@ where
                                             deadlocked.lock().push(cfg);
                                         }
                                     } else if pers.is_some() {
-                                        // Retry rule (dpor): every expanded
+                                        // Retry rule (A7): every expanded
                                         // thread was blocked — a persistent
                                         // member stuck on a lock acquire,
                                         // say — but the state is not
@@ -1057,12 +1049,27 @@ pub fn par_explore(
     n_workers: usize,
     check: impl Fn(&Config, &mut Vec<String>) + Sync,
 ) -> EngineReport {
+    par_run(prog, objs, opts, n_workers, Query::States, check)
+}
+
+/// [`par_explore`] for any query: orbit members reach `check` only for
+/// state queries (outcome queries have no per-state callback).
+pub(crate) fn par_run(
+    prog: &CfgProgram,
+    objs: &(dyn ObjectSemantics + Sync),
+    opts: &ExploreOptions,
+    n_workers: usize,
+    query: Query,
+    check: impl Fn(&Config, &mut Vec<String>) + Sync,
+) -> EngineReport {
+    let level = Level::of(opts.reduce, query);
     // Same detection `par_walk` runs (it is deterministic and cheap):
-    // under symmetry reduction the check callback must additionally see
-    // every non-representative orbit member, and terminal sets must be
-    // orbit-expanded back to the unreduced search's. The cap note is
+    // under symmetry reduction a state query's callback must additionally
+    // see every non-representative orbit member, and terminal sets must
+    // be orbit-expanded back to the unreduced search's. The cap note is
     // `par_walk`'s to report.
-    let (spec, _) = sym::active_spec(prog, opts.symmetry);
+    let (spec, _) = sym::active_spec(prog, level.symmetry);
+    let members = if query == Query::States { spec.as_ref() } else { None };
 
     // Violations as (what, config, orbit origin); traces are attached
     // after the join, once the parent-pointer store is quiescent. For an
@@ -1081,6 +1088,7 @@ pub fn par_explore(
         prog,
         objs,
         opts,
+        level,
         n_workers,
         None,
         |parent, tid| opts.record_traces.then(|| (parent.clone(), tid)),
@@ -1093,7 +1101,7 @@ pub fn par_explore(
                     f.push((what, canon.clone(), None));
                 }
             }
-            if let Some(spec) = &spec {
+            if let Some(spec) = members {
                 for (pi, member) in sym::orbit_members(spec, canon) {
                     check(&member, buf);
                     if !buf.is_empty() {
@@ -1198,12 +1206,16 @@ mod tests {
     fn parallel_matches_sequential_state_count() {
         let prog = sb_prog();
         let oracle = reference::explore(&prog, &NoObjects, usize::MAX, |_, _| {});
+        let none = ExploreOptions { reduce: crate::engine::Reduction::None, ..Default::default() };
         for workers in [1, 2, 4] {
-            let par_report =
-                par_explore(&prog, &NoObjects, &ExploreOptions::default(), workers, |_, _| {});
+            let par_report = par_explore(&prog, &NoObjects, &none, workers, |_, _| {});
             assert_eq!(par_report.states, oracle.states, "workers = {workers}");
             assert_eq!(par_report.terminated.len(), oracle.terminated.len());
             assert_eq!(par_report.transitions, oracle.transitions);
+            // Sleep sets keep every state of this asymmetric program.
+            let full = par_explore(&prog, &NoObjects, &Default::default(), workers, |_, _| {});
+            assert_eq!(full.states, oracle.states, "workers = {workers}");
+            assert!(full.transitions <= oracle.transitions);
         }
     }
 

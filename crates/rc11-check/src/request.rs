@@ -46,18 +46,16 @@ use std::time::{Duration, Instant};
 /// part of the cache key; everything that only changes *how hard we are
 /// willing to work* (workers, budgets, cancellation, checkpointing) is
 /// not — see [`option_words`].
+///
+/// There is no reduction field: a request asks for outcomes and deadlocks
+/// only, so it always runs [`Reduction::Full`](crate::engine::Reduction)
+/// — sleep sets, persistent sets and thread symmetry.
 #[derive(Clone)]
 pub struct CheckParams {
     /// Engine selection: 1 = sequential, n > 1 = parallel.
     pub workers: usize,
     /// Hard state cap (in the key: truncation changes the report).
     pub max_states: usize,
-    /// Sleep-set partial-order reduction (ablation A5).
-    pub por: bool,
-    /// Thread-symmetry reduction (ablation A6).
-    pub symmetry: bool,
-    /// Persistent-set DPOR (ablation A7; implies sleep sets).
-    pub dpor: bool,
     /// Per-request resource budgets (not in the key; non-complete runs
     /// are never cached).
     pub budget: Budget,
@@ -82,9 +80,6 @@ impl Default for CheckParams {
         CheckParams {
             workers: 1,
             max_states: base.max_states,
-            por: base.por,
-            symmetry: base.symmetry,
-            dpor: base.dpor,
             budget: Budget::default(),
             cancel: CancelToken::new(),
             checkpoint: None,
@@ -97,17 +92,14 @@ impl Default for CheckParams {
 
 /// The semantic option words appended to a request's canonical words
 /// before fingerprinting. Two requests whose programs *and* option words
-/// agree are the same check. Telemetry is observability, not semantics:
+/// agree are the same check. There is no reduction word: a request is an
+/// outcome query and always runs [`Reduction::Full`](crate::engine::Reduction).
+/// Telemetry is observability, not semantics:
 /// attaching a sink must never change which cache entry a request maps
 /// to, so it is excluded here (a telemetry-on request can be served by a
 /// verdict computed with telemetry off, and vice versa).
 pub fn option_words(params: &CheckParams) -> Vec<u64> {
-    vec![
-        params.max_states as u64,
-        params.por as u64,
-        params.symmetry as u64,
-        params.dpor as u64,
-    ]
+    vec![params.max_states as u64]
 }
 
 /// Which path produced a response.
@@ -367,9 +359,6 @@ impl CheckService {
         let opts = ExploreOptions {
             record_traces: false,
             max_states: params.max_states,
-            por: params.por,
-            symmetry: params.symmetry,
-            dpor: params.dpor,
             budget: params.budget,
             cancel: params.cancel.clone(),
             checkpoint: params.checkpoint.clone(),
@@ -529,11 +518,11 @@ expected { (0, 0) (0, 1) (1, 1) }
         let service = CheckService::with_cache(VerdictCache::new(16));
         let base = CheckParams::default();
         let a = service.check_source(MP, &base).unwrap();
-        let por = CheckParams { por: true, ..CheckParams::default() };
-        let b = service.check_source(MP, &por).unwrap();
+        let capped = CheckParams { max_states: 1_000, ..CheckParams::default() };
+        let b = service.check_source(MP, &capped).unwrap();
         assert_ne!(a.fingerprint, b.fingerprint);
         assert_eq!(b.served, Served::Explored);
-        assert_eq!(b.observed, a.observed, "POR must not change the verdict");
+        assert_eq!(b.observed, a.observed, "an unreached cap must not change the verdict");
     }
 
     #[test]

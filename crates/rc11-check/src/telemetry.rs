@@ -393,7 +393,7 @@ expected { (0, 0) (0, 1) (1, 1) }
         let mut buf = Vec::new();
         {
             let mut w = TraceWriter::new(&mut buf);
-            w.run_start(1, 1, obj(vec![("por", Json::Bool(false))])).unwrap();
+            w.run_start(1, 1, obj(vec![("max_states", Json::Int(1000))])).unwrap();
             w.heartbeat(&tel.snapshot(), 1234.5, 0, 1).unwrap();
             w.file_verdict(&resp).unwrap();
             w.note("corpus pass complete").unwrap();

@@ -28,6 +28,7 @@
 
 use crate::combined::Combined;
 use crate::ids::{Loc, OpId, Tid};
+use crate::action::{MethodOp, OpAction};
 use crate::state::{CState, OpRecord};
 use crate::view::View;
 use std::hash::{Hash, Hasher};
@@ -56,6 +57,19 @@ fn perm_of(st: &CState) -> Vec<OpId> {
     perm
 }
 
+/// A non-initialisation op record with its thread ids permuted by
+/// `sigma[old] = new`: the executing thread and, for a lock acquire, the
+/// owner it records (release enabledness reads it back).
+fn permute_rec(rec: OpRecord, sigma: &[u8]) -> OpRecord {
+    let act = match rec.act {
+        OpAction::Method(MethodOp::LockAcquire { n, tid }) => {
+            OpAction::Method(MethodOp::LockAcquire { n, tid: Tid(sigma[tid.idx()]) })
+        }
+        act => act,
+    };
+    OpRecord { tid: Tid(sigma[rec.tid.idx()]), act, ..rec }
+}
+
 /// Rebuild a component state with ids renumbered by `perm` (own ids) and
 /// `perm_other` (ids appearing in cross-component view halves), and —
 /// when `tperm` is given — thread ids permuted by `tperm[old] = new`.
@@ -78,13 +92,10 @@ fn renumber(st: &CState, perm: &[OpId], perm_other: &[OpId], tperm: Option<&[u8]
     let mut new_mview_other: Vec<Option<View>> = vec![None; n];
     for old in 0..n {
         let new = perm[old].idx();
-        let mut rec = ops[old];
-        if let Some(sigma) = tperm {
-            if !is_init[old] {
-                rec.tid = Tid(sigma[rec.tid.idx()]);
-            }
-        }
-        new_ops[new] = rec;
+        new_ops[new] = match tperm {
+            Some(sigma) if !is_init[old] => permute_rec(ops[old], sigma),
+            _ => ops[old],
+        };
         new_cvd[new] = cvd[old];
         let mut own = mview_own[old].clone();
         own.remap(perm);
@@ -174,10 +185,7 @@ fn hash_component<H: Hasher>(
             // belongs to no thread — its dummy tid stays fixed under any
             // thread permutation.
             match tperm {
-                Some(sigma) if pos > 0 => {
-                    let rec = ops[old];
-                    OpRecord { tid: Tid(sigma[rec.tid.idx()]), ..rec }.hash(h);
-                }
+                Some(sigma) if pos > 0 => permute_rec(ops[old], sigma).hash(h),
                 _ => ops[old].hash(h),
             }
             h.write_u8(cvd[old] as u8);
@@ -228,9 +236,7 @@ fn component_canonical_eq(
             let rec = match tperm {
                 // Init ops (mo-position 0) belong to no thread; see
                 // `hash_component`.
-                Some(sigma) if pos > 0 => {
-                    OpRecord { tid: Tid(sigma[ops[old].tid.idx()]), ..ops[old] }
-                }
+                Some(sigma) if pos > 0 => permute_rec(ops[old], sigma),
                 _ => ops[old],
             };
             if rec != cops[new_id]
@@ -389,6 +395,31 @@ mod tests {
             };
             assert_eq!(obs(&s), obs(&c));
         }
+    }
+
+    /// A thread permutation renames a held lock's owner along with the
+    /// acquiring op's thread, in the materialised form and in the
+    /// zero-rebuild walks alike.
+    #[test]
+    fn permutation_renames_the_lock_owner() {
+        let mut s = Combined::new(&[], &[InitLoc::Obj], 2);
+        let (exec, _) = s.exec_ctx_mut(Comp::Lib);
+        let b = MethodOp::LockAcquire { n: 1, tid: Tid(0) };
+        exec.insert_at_max(OpRecord { loc: X, tid: Tid(0), act: OpAction::Method(b) });
+        let swapped = s.permute_threads(&[1, 0]);
+        let owner = |st: &Combined| {
+            let lib = st.lib();
+            match lib.op(*lib.mo(X).last().unwrap()).act {
+                OpAction::Method(MethodOp::LockAcquire { tid, .. }) => tid,
+                other => panic!("not an acquire: {other:?}"),
+            }
+        };
+        assert_eq!(owner(&swapped), Tid(1));
+        let perms = CanonPerms { threads: Some(vec![1, 0]), ..s.canonical_perms() };
+        let canon = swapped.canonical();
+        assert_eq!(s.canonical_with(&perms), canon);
+        assert!(s.canonical_eq_with(&perms, &canon));
+        assert!(!s.canonical_eq_with(&s.canonical_perms(), &canon));
     }
 
     /// A 64-bit instantiation of the canonical walk, for tests only (the

@@ -144,12 +144,21 @@ pub struct ThreadLintInfo {
     pub regs: Vec<(String, Span)>,
 }
 
+/// The deepest nesting the parser accepts: blocks inside statements, and
+/// parenthesised or unary sub-expressions inside expressions, counted
+/// together. The parser recurses once per level, so a deeper source is
+/// refused with a spanned error instead of overflowing the stack; every
+/// later pass over the tree (inlining, compilation, canonical words, lint,
+/// printing) inherits the bound.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parse one `.litmus` source text.
 pub fn parse_litmus(src: &str) -> Result<ParsedLitmus, ParseError> {
     let toks = Lexer::new(src).lex()?;
     let parser = Parser {
         toks,
         pos: 0,
+        depth: 0,
         decls: Vec::new(),
         threads: Vec::new(),
         lint: LintInfo { allows: scan_allows(src), ..LintInfo::default() },
@@ -526,6 +535,8 @@ impl ThreadCtx {
 struct Parser {
     toks: Vec<(Tok, Span)>,
     pos: usize,
+    /// Current nesting depth (see [`MAX_DEPTH`]).
+    depth: usize,
     decls: Vec<(String, Decl)>,
     threads: Vec<ThreadCtx>,
     lint: LintInfo,
@@ -554,6 +565,16 @@ impl Parser {
 
     fn err(&self, span: Span, msg: impl Into<String>) -> ParseError {
         ParseError { msg: msg.into(), span }
+    }
+
+    /// Enter one nesting level opened at `span`. Callers leave it with
+    /// `self.depth -= 1` on success; an error ends the whole parse.
+    fn nest(&mut self, span: Span) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(self.err(span, format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        Ok(())
     }
 
     fn expect(&mut self, want: &Tok, what: &str) -> Result<Span, ParseError> {
@@ -860,8 +881,10 @@ impl Parser {
     }
 
     fn parse_block(&mut self, ti: usize) -> Result<Com, ParseError> {
-        self.expect(&Tok::LBrace, "to open a block")?;
+        let span = self.expect(&Tok::LBrace, "to open a block")?;
+        self.nest(span)?;
         let body = self.parse_stmts(ti)?;
+        self.depth -= 1;
         self.expect(&Tok::RBrace, "to close a block")?;
         Ok(body)
     }
@@ -1099,7 +1122,10 @@ impl Parser {
     // -----------------------------------------------------------------
 
     fn parse_exp(&mut self, ti: usize) -> Result<Exp, ParseError> {
-        self.parse_or(ti)
+        self.nest(self.span())?;
+        let e = self.parse_or(ti)?;
+        self.depth -= 1;
+        Ok(e)
     }
 
     fn parse_or(&mut self, ti: usize) -> Result<Exp, ParseError> {
@@ -1174,14 +1200,14 @@ impl Parser {
 
     fn parse_unary(&mut self, ti: usize) -> Result<Exp, ParseError> {
         match self.peek() {
-            Tok::Bang => {
-                self.bump();
+            Tok::Bang | Tok::Minus => {
+                let (op, span) = self.bump();
+                self.nest(span)?;
                 let e = self.parse_unary(ti)?;
-                Ok(Exp::Un(UnOp::Not, Box::new(e)))
-            }
-            Tok::Minus => {
-                self.bump();
-                let e = self.parse_unary(ti)?;
+                self.depth -= 1;
+                if op == Tok::Bang {
+                    return Ok(Exp::Un(UnOp::Not, Box::new(e)));
+                }
                 // Fold constant negation so `-3` is a literal.
                 if let Exp::Val(Val::Int(n)) = e {
                     Ok(Exp::Val(Val::Int(-n)))

@@ -177,3 +177,50 @@ fn error_display_is_line_colon_column() {
     let e = err("litmus \"e\"\nvar x = @\n");
     assert_eq!(e.to_string(), "2:9: unexpected character `@`");
 }
+
+/// Nesting is capped: a source nested far past `MAX_DEPTH` (here 200k
+/// `if` blocks, which once overflowed the parser's stack and aborted the
+/// process) is refused at the first block past the cap, with its span.
+#[test]
+fn nesting_past_the_depth_cap_is_a_spanned_error() {
+    use rc11_lang::parse::MAX_DEPTH;
+    let n = 200_000;
+    let src = format!(
+        "litmus \"deep\"\nvar x = 0\nthread T {{\n{}{}}}\nobserve T.r\nexpected {{ (0) }}\n",
+        "if (true) {\n".repeat(n),
+        "}\n".repeat(n)
+    );
+    let e = err(&src);
+    // `if` block k (on line 3 + k) is level k, so the condition of block
+    // MAX_DEPTH + 1 is the first construct past the cap.
+    assert_eq!((e.span.line as usize, e.span.col), (4 + MAX_DEPTH, 5));
+    assert!(e.msg.contains(&format!("nesting deeper than {MAX_DEPTH} levels")), "{}", e.msg);
+}
+
+/// Expressions share the cap: parentheses and unary operators nest too.
+#[test]
+fn expression_nesting_past_the_depth_cap_is_a_spanned_error() {
+    for (open, close) in [("(", ")"), ("!", ""), ("-", "")] {
+        let src = format!(
+            "litmus \"deep\"\nthread T {{\n  r = {}1{};\n}}\nobserve T.r\nexpected {{ (0) }}\n",
+            open.repeat(100_000),
+            close.repeat(100_000)
+        );
+        let e = err(&src);
+        assert_eq!(e.span.line, 3, "{open}: {e}");
+        assert!(e.msg.contains("nesting deeper than"), "{open}: {}", e.msg);
+    }
+}
+
+/// Nesting at the cap still parses.
+#[test]
+fn nesting_at_the_depth_cap_parses() {
+    use rc11_lang::parse::MAX_DEPTH;
+    let n = MAX_DEPTH - 1;
+    let src = format!(
+        "litmus \"deep\"\nthread T {{\n  r = 0;\n{}  r = 1;\n{}}}\nobserve T.r\nexpected {{ (1) }}\n",
+        "if (true) {\n".repeat(n),
+        "}\n".repeat(n)
+    );
+    parse_litmus(&src).expect("nesting at the cap is accepted");
+}

@@ -137,17 +137,16 @@ pub struct LitmusResult {
     pub observed: BTreeSet<Vec<Val>>,
     /// Outcomes expected.
     pub expected: BTreeSet<Vec<Val>>,
-    /// States explored.
+    /// States explored — under the default
+    /// [`Reduction::Full`](rc11_check::Reduction) at most the unreduced
+    /// count, with the verdict unchanged.
     pub states: usize,
-    /// Transitions generated — with partial-order reduction
-    /// ([`ExploreOptions::por`]) this shrinks while `states` and the
-    /// verdict stay fixed; the `rc11 run --por` reduction column is the
-    /// ratio of this value between a reduced and an unreduced run.
+    /// Transitions generated (likewise bounded by the unreduced count).
     pub transitions: usize,
     /// `observed == expected`.
     pub pass: bool,
     /// Structured engine warnings ([`rc11_check::Note`]): reduction
-    /// fallbacks (POR thread cap, DPOR location cap, symmetry orbit cap),
+    /// fallbacks (POR thread cap, symmetry orbit cap),
     /// contained worker faults, checkpoint errors. The result stays exact
     /// for reduction fallbacks; `rc11 run` prints these as a column.
     pub notes: Vec<Note>,

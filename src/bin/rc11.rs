@@ -24,7 +24,7 @@ use rc11::analyze::{lint as analyze_lint, render_diagnostic, Severity};
 use rc11::check::gen::GenOptions;
 use rc11::check::fuzz::{fuzz, DiffOptions};
 use rc11::check::wire::Json;
-use rc11::check::{CheckParams, CheckService, Engine, VerdictCache};
+use rc11::check::{CheckParams, CheckService, VerdictCache};
 use rc11::daemon::{self, DaemonConfig};
 use rc11::lang::parse::parse_litmus;
 use rc11::litmus::{self, Litmus};
@@ -70,30 +70,13 @@ RUN OPTIONS:
                              the --workers list, default 4)
   --workers <N[,N...]>       worker counts to run each test at; 1 = the
                              sequential engine (default: 1)
-  --por                      explore with sleep-set partial-order reduction
-                             (ablation A5). Every test additionally runs
-                             once unreduced: state counts and outcome sets
-                             must match exactly, and the summary gains a
-                             REDUCTION column (unreduced / reduced
-                             transitions). Programs beyond 64 threads fall
-                             back to unreduced search (a note is printed;
-                             results stay exact)
-  --symmetry                 explore with thread-symmetry reduction
-                             (ablation A6). Every test additionally runs
-                             once without it: outcome sets must match
-                             exactly while the state count never grows,
-                             and the summary gains a SYM column
-                             (unsymmetric / symmetric states)
-  --dpor                     explore with persistent-set dynamic
-                             partial-order reduction (ablation A7;
-                             implies sleep sets). Every test additionally
-                             runs once with sleep sets only: outcome sets
-                             must match exactly while neither states nor
-                             transitions grow, and the summary gains a
-                             DPOR column (sleep-set / persistent-set
-                             transitions). Programs beyond 128 locations
-                             degrade to sleep sets, beyond 64 threads to
-                             unreduced search (results stay exact)
+  --cross-check              re-decide every file with the reference
+                             explorer (a small unreduced breadth-first
+                             search): outcome sets and deadlock counts
+                             must match it exactly and the reduced runs
+                             may never visit more states. The summary
+                             gains a REDUCTION column (reference states /
+                             reduced states)
   --max-states <N>           per-test state cap (default: 5000000)
   --deadline <SECS>          wall-clock budget per engine run; a run that
                              hits it stops with a sound lower bound and
@@ -129,11 +112,14 @@ RUN OPTIONS:
 
   Both engines deduplicate visited states one way: zero-rebuild canonical
   fingerprints, each hit confirmed against the interned state. There is
-  no dedup switch.
+  no dedup switch, and no reduction switch: every check is an outcome
+  query, so the engines always run their full reduction (sleep sets,
+  persistent sets, thread symmetry), which keeps outcome sets and
+  deadlock counts exact. STATES counts the states the reduced run visited.
 
   Each file's run is contained: a panic inside an engine is caught,
   reported as a FAIL row, and the batch continues. The summary NOTES
-  column surfaces engine degradations (por-cap, dpor-cap, sym-cap),
+  column surfaces engine degradations (por-cap, sym-cap),
   contained worker faults (fault), and checkpoint errors (ckpt); details
   print under each affected row.
 
@@ -145,8 +131,11 @@ LINT OPTIONS:
 FUZZ OPTIONS:
   Every generated program is decided by the reference explorer (a small
   breadth-first search over materialised canonical states) and by both
-  engines at every worker count; any disagreement is shrunk to a .litmus
-  repro.
+  engines at every worker count, unreduced (counts must match exactly)
+  and fully reduced (terminal, deadlock and outcome sets must match while
+  states and transitions never exceed the reference's); a third of the
+  programs clone one thread body into every slot so symmetry has orbits
+  to fold. Any disagreement is shrunk to a .litmus repro.
   --seed <S>                 base seed (default: 1)
   --iters <N>                programs to generate (default: 200)
   --workers <N[,N...]>       parallel worker counts to cross-check
@@ -157,32 +146,13 @@ FUZZ OPTIONS:
                              (default: 262144)
   --samples <N>              random walks per program for sampler-soundness
                              (default: 24)
-  --por                      add the POR-on/off report-parity lane: both
-                             engines re-explore each program with sleep-set
-                             reduction and must preserve states, terminals
-                             and outcome sets while generating no more
-                             transitions
-  --symmetry                 add the symmetry report-parity lane (and bias
-                             the generator towards cloned threads): every
-                             program re-explores with thread-symmetry
-                             reduction — alone and combined with POR,
-                             sequential and parallel — and must preserve
-                             terminals and outcome sets while never
-                             growing the state count
-  --dpor                     add the persistent-set DPOR report-parity
-                             lane: every program re-explores with
-                             ExploreOptions::dpor on — both engines,
-                             alone and composed with symmetry — and
-                             must preserve terminal/deadlock counts and
-                             outcome sets while never growing states or
-                             transitions
   --chaos                    add the chaos differential lane: every
                              program re-runs under seeded fault schedules
                              (worker panic / stall / checkpoint-write
-                             failure) and must report either bit-identical
-                             results to the unfaulted oracle or an
-                             explicitly non-complete stop reason — never a
-                             silently wrong answer
+                             failure) and must report either results as
+                             good as an unfaulted run or an explicitly
+                             non-complete stop reason — never a silently
+                             wrong answer
 
 SERVE OPTIONS:
   --addr <HOST:PORT>         bind address (default: 127.0.0.1:0; the bound
@@ -342,9 +312,7 @@ fn cmd_run(raw: &[String]) -> ExitCode {
         Ok(v) => v,
         Err(e) => return fail_usage(&e),
     };
-    let por = opts.flag(&["--por"]);
-    let symmetry = opts.flag(&["--symmetry"]);
-    let dpor = opts.flag(&["--dpor"]);
+    let cross_check = opts.flag(&["--cross-check"]);
     let show_outcomes = opts.flag(&["--show-outcomes"]);
     let quiet = opts.flag(&["--quiet", "-q"]);
     // `--progress[=SECS]` is the CLI's one `=`-style option: bare
@@ -444,37 +412,18 @@ fn cmd_run(raw: &[String]) -> ExitCode {
     let budget = rc11::check::Budget { deadline, max_transitions, max_mem_bytes: mem_budget };
     let base_params = CheckParams {
         max_states,
-        por,
-        symmetry,
-        dpor,
         budget,
         checkpoint: checkpoint.clone(),
         use_cache: cache_dir.is_some(),
         telemetry: telemetry.clone(),
         ..CheckParams::default()
     };
-    // The reduction differentials re-run files directly (they compare
-    // reduced vs unreduced reports, which must both actually explore).
-    let explore_opts = rc11::check::ExploreOptions {
-        record_traces: false,
-        max_states,
-        por,
-        symmetry,
-        dpor,
-        budget,
-        checkpoint,
-        telemetry: telemetry.clone(),
-        ..Default::default()
-    };
-
     let trace = match &trace_path {
         Some(path) => match std::fs::File::create(path) {
             Ok(f) => {
                 let mut w = rc11::check::TraceWriter::new(f);
                 let options = rc11::check::obj(vec![
-                    ("por", Json::Bool(por)),
-                    ("symmetry", Json::Bool(symmetry)),
-                    ("dpor", Json::Bool(dpor)),
+                    ("cross_check", Json::Bool(cross_check)),
                     ("max_states", Json::Int(max_states as i64)),
                 ]);
                 if let Err(e) =
@@ -557,25 +506,15 @@ fn cmd_run(raw: &[String]) -> ExitCode {
 
     let mut passed = 0usize;
     let mut failed = 0usize;
-    let mut full_transitions_total = 0usize;
-    let mut por_transitions_total = 0usize;
-    let mut nosym_states_total = 0usize;
-    let mut sym_states_total = 0usize;
-    let mut dpor_base_transitions_total = 0usize;
-    let mut dpor_transitions_total = 0usize;
+    let mut reference_states_total = 0usize;
+    let mut reduced_states_total = 0usize;
     if !quiet {
         let mut header = format!(
             "{:<16} {:>8} {:>10} {:>10} {:>10}",
             "NAME", "STATES", "RATE", "OBSERVED", "EXPECTED"
         );
-        if por && !dpor {
+        if cross_check {
             header.push_str(&format!(" {:>10}", "REDUCTION"));
-        }
-        if symmetry {
-            header.push_str(&format!(" {:>10}", "SYM"));
-        }
-        if dpor {
-            header.push_str(&format!(" {:>10}", "DPOR"));
         }
         header.push_str(&format!(" {:>10}", "NOTES"));
         println!("{header}  RESULT");
@@ -599,10 +538,7 @@ fn cmd_run(raw: &[String]) -> ExitCode {
                 &workers,
                 &service,
                 &base_params,
-                &explore_opts,
-                por,
-                symmetry,
-                dpor,
+                cross_check,
                 max_states,
                 parse_nanos.get(path).copied().unwrap_or(0),
                 trace.as_deref(),
@@ -630,19 +566,23 @@ fn cmd_run(raw: &[String]) -> ExitCode {
             }
         };
         files_done.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        full_transitions_total += run.full_transitions;
-        por_transitions_total += run.por_transitions;
-        nosym_states_total += run.nosym_states;
-        sym_states_total += run.sym_states;
-        dpor_base_transitions_total += run.dpor_base_transitions;
-        dpor_transitions_total += run.dpor_transitions;
+        if let Some(reference_states) = run.reference_states {
+            reference_states_total += reference_states;
+            reduced_states_total += run.states;
+        }
         let notes_cell = if run.notes.is_empty() {
             "-".to_string()
         } else {
             let codes: Vec<&str> = run.notes.iter().map(note_code).collect();
             codes.join(",")
         };
-        let red = format!("{} {notes_cell:>10}", run.red);
+        // One separator space plus a 10-wide cell, matching the header's
+        // ` {:>10}` REDUCTION column.
+        let red_cell = run
+            .reference_states
+            .map(|r| format!(" {:>10}", format!("{:.2}x", r as f64 / run.states.max(1) as f64)))
+            .unwrap_or_default();
+        let red = format!("{red_cell} {notes_cell:>10}");
         // The row's throughput comes from the engine-reported wall
         // clock (`EngineReport::wall`), not a CLI-side stopwatch.
         let rate_cell = {
@@ -704,28 +644,12 @@ fn cmd_run(raw: &[String]) -> ExitCode {
         files.len(),
         workers
     );
-    if por && por_transitions_total > 0 {
+    if reduced_states_total > 0 {
         print!(
-            "; POR reduction {:.2}x ({} transitions vs {} unreduced)",
-            full_transitions_total as f64 / por_transitions_total as f64,
-            por_transitions_total,
-            full_transitions_total
-        );
-    }
-    if symmetry && sym_states_total > 0 {
-        print!(
-            "; symmetry reduction {:.2}x ({} states vs {} unsymmetric)",
-            nosym_states_total as f64 / sym_states_total as f64,
-            sym_states_total,
-            nosym_states_total
-        );
-    }
-    if dpor && dpor_transitions_total > 0 {
-        print!(
-            "; DPOR reduction {:.2}x ({} transitions vs {} sleep-set)",
-            dpor_base_transitions_total as f64 / dpor_transitions_total as f64,
-            dpor_transitions_total,
-            dpor_base_transitions_total
+            "; reduction {:.2}x ({} states vs {} reference)",
+            reference_states_total as f64 / reduced_states_total as f64,
+            reduced_states_total,
+            reference_states_total
         );
     }
     if cache_dir.is_some() {
@@ -757,16 +681,10 @@ struct FileRun {
     /// whose states the row shows); drives the RATE column.
     wall: std::time::Duration,
     observed: std::collections::BTreeSet<Vec<rc11::core::Val>>,
-    /// Pre-formatted REDUCTION / SYM / DPOR cells (possibly empty).
-    red: String,
     notes: Vec<rc11::check::Note>,
     first_divergence: Option<String>,
-    full_transitions: usize,
-    por_transitions: usize,
-    nosym_states: usize,
-    sym_states: usize,
-    dpor_base_transitions: usize,
-    dpor_transitions: usize,
+    /// The reference explorer's state count, under `--cross-check`.
+    reference_states: Option<usize>,
 }
 
 /// Compact code for the summary's NOTES column; the full [`Note`] prints
@@ -774,7 +692,6 @@ struct FileRun {
 fn note_code(n: &rc11::check::Note) -> &'static str {
     match n {
         rc11::check::Note::PorThreadCap { .. } => "por-cap",
-        rc11::check::Note::DporLocationCap => "dpor-cap",
         rc11::check::Note::SymmetryOrbitCap { .. } => "sym-cap",
         rc11::check::Note::WorkerFault { .. } => "fault",
         rc11::check::Note::CheckpointError { .. } => "ckpt",
@@ -782,26 +699,23 @@ fn note_code(n: &rc11::check::Note) -> &'static str {
 }
 
 /// Run one litmus file at every requested engine configuration (through
-/// the shared [`CheckService`] request path) plus the enabled reduction
-/// differentials, collecting verdicts, notes and totals.
+/// the shared [`CheckService`] request path) plus, under `--cross-check`,
+/// the reference explorer, collecting verdicts, notes and totals.
 #[allow(clippy::too_many_arguments)]
 fn run_one(
     litmus: &Litmus,
     workers: &[usize],
     service: &CheckService,
     base_params: &CheckParams,
-    explore_opts: &rc11::check::ExploreOptions,
-    por: bool,
-    symmetry: bool,
-    dpor: bool,
+    cross_check: bool,
     max_states: usize,
     mut parse_nanos: u64,
     trace: Option<&std::sync::Mutex<rc11::check::TraceWriter<std::fs::File>>>,
 ) -> FileRun {
     let mut ok = true;
     let mut states = 0usize;
+    let mut peak_states = 0usize;
     let mut wall = std::time::Duration::ZERO;
-    let mut transitions = 0usize;
     let mut run_deadlocks = 0usize;
     let mut notes: Vec<rc11::check::Note> = Vec::new();
     let mut first_divergence: Option<String> = None;
@@ -820,7 +734,7 @@ fn run_one(
         // The file was parsed once, before its first run.
         res.attribute_parse(std::mem::take(&mut parse_nanos));
         states = res.states;
-        transitions = res.transitions;
+        peak_states = peak_states.max(states);
         run_deadlocks = res.deadlocks;
         wall = res.wall;
         if let Some(tr) = trace {
@@ -876,147 +790,50 @@ fn run_one(
         observed = Some(res.observed);
         prev_workers = w;
     }
-    // With --por, decide the same test once unreduced (sequentially):
-    // the reduction factor is unreduced/reduced transitions, and the
-    // unreduced run doubles as a soundness differential — states and
-    // outcome set must match the reduced runs exactly. Differential
-    // re-runs never share the checkpoint directory.
-    let mut full_transitions_total = 0usize;
-    let mut por_transitions_total = 0usize;
-    let mut reduction: Option<f64> = None;
-    if por && !dpor {
-        let full_opts = rc11::check::ExploreOptions {
-            por: false,
-            checkpoint: None,
-            ..explore_opts.clone()
+    // With --cross-check, re-decide the test with the reference explorer:
+    // the outcome set and deadlock count must match it exactly, and no
+    // reduced run may visit more states.
+    let mut reference_states = None;
+    if cross_check {
+        let prog = rc11::lang::compile(&litmus.prog);
+        let oracle =
+            rc11::check::reference::explore(&prog, litmus::objects_for(litmus), max_states, |_, _| {});
+        let oracle_observed: std::collections::BTreeSet<Vec<rc11::core::Val>> = oracle
+            .terminated
+            .iter()
+            .map(|c| litmus.observe.iter().map(|&(t, r)| c.reg(t, r)).collect())
+            .collect();
+        let divergence = if !oracle.stop.is_complete() {
+            Some(format!("cross-check: reference truncated at --max-states {max_states}"))
+        } else if Some(&oracle_observed) != observed.as_ref() {
+            Some("cross-check: observed set differs from the reference's".to_string())
+        } else if run_deadlocks != oracle.deadlocked.len() {
+            Some(format!(
+                "cross-check: {run_deadlocks} deadlock(s) vs the reference's {}",
+                oracle.deadlocked.len()
+            ))
+        } else if peak_states > oracle.states {
+            Some(format!(
+                "cross-check: {peak_states} reduced states exceed the reference's {}",
+                oracle.states
+            ))
+        } else {
+            None
         };
-        let (full, _, _) = litmus::run_with_opts(litmus, &Engine::Sequential, &full_opts);
-        full_transitions_total = full.transitions;
-        por_transitions_total = transitions;
-        if full.states != states {
+        if let Some(d) = divergence {
             ok = false;
-            first_divergence.get_or_insert(format!(
-                "POR changed the state count: {} reduced vs {} full",
-                states, full.states
-            ));
+            first_divergence.get_or_insert(d);
         }
-        if Some(&full.observed) != observed.as_ref() {
-            ok = false;
-            first_divergence
-                .get_or_insert("POR changed the observed outcome set".to_string());
-        }
-        if transitions > full.transitions {
-            ok = false;
-            first_divergence.get_or_insert(format!(
-                "POR generated more transitions: {} reduced vs {} full",
-                transitions, full.transitions
-            ));
-        }
-        reduction = Some(full.transitions as f64 / transitions.max(1) as f64);
-    }
-    // With --symmetry, decide the same test once without it
-    // (sequentially): the SYM factor is unsymmetric/symmetric states,
-    // and the unsymmetric run doubles as a soundness differential —
-    // the outcome set must match exactly and reduction must never
-    // grow the state count.
-    let mut nosym_states_total = 0usize;
-    let mut sym_states_total = 0usize;
-    let mut sym_factor: Option<f64> = None;
-    if symmetry {
-        let nosym_opts = rc11::check::ExploreOptions {
-            symmetry: false,
-            checkpoint: None,
-            ..explore_opts.clone()
-        };
-        let (nosym, _, _) = litmus::run_with_opts(litmus, &Engine::Sequential, &nosym_opts);
-        nosym_states_total = nosym.states;
-        sym_states_total = states;
-        if states > nosym.states {
-            ok = false;
-            first_divergence.get_or_insert(format!(
-                "symmetry grew the state count: {} symmetric vs {} full",
-                states, nosym.states
-            ));
-        }
-        if Some(&nosym.observed) != observed.as_ref() {
-            ok = false;
-            first_divergence
-                .get_or_insert("symmetry changed the observed outcome set".to_string());
-        }
-        sym_factor = Some(nosym.states as f64 / states.max(1) as f64);
-    }
-    // With --dpor, decide the same test once with sleep sets only
-    // (sequentially): the DPOR factor is sleep-set / persistent-set
-    // transitions, and the sleep-set run doubles as a soundness
-    // differential — persistent sets may shed states *and*
-    // transitions but must preserve the outcome set and the deadlock
-    // count exactly.
-    let mut dpor_base_transitions_total = 0usize;
-    let mut dpor_transitions_total = 0usize;
-    let mut dpor_factor: Option<f64> = None;
-    if dpor {
-        let base_opts = rc11::check::ExploreOptions {
-            por: true,
-            dpor: false,
-            checkpoint: None,
-            ..explore_opts.clone()
-        };
-        let (base, _, base_deadlocks) =
-            litmus::run_with_opts(litmus, &Engine::Sequential, &base_opts);
-        dpor_base_transitions_total = base.transitions;
-        dpor_transitions_total = transitions;
-        if states > base.states {
-            ok = false;
-            first_divergence.get_or_insert(format!(
-                "DPOR grew the state count: {} persistent-set vs {} sleep-set",
-                states, base.states
-            ));
-        }
-        if transitions > base.transitions {
-            ok = false;
-            first_divergence.get_or_insert(format!(
-                "DPOR generated more transitions: {} persistent-set vs {} sleep-set",
-                transitions, base.transitions
-            ));
-        }
-        if Some(&base.observed) != observed.as_ref() {
-            ok = false;
-            first_divergence
-                .get_or_insert("DPOR changed the observed outcome set".to_string());
-        }
-        if run_deadlocks != base_deadlocks {
-            ok = false;
-            first_divergence.get_or_insert(format!(
-                "DPOR changed the deadlock count: {run_deadlocks} persistent-set \
-                 vs {base_deadlocks} sleep-set"
-            ));
-        }
-        dpor_factor = Some(base.transitions as f64 / transitions.max(1) as f64);
-    }
-    // One separator space plus a 10-wide cell per enabled reduction,
-    // matching the header's ` {:>10}` REDUCTION / SYM / DPOR columns.
-    let mut red =
-        reduction.map(|r| format!(" {:>10}", format!("{r:.2}x"))).unwrap_or_default();
-    if let Some(f) = sym_factor {
-        red.push_str(&format!(" {:>10}", format!("{f:.2}x")));
-    }
-    if let Some(d) = dpor_factor {
-        red.push_str(&format!(" {:>10}", format!("{d:.2}x")));
+        reference_states = Some(oracle.states);
     }
     FileRun {
         ok,
         states,
         wall,
         observed: observed.unwrap_or_default(),
-        red,
         notes,
         first_divergence,
-        full_transitions: full_transitions_total,
-        por_transitions: por_transitions_total,
-        nosym_states: nosym_states_total,
-        sym_states: sym_states_total,
-        dpor_base_transitions: dpor_base_transitions_total,
-        dpor_transitions: dpor_transitions_total,
+        reference_states,
     }
 }
 
@@ -1156,9 +973,6 @@ fn cmd_fuzz(raw: &[String]) -> ExitCode {
         Ok(v) => v,
         Err(e) => return fail_usage(&e),
     };
-    let por = opts.flag(&["--por"]);
-    let symmetry = opts.flag(&["--symmetry"]);
-    let dpor = opts.flag(&["--dpor"]);
     let chaos = opts.flag(&["--chaos"]);
     if let Some(bad) = opts.args.first() {
         return fail_usage(&format!("fuzz takes no positional arguments (got `{bad}`)"));
@@ -1185,32 +999,25 @@ fn cmd_fuzz(raw: &[String]) -> ExitCode {
         min_threads: threads[0],
         max_threads: threads[1],
         max_stmts: stmts,
-        // The symmetry lane is only interesting on programs with orbits
-        // (and the DPOR lane composes with it), so bias the generator
-        // towards cloned thread bodies.
-        clone_threads: symmetry || dpor,
+        // Symmetry reduction is only exercised on programs with orbits,
+        // so bias the generator towards cloned thread bodies.
+        clone_threads: true,
         ..Default::default()
     };
     let diff_opts = DiffOptions {
         workers,
         max_states,
         samples,
-        por,
-        symmetry,
-        dpor,
         chaos,
         ..Default::default()
     };
 
     println!(
         "fuzzing {iters} programs from seed {seed} \
-         ({}–{} threads, ≤{stmts} statements/thread, workers {:?}{}{}{}{})",
+         ({}–{} threads, ≤{stmts} statements/thread, workers {:?}{})",
         gen_opts.min_threads,
         gen_opts.max_threads,
         diff_opts.workers,
-        if por { ", POR parity lane on" } else { "" },
-        if symmetry { ", symmetry parity lane on" } else { "" },
-        if dpor { ", DPOR parity lane on" } else { "" },
         if chaos { ", chaos lane on" } else { "" }
     );
     let step = (iters / 10).max(1);

@@ -15,11 +15,11 @@
 //!
 //! * `{"cmd":"check","source":"litmus …", …}` — check a `.litmus`
 //!   source. Optional fields: `workers` (default 1), `max_states`,
-//!   `deadline_ms`, `max_transitions`, `max_mem_bytes`, `por`,
-//!   `symmetry`, `dpor` (default false), `no_cache` (default false: probe
-//!   and populate the verdict cache), `telemetry` (default false: attach
-//!   a per-job sink; the response's `telemetry` field carries its
-//!   snapshot). Unknown fields are ignored.
+//!   `deadline_ms`, `max_transitions`, `max_mem_bytes`, `no_cache`
+//!   (default false: probe and populate the verdict cache), `telemetry`
+//!   (default false: attach a per-job sink; the response's `telemetry`
+//!   field carries its snapshot). Unknown fields are ignored. Every check
+//!   is an outcome query, so it runs the engines' full reduction.
 //! * `{"cmd":"stats"}` — service counters: uptime, request and cache
 //!   hit/miss counts, states explored, states/s, the queue-depth gauge
 //!   and its peak since startup, the echoed config, and — when started
@@ -32,8 +32,9 @@
 //!
 //! Every response carries `"ok"`; failures (parse errors, malformed
 //! requests including JSON nested deeper than
-//! [`rc11_check::wire::MAX_DEPTH`], a full queue) are
-//! `{"ok":false,"error":"…"}` — the connection survives them. Check
+//! [`rc11_check::wire::MAX_DEPTH`], lines longer than [`MAX_LINE`] bytes,
+//! a full queue) are `{"ok":false,"error":"…"}` — the connection
+//! survives them. Check
 //! responses mirror [`CheckResponse`] field-for-field with stable encodings: values in
 //! the corpus literal syntax (`0`, `true`, `empty`, `bot`), stop
 //! reasons and notes via their `Display` strings, the fingerprint as 32
@@ -455,6 +456,11 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
     }
 }
 
+/// The longest request line the daemon reads, in bytes. A longer line is
+/// skipped up to its newline without being buffered and answered with a
+/// `too-large` error; the connection keeps serving.
+pub const MAX_LINE: usize = 4 << 20;
+
 fn serve_conn(shared: &Arc<Shared>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     // A finite read timeout lets the thread notice daemon shutdown while
@@ -465,26 +471,13 @@ fn serve_conn(shared: &Arc<Shared>, stream: TcpStream) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // The line so far, and whether it outgrew `MAX_LINE` (its remaining
+    // bytes are then dropped as they arrive).
+    let mut line: Vec<u8> = Vec::new();
+    let mut too_large = false;
     loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {
-                if !line.trim().is_empty() {
-                    let (response, stop) = handle_line(shared, &line);
-                    if writer
-                        .write_all((response.to_string_line() + "\n").as_bytes())
-                        .and_then(|()| writer.flush())
-                        .is_err()
-                    {
-                        break;
-                    }
-                    if stop {
-                        shared.begin_shutdown();
-                    }
-                }
-                line.clear();
-            }
+        let buf = match reader.fill_buf() {
+            Ok(buf) => buf,
             // Timeout with a partial line buffered: keep accumulating.
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock
@@ -493,8 +486,48 @@ fn serve_conn(shared: &Arc<Shared>, stream: TcpStream) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
+                continue;
             }
             Err(_) => break,
+        };
+        let eof = buf.is_empty();
+        let end = buf.iter().position(|&b| b == b'\n').map(|i| i + 1);
+        let chunk = &buf[..end.unwrap_or(buf.len())];
+        too_large |= line.len() + chunk.len() > MAX_LINE;
+        if !too_large {
+            line.extend_from_slice(chunk);
+        }
+        let used = chunk.len();
+        reader.consume(used);
+        if end.is_none() && !eof {
+            continue;
+        }
+        // A complete line (or the unterminated tail at end of stream).
+        let reply = if too_large {
+            Some((error_json(&format!("too-large: request line exceeds {MAX_LINE} bytes")), false))
+        } else {
+            match std::str::from_utf8(&line) {
+                Ok(text) if text.trim().is_empty() => None,
+                Ok(text) => Some(handle_line(shared, text)),
+                Err(_) => Some((error_json("bad request: line is not UTF-8"), false)),
+            }
+        };
+        line.clear();
+        too_large = false;
+        if let Some((response, stop)) = reply {
+            if writer
+                .write_all((response.to_string_line() + "\n").as_bytes())
+                .and_then(|()| writer.flush())
+                .is_err()
+            {
+                break;
+            }
+            if stop {
+                shared.begin_shutdown();
+            }
+        }
+        if eof {
+            break;
         }
     }
 }
@@ -583,15 +616,6 @@ fn decode_params(request: &Json, kill: &CancelToken) -> Result<CheckParams, Stri
     }
     if let Some(n) = usize_field("max_mem_bytes")? {
         params.budget.max_mem_bytes = Some(n);
-    }
-    if let Some(b) = bool_field("por")? {
-        params.por = b;
-    }
-    if let Some(b) = bool_field("symmetry")? {
-        params.symmetry = b;
-    }
-    if let Some(b) = bool_field("dpor")? {
-        params.dpor = b;
     }
     if let Some(b) = bool_field("no_cache")? {
         params.use_cache = !b;

@@ -64,7 +64,7 @@ pub mod prelude {
     pub use rc11_check::{
         check_outline, check_outline_with, choose_engine, par_explore, sample_terminals, Budget,
         CancelToken, ChaosState, CheckpointOpts, Engine, EngineReport, ExploreOptions, Explorer,
-        FaultPlan, Note, OutlineReport, StopReason,
+        FaultPlan, Note, OutlineReport, Reduction, StopReason,
     };
     pub use rc11_core::{Combined, Comp, InitLoc, Loc, OpId, Tid, Val};
     pub use rc11_lang::builder::*;

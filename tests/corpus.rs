@@ -11,9 +11,13 @@
 //! * **Corpus-wide exactness**: every corpus file (the twins plus the
 //!   classics that exist only as text) passes — observed = expected — at
 //!   1, 2, 4 and 8 workers, and under the `rc11_check::reference` oracle.
+//!   Under `Reduction::None` the engines reproduce the oracle's counts
+//!   exactly; under the default `Reduction::Full`, outcome queries keep
+//!   the oracle's terminal and deadlock sets and state queries hand their
+//!   callback every one of the oracle's states.
 //! * **Inventory**: ≥ 30 files, unique test names, every file parses.
 
-use rc11::check::reference;
+use rc11::check::{reference, CanonicalFingerprint};
 use rc11::prelude::*;
 use rc11_litmus as litmus;
 use std::collections::BTreeSet;
@@ -28,9 +32,30 @@ fn twin_path(name: &str) -> PathBuf {
     corpus_dir().join(format!("{}.litmus", name.to_lowercase().replace('+', "_")))
 }
 
+/// Unreduced, so the state count is the same at every worker count.
 fn observed(l: &litmus::Litmus, engine: &Engine) -> (BTreeSet<Vec<Val>>, usize) {
-    let res = litmus::run_with(l, engine);
+    let opts =
+        ExploreOptions { record_traces: false, reduce: Reduction::None, ..Default::default() };
+    let (res, _, _) = litmus::run_with_opts(l, engine, &opts);
     (res.observed, res.states)
+}
+
+/// The observed outcome set of a report's terminal configurations.
+fn outcomes(l: &litmus::Litmus, report: &EngineReport) -> BTreeSet<Vec<Val>> {
+    report
+        .terminated
+        .iter()
+        .map(|c| l.observe.iter().map(|&(t, r)| c.reg(t, r)).collect())
+        .collect()
+}
+
+/// Configurations with their multiplicities.
+fn multiset(cfgs: &[Config]) -> std::collections::HashMap<Config, usize> {
+    let mut m = std::collections::HashMap::new();
+    for c in cfgs {
+        *m.entry(c.clone()).or_insert(0) += 1;
+    }
+    m
 }
 
 #[test]
@@ -116,248 +141,183 @@ fn whole_corpus_is_exact_under_both_engines_at_every_worker_count() {
     }
 }
 
-/// Ablation A5: the whole corpus decided with sleep-set partial-order
-/// reduction on, at 1/2/4/8 workers. POR prunes transitions only, so this
-/// demands more than verdict parity: the state count must equal the
-/// unreduced run's exactly, the outcome set must equal the expected set,
-/// no run may deadlock or truncate, and the reduced transition count must
-/// never exceed the unreduced one.
+/// Ablation A5: sleep sets prune transitions, never states. A state query
+/// (`explore_with`) under `Reduction::Full` runs sleep sets plus symmetry,
+/// so on every corpus file without symmetric threads its state count
+/// equals the oracle's exactly, at 1/2/4/8 workers, with no more
+/// transitions and the expected verdict.
 #[test]
 fn whole_corpus_is_exact_with_por_on() {
     let entries = litmus::load_dir(corpus_dir()).expect("corpus/ must exist");
+    let opts = ExploreOptions { record_traces: false, ..Default::default() };
     for (path, loaded) in entries {
         let l = loaded.unwrap_or_else(|e| panic!("{e}"));
         let prog = compile(&l.prog);
+        if !rc11::analyze::thread_symmetry(&prog).is_trivial() {
+            continue;
+        }
         let objs = litmus::objects_for(&l);
-        let full = Engine::Sequential.explore(
-            &prog,
-            objs,
-            &ExploreOptions { record_traces: false, ..Default::default() },
-        );
+        let oracle = reference::explore(&prog, objs, usize::MAX, |_, _| {});
         for workers in [1usize, 2, 4, 8] {
-            let opts = ExploreOptions { record_traces: false, por: true, ..Default::default() };
-            let engine = choose_engine(workers);
-            let report = engine.explore(&prog, objs, &opts);
+            let report = choose_engine(workers).explore_with(&prog, objs, &opts, |_, _| {});
+            let tag = format!("{} ({}) @ {workers} worker(s)", l.name, path.display());
+            assert!(!report.truncated() && report.deadlocked.is_empty(), "{tag}");
+            assert_eq!(report.states, oracle.states, "{tag}: sleep sets lost states");
             assert!(
-                !report.truncated() && report.deadlocked.is_empty(),
-                "{} ({}) @ {workers} worker(s)",
-                l.name,
-                path.display()
-            );
-            assert_eq!(
-                report.states, full.states,
-                "{} @ {workers} worker(s): POR lost states",
-                l.name
-            );
-            assert!(
-                report.transitions <= full.transitions,
-                "{} @ {workers} worker(s): POR generated more transitions ({} > {})",
-                l.name,
+                report.transitions <= oracle.transitions,
+                "{tag}: POR generated more transitions ({} > {})",
                 report.transitions,
-                full.transitions
+                oracle.transitions
             );
-            let observed: BTreeSet<Vec<Val>> = report
-                .terminated
-                .iter()
-                .map(|c| l.observe.iter().map(|&(t, r)| c.reg(t, r)).collect())
-                .collect();
-            assert_eq!(observed, l.expected, "{} @ {workers} worker(s): POR verdict", l.name);
+            assert_eq!(outcomes(&l, &report), l.expected, "{tag}: POR verdict");
         }
     }
 }
 
-/// Ablation A6: the whole corpus decided with thread-symmetry reduction
-/// on, alone and combined with POR, at 1/2/4/8 workers. Symmetry
-/// collapses each orbit to one representative, so the state count may
-/// only shrink; the orbit expansion of the terminal and deadlock sets
-/// must restore them bit-identically, which the observed outcome set
-/// (== expected) and the terminal multiset pin down.
+/// Ablation A6: a state query under `Reduction::Full` folds symmetric
+/// threads' orbits to one representative, yet its callback still sees
+/// every state the oracle reaches — the same canonical fingerprints, on
+/// every corpus file at 1/2/4/8 workers — while the state count may only
+/// shrink and the orbit-expanded terminal multiset equals the oracle's.
 #[test]
 fn whole_corpus_is_exact_with_symmetry_on() {
     let entries = litmus::load_dir(corpus_dir()).expect("corpus/ must exist");
+    let opts = ExploreOptions { record_traces: false, ..Default::default() };
     for (path, loaded) in entries {
         let l = loaded.unwrap_or_else(|e| panic!("{e}"));
         let prog = compile(&l.prog);
         let objs = litmus::objects_for(&l);
-        let full = Engine::Sequential.explore(
-            &prog,
-            objs,
-            &ExploreOptions { record_traces: false, ..Default::default() },
-        );
-        let multiset = |cfgs: &[Config]| {
-            let mut m = std::collections::HashMap::<Config, usize>::new();
-            for c in cfgs {
-                *m.entry(c.clone()).or_insert(0) += 1;
-            }
-            m
-        };
-        let full_terminals = multiset(&full.terminated);
+        let mut oracle_seen = std::collections::HashSet::new();
+        let oracle = reference::explore(&prog, objs, usize::MAX, |c, _| {
+            oracle_seen.insert(c.canonical_fingerprint());
+        });
+        let oracle_terminals = multiset(&oracle.terminated);
         for workers in [1usize, 2, 4, 8] {
-            for por in [false, true] {
-                let opts = ExploreOptions {
-                    record_traces: false,
-                    por,
-                    symmetry: true,
-                    ..Default::default()
-                };
-                let engine = choose_engine(workers);
-                let report = engine.explore(&prog, objs, &opts);
-                let tag =
-                    format!("{} ({}) @ {workers} worker(s), por {por}", l.name, path.display());
-                assert!(!report.truncated() && report.deadlocked.is_empty(), "{tag}");
-                assert!(
-                    report.states <= full.states,
-                    "{tag}: symmetry grew the state count ({} > {})",
-                    report.states,
-                    full.states
-                );
-                assert_eq!(
-                    report.terminated.len(),
-                    full.terminated.len(),
-                    "{tag}: orbit expansion changed the terminal count"
-                );
-                assert_eq!(
-                    multiset(&report.terminated),
-                    full_terminals,
-                    "{tag}: orbit expansion changed the terminal set"
-                );
-                let observed: BTreeSet<Vec<Val>> = report
-                    .terminated
-                    .iter()
-                    .map(|c| l.observe.iter().map(|&(t, r)| c.reg(t, r)).collect())
-                    .collect();
-                assert_eq!(observed, l.expected, "{tag}: symmetry verdict");
-            }
+            let seen = std::sync::Mutex::new(std::collections::HashSet::new());
+            let report = choose_engine(workers).explore_with(&prog, objs, &opts, |c, _| {
+                seen.lock().unwrap().insert(c.canonical_fingerprint());
+            });
+            let tag = format!("{} ({}) @ {workers} worker(s)", l.name, path.display());
+            assert!(!report.truncated() && report.deadlocked.is_empty(), "{tag}");
+            assert!(
+                report.states <= oracle.states,
+                "{tag}: symmetry grew the state count ({} > {})",
+                report.states,
+                oracle.states
+            );
+            assert_eq!(
+                seen.into_inner().unwrap(),
+                oracle_seen,
+                "{tag}: the callback missed or invented states"
+            );
+            assert_eq!(
+                multiset(&report.terminated),
+                oracle_terminals,
+                "{tag}: orbit expansion changed the terminal set"
+            );
+            assert_eq!(outcomes(&l, &report), l.expected, "{tag}: symmetry verdict");
         }
     }
 }
 
-/// Ablation A7: the whole corpus decided with persistent-set DPOR on, at
-/// 1/2/4/8 workers, alone and composed with symmetry reduction. DPOR may
-/// shed *states* as well as transitions (configurations reachable only by
-/// commuting a postponed thread first are never built), and
-/// state/transition counts may differ between engines (arrival order
-/// decides wake-up patterns) — so the binding contract is: states ≤
-/// unreduced, transitions ≤ unreduced, terminal and deadlock **multisets
-/// bit-identical**, observed outcome set == expected.
+/// Ablation A7: an outcome query (`explore`) under `Reduction::Full` runs
+/// persistent sets on top of sleep sets and symmetry. It may shed states
+/// as well as transitions, and counts may differ between engines (arrival
+/// order decides wake-up patterns), so the binding contract against the
+/// oracle is: states ≤, transitions ≤, terminal and deadlock **multisets
+/// bit-identical**, observed outcome set == expected. Under
+/// `Reduction::None` the same query reproduces the oracle's counts
+/// exactly.
 #[test]
 fn whole_corpus_is_exact_with_dpor_on() {
     let entries = litmus::load_dir(corpus_dir()).expect("corpus/ must exist");
+    let full = ExploreOptions { record_traces: false, ..Default::default() };
+    let none = ExploreOptions { reduce: Reduction::None, ..full.clone() };
     for (path, loaded) in entries {
         let l = loaded.unwrap_or_else(|e| panic!("{e}"));
         let prog = compile(&l.prog);
         let objs = litmus::objects_for(&l);
-        let full = Engine::Sequential.explore(
-            &prog,
-            objs,
-            &ExploreOptions { record_traces: false, ..Default::default() },
-        );
-        let multiset = |cfgs: &[Config]| {
-            let mut m = std::collections::HashMap::<Config, usize>::new();
-            for c in cfgs {
-                *m.entry(c.clone()).or_insert(0) += 1;
-            }
-            m
-        };
-        let full_terminals = multiset(&full.terminated);
+        let oracle = reference::explore(&prog, objs, usize::MAX, |_, _| {});
+        let oracle_terminals = multiset(&oracle.terminated);
         for workers in [1usize, 2, 4, 8] {
-            for symmetry in [false, true] {
-                let opts = ExploreOptions {
-                    record_traces: false,
-                    dpor: true,
-                    symmetry,
-                    ..Default::default()
-                };
-                let engine = choose_engine(workers);
-                let report = engine.explore(&prog, objs, &opts);
-                let tag = format!(
-                    "{} ({}) @ {workers} worker(s), symmetry {symmetry}",
-                    l.name,
-                    path.display()
-                );
-                assert!(!report.truncated() && report.deadlocked.is_empty(), "{tag}");
-                assert!(
-                    report.states <= full.states,
-                    "{tag}: DPOR grew the state count ({} > {})",
-                    report.states,
-                    full.states
-                );
-                assert!(
-                    report.transitions <= full.transitions,
-                    "{tag}: DPOR generated more transitions ({} > {})",
-                    report.transitions,
-                    full.transitions
-                );
-                assert_eq!(
-                    multiset(&report.terminated),
-                    full_terminals,
-                    "{tag}: DPOR changed the terminal multiset"
-                );
-                let observed: BTreeSet<Vec<Val>> = report
-                    .terminated
-                    .iter()
-                    .map(|c| l.observe.iter().map(|&(t, r)| c.reg(t, r)).collect())
-                    .collect();
-                assert_eq!(observed, l.expected, "{tag}: DPOR verdict");
-            }
+            let engine = choose_engine(workers);
+            let tag = format!("{} ({}) @ {workers} worker(s)", l.name, path.display());
+            let report = engine.explore(&prog, objs, &full);
+            assert!(!report.truncated() && report.deadlocked.is_empty(), "{tag}");
+            assert!(
+                report.states <= oracle.states && report.transitions <= oracle.transitions,
+                "{tag}: Full grew the counts ({} / {} > {} / {})",
+                report.states,
+                report.transitions,
+                oracle.states,
+                oracle.transitions
+            );
+            assert_eq!(
+                multiset(&report.terminated),
+                oracle_terminals,
+                "{tag}: Full changed the terminal multiset"
+            );
+            assert_eq!(outcomes(&l, &report), l.expected, "{tag}: Full verdict");
+            let report = engine.explore(&prog, objs, &none);
+            assert_eq!(
+                (report.states, report.transitions),
+                (oracle.states, oracle.transitions),
+                "{tag}: unreduced counts"
+            );
+            assert_eq!(multiset(&report.terminated), oracle_terminals, "{tag}: None terminals");
         }
     }
 }
 
 /// The acceptance bar for A7: the multi-component spin/lock corpus
-/// entries shed at least 5x transitions under persistent-set DPOR
-/// relative to the sleep-set-only search. These are the entries the bar
-/// is measured on because their conflict graphs split into independent
-/// components: sleep sets prune commuted sibling orders but never
-/// states, so they still walk the full component *product*; persistent
-/// sets run the components one after another, collapsing the product
-/// into a sum.
+/// entries shed at least 5x transitions under `Reduction::Full` (sleep
+/// sets, persistent sets, symmetry) relative to the unreduced search.
+/// These are the entries the bar is measured on because their conflict
+/// graphs split into independent components: sleep sets prune commuted
+/// sibling orders but never states, so they still walk the full component
+/// *product*; persistent sets run the components one after another,
+/// collapsing the product into a sum.
 #[test]
 fn dpor_corpus_entries_shed_at_least_5x_transitions() {
     for file in ["ttas2x2.litmus", "mp_spin2x3.litmus", "deqspin2x2.litmus"] {
         let l = litmus::load_file(corpus_dir().join(file)).unwrap_or_else(|e| panic!("{e}"));
         let prog = compile(&l.prog);
         let objs = litmus::objects_for(&l);
-        let sleep = Engine::Sequential.explore(
-            &prog,
-            objs,
-            &ExploreOptions { record_traces: false, por: true, ..Default::default() },
-        );
-        let dpor = Engine::Sequential.explore(
-            &prog,
-            objs,
-            &ExploreOptions { record_traces: false, dpor: true, ..Default::default() },
-        );
-        let factor = sleep.transitions as f64 / dpor.transitions.max(1) as f64;
+        let full = ExploreOptions { record_traces: false, ..Default::default() };
+        let none = ExploreOptions { reduce: Reduction::None, ..full.clone() };
+        let unreduced = Engine::Sequential.explore(&prog, objs, &none);
+        let reduced = Engine::Sequential.explore(&prog, objs, &full);
+        let factor = unreduced.transitions as f64 / reduced.transitions.max(1) as f64;
         assert!(
             factor >= 5.0,
-            "{file}: DPOR reduction {factor:.2}x below the 5x bar \
-             ({} vs {} transitions)",
-            dpor.transitions,
-            sleep.transitions
+            "{file}: reduction {factor:.2}x below the 5x bar ({} vs {} transitions)",
+            reduced.transitions,
+            unreduced.transitions
         );
-        assert!(dpor.states <= sleep.states, "{file}: DPOR grew the state count");
+        assert!(reduced.states <= unreduced.states, "{file}: Full grew the state count");
     }
 }
 
 /// The acceptance bar for A6: the fully symmetric corpus entries shed at
-/// least 3x states under symmetry reduction.
+/// least 3x states under symmetry reduction — measured on a state query,
+/// where sleep sets leave the count alone and only orbit folding shrinks
+/// it.
 #[test]
 fn symmetric_corpus_entries_shed_at_least_3x_states() {
     for file in ["sym_cas3.litmus", "sym_inc3.litmus", "sym_fai4.litmus"] {
         let l = litmus::load_file(corpus_dir().join(file)).unwrap_or_else(|e| panic!("{e}"));
         let prog = compile(&l.prog);
-        let base = ExploreOptions { record_traces: false, ..Default::default() };
-        let full = Engine::Sequential.explore(&prog, &NoObjects, &base);
-        let sym = Engine::Sequential
-            .explore(&prog, &NoObjects, &ExploreOptions { symmetry: true, ..base.clone() });
-        let factor = full.states as f64 / sym.states.max(1) as f64;
+        let full = ExploreOptions { record_traces: false, ..Default::default() };
+        let none = ExploreOptions { reduce: Reduction::None, ..full.clone() };
+        let unreduced = Engine::Sequential.explore_with(&prog, &NoObjects, &none, |_, _| {});
+        let sym = Engine::Sequential.explore_with(&prog, &NoObjects, &full, |_, _| {});
+        let factor = unreduced.states as f64 / sym.states.max(1) as f64;
         assert!(
             factor >= 3.0,
             "{file}: symmetry reduction {factor:.2}x below the 3x bar \
              ({} vs {} states)",
             sym.states,
-            full.states
+            unreduced.states
         );
     }
 }

@@ -2,12 +2,15 @@
 //!
 //! The oracle is `rc11_check::reference`: a small breadth-first explorer
 //! over materialised canonical configurations in a std `HashSet`, with no
-//! fingerprints, reductions or threads. Both engines — whose one dedup
-//! mode keys visited states on zero-rebuild canonical fingerprints — must
-//! agree with it **exactly** (states, transitions, terminal and deadlock
-//! counts, violation sets) on every litmus-gallery program and on the
-//! Figure-1/Figure-2 outline programs, at 1, 2, 4 and 8 workers, and with
-//! each other on the proof-outline reports. Any divergence is a bug in an
+//! fingerprints, reductions or threads. Under `Reduction::None` both
+//! engines — whose one dedup mode keys visited states on zero-rebuild
+//! canonical fingerprints — must agree with it **exactly** (states,
+//! transitions, terminal and deadlock counts, violation sets) on every
+//! litmus-gallery program and on the Figure-1/Figure-2 outline programs,
+//! at 1, 2, 4 and 8 workers, and with each other on the proof-outline
+//! reports. Under the default `Reduction::Full` they must keep the
+//! oracle's terminal, deadlock and violation sets with counts never above
+//! its own. Any divergence is a bug in an
 //! engine (most likely a lost or double-counted state, or a fingerprint
 //! hit confirmed wrongly), which is why CI also runs this suite under the
 //! optimized release build the benches use.
@@ -53,16 +56,18 @@ fn assert_reports_agree(name: &str, workers: usize, seq: &EngineReport, par: &En
     );
 }
 
-/// Every litmus-gallery program: full report parity at every worker count,
-/// with a violation-producing check (flag every terminal configuration) so
-/// violation-set parity is exercised on every program, not just the ones
-/// with interesting invariants.
+/// Every litmus-gallery program: full report parity at every worker count
+/// (unreduced, where counts are deterministic), with a violation-producing
+/// check (flag every terminal configuration) so violation-set parity is
+/// exercised on every program, not just the ones with interesting
+/// invariants.
 #[test]
 fn litmus_gallery_reports_agree_across_engines() {
     for l in litmus::all() {
         let prog = compile(&l.prog);
         let objs = litmus::objects_for(&l);
-        let opts = ExploreOptions { record_traces: false, ..Default::default() };
+        let opts =
+            ExploreOptions { record_traces: false, reduce: Reduction::None, ..Default::default() };
         let check = |cfg: &Config, out: &mut Vec<String>| {
             if cfg.terminated(&prog) {
                 out.push("terminal".to_string());
@@ -87,7 +92,7 @@ fn litmus_gallery_reports_agree_across_engines() {
 /// fingerprint dedup must reproduce the reference explorer's
 /// materialised-canonical dedup — states, transitions, terminal and
 /// deadlock counts and violation sets — under the sequential engine and
-/// under the parallel engine at every worker count. This is the soundness
+/// under the parallel engine at every worker count, unreduced. This is the soundness
 /// gate for ablation A4: keying the visited structures on fingerprints
 /// must not change a single verdict.
 #[test]
@@ -100,7 +105,8 @@ fn fingerprint_and_materialised_dedup_reports_agree() {
                 out.push("terminal".to_string());
             }
         };
-        let opts = ExploreOptions { record_traces: false, ..Default::default() };
+        let opts =
+            ExploreOptions { record_traces: false, reduce: Reduction::None, ..Default::default() };
         let oracle = reference::explore(&prog, objs, usize::MAX, check);
 
         let seq = Engine::Sequential.explore_with(&prog, objs, &opts, check);
@@ -114,7 +120,9 @@ fn fingerprint_and_materialised_dedup_reports_agree() {
 
 /// The same differential for the outline checker: on a valid outline and
 /// on one with violations, both engines' outline reports must count the
-/// reference explorer's states, transitions, terminals and deadlocks.
+/// reference explorer's states, transitions, terminals and deadlocks —
+/// under the default `Reduction::Full`, because an edge query runs no
+/// reduction.
 #[test]
 fn fingerprint_and_materialised_outline_reports_agree() {
     for (name, f) in [("fig3-on-fig2", figures::fig2()), ("fig3-on-fig1", figures::fig1())] {
@@ -137,12 +145,16 @@ fn fingerprint_and_materialised_outline_reports_agree() {
 }
 
 /// Every litmus verdict (observed-outcome set) matches between engines,
-/// through the gallery's own engine-parametric runner.
+/// through the gallery's own engine-parametric runner. Under the default
+/// `Reduction::Full` the parallel state count depends on arrival order,
+/// so it is only bounded by the unreduced count.
 #[test]
 fn litmus_gallery_verdicts_agree_across_engines() {
     for l in litmus::all() {
         let seq = litmus::run_with(&l, &Engine::Sequential);
         assert!(seq.pass, "{}: sequential verdict must already be exact", l.name);
+        let oracle =
+            reference::explore(&compile(&l.prog), litmus::objects_for(&l), usize::MAX, |_, _| {});
         for workers in WORKERS {
             let par = litmus::run_with(&l, &Engine::Parallel { workers });
             assert_eq!(
@@ -150,7 +162,7 @@ fn litmus_gallery_verdicts_agree_across_engines() {
                 "{} @ {workers} workers: outcome sets diverge",
                 l.name
             );
-            assert_eq!(par.states, seq.states, "{} @ {workers} workers: states", l.name);
+            assert!(par.states <= oracle.states, "{} @ {workers} workers: states", l.name);
             assert!(par.pass, "{} @ {workers} workers: verdict", l.name);
         }
     }
@@ -288,11 +300,13 @@ fn config_multiset(cfgs: &[Config]) -> FxHashMap<Config, usize> {
 }
 
 /// Ablation A5: sleep-set partial-order reduction prunes **transitions
-/// only** — the visited state count, the terminal and deadlock multisets
-/// and the violation set must be bit-identical to the unreduced
-/// reference search, under both engines, at every worker count. The
-/// transition count must never grow, and must strictly shrink somewhere
-/// across the gallery (the reduction is real, not vacuous).
+/// only**. A state query under `Reduction::Full` (sleep sets + symmetry)
+/// must keep the terminal and deadlock multisets and the violation set
+/// bit-identical to the unreduced reference search, under both engines,
+/// at every worker count — and the state count too, on every program
+/// without symmetric threads. The transition count must never grow, and
+/// must strictly shrink somewhere across the gallery (the reduction is
+/// real, not vacuous).
 #[test]
 fn por_prunes_transitions_but_preserves_reports() {
     let mut full_total = 0usize;
@@ -307,10 +321,14 @@ fn por_prunes_transitions_but_preserves_reports() {
         };
         let oracle = reference::explore(&prog, objs, usize::MAX, check);
         full_total += oracle.transitions;
+        let symmetric = !rc11::analyze::thread_symmetry(&prog).is_trivial();
+        let states_kept = |r: &EngineReport| {
+            if symmetric { r.states <= oracle.states } else { r.states == oracle.states }
+        };
 
-        let opts = ExploreOptions { record_traces: false, por: true, ..Default::default() };
+        let opts = ExploreOptions { record_traces: false, ..Default::default() };
         let seq = Engine::Sequential.explore_with(&prog, objs, &opts, check);
-        assert_eq!(seq.states, oracle.states, "{}: POR lost states", l.name);
+        assert!(states_kept(&seq), "{}: POR lost states", l.name);
         assert_eq!(
             config_multiset(&seq.terminated),
             config_multiset(&oracle.terminated),
@@ -341,11 +359,7 @@ fn por_prunes_transitions_but_preserves_reports() {
 
         for workers in WORKERS {
             let par = Engine::Parallel { workers }.explore_with(&prog, objs, &opts, check);
-            assert_eq!(
-                par.states, oracle.states,
-                "{} @ {workers} workers: POR lost states",
-                l.name
-            );
+            assert!(states_kept(&par), "{} @ {workers} workers: POR lost states", l.name);
             assert_eq!(
                 config_multiset(&par.terminated),
                 config_multiset(&oracle.terminated),
@@ -384,7 +398,8 @@ fn por_prunes_transitions_but_preserves_reports() {
 /// of terminals, deadlocks and check callbacks must keep the terminal and
 /// deadlock multisets and the violation set bit-identical to the
 /// unreduced reference search, under both engines, at every worker
-/// count, alone and composed with POR. The gallery's `2RMW` entry
+/// count (a state query under `Reduction::Full`, composed with sleep
+/// sets). The gallery's `2RMW` entry
 /// (two threads FAI-ing one location, identical modulo register renaming)
 /// must shed states strictly — the reduction is real, not vacuous.
 #[test]
@@ -401,53 +416,46 @@ fn symmetry_preserves_reports_and_sheds_states() {
         let base = ExploreOptions { record_traces: false, ..Default::default() };
         let oracle = reference::explore(&prog, objs, usize::MAX, check);
 
-        for por in [false, true] {
-            let opts = ExploreOptions { symmetry: true, por, ..base.clone() };
-            let tag = |workers: usize| format!("{} [por {por}] @ {workers} workers", l.name);
-            let seq = Engine::Sequential.explore_with(&prog, objs, &opts, check);
-            if seq.states < oracle.states {
-                reduced_somewhere = true;
-            }
-            let assert_sym = |name: &str, r: &EngineReport| {
-                assert!(
-                    r.states <= oracle.states,
-                    "{name}: symmetry grew the state count ({} > {})",
-                    r.states,
-                    oracle.states
-                );
-                assert!(
-                    r.transitions <= oracle.transitions,
-                    "{name}: symmetry generated more transitions"
-                );
-                assert_eq!(
-                    config_multiset(&r.terminated),
-                    config_multiset(&oracle.terminated),
-                    "{name}: orbit expansion changed the terminal multiset"
-                );
-                assert_eq!(
-                    config_multiset(&r.deadlocked),
-                    config_multiset(&oracle.deadlocked),
-                    "{name}: orbit expansion changed the deadlock multiset"
-                );
-                assert_eq!(
-                    violation_set(r),
-                    violation_set(&oracle),
-                    "{name}: symmetry changed the violation set"
-                );
-                assert!(!r.truncated(), "{name}: truncated");
-            };
-            assert_sym(&tag(1), &seq);
-            for workers in WORKERS {
-                let par = Engine::Parallel { workers }.explore_with(&prog, objs, &opts, check);
-                assert_sym(&tag(workers), &par);
-            }
+        let tag = |workers: usize| format!("{} @ {workers} workers", l.name);
+        let seq = Engine::Sequential.explore_with(&prog, objs, &base, check);
+        if seq.states < oracle.states {
+            reduced_somewhere = true;
+        }
+        let assert_sym = |name: &str, r: &EngineReport| {
+            assert!(
+                r.states <= oracle.states,
+                "{name}: symmetry grew the state count ({} > {})",
+                r.states,
+                oracle.states
+            );
+            assert!(
+                r.transitions <= oracle.transitions,
+                "{name}: symmetry generated more transitions"
+            );
+            assert_eq!(
+                config_multiset(&r.terminated),
+                config_multiset(&oracle.terminated),
+                "{name}: orbit expansion changed the terminal multiset"
+            );
+            assert_eq!(
+                config_multiset(&r.deadlocked),
+                config_multiset(&oracle.deadlocked),
+                "{name}: orbit expansion changed the deadlock multiset"
+            );
+            assert_eq!(
+                violation_set(r),
+                violation_set(&oracle),
+                "{name}: symmetry changed the violation set"
+            );
+            assert!(!r.truncated(), "{name}: truncated");
+        };
+        assert_sym(&tag(1), &seq);
+        for workers in WORKERS {
+            let par = Engine::Parallel { workers }.explore_with(&prog, objs, &base, check);
+            assert_sym(&tag(workers), &par);
         }
         if l.name == "2RMW" {
-            let sym = Engine::Sequential.explore(
-                &prog,
-                objs,
-                &ExploreOptions { symmetry: true, ..base.clone() },
-            );
+            let sym = Engine::Sequential.explore_with(&prog, objs, &base, |_, _| {});
             assert!(
                 sym.states < oracle.states,
                 "2RMW is fully symmetric; reduction must be real ({} vs {})",
@@ -459,113 +467,111 @@ fn symmetry_preserves_reports_and_sheds_states() {
     assert!(reduced_somewhere, "symmetry must shed states somewhere across the gallery");
 }
 
-/// Ablation A7: persistent-set DPOR postpones whole threads, so both the
-/// state and the transition count may shrink — while the terminal and
-/// deadlock multisets and the violation set must stay bit-identical to
-/// the unreduced reference search (every terminal and deadlock is still
-/// visited, and visited exactly once), under both engines, at every
-/// worker count, alone and composed with symmetry. Strict
-/// shedding is asserted corpus-side (`dpor_corpus_entries_shed_at_least_
-/// 5x_transitions`): the gallery's programs are mostly single-component,
-/// where persistent sets legitimately degenerate to the full thread set.
+/// Ablation A7: an outcome query (`explore`) under `Reduction::Full` adds
+/// persistent sets, which postpone whole threads, so both the state and
+/// the transition count may shrink — while the terminal and deadlock
+/// multisets must stay bit-identical to the unreduced reference search
+/// (every terminal and deadlock is still visited, and visited exactly
+/// once), under both engines, at every worker count, composed with
+/// symmetry. Strict shedding is asserted corpus-side
+/// (`dpor_corpus_entries_shed_at_least_5x_transitions`): the gallery's
+/// programs are mostly single-component, where persistent sets
+/// legitimately degenerate to the full thread set.
 #[test]
 fn dpor_preserves_reports_and_sheds_work() {
     for l in litmus::all() {
         let prog = compile(&l.prog);
         let objs = litmus::objects_for(&l);
-        let check = |cfg: &Config, out: &mut Vec<String>| {
-            if cfg.terminated(&prog) {
-                out.push("terminal".to_string());
-            }
+        let opts = ExploreOptions { record_traces: false, ..Default::default() };
+        let oracle = reference::explore(&prog, objs, usize::MAX, |_, _| {});
+        let assert_dpor = |name: &str, r: &EngineReport| {
+            assert!(
+                r.states <= oracle.states,
+                "{name}: DPOR grew the state count ({} > {})",
+                r.states,
+                oracle.states
+            );
+            assert!(r.transitions <= oracle.transitions, "{name}: DPOR generated more transitions");
+            assert_eq!(
+                config_multiset(&r.terminated),
+                config_multiset(&oracle.terminated),
+                "{name}: DPOR changed the terminal multiset"
+            );
+            assert_eq!(
+                config_multiset(&r.deadlocked),
+                config_multiset(&oracle.deadlocked),
+                "{name}: DPOR changed the deadlock multiset"
+            );
+            assert!(r.violations.is_empty(), "{name}: an outcome query has no callback");
+            assert!(!r.truncated(), "{name}: truncated");
         };
-        let base = ExploreOptions { record_traces: false, ..Default::default() };
-        let oracle = reference::explore(&prog, objs, usize::MAX, check);
-
-        for symmetry in [false, true] {
-            let opts = ExploreOptions { dpor: true, symmetry, ..base.clone() };
-            let tag =
-                |workers: usize| format!("{} [sym {symmetry}] @ {workers} workers", l.name);
-            let assert_dpor = |name: &str, r: &EngineReport| {
-                assert!(
-                    r.states <= oracle.states,
-                    "{name}: DPOR grew the state count ({} > {})",
-                    r.states,
-                    oracle.states
-                );
-                assert!(
-                    r.transitions <= oracle.transitions,
-                    "{name}: DPOR generated more transitions"
-                );
-                assert_eq!(
-                    config_multiset(&r.terminated),
-                    config_multiset(&oracle.terminated),
-                    "{name}: DPOR changed the terminal multiset"
-                );
-                assert_eq!(
-                    config_multiset(&r.deadlocked),
-                    config_multiset(&oracle.deadlocked),
-                    "{name}: DPOR changed the deadlock multiset"
-                );
-                assert_eq!(
-                    violation_set(r),
-                    violation_set(&oracle),
-                    "{name}: DPOR changed the violation set"
-                );
-                assert!(!r.truncated(), "{name}: truncated");
-            };
-            let seq = Engine::Sequential.explore_with(&prog, objs, &opts, check);
-            assert_dpor(&tag(1), &seq);
-            for workers in WORKERS {
-                let par = Engine::Parallel { workers }.explore_with(&prog, objs, &opts, check);
-                assert_dpor(&tag(workers), &par);
-            }
+        assert_dpor(&format!("{} [seq]", l.name), &Engine::Sequential.explore(&prog, objs, &opts));
+        for workers in WORKERS {
+            let par = Engine::Parallel { workers }.explore(&prog, objs, &opts);
+            assert_dpor(&format!("{} @ {workers} workers", l.name), &par);
         }
     }
 }
 
-/// DPOR violations still carry replayable traces: every step is a real
-/// transition and the trace ends at the violating configuration. Paths
-/// through a persistent-set-pruned graph may differ from the unreduced
-/// search's, but each edge must exist in the *unreduced* transition
-/// relation — the reduction prunes which successors are expanded, never
-/// invents steps.
+/// A symmetric lock client under `Reduction::Full`: a held lock records
+/// its owner's thread id, so folding the two clients' orbit must rename
+/// the owner with the thread (otherwise the representative's holder could
+/// never release, and the walk would report deadlocks the program does
+/// not have). Both engines must reproduce the reference's terminal,
+/// deadlock and violation sets, and the sequential engine's traces — for
+/// representatives and orbit members alike — replay step by step.
 #[test]
-fn dpor_violation_traces_replay() {
-    let l = litmus::sb_ra();
-    let prog = compile(&l.prog);
+fn full_violation_traces_replay_on_a_symmetric_lock_client() {
+    let mut p = ProgramBuilder::new("lock2");
+    let x = p.client_var("x", 0);
+    let l = p.lock("l");
+    for _ in 0..2 {
+        let mut tb = ThreadBuilder::new();
+        let r = tb.reg("r");
+        p.add_thread(tb, seq([acquire(l), rd(r, x), wr(x, add(r, 1)), release(l)]));
+    }
+    let prog = compile(&p.build());
+    assert!(!rc11::analyze::thread_symmetry(&prog).is_trivial(), "the clients are symmetric");
     let check = |cfg: &Config, out: &mut Vec<String>| {
-        if cfg.terminated(&prog)
-            && l.observe.iter().all(|&(t, r)| cfg.reg(t, r) == rc11::core::Val::Int(0))
-        {
-            out.push("both zero".to_string());
+        if cfg.terminated(&prog) {
+            out.push("terminal".to_string());
         }
     };
-    for symmetry in [false, true] {
-        let opts = ExploreOptions { dpor: true, symmetry, ..Default::default() };
-        for engine in [Engine::Sequential, Engine::Parallel { workers: 4 }] {
-            let report = engine.explore_with(&prog, &NoObjects, &opts, check);
-            assert!(
-                !report.violations.is_empty(),
-                "{engine:?} (sym {symmetry}): SB weak outcome reachable"
+    let oracle = reference::explore(&prog, &AbstractObjects, usize::MAX, check);
+    let opts = ExploreOptions::default();
+    for engine in std::iter::once(Engine::Sequential)
+        .chain(WORKERS.map(|workers| Engine::Parallel { workers }))
+    {
+        for report in [
+            engine.explore(&prog, &AbstractObjects, &opts),
+            engine.explore_with(&prog, &AbstractObjects, &opts, check),
+        ] {
+            assert!(report.deadlocked.is_empty(), "{engine:?}: the lock never deadlocks");
+            assert_eq!(
+                config_multiset(&report.terminated),
+                config_multiset(&oracle.terminated),
+                "{engine:?}: terminal set"
             );
-            for v in &report.violations {
-                let trace = v.trace.as_ref().expect("traces recorded");
-                let mut cur = Config::initial(&prog).canonical();
-                for (tid, next) in trace {
-                    let succs =
-                        rc11::lang::machine::successors(&prog, &NoObjects, &cur, opts.step);
-                    assert!(
-                        succs.iter().any(|(t, s)| t == tid && s.canonical() == *next),
-                        "{engine:?} (sym {symmetry}): DPOR trace step by {tid:?} \
-                         is not a real transition"
-                    );
-                    cur = next.clone();
-                }
-                assert_eq!(
-                    cur, v.config,
-                    "{engine:?} (sym {symmetry}): trace must end at the violation"
+            assert!(report.states < oracle.states, "{engine:?}: the orbit folds");
+        }
+        let report = engine.explore_with(&prog, &AbstractObjects, &opts, check);
+        assert_eq!(violation_set(&report), violation_set(&oracle), "{engine:?}: violations");
+        if engine != Engine::Sequential {
+            continue;
+        }
+        for v in &report.violations {
+            let trace = v.trace.as_ref().expect("traces recorded");
+            let mut cur = Config::initial(&prog).canonical();
+            for (tid, next) in trace {
+                let succs =
+                    rc11::lang::machine::successors(&prog, &AbstractObjects, &cur, opts.step);
+                assert!(
+                    succs.iter().any(|(t, s)| t == tid && s.canonical() == *next),
+                    "trace step by {tid:?} is not a real transition"
                 );
+                cur = next.clone();
             }
+            assert_eq!(cur, v.config, "trace must end at the violation");
         }
     }
 }
@@ -584,47 +590,46 @@ fn symmetry_violation_traces_replay_sequentially() {
     // is empty), pinning the identity path.
     for l in [litmus::two_rmw(), litmus::sb_ra()] {
         let prog = compile(&l.prog);
-        for por in [false, true] {
-            let opts = ExploreOptions { symmetry: true, por, ..Default::default() };
-            let check = |cfg: &Config, out: &mut Vec<String>| {
-                if cfg.terminated(&prog) {
-                    out.push("terminal".to_string());
-                }
-            };
-            let report = Engine::Sequential.explore_with(&prog, &NoObjects, &opts, check);
-            assert!(!report.violations.is_empty(), "{}: terminals exist", l.name);
-            assert_eq!(
-                report.violations.len(),
-                l.expected.len(),
-                "{} (por {por}): orbit expansion must flag every terminal exactly once",
-                l.name
-            );
-            for v in &report.violations {
-                let trace = v.trace.as_ref().expect("traces recorded");
-                let mut cur = Config::initial(&prog).canonical();
-                for (tid, next) in trace {
-                    let succs =
-                        rc11::lang::machine::successors(&prog, &NoObjects, &cur, opts.step);
-                    assert!(
-                        succs.iter().any(|(t, s)| t == tid && s.canonical() == *next),
-                        "{} (por {por}): symmetry trace step by {tid:?} is not a real transition",
-                        l.name
-                    );
-                    cur = next.clone();
-                }
-                assert_eq!(
-                    cur, v.config,
-                    "{} (por {por}): trace must end at the violation",
+        let opts = ExploreOptions::default();
+        let check = |cfg: &Config, out: &mut Vec<String>| {
+            if cfg.terminated(&prog) {
+                out.push("terminal".to_string());
+            }
+        };
+        let report = Engine::Sequential.explore_with(&prog, &NoObjects, &opts, check);
+        assert!(!report.violations.is_empty(), "{}: terminals exist", l.name);
+        assert_eq!(
+            report.violations.len(),
+            l.expected.len(),
+            "{}: orbit expansion must flag every terminal exactly once",
+            l.name
+        );
+        for v in &report.violations {
+            let trace = v.trace.as_ref().expect("traces recorded");
+            let mut cur = Config::initial(&prog).canonical();
+            for (tid, next) in trace {
+                let succs =
+                    rc11::lang::machine::successors(&prog, &NoObjects, &cur, opts.step);
+                assert!(
+                    succs.iter().any(|(t, s)| t == tid && s.canonical() == *next),
+                    "{}: symmetry trace step by {tid:?} is not a real transition",
                     l.name
                 );
+                cur = next.clone();
             }
+            assert_eq!(
+                cur, v.config,
+                "{}: trace must end at the violation",
+                l.name
+            );
         }
     }
 }
 
 /// Satellite of A6: beyond 64 threads the sleep masks cannot represent
-/// the thread set, so `--por` must *fall back* to unreduced search (and
-/// say so via `EngineReport::por_fallback`) instead of asserting. The 64
+/// the thread set, so `Reduction::Full` must *fall back* to search without
+/// sleep or persistent sets (and say so via `EngineReport::por_fallback`)
+/// instead of asserting. The 64
 /// empty threads compile to zero instructions, so the state space is the
 /// two real threads' — the fallback is observable without a blow-up.
 #[test]
@@ -643,13 +648,14 @@ fn por_falls_back_beyond_64_threads() {
     assert!(prog.n_threads() > 64);
 
     let base = ExploreOptions { record_traces: false, ..Default::default() };
-    let full = Engine::Sequential.explore(&prog, &NoObjects, &base);
-    assert!(!full.por_fallback(), "fallback only reports when POR was requested");
+    let none = ExploreOptions { reduce: Reduction::None, ..base.clone() };
+    let full = Engine::Sequential.explore(&prog, &NoObjects, &none);
+    assert!(!full.por_fallback(), "fallback only reports when POR was due");
     for engine in [Engine::Sequential, Engine::Parallel { workers: 4 }] {
-        for opts in
-            [ExploreOptions { por: true, ..base.clone() }, ExploreOptions { dpor: true, ..base.clone() }]
-        {
-            let report = engine.explore(&prog, &NoObjects, &opts);
+        for report in [
+            engine.explore(&prog, &NoObjects, &base),
+            engine.explore_with(&prog, &NoObjects, &base, |_, _| {}),
+        ] {
             assert!(report.por_fallback(), "{engine:?}: must report the fallback");
             assert_eq!(report.states, full.states, "{engine:?}: fallback is unreduced");
             assert_eq!(report.transitions, full.transitions, "{engine:?}: fallback is unreduced");
@@ -658,14 +664,15 @@ fn por_falls_back_beyond_64_threads() {
     }
 }
 
-/// POR violations still carry replayable traces: every step is a real
-/// transition and the trace ends at the violating configuration (paths may
-/// differ from the unreduced search — they are valid, not canonical).
+/// Violations of a state query under `Reduction::Full` (sleep sets) still
+/// carry replayable traces: every step is a real transition and the trace
+/// ends at the violating configuration (paths may differ from the
+/// unreduced search — they are valid, not canonical).
 #[test]
 fn por_violation_traces_replay() {
     let l = litmus::sb_ra();
     let prog = compile(&l.prog);
-    let opts = ExploreOptions { por: true, ..Default::default() };
+    let opts = ExploreOptions::default();
     let check = |cfg: &Config, out: &mut Vec<String>| {
         if cfg.terminated(&prog)
             && l.observe.iter().all(|&(t, r)| cfg.reg(t, r) == rc11::core::Val::Int(0))
@@ -698,27 +705,22 @@ fn por_violation_traces_replay() {
 /// report reconciles any overshoot to the sequential engine's verdict).
 /// Transition and terminal counts legitimately differ under truncation
 /// (the engines drop different states), so only the verdict is compared.
+/// Unreduced, so every engine reaches the same total.
 #[test]
 fn truncated_runs_agree_on_the_verdict_across_engines() {
+    let base =
+        ExploreOptions { record_traces: false, reduce: Reduction::None, ..Default::default() };
     for l in litmus::all() {
         let prog = compile(&l.prog);
         let objs = litmus::objects_for(&l);
-        let full = Engine::Sequential.explore(
-            &prog,
-            objs,
-            &ExploreOptions { record_traces: false, ..Default::default() },
-        );
+        let full = Engine::Sequential.explore(&prog, objs, &base);
         // A cap strictly inside the reachable space forces truncation.
         for cap in [1usize, full.states / 2, full.states - 1] {
             let cap = cap.max(1);
             if cap >= full.states {
                 continue;
             }
-            let opts = ExploreOptions {
-                record_traces: false,
-                max_states: cap,
-                ..Default::default()
-            };
+            let opts = ExploreOptions { max_states: cap, ..base.clone() };
             let seq = Engine::Sequential.explore(&prog, objs, &opts);
             assert!(seq.truncated(), "{} cap {cap}: sequential must truncate", l.name);
             assert_eq!(seq.states, cap, "{} cap {cap}: sequential states", l.name);
@@ -735,12 +737,13 @@ fn truncated_runs_agree_on_the_verdict_across_engines() {
 /// every violation and each trace replays step by step through
 /// `successors`. Both engines record the *first* parent that discovered a
 /// state — a valid path from the initial configuration, not a shortest
-/// one — so validity and endpoints are compared, not lengths.
+/// one — so validity and endpoints are compared, not lengths. Unreduced;
+/// the reduced traces are `por_violation_traces_replay`'s.
 #[test]
 fn violation_traces_replay_under_both_engines() {
     let l = litmus::sb_ra();
     let prog = compile(&l.prog);
-    let opts = ExploreOptions::default();
+    let opts = ExploreOptions { reduce: Reduction::None, ..Default::default() };
     let check = |cfg: &Config, out: &mut Vec<String>| {
         if cfg.terminated(&prog)
             && l.observe.iter().all(|&(t, r)| cfg.reg(t, r) == rc11::core::Val::Int(0))

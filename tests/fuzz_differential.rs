@@ -6,12 +6,11 @@
 //! (`cargo test --release -- --ignored`) or from the CLI
 //! (`rc11 fuzz --iters N`). Every generated program is checked for:
 //! report parity of both engines with the `rc11_check::reference`
-//! oracle, the `.litmus` printer/parser round-trip, POR-on/off report parity (states,
-//! terminals and outcome sets preserved, transitions never grow — both
-//! engines), persistent-set DPOR parity (states and transitions bounded
-//! above, terminal/deadlock counts and outcome sets preserved exactly,
-//! both engines, composed with symmetry), and sampler soundness
-//! (`random_walk` terminal outcomes ⊆ the exhaustive outcome set).
+//! oracle under both settings of the reduction switch (`Reduction::None`:
+//! counts exact; `Reduction::Full`: terminal, deadlock and outcome sets
+//! exact, states and transitions bounded above), the `.litmus`
+//! printer/parser round-trip, and sampler soundness (`random_walk`
+//! terminal outcomes ⊆ the exhaustive outcome set).
 
 use rc11::check::fuzz::{diff_one, fuzz, DiffOptions, DiffVerdict};
 use rc11::check::gen::{generate, GenOptions};
@@ -33,8 +32,6 @@ fn fixed_seed_fuzz_differential_is_clean() {
         workers: vec![2],
         max_states: 1 << 16,
         samples: 12,
-        por: true,
-        dpor: true,
         ..Default::default()
     };
     let report = fuzz(0xD1FF_2026, 32, &gen_opts, &diff_opts, |_| {});
@@ -57,8 +54,6 @@ fn fixed_seed_fuzz_differential_covers_more_workers() {
         workers: vec![3, 8],
         max_states: 1 << 16,
         samples: 8,
-        por: true,
-        dpor: true,
         ..Default::default()
     };
     let report = fuzz(0xBEEF, 12, &gen_opts, &diff_opts, |_| {});
@@ -83,25 +78,9 @@ fn oversized_programs_are_skipped_not_failed() {
     }
 }
 
-/// The long-run sweep (≈ 500 programs, both worker counts, full checks).
-/// `cargo test --release -- --ignored` or CI's fuzz smoke runs this scale
-/// through the CLI instead.
-#[test]
-#[ignore = "long-running fuzz sweep; run with --ignored (ideally --release)"]
-fn long_fuzz_sweep_is_clean() {
-    let gen_opts = GenOptions::default();
-    // A tighter cap than the CLI default: programs near a 2^18 cap take
-    // seconds *per engine configuration*, and this sweep runs eight of
-    // them per program — skip the giants, sweep the many.
-    let diff_opts = DiffOptions { max_states: 1 << 15, por: true, ..Default::default() };
-    let report = fuzz(1, 500, &gen_opts, &diff_opts, |_| {});
-    assert!(report.ok(), "{}", fail_message(&report));
-    assert!(report.passed > 250, "passed only {} of 500", report.passed);
-}
-
-/// A third fixed seed dedicated to the DPOR lane, with thread cloning on
-/// so the symmetry composition inside the lane has real orbits to fold
-/// and worker counts spanning the CI matrix.
+/// A third fixed seed with thread cloning on, so the `Full` lane's
+/// persistent sets run composed with symmetry on real orbits, at worker
+/// counts spanning the CI matrix.
 #[test]
 fn fixed_seed_fuzz_differential_holds_dpor_to_the_oracle() {
     let gen_opts = GenOptions { max_stmts: 3, clone_threads: true, ..Default::default() };
@@ -110,8 +89,6 @@ fn fixed_seed_fuzz_differential_holds_dpor_to_the_oracle() {
         max_states: 1 << 16,
         samples: 0,
         round_trip: false,
-        dpor: true,
-        symmetry: true,
         ..Default::default()
     };
     let report = fuzz(0xD70_2026, 24, &gen_opts, &diff_opts, |_| {});
@@ -119,22 +96,19 @@ fn fixed_seed_fuzz_differential_holds_dpor_to_the_oracle() {
     assert!(report.passed > 0);
 }
 
-/// The long-run DPOR sweep (≈ 500 programs): every generated program's
-/// persistent-set search is held to the A7 contract against the unreduced
-/// oracle at every worker count, composed with symmetry. Run with
-/// `cargo test --release -- --ignored`, or at CI scale via
-/// `rc11 fuzz --dpor`.
+/// The long-run sweep (≈ 500 programs, a third of them with cloned
+/// threads, every worker count of the CI matrix, full checks). Run with
+/// `cargo test --release -- --ignored`, or at CI scale through
+/// `rc11 fuzz`.
 #[test]
 #[ignore = "long-running fuzz sweep; run with --ignored (ideally --release)"]
-fn long_dpor_fuzz_sweep_is_clean() {
+fn long_fuzz_sweep_is_clean() {
     let gen_opts = GenOptions { clone_threads: true, ..Default::default() };
-    let diff_opts = DiffOptions {
-        workers: vec![1, 2, 4, 8],
-        max_states: 1 << 15,
-        dpor: true,
-        symmetry: true,
-        ..Default::default()
-    };
+    // A tighter cap than the CLI default: programs near a 2^18 cap take
+    // seconds *per engine configuration* — skip the giants, sweep the
+    // many.
+    let diff_opts =
+        DiffOptions { workers: vec![1, 2, 4, 8], max_states: 1 << 15, ..Default::default() };
     let report = fuzz(7, 500, &gen_opts, &diff_opts, |_| {});
     assert!(report.ok(), "{}", fail_message(&report));
     assert!(report.passed > 250, "passed only {} of 500", report.passed);

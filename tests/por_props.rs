@@ -174,7 +174,7 @@ proptest! {
     ) {
         let g = generate(seed, &GenOptions { max_stmts: 4, ..Default::default() });
         let prog = compile(&g.to_program("props"));
-        let fps = future_footprints(&prog).expect("generated programs are small");
+        let fps = future_footprints(&prog);
         for (s, moved) in walk(&prog, &NoObjects, &choices) {
             if let Err(e) = check_state(&prog, &NoObjects, &fps, &s, moved) {
                 prop_assert!(false, "{e}");
@@ -200,7 +200,7 @@ fn persistent_sets_are_sound_on_object_corpus_entries() {
         let l = litmus::load_file(corpus_dir().join(file)).unwrap_or_else(|e| panic!("{e}"));
         let prog = compile(&l.prog);
         let objs = litmus::objects_for(&l);
-        let fps = future_footprints(&prog).expect("corpus entries are small");
+        let fps = future_footprints(&prog);
         let opts = StepOptions::default();
         let mut seen: HashMap<Config, ()> = HashMap::new();
         let mut frontier = vec![Config::initial(&prog)];
@@ -228,7 +228,7 @@ fn persistent_sets_are_sound_on_object_corpus_entries() {
 fn persistent_sets_do_reduce_disjoint_components() {
     let l = litmus::load_file(corpus_dir().join("ttas2x2.litmus")).unwrap_or_else(|e| panic!("{e}"));
     let prog = compile(&l.prog);
-    let fps = future_footprints(&prog).expect("small program");
+    let fps = future_footprints(&prog);
     let init = Config::initial(&prog);
     let p = fps.persistent_mask(&init.pcs);
     assert!(p == 0b0011 || p == 0b1100, "one TTAS pair, not all four threads: {p:#b}");

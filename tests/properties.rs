@@ -186,10 +186,11 @@ proptest! {
     /// with 2–3 *cloned* thread bodies (fully symmetric, the case the
     /// reduction bites hardest), optionally plus one distinct thread
     /// (partial symmetry — the orbit must not leak across groups).
-    /// Exploring with `symmetry: true` must preserve the terminal-state
+    /// Exploring under `Reduction::Full` must preserve the terminal-state
     /// multiset exactly (orbit expansion) while never growing the state
-    /// count, under the sequential and the parallel engine, alone and
-    /// composed with POR.
+    /// count, under the sequential and the parallel engine, for outcome
+    /// queries (symmetry composed with sleep and persistent sets) and
+    /// state queries (symmetry composed with sleep sets).
     #[test]
     fn symmetry_reduction_is_sound_on_cloned_threads(
         body in prop::collection::vec(rinstr(), 0..4),
@@ -203,7 +204,7 @@ proptest! {
         }
         let compiled = compile(&build_program(&threads));
         let base = ExploreOptions { record_traces: false, ..Default::default() };
-        let oracle = Engine::Sequential.explore(&compiled, &NoObjects, &base);
+        let oracle = rc11::check::reference::explore(&compiled, &NoObjects, usize::MAX, |_, _| {});
         let multiset = |cfgs: &[Config]| {
             let mut m = std::collections::HashMap::<Config, usize>::new();
             for c in cfgs {
@@ -212,26 +213,27 @@ proptest! {
             m
         };
         let terminals = multiset(&oracle.terminated);
-        for por in [false, true] {
-            let opts = ExploreOptions { symmetry: true, por, ..base.clone() };
-            for engine in [Engine::Sequential, Engine::Parallel { workers: 2 }] {
-                let r = engine.explore(&compiled, &NoObjects, &opts);
+        for engine in [Engine::Sequential, Engine::Parallel { workers: 2 }] {
+            for (query, r) in [
+                ("outcomes", engine.explore(&compiled, &NoObjects, &base)),
+                ("states", engine.explore_with(&compiled, &NoObjects, &base, |_, _| {})),
+            ] {
                 prop_assert!(
                     r.states <= oracle.states,
-                    "{engine:?} por {por}: symmetry grew the state count ({} > {})",
+                    "{engine:?} {query}: symmetry grew the state count ({} > {})",
                     r.states, oracle.states
                 );
                 prop_assert_eq!(
                     multiset(&r.terminated),
                     terminals.clone(),
-                    "{:?} por {}: orbit expansion changed the terminal multiset",
-                    engine, por
+                    "{:?} {}: orbit expansion changed the terminal multiset",
+                    engine, query
                 );
                 prop_assert_eq!(
                     r.deadlocked.len(),
                     oracle.deadlocked.len(),
-                    "{:?} por {}: deadlocks",
-                    engine, por
+                    "{:?} {}: deadlocks",
+                    engine, query
                 );
             }
         }

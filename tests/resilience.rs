@@ -7,7 +7,9 @@
 //! a report that is a **sound lower bound** on the reachable space with an
 //! explicit non-`Complete` [`StopReason`], and a run that does complete
 //! under injected faults is **bit-identical** to the unfaulted oracle.
-//! Nothing in between: never silently wrong.
+//! Nothing in between: never silently wrong. Hostile input is refused the
+//! same way: a file nested past the parser's depth cap is an unreadable
+//! row, never a crashed batch.
 
 use proptest::prelude::*;
 use rc11::check::{
@@ -288,4 +290,39 @@ proptest! {
             prop_assert_eq!(report.stop, StopReason::Complete);
         }
     }
+}
+
+/// A `.litmus` file with 200k nested `if` blocks once overflowed the
+/// parser's stack and aborted the whole `rc11 run` batch. It must now be
+/// reported unreadable with the parser's spanned error, while the corpus
+/// file next to it still gets its `pass` row and the batch exits normally.
+#[test]
+fn deeply_nested_litmus_file_is_unreadable_not_a_crash() {
+    let n = 200_000;
+    let dir = std::env::temp_dir().join(format!("rc11-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let deep = dir.join("deep.litmus");
+    let src = format!(
+        "litmus \"deep\"\nvar x = 0\nthread T {{\n{}{}}}\nobserve T.r\nexpected {{ (0) }}\n",
+        "if (true) {\n".repeat(n),
+        "}\n".repeat(n)
+    );
+    std::fs::write(&deep, src).expect("write deep file");
+    let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus/mp_ra.litmus");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_rc11"))
+        .arg("run")
+        .arg(&deep)
+        .arg(&corpus)
+        .output()
+        .expect("rc11 runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "a normal failing exit, not a crash: {stderr}");
+    assert!(stderr.contains("nesting deeper than"), "the parse error is reported: {stderr}");
+    assert!(
+        stdout.lines().any(|l| l.starts_with("MP+ra") && l.trim_end().ends_with("pass")),
+        "the corpus file still gets its row:\n{stdout}"
+    );
+    assert!(stdout.contains("1 passed, 0 failed, 1 unreadable"), "{stdout}");
 }
