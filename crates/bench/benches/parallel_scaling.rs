@@ -27,6 +27,12 @@
 //! of sequential. Both workloads run unreduced (`Reduction::None`), so
 //! state counts are the same at every worker count.
 //!
+//! The `one_worker_parity` section times `Engine::Parallel { workers: 1 }`
+//! against the sequential explorer under the default reduction, on the
+//! summed corpus and on counter5, alternating the two engines in-process
+//! so both see the same host load; the parallel engine must stay within
+//! 10% of sequential on both (medians over the rounds).
+//!
 //! The reduction lines re-run the deep workload under the default
 //! `Reduction::Full` (an outcome query: sleep sets, persistent sets,
 //! symmetry): never more states or transitions, the same terminal count,
@@ -34,6 +40,7 @@
 //! end-to-end.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use rc11::lang::machine::ObjectSemantics;
 use rc11::prelude::*;
 use rc11_refine::harness;
 use std::time::Instant;
@@ -44,10 +51,103 @@ fn build_prog(n_threads: usize) -> CfgProgram {
     compile(&conc)
 }
 
+/// Every corpus program, compiled, with the object semantics it needs.
+fn corpus() -> Vec<(CfgProgram, bool)> {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus");
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .expect("corpus directory")
+        .map(|e| e.expect("corpus entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "litmus"))
+        .collect();
+    paths.sort();
+    paths
+        .iter()
+        .map(|p| {
+            let parsed = parse_litmus(&std::fs::read_to_string(p).expect("readable"))
+                .expect("corpus parses");
+            (compile(&parsed.prog), !parsed.prog.objects.is_empty())
+        })
+        .collect()
+}
+
+/// Seconds one engine spends exploring every program of `progs`.
+fn explore_secs(engine: Engine, progs: &[(CfgProgram, bool)], opts: &ExploreOptions) -> f64 {
+    let t0 = Instant::now();
+    for (prog, objects) in progs {
+        let objs: &(dyn ObjectSemantics + Sync) =
+            if *objects { &AbstractObjects } else { &NoObjects };
+        let r = engine.explore(prog, objs, opts);
+        assert!(r.stop.is_complete());
+    }
+    t0.elapsed().as_secs_f64()
+}
+
+/// The median of `v`.
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// One parallel worker against the sequential explorer under the default
+/// reduction, alternating engines (and which goes first) every round.
+/// Returns (sequential median s, parallel median s, parallel / sequential).
+fn parity(progs: &[(CfgProgram, bool)], rounds: usize) -> (f64, f64, f64) {
+    let opts = ExploreOptions { record_traces: false, ..Default::default() };
+    let par = Engine::Parallel { workers: 1 };
+    explore_secs(Engine::Sequential, progs, &opts);
+    explore_secs(par, progs, &opts);
+    let (mut seq_s, mut par_s) = (Vec::new(), Vec::new());
+    for round in 0..rounds {
+        if round % 2 == 0 {
+            seq_s.push(explore_secs(Engine::Sequential, progs, &opts));
+            par_s.push(explore_secs(par, progs, &opts));
+        } else {
+            par_s.push(explore_secs(par, progs, &opts));
+            seq_s.push(explore_secs(Engine::Sequential, progs, &opts));
+        }
+    }
+    let (seq, par) = (median(seq_s), median(par_s));
+    (seq, par, par / seq)
+}
+
+fn one_worker_parity() {
+    let (c_seq, c_par, c_ratio) = parity(&corpus(), 31);
+    let (d_seq, d_par, d_ratio) = parity(&[(build_prog(5), false)], 31);
+    for (name, seq, par, ratio) in
+        [("corpus", c_seq, c_par, c_ratio), ("counter5", d_seq, d_par, d_ratio)]
+    {
+        eprintln!(
+            "[one_worker_parity] {name}: sequential {:.2} ms, parallel(1) {:.2} ms, \
+             ratio {ratio:.3}",
+            seq * 1e3,
+            par * 1e3
+        );
+    }
+    bench::record_bench_json(
+        "one_worker_parity",
+        &[
+            ("corpus_sequential_ms", c_seq * 1e3),
+            ("corpus_parallel_1w_ms", c_par * 1e3),
+            ("corpus_parallel_1w_over_sequential", c_ratio),
+            ("counter5_full_sequential_ms", d_seq * 1e3),
+            ("counter5_full_parallel_1w_ms", d_par * 1e3),
+            ("counter5_full_parallel_1w_over_sequential", d_ratio),
+        ],
+    );
+    for (name, ratio) in [("corpus", c_ratio), ("counter5", d_ratio)] {
+        assert!(
+            ratio <= 1.10,
+            "one parallel worker took {ratio:.3}x the sequential time on {name}: \
+             the per-state cost at one active worker should match the sequential explorer's"
+        );
+    }
+}
+
 fn bench(c: &mut Criterion) {
     if !criterion::selected("parallel_scaling") {
         return;
     }
+    one_worker_parity();
     let prog = build_prog(4);
     let opts =
         ExploreOptions { record_traces: false, reduce: Reduction::None, ..Default::default() };

@@ -9,11 +9,15 @@
 //! ([`crate::explore::Explorer`]) and the batched work-stealing parallel
 //! explorer ([`crate::parallel::par_explore`]) are interchangeable.
 //!
-//! The two engines are proven equivalent — identical state, transition and
-//! terminal counts and identical violation sets — by the differential suite
-//! (`tests/engine_agreement.rs` at the workspace root), which holds both to
-//! the small [`crate::reference`] explorer as the oracle. [`choose_engine`]
-//! picks the engine for a requested worker count.
+//! The differential suite (`tests/engine_agreement.rs` at the workspace
+//! root) holds both engines to the small [`crate::reference`] explorer as
+//! the oracle. Under [`Reduction::None`] they match it exactly — state,
+//! transition and terminal counts and violation sets. Under the default
+//! [`Reduction::Full`] they match its terminal, deadlock and violation
+//! sets exactly, while state and transition counts are only bounded above
+//! by the reference's; the parallel engine's counts can then also vary
+//! from run to run with arrival order. [`choose_engine`] picks the engine
+//! for a requested worker count.
 
 use crate::chaos::ChaosState;
 use crate::checkpoint::CheckpointOpts;
@@ -289,8 +293,9 @@ pub struct ExploreOptions {
     /// so cap-hitting runs agree across engines.
     pub max_states: usize,
     /// Record parent pointers so violations carry counterexample traces.
-    /// Both engines honour this: the sequential explorer keeps a parent
-    /// array, the parallel engine a sharded parent-pointer map.
+    /// Both engines honour this: each keeps an arena of interned states
+    /// with first-discovery parent edges and rebuilds traces with one
+    /// shared routine.
     pub record_traces: bool,
     /// The reduction switch, [`Reduction::Full`] by default: each query
     /// runs the strongest reduction that preserves what it observes (see
@@ -362,7 +367,8 @@ pub struct Violation {
     pub trace: Option<Vec<(Tid, Config)>>,
 }
 
-/// Exploration statistics and results, identical across engines.
+/// Exploration statistics and results, shared by both engines (see the
+/// module docs for how far their counts agree).
 #[derive(Debug, Clone, Default)]
 pub struct EngineReport {
     /// Distinct canonical configurations visited.
@@ -437,7 +443,8 @@ impl EngineReport {
 }
 
 /// Which exploration engine to run. Both decide the same reachability
-/// question; the differential suite holds them to identical answers.
+/// question; the differential suite holds them to the reference
+/// explorer's answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// The sequential explorer ([`crate::explore::Explorer`]).

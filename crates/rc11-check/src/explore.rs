@@ -69,7 +69,7 @@ pub use crate::engine::{EngineReport as Report, ExploreOptions, Violation};
 /// POR; see `crate::por` for the wake-up rule), and — under symmetry
 /// reduction — the group permutation the committing edge's raw successor
 /// was transported through (`None` = identity), from which
-/// [`reconstruct_trace_sym`] rebuilds exactly replayable traces.
+/// [`reconstruct_trace`] rebuilds exactly replayable traces.
 struct Node {
     cfg: Config,
     parent: Option<(u32, Tid)>,
@@ -273,6 +273,9 @@ impl<'a> Explorer<'a> {
         }
         let symm = spec.as_ref();
         let members = if query == Query::States { symm } else { None };
+        // The identity permutation: the orbit "member" a representative's
+        // own trace is reconstructed for.
+        let identity: Vec<u8> = (0..n_threads as u8).collect();
         let statics = por.then(|| rc11_analyze::conflict_matrix(self.prog));
         let pers = (por && level.persistent).then(|| rc11_analyze::future_footprints(self.prog));
 
@@ -330,19 +333,9 @@ impl<'a> Explorer<'a> {
                                 }
                                 _ => node.cfg.clone(),
                             };
-                            let trace = self.opts.record_traces.then(|| match node.parent {
-                                None => Vec::new(),
-                                Some((p, t)) => match symm {
-                                    Some(spec) => {
-                                        let pi = vr.pi.clone().unwrap_or_else(|| {
-                                            (0..n_threads as u8).collect()
-                                        });
-                                        reconstruct_trace_sym(
-                                            &nodes, p, t, &node.sigma, &node.cfg, pi, spec,
-                                        )
-                                    }
-                                    None => reconstruct_trace(&nodes, p, t, &node.cfg),
-                                },
+                            let trace = self.opts.record_traces.then(|| {
+                                let pi = vr.pi.as_deref().unwrap_or(&identity);
+                                reconstruct_trace(link(&nodes), vr.node, symm.map(|s| (s, pi)))
                             });
                             report.violations.push(Violation {
                                 what: vr.what.clone(),
@@ -545,7 +538,15 @@ impl<'a> Explorer<'a> {
                         ),
                         _ => (pmask & !child_sleep, child_sleep),
                     };
-                    check(&canon, &mut buf);
+                    nodes.push(Node {
+                        cfg: canon,
+                        parent: Some((id, tid)),
+                        explored: prop,
+                        sigma,
+                        succ_idx: si as u32,
+                    });
+                    let canon = &nodes[new_id as usize].cfg;
+                    check(canon, &mut buf);
                     for what in buf.drain(..) {
                         if ckpt.is_some() {
                             viol_recs.push(ViolationRec {
@@ -557,17 +558,9 @@ impl<'a> Explorer<'a> {
                         report.violations.push(Violation {
                             what,
                             config: canon.clone(),
-                            trace: self.opts.record_traces.then(|| match symm {
-                                Some(spec) => reconstruct_trace_sym(
-                                    &nodes,
-                                    id,
-                                    tid,
-                                    &sigma,
-                                    &canon,
-                                    (0..n_threads as u8).collect(),
-                                    spec,
-                                ),
-                                None => reconstruct_trace(&nodes, id, tid, &canon),
+                            trace: self.opts.record_traces.then(|| {
+                                let sym = symm.map(|s| (s, &identity[..]));
+                                reconstruct_trace(link(&nodes), new_id, sym)
                             }),
                         });
                     }
@@ -576,7 +569,7 @@ impl<'a> Explorer<'a> {
                     // observation tuples and invariants may distinguish
                     // thread identities the reduction just modded out.
                     if let Some(spec) = members {
-                        for (pi, member) in sym::orbit_members(spec, &canon) {
+                        for (pi, member) in sym::orbit_members(spec, canon) {
                             check(&member, &mut buf);
                             for what in buf.drain(..) {
                                 if ckpt.is_some() {
@@ -590,21 +583,13 @@ impl<'a> Explorer<'a> {
                                     what,
                                     config: member.clone(),
                                     trace: self.opts.record_traces.then(|| {
-                                        reconstruct_trace_sym(
-                                            &nodes, id, tid, &sigma, &canon, pi.clone(), spec,
-                                        )
+                                        let sym = Some((spec, &pi[..]));
+                                        reconstruct_trace(link(&nodes), new_id, sym)
                                     }),
                                 });
                             }
                         }
                     }
-                    nodes.push(Node {
-                        cfg: canon,
-                        parent: Some((id, tid)),
-                        explored: prop,
-                        sigma,
-                        succ_idx: si as u32,
-                    });
                     frontier.push((new_id, prop, slp, true));
                 }
             }
@@ -857,18 +842,30 @@ impl<'a> Explorer<'a> {
     }
 }
 
-fn reconstruct_trace(nodes: &[Node], parent: u32, tid: Tid, last: &Config) -> Vec<(Tid, Config)> {
-    let mut rev = vec![(tid, last.clone())];
-    let mut cur = parent;
-    while let Some((p, t)) = nodes[cur as usize].parent {
-        rev.push((t, nodes[cur as usize].cfg.clone()));
-        cur = p;
+/// The trace-reconstruction accessor for the sequential arena.
+fn link<'a>(nodes: &'a [Node]) -> impl Fn(u32) -> Link<'a> {
+    move |id| {
+        let n = &nodes[id as usize];
+        Link { cfg: &n.cfg, parent: n.parent, sigma: n.sigma.as_deref() }
     }
-    rev.reverse();
-    rev
 }
 
-/// Trace reconstruction under symmetry reduction. The arena holds one
+/// One interned state as trace reconstruction sees it: its canonical
+/// configuration, its first-discovery edge `(parent id, moving thread)`
+/// (`None` for the root), and the group permutation `σ` that edge's raw
+/// successor was transported through under symmetry reduction (`None` =
+/// identity).
+pub(crate) struct Link<'a> {
+    pub cfg: &'a Config,
+    pub parent: Option<(u32, Tid)>,
+    pub sigma: Option<&'a [u8]>,
+}
+
+/// Rebuild the step sequence from the root to state `last` by walking
+/// first-discovery edges — the one routine both engines' arenas use
+/// (`link` reads a node by id).
+///
+/// Under symmetry reduction (`sym = Some((spec, π))`) the arena holds one
 /// representative per orbit, with each node remembering the group
 /// permutation `σ` its committing edge was transported through
 /// (`R_k = σ_k(canon(s_k))`). An exactly replayable trace through the
@@ -881,40 +878,33 @@ fn reconstruct_trace(nodes: &[Node], parent: u32, tid: Tid, last: &Config) -> Ve
 /// so every entry is a real transition from its predecessor and the walk
 /// bottoms out at the true initial state — the symmetry trace-replay test
 /// in `tests/engine_agreement.rs` steps every entry to confirm it.
-fn reconstruct_trace_sym(
-    nodes: &[Node],
-    parent: u32,
-    tid: Tid,
-    sigma_last: &Option<Vec<u8>>,
-    last: &Config,
-    tau: Vec<u8>,
-    spec: &SymmetrySpec,
+pub(crate) fn reconstruct_trace<'a>(
+    link: impl Fn(u32) -> Link<'a>,
+    last: u32,
+    sym: Option<(&SymmetrySpec, &[u8])>,
 ) -> Vec<(Tid, Config)> {
-    let n = tau.len();
-    let compose = |tau: &[u8], sigma: &Option<Vec<u8>>| -> Vec<u8> {
-        match sigma {
-            Some(sg) => (0..n).map(|i| tau[sg[i] as usize]).collect(),
-            None => tau.to_vec(),
-        }
-    };
-    let apply = |cfg: &Config, tau: &[u8]| -> Config {
-        if sym::is_identity(tau) {
-            cfg.clone()
-        } else {
-            cfg.permute_threads(tau, spec.maps()).canonical()
-        }
-    };
+    let mut tau: Option<Vec<u8>> = sym.map(|(_, pi)| pi.to_vec());
     let mut rev = Vec::new();
-    let m = apply(last, &tau);
-    let mut tau = compose(&tau, sigma_last);
-    rev.push((Tid(tau[tid.idx()]), m));
-    let mut cur = parent;
-    while let Some((p, t)) = nodes[cur as usize].parent {
-        let node = &nodes[cur as usize];
-        let m = apply(&node.cfg, &tau);
-        tau = compose(&tau, &node.sigma);
-        rev.push((Tid(tau[t.idx()]), m));
-        cur = p;
+    let mut cur = last;
+    loop {
+        let node = link(cur);
+        let Some((parent, t)) = node.parent else { break };
+        let step = match (&mut tau, sym) {
+            (Some(tau), Some((spec, _))) => {
+                let m = if sym::is_identity(tau) {
+                    node.cfg.clone()
+                } else {
+                    node.cfg.permute_threads(tau, spec.maps()).canonical()
+                };
+                if let Some(sg) = node.sigma {
+                    *tau = sg.iter().map(|&s| tau[s as usize]).collect();
+                }
+                (Tid(tau[t.idx()]), m)
+            }
+            _ => (t, node.cfg.clone()),
+        };
+        rev.push(step);
+        cur = parent;
     }
     rev.reverse();
     rev

@@ -27,6 +27,7 @@ use crate::engine::{Engine, ExploreOptions, Level, Note, Query, StopReason};
 use crate::explore::{Probe, VisitedIndex};
 use crate::fxhash::FxHashMap;
 use crate::parallel::par_walk;
+use crate::sym;
 use parking_lot::Mutex;
 use rc11_assert::{EvalCtx, Pred, ProofOutline};
 use rc11_core::Tid;
@@ -430,14 +431,14 @@ fn par_check_outline(
         recorder.lock().record(kind, &init, OgClass::Initial, None);
     }
 
+    let level = Level::of(opts.reduce, Query::Edges);
     let (_visited, stats) = par_walk(
         prog,
         objs,
         opts,
-        Level::of(opts.reduce, Query::Edges),
+        level,
+        &sym::active_spec(prog, level.symmetry),
         n_workers,
-        (),
-        |_, _| (),
         |parent: &Config, tid, succ: &Config| {
             // Classify per edge, visited or not — on the raw successor
             // (evaluation is canonicalisation-invariant, see
@@ -457,7 +458,7 @@ fn par_check_outline(
                 }
             }
         },
-        |_, _| {},
+        |_, _, _| {},
     );
 
     OutlineReport {

@@ -1,10 +1,12 @@
 //! The high-throughput parallel exploration engine.
 //!
 //! Work-stealing exhaustive search over crossbeam's `Injector`, rebuilt
-//! around batching, fingerprint-keyed deduplication and full counterexample
-//! traces:
+//! around keep-local scheduling, an id-interning visited store and full
+//! counterexample traces:
 //!
-//! * **Keep-local batched work distribution** — each worker drains a
+//! * **Caller-first, keep-local scheduling** — worker 0 runs on the calling
+//!   thread and the other workers are recruited only when there is work to
+//!   share (see `par_walk`'s scheduling notes). Each worker drains a
 //!   private LIFO backlog and feeds novel successors straight back into
 //!   it; the shared injector only sees [`FLUSH_BATCH`]-sized overflow
 //!   chunks (exported past [`KEEP_LOCAL`] or when the injector runs dry),
@@ -12,7 +14,7 @@
 //!   frontier, not the state count.
 //! * **Sleep-set partial-order reduction** — under
 //!   [`Reduction::Full`](crate::engine::Reduction), work items carry
-//!   sleep-set/expansion masks and the visited stores keep each state's
+//!   sleep-set/expansion masks and every interned state keeps its
 //!   `explored` mask for the wake-up rule (see `crate::por`); POR prunes
 //!   transitions only, never states.
 //! * **Persistent-set DPOR** — for outcome queries, each state's
@@ -20,47 +22,49 @@
 //!   ([`rc11_analyze::persistent`], ablation A7), items carry the true
 //!   arriving sleep set (no longer the proposal's complement — postponed
 //!   outside-persistent threads stay wakeable), and blocked persistent
-//!   sets re-submit through the store's wake-up rule (the retry rule in
+//!   sets re-submit through the wake-up rule (the retry rule in
 //!   `crate::explore`'s docs). Terminal/deadlock multisets stay
 //!   oracle-identical; state and transition counts become upper-bounded
 //!   rather than pinned — arrival order decides which duplicate wakes
 //!   which mask.
-//! * **Fingerprint-keyed interned visited store** — the visited structure
-//!   is a [`ShardedFpMap`] keyed by zero-rebuild 128-bit canonical
-//!   fingerprints ([`crate::fxhash::Fp128`]): duplicate successors (the
-//!   vast majority) cost one hash walk plus a `canonical_eq` confirmation
-//!   walk instead of a full canonical rebuild plus a key clone, and each
-//!   canonical configuration is interned exactly once. This is the only
-//!   dedup mode (ablation A4).
-//! * **Batched, double-checked shard insertion** — all successors of one
-//!   expansion are grouped by shard (parking_lot RwLock shards) and
-//!   inserted with one read-lock filter pass plus one write-lock pass per
-//!   touched shard, re-checking membership under the write lock so racing
-//!   workers agree on exactly one winner per state; only confirmed-novel
-//!   states are materialised to canonical form, outside any lock.
+//! * **Id-interning visited store** — [`ShardedFpMap`] interns each
+//!   canonical configuration exactly once, in a shared append-only chunked
+//!   arena, and maps zero-rebuild 128-bit canonical fingerprints
+//!   ([`crate::fxhash::Fp128`]) to arena ids. Work items, wake-ups and
+//!   parent edges are `u32` ids: a duplicate successor (the vast majority)
+//!   costs one hash walk plus a `canonical_eq` confirmation walk, a woken
+//!   duplicate is re-queued by id, and nothing clones a configuration.
+//!   This is the only dedup mode (ablation A4).
+//! * **Double-checked shard insertion** — a successor is probed under its
+//!   shard's read lock; only a miss is materialised to canonical form
+//!   (outside any lock) and committed under the write lock, which
+//!   re-checks membership so racing workers agree on exactly one winner
+//!   per state.
 //! * **Mixed shard indexing** — shard selection feeds the key's hash
 //!   through an avalanche mixer ([`spread`]) instead of using a fixed bit
 //!   window, so stride-aligned or low-entropy key patterns still populate
 //!   every shard (unit-tested below).
-//! * **Counterexample traces** — the visited store keeps
-//!   `(parent configuration, moving thread)` first-discovery parent
-//!   pointers next to each interned state (when
-//!   [`ExploreOptions::record_traces`] is set), so parallel violations
-//!   reconstruct full replayable traces after the workers join, exactly
-//!   like the sequential explorer's. (Discovery order is a race in the
-//!   parallel engine and a stack discipline in the sequential one, so
-//!   traces are *valid* paths from the initial configuration, not shortest
-//!   ones — in either engine.)
+//! * **Counterexample traces** — every arena node keeps its
+//!   first-discovery edge `(parent id, moving thread)` and, under symmetry
+//!   reduction, the group permutation `σ` the edge was transported
+//!   through, so violations reconstruct replayable traces after the
+//!   workers join with the sequential explorer's routine
+//!   (`crate::explore::reconstruct_trace`). (Discovery order is a race
+//!   here and a stack discipline there, so traces are *valid* paths from
+//!   the initial configuration, not shortest ones — in either engine.)
 //!
 //! Engine selection is [`crate::engine::choose_engine`];
-//! `tests/engine_agreement.rs` (workspace root) proves state/transition/
-//! terminal/violation parity with the [`crate::reference`] oracle on the
-//! full litmus gallery and the outline programs at 1/2/4/8 workers.
-//! This is ablation A3 of DESIGN.md: the benches sweep worker counts to
-//! show exploration scaling.
+//! `tests/engine_agreement.rs` (workspace root) holds this engine to the
+//! [`crate::reference`] oracle on the full litmus gallery and the outline
+//! programs at 1/2/4/8 workers: exact state, transition, terminal and
+//! violation parity under `Reduction::None`, and under `Reduction::Full`
+//! exact terminal, deadlock and violation sets with states and
+//! transitions at most the reference's. This is ablation A3 of
+//! DESIGN.md: the benches sweep worker counts to show exploration scaling.
 
 use crate::engine::{EngineReport, ExploreOptions, Level, Note, Query, StopReason, Violation};
-use crate::fxhash::{CanonicalFingerprint, Fp128, FxHashMap};
+use crate::explore::{reconstruct_trace, Link};
+use crate::fxhash::{CanonicalFingerprint, Fp128, FxHashMap, IdBucket};
 use crate::por::{self, ThreadMask};
 use crate::sym;
 use crossbeam::deque::{Injector, Steal};
@@ -71,8 +75,8 @@ use rc11_lang::cfg::CfgProgram;
 use rc11_lang::machine::{thread_successors, Config, ObjectSemantics};
 use rc11_telemetry::{Counter, Telemetry};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Novel states a worker buffers locally before a chunk becomes eligible
@@ -100,78 +104,135 @@ fn spread(h: u64) -> usize {
     (h ^ (h >> 33)) as usize
 }
 
-/// One interned state in a [`ShardedFpMap`]: the canonical configuration
-/// (stored exactly once across the engine) and the caller's value.
-struct FpEntry<V> {
+/// One interned state: its canonical configuration (stored exactly once
+/// across the engine), its first-discovery edge, the group permutation
+/// that edge's raw successor was transported through under symmetry
+/// reduction (`None` = identity), and the `explored` thread mask — the
+/// threads expansion work has been queued for (see `crate::por`). The mask
+/// only grows, by atomic `fetch_or`, so each missing thread has exactly
+/// one waker however many duplicates race.
+struct Node {
     cfg: Config,
-    val: V,
+    parent: Option<(u32, Tid)>,
+    sigma: Option<Box<[u8]>>,
+    explored: AtomicU64,
 }
 
-/// One shard of a [`ShardedFpMap`]: the fingerprint → interned-state map,
-/// plus an overflow list for genuine 128-bit collisions (distinct
-/// canonical states sharing a fingerprint). Every overflow fingerprint is
-/// also present in `map`, so a missing `map` entry proves absence.
-struct FpShard<V> {
-    map: FxHashMap<Fp128, FpEntry<V>>,
-    overflow: Vec<(Fp128, FpEntry<V>)>,
+/// A shared append-only arena of [`Node`]s addressed by `u32` ids. Chunk
+/// `k` holds ids `2^k - 1 .. 2^(k+1) - 1`, allocated on first use and never
+/// moved, so a published node is readable by reference from any thread
+/// while others append.
+struct Arena {
+    chunks: [OnceLock<Box<[OnceLock<Node>]>>; u32::BITS as usize],
+    len: AtomicUsize,
 }
 
-impl<V> Default for FpShard<V> {
-    fn default() -> FpShard<V> {
-        FpShard { map: FxHashMap::default(), overflow: Vec::new() }
-    }
-}
-
-impl<V> FpShard<V> {
-    /// Is a state with fingerprint `fp` whose canonical form matches
-    /// `is_cfg` present? `is_cfg` is handed the interned representative so
-    /// the caller chooses the cheapest equality check it can (zero-rebuild
-    /// `canonical_eq` for raw probes, plain `==` for canonical ones).
-    fn contains(&self, fp: Fp128, is_cfg: impl FnMut(&Config) -> bool) -> bool {
-        self.entry(fp, is_cfg).is_some()
+impl Arena {
+    fn new() -> Arena {
+        Arena { chunks: std::array::from_fn(|_| OnceLock::new()), len: AtomicUsize::new(0) }
     }
 
-    /// The interned entry for `fp` whose canonical form matches `is_cfg`.
-    fn entry(&self, fp: Fp128, mut is_cfg: impl FnMut(&Config) -> bool) -> Option<&FpEntry<V>> {
-        let e = self.map.get(&fp)?;
-        if is_cfg(&e.cfg) {
-            return Some(e);
+    /// The chunk and offset holding `id`.
+    #[inline]
+    fn locate(id: u32) -> (usize, usize) {
+        let x = id as u64 + 1;
+        let k = 63 - x.leading_zeros() as usize;
+        (k, (x - (1 << k)) as usize)
+    }
+
+    /// Append `node`, returning its id.
+    fn push(&self, node: Node) -> u32 {
+        let id = self.len.fetch_add(1, Ordering::Relaxed);
+        let id = u32::try_from(id)
+            .ok()
+            .filter(|&i| i < u32::MAX)
+            .expect("arena id space exhausted");
+        let (k, off) = Arena::locate(id);
+        let chunk =
+            self.chunks[k].get_or_init(|| (0..1usize << k).map(|_| OnceLock::new()).collect());
+        if chunk[off].set(node).is_err() {
+            unreachable!("arena ids are handed out once");
         }
-        self.overflow.iter().find(|(ofp, oe)| *ofp == fp && is_cfg(&oe.cfg)).map(|(_, oe)| oe)
+        id
+    }
+
+    /// The node with id `id`, which must have been returned by
+    /// [`Arena::push`] (ids reach other threads only through the shard
+    /// locks, after the push).
+    #[inline]
+    fn get(&self, id: u32) -> &Node {
+        let (k, off) = Arena::locate(id);
+        self.chunks[k].get().and_then(|c| c[off].get()).expect("published arena id")
     }
 }
 
-/// The engines' concurrent visited structure: a map sharded by key hash
-/// whose keys are [`Fp128`] canonical fingerprints, and whose entries
-/// **intern** their canonical [`Config`] exactly once (the confirmation
-/// representative and, for the engine, the trace endpoint) next to the
-/// caller's value.
+/// One shard of a [`ShardedFpMap`]: fingerprint → arena ids (a bucket
+/// holds several ids only for genuine 128-bit collisions, distinct
+/// canonical states sharing a fingerprint), plus the shard's id count.
+#[derive(Default)]
+struct FpShard {
+    map: FxHashMap<Fp128, IdBucket>,
+    len: usize,
+}
+
+/// A successor queued for insertion: the raw configuration, the thread
+/// whose step produced it, the *explored-mask proposal* — the threads the
+/// arrival wants queued for expansion (`!0` when POR is off, which makes
+/// wake-ups impossible; the persistent set minus the sleep set under A7)
+/// — and the sleep set the successor inherits over this edge. The sleep
+/// travels separately because under A7 it is **not** the proposal's
+/// complement: threads outside the persistent set are merely postponed
+/// (wakeable by later arrivals), not slept.
+struct PorItem {
+    raw: Config,
+    tid: Tid,
+    proposal: ThreadMask,
+    sleep: ThreadMask,
+}
+
+/// One unit of parallel work: an interned state's id, the mask of threads
+/// to expand, the sleep set the state was reached with, and whether this
+/// is the state's first visit (only first visits may classify terminals —
+/// see `crate::por`). Without POR, every item is `(id, !0, ∅, true)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct WorkItem {
+    id: u32,
+    mask: ThreadMask,
+    sleep: ThreadMask,
+    first: bool,
+}
+
+/// The engines' concurrent visited structure: canonical configurations
+/// interned once each in a shared append-only arena, indexed by a map
+/// sharded by key hash whose keys are [`Fp128`] canonical fingerprints and
+/// whose values are arena ids. Each node also records its first-discovery
+/// edge, from which `trace` rebuilds counterexamples.
 ///
 /// Shard selection avalanche-mixes the fingerprint (`spread`). Inserts
-/// are batched: one read-lock filter pass plus one double-checked
-/// write-lock pass per touched shard, so for any state inserted
-/// concurrently by many workers exactly one caller observes it as novel.
+/// probe under the shard's read lock and commit misses under a
+/// double-checked write lock, so for any state inserted concurrently by
+/// many workers exactly one caller observes it as novel.
 /// [`len`](ShardedFpMap::len) and [`is_empty`](ShardedFpMap::is_empty)
-/// are **racy snapshots**: they lock the shards one at a time, so under
-/// concurrent insertion they return a value between the map's size when
-/// the call started and when it finished — exact only at quiescence (e.g.
-/// after workers join).
-pub struct ShardedFpMap<V> {
-    shards: Vec<RwLock<FpShard<V>>>,
+/// are **racy snapshots** under concurrent insertion — exact only at
+/// quiescence (e.g. after workers join).
+pub struct ShardedFpMap {
+    shards: Vec<RwLock<FpShard>>,
     mask: usize,
+    arena: Arena,
     /// Telemetry sink injected at construction, so dedup events (dup
     /// hits, symmetry folds, confirmed collisions) are tallied inside the
-    /// batched insert path without widening its signature.
+    /// insert path without widening its signature.
     tel: Option<Arc<Telemetry>>,
 }
 
-impl<V> ShardedFpMap<V> {
+impl ShardedFpMap {
     /// A map with `2^shard_bits` shards, tallying dedup events into `tel`.
-    pub fn new(shard_bits: u32, tel: Option<Arc<Telemetry>>) -> ShardedFpMap<V> {
+    pub fn new(shard_bits: u32, tel: Option<Arc<Telemetry>>) -> ShardedFpMap {
         let n = 1usize << shard_bits;
         ShardedFpMap {
             shards: (0..n).map(|_| RwLock::new(FpShard::default())).collect(),
             mask: n - 1,
+            arena: Arena::new(),
             tel,
         }
     }
@@ -183,328 +244,239 @@ impl<V> ShardedFpMap<V> {
         spread(fp.lo ^ fp.hi) & self.mask
     }
 
+    /// The fingerprint and canonical permutations of the raw
+    /// configuration `raw` — with the symmetry choice installed in
+    /// `perms.threads` under a symmetry spec, so the whole orbit keys to
+    /// one representative.
+    fn key(raw: &Config, symm: Option<&SymmetrySpec>) -> (Fp128, CanonPerms) {
+        match symm {
+            Some(spec) => {
+                let perms = sym::sym_perms(spec, raw);
+                (sym::fingerprint_sym(raw, &perms, spec), perms)
+            }
+            None => {
+                let perms = raw.canonical_perms();
+                (raw.fingerprint_with(&perms), perms)
+            }
+        }
+    }
+
+    /// The id of the interned state canonically equal to `raw` (keyed by
+    /// `fp`/`perms`), decided under the shard's read lock by a zero-rebuild
+    /// confirmation walk per candidate, never by materialising.
+    fn probe(
+        &self,
+        raw: &Config,
+        fp: Fp128,
+        perms: &CanonPerms,
+        symm: Option<&SymmetrySpec>,
+    ) -> Option<u32> {
+        let shard = self.shards[self.shard_of(fp)].read();
+        let bucket = shard.map.get(&fp)?;
+        bucket.ids().iter().copied().find(|&id| {
+            let cfg = &self.arena.get(id).cfg;
+            match symm {
+                Some(spec) => raw.canonical_eq_sym(perms, spec.maps(), cfg),
+                None => raw.canonical_eq_with(perms, cfg),
+            }
+        })
+    }
+
+    /// The id of the state canonically equal to the raw (or canonical)
+    /// configuration `succ`, if interned.
+    pub fn find(&self, succ: &Config) -> Option<u32> {
+        let (fp, perms) = ShardedFpMap::key(succ, None);
+        self.probe(succ, fp, &perms, None)
+    }
+
     /// True iff a state canonically equal to the **raw** configuration
     /// `succ` is interned; decided by fingerprint lookup plus a
     /// zero-rebuild confirmation walk, never by materialising.
     pub fn contains_state(&self, succ: &Config) -> bool {
-        let perms = succ.canonical_perms();
-        let fp = succ.fingerprint_with(&perms);
-        self.shards[self.shard_of(fp)]
-            .read()
-            .contains(fp, |cfg| succ.canonical_eq_with(&perms, cfg))
+        self.find(succ).is_some()
     }
 
     /// [`contains_state`](ShardedFpMap::contains_state) with an optional
     /// thread-symmetry spec: membership is then decided up to the symmetry
     /// group, matching the keys [`insert_batch`](ShardedFpMap::insert_batch)
     /// stores under.
-    pub(crate) fn contains_state_sym(
-        &self,
-        succ: &Config,
-        symm: Option<&SymmetrySpec>,
-    ) -> bool {
-        let Some(spec) = symm else { return self.contains_state(succ) };
-        let perms = sym::sym_perms(spec, succ);
-        let fp = sym::fingerprint_sym(succ, &perms, spec);
-        self.shards[self.shard_of(fp)]
-            .read()
-            .contains(fp, |cfg| succ.canonical_eq_sym(&perms, spec.maps(), cfg))
+    fn contains_state_sym(&self, succ: &Config, symm: Option<&SymmetrySpec>) -> bool {
+        let (fp, perms) = ShardedFpMap::key(succ, symm);
+        self.probe(succ, fp, &perms, symm).is_some()
     }
 
-    /// The value interned for the **canonical** configuration `canon`,
-    /// cloned out from under the shard read lock.
-    pub fn get_cloned(&self, canon: &Config) -> Option<V>
-    where
-        V: Clone,
-    {
-        let fp = canon.canonical_fingerprint();
-        self.shards[self.shard_of(fp)]
-            .read()
-            .entry(fp, |cfg| cfg == canon)
-            .map(|e| e.val.clone())
+    /// The canonical configuration interned under `id`.
+    pub fn config(&self, id: u32) -> &Config {
+        &self.arena.get(id).cfg
     }
 
-    /// Total interned states — a racy snapshot (see the type docs); exact
-    /// at quiescence.
+    /// The first-discovery edge `(parent id, moving thread)` of `id`
+    /// (`None` for a root).
+    pub fn parent(&self, id: u32) -> Option<(u32, Tid)> {
+        self.arena.get(id).parent
+    }
+
+    /// The step sequence from the root to state `id` (quiescent store).
+    /// Under symmetry reduction `sym` carries the spec and the group
+    /// permutation mapping the representative chain onto the wanted orbit
+    /// member (the identity for the representative itself).
+    fn trace(&self, id: u32, sym: Option<(&SymmetrySpec, &[u8])>) -> Vec<(Tid, Config)> {
+        let link = |id: u32| {
+            let n = self.arena.get(id);
+            Link { cfg: &n.cfg, parent: n.parent, sigma: n.sigma.as_deref() }
+        };
+        reconstruct_trace(link, id, sym)
+    }
+
+    /// Interned states — a racy snapshot (see the type docs); exact at
+    /// quiescence.
     pub fn len(&self) -> usize {
-        self.shard_occupancy().iter().sum()
+        self.arena.len.load(Ordering::Relaxed)
     }
 
-    /// True iff no states are interned — racy like
-    /// [`ShardedFpMap::len`].
+    /// True iff no states are interned — racy like [`ShardedFpMap::len`].
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| {
-            let s = s.read();
-            s.map.is_empty() && s.overflow.is_empty()
-        })
+        self.len() == 0
     }
 
-    /// Per-shard interned-state counts (map + overflow; racy snapshot),
-    /// for occupancy diagnostics — exact at quiescence, like
-    /// [`ShardedFpMap::len`].
+    /// Per-shard interned-state counts (racy snapshot), for occupancy
+    /// diagnostics — exact at quiescence, like [`ShardedFpMap::len`].
     pub fn shard_occupancy(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(|s| {
-                let s = s.read();
-                s.map.len() + s.overflow.len()
-            })
-            .collect()
-    }
-}
-
-/// A store value together with the state's `explored` thread mask — the
-/// complement-union of every sleep set the state has been reached with
-/// (see `crate::por`). Mask updates happen under the owning shard's write
-/// lock, so the "exactly one winner" insert contract extends to "exactly
-/// one waker per missing thread".
-#[derive(Clone)]
-pub struct Masked<V> {
-    val: V,
-    explored: ThreadMask,
-}
-
-impl<V> Masked<V> {
-    /// The caller's value.
-    pub fn value(&self) -> &V {
-        &self.val
-    }
-}
-
-/// A successor queued for POR-aware insertion: the raw configuration, the
-/// caller's value, the *explored-mask proposal* — the threads the arrival
-/// wants queued for expansion (`full` when POR is off, which makes
-/// wake-ups impossible; the persistent set minus the sleep set under A7)
-/// — and the sleep set the successor inherits over this edge. The sleep
-/// travels separately because under A7 it is **not** the proposal's
-/// complement: threads outside the persistent set are merely
-/// postponed (wakeable by later arrivals), not slept.
-type PorItem<V> = (Config, V, ThreadMask, ThreadMask);
-
-/// A novel insertion: the interned canonical configuration, its stored
-/// explored mask (= the proposal that won) and the winning arrival's
-/// sleep set.
-type PorNovel = (Config, ThreadMask, ThreadMask);
-
-/// A wake-up: an already-interned state (canonical), the threads newly
-/// added to its explored mask, and the arriving sleep set the
-/// re-expansion inherits.
-type PorWoken = (Config, ThreadMask, ThreadMask);
-
-impl<V> ShardedFpMap<Masked<V>> {
-    /// Insert the (already canonical) initial configuration.
-    fn insert_init(&self, canon: Config, val: V, explored: ThreadMask) {
-        let fp = canon.canonical_fingerprint();
-        let mut shard = self.shards[self.shard_of(fp)].write();
-        shard.map.insert(fp, FpEntry { cfg: canon, val: Masked { val, explored } });
+        self.shards.iter().map(|s| s.read().len).collect()
     }
 
-    /// Intern the raw configuration `succ` with value `val` unless a
-    /// canonically equal state is already present; true iff this call
-    /// interned it. However many callers race on one state, exactly one
-    /// sees `true`, and its value is the one kept.
-    pub fn insert(&self, succ: Config, val: V) -> bool {
-        !self.insert_all(vec![(succ, val)]).is_empty()
+    /// Intern the raw configuration `succ` unless a canonically equal
+    /// state is already present, recording `parent` as its discovery edge;
+    /// true iff this call interned it. However many callers race on one
+    /// state, exactly one sees `true`, and its edge is the one kept.
+    pub fn insert(&self, succ: Config, parent: Option<(u32, Tid)>) -> bool {
+        let tid = parent.map_or(Tid(0), |p| p.1);
+        let mut items = vec![PorItem { raw: succ, tid, proposal: !0, sleep: 0 }];
+        let mut out = Vec::new();
+        self.insert_batch(parent.map(|p| p.0), &mut items, None, false, &mut out);
+        !out.is_empty()
     }
 
-    /// Batched [`insert`](ShardedFpMap::insert) through the engines' hot
-    /// path with full explored masks (no partial-order reduction, so no
-    /// state is ever woken). Returns the canonical forms of the states
-    /// this call interned; within a batch the first occurrence wins.
-    pub fn insert_all(&self, items: Vec<(Config, V)>) -> Vec<Config> {
-        let items = items.into_iter().map(|(succ, val)| (succ, val, !0, 0)).collect();
-        let (novel, _) = self.insert_batch(items, None, false);
-        novel.into_iter().map(|(canon, ..)| canon).collect()
+    /// Intern each raw configuration of `succs` as a root (no parent
+    /// edge) with full explored masks, returning the ids this call
+    /// interned; within the batch the first occurrence wins.
+    pub fn insert_all(&self, succs: Vec<Config>) -> Vec<u32> {
+        let mut items = succs
+            .into_iter()
+            .map(|raw| PorItem { raw, tid: Tid(0), proposal: !0, sleep: 0 })
+            .collect();
+        let mut out = Vec::new();
+        self.insert_batch(None, &mut items, None, false, &mut out);
+        out.into_iter().map(|w| w.id).collect()
     }
 
-    /// Batched insert of raw successors — the engines' hot path, POR-aware
-    /// (a full-mask proposal makes wake-ups impossible and reduces this to
-    /// plain insertion). Items are fingerprinted (one zero-rebuild walk
-    /// each), grouped by shard, and filtered with one read-lock pass per
-    /// touched shard confirming fingerprint hits via `canonical_eq`; only
-    /// the survivors — novel states and wake-up candidates — are then
-    /// materialised to canonical form (outside any lock, reusing the
-    /// probe's permutations) and committed with a double-checked write
-    /// pass. Duplicate hits whose stored explored mask misses threads of
-    /// the incoming proposal are *woken*: the mask grows under the write
-    /// lock and the state is returned for partial re-expansion. The
-    /// read-phase drop is sound because explored masks only ever grow: a
-    /// duplicate fully absorbed under the read lock stays absorbed.
+    /// Tally a duplicate hit (and a symmetry-orbit fold when the match
+    /// went through a non-identity group permutation).
+    fn count_dup(&self, sigma: &Option<Vec<u8>>) {
+        if let Some(t) = &self.tel {
+            t.incr(Counter::DupHits);
+            if sigma.as_deref().is_some_and(|s| !sym::is_identity(s)) {
+                t.incr(Counter::SymmetryFolds);
+            }
+        }
+    }
+
+    /// The wake-up rule on interned state `id`: add `proposal` to its
+    /// explored mask and queue the threads that were missing (if any) for
+    /// re-expansion with the arriving sleep set. The plain load skips the
+    /// atomic read-modify-write for absorbed duplicates — sound because
+    /// explored masks only ever grow.
+    fn wake(&self, id: u32, proposal: ThreadMask, sleep: ThreadMask, out: &mut Vec<WorkItem>) {
+        let explored = &self.arena.get(id).explored;
+        if proposal & !explored.load(Ordering::Relaxed) == 0 {
+            return;
+        }
+        let missing = proposal & !explored.fetch_or(proposal, Ordering::Relaxed);
+        if missing != 0 {
+            out.push(WorkItem { id, mask: missing, sleep, first: false });
+        }
+    }
+
+    /// Insert raw successors of state `parent` (`None` for roots) — the
+    /// engines' hot path, POR-aware (a full-mask proposal makes wake-ups
+    /// impossible and reduces this to plain insertion). Each item is
+    /// fingerprinted (one zero-rebuild walk) and probed under its shard's
+    /// read lock; a hit applies the wake-up rule, a miss is materialised
+    /// to canonical form outside any lock (reusing the probe's
+    /// permutations) and committed under the write lock, which re-checks
+    /// membership — racing workers, or an earlier duplicate in this very
+    /// batch, may have interned it meanwhile. Drains `items`; appends one
+    /// first-visit [`WorkItem`] per novel state and one re-expansion item
+    /// per woken duplicate to `out`.
     ///
     /// With a symmetry spec, items are keyed by their symmetry-canonical
     /// form (one interned representative per orbit), and — when
-    /// `remap_masks` is set, i.e. under POR — each explored proposal is
-    /// transported through the item's group permutation `σ` (bit `t` →
+    /// `remap_masks` is set, i.e. under POR — each proposal and sleep set
+    /// is transported through the item's group permutation `σ` (bit `t` →
     /// bit `σ[t]`) so stored masks always live in the representative's
     /// thread numbering. `remap_masks` must be false without POR: full
     /// masks carry bits `≥ n_threads` that `σ` cannot index.
-    pub(crate) fn insert_batch(
+    fn insert_batch(
         &self,
-        items: Vec<PorItem<V>>,
+        parent: Option<u32>,
+        items: &mut Vec<PorItem>,
         symm: Option<&SymmetrySpec>,
         remap_masks: bool,
-    ) -> (Vec<PorNovel>, Vec<PorWoken>) {
-        let tel = self.tel.as_deref();
-        // Tally a duplicate hit (and a symmetry-orbit fold when the match
-        // went through a non-identity group permutation).
-        let count_dup = |sigma: &Option<Vec<u8>>| {
-            if let Some(t) = tel {
-                t.incr(Counter::DupHits);
-                if sigma.as_deref().is_some_and(|s| !sym::is_identity(s)) {
-                    t.incr(Counter::SymmetryFolds);
+        out: &mut Vec<WorkItem>,
+    ) {
+        for PorItem { raw, tid, mut proposal, mut sleep } in items.drain(..) {
+            let (fp, perms) = ShardedFpMap::key(&raw, symm);
+            if remap_masks {
+                if let Some(sg) = &perms.threads {
+                    proposal = sym::remap_mask(proposal, sg);
+                    sleep = sym::remap_mask(sleep, sg);
                 }
             }
-        };
-        struct Item<V> {
-            shard: usize,
-            fp: Fp128,
-            perms: CanonPerms,
-            raw: Config,
-            proposal: ThreadMask,
-            sleep: ThreadMask,
-            /// `None` once dropped as an absorbed duplicate (or consumed).
-            val: Option<V>,
+            if let Some(id) = self.probe(&raw, fp, &perms, symm) {
+                self.count_dup(&perms.threads);
+                self.wake(id, proposal, sleep, out);
+                continue;
+            }
+            let canon = match symm {
+                Some(spec) => raw.canonical_sym(&perms, spec.maps()),
+                None => raw.canonical_with(&perms),
+            };
+            let mut shard = self.shards[self.shard_of(fp)].write();
+            let known = shard.map.get(&fp).and_then(|b| {
+                b.ids().iter().copied().find(|&id| self.arena.get(id).cfg == canon)
+            });
+            if let Some(id) = known {
+                drop(shard);
+                self.count_dup(&perms.threads);
+                self.wake(id, proposal, sleep, out);
+                continue;
+            }
+            let sigma = perms.threads.filter(|s| !sym::is_identity(s)).map(Vec::into_boxed_slice);
+            let id = self.arena.push(Node {
+                cfg: canon,
+                parent: parent.map(|p| (p, tid)),
+                sigma,
+                explored: AtomicU64::new(proposal),
+            });
+            shard.len += 1;
+            match shard.map.entry(fp) {
+                std::collections::hash_map::Entry::Vacant(e) => {
+                    e.insert(IdBucket::One(id));
+                }
+                std::collections::hash_map::Entry::Occupied(mut e) => {
+                    // A true 128-bit collision: intern alongside.
+                    if let Some(t) = &self.tel {
+                        t.incr(Counter::FpCollisions);
+                    }
+                    e.get_mut().push(id);
+                }
+            }
+            out.push(WorkItem { id, mask: proposal, sleep, first: true });
         }
-        let mut tagged: Vec<Item<V>> = items
-            .into_iter()
-            .map(|(raw, val, mut proposal, mut sleep)| {
-                let mut perms = raw.canonical_perms();
-                let fp = match symm {
-                    Some(spec) => {
-                        perms.threads = spec.choose(&raw, &perms);
-                        if remap_masks {
-                            if let Some(sg) = &perms.threads {
-                                proposal = sym::remap_mask(proposal, sg);
-                                sleep = sym::remap_mask(sleep, sg);
-                            }
-                        }
-                        sym::fingerprint_sym(&raw, &perms, spec)
-                    }
-                    None => raw.fingerprint_with(&perms),
-                };
-                Item { shard: self.shard_of(fp), fp, perms, raw, proposal, sleep, val: Some(val) }
-            })
-            .collect();
-        tagged.sort_by_key(|t| t.shard);
-        let mut novel = Vec::new();
-        let mut woken = Vec::new();
-        let mut i = 0;
-        while i < tagged.len() {
-            let s = tagged[i].shard;
-            let mut j = i;
-            while j < tagged.len() && tagged[j].shard == s {
-                j += 1;
-            }
-            let shard = &self.shards[s];
-            {
-                let rd = shard.read();
-                for t in &mut tagged[i..j] {
-                    if let Some(e) = rd.entry(t.fp, |cfg| match symm {
-                        Some(spec) => t.raw.canonical_eq_sym(&t.perms, spec.maps(), cfg),
-                        None => t.raw.canonical_eq_with(&t.perms, cfg),
-                    }) {
-                        if t.proposal & !e.val.explored == 0 {
-                            count_dup(&t.perms.threads);
-                            t.val = None; // known state, nothing to wake
-                        }
-                    }
-                }
-            }
-            if tagged[i..j].iter().any(|t| t.val.is_some()) {
-                // Materialise survivors outside the locks: novel states pay
-                // their one canonicalisation here; wake-up duplicates are
-                // rare enough that re-materialising them is cheaper than
-                // cloning interned representatives under the read lock.
-                let canons: Vec<Option<Config>> = tagged[i..j]
-                    .iter()
-                    .map(|t| {
-                        t.val.is_some().then(|| match symm {
-                            Some(spec) => t.raw.canonical_sym(&t.perms, spec.maps()),
-                            None => t.raw.canonical_with(&t.perms),
-                        })
-                    })
-                    .collect();
-                let mut wr = shard.write();
-                let FpShard { map, overflow } = &mut *wr;
-                for (t, canon) in tagged[i..j].iter_mut().zip(canons) {
-                    let Some(canon) = canon else { continue };
-                    let val = t.val.take().expect("survivor carries its value");
-                    // Double-check under the write lock (racing workers,
-                    // or an earlier duplicate in this very batch).
-                    match map.entry(t.fp) {
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(FpEntry {
-                                cfg: canon.clone(),
-                                val: Masked { val, explored: t.proposal },
-                            });
-                            novel.push((canon, t.proposal, t.sleep));
-                        }
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            let entry = if e.get().cfg == canon {
-                                Some(e.get_mut())
-                            } else {
-                                overflow
-                                    .iter_mut()
-                                    .find(|(ofp, oe)| *ofp == t.fp && oe.cfg == canon)
-                                    .map(|(_, oe)| oe)
-                            };
-                            match entry {
-                                Some(oe) => {
-                                    // Lost the insert race (or a same-batch
-                                    // twin won): apply the wake-up rule.
-                                    count_dup(&t.perms.threads);
-                                    let missing = t.proposal & !oe.val.explored;
-                                    if missing != 0 {
-                                        oe.val.explored |= missing;
-                                        woken.push((canon, missing, t.sleep));
-                                    }
-                                }
-                                None => {
-                                    // A true 128-bit collision: intern
-                                    // alongside.
-                                    if let Some(tl) = tel {
-                                        tl.incr(Counter::FpCollisions);
-                                    }
-                                    overflow.push((
-                                        t.fp,
-                                        FpEntry {
-                                            cfg: canon.clone(),
-                                            val: Masked { val, explored: t.proposal },
-                                        },
-                                    ));
-                                    novel.push((canon, t.proposal, t.sleep));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            i = j;
-        }
-        (novel, woken)
     }
 }
 
-/// A visited entry's parent pointer: `None` for the initial configuration.
-type Parent = Option<(Config, Tid)>;
-
-/// Rebuild the step sequence from the initial configuration to `last` by
-/// walking the parent-pointer store (quiescent after the workers join).
-fn reconstruct_trace(
-    visited: &ShardedFpMap<Masked<Parent>>,
-    last: &Config,
-) -> Vec<(Tid, Config)> {
-    let mut rev: Vec<(Tid, Config)> = Vec::new();
-    let mut cur = last.clone();
-    while let Some(Masked { val: Some((parent, tid)), .. }) = visited.get_cloned(&cur) {
-        rev.push((tid, cur));
-        cur = parent;
-    }
-    rev.reverse();
-    rev
-}
-
-/// Statistics a [`par_walk`] hands back alongside the visited map.
+/// Statistics a [`par_walk`] hands back alongside the visited store.
 pub(crate) struct WalkStats {
     /// Distinct canonical configurations counted (clamped to
     /// `max_states` when the cap was hit, matching the sequential engine).
@@ -524,79 +496,64 @@ pub(crate) struct WalkStats {
     pub notes: Vec<Note>,
 }
 
-/// One unit of parallel work: a canonical configuration, the mask of
-/// threads to expand, the sleep set the state was reached with, and
-/// whether this is the state's first visit (only first visits may classify
-/// terminals — see `crate::por`). Without POR, every item is
-/// `(cfg, full, ∅, true)`.
-struct WorkItem {
-    cfg: Config,
-    mask: ThreadMask,
-    sleep: ThreadMask,
-    first: bool,
-}
-
 /// The shared batched work-stealing walk both parallel checkers run on,
-/// at the reduction `level` the caller's query allows: expands every
-/// reached canonical configuration exactly once (plus POR wake-up
-/// re-expansions of newly woken threads) and drives three callbacks —
+/// at the reduction `level` the caller's query allows, with the symmetry
+/// spec (and capped orbit, for the note) `active` the caller detected via
+/// `sym::active_spec` for that level. Expands every reached canonical
+/// configuration exactly once (plus POR wake-up re-expansions of newly
+/// woken threads) and drives two callbacks —
 ///
-/// * `edge_value(parent, tid)` — the value stored in the visited store for
-///   a successor first discovered over that edge (the engine stores parent
-///   pointers here, the outline checker `()`);
 /// * `on_edge(parent, tid, successor)` — every generated edge, visited or
 ///   not (annotation classification). The successor is handed **raw**
 ///   (non-canonical): the fingerprint path never materialises canonical
 ///   forms for duplicate successors, so callers that need the canonical
 ///   form (the outline checker) canonicalise themselves;
-/// * `on_novel(config, buf)` — each canonical configuration exactly once,
-///   at first discovery (property checks), with a reusable worker-local
-///   string buffer so violation-free configurations allocate nothing;
-///   also called for the initial configuration before the workers start.
+/// * `on_novel(id, config, buf)` — each canonical configuration exactly
+///   once, at first discovery (property checks), with its store id and a
+///   reusable worker-local string buffer so violation-free configurations
+///   allocate nothing; also called for the initial configuration before
+///   the walk starts.
 ///
-/// **Scheduling**: each worker drains a private LIFO backlog before
-/// touching the shared injector; novel successors feed that backlog
-/// directly, and only the oldest chunk is exported when the backlog
-/// outgrows [`KEEP_LOCAL`] or when the injector runs dry with other
-/// workers around. The injector therefore sees traffic proportional to
-/// the *shared* frontier, not to the state count — single-worker runs
-/// never re-queue through it at all.
+/// **Scheduling**: worker 0 runs on the calling thread; the other
+/// `n_workers - 1` are *recruited* — spawned into the walk's scope — only
+/// at the walk's first export, or when worker 0 faults, so a walk that
+/// never has work to share (most corpus-sized programs under the default
+/// reduction) runs entirely on the caller, with no thread spawned. Each
+/// worker drains a private LIFO backlog before touching the shared
+/// injector; novel successors feed that backlog directly, and only the
+/// oldest [`FLUSH_BATCH`] items are exported when the backlog outgrows
+/// [`KEEP_LOCAL`], or outgrows `FLUSH_BATCH` while the injector is empty
+/// (which, before recruitment, it always is). The injector therefore sees
+/// traffic proportional to the *shared* frontier, not to the state count —
+/// single-worker runs never re-queue through it at all.
 ///
-/// The state cap is enforced against a racy running counter, so the store
-/// may transiently overshoot `opts.max_states`; the returned
+/// The state cap is enforced against the store's racy running count, so
+/// the store may transiently overshoot `opts.max_states`; the returned
 /// [`WalkStats`] reconciles that to the sequential engine's verdict
 /// (truncated, `states == max_states`) whenever the cap was exceeded, so
 /// cap-hitting runs agree across engines.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn par_walk<V, FV, FE, FN>(
+pub(crate) fn par_walk<FE, FN>(
     prog: &CfgProgram,
     objs: &(dyn ObjectSemantics + Sync),
     opts: &ExploreOptions,
     level: Level,
+    active: &(Option<SymmetrySpec>, Option<usize>),
     n_workers: usize,
-    init_value: V,
-    edge_value: FV,
     on_edge: FE,
     on_novel: FN,
-) -> (ShardedFpMap<Masked<V>>, WalkStats)
+) -> (ShardedFpMap, WalkStats)
 where
-    V: Clone + Send + Sync,
-    FV: Fn(&Config, Tid) -> V + Sync,
     FE: Fn(&Config, Tid, &Config) + Sync,
-    FN: Fn(&Config, &mut Vec<String>) + Sync,
+    FN: Fn(u32, &Config, &mut Vec<String>) + Sync,
 {
     let tel = opts.telemetry.clone();
-    let visited: ShardedFpMap<Masked<V>> = ShardedFpMap::new(6, tel.clone());
+    let visited = ShardedFpMap::new(6, tel.clone());
     let injector: Injector<Vec<WorkItem>> = Injector::new();
-    // Worker indices for the per-worker expansion slots: handed out
-    // first-come by the spawned threads themselves, so the spawn loop
-    // needs no per-iteration captures.
-    let worker_ids = AtomicUsize::new(0);
     // Chunks pushed to the injector but not yet fully processed (a stolen
     // chunk stays counted until its worker has drained the whole backlog
     // it spawned); all-workers-idle is `pending == 0` + empty injector.
     let pending = AtomicUsize::new(0);
-    let n_states = AtomicUsize::new(0);
     let transitions = AtomicUsize::new(0);
     let truncated = AtomicBool::new(false);
     // The shared stop reason, max-combined across workers (the lattice
@@ -609,8 +566,8 @@ where
     // Stringified panic payloads of contained worker faults.
     let faults: Mutex<Vec<String>> = Mutex::new(Vec::new());
     let deadline = opts.budget.deadline.map(|d| Instant::now() + d);
-    let terminated: Mutex<Vec<Config>> = Mutex::new(Vec::new());
-    let deadlocked: Mutex<Vec<Config>> = Mutex::new(Vec::new());
+    let terminated: Mutex<Vec<u32>> = Mutex::new(Vec::new());
+    let deadlocked: Mutex<Vec<u32>> = Mutex::new(Vec::new());
     let n_threads = prog.n_threads();
     let mut notes: Vec<Note> = Vec::new();
     // Thread masks only exist on the POR path, which caps programs at 64
@@ -626,8 +583,8 @@ where
         }
     }
     let full = if por { por::full_mask(n_threads) } else { !0 };
-    let (spec, capped_orbit) = sym::active_spec(prog, level.symmetry);
-    if let Some(orbit) = capped_orbit {
+    let (spec, capped_orbit) = active;
+    if let Some(orbit) = *capped_orbit {
         notes.push(Note::SymmetryOrbitCap { orbit });
         if let Some(t) = &tel {
             t.incr(Counter::CapDegradations);
@@ -639,358 +596,327 @@ where
     let n_workers = n_workers.max(1);
 
     let init = Config::initial(prog).canonical();
-    let mut init_buf = Vec::new();
-    on_novel(&init, &mut init_buf);
-    debug_assert!(init_buf.is_empty(), "on_novel must drain its buffer");
-    // Retry re-submissions go through `insert_batch`, which needs a value
-    // for the (impossible) novel case; any placeholder does, the duplicate
-    // path discards it.
-    let retry_val = init_value.clone();
     let init_prop = pers.as_ref().map_or(full, |p| p.persistent_mask(&init.pcs));
     mem_bytes.store(init.approx_bytes(), Ordering::SeqCst);
-    visited.insert_init(init.clone(), init_value, init_prop);
-    n_states.store(1, Ordering::SeqCst);
+    let mut root = Vec::with_capacity(1);
+    visited.insert_batch(
+        None,
+        &mut vec![PorItem { raw: init, tid: Tid(0), proposal: init_prop, sleep: 0 }],
+        symm,
+        false,
+        &mut root,
+    );
+    let mut init_buf = Vec::new();
+    on_novel(root[0].id, visited.config(root[0].id), &mut init_buf);
+    debug_assert!(init_buf.is_empty(), "on_novel must drain its buffer");
     pending.store(1, Ordering::SeqCst);
     if let Some(t) = &tel {
         t.incr(Counter::States);
         t.frontier_add(1);
     }
-    injector.push(vec![WorkItem { cfg: init, mask: init_prop, sleep: 0, first: true }]);
+    injector.push(root);
 
-    crossbeam::scope(|scope| {
-        for _ in 0..n_workers {
-            scope.spawn(|_| {
-                let w = worker_ids.fetch_add(1, Ordering::Relaxed);
-                let mut local: Vec<WorkItem> = Vec::new();
-                let mut buf: Vec<String> = Vec::new();
-                loop {
-                    match injector.steal() {
-                        Steal::Success(chunk) => {
-                            local.extend(chunk);
-                            // The whole drain runs under `catch_unwind`:
-                            // a panicking worker (a bug in a callback, or
-                            // an injected chaos fault) is contained — its
-                            // surviving backlog goes back through the
-                            // injector for the other workers, the fault is
-                            // recorded, and the walk degrades instead of
-                            // tearing down the process. `local`/`buf` are
-                            // owned outside the closure so they survive
-                            // the unwind; the shared stores are lock-based
-                            // (parking_lot: no poisoning) and every
-                            // partial update they may have seen is a sound
-                            // prefix — `StopReason::WorkerFault` keeps the
-                            // run from claiming completeness.
-                            let drained = catch_unwind(AssertUnwindSafe(|| {
-                            while let Some(item) = local.pop() {
-                                // Budget and cancellation gates, between
-                                // work items (mirroring the sequential
-                                // explorer's loop-head gates). All four
-                                // read *shared* state (the token, the
-                                // clock, the global counters), so every
-                                // worker trips on its own next item —
-                                // backlogs are dropped and the remaining
-                                // injector chunks are stolen and discarded,
-                                // draining the pending count to zero. A
-                                // recorded `WorkerFault` deliberately does
-                                // NOT trip this gate: survivors keep
-                                // exploring degraded.
-                                let tripped = if opts.cancel.is_cancelled() {
-                                    Some(StopReason::Cancelled)
-                                } else if deadline.is_some_and(|dl| Instant::now() >= dl) {
-                                    Some(StopReason::Deadline)
-                                } else if opts.budget.max_transitions.is_some_and(|cap| {
-                                    transitions.load(Ordering::Relaxed) >= cap
-                                }) {
-                                    Some(StopReason::TransitionCap)
-                                } else if opts.budget.max_mem_bytes.is_some_and(|cap| {
-                                    mem_bytes.load(Ordering::Relaxed) >= cap
-                                }) {
-                                    Some(StopReason::MemBudget)
-                                } else {
-                                    None
-                                };
-                                if let Some(reason) = tripped {
-                                    stop.fetch_max(reason.as_u8(), Ordering::Relaxed);
-                                    if let Some(t) = &tel {
-                                        t.frontier_sub(1 + local.len() as u64);
-                                    }
-                                    local.clear();
-                                    break;
-                                }
-                                // Deterministic chaos fault point: may
-                                // stall or panic (contained above).
-                                if let Some(chaos) = &opts.chaos {
-                                    chaos.on_expansion();
-                                }
+    // One worker's whole life: steal chunks until the walk is idle. Worker
+    // 0 is handed `recruit`, which spawns the others; they get a no-op.
+    let work = |w: usize, recruit: &dyn Fn()| {
+        let mut local: Vec<WorkItem> = Vec::new();
+        let mut items: Vec<PorItem> = Vec::new();
+        let mut buf: Vec<String> = Vec::new();
+        loop {
+            match injector.steal() {
+                Steal::Success(chunk) => {
+                    local.extend(chunk);
+                    // The whole drain runs under `catch_unwind`: a
+                    // panicking worker (a bug in a callback, or an
+                    // injected chaos fault) is contained — its surviving
+                    // backlog goes back through the injector for the
+                    // other workers (recruited now if they do not exist
+                    // yet), the fault is recorded, and the walk degrades
+                    // instead of tearing down the process. `local`,
+                    // `items` and `buf` are owned outside the closure so
+                    // they survive the unwind; the shared stores are
+                    // lock-based (parking_lot: no poisoning) or atomic,
+                    // and every partial update they may have seen is a
+                    // sound prefix — `StopReason::WorkerFault` keeps the
+                    // run from claiming completeness.
+                    let drained = catch_unwind(AssertUnwindSafe(|| {
+                        while let Some(item) = local.pop() {
+                            // Budget and cancellation gates, between work
+                            // items (mirroring the sequential explorer's
+                            // loop-head gates). All four read *shared*
+                            // state (the token, the clock, the global
+                            // counters), so every worker trips on its own
+                            // next item — backlogs are dropped and the
+                            // remaining injector chunks are stolen and
+                            // discarded, draining the pending count to
+                            // zero. A recorded `WorkerFault` deliberately
+                            // does NOT trip this gate: survivors keep
+                            // exploring degraded.
+                            let tripped = if opts.cancel.is_cancelled() {
+                                Some(StopReason::Cancelled)
+                            } else if deadline.is_some_and(|dl| Instant::now() >= dl) {
+                                Some(StopReason::Deadline)
+                            } else if opts.budget.max_transitions.is_some_and(|cap| {
+                                transitions.load(Ordering::Relaxed) >= cap
+                            }) {
+                                Some(StopReason::TransitionCap)
+                            } else if opts
+                                .budget
+                                .max_mem_bytes
+                                .is_some_and(|cap| mem_bytes.load(Ordering::Relaxed) >= cap)
+                            {
+                                Some(StopReason::MemBudget)
+                            } else {
+                                None
+                            };
+                            if let Some(reason) = tripped {
+                                stop.fetch_max(reason.as_u8(), Ordering::Relaxed);
                                 if let Some(t) = &tel {
-                                    t.add_expansions(w, 1);
-                                    t.frontier_sub(1);
+                                    t.frontier_sub(1 + local.len() as u64);
                                 }
-                                let WorkItem { cfg, mask, sleep, first } = item;
-                                let mut fps =
-                                    por.then(|| por::LazyFootprints::new(n_threads));
-                                let mut items: Vec<PorItem<V>> = Vec::new();
-                                let mut any_succ = false;
-                                let mut earlier: ThreadMask = 0;
-                                for t in 0..n_threads {
-                                    if por && mask & (1u64 << t) == 0 {
-                                        continue;
-                                    }
-                                    let succs =
-                                        thread_successors(prog, objs, &cfg, t, opts.step);
-                                    transitions.fetch_add(succs.len(), Ordering::Relaxed);
-                                    if let Some(tl) = &tel {
-                                        tl.add(Counter::Transitions, succs.len() as u64);
-                                    }
-                                    any_succ |= !succs.is_empty();
-                                    let child_sleep = match (&mut fps, &statics) {
-                                        (Some(fps), Some(cm)) => {
-                                            let cs = por::child_sleep_static(
-                                                prog,
-                                                &cfg,
-                                                fps,
-                                                cm.static_indep(),
-                                                sleep | earlier,
-                                                t,
-                                            );
-                                            earlier |= 1u64 << t;
-                                            cs
-                                        }
-                                        _ => 0,
-                                    };
-                                    let tid = Tid(t as u8);
-                                    for succ in succs {
-                                        // Every edge, visited or not, raw.
-                                        on_edge(&cfg, tid, &succ);
-                                        let v = edge_value(&cfg, tid);
-                                        // The successor's persistent set
-                                        // (full without A7): a pure
-                                        // function of the program counters,
-                                        // computed on the raw successor and
-                                        // transported through σ by the
-                                        // store (symmetric threads have
-                                        // equal future footprints).
-                                        let pmask = pers
-                                            .as_ref()
-                                            .map_or(full, |p| p.persistent_mask(&succ.pcs));
-                                        if por {
-                                            if let Some(tl) = &tel {
-                                                // Reduction attribution per
-                                                // successor (zero when the
-                                                // reduction is off) — same
-                                                // sites as the sequential
-                                                // engine's.
-                                                tl.add(
-                                                    Counter::SleepSetPrunes,
-                                                    (pmask & child_sleep).count_ones()
-                                                        as u64,
-                                                );
-                                                tl.add(
-                                                    Counter::PersistentSheds,
-                                                    (full & !pmask).count_ones() as u64,
-                                                );
-                                            }
-                                        }
-                                        items.push((
-                                            succ,
-                                            v,
-                                            pmask & !child_sleep,
-                                            child_sleep,
-                                        ));
-                                    }
+                                local.clear();
+                                break;
+                            }
+                            // Deterministic chaos fault point: may stall
+                            // or panic (contained above).
+                            if let Some(chaos) = &opts.chaos {
+                                chaos.on_expansion();
+                            }
+                            if let Some(t) = &tel {
+                                t.add_expansions(w, 1);
+                                t.frontier_sub(1);
+                            }
+                            let WorkItem { id, mask, sleep, first } = item;
+                            let cfg = visited.config(id);
+                            let mut fps = por.then(|| por::LazyFootprints::new(n_threads));
+                            let mut any_succ = false;
+                            let mut earlier: ThreadMask = 0;
+                            for t in 0..n_threads {
+                                if por && mask & (1u64 << t) == 0 {
+                                    continue;
                                 }
-                                if !any_succ {
-                                    if first
-                                        // Only a first visit may classify,
-                                        // and only after probing the
-                                        // arrived-asleep threads (a fully
-                                        // slept state is not terminal; the
-                                        // probe stays out of the transition
-                                        // count — see `por::has_any_successor`).
-                                        && !por::has_any_successor(
+                                let succs = thread_successors(prog, objs, cfg, t, opts.step);
+                                transitions.fetch_add(succs.len(), Ordering::Relaxed);
+                                if let Some(tl) = &tel {
+                                    tl.add(Counter::Transitions, succs.len() as u64);
+                                }
+                                any_succ |= !succs.is_empty();
+                                let child_sleep = match (&mut fps, &statics) {
+                                    (Some(fps), Some(cm)) => {
+                                        let cs = por::child_sleep_static(
                                             prog,
-                                            objs,
-                                            &cfg,
-                                            full & !mask,
-                                            opts.step,
-                                        )
-                                    {
-                                        if cfg.terminated(prog) {
-                                            terminated.lock().push(cfg);
-                                        } else {
-                                            deadlocked.lock().push(cfg);
-                                        }
-                                    } else if pers.is_some() {
-                                        // Retry rule (A7): every expanded
-                                        // thread was blocked — a persistent
-                                        // member stuck on a lock acquire,
-                                        // say — but the state is not
-                                        // terminal. Persistence cannot
-                                        // promise an outside thread will
-                                        // unblock a member, so grow the
-                                        // expansion to every non-slept
-                                        // thread with a real successor.
-                                        // The re-submission goes through
-                                        // the store's wake-up rule, which
-                                        // computes the not-yet-explored
-                                        // remainder under the shard lock —
-                                        // racing retries of one state
-                                        // dedup to a single re-expansion.
-                                        let rest = full & !mask & !sleep;
-                                        if rest != 0
-                                            && por::has_any_successor(
-                                                prog, objs, &cfg, rest, opts.step,
-                                            )
-                                        {
-                                            let (_, woken) = visited.insert_batch(
-                                                vec![(
-                                                    cfg,
-                                                    retry_val.clone(),
-                                                    mask | rest,
-                                                    sleep,
-                                                )],
-                                                symm,
-                                                por,
-                                            );
-                                            for (canon, missing, slp) in woken {
-                                                if let Some(t) = &tel {
-                                                    t.frontier_add(1);
-                                                }
-                                                local.push(WorkItem {
-                                                    cfg: canon,
-                                                    mask: missing,
-                                                    sleep: slp,
-                                                    first: false,
-                                                });
-                                            }
-                                        }
-                                    }
-                                    continue;
-                                }
-                                if n_states.load(Ordering::Relaxed) >= opts.max_states {
-                                    // Cap hit: keep draining the queue (so
-                                    // every queued state is still expanded
-                                    // and classified) but drop novel
-                                    // successors, marking truncation only
-                                    // if one actually existed — mirroring
-                                    // the sequential explorers.
-                                    if items
-                                        .iter()
-                                        .any(|(succ, ..)| !visited.contains_state_sym(succ, symm))
-                                    {
-                                        truncated.store(true, Ordering::Relaxed);
-                                    }
-                                    continue;
-                                }
-                                let (novel, woken) = visited.insert_batch(items, symm, por);
-                                let n_queued = novel.len() + woken.len();
-                                for (canon, explored, slp) in novel {
-                                    n_states.fetch_add(1, Ordering::Relaxed);
-                                    mem_bytes
-                                        .fetch_add(canon.approx_bytes(), Ordering::Relaxed);
-                                    if let Some(t) = &tel {
-                                        t.incr(Counter::States);
-                                    }
-                                    on_novel(&canon, &mut buf);
-                                    debug_assert!(
-                                        buf.is_empty(),
-                                        "on_novel must drain its buffer"
-                                    );
-                                    local.push(WorkItem {
-                                        cfg: canon,
-                                        mask: explored,
-                                        sleep: slp,
-                                        first: true,
-                                    });
-                                }
-                                for (canon, missing, slp) in woken {
-                                    local.push(WorkItem {
-                                        cfg: canon,
-                                        mask: missing,
-                                        sleep: slp,
-                                        first: false,
-                                    });
-                                }
-                                if let Some(t) = &tel {
-                                    t.frontier_add(n_queued as u64);
-                                }
-                                // Share the oldest chunk when the backlog
-                                // outgrows the keep-local bound, or as soon
-                                // as the injector runs dry while other
-                                // workers could be starving. A lone worker
-                                // never exports: there is nobody to share
-                                // with, and the round-trip is pure cost.
-                                if n_workers > 1
-                                    && (local.len() > KEEP_LOCAL
-                                        || (local.len() > FLUSH_BATCH
-                                            && injector.is_empty()))
-                                {
-                                    let shared: Vec<WorkItem> =
-                                        local.drain(..FLUSH_BATCH).collect();
-                                    pending.fetch_add(1, Ordering::SeqCst);
-                                    if let Some(t) = &tel {
-                                        t.incr(Counter::InjectorFlushes);
-                                    }
-                                    injector.push(shared);
-                                } else if n_queued > 0 {
-                                    // This expansion's new work stayed on
-                                    // the private backlog — the keep-local
-                                    // scheduling win the telemetry
-                                    // attributes.
-                                    if let Some(t) = &tel {
-                                        t.add(
-                                            Counter::KeepLocalRetained,
-                                            n_queued as u64,
+                                            cfg,
+                                            fps,
+                                            cm.static_indep(),
+                                            sleep | earlier,
+                                            t,
                                         );
+                                        earlier |= 1u64 << t;
+                                        cs
                                     }
+                                    _ => 0,
+                                };
+                                let tid = Tid(t as u8);
+                                for succ in succs {
+                                    // Every edge, visited or not, raw.
+                                    on_edge(cfg, tid, &succ);
+                                    // The successor's persistent set (full
+                                    // without A7): a pure function of the
+                                    // program counters, computed on the raw
+                                    // successor and transported through σ
+                                    // by the store (symmetric threads have
+                                    // equal future footprints).
+                                    let pmask = pers
+                                        .as_ref()
+                                        .map_or(full, |p| p.persistent_mask(&succ.pcs));
+                                    if por {
+                                        if let Some(tl) = &tel {
+                                            // Reduction attribution per
+                                            // successor (zero when the
+                                            // reduction is off) — same
+                                            // sites as the sequential
+                                            // engine's.
+                                            tl.add(
+                                                Counter::SleepSetPrunes,
+                                                (pmask & child_sleep).count_ones() as u64,
+                                            );
+                                            tl.add(
+                                                Counter::PersistentSheds,
+                                                (full & !pmask).count_ones() as u64,
+                                            );
+                                        }
+                                    }
+                                    items.push(PorItem {
+                                        raw: succ,
+                                        tid,
+                                        proposal: pmask & !child_sleep,
+                                        sleep: child_sleep,
+                                    });
                                 }
                             }
-                            }));
-                            match drained {
-                                Ok(()) => {
-                                    pending.fetch_sub(1, Ordering::SeqCst);
-                                }
-                                Err(payload) => {
-                                    // Contained fault: hand the surviving
-                                    // backlog to the other workers (the +1
-                                    // lands *before* our own -1 so the
-                                    // pending count never transiently hits
-                                    // zero and ends the walk early), record
-                                    // the fault, and retire this worker.
-                                    // The in-flight item itself is lost —
-                                    // sound, because `WorkerFault` keeps
-                                    // the report from claiming `Complete`.
-                                    buf.clear();
-                                    if !local.is_empty() {
-                                        pending.fetch_add(1, Ordering::SeqCst);
-                                        injector.push(std::mem::take(&mut local));
+                            if !any_succ {
+                                if first
+                                    // Only a first visit may classify, and
+                                    // only after probing the arrived-asleep
+                                    // threads (a fully slept state is not
+                                    // terminal; the probe stays out of the
+                                    // transition count — see
+                                    // `por::has_any_successor`).
+                                    && !por::has_any_successor(
+                                        prog,
+                                        objs,
+                                        cfg,
+                                        full & !mask,
+                                        opts.step,
+                                    )
+                                {
+                                    if cfg.terminated(prog) {
+                                        terminated.lock().push(id);
+                                    } else {
+                                        deadlocked.lock().push(id);
                                     }
-                                    pending.fetch_sub(1, Ordering::SeqCst);
-                                    stop.fetch_max(
-                                        StopReason::WorkerFault.as_u8(),
-                                        Ordering::Relaxed,
-                                    );
-                                    let message = payload
-                                        .downcast_ref::<&str>()
-                                        .map(|s| s.to_string())
-                                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                                        .unwrap_or_else(|| "worker panicked".to_string());
-                                    faults.lock().push(message);
-                                    return;
+                                } else if pers.is_some() {
+                                    // Retry rule (A7): every expanded
+                                    // thread was blocked — a persistent
+                                    // member stuck on a lock acquire, say
+                                    // — but the state is not terminal.
+                                    // Persistence cannot promise an outside
+                                    // thread will unblock a member, so grow
+                                    // the expansion to every non-slept
+                                    // thread with a real successor, through
+                                    // the wake-up rule: racing retries of
+                                    // one state dedup to a single
+                                    // re-expansion.
+                                    let rest = full & !mask & !sleep;
+                                    if rest != 0
+                                        && por::has_any_successor(prog, objs, cfg, rest, opts.step)
+                                    {
+                                        let before = local.len();
+                                        visited.wake(id, rest, sleep, &mut local);
+                                        if let Some(t) = &tel {
+                                            t.frontier_add((local.len() - before) as u64);
+                                        }
+                                    }
+                                }
+                                continue;
+                            }
+                            if visited.len() >= opts.max_states {
+                                // Cap hit: keep draining the queue (so
+                                // every queued state is still expanded and
+                                // classified) but drop novel successors,
+                                // marking truncation only if one actually
+                                // existed — mirroring the sequential
+                                // explorers.
+                                if items
+                                    .iter()
+                                    .any(|it| !visited.contains_state_sym(&it.raw, symm))
+                                {
+                                    truncated.store(true, Ordering::Relaxed);
+                                }
+                                items.clear();
+                                continue;
+                            }
+                            let before = local.len();
+                            visited.insert_batch(Some(id), &mut items, symm, por, &mut local);
+                            for it in &local[before..] {
+                                if !it.first {
+                                    continue;
+                                }
+                                let canon = visited.config(it.id);
+                                mem_bytes.fetch_add(canon.approx_bytes(), Ordering::Relaxed);
+                                if let Some(t) = &tel {
+                                    t.incr(Counter::States);
+                                }
+                                on_novel(it.id, canon, &mut buf);
+                                debug_assert!(buf.is_empty(), "on_novel must drain its buffer");
+                            }
+                            let n_queued = local.len() - before;
+                            if let Some(t) = &tel {
+                                t.frontier_add(n_queued as u64);
+                            }
+                            // Share the oldest chunk when the backlog
+                            // outgrows the keep-local bound, or as soon as
+                            // the injector runs dry while other workers
+                            // could be starving — recruiting them first if
+                            // this is the walk's first export. A lone
+                            // worker never exports: there is nobody to
+                            // share with, and the round-trip is pure cost.
+                            if n_workers > 1
+                                && (local.len() > KEEP_LOCAL
+                                    || (local.len() > FLUSH_BATCH && injector.is_empty()))
+                            {
+                                recruit();
+                                let shared: Vec<WorkItem> = local.drain(..FLUSH_BATCH).collect();
+                                pending.fetch_add(1, Ordering::SeqCst);
+                                if let Some(t) = &tel {
+                                    t.incr(Counter::InjectorFlushes);
+                                }
+                                injector.push(shared);
+                            } else if n_queued > 0 {
+                                // This expansion's new work stayed on the
+                                // private backlog — the keep-local
+                                // scheduling win the telemetry attributes.
+                                if let Some(t) = &tel {
+                                    t.add(Counter::KeepLocalRetained, n_queued as u64);
                                 }
                             }
                         }
-                        Steal::Retry => {}
-                        Steal::Empty => {
-                            if pending.load(Ordering::SeqCst) == 0 {
-                                break;
+                    }));
+                    match drained {
+                        Ok(()) => {
+                            pending.fetch_sub(1, Ordering::SeqCst);
+                        }
+                        Err(payload) => {
+                            // Contained fault: hand the surviving backlog
+                            // to the other workers (the +1 lands *before*
+                            // our own -1 so the pending count never
+                            // transiently hits zero and ends the walk
+                            // early), recruit them if worker 0 faulted
+                            // before any export, record the fault, and
+                            // retire this worker. The in-flight item
+                            // itself is lost — sound, because
+                            // `WorkerFault` keeps the report from claiming
+                            // `Complete`.
+                            buf.clear();
+                            items.clear();
+                            if !local.is_empty() {
+                                pending.fetch_add(1, Ordering::SeqCst);
+                                injector.push(std::mem::take(&mut local));
                             }
-                            std::thread::yield_now();
+                            recruit();
+                            pending.fetch_sub(1, Ordering::SeqCst);
+                            stop.fetch_max(StopReason::WorkerFault.as_u8(), Ordering::Relaxed);
+                            let message = payload
+                                .downcast_ref::<&str>()
+                                .map(|s| s.to_string())
+                                .or_else(|| payload.downcast_ref::<String>().cloned())
+                                .unwrap_or_else(|| "worker panicked".to_string());
+                            faults.lock().push(message);
+                            return;
                         }
                     }
                 }
-            });
+                Steal::Retry => {}
+                Steal::Empty => {
+                    if pending.load(Ordering::SeqCst) == 0 {
+                        break;
+                    }
+                    std::thread::yield_now();
+                }
+            }
         }
+    };
+    let work = &work;
+    crossbeam::scope(|scope| {
+        let recruited = AtomicBool::new(false);
+        let recruit = || {
+            if !recruited.swap(true, Ordering::Relaxed) {
+                for w in 1..n_workers {
+                    scope.spawn(move |_| work(w, &|| {}));
+                }
+            }
+        };
+        work(0, &recruit);
     })
     .expect("uncontained worker panic escaped catch_unwind");
 
@@ -1025,11 +951,12 @@ where
         t.frontier_set(0);
     }
 
+    let configs = |ids: Vec<u32>| ids.into_iter().map(|id| visited.config(id).clone()).collect();
     let stats = WalkStats {
         states,
         transitions: transitions.into_inner(),
-        terminated: terminated.into_inner(),
-        deadlocked: deadlocked.into_inner(),
+        terminated: configs(terminated.into_inner()),
+        deadlocked: configs(deadlocked.into_inner()),
         stop: final_stop,
         notes,
     };
@@ -1037,11 +964,12 @@ where
 }
 
 /// Exhaustive parallel reachability with a property callback. Semantically
-/// identical to [`crate::explore::Explorer::explore_with`]: same state,
-/// transition and terminal counts and the same violation set — including
-/// counterexample traces when [`ExploreOptions::record_traces`] is set
-/// (the differential suite enforces this). Prefer going through
-/// [`crate::engine::Engine`] / [`crate::engine::choose_engine`].
+/// identical to [`crate::explore::Explorer::explore_with`]: the same
+/// terminal and violation sets — including counterexample traces when
+/// [`ExploreOptions::record_traces`] is set — and, under
+/// [`Reduction::None`](crate::engine::Reduction), the same state and
+/// transition counts (the differential suite enforces this). Prefer going
+/// through [`crate::engine::Engine`] / [`crate::engine::choose_engine`].
 pub fn par_explore(
     prog: &CfgProgram,
     objs: &(dyn ObjectSemantics + Sync),
@@ -1063,43 +991,37 @@ pub(crate) fn par_run(
     check: impl Fn(&Config, &mut Vec<String>) + Sync,
 ) -> EngineReport {
     let level = Level::of(opts.reduce, query);
-    // Same detection `par_walk` runs (it is deterministic and cheap):
-    // under symmetry reduction a state query's callback must additionally
+    // Under symmetry reduction a state query's callback must additionally
     // see every non-representative orbit member, and terminal sets must
     // be orbit-expanded back to the unreduced search's. The cap note is
     // `par_walk`'s to report.
-    let (spec, _) = sym::active_spec(prog, level.symmetry);
-    let members = if query == Query::States { spec.as_ref() } else { None };
+    let active = sym::active_spec(prog, level.symmetry);
+    let spec = active.0.as_ref();
+    let members = if query == Query::States { spec } else { None };
 
-    // Violations as (what, config, orbit origin); traces are attached
-    // after the join, once the parent-pointer store is quiescent. For an
-    // orbit-member violation the origin carries the interned
-    // representative (where the parent-pointer walk must start) and the
-    // group permutation `π` mapping the representative chain onto the
-    // member's.
-    type Origin = Option<(Config, Vec<u8>)>;
+    // Violations as (what, store id, orbit member); traces are attached
+    // after the join, once the store is quiescent. An orbit-member
+    // violation carries the group permutation `π` mapping the
+    // representative chain onto the member's, and the member itself.
+    type Member = Option<(Vec<u8>, Config)>;
     let run_start = Instant::now();
     // Telemetry rides as a delta: snapshot the (possibly shared,
     // cumulative) sink at entry and attach only this run's contribution.
     let tel0 = opts.telemetry.as_ref().map(|t| t.snapshot());
-    let found: Mutex<Vec<(String, Config, Origin)>> = Mutex::new(Vec::new());
+    let found: Mutex<Vec<(String, u32, Member)>> = Mutex::new(Vec::new());
 
     let (visited, mut stats) = par_walk(
         prog,
         objs,
         opts,
         level,
+        &active,
         n_workers,
-        None,
-        |parent, tid| opts.record_traces.then(|| (parent.clone(), tid)),
         |_, _, _| {},
-        |canon, buf| {
+        |id, canon, buf| {
             check(canon, buf);
             if !buf.is_empty() {
-                let mut f = found.lock();
-                for what in buf.drain(..) {
-                    f.push((what, canon.clone(), None));
-                }
+                found.lock().extend(buf.drain(..).map(|what| (what, id, None)));
             }
             if let Some(spec) = members {
                 for (pi, member) in sym::orbit_members(spec, canon) {
@@ -1107,7 +1029,7 @@ pub(crate) fn par_run(
                     if !buf.is_empty() {
                         let mut f = found.lock();
                         for what in buf.drain(..) {
-                            f.push((what, member.clone(), Some((canon.clone(), pi.clone()))));
+                            f.push((what, id, Some((pi.clone(), member.clone()))));
                         }
                     }
                 }
@@ -1115,25 +1037,21 @@ pub(crate) fn par_run(
         },
     );
 
-    if let Some(spec) = &spec {
+    if let Some(spec) = spec {
         sym::expand_terminals(spec, &mut stats.terminated);
         sym::expand_terminals(spec, &mut stats.deadlocked);
     }
 
+    let identity: Vec<u8> = (0..prog.n_threads() as u8).collect();
     let violations = found
         .into_inner()
         .into_iter()
-        .map(|(what, config, origin)| {
-            let trace = opts.record_traces.then(|| match (&origin, &spec) {
-                // A member violation: walk the representative chain, then
-                // permute it onto the member's orbit copy (ending at the
-                // violating configuration because the original ended at
-                // its representative).
-                (Some((rep, pi)), Some(spec)) => {
-                    sym::permute_trace(spec, pi, reconstruct_trace(&visited, rep))
-                }
-                _ => reconstruct_trace(&visited, &config),
+        .map(|(what, id, member)| {
+            let trace = opts.record_traces.then(|| {
+                let pi = member.as_ref().map_or(&identity[..], |(pi, _)| &pi[..]);
+                visited.trace(id, spec.map(|s| (s, pi)))
             });
+            let config = member.map_or_else(|| visited.config(id).clone(), |(_, m)| m);
             Violation { what, config, trace }
         })
         .collect();
@@ -1164,7 +1082,10 @@ mod tests {
     use rc11_lang::compile;
     use rc11_lang::machine::{successors, NoObjects};
     use rc11_objects::AbstractObjects;
+    use crate::chaos::{ChaosState, FaultPlan};
+    use crate::engine::{Engine, Reduction};
     use std::collections::HashSet;
+    use std::thread::ThreadId;
 
     fn sb_prog() -> rc11_lang::CfgProgram {
         let mut p = ProgramBuilder::new("sb");
@@ -1287,9 +1208,33 @@ mod tests {
         assert!(!report.ok());
     }
 
+    /// Items for [`ShardedFpMap::insert_batch`] with full masks (no POR),
+    /// each tagged by its position through the edge's thread id.
+    fn full_items(cfgs: &[Config]) -> Vec<PorItem> {
+        assert!(cfgs.len() <= 256, "tags fit a thread id");
+        cfgs.iter()
+            .enumerate()
+            .map(|(i, c)| PorItem { raw: c.clone(), tid: Tid(i as u8), proposal: !0, sleep: 0 })
+            .collect()
+    }
+
+    /// One insert through the batch path, returning what it queued.
+    fn insert_one(
+        m: &ShardedFpMap,
+        raw: &Config,
+        proposal: ThreadMask,
+        sleep: ThreadMask,
+    ) -> Vec<WorkItem> {
+        let mut items = vec![PorItem { raw: raw.clone(), tid: Tid(0), proposal, sleep }];
+        let mut out = Vec::new();
+        m.insert_batch(Some(0), &mut items, None, false, &mut out);
+        assert!(items.is_empty(), "the batch is drained");
+        out
+    }
+
     /// The fingerprint store dedups representationally distinct raw forms
     /// of the same canonical state, interns the canonical form once, and
-    /// serves value lookups by canonical configuration.
+    /// serves lookups by raw or canonical configuration.
     #[test]
     fn sharded_fp_map_interns_by_canonical_identity() {
         let prog = sb_prog();
@@ -1300,31 +1245,34 @@ mod tests {
         let canon = raw.canonical();
         assert_ne!(raw, canon, "raw successor ids differ from canonical ids");
 
-        let m: ShardedFpMap<Masked<u32>> = ShardedFpMap::new(3, None);
+        let m = ShardedFpMap::new(3, None);
         // Same state under two representations in one batch: one winner
         // (the full-mask proposal makes wake-ups impossible, mirroring a
         // non-POR engine run).
-        let (novel, woken) =
-            m.insert_batch(vec![(raw.clone(), 1, !0, 0), (canon.clone(), 2, !0, 0)], None, false);
-        assert_eq!(novel, vec![(canon.clone(), !0, 0)]);
-        assert!(woken.is_empty());
+        let mut out = Vec::new();
+        let mut items = full_items(&[raw.clone(), canon.clone()]);
+        m.insert_batch(Some(7), &mut items, None, false, &mut out);
+        assert_eq!(out, vec![WorkItem { id: 0, mask: !0, sleep: 0, first: true }]);
+        assert_eq!(m.config(0), &canon);
         assert_eq!(m.len(), 1);
         // Across batches: both representations are already known.
-        let (novel, woken) =
-            m.insert_batch(vec![(canon.clone(), 3, !0, 0), (raw.clone(), 4, !0, 0)], None, false);
-        assert!(novel.is_empty() && woken.is_empty());
+        out.clear();
+        let mut items = full_items(&[canon.clone(), raw.clone()]);
+        m.insert_batch(Some(7), &mut items, None, false, &mut out);
+        assert!(out.is_empty());
         assert!(m.contains_state(&raw));
         assert!(m.contains_state(&canon));
         assert!(!m.contains_state(&init));
-        assert_eq!(m.get_cloned(&canon).map(|v| v.val), Some(1), "first occurrence wins");
-        assert!(m.get_cloned(&init).is_none());
+        assert_eq!(m.find(&raw), Some(0));
+        assert_eq!(m.parent(0), Some((7, Tid(0))), "first occurrence wins");
+        assert!(m.find(&init).is_none());
         assert!(!m.is_empty());
     }
 
     /// The POR wake-up rule at the store level: a duplicate arriving with
     /// an explored-mask proposal exceeding the stored mask grows the mask
-    /// under the write lock and reports the missing threads exactly once;
-    /// absorbed duplicates report nothing.
+    /// and reports the missing threads exactly once; absorbed duplicates
+    /// report nothing.
     #[test]
     fn sharded_fp_map_wakes_underexplored_duplicates() {
         let prog = sb_prog();
@@ -1333,37 +1281,31 @@ mod tests {
         let raw = succs[0].1.clone();
         let canon = raw.canonical();
 
-        let m: ShardedFpMap<Masked<u32>> = ShardedFpMap::new(3, None);
+        let m = ShardedFpMap::new(3, None);
         // First arrival: threads {0} explored, thread 1 slept.
-        let (novel, woken) = m.insert_batch(vec![(raw.clone(), 1, 0b01, 0b10)], None, false);
-        assert_eq!(novel, vec![(canon.clone(), 0b01, 0b10)]);
-        assert!(woken.is_empty());
+        let out = insert_one(&m, &raw, 0b01, 0b10);
+        assert_eq!(out, vec![WorkItem { id: 0, mask: 0b01, sleep: 0b10, first: true }]);
         // A smaller-or-equal proposal is absorbed silently.
-        let (novel, woken) = m.insert_batch(vec![(canon.clone(), 2, 0b01, 0b10)], None, false);
-        assert!(novel.is_empty() && woken.is_empty());
+        assert!(insert_one(&m, &canon, 0b01, 0b10).is_empty());
         // A larger proposal wakes exactly the missing thread, handing the
         // re-expansion the *arriving* sleep set…
-        let (novel, woken) = m.insert_batch(vec![(raw.clone(), 3, 0b11, 0)], None, false);
-        assert!(novel.is_empty());
-        assert_eq!(woken, vec![(canon.clone(), 0b10, 0)]);
+        let out = insert_one(&m, &raw, 0b11, 0);
+        assert_eq!(out, vec![WorkItem { id: 0, mask: 0b10, sleep: 0, first: false }]);
         // …and only once: the stored mask has grown.
-        let (novel, woken) = m.insert_batch(vec![(canon, 4, 0b11, 0)], None, false);
-        assert!(novel.is_empty() && woken.is_empty());
+        assert!(insert_one(&m, &canon, 0b11, 0).is_empty());
     }
 
-    /// Used as a set — unit values, the way the outline checker's walk
-    /// uses it — the store reports each canonical state novel once, in one
-    /// batch or across many, however many raw representations arrive.
+    /// Used as a set — the way the outline checker's walk uses it — the
+    /// store reports each canonical state novel once, in one batch or
+    /// across many, however many raw representations arrive.
     #[test]
     fn sharded_set_dedups() {
         let (raw, distinct) = raw_successors(&sb_prog());
         assert!(raw.len() > distinct, "the program must produce duplicate successors");
-        let s: ShardedFpMap<Masked<()>> = ShardedFpMap::new(4, None);
-        let items = |cfgs: &[Config]| cfgs.iter().map(|c| (c.clone(), (), !0, 0)).collect();
-        let (novel, woken) = s.insert_batch(items(&raw), None, false);
+        let s = ShardedFpMap::new(4, None);
+        let novel = s.insert_all(raw.clone());
         assert_eq!(novel.len(), distinct);
-        assert!(woken.is_empty());
-        let (novel, _) = s.insert_batch(items(&raw), None, false);
+        let novel = s.insert_all(raw);
         assert!(novel.is_empty(), "a second pass finds every state known");
         assert_eq!(s.len(), distinct);
         assert!(!s.is_empty());
@@ -1397,16 +1339,17 @@ mod tests {
             shard_bits in 0u32..6,
         ) {
             let (raw, distinct) = raw_successors(&sb_prog());
-            let s: ShardedFpMap<Masked<usize>> = ShardedFpMap::new(shard_bits, None);
+            let s = ShardedFpMap::new(shard_bits, None);
             let wins = AtomicUsize::new(0);
             std::thread::scope(|scope| {
                 for t in 0..threads {
                     let (s, wins, order) = (&s, &wins, thread_order(&raw, t));
                     scope.spawn(move || {
                         for chunk in order.chunks(batch) {
-                            let items = chunk.iter().map(|c| (c.clone(), t, !0, 0)).collect();
-                            let (novel, _) = s.insert_batch(items, None, false);
-                            wins.fetch_add(novel.len(), Ordering::Relaxed);
+                            let mut out = Vec::new();
+                            let mut items = full_items(chunk);
+                            s.insert_batch(Some(t as u32), &mut items, None, false, &mut out);
+                            wins.fetch_add(out.len(), Ordering::Relaxed);
                         }
                     });
                 }
@@ -1419,7 +1362,7 @@ mod tests {
 
     /// Per-shard counts of `keys` under the store's shard index.
     fn occupancy(shard_bits: u32, keys: impl Iterator<Item = Fp128>) -> Vec<usize> {
-        let s: ShardedFpMap<()> = ShardedFpMap::new(shard_bits, None);
+        let s = ShardedFpMap::new(shard_bits, None);
         let mut counts = vec![0usize; 1 << shard_bits];
         for fp in keys {
             counts[s.shard_of(fp)] += 1;
@@ -1470,17 +1413,16 @@ mod tests {
         }
     }
 
-    /// Racing or repeated inserts of one state keep the first value.
+    /// Racing or repeated inserts of one state keep the first discovery
+    /// edge.
     #[test]
     fn sharded_map_first_value_wins() {
         let (raw, _) = raw_successors(&sb_prog());
         let canon = raw[0].canonical();
-        let m: ShardedFpMap<Masked<&str>> = ShardedFpMap::new(3, None);
-        let (novel, _) = m.insert_batch(vec![(raw[0].clone(), "first", !0, 0)], None, false);
-        assert_eq!(novel.len(), 1);
-        let (novel, _) = m.insert_batch(vec![(canon.clone(), "second", !0, 0)], None, false);
-        assert!(novel.is_empty());
-        assert_eq!(m.get_cloned(&canon).map(|v| v.val), Some("first"));
+        let m = ShardedFpMap::new(3, None);
+        assert!(m.insert(raw[0].clone(), Some((1, Tid(0)))));
+        assert!(!m.insert(canon.clone(), Some((2, Tid(1)))));
+        assert_eq!(m.find(&canon).and_then(|id| m.parent(id)), Some((1, Tid(0))));
         assert_eq!(m.len(), 1);
     }
 
@@ -1490,21 +1432,123 @@ mod tests {
     fn sharded_map_batch_insert_dedups_within_and_across_batches() {
         let (raw, distinct) = raw_successors(&sb_prog());
         let canons: Vec<Config> = raw.iter().map(Config::canonical).collect();
-        let m: ShardedFpMap<Masked<usize>> = ShardedFpMap::new(4, None);
+        let m = ShardedFpMap::new(4, None);
         let half = raw.len() / 2;
-        let batch = |r: std::ops::Range<usize>| -> Vec<PorItem<usize>> {
-            r.map(|i| (raw[i].clone(), i, !0, 0)).collect()
-        };
-        let (first, _) = m.insert_batch(batch(0..half), None, false);
+        let mut first = Vec::new();
+        m.insert_batch(Some(0), &mut full_items(&raw[..half]), None, false, &mut first);
         let first_distinct: HashSet<&Config> = canons[..half].iter().collect();
         assert_eq!(first.len(), first_distinct.len());
         for c in &first_distinct {
             let winner = canons.iter().position(|k| k == *c).expect("present");
-            assert_eq!(m.get_cloned(c).map(|v| v.val), Some(winner), "first occurrence wins");
+            let id = m.find(c).expect("interned");
+            assert_eq!(m.config(id), *c);
+            assert_eq!(m.parent(id), Some((0, Tid(winner as u8))), "first occurrence wins");
         }
-        let (second, _) = m.insert_batch(batch(half..raw.len()), None, false);
+        let mut second = Vec::new();
+        let mut items = full_items(&raw);
+        items.drain(..half);
+        m.insert_batch(Some(0), &mut items, None, false, &mut second);
         assert_eq!(first.len() + second.len(), distinct);
-        assert!(second.iter().all(|(c, ..)| !first_distinct.contains(c)));
+        assert!(second.iter().all(|w| !first_distinct.contains(m.config(w.id))));
         assert_eq!(m.len(), distinct);
+    }
+
+    /// The arena's chunk geometry: ids map to distinct (chunk, offset)
+    /// slots, chunk `k` holding exactly `2^k` of them.
+    #[test]
+    fn arena_ids_tile_the_chunks() {
+        let mut seen = HashSet::new();
+        for id in 0u32..4_096 {
+            let (k, off) = Arena::locate(id);
+            assert!(off < 1 << k, "offset {off} outside chunk {k}");
+            assert!(seen.insert((k, off)), "id {id} shares a slot");
+        }
+        assert_eq!(Arena::locate(u32::MAX - 1), (31, (1 << 31) - 1));
+    }
+
+    /// The threads `explore_with`'s callback ran on, plus the report.
+    fn callback_threads(
+        prog: &rc11_lang::CfgProgram,
+        opts: &ExploreOptions,
+        workers: usize,
+    ) -> (HashSet<ThreadId>, EngineReport) {
+        let seen: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
+        let engine = Engine::Parallel { workers };
+        let report = engine.explore_with(prog, &AbstractObjects, opts, |_, _| {
+            seen.lock().insert(std::thread::current().id());
+        });
+        (seen.into_inner(), report)
+    }
+
+    /// A walk that never has work to share recruits nobody: on
+    /// corpus-sized programs, every callback of a 4-worker run fires on
+    /// the calling thread.
+    #[test]
+    fn small_walks_stay_on_the_calling_thread() {
+        for src in [
+            include_str!("../../../corpus/sb_ra.litmus"),
+            include_str!("../../../corpus/iriw_ra.litmus"),
+            include_str!("../../../corpus/sym_fai4.litmus"),
+            include_str!("../../../corpus/lockmp.litmus"),
+        ] {
+            let prog = compile(&rc11_lang::parse_litmus(src).expect("corpus parses").prog);
+            let (threads, report) = callback_threads(&prog, &ExploreOptions::default(), 4);
+            assert!(report.ok() || !report.violations.is_empty(), "{:?}", report.stop);
+            assert_eq!(threads, HashSet::from([std::thread::current().id()]));
+        }
+    }
+
+    /// `n` threads each writing a variable of its own: unreduced, `2^n`
+    /// states, and every depth-first level queues one novel successor per
+    /// thread still to run — at 14 threads the backlog outgrows
+    /// [`KEEP_LOCAL`], so the walk must export.
+    fn wide(n: usize) -> rc11_lang::CfgProgram {
+        let mut p = ProgramBuilder::new("wide");
+        for t in 0..n {
+            let x = p.client_var(&format!("x{t}"), 0);
+            p.add_thread(ThreadBuilder::new(), seq([wr(x, 1)]));
+        }
+        compile(&p.build())
+    }
+
+    /// A walk that exports recruits its helpers, and they share the
+    /// callbacks.
+    #[test]
+    fn exporting_walks_recruit_helpers() {
+        let prog = wide(14);
+        let tel = Arc::new(Telemetry::new());
+        let opts = ExploreOptions {
+            reduce: Reduction::None,
+            telemetry: Some(tel),
+            ..Default::default()
+        };
+        let (threads, report) = callback_threads(&prog, &opts, 2);
+        assert!(report.ok());
+        let snap = report.telemetry.expect("telemetry attached");
+        assert!(snap.get(Counter::InjectorFlushes) > 0, "the walk must export");
+        assert!(threads.len() >= 2, "helpers ran callbacks: {threads:?}");
+    }
+
+    /// A contained fault on worker 0 before any helper exists hands its
+    /// backlog to freshly recruited helpers: the walk carries on degraded
+    /// and still finds real terminals.
+    #[test]
+    fn fault_before_recruitment_recruits_survivors() {
+        let prog = wide(8);
+        let oracle = reference::explore(&prog, &AbstractObjects, usize::MAX, |_, _| {});
+        let want: HashSet<&Config> = oracle.terminated.iter().collect();
+        let opts = ExploreOptions {
+            reduce: Reduction::None,
+            chaos: Some(ChaosState::new(FaultPlan {
+                worker_panic_at: Some(3),
+                ..Default::default()
+            })),
+            ..Default::default()
+        };
+        let report = Engine::Parallel { workers: 2 }.explore(&prog, &AbstractObjects, &opts);
+        assert_eq!(report.stop, StopReason::WorkerFault);
+        assert!(report.notes.iter().any(|n| matches!(n, Note::WorkerFault { .. })));
+        assert!(!report.terminated.is_empty(), "survivors explored past the fault");
+        assert!(report.terminated.iter().all(|c| want.contains(c)), "terminals are real");
     }
 }

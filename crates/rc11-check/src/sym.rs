@@ -24,7 +24,7 @@
 use crate::fxhash::{Fp128, Fx128Hasher, FxHashSet};
 use crate::por::ThreadMask;
 use rc11_analyze::{thread_symmetry, SymmetrySpec};
-use rc11_core::{CanonPerms, Tid};
+use rc11_core::CanonPerms;
 use rc11_lang::cfg::CfgProgram;
 use rc11_lang::machine::Config;
 
@@ -113,24 +113,6 @@ pub(crate) fn expand_terminals(spec: &SymmetrySpec, cfgs: &mut Vec<Config>) {
         }
     }
     cfgs.extend(extra);
-}
-
-/// Permute a reconstructed trace by the group permutation `pi`: movers map
-/// through `pi`, configurations are thread-permuted and re-canonicalised.
-/// Used by the parallel engine to attach traces to non-representative
-/// orbit-member violations — the permuted trace ends at the violating
-/// member because the original ended at its representative.
-pub(crate) fn permute_trace(
-    spec: &SymmetrySpec,
-    pi: &[u8],
-    trace: Vec<(Tid, Config)>,
-) -> Vec<(Tid, Config)> {
-    trace
-        .into_iter()
-        .map(|(t, cfg)| {
-            (Tid(pi[t.idx()]), cfg.permute_threads(pi, spec.maps()).canonical())
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -17,8 +17,9 @@
 //!    would select.
 
 use proptest::prelude::*;
-use rc11_check::parallel::{Masked, ShardedFpMap};
+use rc11_check::parallel::ShardedFpMap;
 use rc11_check::Fp128;
+use rc11_core::Tid;
 use rc11_lang::builder::*;
 use rc11_lang::compile;
 use rc11_lang::machine::{successors, Config, NoObjects};
@@ -93,14 +94,14 @@ proptest! {
         shard_bits in 0u32..7,
     ) {
         let (raw, distinct) = picked(&picks);
-        let set: ShardedFpMap<Masked<()>> = ShardedFpMap::new(shard_bits, None);
+        let set = ShardedFpMap::new(shard_bits, None);
         let wins = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for t in 0..threads {
                 let (set, wins, order) = (&set, &wins, thread_order(&raw, t));
                 scope.spawn(move || {
                     for cfg in order {
-                        if set.insert(cfg, ()) {
+                        if set.insert(cfg, None) {
                             wins.fetch_add(1, Ordering::Relaxed);
                         }
                     }
@@ -118,8 +119,9 @@ proptest! {
         }
     }
 
-    /// Same law for the map, plus first-writer-wins on the value: the value
-    /// stored for each state is the one supplied by the winning thread.
+    /// Same law with discovery edges, plus first-writer-wins on the edge:
+    /// the edge stored for each state is the one supplied by the winning
+    /// thread.
     #[test]
     fn map_concurrent_inserts_have_exactly_one_winner(
         picks in prop::collection::vec(0usize..2_048, 1..300),
@@ -127,7 +129,7 @@ proptest! {
         shard_bits in 0u32..6,
     ) {
         let (raw, distinct) = picked(&picks);
-        let map: ShardedFpMap<Masked<usize>> = ShardedFpMap::new(shard_bits, None);
+        let map = ShardedFpMap::new(shard_bits, None);
         let won: Vec<Vec<Config>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|t| {
@@ -135,7 +137,7 @@ proptest! {
                     scope.spawn(move || {
                         order
                             .into_iter()
-                            .filter(|cfg| map.insert(cfg.clone(), t))
+                            .filter(|cfg| map.insert(cfg.clone(), Some((t as u32, Tid(0)))))
                             .map(|cfg| cfg.canonical())
                             .collect::<Vec<Config>>()
                     })
@@ -147,8 +149,9 @@ proptest! {
         prop_assert_eq!(map.len(), distinct, "quiescent len() is exact");
         for (t, canons) in won.iter().enumerate() {
             for canon in canons {
-                let owner = map.get_cloned(canon).expect("won state present");
-                prop_assert_eq!(*owner.value(), t, "stored value came from the winner");
+                let id = map.find(canon).expect("won state present");
+                let edge = Some((t as u32, Tid(0)));
+                prop_assert_eq!(map.parent(id), edge, "stored edge came from the winner");
             }
         }
     }
@@ -162,16 +165,14 @@ proptest! {
         batch in 1usize..48,
     ) {
         let (raw, distinct) = picked(&picks);
-        let map: ShardedFpMap<Masked<usize>> = ShardedFpMap::new(4, None);
+        let map = ShardedFpMap::new(4, None);
         let wins = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for t in 0..threads {
                 let (map, wins, order) = (&map, &wins, thread_order(&raw, t));
                 scope.spawn(move || {
                     for chunk in order.chunks(batch) {
-                        let items: Vec<(Config, usize)> =
-                            chunk.iter().map(|cfg| (cfg.clone(), t)).collect();
-                        wins.fetch_add(map.insert_all(items).len(), Ordering::Relaxed);
+                        wins.fetch_add(map.insert_all(chunk.to_vec()).len(), Ordering::Relaxed);
                     }
                 });
             }
@@ -193,7 +194,7 @@ proptest! {
     ) {
         let shards = 1usize << shard_bits;
         let n_keys = (shards * 64) as u64;
-        let map: ShardedFpMap<Masked<()>> = ShardedFpMap::new(shard_bits, None);
+        let map = ShardedFpMap::new(shard_bits, None);
         let mut occupancy = vec![0usize; shards];
         for i in 0..n_keys {
             let key = base + (i << stride_log);

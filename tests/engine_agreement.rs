@@ -518,7 +518,7 @@ fn dpor_preserves_reports_and_sheds_work() {
 /// the owner with the thread (otherwise the representative's holder could
 /// never release, and the walk would report deadlocks the program does
 /// not have). Both engines must reproduce the reference's terminal,
-/// deadlock and violation sets, and the sequential engine's traces — for
+/// deadlock and violation sets, and both engines' traces — for
 /// representatives and orbit members alike — replay step by step.
 #[test]
 fn full_violation_traces_replay_on_a_symmetric_lock_client() {
@@ -556,9 +556,6 @@ fn full_violation_traces_replay_on_a_symmetric_lock_client() {
         }
         let report = engine.explore_with(&prog, &AbstractObjects, &opts, check);
         assert_eq!(violation_set(&report), violation_set(&oracle), "{engine:?}: violations");
-        if engine != Engine::Sequential {
-            continue;
-        }
         for v in &report.violations {
             let trace = v.trace.as_ref().expect("traces recorded");
             let mut cur = Config::initial(&prog).canonical();
@@ -567,7 +564,7 @@ fn full_violation_traces_replay_on_a_symmetric_lock_client() {
                     rc11::lang::machine::successors(&prog, &AbstractObjects, &cur, opts.step);
                 assert!(
                     succs.iter().any(|(t, s)| t == tid && s.canonical() == *next),
-                    "trace step by {tid:?} is not a real transition"
+                    "{engine:?}: trace step by {tid:?} is not a real transition"
                 );
                 cur = next.clone();
             }
@@ -576,15 +573,13 @@ fn full_violation_traces_replay_on_a_symmetric_lock_client() {
     }
 }
 
-/// Under the sequential engine, symmetry-reduced violation traces are
-/// exactly replayable — for the orbit representative *and* for every
-/// expanded orbit member: the per-edge permutations compose into a
-/// concrete interleaving of the original program (the automorphisms fix
-/// the initial state). The parallel engine's member traces are
-/// permutations of a representative chain (valid modulo symmetry), so
-/// only the sequential engine is held to step-exact replay here.
-#[test]
-fn symmetry_violation_traces_replay_sequentially() {
+/// Symmetry-reduced violation traces of `engine` are exactly replayable —
+/// for the orbit representative *and* for every expanded orbit member: the
+/// per-edge permutations compose into a concrete interleaving of the
+/// original program (the automorphisms fix the initial state). Both
+/// engines store each edge's permutation and share one reconstruction
+/// routine.
+fn assert_symmetry_traces_replay(engine: Engine) {
     // 2RMW: fully symmetric, so both the representative and a nontrivial
     // orbit member produce violations; SB+ra: trivial symmetry (the spec
     // is empty), pinning the identity path.
@@ -596,7 +591,7 @@ fn symmetry_violation_traces_replay_sequentially() {
                 out.push("terminal".to_string());
             }
         };
-        let report = Engine::Sequential.explore_with(&prog, &NoObjects, &opts, check);
+        let report = engine.explore_with(&prog, &NoObjects, &opts, check);
         assert!(!report.violations.is_empty(), "{}: terminals exist", l.name);
         assert_eq!(
             report.violations.len(),
@@ -623,6 +618,18 @@ fn symmetry_violation_traces_replay_sequentially() {
                 l.name
             );
         }
+    }
+}
+
+#[test]
+fn symmetry_violation_traces_replay_sequentially() {
+    assert_symmetry_traces_replay(Engine::Sequential);
+}
+
+#[test]
+fn symmetry_violation_traces_replay_in_parallel() {
+    for workers in WORKERS {
+        assert_symmetry_traces_replay(Engine::Parallel { workers });
     }
 }
 
