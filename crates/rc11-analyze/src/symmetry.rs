@@ -18,9 +18,10 @@
 //! that sorts each group's members by a permutation-invariant per-thread
 //! key, so every orbit member maps to the same representative.
 
-use rc11_core::{CanonPerms, Loc, Tid, Val};
+use rc11_core::{CState, CanonPerms, Loc, OpId, Tid, Val};
 use rc11_lang::cfg::{CfgProgram, Instr};
 use rc11_lang::{Config, Exp, Reg, SymMaps};
+use std::cmp::Ordering;
 
 /// Orbit-size cap: groups whose combined orbit (product of factorials)
 /// exceeds this are not worth the per-state canonical-choice and orbit
@@ -279,7 +280,7 @@ impl SymmetrySpec {
     /// The canonical group permutation for `cfg`: sorts each group's
     /// members by a permutation-invariant per-thread key (pc, register
     /// file in representative numbering, thread views remapped to
-    /// canonical op positions, authorship sets), assigning the group's
+    /// canonical op positions, authorship lists), assigning the group's
     /// thread ids ascending in key order. Returns `None` when the choice
     /// is the identity (the overwhelmingly common case).
     ///
@@ -291,10 +292,92 @@ impl SymmetrySpec {
     /// are fully interchangeable (equal keys imply empty authorship and
     /// identical control/view content), so the stable sort's tie order is
     /// immaterial — and an index tiebreak would *break* invariance.
+    ///
+    /// The keys are compared in place ([`SymmetrySpec::cmp_members`]), not
+    /// built: a probe allocates only the returned permutation.
     pub fn choose(&self, cfg: &Config, perms: &CanonPerms) -> Option<Vec<u8>> {
-        if self.groups.is_empty() {
-            return None;
+        let mut sigma: Option<Vec<u8>> = None;
+        // Thread ids are `u8`, so any group fits.
+        let mut buf = [0u8; 256];
+        for g in &self.groups {
+            let order = &mut buf[..g.len()];
+            order.copy_from_slice(g);
+            // Stable insertion sort: groups are small (the orbit cap bounds
+            // them at 7 members).
+            for i in 1..order.len() {
+                let mut j = i;
+                while j > 0 && self.cmp_members(cfg, perms, order[j - 1], order[j]).is_gt() {
+                    order.swap(j - 1, j);
+                    j -= 1;
+                }
+            }
+            for (&dest, &old_t) in g.iter().zip(order.iter()) {
+                if dest != old_t {
+                    let sigma = sigma.get_or_insert_with(|| (0..self.n_threads as u8).collect());
+                    sigma[old_t as usize] = dest;
+                }
+            }
         }
+        sigma
+    }
+
+    /// Compare the sort keys of group members `a` and `b` at `cfg`, field
+    /// by field and without materialising them: pc, register file in
+    /// representative numbering, client then library thread view remapped
+    /// through `perms`, client then library authorship list. The order is
+    /// exactly the derived order of the test-only `ThreadKey`.
+    fn cmp_members(&self, cfg: &Config, perms: &CanonPerms, a: u8, b: u8) -> Ordering {
+        let regs = |t: u8| {
+            let file = &cfg.locals[t as usize];
+            self.maps.from_rep[t as usize].iter().map(move |&r| file[r as usize])
+        };
+        let (client, lib) = (cfg.mem.client(), cfg.mem.lib());
+        let (ta, tb) = (Tid(a), Tid(b));
+        cfg.pcs[a as usize]
+            .cmp(&cfg.pcs[b as usize])
+            .then_with(|| regs(a).cmp(regs(b)))
+            .then_with(|| {
+                let view = |t| client.tview(t).remapped(&perms.client);
+                view(ta).cmp(view(tb))
+            })
+            .then_with(|| {
+                let view = |t| lib.tview(t).remapped(&perms.lib);
+                view(ta).cmp(view(tb))
+            })
+            .then_with(|| {
+                authorship(client, &perms.client, ta).cmp(authorship(client, &perms.client, tb))
+            })
+            .then_with(|| authorship(lib, &perms.lib, ta).cmp(authorship(lib, &perms.lib, tb)))
+    }
+
+    /// The materialised sort key of group member `t` at `cfg` — the
+    /// specification [`SymmetrySpec::cmp_members`] is tested against.
+    #[cfg(test)]
+    fn thread_key(&self, cfg: &Config, perms: &CanonPerms, t: u8) -> ThreadKey {
+        let ti = t as usize;
+        let file = &cfg.locals[ti];
+        let from_rep = &self.maps.from_rep[ti];
+        let locals_rep: Vec<Val> = from_rep.iter().map(|&r| file[r as usize]).collect();
+        let remap_view = |view: rc11_core::View<'_>, perm: &[rc11_core::OpId]| -> Vec<u32> {
+            view.as_slice().iter().map(|e| perm[e.idx()].0).collect()
+        };
+        let tid = Tid(t);
+        let client = cfg.mem.client();
+        let lib = cfg.mem.lib();
+        ThreadKey {
+            pc: cfg.pcs[ti],
+            locals_rep,
+            client_view: remap_view(client.tview(tid), &perms.client),
+            lib_view: remap_view(lib.tview(tid), &perms.lib),
+            client_auth: authorship(client, &perms.client, tid).map(|w| w.0).collect(),
+            lib_auth: authorship(lib, &perms.lib, tid).map(|w| w.0).collect(),
+        }
+    }
+
+    /// [`SymmetrySpec::choose`] by sorting materialised [`ThreadKey`]s —
+    /// the allocating formulation, kept as its specification.
+    #[cfg(test)]
+    fn choose_by_keys(&self, cfg: &Config, perms: &CanonPerms) -> Option<Vec<u8>> {
         let mut sigma: Vec<u8> = (0..self.n_threads as u8).collect();
         let mut changed = false;
         for g in &self.groups {
@@ -308,29 +391,6 @@ impl SymmetrySpec {
             }
         }
         changed.then_some(sigma)
-    }
-
-    /// The permutation-invariant sort key of group member `t` at `cfg`.
-    fn thread_key(&self, cfg: &Config, perms: &CanonPerms, t: u8) -> ThreadKey {
-        let ti = t as usize;
-        let file = &cfg.locals[ti];
-        let from_rep = &self.maps.from_rep[ti];
-        let locals_rep: Vec<Val> =
-            from_rep.iter().map(|&r| file[r as usize]).collect();
-        let remap_view = |view: &rc11_core::View, perm: &[rc11_core::OpId]| -> Vec<u32> {
-            view.as_slice().iter().map(|e| perm[e.idx()].0).collect()
-        };
-        let tid = Tid(t);
-        let client = cfg.mem.client();
-        let lib = cfg.mem.lib();
-        ThreadKey {
-            pc: cfg.pcs[ti],
-            locals_rep,
-            client_view: remap_view(client.tview(tid), &perms.client),
-            lib_view: remap_view(lib.tview(tid), &perms.lib),
-            client_auth: authorship(client, &perms.client, tid),
-            lib_auth: authorship(lib, &perms.lib, tid),
-        }
     }
 
     /// All group permutations (full `sigma` vectors over every thread),
@@ -358,7 +418,9 @@ impl SymmetrySpec {
 }
 
 /// The permutation-invariant per-thread sort key (see
-/// [`SymmetrySpec::choose`]).
+/// [`SymmetrySpec::choose`]), materialised: the specification of the
+/// in-place comparison.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct ThreadKey {
     pc: u32,
@@ -372,16 +434,13 @@ struct ThreadKey {
 /// Canonical op positions of the non-initialisation operations authored by
 /// `tid` in one component, in `(location, mo-position)` order. Init ops
 /// (mo-position 0 everywhere) carry a dummy tid and are excluded.
-fn authorship(st: &rc11_core::CState, perm: &[rc11_core::OpId], tid: Tid) -> Vec<u32> {
-    let mut out = Vec::new();
-    for li in 0..st.n_locs() {
-        for (pos, &w) in st.mo(Loc(li as u16)).iter().enumerate() {
-            if pos > 0 && st.op(w).tid == tid {
-                out.push(perm[w.idx()].0);
-            }
-        }
-    }
-    out
+fn authorship<'a>(st: &'a CState, perm: &'a [OpId], tid: Tid) -> impl Iterator<Item = OpId> + 'a {
+    (0..st.n_locs()).flat_map(move |li| {
+        st.mo(Loc(li as u16))[1..]
+            .iter()
+            .filter(move |&&w| st.op(w).tid == tid)
+            .map(move |&w| perm[w.idx()])
+    })
 }
 
 /// All permutations of `items` (each returned as a reordering of the input
@@ -523,6 +582,66 @@ mod tests {
         prog.validate().unwrap();
         let spec = thread_symmetry(&compile(&prog));
         assert!(spec.is_trivial());
+    }
+
+    /// The in-place comparison picks exactly the permutation that sorting
+    /// materialised `ThreadKey`s picks, on every reachable state of three
+    /// fully symmetric programs: `sym_inc3` (client variables only), a
+    /// three-thread counter client (library views and authorship), and one
+    /// that uses both components.
+    #[test]
+    fn in_place_choice_matches_the_thread_key_sort() {
+        use std::collections::HashSet;
+        let inc3 = compiled(include_str!("../../../corpus/sym_inc3.litmus"));
+        let counter3 = compiled(
+            r#"
+            litmus "ctr3"
+            counter c
+            thread A { a = c.inc(); a = c.inc(); }
+            thread B { b = c.inc(); b = c.inc(); }
+            thread C { d = c.inc(); d = c.inc(); }
+            observe A.a B.b C.d
+            expected { (0,0,0) }
+        "#,
+        );
+        let mixed3 = compiled(
+            r#"
+            litmus "mixed3"
+            var x = 0
+            counter c
+            thread A { c.inc(); x = 1; a = x; }
+            thread B { c.inc(); x = 1; b = x; }
+            thread C { c.inc(); x = 1; d = x; }
+            observe A.a B.b C.d
+            expected { (1,1,1) }
+        "#,
+        );
+        for prog in [inc3, counter3, mixed3] {
+            let spec = thread_symmetry(&prog);
+            assert_eq!(spec.groups(), &[vec![0, 1, 2]]);
+            let mut seen = HashSet::new();
+            let mut frontier = vec![Config::initial(&prog)];
+            let (mut states, mut moved) = (0, 0);
+            while let Some(cfg) = frontier.pop() {
+                let perms = cfg.canonical_perms();
+                let sigma = spec.choose(&cfg, &perms);
+                assert_eq!(sigma, spec.choose_by_keys(&cfg, &perms), "at {cfg:?}");
+                states += 1;
+                moved += sigma.is_some() as usize;
+                let succs = rc11_lang::successors(
+                    &prog,
+                    &rc11_objects::AbstractObjects,
+                    &cfg,
+                    Default::default(),
+                );
+                for (_, succ) in succs {
+                    if seen.insert(succ.canonical()) {
+                        frontier.push(succ);
+                    }
+                }
+            }
+            assert!(states > 50 && moved > 0, "{states} states, {moved} non-identity choices");
+        }
     }
 
     #[test]

@@ -440,7 +440,9 @@ impl<'a> Explorer<'a> {
             if let Some(chaos) = &self.opts.chaos {
                 chaos.on_expansion();
             }
-            let cfg = nodes[id as usize].cfg.clone();
+            // The expanded configuration is read in place from the arena
+            // (re-borrowed at each use, since committing successors grows
+            // it), never cloned.
             let mut fps = por.then(|| por::LazyFootprints::new(n_threads));
             let mut any_succ = false;
             let mut earlier: ThreadMask = 0;
@@ -448,7 +450,8 @@ impl<'a> Explorer<'a> {
                 if por && mask & (1u64 << t) == 0 {
                     continue;
                 }
-                let succs = thread_successors(self.prog, self.objs, &cfg, t, self.opts.step);
+                let cfg = &nodes[id as usize].cfg;
+                let succs = thread_successors(self.prog, self.objs, cfg, t, self.opts.step);
                 report.transitions += succs.len();
                 if let Some(tl) = &tel {
                     tl.add(Counter::Transitions, succs.len() as u64);
@@ -458,7 +461,7 @@ impl<'a> Explorer<'a> {
                     (Some(fps), Some(cm)) => {
                         let cs = por::child_sleep_static(
                             self.prog,
-                            &cfg,
+                            cfg,
                             fps,
                             cm.static_indep(),
                             sleep | earlier,
@@ -601,11 +604,12 @@ impl<'a> Explorer<'a> {
                 // and is not terminal; see `por::has_any_successor` for
                 // why the probe stays out of the transition count).
                 // Without POR, `mask` is full and this probes nothing.
+                let cfg = &nodes[id as usize].cfg;
                 if first
                     && !por::has_any_successor(
                         self.prog,
                         self.objs,
-                        &cfg,
+                        cfg,
                         full & !mask,
                         self.opts.step,
                     )
@@ -614,12 +618,12 @@ impl<'a> Explorer<'a> {
                         if ckpt.is_some() {
                             term_ids.push(id);
                         }
-                        report.terminated.push(cfg);
+                        report.terminated.push(cfg.clone());
                     } else {
                         if ckpt.is_some() {
                             dead_ids.push(id);
                         }
-                        report.deadlocked.push(cfg);
+                        report.deadlocked.push(cfg.clone());
                     }
                 } else {
                     // Retry rule (A7): every expanded thread was blocked
@@ -634,7 +638,7 @@ impl<'a> Explorer<'a> {
                     // so `rest` is zero and nothing changes.
                     let rest = full & !sleep & !nodes[id as usize].explored;
                     if rest != 0
-                        && por::has_any_successor(self.prog, self.objs, &cfg, rest, self.opts.step)
+                        && por::has_any_successor(self.prog, self.objs, cfg, rest, self.opts.step)
                     {
                         nodes[id as usize].explored |= rest;
                         frontier.push((id, rest, sleep, false));
@@ -673,6 +677,10 @@ impl<'a> Explorer<'a> {
             sym::expand_terminals(spec, &mut report.deadlocked);
         }
         report.states = nodes.len();
+        // Free the store before stamping `wall`: its teardown is part of
+        // the walk's cost, not of whatever the caller does next.
+        drop(nodes);
+        drop(index);
         report.wall = run_start.elapsed();
         if let (Some(t), Some(t0)) = (&tel, &tel0) {
             report.telemetry = Some(t.snapshot().delta(t0));
@@ -732,9 +740,9 @@ impl<'a> Explorer<'a> {
             if rec.parent as usize >= k {
                 return Err("stale or corrupt checkpoint ignored (forward parent)".into());
             }
-            let cfg = nodes[rec.parent as usize].cfg.clone();
+            let cfg = &nodes[rec.parent as usize].cfg;
             let succs =
-                thread_successors(self.prog, self.objs, &cfg, rec.tid as usize, self.opts.step);
+                thread_successors(self.prog, self.objs, cfg, rec.tid as usize, self.opts.step);
             let Some(succ) = succs.into_iter().nth(rec.succ_idx as usize) else {
                 return Err("stale or corrupt checkpoint ignored (replay diverged)".into());
             };

@@ -1055,6 +1055,9 @@ pub(crate) fn par_run(
             Violation { what, config, trace }
         })
         .collect();
+    // Free the store before stamping `wall`: its teardown is part of the
+    // walk's cost, not of whatever the caller does next.
+    drop(visited);
 
     EngineReport {
         states: stats.states,

@@ -21,7 +21,7 @@
 //! mask through the committing `σ` (bit `t` → bit `σ[t]`), so sleep sets
 //! always live in the stored state's own thread numbering.
 
-use crate::fxhash::{Fp128, Fx128Hasher, FxHashSet};
+use crate::fxhash::{CanonicalFingerprint, Fp128, Fx128Hasher, FxHashMap, IdBucket};
 use crate::por::ThreadMask;
 use rc11_analyze::{thread_symmetry, SymmetrySpec};
 use rc11_core::CanonPerms;
@@ -85,18 +85,39 @@ pub(crate) fn is_identity(sigma: &[u8]) -> bool {
 /// The distinct orbit members of canonical state `canon` *other than*
 /// `canon` itself, each paired with a group permutation producing it.
 /// States fixed by a subgroup yield fewer members than `orbit_size() - 1`.
+///
+/// Each member `σ(canon)` is fingerprinted and deduplicated by the
+/// zero-rebuild symmetry walks (`canon` is canonical, so its canonical
+/// permutations with `σ` installed describe exactly the canonical form of
+/// `canon.permute_threads(σ)`), and only novel members are materialised —
+/// once each, by `canonical_sym`.
 pub(crate) fn orbit_members(spec: &SymmetrySpec, canon: &Config) -> Vec<(Vec<u8>, Config)> {
-    let mut seen: FxHashSet<Config> = FxHashSet::default();
-    let mut out = Vec::new();
+    // Members found so far, by fingerprint; `u32::MAX` stands for `canon`.
+    const CANON: u32 = u32::MAX;
+    let maps = spec.maps();
+    let mut perms = canon.canonical_perms();
+    let mut seen: FxHashMap<Fp128, IdBucket> = FxHashMap::default();
+    seen.insert(canon.fingerprint_with(&perms), IdBucket::One(CANON));
+    let mut out: Vec<(Vec<u8>, Config)> = Vec::new();
     for sigma in spec.group_perms() {
         if is_identity(&sigma) {
             continue;
         }
-        let member = canon.permute_threads(&sigma, spec.maps()).canonical();
-        if member == *canon || !seen.insert(member.clone()) {
+        perms.threads = Some(sigma);
+        let fp = fingerprint_sym(canon, &perms, spec);
+        let known = seen.get(&fp).is_some_and(|bucket| {
+            bucket.ids().iter().any(|&i| {
+                let seen_member = if i == CANON { canon } else { &out[i as usize].1 };
+                canon.canonical_eq_sym(&perms, maps, seen_member)
+            })
+        });
+        if known {
             continue;
         }
-        out.push((sigma, member));
+        let id = out.len() as u32;
+        seen.entry(fp).and_modify(|bucket| bucket.push(id)).or_insert(IdBucket::One(id));
+        let member = canon.canonical_sym(&perms, maps);
+        out.push((perms.threads.take().expect("installed above"), member));
     }
     out
 }

@@ -29,13 +29,14 @@
 use crate::combined::Combined;
 use crate::ids::{Loc, OpId, Tid};
 use crate::action::{MethodOp, OpAction};
-use crate::state::{CState, OpRecord};
-use crate::view::View;
+use crate::state::{row_mut, CState, OpRecord};
 use std::hash::{Hash, Hasher};
 
-/// The inverse of a thread permutation `sigma[old] = new`: `inv[new] = old`.
-fn invert_tperm(sigma: &[u8]) -> Vec<u8> {
-    let mut inv = vec![0u8; sigma.len()];
+/// The inverse of a thread permutation `sigma[old] = new`: `inv[new] = old`
+/// (thread ids are `u8`, so a fixed array holds any permutation without
+/// allocating).
+pub fn invert_tperm(sigma: &[u8]) -> [u8; 256] {
+    let mut inv = [0u8; 256];
     for (old, &new) in sigma.iter().enumerate() {
         inv[new as usize] = old as u8;
     }
@@ -74,67 +75,38 @@ fn permute_rec(rec: OpRecord, sigma: &[u8]) -> OpRecord {
 /// `perm_other` (ids appearing in cross-component view halves), and —
 /// when `tperm` is given — thread ids permuted by `tperm[old] = new`.
 /// Initialisation operations (modification-order position 0 on every
-/// location) belong to no thread and keep their dummy `Tid(0)`.
+/// location) belong to no thread and keep their dummy `Tid(0)`. Renumbering
+/// leaves every op's modification-order position, hence its rank, as is.
 fn renumber(st: &CState, perm: &[OpId], perm_other: &[OpId], tperm: Option<&[u8]>) -> CState {
-    let (ops, mo, tview, mview_own, mview_other, cvd) = st.raw_parts();
-    let n = ops.len();
-
-    // Which ops are initialisation ops: exactly the mo-position-0 entry of
-    // every location (inserts always land at rank ≥ 1).
-    let mut is_init = vec![false; n];
-    for locs in mo {
-        is_init[locs[0].idx()] = true;
-    }
-
-    let mut new_ops = ops.to_vec();
-    let mut new_cvd = vec![false; n];
-    let mut new_mview_own: Vec<Option<View>> = vec![None; n];
-    let mut new_mview_other: Vec<Option<View>> = vec![None; n];
+    let n = st.ops.len();
+    let (width, width_other) = (st.n_locs(), st.n_other);
+    let mut ops = st.ops.clone();
+    let mut rank = vec![0u32; n];
+    let mut cvd = vec![false; n];
+    let mut mview_own = vec![OpId(0); st.mview_own.len()];
+    let mut mview_other = vec![OpId(0); st.mview_other.len()];
     for old in 0..n {
         let new = perm[old].idx();
-        new_ops[new] = match tperm {
-            Some(sigma) if !is_init[old] => permute_rec(ops[old], sigma),
-            _ => ops[old],
+        ops[new] = match tperm {
+            Some(sigma) if st.rank[old] > 0 => permute_rec(st.ops[old], sigma),
+            _ => st.ops[old],
         };
-        new_cvd[new] = cvd[old];
-        let mut own = mview_own[old].clone();
-        own.remap(perm);
-        new_mview_own[new] = Some(own);
-        let mut other = mview_other[old].clone();
-        other.remap(perm_other);
-        new_mview_other[new] = Some(other);
+        rank[new] = st.rank[old];
+        cvd[new] = st.cvd[old];
+        st.mview_own(OpId(old as u32)).remap_into(perm, row_mut(&mut mview_own, width, new));
+        st.mview_other(OpId(old as u32))
+            .remap_into(perm_other, row_mut(&mut mview_other, width_other, new));
     }
 
-    let new_mo: Vec<Vec<OpId>> = mo
-        .iter()
-        .map(|locs| locs.iter().map(|w| perm[w.idx()]).collect())
-        .collect();
+    let mo = st.mo.iter().map(|locs| locs.iter().map(|w| perm[w.idx()]).collect()).collect();
 
-    let mut new_tview: Vec<View> = tview
-        .iter()
-        .map(|v| {
-            let mut v = v.clone();
-            v.remap(perm);
-            v
-        })
-        .collect();
-    if let Some(sigma) = tperm {
-        let remapped = new_tview;
-        new_tview = vec![View::from_entries(Vec::new()); remapped.len()];
-        for (old_t, v) in remapped.into_iter().enumerate() {
-            new_tview[sigma[old_t] as usize] = v;
-        }
+    let mut tview = vec![OpId(0); st.tview.len()];
+    for old_t in 0..st.n_threads {
+        let new_t = tperm.map_or(old_t, |sigma| sigma[old_t] as usize);
+        st.tview(Tid(old_t as u8)).remap_into(perm, row_mut(&mut tview, width, new_t));
     }
 
-    CState::from_raw_parts(
-        st.comp,
-        new_ops,
-        new_mo,
-        new_tview,
-        new_mview_own.into_iter().map(|v| v.unwrap()).collect(),
-        new_mview_other.into_iter().map(|v| v.unwrap()).collect(),
-        new_cvd,
-    )
+    CState { mo, ops, rank, tview, mview_own, mview_other, cvd, ..*st }
 }
 
 /// The canonical permutations of a [`Combined`] state: `perm[old] = new`
@@ -171,42 +143,33 @@ fn hash_component<H: Hasher>(
     tperm: Option<&[u8]>,
     h: &mut H,
 ) {
-    let (ops, mo, tview, mview_own, mview_other, cvd) = st.raw_parts();
-    h.write_usize(mo.len());
-    h.write_usize(tview.len());
-    h.write_usize(ops.len());
-    for locs in mo {
+    h.write_usize(st.n_locs());
+    h.write_usize(st.n_threads);
+    h.write_usize(st.n_ops());
+    for locs in &st.mo {
         h.write_usize(locs.len());
     }
-    for locs in mo {
+    for locs in &st.mo {
         for (pos, &w) in locs.iter().enumerate() {
-            let old = w.idx();
+            let rec = st.ops[w.idx()];
             // mo-position 0 is the location's initialisation op, which
             // belongs to no thread — its dummy tid stays fixed under any
             // thread permutation.
             match tperm {
-                Some(sigma) if pos > 0 => permute_rec(ops[old], sigma).hash(h),
-                _ => ops[old].hash(h),
+                Some(sigma) if pos > 0 => permute_rec(rec, sigma).hash(h),
+                _ => rec.hash(h),
             }
-            h.write_u8(cvd[old] as u8);
-            mview_own[old].hash_remapped(perm, h);
-            mview_other[old].hash_remapped(perm_other, h);
+            h.write_u8(st.cvd[w.idx()] as u8);
+            st.mview_own(w).hash_remapped(perm, h);
+            st.mview_other(w).hash_remapped(perm_other, h);
         }
     }
-    match tperm {
-        Some(sigma) => {
-            // Thread views in *canonical* slot order: new slot `j` holds the
-            // view of the old thread `inv[j]`.
-            let inv = invert_tperm(sigma);
-            for &old_t in &inv {
-                tview[old_t as usize].hash_remapped(perm, h);
-            }
-        }
-        None => {
-            for tv in tview {
-                tv.hash_remapped(perm, h);
-            }
-        }
+    // Thread views in *canonical* slot order: new slot `j` holds the view
+    // of the old thread `inv[j]`.
+    let inv = tperm.map(invert_tperm);
+    for j in 0..st.n_threads {
+        let old_t = inv.as_ref().map_or(j, |inv| inv[j] as usize);
+        st.tview(Tid(old_t as u8)).hash_remapped(perm, h);
     }
 }
 
@@ -221,43 +184,41 @@ fn component_canonical_eq(
     tperm: Option<&[u8]>,
     canon: &CState,
 ) -> bool {
-    let (ops, mo, tview, mview_own, mview_other, cvd) = st.raw_parts();
-    let (cops, cmo, ctview, cmview_own, cmview_other, ccvd) = canon.raw_parts();
-    if ops.len() != cops.len() || mo.len() != cmo.len() || tview.len() != ctview.len() {
+    if st.n_ops() != canon.n_ops()
+        || st.n_locs() != canon.n_locs()
+        || st.n_threads != canon.n_threads
+        || st.n_other != canon.n_other
+    {
         return false;
     }
-    let mut new_id = 0usize;
-    for (locs, clocs) in mo.iter().zip(cmo) {
+    let mut new_id = 0u32;
+    for (locs, clocs) in st.mo.iter().zip(&canon.mo) {
         if locs.len() != clocs.len() {
             return false;
         }
         for (pos, &w) in locs.iter().enumerate() {
-            let old = w.idx();
             let rec = match tperm {
                 // Init ops (mo-position 0) belong to no thread; see
                 // `hash_component`.
-                Some(sigma) if pos > 0 => permute_rec(ops[old], sigma),
-                _ => ops[old],
+                Some(sigma) if pos > 0 => permute_rec(*st.op(w), sigma),
+                _ => *st.op(w),
             };
-            if rec != cops[new_id]
-                || cvd[old] != ccvd[new_id]
-                || !mview_own[old].eq_remapped(perm, &cmview_own[new_id])
-                || !mview_other[old].eq_remapped(perm_other, &cmview_other[new_id])
+            let c = OpId(new_id);
+            if rec != *canon.op(c)
+                || st.is_covered(w) != canon.is_covered(c)
+                || !st.mview_own(w).eq_remapped(perm, canon.mview_own(c))
+                || !st.mview_other(w).eq_remapped(perm_other, canon.mview_other(c))
             {
                 return false;
             }
             new_id += 1;
         }
     }
-    match tperm {
-        Some(sigma) => {
-            let inv = invert_tperm(sigma);
-            inv.iter()
-                .zip(ctview)
-                .all(|(&old_t, ctv)| tview[old_t as usize].eq_remapped(perm, ctv))
-        }
-        None => tview.iter().zip(ctview).all(|(tv, ctv)| tv.eq_remapped(perm, ctv)),
-    }
+    let inv = tperm.map(invert_tperm);
+    (0..st.n_threads).all(|j| {
+        let old_t = inv.as_ref().map_or(j, |inv| inv[j] as usize);
+        st.tview(Tid(old_t as u8)).eq_remapped(perm, canon.tview(Tid(j as u8)))
+    })
 }
 
 impl Combined {

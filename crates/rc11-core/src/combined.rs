@@ -40,16 +40,8 @@ impl Combined {
     /// (`γInit.mview_x = γInit.tview_t ∪ βInit.tview_t`).
     pub fn new(client_inits: &[InitLoc], lib_inits: &[InitLoc], n_threads: usize) -> Combined {
         assert!(n_threads >= 1, "at least one thread");
-        let mut client = CState::init(Comp::Client, client_inits, n_threads);
-        let mut lib = CState::init(Comp::Lib, lib_inits, n_threads);
-        let cv = client.tview(Tid(0)).clone();
-        let lv = lib.tview(Tid(0)).clone();
-        for i in 0..client.n_ops() {
-            client.set_mview(OpId(i as u32), cv.clone(), lv.clone());
-        }
-        for i in 0..lib.n_ops() {
-            lib.set_mview(OpId(i as u32), lv.clone(), cv.clone());
-        }
+        let client = CState::init(Comp::Client, client_inits, n_threads, lib_inits.len());
+        let lib = CState::init(Comp::Lib, lib_inits, n_threads, client_inits.len());
         Combined { states: [client, lib] }
     }
 
@@ -134,10 +126,7 @@ impl Combined {
         let (exec, ctx) = next.exec_ctx_mut(c);
         let sync = acq && exec.op(from).act.is_releasing();
         if sync {
-            let mv_own = exec.mview_own(from).clone();
-            let mv_other = exec.mview_other(from).clone();
-            exec.join_tview_with(t, &mv_own);
-            ctx.join_tview_with(t, &mv_other);
+            exec.sync_with(from, t, ctx);
         } else {
             exec.tview_mut(t).set(loc, from);
         }
@@ -172,9 +161,7 @@ impl Combined {
         debug_assert!(!exec.is_covered(after), "write after a covered op violates atomicity");
         let new = exec.insert_after(after, OpRecord { loc, tid: t, act: OpAction::Write { v, rel } });
         exec.tview_mut(t).set(loc, new);
-        let own = exec.tview(t).clone();
-        let other = ctx.tview(t).clone();
-        exec.set_mview(new, own, other);
+        exec.record_mview(new, t, ctx);
         next
     }
 
@@ -217,14 +204,9 @@ impl Combined {
         exec.cover(after);
         exec.tview_mut(t).set(loc, new);
         if sync {
-            let mv_own = exec.mview_own(after).clone();
-            let mv_other = exec.mview_other(after).clone();
-            exec.join_tview_with(t, &mv_own);
-            ctx.join_tview_with(t, &mv_other);
+            exec.sync_with(after, t, ctx);
         }
-        let own = exec.tview(t).clone();
-        let other = ctx.tview(t).clone();
-        exec.set_mview(new, own, other);
+        exec.record_mview(new, t, ctx);
         next
     }
 }

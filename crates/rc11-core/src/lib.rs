@@ -22,7 +22,7 @@
 //! more view-tracked location whose history records method operations
 //! ([`action::MethodOp`]). Their transition rules live in `rc11-objects`,
 //! built from the state-manipulation API exposed here ([`state::CState`]'s
-//! `insert_at_max`, `cover`, `join_tview_with`, …).
+//! `insert_at_max`, `cover`, `sync_with`, `record_mview`, …).
 //!
 //! The [`footprint`] module is the *independence oracle* for partial-order
 //! reduction (ablation A5): a conservative summary of what each transition
@@ -52,4 +52,4 @@ pub use ids::{Comp, Loc, LocKind, LocTable, OpId, Tid};
 pub use state::{CState, InitLoc, OpRecord};
 pub use ts::Ts;
 pub use val::Val;
-pub use view::View;
+pub use view::{View, ViewMut};

@@ -18,11 +18,19 @@
 //! `fresh`) becomes vector insertion at `rank(w) + 1`. The `lit` module
 //! implements the same rules with literal rational timestamps; the two are
 //! cross-validated in tests and benchmarked against each other.
+//!
+//! Layout: the three view tables are flat row-major buffers of [`OpId`]s —
+//! `tview` has one row per thread, `mview_own` and `mview_other` one row per
+//! operation. A row of `tview` or `mview_own` is as wide as this component's
+//! location count; a row of `mview_other` as wide as the *other*
+//! component's. Accessors hand rows out as borrowed [`View`]s, so cloning a
+//! state copies a fixed number of buffers however many threads and
+//! operations it holds.
 
 use crate::action::{MethodOp, OpAction};
 use crate::ids::{Comp, Loc, OpId, Tid};
 use crate::val::Val;
-use crate::view::View;
+use crate::view::{View, ViewMut};
 
 /// One recorded operation: which location, which thread, what action.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -45,10 +53,23 @@ pub enum InitLoc {
     Obj,
 }
 
+/// Row `i` of a row-major table of the given width.
+#[inline]
+pub(crate) fn row(table: &[OpId], width: usize, i: usize) -> &[OpId] {
+    &table[i * width..(i + 1) * width]
+}
+
+/// Mutable row `i` of a row-major table of the given width.
+#[inline]
+pub(crate) fn row_mut(table: &mut [OpId], width: usize, i: usize) -> &mut [OpId] {
+    &mut table[i * width..(i + 1) * width]
+}
+
 /// A component state (`γ` or `β`) of the fast engine.
 ///
 /// Invariants (checked by [`CState::check_invariants`] in tests):
-/// * `ops`, `rank`, `cvd`, `mview_own`, `mview_other` are parallel vectors;
+/// * `ops`, `rank`, `cvd` and the rows of `mview_own`, `mview_other` are
+///   parallel;
 /// * every location's `mo` vector permutes exactly the ops on that location,
 ///   and `rank[w]` is `w`'s position in it;
 /// * every view entry for location `x` is an operation on `x`;
@@ -58,58 +79,61 @@ pub enum InitLoc {
 pub struct CState {
     /// Which component this is (`γ` = client, `β` = library).
     pub comp: Comp,
-    ops: Vec<OpRecord>,
+    pub(crate) ops: Vec<OpRecord>,
     /// Per-location modification order (timestamp order), oldest first.
-    mo: Vec<Vec<OpId>>,
+    pub(crate) mo: Vec<Vec<OpId>>,
     /// Per-op position in its location's `mo` vector.
-    rank: Vec<u32>,
-    /// Per-thread viewfront over this component's locations.
-    tview: Vec<View>,
-    /// Per-op viewfront over *this* component's locations.
-    mview_own: Vec<View>,
-    /// Per-op viewfront over the *other* component's locations (entries are
-    /// op ids in the other component's state).
-    mview_other: Vec<View>,
+    pub(crate) rank: Vec<u32>,
+    /// Number of threads (rows of `tview`).
+    pub(crate) n_threads: usize,
+    /// The other component's location count (width of `mview_other`).
+    pub(crate) n_other: usize,
+    /// Per-thread viewfronts over this component's locations, row-major.
+    pub(crate) tview: Vec<OpId>,
+    /// Per-op viewfronts over *this* component's locations, row-major.
+    pub(crate) mview_own: Vec<OpId>,
+    /// Per-op viewfronts over the *other* component's locations (entries
+    /// are op ids in the other component's state), row-major.
+    pub(crate) mview_other: Vec<OpId>,
     /// Per-op covered flag (`cvd`).
-    cvd: Vec<bool>,
+    pub(crate) cvd: Vec<bool>,
 }
 
 impl CState {
     /// Initialise a component: one operation of timestamp 0 per location
-    /// (Section 3.3 `Initialisation`). The cross-component halves of the
-    /// initial `mview`s are installed by [`crate::combined::Combined::new`],
-    /// which sees both components.
-    pub fn init(comp: Comp, inits: &[InitLoc], n_threads: usize) -> CState {
+    /// (Section 3.3 `Initialisation`). Every thread view, and the own half
+    /// of every initial operation's modification view, points at the
+    /// initialising operations; so does the cross half, over the other
+    /// component's `n_other` initialising operations
+    /// (`γInit.mview_x = γInit.tview_t ∪ βInit.tview_t`).
+    pub fn init(comp: Comp, inits: &[InitLoc], n_threads: usize, n_other: usize) -> CState {
         let n_locs = inits.len();
         let mut ops = Vec::with_capacity(n_locs);
         let mut mo = Vec::with_capacity(n_locs);
-        let mut rank = Vec::with_capacity(n_locs);
         for (i, init) in inits.iter().enumerate() {
             let loc = Loc(i as u16);
-            let id = OpId(i as u32);
             let act = match *init {
                 InitLoc::Var(v) => OpAction::Write { v, rel: false },
                 InitLoc::Obj => OpAction::Method(MethodOp::Init),
             };
             // Initialising writes belong to no particular thread; use T0.
             ops.push(OpRecord { loc, tid: Tid(0), act });
-            mo.push(vec![id]);
-            rank.push(0);
+            mo.push(vec![OpId(i as u32)]);
         }
-        let init_view = View::from_entries((0..n_locs as u32).map(OpId).collect());
-        let tview = vec![init_view.clone(); n_threads];
-        let mview_own = vec![init_view; n_locs];
-        // Placeholder: fixed up by Combined::new once the other component
-        // exists. Empty views are never read before that.
-        let mview_other = vec![View::from_entries(Vec::new()); n_locs];
+        // `count` rows of the initial view over `width` locations.
+        let rows = |width: usize, count: usize| -> Vec<OpId> {
+            (0..count).flat_map(|_| (0..width as u32).map(OpId)).collect()
+        };
         CState {
             comp,
             ops,
             mo,
-            rank,
-            tview,
-            mview_own,
-            mview_other,
+            rank: vec![0; n_locs],
+            n_threads,
+            n_other,
+            tview: rows(n_locs, n_threads),
+            mview_own: rows(n_locs, n_locs),
+            mview_other: rows(n_other, n_locs),
             cvd: vec![false; n_locs],
         }
     }
@@ -133,7 +157,7 @@ impl CState {
     /// Number of threads.
     #[inline]
     pub fn n_threads(&self) -> usize {
-        self.tview.len()
+        self.n_threads
     }
 
     /// Approximate heap footprint of this component state in bytes — the
@@ -142,13 +166,7 @@ impl CState {
     /// rc11-check); an estimate, not an allocator-exact measurement.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        let views: usize = self
-            .tview
-            .iter()
-            .chain(self.mview_own.iter())
-            .chain(self.mview_other.iter())
-            .map(|v| size_of::<crate::View>() + v.len() * size_of::<OpId>())
-            .sum();
+        let view_entries = self.tview.len() + self.mview_own.len() + self.mview_other.len();
         size_of::<CState>()
             + self.ops.len() * size_of::<OpRecord>()
             + self
@@ -157,7 +175,7 @@ impl CState {
                 .map(|m| size_of::<Vec<OpId>>() + m.len() * size_of::<OpId>())
                 .sum::<usize>()
             + self.rank.len() * size_of::<u32>()
-            + views
+            + view_entries * size_of::<OpId>()
             + self.cvd.len()
     }
 
@@ -202,47 +220,57 @@ impl CState {
 
     /// Thread `t`'s viewfront.
     #[inline]
-    pub fn tview(&self, t: Tid) -> &View {
-        &self.tview[t.idx()]
+    pub fn tview(&self, t: Tid) -> View<'_> {
+        View::new(row(&self.tview, self.n_locs(), t.idx()))
     }
 
     /// Mutable thread viewfront (object semantics update it directly).
     #[inline]
-    pub fn tview_mut(&mut self, t: Tid) -> &mut View {
-        &mut self.tview[t.idx()]
+    pub fn tview_mut(&mut self, t: Tid) -> ViewMut<'_> {
+        let width = self.n_locs();
+        ViewMut::new(row_mut(&mut self.tview, width, t.idx()))
     }
 
     /// The own-component half of `w`'s modification view.
     #[inline]
-    pub fn mview_own(&self, w: OpId) -> &View {
-        &self.mview_own[w.idx()]
+    pub fn mview_own(&self, w: OpId) -> View<'_> {
+        View::new(row(&self.mview_own, self.n_locs(), w.idx()))
     }
 
     /// The cross-component half of `w`'s modification view (entries refer to
     /// the *other* component's operations).
     #[inline]
-    pub fn mview_other(&self, w: OpId) -> &View {
-        &self.mview_other[w.idx()]
+    pub fn mview_other(&self, w: OpId) -> View<'_> {
+        View::new(row(&self.mview_other, self.n_other, w.idx()))
     }
 
-    /// Overwrite both halves of `w`'s modification view.
-    pub fn set_mview(&mut self, w: OpId, own: View, other: View) {
-        self.mview_own[w.idx()] = own;
-        self.mview_other[w.idx()] = other;
-    }
-
-    /// A rank-lookup closure for [`View::join_in_place`].
-    #[inline]
-    pub fn ranker(&self) -> impl Fn(OpId) -> u32 + '_ {
-        move |w| self.rank[w.idx()]
-    }
-
-    /// `tview_t := tview_t ⊗ v` — join a view into thread `t`'s viewfront
-    /// using this component's timestamp ranks.
-    #[inline]
-    pub fn join_tview_with(&mut self, t: Tid, v: &View) {
+    /// Synchronise thread `t` with operation `w` of this component:
+    /// `tview_t := tview_t ⊗ mview_own(w)` here and
+    /// `ctx.tview_t := ctx.tview_t ⊗ mview_other(w)` in the other component
+    /// — what an acquiring read of a releasing operation does (Figure 5),
+    /// and what the object rules that synchronise do (Figure 6).
+    pub fn sync_with(&mut self, w: OpId, t: Tid, ctx: &mut CState) {
+        debug_assert_eq!(self.n_other, ctx.n_locs(), "context is not the other component");
+        let n = self.n_locs();
         let rank = &self.rank;
-        self.tview[t.idx()].join_in_place(v, |w| rank[w.idx()]);
+        ViewMut::new(row_mut(&mut self.tview, n, t.idx()))
+            .join(View::new(row(&self.mview_own, n, w.idx())), |x| rank[x.idx()]);
+        let no = self.n_other;
+        let ctx_rank = &ctx.rank;
+        ViewMut::new(row_mut(&mut ctx.tview, no, t.idx()))
+            .join(View::new(row(&self.mview_other, no, w.idx())), |x| ctx_rank[x.idx()]);
+    }
+
+    /// Record thread `t`'s current views of both components as `w`'s
+    /// modification view: `mview(w) := tview_t ∪ ctx.tview_t` — what every
+    /// rule creating an operation does once the executing thread's views
+    /// are final.
+    pub fn record_mview(&mut self, w: OpId, t: Tid, ctx: &CState) {
+        debug_assert_eq!(self.n_other, ctx.n_locs(), "context is not the other component");
+        let n = self.n_locs();
+        row_mut(&mut self.mview_own, n, w.idx()).copy_from_slice(row(&self.tview, n, t.idx()));
+        let no = self.n_other;
+        row_mut(&mut self.mview_other, no, w.idx()).copy_from_slice(row(&ctx.tview, no, t.idx()));
     }
 
     // ------------------------------------------------------------------
@@ -252,7 +280,7 @@ impl CState {
     /// `Obs(t, x)` — the operations on `x` observable to `t`: those whose
     /// timestamp is at least the timestamp of `tview_t(x)`.
     pub fn obs(&self, t: Tid, loc: Loc) -> &[OpId] {
-        let front = self.tview[t.idx()].get(loc);
+        let front = self.tview(t).get(loc);
         let from = self.rank[front.idx()] as usize;
         &self.mo[loc.idx()][from..]
     }
@@ -271,9 +299,8 @@ impl CState {
     /// modification order — the fast-engine realisation of Figure 5's
     /// `fresh(q, q')`. Returns the new id.
     ///
-    /// The new operation's `mview` halves are installed as placeholders
-    /// (copies of the executing thread's current views are expected to be
-    /// set immediately afterwards via [`CState::set_mview`]).
+    /// The new operation's `mview` rows are placeholders, to be filled by
+    /// [`CState::record_mview`] once the executing thread's views are final.
     pub fn insert_after(&mut self, after: OpId, rec: OpRecord) -> OpId {
         debug_assert_eq!(self.op(after).loc, rec.loc, "predecessor on a different location");
         let id = OpId(self.ops.len() as u32);
@@ -287,9 +314,10 @@ impl CState {
         for &w in &mo[pos + 1..] {
             self.rank[w.idx()] += 1;
         }
-        // Placeholder views; callers overwrite via set_mview.
-        self.mview_own.push(View::from_entries(Vec::new()));
-        self.mview_other.push(View::from_entries(Vec::new()));
+        // Placeholder rows; callers overwrite via record_mview.
+        let (n, no) = (self.n_locs(), self.n_other);
+        self.mview_own.resize(self.mview_own.len() + n, OpId(0));
+        self.mview_other.resize(self.mview_other.len() + no, OpId(0));
         id
     }
 
@@ -304,10 +332,12 @@ impl CState {
     /// Internal consistency check, used by tests and `debug_assert`s.
     pub fn check_invariants(&self) {
         let n = self.ops.len();
+        let n_locs = self.mo.len();
         assert_eq!(self.rank.len(), n);
         assert_eq!(self.cvd.len(), n);
-        assert_eq!(self.mview_own.len(), n);
-        assert_eq!(self.mview_other.len(), n);
+        assert_eq!(self.tview.len(), self.n_threads * n_locs);
+        assert_eq!(self.mview_own.len(), n * n_locs);
+        assert_eq!(self.mview_other.len(), n * self.n_other);
         let mut seen = vec![false; n];
         for (li, mo) in self.mo.iter().enumerate() {
             for (pos, &w) in mo.iter().enumerate() {
@@ -318,43 +348,11 @@ impl CState {
             }
         }
         assert!(seen.iter().all(|&s| s), "op missing from its mo vector");
-        for tv in &self.tview {
-            assert_eq!(tv.len(), self.mo.len());
-            for (li, w) in tv.iter() {
+        for t in 0..self.n_threads {
+            for (li, w) in self.tview(Tid(t as u8)).iter() {
                 assert_eq!(self.ops[w.idx()].loc.idx(), li, "tview entry on wrong location");
             }
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Canonicalisation support (see `canon` module)
-    // ------------------------------------------------------------------
-
-    /// Destructure into raw parts for canonical renumbering.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn raw_parts(
-        &self,
-    ) -> (&[OpRecord], &[Vec<OpId>], &[View], &[View], &[View], &[bool]) {
-        (&self.ops, &self.mo, &self.tview, &self.mview_own, &self.mview_other, &self.cvd)
-    }
-
-    /// Rebuild from canonically-renumbered parts. `rank` is recomputed.
-    pub(crate) fn from_raw_parts(
-        comp: Comp,
-        ops: Vec<OpRecord>,
-        mo: Vec<Vec<OpId>>,
-        tview: Vec<View>,
-        mview_own: Vec<View>,
-        mview_other: Vec<View>,
-        cvd: Vec<bool>,
-    ) -> CState {
-        let mut rank = vec![0u32; ops.len()];
-        for locs in &mo {
-            for (pos, &w) in locs.iter().enumerate() {
-                rank[w.idx()] = pos as u32;
-            }
-        }
-        CState { comp, ops, mo, rank, tview, mview_own, mview_other, cvd }
     }
 
     /// All operations on `loc` whose recorded action is a method operation,
@@ -369,7 +367,7 @@ mod tests {
     use super::*;
 
     fn two_var_state() -> CState {
-        CState::init(Comp::Client, &[InitLoc::Var(Val::Int(0)), InitLoc::Var(Val::Int(0))], 2)
+        CState::init(Comp::Client, &[InitLoc::Var(Val::Int(0)), InitLoc::Var(Val::Int(0))], 2, 0)
     }
 
     #[test]

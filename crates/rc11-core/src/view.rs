@@ -3,7 +3,14 @@
 //! A *view* maps every location of one component to an operation on that
 //! location (Section 3.3). Views here are total — initialisation writes every
 //! location exactly once, and every rule only ever moves views forward — so a
-//! view is a dense vector with one [`OpId`] per location.
+//! view is a dense row with one [`OpId`] per location.
+//!
+//! Views are not stored one per heap box: a [`crate::state::CState`] keeps
+//! each of its view tables (thread views, and the two halves of every
+//! operation's modification view) as one row-major buffer, and hands out
+//! rows as borrowed [`View`]s (read) and [`ViewMut`]s (write). Cloning a
+//! state therefore copies three flat buffers, however many threads and
+//! operations it has.
 //!
 //! The join `V1 ⊗ V2` keeps, per location, the later (higher-timestamp)
 //! entry. Timestamps in the fast engine are per-location *ranks*, supplied by
@@ -11,49 +18,99 @@
 
 use crate::ids::{Loc, OpId};
 
-/// A total viewfront: one operation per location of one component.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct View(Box<[OpId]>);
+/// A total viewfront, borrowed from its state's view table: one operation
+/// per location of one component.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct View<'a>(&'a [OpId]);
 
-impl View {
-    /// A view with every location at `op0` — only used transiently during
-    /// initialisation before real entries are filled in.
-    pub fn filled(n_locs: usize, op0: OpId) -> View {
-        View(vec![op0; n_locs].into_boxed_slice())
-    }
+/// A mutable viewfront row, borrowed from its state's view table.
+#[derive(Debug)]
+pub struct ViewMut<'a>(&'a mut [OpId]);
 
-    /// Build a view from per-location entries.
-    pub fn from_entries(entries: Vec<OpId>) -> View {
-        View(entries.into_boxed_slice())
+impl<'a> View<'a> {
+    /// View a row of per-location entries.
+    #[inline]
+    pub(crate) fn new(entries: &'a [OpId]) -> View<'a> {
+        View(entries)
     }
 
     /// Number of locations.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub fn len(self) -> usize {
         self.0.len()
     }
 
     /// True iff the component has no locations.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub fn is_empty(self) -> bool {
         self.0.is_empty()
     }
 
     /// The view's entry for `loc` — the paper's `view(x)`.
     #[inline]
-    pub fn get(&self, loc: Loc) -> OpId {
+    pub fn get(self, loc: Loc) -> OpId {
         self.0[loc.idx()]
+    }
+
+    /// Iterate `(loc index, entry)` pairs.
+    pub fn iter(self) -> impl Iterator<Item = (usize, OpId)> + 'a {
+        self.0.iter().copied().enumerate()
+    }
+
+    /// The entries remapped through an id permutation, lazily — for
+    /// comparing remapped views without materialising them.
+    #[inline]
+    pub fn remapped(self, perm: &'a [OpId]) -> impl Iterator<Item = OpId> + 'a {
+        self.0.iter().map(move |e| perm[e.idx()])
+    }
+
+    /// Write the entries remapped through `perm` into `dst`
+    /// (canonicalisation).
+    #[inline]
+    pub(crate) fn remap_into(self, perm: &[OpId], dst: &mut [OpId]) {
+        debug_assert_eq!(self.0.len(), dst.len(), "rows of different widths");
+        for (d, e) in dst.iter_mut().zip(self.0) {
+            *d = perm[e.idx()];
+        }
+    }
+
+    /// Feed the permutation-remapped entries into `h` without materialising
+    /// the remapped view — the per-view step of the zero-rebuild canonical
+    /// fingerprint (DESIGN.md ablation A4).
+    #[inline]
+    pub fn hash_remapped<H: std::hash::Hasher>(self, perm: &[OpId], h: &mut H) {
+        for e in self.0 {
+            h.write_u32(perm[e.idx()].0);
+        }
+    }
+
+    /// True iff remapping `self` through `perm` would yield exactly `other`,
+    /// without materialising the remapped view — the per-view step of
+    /// zero-rebuild canonical equality confirmation.
+    #[inline]
+    pub fn eq_remapped(self, perm: &[OpId], other: View<'_>) -> bool {
+        self.0.len() == other.0.len()
+            && self.0.iter().zip(other.0).all(|(e, o)| perm[e.idx()] == *o)
+    }
+
+    /// Raw slice access (read-only), for hashing and debugging.
+    #[inline]
+    pub fn as_slice(self) -> &'a [OpId] {
+        self.0
+    }
+}
+
+impl<'a> ViewMut<'a> {
+    /// Mutably view a row of per-location entries.
+    #[inline]
+    pub(crate) fn new(entries: &'a mut [OpId]) -> ViewMut<'a> {
+        ViewMut(entries)
     }
 
     /// Replace the entry for `loc` — the paper's `view[x := w]`.
     #[inline]
     pub fn set(&mut self, loc: Loc, op: OpId) {
         self.0[loc.idx()] = op;
-    }
-
-    /// Iterate `(loc index, entry)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, OpId)> + '_ {
-        self.0.iter().copied().enumerate()
     }
 
     /// `self ⊗ other` in place: per location keep the entry whose timestamp
@@ -63,45 +120,13 @@ impl View {
     /// This is the view-combination operator of Section 3.3:
     /// `V1 ⊗ V2 = λx. if tst(V2(x)) ≤ tst(V1(x)) then V1(x) else V2(x)`.
     #[inline]
-    pub fn join_in_place(&mut self, other: &View, rank: impl Fn(OpId) -> u32) {
+    pub(crate) fn join(&mut self, other: View<'_>, rank: impl Fn(OpId) -> u32) {
         debug_assert_eq!(self.0.len(), other.0.len(), "views over different components");
-        for (mine, theirs) in self.0.iter_mut().zip(other.0.iter()) {
+        for (mine, theirs) in self.0.iter_mut().zip(other.0) {
             if rank(*theirs) > rank(*mine) {
                 *mine = *theirs;
             }
         }
-    }
-
-    /// Remap every entry through an id permutation (canonicalisation).
-    pub fn remap(&mut self, perm: &[OpId]) {
-        for e in self.0.iter_mut() {
-            *e = perm[e.idx()];
-        }
-    }
-
-    /// Feed the permutation-remapped entries into `h` without materialising
-    /// the remapped view — the per-view step of the zero-rebuild canonical
-    /// fingerprint (DESIGN.md ablation A4).
-    #[inline]
-    pub fn hash_remapped<H: std::hash::Hasher>(&self, perm: &[OpId], h: &mut H) {
-        for e in self.0.iter() {
-            h.write_u32(perm[e.idx()].0);
-        }
-    }
-
-    /// True iff remapping `self` through `perm` would yield exactly `other`,
-    /// without materialising the remapped view — the per-view step of
-    /// zero-rebuild canonical equality confirmation.
-    #[inline]
-    pub fn eq_remapped(&self, perm: &[OpId], other: &View) -> bool {
-        self.0.len() == other.0.len()
-            && self.0.iter().zip(other.0.iter()).all(|(e, o)| perm[e.idx()] == *o)
-    }
-
-    /// Raw slice access (read-only), for hashing and debugging.
-    #[inline]
-    pub fn as_slice(&self) -> &[OpId] {
-        &self.0
     }
 }
 
@@ -111,8 +136,9 @@ mod tests {
 
     #[test]
     fn get_set_round_trip() {
-        let mut v = View::filled(3, OpId(0));
-        v.set(Loc(1), OpId(5));
+        let mut row = vec![OpId(0); 3];
+        ViewMut::new(&mut row).set(Loc(1), OpId(5));
+        let v = View::new(&row);
         assert_eq!(v.get(Loc(1)), OpId(5));
         assert_eq!(v.get(Loc(0)), OpId(0));
     }
@@ -121,46 +147,49 @@ mod tests {
     fn join_keeps_later_entries() {
         // rank = op id itself for this test.
         let rank = |op: OpId| op.0;
-        let mut a = View::from_entries(vec![OpId(3), OpId(1)]);
-        let b = View::from_entries(vec![OpId(2), OpId(4)]);
-        a.join_in_place(&b, rank);
-        assert_eq!(a.as_slice(), &[OpId(3), OpId(4)]);
+        let mut a = vec![OpId(3), OpId(1)];
+        let b = [OpId(2), OpId(4)];
+        ViewMut::new(&mut a).join(View::new(&b), rank);
+        assert_eq!(a, [OpId(3), OpId(4)]);
     }
 
     #[test]
     fn join_is_idempotent_and_commutative_pointwise() {
         let rank = |op: OpId| op.0;
-        let a = View::from_entries(vec![OpId(3), OpId(1), OpId(7)]);
-        let b = View::from_entries(vec![OpId(2), OpId(4), OpId(7)]);
-        let mut ab = a.clone();
-        ab.join_in_place(&b, rank);
-        let mut ba = b.clone();
-        ba.join_in_place(&a, rank);
+        let a = [OpId(3), OpId(1), OpId(7)];
+        let b = [OpId(2), OpId(4), OpId(7)];
+        let mut ab = a;
+        ViewMut::new(&mut ab).join(View::new(&b), rank);
+        let mut ba = b;
+        ViewMut::new(&mut ba).join(View::new(&a), rank);
         assert_eq!(ab, ba);
-        let mut aa = a.clone();
-        aa.join_in_place(&a, rank);
+        let mut aa = a;
+        ViewMut::new(&mut aa).join(View::new(&a), rank);
         assert_eq!(aa, a);
     }
 
     #[test]
     fn remap_applies_permutation() {
-        let mut v = View::from_entries(vec![OpId(0), OpId(2)]);
+        let v = [OpId(0), OpId(2)];
         let perm = [OpId(1), OpId(0), OpId(2)];
-        v.remap(&perm);
-        assert_eq!(v.as_slice(), &[OpId(1), OpId(2)]);
+        let mut out = [OpId(0); 2];
+        View::new(&v).remap_into(&perm, &mut out);
+        assert_eq!(out, [OpId(1), OpId(2)]);
+        assert!(View::new(&v).remapped(&perm).eq(out));
     }
 
     /// `hash_remapped` and `eq_remapped` agree with materialised remapping.
     #[test]
     fn remapped_hash_and_eq_match_materialised_remap() {
         use std::hash::Hasher;
-        let v = View::from_entries(vec![OpId(0), OpId(2), OpId(1)]);
+        let v = View::new(&[OpId(0), OpId(2), OpId(1)]);
         let perm = [OpId(2), OpId(0), OpId(1)];
-        let mut materialised = v.clone();
-        materialised.remap(&perm);
+        let mut materialised = [OpId(0); 3];
+        v.remap_into(&perm, &mut materialised);
+        let materialised = View::new(&materialised);
 
-        assert!(v.eq_remapped(&perm, &materialised));
-        assert!(!v.eq_remapped(&perm, &v));
+        assert!(v.eq_remapped(&perm, materialised));
+        assert!(!v.eq_remapped(&perm, v));
 
         // The streamed hash equals hashing the materialised entries the
         // same way (one write_u32 per entry).

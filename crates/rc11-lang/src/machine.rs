@@ -11,6 +11,7 @@
 use crate::ast::{Method, Reg};
 use crate::cfg::{CfgProgram, Instr};
 use crate::program::ObjKind;
+use rc11_core::canon::invert_tperm;
 use rc11_core::{AccessKind, Combined, Loc, StepFootprint, Tid, Val};
 
 /// Execution semantics of abstract objects (Section 4), supplied by the
@@ -153,9 +154,7 @@ impl Config {
         perms: &rc11_core::CanonPerms,
         h: &mut H,
     ) {
-        use std::hash::Hash;
-        self.pcs.hash(h);
-        self.locals.hash(h);
+        self.hash_control(None, h);
         self.mem.hash_canonical_with(perms, h);
     }
 
@@ -182,26 +181,59 @@ impl Config {
         self.canonical_eq_with(&self.canonical_perms(), canon)
     }
 
-    /// The thread-permuted control state `(pcs, locals)` under
-    /// `sigma[old] = new`: slot `sigma[t]` receives thread `t`'s pc and its
-    /// register file re-expressed in the destination slot's numbering via
-    /// `maps` (`file'[k] = file_t[from_rep_t[to_rep_dest[k]]]`). Only
-    /// meaningful when `sigma` permutes threads within symmetry groups
-    /// (equal instruction streams modulo the register renaming), which is
-    /// what `rc11-analyze` detects.
-    fn permuted_control(&self, sigma: &[u8], maps: &SymMaps) -> (Vec<u32>, Vec<Vec<Val>>) {
+    /// Slot `j` of the control state `(pcs, locals)` — as is, or under a
+    /// thread permutation `sym = (inv, maps)` given by its inverse
+    /// (`inv[new] = old`): slot `j` then holds thread `inv[j]`'s pc and its
+    /// register file re-expressed in slot `j`'s numbering via `maps`
+    /// (`file'[k] = file_t[from_rep_t[to_rep_j[k]]]`). Only meaningful when
+    /// the permutation maps threads within symmetry groups (equal
+    /// instruction streams modulo the register renaming), which is what
+    /// `rc11-analyze` detects.
+    fn control_slot<'a>(
+        &'a self,
+        j: usize,
+        sym: Option<(&'a [u8], &'a SymMaps)>,
+    ) -> (u32, impl ExactSizeIterator<Item = Val> + 'a) {
+        let t = sym.map_or(j, |(inv, _)| inv[j] as usize);
+        let file = &self.locals[t];
+        let len = sym.map_or(file.len(), |(_, maps)| maps.to_rep[j].len());
+        let regs = (0..len).map(move |k| match sym {
+            None => file[k],
+            Some((_, maps)) => file[maps.from_rep[t][maps.to_rep[j][k] as usize] as usize],
+        });
+        (self.pcs[t], regs)
+    }
+
+    /// Stream the (possibly thread-permuted, see
+    /// [`Config::control_slot`]) control state into `h` slot by slot: the
+    /// pcs, then the register files, each list length-prefixed. The plain
+    /// and symmetry-aware walks share this, so a permuted stream equals the
+    /// plain stream of the materialised permuted configuration.
+    fn hash_control<H: std::hash::Hasher>(&self, sym: Option<(&[u8], &SymMaps)>, h: &mut H) {
+        use std::hash::Hash;
         let n = self.pcs.len();
-        let mut pcs = vec![0u32; n];
-        let mut locals: Vec<Vec<Val>> = vec![Vec::new(); n];
-        for t in 0..n {
-            let dest = sigma[t] as usize;
-            pcs[dest] = self.pcs[t];
-            let file = &self.locals[t];
-            locals[dest] = maps.to_rep[dest]
-                .iter()
-                .map(|&rep| file[maps.from_rep[t][rep as usize] as usize])
-                .collect();
+        h.write_usize(n);
+        for j in 0..n {
+            h.write_u32(self.control_slot(j, sym).0);
         }
+        h.write_usize(n);
+        for j in 0..n {
+            let (_, regs) = self.control_slot(j, sym);
+            h.write_usize(regs.len());
+            for v in regs {
+                v.hash(h);
+            }
+        }
+    }
+
+    /// The control state `(pcs, locals)` materialised with threads
+    /// permuted by `sigma[old] = new` (see [`Config::control_slot`]).
+    fn permuted_control(&self, sigma: &[u8], maps: &SymMaps) -> (Vec<u32>, Vec<Vec<Val>>) {
+        let inv = invert_tperm(sigma);
+        let sym = Some((&inv[..], maps));
+        let n = self.pcs.len();
+        let pcs = (0..n).map(|j| self.control_slot(j, sym).0).collect();
+        let locals = (0..n).map(|j| self.control_slot(j, sym).1.collect()).collect();
         (pcs, locals)
     }
 
@@ -218,23 +250,21 @@ impl Config {
 
     /// [`Config::hash_canonical_with`] honouring the thread permutation in
     /// `perms.threads`: streams the canonical serialisation of the
-    /// thread-permuted configuration. Feeds byte-identical input to `h` as
-    /// the plain walk over `self.permute_threads(σ).canonical()` would, so
-    /// sym-fingerprints and plain fingerprints of materialised sym-canonical
-    /// forms coincide. Falls back to the plain walk when `perms.threads` is
-    /// `None`.
+    /// thread-permuted configuration without building it. Feeds
+    /// byte-identical input to `h` as the plain walk over
+    /// `self.permute_threads(σ).canonical()` would, so sym-fingerprints and
+    /// plain fingerprints of materialised sym-canonical forms coincide.
+    /// Falls back to the plain walk when `perms.threads` is `None`.
     pub fn hash_canonical_sym<H: std::hash::Hasher>(
         &self,
         perms: &rc11_core::CanonPerms,
         maps: &SymMaps,
         h: &mut H,
     ) {
-        use std::hash::Hash;
         match &perms.threads {
             Some(sigma) => {
-                let (pcs, locals) = self.permuted_control(sigma, maps);
-                pcs.hash(h);
-                locals.hash(h);
+                let inv = invert_tperm(sigma);
+                self.hash_control(Some((&inv[..], maps)), h);
                 self.mem.hash_canonical_with(perms, h);
             }
             None => self.hash_canonical_with(perms, h),
@@ -242,7 +272,8 @@ impl Config {
     }
 
     /// [`Config::canonical_eq_with`] honouring the thread permutation in
-    /// `perms.threads` (see [`Config::hash_canonical_sym`]).
+    /// `perms.threads` (see [`Config::hash_canonical_sym`]); compares the
+    /// permuted control state slot by slot without building it.
     #[must_use]
     pub fn canonical_eq_sym(
         &self,
@@ -252,9 +283,15 @@ impl Config {
     ) -> bool {
         match &perms.threads {
             Some(sigma) => {
-                let (pcs, locals) = self.permuted_control(sigma, maps);
-                pcs == canon.pcs
-                    && locals == canon.locals
+                let inv = invert_tperm(sigma);
+                let sym = Some((&inv[..], maps));
+                let n = self.pcs.len();
+                n == canon.pcs.len()
+                    && n == canon.locals.len()
+                    && (0..n).all(|j| {
+                        let (pc, regs) = self.control_slot(j, sym);
+                        pc == canon.pcs[j] && regs.eq(canon.locals[j].iter().copied())
+                    })
                     && self.mem.canonical_eq_with(perms, &canon.mem)
             }
             None => self.canonical_eq_with(perms, canon),

@@ -35,13 +35,8 @@ pub fn inc_steps(mem: &Combined, t: Tid, c: Loc) -> Vec<(Val, Combined)> {
     });
     exec.cover(w);
     exec.tview_mut(t).set(c, new);
-    let mv_own = exec.mview_own(w).clone();
-    exec.join_tview_with(t, &mv_own);
-    let mv_other = exec.mview_other(w).clone();
-    ctx.join_tview_with(t, &mv_other);
-    let own = exec.tview(t).clone();
-    let other = ctx.tview(t).clone();
-    exec.set_mview(new, own, other);
+    exec.sync_with(w, t, ctx);
+    exec.record_mview(new, t, ctx);
 
     vec![(Val::Int(old), next)]
 }

@@ -49,17 +49,12 @@ pub fn acquire_steps(mem: &Combined, t: Tid, l: Loc) -> Vec<(u32, Combined)> {
     let new = exec.insert_at_max(OpRecord { loc: l, tid: t, act: OpAction::Method(b) });
     // cvd' = cvd ∪ {(w, q)}.
     exec.cover(w);
-    // tview' = γ.tview_t[l := (b, q')] ⊗ γ.mview_(w,q).
-    exec.tview_mut(t).set(l, new);
-    let mv_own = exec.mview_own(w).clone();
-    exec.join_tview_with(t, &mv_own);
+    // tview' = γ.tview_t[l := (b, q')] ⊗ γ.mview_(w,q);
     // ctview' = β.tview_t ⊗ γ.mview_(w,q).
-    let mv_other = exec.mview_other(w).clone();
-    ctx.join_tview_with(t, &mv_other);
+    exec.tview_mut(t).set(l, new);
+    exec.sync_with(w, t, ctx);
     // mview' = tview' ∪ ctview'.
-    let own = exec.tview(t).clone();
-    let other = ctx.tview(t).clone();
-    exec.set_mview(new, own, other);
+    exec.record_mview(new, t, ctx);
 
     vec![(n, next)]
 }
@@ -82,9 +77,7 @@ pub fn release_steps(mem: &Combined, t: Tid, l: Loc) -> Vec<(u32, Combined)> {
     let new = exec.insert_at_max(OpRecord { loc: l, tid: t, act: OpAction::Method(a) });
     // tview' = γ.tview_t[l := (a, q')]; mview' = tview' ∪ β.tview_t.
     exec.tview_mut(t).set(l, new);
-    let own = exec.tview(t).clone();
-    let other = ctx.tview(t).clone();
-    exec.set_mview(new, own, other);
+    exec.record_mview(new, t, ctx);
 
     vec![(n, next)]
 }

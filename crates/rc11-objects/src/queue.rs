@@ -40,9 +40,7 @@ pub fn enq_steps(mem: &Combined, t: Tid, q: Loc, v: Val, rel: bool) -> Vec<Combi
         act: OpAction::Method(MethodOp::Enq { v, rel }),
     });
     exec.tview_mut(t).set(q, new);
-    let own = exec.tview(t).clone();
-    let other = ctx.tview(t).clone();
-    exec.set_mview(new, own, other);
+    exec.record_mview(new, t, ctx);
     vec![next]
 }
 
@@ -63,14 +61,9 @@ pub fn deq_steps(mem: &Combined, t: Tid, q: Loc, acq: bool) -> Vec<(Val, Combine
                 exec.tview_mut(t).set(q, new);
             }
             if acq && rel {
-                let mv_own = exec.mview_own(w).clone();
-                exec.join_tview_with(t, &mv_own);
-                let mv_other = exec.mview_other(w).clone();
-                ctx.join_tview_with(t, &mv_other);
+                exec.sync_with(w, t, ctx);
             }
-            let own = exec.tview(t).clone();
-            let other = ctx.tview(t).clone();
-            exec.set_mview(new, own, other);
+            exec.record_mview(new, t, ctx);
             vec![(v, next)]
         }
     }

@@ -34,9 +34,7 @@ pub fn write_steps(mem: &Combined, t: Tid, r: Loc, v: Val, rel: bool) -> Vec<Com
                 OpRecord { loc: r, tid: t, act: OpAction::Method(MethodOp::RegWrite { v, rel }) },
             );
             exec.tview_mut(t).set(r, new);
-            let own = exec.tview(t).clone();
-            let other = ctx.tview(t).clone();
-            exec.set_mview(new, own, other);
+            exec.record_mview(new, t, ctx);
             next
         })
         .collect()
@@ -53,10 +51,7 @@ pub fn read_steps(mem: &Combined, t: Tid, r: Loc, acq: bool) -> Vec<(Val, Combin
             let mut next = mem.clone();
             let (exec, ctx) = next.exec_ctx_mut(Comp::Lib);
             if acq && rel {
-                let mv_own = exec.mview_own(w).clone();
-                exec.join_tview_with(t, &mv_own);
-                let mv_other = exec.mview_other(w).clone();
-                ctx.join_tview_with(t, &mv_other);
+                exec.sync_with(w, t, ctx);
             } else {
                 exec.tview_mut(t).set(r, w);
             }

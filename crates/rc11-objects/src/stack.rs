@@ -48,9 +48,7 @@ pub fn push_steps(mem: &Combined, t: Tid, s: Loc, v: Val, rel: bool) -> Vec<Comb
         act: OpAction::Method(MethodOp::Push { v, rel }),
     });
     exec.tview_mut(t).set(s, new);
-    let own = exec.tview(t).clone();
-    let other = ctx.tview(t).clone();
-    exec.set_mview(new, own, other);
+    exec.record_mview(new, t, ctx);
     vec![next]
 }
 
@@ -73,14 +71,9 @@ pub fn pop_steps(mem: &Combined, t: Tid, s: Loc, acq: bool) -> Vec<(Val, Combine
                 exec.tview_mut(t).set(s, new);
             }
             if acq && rel {
-                let mv_own = exec.mview_own(w).clone();
-                exec.join_tview_with(t, &mv_own);
-                let mv_other = exec.mview_other(w).clone();
-                ctx.join_tview_with(t, &mv_other);
+                exec.sync_with(w, t, ctx);
             }
-            let own = exec.tview(t).clone();
-            let other = ctx.tview(t).clone();
-            exec.set_mview(new, own, other);
+            exec.record_mview(new, t, ctx);
             vec![(v, next)]
         }
     }

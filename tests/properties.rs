@@ -276,3 +276,81 @@ proptest! {
         }
     }
 }
+
+/// Every reachable configuration of `prog` (raw, one per canonical form).
+fn reachable(prog: &CfgProgram) -> Vec<Config> {
+    let mut seen = HashSet::new();
+    let mut frontier = vec![Config::initial(prog)];
+    let mut out = Vec::new();
+    seen.insert(frontier[0].canonical());
+    while let Some(c) = frontier.pop() {
+        for (_, s) in successors(prog, &NoObjects, &c, StepOptions::default()) {
+            if seen.insert(s.canonical()) {
+                frontier.push(s);
+            }
+        }
+        out.push(c);
+    }
+    out
+}
+
+/// A 64-bit instantiation of a canonical walk, for comparing walks.
+fn walk_hash(walk: impl FnOnce(&mut std::collections::hash_map::DefaultHasher)) -> u64 {
+    use std::hash::Hasher;
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    walk(&mut h);
+    h.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The symmetry-aware walks agree with materialising (DESIGN.md A6):
+    /// on every reachable state of a program with cloned threads and for
+    /// every σ in its symmetry group, `hash_canonical_sym` streams exactly
+    /// what the plain walk over `permute_threads(σ).canonical()` streams,
+    /// and `canonical_eq_sym` holds against a canonical form iff that form
+    /// is the materialised one.
+    #[test]
+    fn symmetry_walks_match_the_materialised_permutation(
+        body in prop::collection::vec(rinstr(), 1..4),
+        clones in 2usize..4,
+        with_extra in any::<bool>(),
+        extra in prop::collection::vec(rinstr(), 1..3),
+    ) {
+        let mut threads: Vec<Vec<RInstr>> = vec![body; clones];
+        if with_extra {
+            threads.push(extra);
+        }
+        let compiled = compile(&build_program(&threads));
+        let spec = rc11::analyze::thread_symmetry(&compiled);
+        prop_assert!(!spec.is_trivial());
+        let maps = spec.maps();
+        let group = spec.group_perms();
+        for state in reachable(&compiled) {
+            let orbit: Vec<Config> = group
+                .iter()
+                .map(|sigma| state.permute_threads(sigma, maps).canonical())
+                .collect();
+            for (sigma, member) in group.iter().zip(&orbit) {
+                let perms = rc11::core::CanonPerms {
+                    threads: Some(sigma.clone()),
+                    ..state.canonical_perms()
+                };
+                prop_assert_eq!(
+                    walk_hash(|h| state.hash_canonical_sym(&perms, maps, h)),
+                    walk_hash(|h| member.hash_canonical(h)),
+                    "sym walk differs from the plain walk of the permuted form"
+                );
+                prop_assert_eq!(&state.canonical_sym(&perms, maps), member);
+                for other in &orbit {
+                    prop_assert_eq!(
+                        state.canonical_eq_sym(&perms, maps, other),
+                        member == other,
+                        "canonical_eq_sym disagrees with materialised equality"
+                    );
+                }
+            }
+        }
+    }
+}
