@@ -1,8 +1,8 @@
 //! Ablation A1: the literal Figure-5 engine (rational timestamps, set-based
 //! states) versus the fast engine (dense ranks, canonicalising states) —
-//! plus a sweep of the *exploration* engines (sequential vs the batched
-//! parallel engine) over a real lock client, so one bench file covers
-//! both engine axes of DESIGN.md — plus ablation A4
+//! plus the exploration walk's deep-space timings (`exploration_engine`),
+//! so one bench file covers both engine axes of DESIGN.md — plus ablation
+//! A4
 //! (`canon_vs_fingerprint`): the per-successor cost of materialised
 //! canonicalisation + key clone (what visited-dedup used to pay on every
 //! edge) against the zero-rebuild canonical fingerprint that replaced it,
@@ -16,7 +16,7 @@
 //! distinct). Expected shape: the fast engine wins by an order of magnitude
 //! on raw transitions, and only it supports visited-set dedup.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rc11::prelude::*;
 use rc11_check::fxhash::{CanonicalFingerprint, FxHashSet};
 use rc11_core::lit::{step as lit_step, LitCombined};
@@ -98,43 +98,52 @@ fn bench(c: &mut Criterion) {
     g.finish();
 }
 
-/// The exploration-engine axis: sequential vs the batched
-/// parallel engine (via `choose_engine`) over a three-thread ticket-lock
-/// client, unreduced, with identical-state-count assertions on every
-/// iteration.
+/// The exploration walk on deep spaces: the ticket-lock `counter5` client
+/// unreduced and under `Reduction::Full`, and `rounds_client(6)` (two
+/// asymmetric threads, six lock rounds each) under `Full` — the workloads
+/// the single-walk parity with the retired parallel engine was measured
+/// on. Each is timed best-of-3 by the walk's own wall clock and recorded
+/// into `BENCH_explore.json` with the host; the criterion group times the
+/// same runs.
 fn bench_exploration(c: &mut Criterion) {
     if !criterion::selected("exploration_engine") {
         return;
     }
-    let (client, l) = harness::counter_client(3);
-    let conc = instantiate(&client, l, &rc11_locks::ticket());
-    let prog = compile(&conc);
-    let opts =
-        ExploreOptions { record_traces: false, reduce: Reduction::None, ..Default::default() };
-    let seq = Engine::Sequential.explore(&prog, &NoObjects, &opts);
-    eprintln!(
-        "[ablate_engine] exploration reference: {} states, {} transitions",
-        seq.states, seq.transitions
-    );
-
+    let ticket = |(client, l): (Program, ObjRef)| {
+        compile(&instantiate(&client, l, &rc11_locks::ticket()))
+    };
+    let counter5 = ticket(harness::counter_client(5));
+    let rounds6 = ticket(harness::rounds_client(6));
+    let full = ExploreOptions { record_traces: false, ..Default::default() };
+    let none = ExploreOptions { reduce: Reduction::None, ..full.clone() };
+    let cases = [
+        ("counter5_none", &counter5, &none),
+        ("counter5_full", &counter5, &full),
+        ("rounds6_full", &rounds6, &full),
+    ];
+    let mut json: Vec<(String, f64)> = Vec::new();
     let mut g = c.benchmark_group("exploration_engine");
     g.sample_size(10);
-    g.bench_function("sequential", |b| {
-        b.iter(|| {
-            let r = Engine::Sequential.explore(&prog, &NoObjects, &opts);
-            assert_eq!(r.states, seq.states);
-        })
-    });
-    for workers in [2usize, 4] {
-        let engine = choose_engine(workers);
-        g.bench_with_input(BenchmarkId::new("parallel", workers), &engine, |b, engine| {
-            b.iter(|| {
-                let r = engine.explore(&prog, &NoObjects, &opts);
-                assert_eq!(r.states, seq.states);
-            })
+    for (key, prog, opts) in cases {
+        let runs: Vec<EngineReport> =
+            (0..3).map(|_| Engine::Sequential.explore(prog, &NoObjects, opts)).collect();
+        assert!(runs.iter().all(|r| r.stop.is_complete()), "{key}: the walk completes");
+        let best = runs.iter().map(|r| r.wall.as_secs_f64()).fold(f64::INFINITY, f64::min);
+        eprintln!(
+            "[exploration_engine] {key}: {} states, {} transitions, best {:.2} ms",
+            runs[0].states,
+            runs[0].transitions,
+            best * 1e3
+        );
+        json.push((format!("{key}_ms"), best * 1e3));
+        json.push((format!("{key}_states"), runs[0].states as f64));
+        g.bench_function(key, |b| {
+            b.iter(|| black_box(Engine::Sequential.explore(prog, &NoObjects, opts).states))
         });
     }
     g.finish();
+    let borrowed: Vec<(&str, f64)> = json.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+    bench::record_bench_json("exploration_engine", &borrowed);
 }
 
 /// Ablation A4: per-successor deduplication cost. Collect real raw
@@ -277,7 +286,10 @@ enum Bar {
 /// sets prune transitions only). The acceptance bars: ≥ 1.5× transitions
 /// on `ttas4`/`mp_spin4` (A5), ≥ 3× states on `sym_cas3`/`sym_inc3`/
 /// `sym_fai4` (A6), ≥ 5× transitions on `ttas2x2`/`mp_spin2x3`/
-/// `deqspin2x2` (A7). Counts and factors go to `BENCH_explore.json`.
+/// `deqspin2x2` (A7). The deep ticket-lock `counter5` client (56k
+/// unreduced states) rides along under the same checks, so the reduction
+/// is held to the unreduced search on a space users meet, not only on
+/// corpus-sized ones. Counts and factors go to `BENCH_explore.json`.
 fn bench_reduction(c: &mut Criterion) {
     if !criterion::selected("reduction") {
         return;
@@ -307,15 +319,17 @@ fn bench_reduction(c: &mut Criterion) {
             (key, bar, compile(&l.prog), uses_objects)
         })
         .collect();
-    let (client, l) = harness::counter_client(3);
-    let conc = instantiate(&client, l, &rc11_locks::ticket());
-    progs.push(("ticket_counter3", Bar::None, compile(&conc), false));
+    for (key, n) in [("ticket_counter3", 3), ("ticket_counter5", 5)] {
+        let (client, l) = harness::counter_client(n);
+        let conc = instantiate(&client, l, &rc11_locks::ticket());
+        progs.push((key, Bar::None, compile(&conc), false));
+    }
 
     let full = ExploreOptions { record_traces: false, ..Default::default() };
     let none = ExploreOptions { reduce: Reduction::None, ..full.clone() };
     let mut json: Vec<(String, f64)> = Vec::new();
     for (key, bar, prog, uses_objects) in &progs {
-        let objs: &(dyn rc11_lang::machine::ObjectSemantics + Sync) =
+        let objs: &dyn rc11_lang::machine::ObjectSemantics =
             if *uses_objects { &AbstractObjects } else { &NoObjects };
         let unreduced = Engine::Sequential.explore(prog, objs, &none);
         let outcomes = Engine::Sequential.explore(prog, objs, &full);
@@ -371,7 +385,7 @@ fn bench_reduction(c: &mut Criterion) {
         if !["spinlock_ttas4", "ttas2x2", "sym_fai4", "ticket_counter3"].contains(key) {
             continue;
         }
-        let objs: &(dyn rc11_lang::machine::ObjectSemantics + Sync) =
+        let objs: &dyn rc11_lang::machine::ObjectSemantics =
             if *uses_objects { &AbstractObjects } else { &NoObjects };
         for (mode, opts) in [("none", &none), ("full", &full)] {
             g.bench_function(format!("{key}/{mode}"), |b| {
@@ -386,8 +400,7 @@ fn bench_reduction(c: &mut Criterion) {
 }
 
 /// The telemetry tax (DESIGN.md §9). The same unreduced ticket-lock
-/// exploration (so state counts match at every worker count) is
-/// decided with no sink on `ExploreOptions::telemetry` (the default — one
+/// exploration is decided with no sink on `ExploreOptions::telemetry` (the default — one
 /// `Option` test per instrumentation point) and with a live sink attached
 /// (sharded relaxed counters + frontier gauge + phase timer). The two
 /// configurations are measured *interleaved* (round-robin, best-of-N each)
@@ -458,25 +471,21 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
          ({ratio:.3}x, bar 0.75x)"
     );
 
-    // Plotted lines: the same pair under criterion, sequential and at two
-    // workers (the parallel engine shares the instrumentation points).
+    // Plotted lines: the same pair under criterion.
     let mut g = c.benchmark_group("telemetry_overhead");
     g.sample_size(10);
     for (mode, sink) in [("disabled", false), ("enabled", true)] {
-        for workers in [1usize, 2] {
-            let engine = choose_engine(workers);
-            g.bench_function(format!("{mode}/{workers}w"), |b| {
-                b.iter(|| {
-                    let opts = ExploreOptions {
-                        telemetry: sink.then(rc11::telemetry::Telemetry::shared),
-                        ..off_opts.clone()
-                    };
-                    let r = engine.explore(&prog, &NoObjects, &opts);
-                    assert_eq!(r.states, reference.states);
-                    black_box(r.states)
-                })
-            });
-        }
+        g.bench_function(mode, |b| {
+            b.iter(|| {
+                let opts = ExploreOptions {
+                    telemetry: sink.then(rc11::telemetry::Telemetry::shared),
+                    ..off_opts.clone()
+                };
+                let r = Engine::Sequential.explore(&prog, &NoObjects, &opts);
+                assert_eq!(r.states, reference.states);
+                black_box(r.states)
+            })
+        });
     }
     g.finish();
 }

@@ -155,7 +155,7 @@ impl FutureFootprints {
     /// thread has halted. Threads outside the returned mask cannot
     /// conflict with any member from here on, so expanding only the
     /// members still reaches every terminal and deadlock. Deterministic
-    /// in `pcs` — both engines and every arrival at a state agree.
+    /// in `pcs` — every arrival at a state agrees.
     ///
     /// A member may be *blocked* (a lock acquire with no matching
     /// release): persistence guarantees nothing unblocks it from

@@ -1,22 +1,20 @@
 //! Seeded deterministic fault injection for the resilience harness.
 //!
-//! Faults are **data**: a [`FaultPlan`] names the fault points (worker
-//! panic at the Nth expansion, injector stall at the Nth expansion,
-//! checkpoint-write failure at the Kth write) and a seed derives a plan
+//! Faults are **data**: a [`FaultPlan`] names the fault points (a panic
+//! at the Nth expansion, a checkpoint-write failure at the Kth write) and
+//! a seed derives a plan
 //! reproducibly, so every chaos failure replays from its seed — the
 //! pattern of the deterministic coordination tests this module is modelled
 //! on. A [`ChaosState`] threads the plan through an exploration via
 //! [`ExploreOptions::chaos`](crate::engine::ExploreOptions::chaos):
 //!
-//! * the **parallel** engine calls [`ChaosState::on_expansion`] once per
-//!   work item, so `worker_panic_at`/`stall_at` fire inside a worker (and
-//!   are contained by the worker's `catch_unwind` harness);
-//! * the **sequential** explorer calls the same hook once per popped
-//!   frontier node; it has no per-worker containment, so an injected panic
-//!   unwinds out of `explore` and is caught by the shared request path
-//!   ([`CheckService`](crate::request::CheckService)), which reports it as
-//!   a `WorkerFault` stop with the panic message in the note detail;
-//! * the **sequential** checkpointer calls
+//! * the exploration walk calls [`ChaosState::on_expansion`] once per
+//!   popped frontier item; it has no internal containment, so an injected
+//!   `worker_panic_at` panic unwinds out of `explore` and is caught by the
+//!   shared request path ([`CheckService`](crate::request::CheckService)),
+//!   which reports it as a `WorkerFault` stop with the panic message in
+//!   the note detail;
+//! * the checkpointer calls
 //!   [`ChaosState::should_fail_checkpoint`] before each write, so
 //!   `checkpoint_fail_at` simulates a failed save without touching disk.
 //!
@@ -26,23 +24,15 @@
 //! explicitly non-`Complete` [`StopReason`](crate::engine::StopReason) —
 //! never silently wrong.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
 
 /// A deterministic fault schedule. All counters are 1-based: a
-/// `worker_panic_at` of `Some(3)` panics whichever worker processes the
-/// third expansion (the count is deterministic; under parallel scheduling
-/// the *identity* of the expanded state is not, which the differential
-/// contract tolerates by construction).
+/// `worker_panic_at` of `Some(3)` panics the walk at its third expansion.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Panic the expanding worker at this (1-based) global expansion.
+    /// Panic the walk at this (1-based) expansion.
     pub worker_panic_at: Option<u64>,
-    /// Stall the expanding worker (simulated injector stall) at this
-    /// expansion — surfaces termination-detection races.
-    pub stall_at: Option<u64>,
     /// Fail the Kth (1-based) checkpoint write.
     pub checkpoint_fail_at: Option<u64>,
 }
@@ -74,8 +64,7 @@ impl FaultPlan {
         let kinds = next();
         let mut plan = FaultPlan {
             worker_panic_at: (kinds & 1 != 0).then(|| 1 + next() % 48),
-            stall_at: (kinds & 2 != 0).then(|| 1 + next() % 48),
-            checkpoint_fail_at: (kinds & 4 != 0).then(|| 1 + next() % 4),
+            checkpoint_fail_at: (kinds & 2 != 0).then(|| 1 + next() % 4),
         };
         if plan.is_empty() {
             plan.worker_panic_at = Some(1 + next() % 48);
@@ -85,8 +74,8 @@ impl FaultPlan {
 }
 
 /// The live counters a [`FaultPlan`] runs on. Shared via `Arc` between
-/// the caller and every engine worker; all methods are lock-free on the
-/// hot path (one `fetch_add` per expansion).
+/// the caller and the walk; the hot path is one `fetch_add` per
+/// expansion.
 pub struct ChaosState {
     plan: FaultPlan,
     expansions: AtomicU64,
@@ -121,30 +110,24 @@ impl ChaosState {
         self.plan
     }
 
-    /// Called by both engines once per expanded work item. Fires
-    /// `stall_at` (a short sleep, surfacing termination-detection races)
-    /// and `worker_panic_at` (a real `panic!` — contained by the worker
-    /// harness in the parallel engine, and by the request path's
-    /// `catch_unwind` for the sequential one) when their counts come up.
+    /// Called by the walk once per expanded work item. Fires
+    /// `worker_panic_at` (a real `panic!`, contained by the request path's
+    /// `catch_unwind`) when its count comes up.
     pub fn on_expansion(&self) {
         let n = self.expansions.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.plan.stall_at == Some(n) {
-            self.injected.lock().push(format!("stall at expansion {n}"));
-            std::thread::sleep(Duration::from_millis(2));
-        }
         if self.plan.worker_panic_at == Some(n) {
-            self.injected.lock().push(format!("worker panic at expansion {n}"));
+            self.log(format!("worker panic at expansion {n}"));
             panic!("chaos: injected worker panic at expansion {n}");
         }
     }
 
-    /// Called by the sequential checkpointer before each write; `true`
+    /// Called by the checkpointer before each write; `true`
     /// means "simulate a failed write" (the checkpointer then records a
     /// `Note::CheckpointError` and continues without saving).
     pub fn should_fail_checkpoint(&self) -> bool {
         let k = self.ckpt_writes.fetch_add(1, Ordering::Relaxed) + 1;
         if self.plan.checkpoint_fail_at == Some(k) {
-            self.injected.lock().push(format!("checkpoint write {k} failed"));
+            self.log(format!("checkpoint write {k} failed"));
             return true;
         }
         false
@@ -152,7 +135,13 @@ impl ChaosState {
 
     /// The faults actually injected so far (for assertions and debugging).
     pub fn injected(&self) -> Vec<String> {
-        self.injected.lock().clone()
+        self.injected.lock().unwrap_or_else(|e| e.into_inner()).clone()
+    }
+
+    /// Record an injected fault. A poisoned lock (a panic while logging)
+    /// still records: the log is append-only.
+    fn log(&self, fault: String) {
+        self.injected.lock().unwrap_or_else(|e| e.into_inner()).push(fault);
     }
 }
 
@@ -172,10 +161,11 @@ mod tests {
 
     #[test]
     fn expansion_counter_fires_the_named_point() {
-        let st = ChaosState::new(FaultPlan { stall_at: Some(2), ..FaultPlan::none() });
+        let st = ChaosState::new(FaultPlan { worker_panic_at: Some(2), ..FaultPlan::none() });
         st.on_expansion();
         assert!(st.injected().is_empty());
-        st.on_expansion();
+        let fired = std::panic::catch_unwind(|| st.on_expansion());
+        assert!(fired.is_err(), "the second expansion panics");
         assert_eq!(st.injected().len(), 1);
         st.on_expansion();
         assert_eq!(st.injected().len(), 1, "fires exactly once");

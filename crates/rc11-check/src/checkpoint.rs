@@ -1,11 +1,11 @@
-//! Checkpoint/resume for the sequential explorer — the stepping stone to
+//! Checkpoint/resume for the exploration walk — the stepping stone to
 //! disk spill and a long-running checking daemon.
 //!
 //! ## Format: a structural replay log
 //!
 //! A checkpoint does **not** serialise configurations (their memory states
 //! are deep, pointer-free but private structures); it records the
-//! *discovery log* of the deterministic sequential explorer instead:
+//! *discovery log* of the deterministic walk instead:
 //!
 //! * per interned node: the first-discovery edge `(parent id, tid,
 //!   successor index)` plus the node's current explored-thread mask;
@@ -15,7 +15,7 @@
 //!   additionally carry their message and, under symmetry, the orbit
 //!   permutation of the violating member).
 //!
-//! Because the sequential explorer is deterministic, resuming replays the
+//! Because the walk is deterministic, resuming replays the
 //! discovery edges through `thread_successors` + the unchanged
 //! probe/commit path and rebuilds the arena, index and report
 //! **bit-identically**, then continues the main loop from the restored
@@ -37,7 +37,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Where and how often the sequential explorer checkpoints.
+/// Where and how often the walk checkpoints.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointOpts {
     /// Directory the checkpoint file (`rc11.ckpt`) lives in (created if

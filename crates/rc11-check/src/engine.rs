@@ -5,24 +5,20 @@
 //! the same question: "what does the reachable configuration space look
 //! like?". This module gives that question one answer type
 //! ([`EngineReport`], with [`Violation`]s that carry counterexample traces)
-//! and one entry point ([`Engine`]) behind which the sequential explorer
-//! ([`crate::explore::Explorer`]) and the batched work-stealing parallel
-//! explorer ([`crate::parallel::par_explore`]) are interchangeable.
+//! and one entry point ([`Engine`]) over the one exploration walk
+//! ([`crate::explore::Explorer`]).
 //!
 //! The differential suite (`tests/engine_agreement.rs` at the workspace
-//! root) holds both engines to the small [`crate::reference`] explorer as
-//! the oracle. Under [`Reduction::None`] they match it exactly — state,
+//! root) holds the walk to the small [`crate::reference`] explorer as the
+//! oracle. Under [`Reduction::None`] it matches it exactly — state,
 //! transition and terminal counts and violation sets. Under the default
-//! [`Reduction::Full`] they match its terminal, deadlock and violation
+//! [`Reduction::Full`] it matches its terminal, deadlock and violation
 //! sets exactly, while state and transition counts are only bounded above
-//! by the reference's; the parallel engine's counts can then also vary
-//! from run to run with arrival order. [`choose_engine`] picks the engine
-//! for a requested worker count.
+//! by the reference's.
 
 use crate::chaos::ChaosState;
 use crate::checkpoint::CheckpointOpts;
 use crate::explore::Explorer;
-use crate::parallel::par_run;
 use rc11_core::Tid;
 use rc11_lang::cfg::CfgProgram;
 use rc11_lang::machine::{Config, ObjectSemantics, StepOptions};
@@ -33,12 +29,10 @@ use std::time::Duration;
 
 /// Why an exploration stopped — the generalisation of the old `truncated`
 /// bool into an ordered lattice. Reasons are ordered by severity and
-/// combined by `max` ([`StopReason::bump`]): a run that hits the state cap
-/// *and* loses a worker reports the worker fault. Every non-[`Complete`]
-/// stop still yields a **sound lower bound**: all reported states,
-/// transitions, terminals, deadlocks and violations are real; only
-/// completeness is forfeit. Both engines agree on the verdict class —
-/// `ok()` is true only for violation-free `Complete` runs.
+/// combined by `max` ([`StopReason::bump`]). Every non-[`Complete`] stop
+/// still yields a **sound lower bound**: all reported states, transitions,
+/// terminals, deadlocks and violations are real; only completeness is
+/// forfeit. `ok()` is true only for violation-free `Complete` runs.
 ///
 /// [`Complete`]: StopReason::Complete
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -56,10 +50,11 @@ pub enum StopReason {
     Deadline,
     /// The shared [`CancelToken`] was cancelled. A cancelled run never
     /// claims `Complete`, even when cancellation raced the final state:
-    /// both engines re-check the token after their loops.
+    /// the walk re-checks the token after its loop.
     Cancelled,
-    /// A parallel worker panicked; the run continued degraded on the
-    /// surviving workers (see `parallel`), so coverage may have gaps.
+    /// The exploration panicked; the request path
+    /// ([`crate::request::CheckService`]) contained the unwind and
+    /// reports no results.
     WorkerFault,
 }
 
@@ -107,7 +102,7 @@ impl fmt::Display for StopReason {
 }
 
 /// Resource budgets for one exploration, all optional. Checked
-/// cooperatively in both engines' hot loops (between work items), so each
+/// cooperatively in the walk's hot loop (between work items), so each
 /// bound may be overshot by at most one item's expansion; any trip stops
 /// the walk with the matching [`StopReason`] and a sound partial report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -131,7 +126,7 @@ impl Budget {
 
 /// A shared cooperative-cancellation handle. Clone it, hand one clone to
 /// [`ExploreOptions::cancel`] and keep the other; `cancel()` from any
-/// thread makes both engines stop at the next work item with
+/// thread makes the walk stop at the next work item with
 /// [`StopReason::Cancelled`]. The default token is never cancelled.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
@@ -171,8 +166,7 @@ pub enum Note {
         /// The orbit size detection gave up on.
         orbit: usize,
     },
-    /// A parallel worker panicked and was contained; its in-flight state
-    /// was dropped and the run continued degraded.
+    /// The exploration panicked and the request path contained it.
     WorkerFault {
         /// The panic payload, stringified.
         message: String,
@@ -270,9 +264,9 @@ impl Level {
     }
 }
 
-/// Exploration limits and knobs, shared by both engines.
+/// Exploration limits and knobs.
 ///
-/// There is no dedup knob: both engines deduplicate visited states on
+/// There is no dedup knob: the walk deduplicates visited states on
 /// zero-rebuild 128-bit canonical fingerprints ([`crate::fxhash::Fp128`]),
 /// confirm every fingerprint hit with a `canonical_eq` walk against the
 /// interned representative, and intern each canonical configuration
@@ -284,53 +278,45 @@ pub struct ExploreOptions {
     /// Step-generation options (local fusion).
     pub step: StepOptions,
     /// Hard cap on visited states (guards against state explosion; the
-    /// report marks truncation). The parallel engine checks the cap
-    /// against a racy running counter, so its visited map may transiently
-    /// overshoot by up to one batch of successors per worker; the report
-    /// reconciles that to the sequential engine's verdict — whenever the
-    /// cap was exceeded, `truncated` is set and `states` is clamped to
-    /// `max_states` (still a valid lower bound on the reachable space) —
-    /// so cap-hitting runs agree across engines.
+    /// report marks truncation with [`StopReason::StateCap`] and `states`
+    /// never exceeds the cap).
     pub max_states: usize,
-    /// Record parent pointers so violations carry counterexample traces.
-    /// Both engines honour this: each keeps an arena of interned states
-    /// with first-discovery parent edges and rebuilds traces with one
-    /// shared routine.
+    /// Record parent pointers so violations carry counterexample traces:
+    /// the walk keeps an arena of interned states with first-discovery
+    /// parent edges and rebuilds traces from it.
     pub record_traces: bool,
     /// The reduction switch, [`Reduction::Full`] by default: each query
     /// runs the strongest reduction that preserves what it observes (see
-    /// [`Reduction`]). Under `Full`, parallel state and transition counts
-    /// may vary with arrival order; [`Reduction::None`] pins them to the
-    /// unreduced search's.
+    /// [`Reduction`]); [`Reduction::None`] pins state and transition
+    /// counts to the unreduced search's.
     pub reduce: Reduction,
     /// Resource budgets (deadline, transition cap, approximate memory
-    /// cap). Checked cooperatively between work items in both engines'
-    /// hot loops; tripping one stops the walk with the matching
+    /// cap). Checked cooperatively between work items in the walk's hot
+    /// loop; tripping one stops the walk with the matching
     /// [`StopReason`] and a sound partial report. Unlimited by default.
     pub budget: Budget,
     /// Shared cooperative-cancellation token; `cancel()` on any clone
-    /// stops both engines at the next work item with
+    /// stops the walk at the next work item with
     /// [`StopReason::Cancelled`]. The default token never cancels.
     pub cancel: CancelToken,
-    /// Periodic checkpointing of the sequential explorer's frontier and
-    /// visited set ([`crate::checkpoint`]): with `Some`, the explorer
-    /// saves a replay-log checkpoint to the directory every
-    /// `every` expanded items (and on every non-`Complete` stop), resumes
-    /// from a matching checkpoint found there, and deletes it on
-    /// `Complete`. Resumed runs produce reports **bit-identical** to
-    /// uninterrupted ones. The parallel engine ignores this (callers —
-    /// `rc11 run --checkpoint` — force the sequential engine).
+    /// Periodic checkpointing of the walk's frontier and visited set
+    /// ([`crate::checkpoint`]): with `Some`, the walk saves a replay-log
+    /// checkpoint to the directory every `every` expanded items (and on
+    /// every non-`Complete` stop), resumes from a matching checkpoint
+    /// found there, and deletes it on `Complete`. Resumed runs produce
+    /// reports **bit-identical** to uninterrupted ones. The outline
+    /// checker's edge query does not checkpoint.
     pub checkpoint: Option<CheckpointOpts>,
     /// Seeded deterministic fault injection ([`crate::chaos`]) for the
-    /// resilience test harness: worker panics and stalls fire in the
-    /// parallel engine's expansion loop, checkpoint-write failures in the
-    /// sequential checkpointer. `None` (the default) injects nothing.
+    /// resilience test harness: injected panics fire in the walk's
+    /// expansion loop (and unwind to the caller), checkpoint-write
+    /// failures in the checkpointer. `None` (the default) injects nothing.
     pub chaos: Option<Arc<ChaosState>>,
-    /// Telemetry sink (DESIGN.md §9). With `Some`, both engines tally
+    /// Telemetry sink (DESIGN.md §9). With `Some`, the walk tallies
     /// structured counters — states, transitions, dup hits, confirmed
     /// fingerprint collisions, reduction prunes/sheds/folds, cap
-    /// degradations, scheduler traffic, per-worker expansions — into the
-    /// shared sink via sharded relaxed atomics, and attach the run's
+    /// degradations, expansions — into the shared sink via sharded
+    /// relaxed atomics, and attaches the run's
     /// contribution to [`EngineReport::telemetry`] as a snapshot delta.
     /// `None` (the default) makes every instrumentation site a single
     /// untaken branch; verdicts are bit-identical either way (enforced
@@ -367,8 +353,8 @@ pub struct Violation {
     pub trace: Option<Vec<(Tid, Config)>>,
 }
 
-/// Exploration statistics and results, shared by both engines (see the
-/// module docs for how far their counts agree).
+/// Exploration statistics and results (see the module docs for how far
+/// their counts agree with the reference oracle's).
 #[derive(Debug, Clone, Default)]
 pub struct EngineReport {
     /// Distinct canonical configurations visited.
@@ -387,12 +373,12 @@ pub struct EngineReport {
     /// (the old `truncated` bool generalised to a lattice).
     pub stop: StopReason,
     /// Structured warnings: silent degradations surfaced (POR thread and
-    /// symmetry orbit caps), contained worker faults, checkpoint errors. Notes
+    /// symmetry orbit caps), contained faults, checkpoint errors. Notes
     /// never change the verdict; `rc11 run` prints them as a column.
     pub notes: Vec<Note>,
     /// Monotonic wall-clock duration of the exploration, measured inside
-    /// the engine (from entry to report construction). Populated by both
-    /// engines on every run; callers derive states/s from it instead of
+    /// the engine (from entry to report construction). Populated on every
+    /// run; callers derive states/s from it instead of
     /// timing around the call. Excluded from [`EngineReport::same_results`].
     pub wall: Duration,
     /// This run's telemetry contribution (a snapshot delta against the
@@ -442,56 +428,30 @@ impl EngineReport {
     }
 }
 
-/// Which exploration engine to run. Both decide the same reachability
-/// question; the differential suite holds them to the reference
-/// explorer's answers.
+/// The exploration engine: one sequential walk
+/// ([`crate::explore::Explorer`]), held to the reference explorer's
+/// answers by the differential suite. The enum survives as the stable
+/// entry point the front ends and benches name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// The sequential explorer ([`crate::explore::Explorer`]).
+    /// The one exploration walk.
     Sequential,
-    /// The batched work-stealing parallel explorer
-    /// ([`crate::parallel::par_explore`]) with this many workers.
-    Parallel {
-        /// Worker-thread count (clamped to at least 1).
-        workers: usize,
-    },
-}
-
-/// Pick an engine for a requested worker count: one worker (or zero) gets
-/// the sequential explorer — it has no synchronisation overhead and is the
-/// only engine that checkpoints — more workers get the parallel engine.
-pub fn choose_engine(n_workers: usize) -> Engine {
-    if n_workers <= 1 {
-        Engine::Sequential
-    } else {
-        Engine::Parallel { workers: n_workers }
-    }
 }
 
 impl Engine {
-    /// The number of worker threads this engine runs.
-    pub fn workers(&self) -> usize {
-        match self {
-            Engine::Sequential => 1,
-            Engine::Parallel { workers } => (*workers).max(1),
-        }
-    }
-
     /// Exhaustive reachability with a per-configuration check callback.
     /// The callback pushes a description into `out` for every property the
     /// configuration violates; `out` is a reusable buffer owned by the
-    /// engine (one per worker in the parallel engine), so violation-free
+    /// engine, so violation-free
     /// configurations — the overwhelmingly common case — allocate nothing.
-    /// The callback must be `Sync` because the parallel engine evaluates
-    /// it from every worker. A state query: under [`Reduction::Full`] the
-    /// callback still sees every reachable configuration (see
-    /// [`Reduction`]).
+    /// A state query: under [`Reduction::Full`] the callback still sees
+    /// every reachable configuration (see [`Reduction`]).
     pub fn explore_with(
         &self,
         prog: &CfgProgram,
-        objs: &(dyn ObjectSemantics + Sync),
+        objs: &dyn ObjectSemantics,
         opts: &ExploreOptions,
-        check: impl Fn(&Config, &mut Vec<String>) + Sync,
+        check: impl FnMut(&Config, &mut Vec<String>),
     ) -> EngineReport {
         self.run(prog, objs, opts, Query::States, check)
     }
@@ -502,7 +462,7 @@ impl Engine {
     pub fn explore(
         &self,
         prog: &CfgProgram,
-        objs: &(dyn ObjectSemantics + Sync),
+        objs: &dyn ObjectSemantics,
         opts: &ExploreOptions,
     ) -> EngineReport {
         self.run(prog, objs, opts, Query::Outcomes, |_, _| {})
@@ -511,16 +471,16 @@ impl Engine {
     fn run(
         &self,
         prog: &CfgProgram,
-        objs: &(dyn ObjectSemantics + Sync),
+        objs: &dyn ObjectSemantics,
         opts: &ExploreOptions,
         query: Query,
-        check: impl Fn(&Config, &mut Vec<String>) + Sync,
+        check: impl FnMut(&Config, &mut Vec<String>),
     ) -> EngineReport {
         match self {
-            Engine::Sequential => Explorer::new(prog, objs)
-                .with_options(opts.clone())
-                .walk(query, |c, out| check(c, out)),
-            Engine::Parallel { workers } => par_run(prog, objs, opts, *workers, query, check),
+            Engine::Sequential => {
+                let explorer = Explorer::new(prog, objs).with_options(opts.clone());
+                explorer.walk(query, |_, _, _| {}, check)
+            }
         }
     }
 
@@ -528,11 +488,11 @@ impl Engine {
     /// cancellation and checkpointing exactly like [`Engine::explore`]:
     /// it is the same walk with a predicate check layered on, so a budget
     /// trip yields a sound partial report with the matching
-    /// [`StopReason`] on either engine.
+    /// [`StopReason`].
     pub fn check_invariant(
         &self,
         prog: &CfgProgram,
-        objs: &(dyn ObjectSemantics + Sync),
+        objs: &dyn ObjectSemantics,
         opts: &ExploreOptions,
         pred: &rc11_assert::Pred,
     ) -> EngineReport {
@@ -550,17 +510,9 @@ mod tests {
     use super::*;
     use rc11_lang::machine::NoObjects;
 
-    #[test]
-    fn choose_engine_prefers_sequential_for_one_worker() {
-        assert_eq!(choose_engine(0), Engine::Sequential);
-        assert_eq!(choose_engine(1), Engine::Sequential);
-        assert_eq!(choose_engine(2), Engine::Parallel { workers: 2 });
-        assert_eq!(choose_engine(8), Engine::Parallel { workers: 8 });
-    }
-
     /// Past 128 locations persistent sets still apply (the footprint
     /// bitsets grow a word per 64 locations), and the reduced outcome
-    /// query keeps the reference's terminal set at every worker count.
+    /// query keeps the reference's terminal set.
     #[test]
     fn wide_programs_reduce_and_keep_reference_outcomes() {
         let vars: String = (0..130).map(|i| format!("var x{i} = 0\n")).collect();
@@ -572,19 +524,10 @@ mod tests {
         let prog = rc11_lang::compile(&rc11_lang::parse_litmus(&src).unwrap().prog);
         let oracle = crate::reference::explore(&prog, &NoObjects, usize::MAX, |_, _| {});
         let want: std::collections::HashSet<&Config> = oracle.terminated.iter().collect();
-        for engine in [Engine::Sequential, Engine::Parallel { workers: 2 }] {
-            let r = engine.explore(&prog, &NoObjects, &ExploreOptions::default());
-            assert!(r.ok() && r.deadlocked.is_empty(), "{engine:?}");
-            assert!(r.transitions < oracle.transitions, "{engine:?}: persistent sets shed work");
-            assert_eq!(r.terminated.len(), oracle.terminated.len(), "{engine:?}");
-            assert_eq!(r.terminated.iter().collect::<std::collections::HashSet<_>>(), want);
-        }
-    }
-
-    #[test]
-    fn workers_clamped_to_at_least_one() {
-        assert_eq!(Engine::Sequential.workers(), 1);
-        assert_eq!(Engine::Parallel { workers: 0 }.workers(), 1);
-        assert_eq!(Engine::Parallel { workers: 4 }.workers(), 4);
+        let r = Engine::Sequential.explore(&prog, &NoObjects, &ExploreOptions::default());
+        assert!(r.ok() && r.deadlocked.is_empty());
+        assert!(r.transitions < oracle.transitions, "persistent sets shed work");
+        assert_eq!(r.terminated.len(), oracle.terminated.len());
+        assert_eq!(r.terminated.iter().collect::<std::collections::HashSet<_>>(), want);
     }
 }

@@ -1,4 +1,4 @@
-//! The sequential state-space explorer.
+//! The exploration walk — the one loop every exhaustive query runs on.
 //!
 //! Exhaustive exploration of all reachable configurations of
 //! a compiled program under the RC11 RAR semantics, deduplicating on
@@ -41,11 +41,16 @@
 //! lock, say), the expansion grows to those threads instead of
 //! classifying the state.
 //!
-//! The option/report/violation types shared with the parallel engine live
-//! in [`crate::engine`]; `Report` is a compatibility alias for
+//! Every query — outcome sets ([`crate::engine::Engine::explore`]),
+//! per-state checks ([`crate::engine::Engine::explore_with`]) and the
+//! per-edge proof-outline classification ([`crate::outline_check`]) — is
+//! this one walk with different hooks and a different reduction level.
+//! Budgets, cancellation, checkpoint/resume, chaos fault points, telemetry
+//! and counterexample traces live here once. The option/report/violation
+//! types live in [`crate::engine`]; `Report` is a compatibility alias for
 //! [`EngineReport`](crate::engine::EngineReport). The differential suite
-//! (`tests/engine_agreement.rs`) holds this explorer and the parallel
-//! engine to [`crate::reference`]'s answers.
+//! (`tests/engine_agreement.rs`) holds the walk to [`crate::reference`]'s
+//! answers.
 
 use crate::checkpoint::{self, CheckpointOpts, ViolationRec};
 use crate::engine::{Level, Note, Query, StopReason};
@@ -63,7 +68,7 @@ use std::time::Instant;
 pub use crate::engine::{EngineReport as Report, ExploreOptions, Violation};
 
 /// One interned state: its canonical configuration (stored exactly once
-/// across the whole explorer), the first-discovery parent edge, the
+/// across the whole walk), the first-discovery parent edge, the
 /// mask of threads expansion work has been queued for (the complement of
 /// the intersection of every arriving sleep set — always full without
 /// POR; see `crate::por` for the wake-up rule), and — under symmetry
@@ -81,17 +86,30 @@ struct Node {
     succ_idx: u32,
 }
 
-/// The visited index shared by the sequential explorer and the sequential
-/// outline checker: a fingerprint → arena-ids map. The index never owns the
-/// interned configurations — callers keep them in an arena and hand
-/// lookups an `interned(id)` accessor — so each canonical configuration
-/// is stored exactly once, whatever the arena's element type.
+/// Transport an arrival's proposal and sleep masks through the group
+/// permutation its successor was matched or interned under (`None` =
+/// identity), into the stored state's thread numbering.
+fn remap(
+    proposal: ThreadMask,
+    sleep: ThreadMask,
+    sigma: Option<&[u8]>,
+) -> (ThreadMask, ThreadMask) {
+    match sigma {
+        Some(sg) => (sym::remap_mask(proposal, sg), sym::remap_mask(sleep, sg)),
+        None => (proposal, sleep),
+    }
+}
+
+/// The walk's visited index: a fingerprint → arena-ids map. The index
+/// never owns the interned configurations — the walk keeps them in its
+/// [`Arena`] and hands lookups an `interned(id)` accessor — so each
+/// canonical configuration is stored exactly once.
 ///
 /// The optional telemetry sink is injected at construction so dedup
 /// events — dup hits, symmetry-orbit folds, confirmed fingerprint
 /// collisions, interned states — are tallied where they happen, without
 /// threading a sink through every probe/commit signature.
-pub(crate) struct VisitedIndex {
+struct VisitedIndex {
     map: FxHashMap<Fp128, IdBucket>,
     tel: Option<Arc<Telemetry>>,
 }
@@ -99,7 +117,7 @@ pub(crate) struct VisitedIndex {
 /// The outcome of probing a successor against the visited index: already
 /// interned, or novel with the probe work (fingerprint + permutations)
 /// carried over for the insert.
-pub(crate) enum Probe {
+enum Probe {
     /// Already interned, under this arena id (POR duplicate hits consult
     /// the node's `explored` mask for the wake-up rule, after transporting
     /// the arriving masks through the carried group permutation).
@@ -110,7 +128,7 @@ pub(crate) enum Probe {
 }
 
 impl VisitedIndex {
-    pub(crate) fn new(tel: Option<Arc<Telemetry>>) -> VisitedIndex {
+    fn new(tel: Option<Arc<Telemetry>>) -> VisitedIndex {
         VisitedIndex { map: FxHashMap::default(), tel }
     }
 
@@ -134,16 +152,16 @@ impl VisitedIndex {
     /// walk first installs the canonical group permutation
     /// (`sym::sym_perms`), so the whole orbit probes to one interned
     /// representative.
-    pub(crate) fn probe<'a>(
+    fn probe<'a>(
         &self,
         succ: &Config,
         symm: Option<&SymmetrySpec>,
         interned: impl Fn(u32) -> &'a Config,
     ) -> Probe {
-        let mut perms = succ.canonical_perms();
-        if let Some(spec) = symm {
-            perms.threads = spec.choose(succ, &perms);
-        }
+        let perms = match symm {
+            Some(spec) => sym::sym_perms(spec, succ),
+            None => succ.canonical_perms(),
+        };
         let fp = match symm {
             Some(spec) => sym::fingerprint_sym(succ, &perms, spec),
             None => succ.fingerprint_with(&perms),
@@ -168,7 +186,7 @@ impl VisitedIndex {
     /// distinct state) for the caller to push into its arena, plus the
     /// group permutation the successor was transported through (`None`
     /// without symmetry or when the choice was the identity).
-    pub(crate) fn commit(
+    fn commit(
         &mut self,
         probe: Probe,
         succ: &Config,
@@ -202,6 +220,64 @@ impl VisitedIndex {
     }
 }
 
+/// The interned-state arena: [`Node`]s addressed by `u32` ids in chunks
+/// of doubling size (chunk `k` holds ids `2^k - 1 .. 2^(k+1) - 1`). A node
+/// is never moved once pushed: growth allocates the next chunk instead of
+/// reallocating and copying every node, as a flat `Vec` would. On deep
+/// spaces that keeps the allocator from interleaving freed arena buffers
+/// with live configurations, which measurably slowed both the walk and
+/// the arena's teardown (DESIGN.md, "The one walk").
+#[derive(Default)]
+struct Arena {
+    chunks: Vec<Vec<Node>>,
+    len: usize,
+}
+
+impl Arena {
+    /// The chunk and offset holding `id`.
+    #[inline]
+    fn locate(id: usize) -> (usize, usize) {
+        let x = id + 1;
+        let k = (usize::BITS - 1 - x.leading_zeros()) as usize;
+        (k, x - (1 << k))
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn push(&mut self, node: Node) {
+        let (k, _) = Arena::locate(self.len);
+        if k == self.chunks.len() {
+            self.chunks.push(Vec::with_capacity(1 << k));
+        }
+        self.chunks[k].push(node);
+        self.len += 1;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Node> {
+        self.chunks.iter().flatten()
+    }
+}
+
+impl std::ops::Index<usize> for Arena {
+    type Output = Node;
+
+    #[inline]
+    fn index(&self, id: usize) -> &Node {
+        let (k, off) = Arena::locate(id);
+        &self.chunks[k][off]
+    }
+}
+
+impl std::ops::IndexMut<usize> for Arena {
+    #[inline]
+    fn index_mut(&mut self, id: usize) -> &mut Node {
+        let (k, off) = Arena::locate(id);
+        &mut self.chunks[k][off]
+    }
+}
+
 /// The explorer.
 pub struct Explorer<'a> {
     prog: &'a CfgProgram,
@@ -227,15 +303,26 @@ impl<'a> Explorer<'a> {
     /// configurations allocate nothing. A state query (see
     /// [`Reduction`](crate::engine::Reduction)).
     pub fn explore_with(&self, check: impl FnMut(&Config, &mut Vec<String>)) -> Report {
-        self.walk(Query::States, check)
+        self.walk(Query::States, |_, _, _| {}, check)
     }
 
     /// The walk behind every query, at the level `opts.reduce` allows for
-    /// `query`. Orbit members are handed to `check` only for state
-    /// queries: outcome queries have no per-state callback.
+    /// `query`. Two hooks observe it:
+    ///
+    /// * `on_edge(parent, tid, successor)` — every generated edge, visited
+    ///   or not, with the successor handed **raw** (non-canonical): the
+    ///   outline checker's per-edge classification;
+    /// * `check(config, buf)` — each interned canonical configuration once,
+    ///   at first discovery (the initial one included), plus — for state
+    ///   queries under symmetry — every other member of its orbit.
+    ///
+    /// Checkpoints are taken only for outcome and state queries: an edge
+    /// query's caller keeps state (the outline recorder) no checkpoint
+    /// holds.
     pub(crate) fn walk(
         &self,
         query: Query,
+        mut on_edge: impl FnMut(&Config, Tid, &Config),
         mut check: impl FnMut(&Config, &mut Vec<String>),
     ) -> Report {
         let level = Level::of(self.opts.reduce, query);
@@ -249,7 +336,7 @@ impl<'a> Explorer<'a> {
         let mut index = VisitedIndex::new(tel.clone());
         // The interned state arena: every canonical configuration stored
         // exactly once, with its first-discovery parent edge.
-        let mut nodes: Vec<Node> = Vec::new();
+        let mut nodes = Arena::default();
         let mut buf: Vec<String> = Vec::new();
         let n_threads = self.prog.n_threads();
         // POR's thread masks cap at 64 bits; larger programs fall back to
@@ -286,14 +373,55 @@ impl<'a> Explorer<'a> {
         let budget = self.opts.budget;
         let deadline = budget.deadline.map(|d| Instant::now() + d);
         let mut mem_bytes: u64 = 0;
-        let ckpt = self.opts.checkpoint.clone();
+        let ckpt = self.opts.checkpoint.clone().filter(|_| query != Query::Edges);
         let sig = ckpt.as_ref().map(|_| self.checkpoint_sig(level));
-        // Id-keyed mirrors of the report, maintained only when
-        // checkpointing (`crate::checkpoint` stores references, not
-        // configurations).
+        // Terminal and deadlocked states by id (configurations are cloned
+        // out once, after the walk), and violations as references for the
+        // checkpoint (`crate::checkpoint` stores ids, not configurations).
         let mut term_ids: Vec<u32> = Vec::new();
         let mut dead_ids: Vec<u32> = Vec::new();
         let mut viol_recs: Vec<ViolationRec> = Vec::new();
+
+        // Run `check` on interned state `id` (and, for state queries under
+        // symmetry, on every other member of its orbit: observation tuples
+        // and invariants may distinguish thread identities the reduction
+        // modded out), recording what it reports.
+        let mut visit = |id: u32,
+                         nodes: &Arena,
+                         report: &mut Report,
+                         recs: &mut Vec<ViolationRec>| {
+            let canon = &nodes[id as usize].cfg;
+            check(canon, &mut buf);
+            for what in buf.drain(..) {
+                if ckpt.is_some() {
+                    recs.push(ViolationRec { what: what.clone(), node: id, pi: None });
+                }
+                report.violations.push(Violation {
+                    what,
+                    config: canon.clone(),
+                    trace: self.opts.record_traces.then(|| {
+                        reconstruct_trace(nodes, id, symm.map(|s| (s, &identity[..])))
+                    }),
+                });
+            }
+            let Some(spec) = members else { return };
+            for (pi, member) in sym::orbit_members(spec, canon) {
+                check(&member, &mut buf);
+                for what in buf.drain(..) {
+                    if ckpt.is_some() {
+                        let pi = Some(pi.clone());
+                        recs.push(ViolationRec { what: what.clone(), node: id, pi });
+                    }
+                    report.violations.push(Violation {
+                        what,
+                        config: member.clone(),
+                        trace: self.opts.record_traces.then(|| {
+                            reconstruct_trace(nodes, id, Some((spec, &pi[..])))
+                        }),
+                    });
+                }
+            }
+        };
 
         // Work items: `(node, threads to expand, arriving sleep set,
         // first visit?)`. Without POR every item is `(id, full, ∅, true)`
@@ -317,12 +445,6 @@ impl<'a> Explorer<'a> {
                         report.transitions = data.transitions as usize;
                         mem_bytes = data.mem_bytes;
                         frontier = data.frontier.clone();
-                        for &tid_ in &data.terminated {
-                            report.terminated.push(nodes[tid_ as usize].cfg.clone());
-                        }
-                        for &did in &data.deadlocked {
-                            report.deadlocked.push(nodes[did as usize].cfg.clone());
-                        }
                         term_ids = data.terminated.clone();
                         dead_ids = data.deadlocked.clone();
                         for vr in &data.violations {
@@ -335,25 +457,21 @@ impl<'a> Explorer<'a> {
                             };
                             let trace = self.opts.record_traces.then(|| {
                                 let pi = vr.pi.as_deref().unwrap_or(&identity);
-                                reconstruct_trace(link(&nodes), vr.node, symm.map(|s| (s, pi)))
+                                reconstruct_trace(&nodes, vr.node, symm.map(|s| (s, pi)))
                             });
                             report.violations.push(Violation {
                                 what: vr.what.clone(),
                                 config,
                                 trace,
                             });
-                            viol_recs.push(ViolationRec {
-                                what: vr.what.clone(),
-                                node: vr.node,
-                                pi: vr.pi.clone(),
-                            });
                         }
+                        viol_recs = data.violations;
                         resumed = true;
                     }
                     Err(message) => {
                         report.note(Note::CheckpointError { message });
                         index = VisitedIndex::new(tel.clone());
-                        nodes = Vec::new();
+                        nodes = Arena::default();
                     }
                 }
             }
@@ -366,23 +484,13 @@ impl<'a> Explorer<'a> {
             let init_prop = pers.as_ref().map_or(full, |p| p.persistent_mask(&init.pcs));
             mem_bytes += init.approx_bytes() as u64;
             nodes.push(Node {
-                cfg: init.clone(),
+                cfg: init,
                 parent: None,
                 explored: init_prop,
                 sigma: init_sigma,
                 succ_idx: 0,
             });
-            check(&init, &mut buf);
-            for what in buf.drain(..) {
-                if ckpt.is_some() {
-                    viol_recs.push(ViolationRec { what: what.clone(), node: 0, pi: None });
-                }
-                report.violations.push(Violation {
-                    what,
-                    config: init.clone(),
-                    trace: self.opts.record_traces.then(Vec::new),
-                });
-            }
+            visit(0, &nodes, &mut report, &mut viol_recs);
             frontier.push((0, init_prop, 0, true));
         }
 
@@ -394,23 +502,17 @@ impl<'a> Explorer<'a> {
                 report.stop.bump(StopReason::Cancelled);
                 break;
             }
-            if let Some(dl) = deadline {
-                if Instant::now() >= dl {
-                    report.stop.bump(StopReason::Deadline);
-                    break;
-                }
+            if deadline.is_some_and(|dl| Instant::now() >= dl) {
+                report.stop.bump(StopReason::Deadline);
+                break;
             }
-            if let Some(cap) = budget.max_transitions {
-                if report.transitions >= cap {
-                    report.stop.bump(StopReason::TransitionCap);
-                    break;
-                }
+            if budget.max_transitions.is_some_and(|cap| report.transitions >= cap) {
+                report.stop.bump(StopReason::TransitionCap);
+                break;
             }
-            if let Some(cap) = budget.max_mem_bytes {
-                if mem_bytes as usize >= cap {
-                    report.stop.bump(StopReason::MemBudget);
-                    break;
-                }
+            if budget.max_mem_bytes.is_some_and(|cap| mem_bytes as usize >= cap) {
+                report.stop.bump(StopReason::MemBudget);
+                break;
             }
             if let (Some(ck), Some(sig)) = (&ckpt, sig) {
                 if pops > 0 && pops.is_multiple_of(ck.every.max(1)) {
@@ -428,21 +530,20 @@ impl<'a> Explorer<'a> {
             let Some((id, mask, sleep, first)) = frontier.pop() else { break };
             pops += 1;
             if let Some(t) = &tel {
-                // The sequential engine is worker 0, so the per-worker
-                // expansion slots sum to the total on either engine.
                 t.add_expansions(0, 1);
                 t.frontier_set(frontier.len() as u64);
             }
-            // Fault injection: unlike the parallel engine, the sequential
-            // explorer has no per-worker containment, so an injected panic
-            // unwinds to the caller — the request path's `catch_unwind`
-            // converts it to a `WorkerFault` report.
+            // Fault injection: an injected panic unwinds to the caller —
+            // the request path's `catch_unwind` converts it to a
+            // `WorkerFault` report.
             if let Some(chaos) = &self.opts.chaos {
                 chaos.on_expansion();
             }
-            // The expanded configuration is read in place from the arena
-            // (re-borrowed at each use, since committing successors grows
-            // it), never cloned.
+            // Expand: the configuration is read in place from the arena
+            // (re-borrowed per thread, since interning successors grows
+            // the arena), never cloned. Each thread's successors are
+            // generated together, shown to `on_edge`, then probed and
+            // interned one by one while still hot in cache.
             let mut fps = por.then(|| por::LazyFootprints::new(n_threads));
             let mut any_succ = false;
             let mut earlier: ThreadMask = 0;
@@ -473,6 +574,9 @@ impl<'a> Explorer<'a> {
                     _ => 0,
                 };
                 let tid = Tid(t as u8);
+                for succ in &succs {
+                    on_edge(cfg, tid, succ);
+                }
                 for (si, succ) in succs.into_iter().enumerate() {
                     // The successor's persistent set (full without A7).
                     // A pure function of the program counters, computed on
@@ -486,7 +590,6 @@ impl<'a> Explorer<'a> {
                             // Reduction attribution, per successor: threads
                             // slept out of the persistent proposal (A5) and
                             // threads the persistent mask sheds whole (A7).
-                            // Both are zero when the reduction is off.
                             tl.add(
                                 Counter::SleepSetPrunes,
                                 (pmask & child_sleep).count_ones() as u64,
@@ -497,24 +600,19 @@ impl<'a> Explorer<'a> {
                             );
                         }
                     }
+                    let (proposal, sleep) = (pmask & !child_sleep, child_sleep);
                     let probe = match index.probe(&succ, symm, |id| &nodes[id as usize].cfg) {
                         Probe::Dup(dup_id, dsigma) => {
                             if por {
                                 // Wake-up rule: threads this arrival would
                                 // explore but no earlier arrival queued —
-                                // with the proposal transported into the
+                                // with the masks transported into the
                                 // stored state's thread numbering first.
                                 // The queued item carries the arrival's
                                 // true sleep set: under A7 `full & !prop`
                                 // would unsoundly sleep the merely
                                 // postponed outside-persistent threads.
-                                let (prop, slp) = match &dsigma {
-                                    Some(sg) => (
-                                        sym::remap_mask(pmask & !child_sleep, sg),
-                                        sym::remap_mask(child_sleep, sg),
-                                    ),
-                                    None => (pmask & !child_sleep, child_sleep),
-                                };
+                                let (prop, slp) = remap(proposal, sleep, dsigma.as_deref());
                                 let missing = prop & !nodes[dup_id as usize].explored;
                                 if missing != 0 {
                                     nodes[dup_id as usize].explored |= missing;
@@ -534,12 +632,9 @@ impl<'a> Explorer<'a> {
                     mem_bytes += canon.approx_bytes() as u64;
                     // The explored/sleep masks live in the stored state's
                     // numbering: transport proposal and sleep through σ.
-                    let (prop, slp) = match (&sigma, por) {
-                        (Some(sg), true) => (
-                            sym::remap_mask(pmask & !child_sleep, sg),
-                            sym::remap_mask(child_sleep, sg),
-                        ),
-                        _ => (pmask & !child_sleep, child_sleep),
+                    let (prop, slp) = match por {
+                        true => remap(proposal, sleep, sigma.as_deref()),
+                        false => (proposal, sleep),
                     };
                     nodes.push(Node {
                         cfg: canon,
@@ -548,51 +643,7 @@ impl<'a> Explorer<'a> {
                         sigma,
                         succ_idx: si as u32,
                     });
-                    let canon = &nodes[new_id as usize].cfg;
-                    check(canon, &mut buf);
-                    for what in buf.drain(..) {
-                        if ckpt.is_some() {
-                            viol_recs.push(ViolationRec {
-                                what: what.clone(),
-                                node: new_id,
-                                pi: None,
-                            });
-                        }
-                        report.violations.push(Violation {
-                            what,
-                            config: canon.clone(),
-                            trace: self.opts.record_traces.then(|| {
-                                let sym = symm.map(|s| (s, &identity[..]));
-                                reconstruct_trace(link(&nodes), new_id, sym)
-                            }),
-                        });
-                    }
-                    // Under symmetry a state query's check must see every
-                    // state of the orbit, not just the representative:
-                    // observation tuples and invariants may distinguish
-                    // thread identities the reduction just modded out.
-                    if let Some(spec) = members {
-                        for (pi, member) in sym::orbit_members(spec, canon) {
-                            check(&member, &mut buf);
-                            for what in buf.drain(..) {
-                                if ckpt.is_some() {
-                                    viol_recs.push(ViolationRec {
-                                        what: what.clone(),
-                                        node: new_id,
-                                        pi: Some(pi.clone()),
-                                    });
-                                }
-                                report.violations.push(Violation {
-                                    what,
-                                    config: member.clone(),
-                                    trace: self.opts.record_traces.then(|| {
-                                        let sym = Some((spec, &pi[..]));
-                                        reconstruct_trace(link(&nodes), new_id, sym)
-                                    }),
-                                });
-                            }
-                        }
-                    }
+                    visit(new_id, &nodes, &mut report, &mut viol_recs);
                     frontier.push((new_id, prop, slp, true));
                 }
             }
@@ -615,15 +666,9 @@ impl<'a> Explorer<'a> {
                     )
                 {
                     if cfg.terminated(self.prog) {
-                        if ckpt.is_some() {
-                            term_ids.push(id);
-                        }
-                        report.terminated.push(cfg.clone());
+                        term_ids.push(id);
                     } else {
-                        if ckpt.is_some() {
-                            dead_ids.push(id);
-                        }
-                        report.deadlocked.push(cfg.clone());
+                        dead_ids.push(id);
                     }
                 } else {
                     // Retry rule (A7): every expanded thread was blocked
@@ -668,6 +713,9 @@ impl<'a> Explorer<'a> {
                 );
             }
         }
+        let configs = |ids: &[u32]| ids.iter().map(|&id| nodes[id as usize].cfg.clone()).collect();
+        report.terminated = configs(&term_ids);
+        report.deadlocked = configs(&dead_ids);
         // Terminal/deadlock sets are reported in unreduced terms: expand
         // each representative's orbit back out (orbits of distinct
         // representatives are disjoint, so this is exactly the unreduced
@@ -711,7 +759,7 @@ impl<'a> Explorer<'a> {
     /// Rebuild the interned arena and visited index from a checkpoint's
     /// discovery log by replaying each node's `(parent, tid, succ_idx)`
     /// edge through `thread_successors` and the unchanged probe/commit
-    /// path. The sequential explorer is deterministic, so a log written
+    /// path. The walk is deterministic, so a log written
     /// by the same program + options replays to the bit-identical arena;
     /// any divergence (stale file, changed semantics) is detected and
     /// reported, and the caller starts afresh.
@@ -719,9 +767,9 @@ impl<'a> Explorer<'a> {
         &self,
         data: &checkpoint::CheckpointData,
         symm: Option<&SymmetrySpec>,
-    ) -> Result<(VisitedIndex, Vec<Node>), String> {
+    ) -> Result<(VisitedIndex, Arena), String> {
         let mut index = VisitedIndex::new(self.opts.telemetry.clone());
-        let mut nodes: Vec<Node> = Vec::with_capacity(data.nodes.len());
+        let mut nodes = Arena::default();
         let root = match data.nodes.first() {
             Some(r) if r.parent == u32::MAX => r,
             _ => return Err("stale or corrupt checkpoint ignored (bad root)".into()),
@@ -782,7 +830,7 @@ impl<'a> Explorer<'a> {
         ck: &CheckpointOpts,
         sig: u64,
         report: &mut Report,
-        nodes: &[Node],
+        nodes: &Arena,
         frontier: &[(u32, ThreadMask, ThreadMask, bool)],
         mem_bytes: u64,
         term_ids: &[u32],
@@ -824,7 +872,7 @@ impl<'a> Explorer<'a> {
 
     /// Plain reachability (no property): an outcome query.
     pub fn explore(&self) -> Report {
-        self.walk(Query::Outcomes, |_, _| {})
+        self.walk(Query::Outcomes, |_, _, _| {}, |_, _| {})
     }
 
     /// Check a predicate as a global invariant.
@@ -850,28 +898,8 @@ impl<'a> Explorer<'a> {
     }
 }
 
-/// The trace-reconstruction accessor for the sequential arena.
-fn link<'a>(nodes: &'a [Node]) -> impl Fn(u32) -> Link<'a> {
-    move |id| {
-        let n = &nodes[id as usize];
-        Link { cfg: &n.cfg, parent: n.parent, sigma: n.sigma.as_deref() }
-    }
-}
-
-/// One interned state as trace reconstruction sees it: its canonical
-/// configuration, its first-discovery edge `(parent id, moving thread)`
-/// (`None` for the root), and the group permutation `σ` that edge's raw
-/// successor was transported through under symmetry reduction (`None` =
-/// identity).
-pub(crate) struct Link<'a> {
-    pub cfg: &'a Config,
-    pub parent: Option<(u32, Tid)>,
-    pub sigma: Option<&'a [u8]>,
-}
-
-/// Rebuild the step sequence from the root to state `last` by walking
-/// first-discovery edges — the one routine both engines' arenas use
-/// (`link` reads a node by id).
+/// Rebuild the step sequence from the root to state `last` by walking the
+/// arena's first-discovery edges.
 ///
 /// Under symmetry reduction (`sym = Some((spec, π))`) the arena holds one
 /// representative per orbit, with each node remembering the group
@@ -886,8 +914,8 @@ pub(crate) struct Link<'a> {
 /// so every entry is a real transition from its predecessor and the walk
 /// bottoms out at the true initial state — the symmetry trace-replay test
 /// in `tests/engine_agreement.rs` steps every entry to confirm it.
-pub(crate) fn reconstruct_trace<'a>(
-    link: impl Fn(u32) -> Link<'a>,
+fn reconstruct_trace(
+    nodes: &Arena,
     last: u32,
     sym: Option<(&SymmetrySpec, &[u8])>,
 ) -> Vec<(Tid, Config)> {
@@ -895,7 +923,7 @@ pub(crate) fn reconstruct_trace<'a>(
     let mut rev = Vec::new();
     let mut cur = last;
     loop {
-        let node = link(cur);
+        let node = &nodes[cur as usize];
         let Some((parent, t)) = node.parent else { break };
         let step = match (&mut tau, sym) {
             (Some(tau), Some((spec, _))) => {
@@ -904,7 +932,7 @@ pub(crate) fn reconstruct_trace<'a>(
                 } else {
                     node.cfg.permute_threads(tau, spec.maps()).canonical()
                 };
-                if let Some(sg) = node.sigma {
+                if let Some(sg) = &node.sigma {
                     *tau = sg.iter().map(|&s| tau[s as usize]).collect();
                 }
                 (Tid(tau[t.idx()]), m)
@@ -1013,6 +1041,20 @@ mod tests {
         assert!(report.truncated());
         assert_eq!(report.stop, crate::engine::StopReason::StateCap);
         assert!(!report.ok());
+    }
+
+    /// The arena's chunk geometry: ids map to distinct (chunk, offset)
+    /// slots, chunk `k` holding exactly `2^k` of them, so pushes never
+    /// move a node.
+    #[test]
+    fn arena_ids_tile_the_chunks() {
+        let mut seen = std::collections::HashSet::new();
+        for id in 0..4_096 {
+            let (k, off) = Arena::locate(id);
+            assert!(off < 1 << k, "offset {off} outside chunk {k}");
+            assert!(seen.insert((k, off)), "id {id} shares a slot");
+        }
+        assert_eq!(Arena::locate(u32::MAX as usize - 1), (31, (1 << 31) - 1));
     }
 
     #[test]

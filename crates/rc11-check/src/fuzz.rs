@@ -5,12 +5,12 @@
 //! the [`crate::reference`] oracle, a breadth-first explorer over
 //! materialised canonical configurations:
 //!
-//! * the sequential engine and the parallel engine at each configured
-//!   worker count, under both settings of the reduction switch (below);
+//! * the exploration walk under both settings of the reduction switch
+//!   (below);
 //! * the `.litmus` printer/parser round-trip: printing the program as text
 //!   and re-parsing it must preserve the outcome set (pinning the text
 //!   front-end to the builder);
-//! * the reduction lanes: under [`Reduction::None`] both engines must
+//! * the reduction lanes: under [`Reduction::None`] the walk must
 //!   reproduce the oracle's counts exactly; under [`Reduction::Full`]
 //!   (sleep sets, persistent sets and symmetry for this outcome query)
 //!   the terminal, deadlock and outcome sets must be identical while
@@ -21,11 +21,11 @@
 //!   symmetry to reduce);
 //! * the request-path/cache parity lane ([`DiffOptions::request`]): the
 //!   shared [`crate::request::CheckService`] pipeline must reproduce the
-//!   sequential engine's report field-for-field on a cold check, and a warm
+//!   walk's report field-for-field on a cold check, and a warm
 //!   re-check of the same program must be a cache hit with equal fields;
 //! * sampler soundness: every [`crate::random::random_walk`] terminal
 //!   outcome must lie inside the exhaustive outcome set (a sample outside
-//!   it would be a transition the exhaustive engines missed, or a walk
+//!   it would be a transition the exhaustive walk missed, or a walk
 //!   through a transition that should not exist).
 //!
 //! Any disagreement is shrunk ([`crate::gen::shrink`]) to a minimal failing
@@ -49,8 +49,6 @@ use std::collections::{BTreeSet, HashSet};
 /// Differential-check configuration.
 #[derive(Debug, Clone)]
 pub struct DiffOptions {
-    /// Parallel worker counts to cross-check.
-    pub workers: Vec<usize>,
     /// State cap per exploration; a generated program that exceeds it is
     /// skipped (counted, not failed).
     pub max_states: usize,
@@ -63,12 +61,13 @@ pub struct DiffOptions {
     /// and require outcome-set equality.
     pub round_trip: bool,
     /// Add the chaos-resilience lane: re-run each program under seeded
-    /// fault schedules ([`crate::chaos::FaultPlan::from_seed`]) — worker
-    /// panics and stalls in the parallel engine, checkpoint-write failures
-    /// in the sequential checkpointer — and require every faulted report
-    /// to be either as good as an unfaulted run (the reduced lane's
-    /// contract against the oracle) or explicitly non-`Complete` with
-    /// results that stay a sound lower bound. Never silently wrong.
+    /// fault schedules ([`crate::chaos::FaultPlan::from_seed`]) — expansion
+    /// panics through the request path, which contains them, and
+    /// checkpoint-write failures in the checkpointer — and require every
+    /// faulted report to be either as good as an unfaulted run (the
+    /// reduced lane's contract against the oracle) or explicitly
+    /// non-`Complete` with results that stay a sound lower bound. Never
+    /// silently wrong.
     /// Default off; the fixed-seed `cargo test` lane and `rc11 fuzz
     /// --chaos` turn it on.
     pub chaos: bool,
@@ -76,18 +75,17 @@ pub struct DiffOptions {
     /// through a fresh [`crate::request::CheckService`] (the shared
     /// parse → canonicalise → fingerprint → cache-probe → explore
     /// pipeline behind `rc11 run` and the daemon) and require the cold
-    /// response to match the sequential engine's `Full` report and the
+    /// response to match the walk's `Full` report and the
     /// oracle's outcomes, then re-check the
     /// identical program and require a memory-cache hit whose fields are
     /// equal to the cold run's. Default on — the lane costs one extra
-    /// sequential exploration.
+    /// exploration.
     pub request: bool,
 }
 
 impl Default for DiffOptions {
     fn default() -> Self {
         DiffOptions {
-            workers: vec![2, 4],
             max_states: 1 << 18,
             samples: 24,
             sample_steps: 4096,
@@ -101,7 +99,7 @@ impl Default for DiffOptions {
 /// The verdict for one generated program.
 #[derive(Debug, Clone)]
 pub enum DiffVerdict {
-    /// All engines, modes, the round-trip and the sampler agreed.
+    /// Every lane, the round-trip and the sampler agreed.
     Pass {
         /// Distinct states the oracle explored.
         states: usize,
@@ -206,23 +204,17 @@ pub fn diff_one(g: &GProg, seed: u64, opts: &DiffOptions) -> DiffVerdict {
         return DiffVerdict::Skipped;
     }
     let oracle_outcomes = outcome_set(g, &oracle);
-    // The sequential engine's `Full` report, kept for the checkpoint and
-    // request lanes, which compare against it bit for bit.
+    // The walk's `Full` report, kept for the checkpoint and request lanes,
+    // which compare against it bit for bit.
     let seq = Engine::Sequential.explore(&prog, &NoObjects, &full);
+    let program = g.to_program("fuzz");
+    let observe = g.observe();
 
     match (|| -> Result<(), String> {
-        // Both settings of the reduction switch, both engines, every
-        // worker count.
+        // Both settings of the reduction switch.
         compare("full[seq]", g, &oracle, &oracle_outcomes, &seq, Counts::AtMost)?;
         let unreduced_seq = Engine::Sequential.explore(&prog, &NoObjects, &unreduced);
         compare("none[seq]", g, &oracle, &oracle_outcomes, &unreduced_seq, Counts::Exact)?;
-        for &w in &opts.workers {
-            let engine = Engine::Parallel { workers: w };
-            let par = engine.explore(&prog, &NoObjects, &full);
-            compare(&format!("full[{w} workers]"), g, &oracle, &oracle_outcomes, &par, Counts::AtMost)?;
-            let par = engine.explore(&prog, &NoObjects, &unreduced);
-            compare(&format!("none[{w} workers]"), g, &oracle, &oracle_outcomes, &par, Counts::Exact)?;
-        }
         // A state query keeps every state: sleep sets never drop one, and
         // symmetry only folds orbits.
         let states = Engine::Sequential.explore_with(&prog, &NoObjects, &full, |_, _| {});
@@ -275,52 +267,59 @@ pub fn diff_one(g: &GProg, seed: u64, opts: &DiffOptions) -> DiffVerdict {
         // wrong. Fault plans derive from the per-program seed, so every
         // failure replays.
         if opts.chaos {
-            let w = opts.workers.first().copied().unwrap_or(2).max(2);
             for salt in [0u64, 0xDEAD_BEEF] {
                 let fault_seed = seed ^ salt;
                 let plan = FaultPlan::from_seed(fault_seed);
-                // Parallel engine: worker panics and injector stalls.
-                let chaos_opts =
-                    ExploreOptions { chaos: Some(ChaosState::new(plan)), ..full.clone() };
-                let got =
-                    Engine::Parallel { workers: w }.explore(&prog, &NoObjects, &chaos_opts);
-                let what = format!("chaos[par, seed {fault_seed:#x}, plan {plan:?}]");
-                if got.stop.is_complete() {
-                    // The faults never fired (or were harmless stalls):
-                    // the report must meet the oracle like any other
-                    // parallel run (the oracle is `Complete` here — a
-                    // truncated oracle bailed out above).
-                    compare(&what, g, &oracle, &oracle_outcomes, &got, Counts::AtMost)?;
-                } else {
-                    // Explicitly degraded: still a sound lower bound.
-                    if got.states > oracle.states
-                        || got.terminated.len() > oracle.terminated.len()
-                        || got.deadlocked.len() > oracle.deadlocked.len()
-                    {
-                        return Err(format!(
-                            "{what}: degraded run overcounts (states {} vs {}, terminals \
-                             {} vs {}, deadlocks {} vs {})",
-                            got.states,
-                            oracle.states,
-                            got.terminated.len(),
-                            oracle.terminated.len(),
-                            got.deadlocked.len(),
-                            oracle.deadlocked.len()
-                        ));
-                    }
-                    let got_outcomes = outcome_set(g, &got);
-                    if !got_outcomes.is_subset(&oracle_outcomes) {
-                        let extra: Vec<_> =
-                            got_outcomes.difference(&oracle_outcomes).collect();
-                        return Err(format!(
-                            "{what}: degraded run invented outcomes {extra:?}"
-                        ));
-                    }
+                // The walk under the plan, through the request path, whose
+                // `catch_unwind` turns an injected panic into an explicit
+                // `WorkerFault` response.
+                let params = CheckParams {
+                    max_states: opts.max_states,
+                    chaos: Some(ChaosState::new(plan)),
+                    ..CheckParams::default()
+                };
+                let got = CheckService::new().check_parts(
+                    "fuzz",
+                    &program,
+                    &observe,
+                    &oracle_outcomes,
+                    &params,
+                );
+                let what = format!("chaos[walk, seed {fault_seed:#x}, plan {plan:?}]");
+                if got.states > oracle.states
+                    || got.transitions > oracle.transitions
+                    || got.deadlocks > oracle.deadlocked.len()
+                {
+                    return Err(format!(
+                        "{what}: overcounts (states {} vs {}, transitions {} vs {}, \
+                         deadlocks {} vs {})",
+                        got.states,
+                        oracle.states,
+                        got.transitions,
+                        oracle.transitions,
+                        got.deadlocks,
+                        oracle.deadlocked.len()
+                    ));
                 }
-                // Sequential engine with checkpointing: an injected
-                // checkpoint-write failure must never corrupt the run —
-                // the report stays bit-identical to the unfaulted
-                // sequential run's, modulo the CheckpointError note.
+                if got.stop.is_complete() {
+                    // The fault never fired: the report must meet the
+                    // oracle like any other reduced run (the oracle is
+                    // `Complete` here — a truncated oracle bailed out
+                    // above).
+                    if got.observed != oracle_outcomes
+                        || got.deadlocks != oracle.deadlocked.len()
+                    {
+                        return Err(format!("{what}: complete run diverges from the oracle"));
+                    }
+                } else if !got.observed.is_subset(&oracle_outcomes) {
+                    // Explicitly degraded: still a sound lower bound.
+                    let extra: Vec<_> = got.observed.difference(&oracle_outcomes).collect();
+                    return Err(format!("{what}: degraded run invented outcomes {extra:?}"));
+                }
+                // The walk with checkpointing: an injected checkpoint-write
+                // failure must never corrupt the run — the report stays
+                // bit-identical to the unfaulted run's, modulo the
+                // CheckpointError note.
                 let dir = std::env::temp_dir().join(format!(
                     "rc11-chaos-{}-{fault_seed:x}",
                     std::process::id()
@@ -352,13 +351,11 @@ pub fn diff_one(g: &GProg, seed: u64, opts: &DiffOptions) -> DiffVerdict {
         }
 
         // Request-path/cache parity: the shared CheckService pipeline
-        // (behind `rc11 run` and the daemon) must reproduce the sequential
-        // engine's `Full` report and the oracle's outcomes on a cold
+        // (behind `rc11 run` and the daemon) must reproduce the walk's
+        // `Full` report and the oracle's outcomes on a cold
         // check, and a warm re-check of the identical program must be a
         // memory-cache hit with equal fields.
         if opts.request {
-            let program = g.to_program("fuzz");
-            let observe = g.observe();
             let service = CheckService::with_cache(VerdictCache::new(4));
             let params = CheckParams { max_states: opts.max_states, ..CheckParams::default() };
             let cold =
@@ -371,7 +368,7 @@ pub fn diff_one(g: &GProg, seed: u64, opts: &DiffOptions) -> DiffVerdict {
             }
             if cold.states != seq.states || cold.transitions != seq.transitions {
                 return Err(format!(
-                    "request: counts {}/{} vs the sequential engine's {}/{}",
+                    "request: counts {}/{} vs the walk's {}/{}",
                     cold.states, cold.transitions, seq.states, seq.transitions
                 ));
             }
@@ -536,7 +533,6 @@ mod tests {
     fn a_short_fixed_seed_fuzz_run_is_clean() {
         let gen_opts = GenOptions { max_stmts: 3, clone_threads: true, ..Default::default() };
         let diff_opts = DiffOptions {
-            workers: vec![2],
             samples: 8,
             chaos: true,
             ..Default::default()
@@ -554,8 +550,8 @@ mod tests {
 
     /// The failure path's repro source carries the reference oracle's
     /// outcome set, so replaying it through the request pipeline passes:
-    /// a printed counterexample disagrees with the engines only where the
-    /// engines are wrong.
+    /// a printed counterexample disagrees with the walk only where the
+    /// walk is wrong.
     #[test]
     fn repro_source_expects_the_reference_outcomes() {
         let service = CheckService::new();

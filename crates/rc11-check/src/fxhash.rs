@@ -245,7 +245,7 @@ impl CanonicalFingerprint for Config {
 }
 
 /// The interned-arena state ids behind one fingerprint, as used by the
-/// sequential explorer and outline checker. Almost always a single id; a
+/// exploration walk. Almost always a single id; a
 /// genuine 128-bit collision grows the bucket, and lookups confirm
 /// canonical equality against each interned candidate before declaring a
 /// state visited.

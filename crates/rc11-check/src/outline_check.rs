@@ -23,18 +23,13 @@
 //! the strongest classification observed across incoming edges
 //! (interference > local > inherited > initial).
 
-use crate::engine::{Engine, ExploreOptions, Level, Note, Query, StopReason};
-use crate::explore::{Probe, VisitedIndex};
+use crate::engine::{ExploreOptions, Note, Query, StopReason};
+use crate::explore::Explorer;
 use crate::fxhash::FxHashMap;
-use crate::parallel::par_walk;
-use crate::sym;
-use parking_lot::Mutex;
 use rc11_assert::{EvalCtx, Pred, ProofOutline};
 use rc11_core::Tid;
 use rc11_lang::cfg::CfgProgram;
-use rc11_lang::machine::{successors, Config, ObjectSemantics};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
+use rc11_lang::machine::{Config, ObjectSemantics};
 
 /// Owicki–Gries classification of a violated annotation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -110,9 +105,7 @@ impl OutlineReport {
     }
 }
 
-/// The annotation evaluator: immutable per-check data shared by both
-/// engines (and across the parallel engine's workers — everything here is
-/// `Sync`).
+/// The annotation evaluator: immutable per-check data.
 struct Annots<'a> {
     prog: &'a CfgProgram,
     outline: &'a ProofOutline,
@@ -196,9 +189,9 @@ impl<'a> Annots<'a> {
 }
 
 /// Violation collection with per-(annotation, configuration) dedup keeping
-/// the strongest classification. The parallel engine wraps this in a mutex;
-/// the final content is order-independent (max over all incoming edges), so
-/// both engines converge to the same (kind, config) → class map.
+/// the strongest classification. The final content is order-independent
+/// (max over all incoming edges): the same (kind, config) → class map
+/// whatever order the edges arrive in.
 #[derive(Default)]
 struct Recorder {
     /// Dedup: (annotation, configuration) → index into `violations`.
@@ -229,23 +222,10 @@ impl Recorder {
     }
 }
 
-/// Check `outline` against the full reachable space of `prog` with the
-/// sequential engine. See [`check_outline_with`] to pick the
-/// engine explicitly.
-pub fn check_outline(
-    prog: &CfgProgram,
-    objs: &dyn ObjectSemantics,
-    outline: &ProofOutline,
-    opts: &ExploreOptions,
-) -> OutlineReport {
-    seq_check_outline(prog, objs, outline, opts)
-}
-
-/// Check `outline` against the full reachable space of `prog` under the
-/// given [`Engine`]. Both engines classify every edge of the reachable
-/// graph and agree on states, transitions, checks, terminal counts and the
-/// (kind, configuration) → strongest-class violation map; only `mover`
-/// tie-breaks and violation order may differ in the parallel engine.
+/// Check `outline` against the full reachable space of `prog`: the one
+/// exploration walk ([`crate::explore::Explorer`]) as an edge query, with
+/// every generated edge classified Owicki–Gries style through the walk's
+/// `on_edge` hook.
 ///
 /// An edge query: [`ExploreOptions::reduce`] allows no reduction here.
 /// Owicki–Gries classification is a property of *edges* — interference vs
@@ -253,17 +233,60 @@ pub fn check_outline(
 /// configuration over which incoming edge — and sleep-set reduction prunes
 /// exactly edges (never states). An outline checked under POR could
 /// report a weaker classification or miss an interference edge entirely,
-/// so the checker always explores the unreduced graph.
-pub fn check_outline_with(
+/// so the checker always explores the unreduced graph. Budgets,
+/// cancellation and the state cap apply as in any walk; checkpointing does
+/// not (the recorder's state is not part of a checkpoint).
+pub fn check_outline(
     prog: &CfgProgram,
-    objs: &(dyn ObjectSemantics + Sync),
+    objs: &dyn ObjectSemantics,
     outline: &ProofOutline,
     opts: &ExploreOptions,
-    engine: &Engine,
 ) -> OutlineReport {
-    match engine {
-        Engine::Sequential => seq_check_outline(prog, objs, outline, opts),
-        Engine::Parallel { workers } => par_check_outline(prog, objs, outline, opts, *workers),
+    let annots = Annots::new(prog, outline);
+    let mut recorder = Recorder::default();
+    let mut checks = 0;
+
+    // The initial configuration has no incoming edge: its failures are
+    // classified `Initial`, which only it gets. `on_edge` covers the rest.
+    let init = Config::initial(prog).canonical();
+    let (fails, n) = annots.failures(&init);
+    checks += n;
+    for (kind, _) in fails {
+        recorder.record(kind, &init, OgClass::Initial, None);
+    }
+
+    let report = Explorer::new(prog, objs).with_options(opts.clone()).walk(
+        Query::Edges,
+        |parent: &Config, tid, succ: &Config| {
+            // Classify per edge, visited or not — on the raw successor
+            // (evaluation is canonicalisation-invariant, see
+            // `debug_assert_failures_invariant`), so clean edges — the
+            // overwhelmingly common case — never materialise a canonical
+            // form here. Only failing edges canonicalise, because the
+            // recorder dedups on canonical identity.
+            let (fails, n) = annots.failures(succ);
+            checks += n;
+            if !fails.is_empty() {
+                let canon = succ.canonical();
+                debug_assert_failures_invariant(&annots, &fails, &canon);
+                for (kind, owner) in fails {
+                    let class = annots.classify(&kind, owner, tid, parent);
+                    recorder.record(kind, &canon, class, Some(tid));
+                }
+            }
+        },
+        |_, _| {},
+    );
+
+    OutlineReport {
+        states: report.states,
+        transitions: report.transitions,
+        checks,
+        terminated: report.terminated.len(),
+        deadlocked: report.deadlocked.len(),
+        violations: recorder.violations,
+        stop: report.stop,
+        notes: report.notes,
     }
 }
 
@@ -271,7 +294,7 @@ pub fn check_outline_with(
 /// predicate compares op ids only *within* one state (view entries against
 /// `maxTS`, membership in `Obs`), never across states, and everything else
 /// it reads (pcs, locals, wrvals, covered flags, method payloads) is
-/// untouched by renumbering. Both outline paths rely on this to evaluate
+/// untouched by renumbering. The checker relies on this to evaluate
 /// annotations on **raw** successors and canonicalise only the (rare)
 /// failing ones for the recorder's dedup key; this debug check guards the
 /// reliance wherever a failing edge is canonicalised anyway.
@@ -285,192 +308,6 @@ fn debug_assert_failures_invariant(
         fails,
         "annotation evaluation must be canonicalisation-invariant"
     );
-}
-
-fn seq_check_outline(
-    prog: &CfgProgram,
-    objs: &dyn ObjectSemantics,
-    outline: &ProofOutline,
-    opts: &ExploreOptions,
-) -> OutlineReport {
-    let annots = Annots::new(prog, outline);
-    let mut recorder = Recorder::default();
-    let mut report = OutlineReport::default();
-    let deadline = opts.budget.deadline.map(|d| Instant::now() + d);
-    let mut mem_bytes: usize = 0;
-
-    // The interned canonical configurations; frontier entries index it.
-    // Deduplication reuses the explorer's fingerprint-keyed visited index
-    // (`crate::explore::VisitedIndex`) over this arena.
-    let mut arena: Vec<Config> = Vec::new();
-    let mut index = VisitedIndex::new(opts.telemetry.clone());
-
-    let init = Config::initial(prog).canonical();
-    let (fails, checks) = annots.failures(&init);
-    report.checks += checks;
-    for (kind, _) in fails {
-        recorder.record(kind, &init, OgClass::Initial, None);
-    }
-    mem_bytes += init.approx_bytes();
-    let probe = index.probe(&init, None, |id| &arena[id as usize]);
-    arena.push(index.commit(probe, &init, None, 0).0);
-    let mut frontier: Vec<u32> = vec![0];
-
-    while let Some(id) = frontier.pop() {
-        // Budget and cancellation gates, between work items — identical to
-        // the explorer's (`crate::explore`): any trip stops on a clean
-        // boundary with a sound prefix report.
-        if opts.cancel.is_cancelled() {
-            report.stop.bump(StopReason::Cancelled);
-            break;
-        }
-        if deadline.is_some_and(|dl| Instant::now() >= dl) {
-            report.stop.bump(StopReason::Deadline);
-            break;
-        }
-        if opts.budget.max_transitions.is_some_and(|cap| report.transitions >= cap) {
-            report.stop.bump(StopReason::TransitionCap);
-            break;
-        }
-        if opts.budget.max_mem_bytes.is_some_and(|cap| mem_bytes >= cap) {
-            report.stop.bump(StopReason::MemBudget);
-            break;
-        }
-        let cfg = arena[id as usize].clone();
-        let succs = successors(prog, objs, &cfg, opts.step);
-        report.transitions += succs.len();
-        if succs.is_empty() {
-            if cfg.terminated(prog) {
-                report.terminated += 1;
-            } else {
-                report.deadlocked += 1;
-            }
-            continue;
-        }
-        for (tid, succ) in succs {
-            // Classify per edge, visited or not — on the raw successor
-            // (evaluation is canonicalisation-invariant, see
-            // `debug_assert_failures_invariant`).
-            let (fails, checks) = annots.failures(&succ);
-            report.checks += checks;
-            let probe = match index.probe(&succ, None, |id| &arena[id as usize]) {
-                Probe::Dup(..) => {
-                    if !fails.is_empty() {
-                        // Rare: a failing duplicate edge still needs the
-                        // canonical form as the recorder's dedup key.
-                        let canon = succ.canonical();
-                        debug_assert_failures_invariant(&annots, &fails, &canon);
-                        for (kind, owner) in fails {
-                            let class = annots.classify(&kind, owner, tid, &cfg);
-                            recorder.record(kind, &canon, class, Some(tid));
-                        }
-                    }
-                    continue;
-                }
-                novel => novel,
-            };
-            if arena.len() >= opts.max_states {
-                report.stop.bump(StopReason::StateCap);
-                if !fails.is_empty() {
-                    let canon = succ.canonical();
-                    debug_assert_failures_invariant(&annots, &fails, &canon);
-                    for (kind, owner) in fails {
-                        let class = annots.classify(&kind, owner, tid, &cfg);
-                        recorder.record(kind, &canon, class, Some(tid));
-                    }
-                }
-                continue;
-            }
-            let new_id = arena.len() as u32;
-            arena.push(index.commit(probe, &succ, None, new_id).0);
-            mem_bytes += arena[new_id as usize].approx_bytes();
-            if !fails.is_empty() {
-                let canon = &arena[new_id as usize];
-                debug_assert_failures_invariant(&annots, &fails, canon);
-                for (kind, owner) in fails {
-                    let class = annots.classify(&kind, owner, tid, &cfg);
-                    recorder.record(kind, canon, class, Some(tid));
-                }
-            }
-            frontier.push(new_id);
-        }
-    }
-    // A cancellation that raced the final items must still be reported: a
-    // cancelled check never claims `Complete`.
-    if opts.cancel.is_cancelled() {
-        report.stop.bump(StopReason::Cancelled);
-    }
-    report.states = arena.len();
-    report.violations = recorder.violations;
-    report
-}
-
-/// The parallel outline checker: the shared batched work-stealing walk of
-/// [`crate::parallel`] (`par_walk`), with every generated edge classified
-/// Owicki–Gries style. Annotation evaluation (the expensive part) happens
-/// outside any lock; only violation recording serialises through a mutex.
-fn par_check_outline(
-    prog: &CfgProgram,
-    objs: &(dyn ObjectSemantics + Sync),
-    outline: &ProofOutline,
-    opts: &ExploreOptions,
-    n_workers: usize,
-) -> OutlineReport {
-    let annots = Annots::new(prog, outline);
-    let recorder: Mutex<Recorder> = Mutex::new(Recorder::default());
-    let checks = AtomicUsize::new(0);
-
-    // The walk's `on_novel` fires for the initial configuration too, but
-    // initial failures are classified `Initial` (no incoming edge), which
-    // only the initial configuration gets — so handle it here and let
-    // `on_edge` cover everything else.
-    let init = Config::initial(prog).canonical();
-    let (fails, n) = annots.failures(&init);
-    checks.fetch_add(n, Ordering::Relaxed);
-    for (kind, _) in fails {
-        recorder.lock().record(kind, &init, OgClass::Initial, None);
-    }
-
-    let level = Level::of(opts.reduce, Query::Edges);
-    let (_visited, stats) = par_walk(
-        prog,
-        objs,
-        opts,
-        level,
-        &sym::active_spec(prog, level.symmetry),
-        n_workers,
-        |parent: &Config, tid, succ: &Config| {
-            // Classify per edge, visited or not — on the raw successor
-            // (evaluation is canonicalisation-invariant, see
-            // `debug_assert_failures_invariant`), so clean edges — the
-            // overwhelmingly common case — never materialise a canonical
-            // form here. Only failing edges canonicalise, because the
-            // recorder dedups on canonical identity.
-            let (fails, n) = annots.failures(succ);
-            checks.fetch_add(n, Ordering::Relaxed);
-            if !fails.is_empty() {
-                let canon = succ.canonical();
-                debug_assert_failures_invariant(&annots, &fails, &canon);
-                let mut rec = recorder.lock();
-                for (kind, owner) in fails {
-                    let class = annots.classify(&kind, owner, tid, parent);
-                    rec.record(kind, &canon, class, Some(tid));
-                }
-            }
-        },
-        |_, _, _| {},
-    );
-
-    OutlineReport {
-        states: stats.states,
-        transitions: stats.transitions,
-        checks: checks.into_inner(),
-        terminated: stats.terminated.len(),
-        deadlocked: stats.deadlocked.len(),
-        violations: recorder.into_inner().violations,
-        stop: stats.stop,
-        notes: stats.notes,
-    }
 }
 
 /// Convenience: check a single predicate as an invariant, returning outline

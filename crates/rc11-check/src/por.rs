@@ -1,6 +1,6 @@
 //! Sleep-set partial-order reduction (ablation A5).
 //!
-//! Both exploration engines enumerate, at every configuration, one step per
+//! The exploration walk enumerates, at every configuration, one step per
 //! thread per nondeterministic choice. When two threads' next steps are
 //! *independent* — [`rc11_core::StepFootprint::may_conflict`] returns
 //! `false` — executing them in either order reaches the same canonical
@@ -50,7 +50,7 @@
 //! terminal sets, deadlock sets and violation sets are bit-identical to
 //! the unreduced search, and only `transitions` shrinks. The differential
 //! suites (`tests/engine_agreement.rs`, `tests/corpus.rs`,
-//! `rc11_check::fuzz`'s POR lane) hold both engines to exactly that.
+//! `rc11_check::fuzz`'s POR lane) hold the walk to exactly that.
 //!
 //! ## Terminal classification under pruning
 //!
@@ -69,7 +69,7 @@
 //! The outline checker does **not** run with POR: its Owicki–Gries
 //! classification quantifies over *all* incoming edges of every state
 //! (interference vs inherited is an edge property), and sleep sets prune
-//! exactly edges. `check_outline_with` clears the flag.
+//! exactly edges. Its edge query runs at the unreduced level.
 
 use rc11_core::StepFootprint;
 use rc11_lang::cfg::CfgProgram;
@@ -100,8 +100,8 @@ pub(crate) fn full_mask(n_threads: usize) -> ThreadMask {
 }
 
 /// Per-thread footprints of every thread's next step at `cfg` — the
-/// eagerly-extracted oracle [`child_sleep`] quantifies over. The engines
-/// run [`child_sleep_static`] instead (same answers, fewer extractions);
+/// eagerly-extracted oracle [`child_sleep`] quantifies over. The walk
+/// runs [`child_sleep_static`] instead (same answers, fewer extractions);
 /// the pair survives as the specification the unit tests hold it to.
 #[cfg(test)]
 pub(crate) fn footprints(prog: &CfgProgram, cfg: &Config) -> Vec<StepFootprint> {
@@ -161,7 +161,7 @@ pub(crate) fn child_sleep_static(
     keep
 }
 
-/// The terminal-classification probe shared by both engines: does any
+/// The terminal-classification probe of the walk: does any
 /// thread in `mask` have a successor at `cfg`? Probe successors are
 /// discarded and must **not** be counted as transitions (a later wake-up
 /// of those threads would re-generate and re-count them, breaking the

@@ -8,12 +8,11 @@
 //! * the cache key is computed: the canonical words of the program +
 //!   observation tuple + expected set ([`rc11_lang::canonical_litmus_words`])
 //!   extended with the **semantic** exploration options
-//!   ([`option_words`]), fingerprinted with [`Fx128Hasher`]. Worker
-//!   count, budgets, cancellation and checkpointing are deliberately
-//!   *excluded*: the engines are proven report-identical by the
-//!   differential battery (so an answer computed at 1 worker serves a
-//!   4-worker request), and budget-truncated runs are never cached at
-//!   all — only [`StopReason::Complete`] verdicts are admitted;
+//!   ([`option_words`]), fingerprinted with [`Fx128Hasher`]. The
+//!   (ignored) worker count, budgets, cancellation and checkpointing are
+//!   deliberately *excluded*: none of them changes a complete report, and
+//!   budget-truncated runs are never cached at all — only
+//!   [`StopReason::Complete`] verdicts are admitted;
 //! * the observed outcome set and pass verdict are computed from an
 //!   [`EngineReport`] (mirroring `rc11_litmus::run_with_opts`, pinned to
 //!   it by the daemon differential tests);
@@ -25,9 +24,7 @@
 use crate::cache::{CacheStats, CacheTier, CachedVerdict, VerdictCache};
 use crate::chaos::ChaosState;
 use crate::checkpoint::CheckpointOpts;
-use crate::engine::{
-    choose_engine, Budget, CancelToken, EngineReport, ExploreOptions, Note, StopReason,
-};
+use crate::engine::{Budget, CancelToken, Engine, EngineReport, ExploreOptions, Note, StopReason};
 use crate::fxhash::{Fp128, Fx128Hasher};
 use rc11_core::Val;
 use rc11_lang::machine::{NoObjects, ObjectSemantics};
@@ -44,24 +41,25 @@ use std::time::{Duration, Instant};
 
 /// Per-request parameters. Everything that changes *what* is checked is
 /// part of the cache key; everything that only changes *how hard we are
-/// willing to work* (workers, budgets, cancellation, checkpointing) is
-/// not — see [`option_words`].
+/// willing to work* (budgets, cancellation, checkpointing) is not — see
+/// [`option_words`].
 ///
 /// There is no reduction field: a request asks for outcomes and deadlocks
 /// only, so it always runs [`Reduction::Full`](crate::engine::Reduction)
 /// — sleep sets, persistent sets and thread symmetry.
 #[derive(Clone)]
 pub struct CheckParams {
-    /// Engine selection: 1 = sequential, n > 1 = parallel.
+    /// Ignored: every request runs the one exploration walk. Kept so
+    /// existing callers that set a worker count still compile.
     pub workers: usize,
     /// Hard state cap (in the key: truncation changes the report).
     pub max_states: usize,
     /// Per-request resource budgets (not in the key; non-complete runs
     /// are never cached).
     pub budget: Budget,
-    /// Cooperative cancellation, honoured by both engines mid-run.
+    /// Cooperative cancellation, honoured mid-run.
     pub cancel: CancelToken,
-    /// Checkpoint/resume for the sequential engine (CLI `--checkpoint`).
+    /// Checkpoint/resume (CLI `--checkpoint`).
     pub checkpoint: Option<CheckpointOpts>,
     /// Fault injection for the resilience harness.
     pub chaos: Option<std::sync::Arc<ChaosState>>,
@@ -354,7 +352,7 @@ impl CheckService {
         }
 
         let cfg = compile(prog);
-        let objs: &(dyn ObjectSemantics + Sync) =
+        let objs: &dyn ObjectSemantics =
             if prog.objects.is_empty() { &NoObjects } else { &AbstractObjects };
         let opts = ExploreOptions {
             record_traces: false,
@@ -366,15 +364,15 @@ impl CheckService {
             telemetry: params.telemetry.clone(),
             ..Default::default()
         };
-        let engine = choose_engine(params.workers);
         let started = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| engine.explore(&cfg, objs, &opts)));
+        let outcome =
+            catch_unwind(AssertUnwindSafe(|| Engine::Sequential.explore(&cfg, objs, &opts)));
 
         let report: EngineReport = match outcome {
             Ok(r) => r,
             Err(payload) => {
-                // A panic that escaped the engine (the sequential engine
-                // has no internal containment): synthesise an explicit
+                // A panic that escaped the engine (the walk has no
+                // internal containment): synthesise an explicit
                 // worker-fault report so the caller sees the message in
                 // both the stop reason and the note detail. The engine
                 // never reported a wall clock, so fall back to our own
@@ -408,7 +406,7 @@ impl CheckService {
                 };
             }
         };
-        // Both engines measure their own wall clock; the service's
+        // The engine measures its own wall clock; the service's
         // aggregate explore-seconds counter is derived from the report
         // so daemon `stats` throughput matches the per-run rows.
         self.explore_nanos.fetch_add(report.wall.as_nanos() as u64, Ordering::Relaxed);

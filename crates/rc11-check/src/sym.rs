@@ -1,11 +1,11 @@
-//! Thread-symmetry reduction support shared by both engines (ablation A6).
+//! Thread-symmetry reduction support for the walk (ablation A6).
 //!
 //! Detection and the per-state canonical choice live in
 //! [`rc11_analyze::symmetry`]; this module holds the engine-side glue:
 //! the symmetry-aware fingerprint, the transport of POR thread masks into
 //! representative numbering, and orbit expansion — the enumeration of a
 //! representative's distinct non-representative orbit members, which the
-//! engines use to run the check callback on *every* state of the orbit and
+//! walk uses to run the check callback on *every* state of the orbit and
 //! to expand terminal/deadlock sets back to the unreduced search's.
 //!
 //! ## Soundness (DESIGN.md, "A6 in detail")
@@ -30,9 +30,9 @@ use rc11_lang::machine::Config;
 
 /// The symmetry reduction to run with: a non-trivial spec when the option
 /// is on and the program actually has symmetric threads, else `None` (the
-/// engines then take their unchanged fast paths). The second component is
+/// walk then takes its unchanged fast paths). The second component is
 /// the orbit size detection gave up on when the `ORBIT_CAP` degraded the
-/// spec to trivial — the engines surface it as a
+/// spec to trivial — the walk surfaces it as a
 /// [`Note::SymmetryOrbitCap`](crate::engine::Note::SymmetryOrbitCap).
 pub(crate) fn active_spec(
     prog: &CfgProgram,

@@ -8,10 +8,9 @@
 //! semantics, a missing outcome is a completeness bug. Together these pin
 //! the executable semantics to the model (experiment E5).
 //!
-//! Verdicts are engine-parametric: [`run_with`] takes any
-//! [`rc11_check::Engine`], so the whole gallery runs under the parallel
-//! engine too (and the differential suite compares the engines verdict by
-//! verdict); [`run`] is the sequential-reference shorthand.
+//! Verdicts go through [`rc11_check::Engine`]: [`run_with`] takes the
+//! engine explicitly (the differential suite holds its verdicts to the
+//! reference oracle), and [`run`] is the shorthand.
 //!
 //! Beyond the built-in gallery, litmus tests are **data**: [`load_str`]
 //! parses the `.litmus` surface syntax ([`rc11_lang::parse`]) into the same
@@ -147,7 +146,7 @@ pub struct LitmusResult {
     pub pass: bool,
     /// Structured engine warnings ([`rc11_check::Note`]): reduction
     /// fallbacks (POR thread cap, symmetry orbit cap),
-    /// contained worker faults, checkpoint errors. The result stays exact
+    /// contained faults, checkpoint errors. The result stays exact
     /// for reduction fallbacks; `rc11 run` prints these as a column.
     pub notes: Vec<Note>,
 }
@@ -592,19 +591,6 @@ mod tests {
             assert!(
                 res.pass,
                 "{}: observed {:?} ≠ expected {:?}",
-                l.name, res.observed, res.expected
-            );
-        }
-    }
-
-    #[test]
-    fn every_litmus_verdict_is_exact_under_the_parallel_engine() {
-        let engine = rc11_check::choose_engine(4);
-        for l in all() {
-            let res = run_with(&l, &engine);
-            assert!(
-                res.pass,
-                "{} (parallel): observed {:?} ≠ expected {:?}",
                 l.name, res.observed, res.expected
             );
         }

@@ -175,17 +175,11 @@ pub fn all_correct() -> Vec<ObjectImpl> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rc11_check::{choose_engine, Engine, EngineReport, ExploreOptions};
+    use rc11_check::{Engine, EngineReport, ExploreOptions};
     use rc11_core::Val;
     use rc11_lang::inline::instantiate;
     use rc11_lang::machine::NoObjects;
     use rc11_lang::{compile, Program};
-
-    /// Both engines: every lock scenario (positive and negative control)
-    /// runs sequentially and in parallel.
-    fn engines() -> [Engine; 2] {
-        [choose_engine(1), choose_engine(4)]
-    }
 
     /// The Figure-7 client shape: two threads, lock-protected writes/reads.
     fn lock_client() -> (Program, rc11_lang::ObjRef, [Reg; 2]) {
@@ -202,50 +196,34 @@ mod tests {
         (p.build(), l, [r1, r2])
     }
 
-    fn explore_lock_client(imp: &ObjectImpl, engine: &Engine) -> (EngineReport, [Reg; 2]) {
+    fn explore_lock_client(imp: &ObjectImpl) -> (EngineReport, [Reg; 2]) {
         let (abs, l, regs) = lock_client();
         let conc = instantiate(&abs, l, imp);
         let prog = compile(&conc);
         let opts = ExploreOptions { record_traces: false, ..Default::default() };
-        (engine.explore(&prog, &NoObjects, &opts), regs)
+        (Engine::Sequential.explore(&prog, &NoObjects, &opts), regs)
     }
 
     fn check_lock_client(imp: ObjectImpl) {
-        for engine in engines() {
-            let (report, [r1, r2]) = explore_lock_client(&imp, &engine);
-            assert!(report.ok(), "{} ({engine:?}): exploration failed", imp.name);
-            assert!(report.deadlocked.is_empty(), "{} ({engine:?}): deadlock", imp.name);
+        let (report, [r1, r2]) = explore_lock_client(&imp);
+        assert!(report.ok(), "{}: exploration failed", imp.name);
+        assert!(report.deadlocked.is_empty(), "{}: deadlock", imp.name);
+        assert!(!report.terminated.is_empty(), "{}: no terminal states", imp.name);
+        for term in &report.terminated {
+            let (v1, v2) = (term.reg(1, r1), term.reg(1, r2));
             assert!(
-                !report.terminated.is_empty(),
-                "{} ({engine:?}): no terminal states",
+                (v1, v2) == (Val::Int(0), Val::Int(0)) || (v1, v2) == (Val::Int(5), Val::Int(5)),
+                "{}: critical section torn: r1={v1}, r2={v2}",
                 imp.name
             );
-            for term in &report.terminated {
-                let (v1, v2) = (term.reg(1, r1), term.reg(1, r2));
-                assert!(
-                    (v1, v2) == (Val::Int(0), Val::Int(0))
-                        || (v1, v2) == (Val::Int(5), Val::Int(5)),
-                    "{} ({engine:?}): critical section torn: r1={v1}, r2={v2}",
-                    imp.name
-                );
-            }
         }
     }
 
-    /// Negative controls must leak the torn read under *both* engines.
+    /// Negative controls must leak the torn read.
     fn check_broken_lock_leaks(imp: ObjectImpl) {
-        for engine in engines() {
-            let (report, [r1, r2]) = explore_lock_client(&imp, &engine);
-            let torn = report
-                .terminated
-                .iter()
-                .any(|t| t.reg(1, r1) != t.reg(1, r2));
-            assert!(
-                torn,
-                "{} ({engine:?}): the broken lock must leak a torn read somewhere",
-                imp.name
-            );
-        }
+        let (report, [r1, r2]) = explore_lock_client(&imp);
+        let torn = report.terminated.iter().any(|t| t.reg(1, r1) != t.reg(1, r2));
+        assert!(torn, "{}: the broken lock must leak a torn read somewhere", imp.name);
     }
 
     #[test]
@@ -278,8 +256,7 @@ mod tests {
         check_broken_lock_leaks(broken_noop_lock());
     }
 
-    /// Three threads through the ticket lock: still atomic, under both
-    /// engines.
+    /// Three threads through the ticket lock: still atomic.
     #[test]
     fn ticket_lock_three_threads() {
         let mut p = ProgramBuilder::new("counter3");
@@ -293,18 +270,12 @@ mod tests {
         let conc = instantiate(&p.build(), l, &ticket());
         let prog = compile(&conc);
         let opts = ExploreOptions { record_traces: false, ..Default::default() };
-        for engine in engines() {
-            let report = engine.explore(&prog, &NoObjects, &opts);
-            assert!(report.ok());
-            for term in &report.terminated {
-                let st = term.mem.client();
-                let max = st.max_op(x.loc);
-                assert_eq!(
-                    st.op(max).act.wrval(),
-                    Val::Int(3),
-                    "all increments must land ({engine:?})"
-                );
-            }
+        let report = Engine::Sequential.explore(&prog, &NoObjects, &opts);
+        assert!(report.ok());
+        for term in &report.terminated {
+            let st = term.mem.client();
+            let max = st.max_op(x.loc);
+            assert_eq!(st.op(max).act.wrval(), Val::Int(3), "all increments must land");
         }
     }
 }

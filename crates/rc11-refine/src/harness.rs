@@ -6,10 +6,9 @@
 //! values (so `rval` agreement is by construction — see the module docs of
 //! [`crate::sim`]).
 //!
-//! The exploration helpers ([`explore_abstract`], [`explore_concrete`]) are
-//! engine-parametric: every harness client can be swept under the
-//! sequential explorer or the parallel engine
-//! ([`rc11_check::Engine`]) interchangeably.
+//! The exploration helpers ([`explore_abstract`], [`explore_concrete`])
+//! take the [`rc11_check::Engine`] to run, so every harness client goes
+//! through the same entry point as the rest of the workspace.
 
 use rc11_check::{Engine, EngineReport, ExploreOptions};
 use rc11_lang::builder::*;
@@ -110,7 +109,8 @@ pub fn explore_concrete(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rc11_check::choose_engine;
+    use rc11_check::reference;
+    use std::collections::HashSet;
 
     #[test]
     fn harness_clients_validate() {
@@ -124,31 +124,35 @@ mod tests {
         assert_eq!(p.n_threads(), 2);
     }
 
-    /// Abstract harness sweeps agree across engines on the widest client.
+    /// The walk's report against the reference oracle's: the same terminal
+    /// and deadlock sets, and never more states or transitions.
+    fn assert_agrees(got: &EngineReport, oracle: &EngineReport) {
+        assert!(got.ok() && oracle.ok());
+        let set = |v: &[rc11_lang::machine::Config]| v.iter().cloned().collect::<HashSet<_>>();
+        assert_eq!(set(&got.terminated), set(&oracle.terminated));
+        assert_eq!(set(&got.deadlocked), set(&oracle.deadlocked));
+        assert!(got.states <= oracle.states && got.transitions <= oracle.transitions);
+    }
+
+    /// Abstract harness sweeps agree with the reference oracle on the
+    /// widest client.
     #[test]
     fn abstract_exploration_agrees_across_engines() {
         let (client, _) = counter_client(3);
-        let seq = explore_abstract(&client, &Engine::Sequential);
-        assert!(seq.ok());
-        for workers in [2, 4] {
-            let par = explore_abstract(&client, &choose_engine(workers));
-            assert_eq!(par.states, seq.states, "workers = {workers}");
-            assert_eq!(par.transitions, seq.transitions);
-            assert_eq!(par.terminated.len(), seq.terminated.len());
-            assert_eq!(par.deadlocked.len(), seq.deadlocked.len());
-        }
+        let walk = explore_abstract(&client, &Engine::Sequential);
+        let oracle = reference::explore(&compile(&client), &AbstractObjects, usize::MAX, |_, _| {});
+        assert_agrees(&walk, &oracle);
     }
 
-    /// Concrete (inlined-lock) harness sweeps agree across engines.
+    /// Concrete (inlined-lock) harness sweeps agree with the reference
+    /// oracle.
     #[test]
     fn concrete_exploration_agrees_across_engines() {
         let (client, l) = handoff_client();
         let imp = rc11_locks::ticket();
-        let seq = explore_concrete(&client, l, &imp, &Engine::Sequential);
-        assert!(seq.ok());
-        let par = explore_concrete(&client, l, &imp, &choose_engine(4));
-        assert_eq!(par.states, seq.states);
-        assert_eq!(par.transitions, seq.transitions);
-        assert_eq!(par.terminated.len(), seq.terminated.len());
+        let walk = explore_concrete(&client, l, &imp, &Engine::Sequential);
+        let conc = compile(&instantiate(&client, l, &imp));
+        let oracle = reference::explore(&conc, &NoObjects, usize::MAX, |_, _| {});
+        assert_agrees(&walk, &oracle);
     }
 }

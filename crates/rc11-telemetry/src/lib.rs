@@ -60,14 +60,16 @@ pub enum Counter {
     /// Times a reduction degraded at a cap (POR >64 threads, DPOR
     /// location cap, symmetry orbit cap).
     CapDegradations,
-    /// Batches of work flushed from a worker's local deque to the
-    /// global injector (parallel engine).
+    /// Batches of work shared between parallel workers. Always zero:
+    /// the single-threaded exploration walk shares nothing. Kept under
+    /// its wire name so existing traces and benches still read it.
     InjectorFlushes,
-    /// Novel states a parallel worker kept on its local deque instead
-    /// of publishing (keep-local scheduling).
+    /// Novel states a parallel worker kept to itself instead of sharing.
+    /// Always zero, kept for the same reason as `InjectorFlushes`.
     KeepLocalRetained,
     /// States expanded (popped and successor-generated). Also tallied
-    /// per worker; the per-worker slots sum to this counter.
+    /// per worker slot (the exploration walk is slot 0); the slots sum
+    /// to this counter.
     Expansions,
     /// Verdict-cache probes issued by the request path.
     CacheProbes,
@@ -314,7 +316,8 @@ impl Telemetry {
     }
 
     /// Replace the visited-shard occupancy histogram (entries per shard,
-    /// recorded by the parallel store at end of run).
+    /// recorded by a sharded visited store at end of run; the exploration
+    /// walk's single map records none).
     pub fn record_shard_occupancy(&self, occupancy: &[usize]) {
         let mut slot = self.shard_occupancy.lock().unwrap();
         slot.clear();
@@ -370,7 +373,7 @@ pub struct TelemetrySnapshot {
     /// Per-worker expansion tallies (trailing zero slots trimmed).
     pub worker_expansions: Vec<u64>,
     /// Visited-store entries per shard at snapshot time (empty for the
-    /// sequential engine's single map).
+    /// exploration walk's single map).
     pub shard_occupancy: Vec<u64>,
     /// Frontier depth at snapshot time (gauge, not delta'd).
     pub frontier_depth: u64,

@@ -1,7 +1,7 @@
 //! The `rc11` command-line driver.
 //!
 //! * `rc11 run <path>…` — batch-run `.litmus` files (or directories of
-//!   them) under any combination of engines, with a summary table and a
+//!   them), with a summary table and a
 //!   nonzero exit on any parse error or verdict mismatch;
 //! * `rc11 lint <path>…` — static diagnostics over `.litmus` files:
 //!   every file's findings are reported before the exit code is decided,
@@ -12,10 +12,10 @@
 //! * `rc11 submit` — send `.litmus` files to a running daemon.
 //!
 //! ```text
-//! rc11 run corpus/ --workers 1,2,4,8
-//! rc11 run corpus/mp_rlx.litmus --engine parallel --workers 4 --show-outcomes
+//! rc11 run corpus/ --cross-check
+//! rc11 run corpus/mp_rlx.litmus --show-outcomes
 //! rc11 lint corpus/ --deny-warnings
-//! rc11 fuzz --seed 7 --iters 500 --workers 2,4
+//! rc11 fuzz --seed 7 --iters 500
 //! rc11 serve --cache /tmp/rc11-cache &   # prints `rc11d: listening on ADDR`
 //! rc11 submit corpus/ --addr 127.0.0.1:PORT --stats
 //! ```
@@ -66,10 +66,6 @@ USAGE:
   rc11 trace-report <file.jsonl>   validate + aggregate a --trace file
 
 RUN OPTIONS:
-  --engine <seq|parallel>    engine family (default: seq; `parallel` implies
-                             the --workers list, default 4)
-  --workers <N[,N...]>       worker counts to run each test at; 1 = the
-                             sequential engine (default: 1)
   --cross-check              re-decide every file with the reference
                              explorer (a small unreduced breadth-first
                              search): outcome sets and deadlock counts
@@ -87,10 +83,10 @@ RUN OPTIONS:
   --mem-budget <BYTES>       approximate interned-state memory budget per
                              engine run (same stopped-early contract)
   --checkpoint <DIR>         periodically checkpoint the exploration into
-                             DIR (forces the sequential engine); an
-                             interrupted run resumes from DIR and finishes
-                             with a report identical to an uninterrupted
-                             one; a `Complete` run removes the checkpoint
+                             DIR; an interrupted run resumes from DIR and
+                             finishes with a report identical to an
+                             uninterrupted one; a `Complete` run removes
+                             the checkpoint
   --cache <DIR>              reuse complete verdicts across invocations from
                              a canonical-fingerprint cache spilled to DIR
                              (off by default: without it every engine run
@@ -110,17 +106,18 @@ RUN OPTIONS:
                              validates and aggregates it
   -q, --quiet                only print failures and the final summary
 
-  Both engines deduplicate visited states one way: zero-rebuild canonical
-  fingerprints, each hit confirmed against the interned state. There is
-  no dedup switch, and no reduction switch: every check is an outcome
-  query, so the engines always run their full reduction (sleep sets,
+  Every check runs on one exploration walk, which deduplicates visited
+  states one way: zero-rebuild canonical fingerprints, each hit confirmed
+  against the interned state. There is no dedup switch, and no reduction
+  switch: every check is an outcome query, so the walk always runs its
+  full reduction (sleep sets,
   persistent sets, thread symmetry), which keeps outcome sets and
   deadlock counts exact. STATES counts the states the reduced run visited.
 
-  Each file's run is contained: a panic inside an engine is caught,
+  Each file's run is contained: a panic inside the engine is caught,
   reported as a FAIL row, and the batch continues. The summary NOTES
   column surfaces engine degradations (por-cap, sym-cap),
-  contained worker faults (fault), and checkpoint errors (ckpt); details
+  contained faults (fault), and checkpoint errors (ckpt); details
   print under each affected row.
 
 LINT OPTIONS:
@@ -130,16 +127,14 @@ LINT OPTIONS:
 
 FUZZ OPTIONS:
   Every generated program is decided by the reference explorer (a small
-  breadth-first search over materialised canonical states) and by both
-  engines at every worker count, unreduced (counts must match exactly)
+  breadth-first search over materialised canonical states) and by the
+  exploration walk, unreduced (counts must match exactly)
   and fully reduced (terminal, deadlock and outcome sets must match while
   states and transitions never exceed the reference's); a third of the
   programs clone one thread body into every slot so symmetry has orbits
   to fold. Any disagreement is shrunk to a .litmus repro.
   --seed <S>                 base seed (default: 1)
   --iters <N>                programs to generate (default: 200)
-  --workers <N[,N...]>       parallel worker counts to cross-check
-                             (default: 2,4)
   --threads <MIN,MAX>        thread-count range (default: 2,4)
   --stmts <N>                max top-level statements per thread (default: 4)
   --max-states <N>           oracle state cap; larger programs are skipped
@@ -148,8 +143,8 @@ FUZZ OPTIONS:
                              (default: 24)
   --chaos                    add the chaos differential lane: every
                              program re-runs under seeded fault schedules
-                             (worker panic / stall / checkpoint-write
-                             failure) and must report either results as
+                             (expansion panic / checkpoint-write failure)
+                             and must report either results as
                              good as an unfaulted run or an explicitly
                              non-complete stop reason — never a silently
                              wrong answer
@@ -181,7 +176,6 @@ SERVE OPTIONS:
 
 SUBMIT OPTIONS:
   --addr <HOST:PORT>         daemon address (required)
-  --workers <N>              engine for cache misses (default: 1)
   --no-cache                 bypass the daemon's verdict cache
   --expect-all-hits          exit nonzero unless every response was served
                              from the cache (the CI warm-pass assertion)
@@ -262,20 +256,6 @@ impl Opts {
 
 fn cmd_run(raw: &[String]) -> ExitCode {
     let mut opts = Opts { args: raw.to_vec() };
-    let engine_kind = match opts.value_of("--engine") {
-        Ok(v) => v,
-        Err(e) => return fail_usage(&e),
-    };
-    let default_workers: &[usize] = match engine_kind.as_deref() {
-        None | Some("seq") | Some("sequential") => &[1],
-        Some("parallel") | Some("par") => &[4],
-        Some(other) => return fail_usage(&format!("--engine: unknown engine `{other}`")),
-    };
-    let workers = match opts.usize_list("--workers", default_workers) {
-        Ok(w) if !w.is_empty() => w,
-        Ok(_) => return fail_usage("--workers: empty list"),
-        Err(e) => return fail_usage(&e),
-    };
     let max_states = match opts.parsed("--max-states", 5_000_000usize) {
         Ok(v) => v,
         Err(e) => return fail_usage(&e),
@@ -340,17 +320,6 @@ fn cmd_run(raw: &[String]) -> ExitCode {
     if opts.args.is_empty() {
         return fail_usage("run: no .litmus files or directories given");
     }
-    // Checkpointing is a sequential-explorer feature (the replay log
-    // records the deterministic expansion order); force workers=[1].
-    let workers = if checkpoint.is_some() {
-        if workers != [1] {
-            eprintln!("rc11: --checkpoint forces the sequential engine; ignoring --workers");
-        }
-        vec![1]
-    } else {
-        workers
-    };
-
     // One cumulative sink backs the whole batch when --progress or
     // --trace is on: the heartbeat thread reads it live while every
     // engine run attaches only its own delta to its response. It exists
@@ -410,7 +379,7 @@ fn cmd_run(raw: &[String]) -> ExitCode {
         None => CheckService::new(),
     };
     let budget = rc11::check::Budget { deadline, max_transitions, max_mem_bytes: mem_budget };
-    let base_params = CheckParams {
+    let params = CheckParams {
         max_states,
         budget,
         checkpoint: checkpoint.clone(),
@@ -426,9 +395,7 @@ fn cmd_run(raw: &[String]) -> ExitCode {
                     ("cross_check", Json::Bool(cross_check)),
                     ("max_states", Json::Int(max_states as i64)),
                 ]);
-                if let Err(e) =
-                    w.run_start(files.len(), workers.iter().copied().max().unwrap_or(1), options)
-                {
+                if let Err(e) = w.run_start(files.len(), 1, options) {
                     eprintln!("rc11: --trace {path}: {e}");
                     return ExitCode::FAILURE;
                 }
@@ -535,9 +502,8 @@ fn cmd_run(raw: &[String]) -> ExitCode {
         let run = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_one(
                 litmus,
-                &workers,
                 &service,
-                &base_params,
+                &params,
                 cross_check,
                 max_states,
                 parse_nanos.get(path).copied().unwrap_or(0),
@@ -639,10 +605,8 @@ fn cmd_run(raw: &[String]) -> ExitCode {
     }
 
     print!(
-        "\n{} file(s): {passed} passed, {failed} failed, {broken} unreadable; \
-         engines: {:?} worker(s)",
-        files.len(),
-        workers
+        "\n{} file(s): {passed} passed, {failed} failed, {broken} unreadable",
+        files.len()
     );
     if reduced_states_total > 0 {
         print!(
@@ -677,8 +641,8 @@ fn cmd_run(raw: &[String]) -> ExitCode {
 struct FileRun {
     ok: bool,
     states: usize,
-    /// Engine-reported wall clock of the last request-path run (the one
-    /// whose states the row shows); drives the RATE column.
+    /// Engine-reported wall clock of the request-path run; drives the
+    /// RATE column.
     wall: std::time::Duration,
     observed: std::collections::BTreeSet<Vec<rc11::core::Val>>,
     notes: Vec<rc11::check::Note>,
@@ -698,98 +662,57 @@ fn note_code(n: &rc11::check::Note) -> &'static str {
     }
 }
 
-/// Run one litmus file at every requested engine configuration (through
-/// the shared [`CheckService`] request path) plus, under `--cross-check`,
-/// the reference explorer, collecting verdicts, notes and totals.
-#[allow(clippy::too_many_arguments)]
+/// Run one litmus file through the shared [`CheckService`] request path
+/// plus, under `--cross-check`, the reference explorer, collecting the
+/// verdict, notes and totals.
 fn run_one(
     litmus: &Litmus,
-    workers: &[usize],
     service: &CheckService,
-    base_params: &CheckParams,
+    params: &CheckParams,
     cross_check: bool,
     max_states: usize,
-    mut parse_nanos: u64,
+    parse_nanos: u64,
     trace: Option<&std::sync::Mutex<rc11::check::TraceWriter<std::fs::File>>>,
 ) -> FileRun {
-    let mut ok = true;
-    let mut states = 0usize;
-    let mut peak_states = 0usize;
-    let mut wall = std::time::Duration::ZERO;
-    let mut run_deadlocks = 0usize;
-    let mut notes: Vec<rc11::check::Note> = Vec::new();
-    let mut first_divergence: Option<String> = None;
-    let mut observed: Option<std::collections::BTreeSet<Vec<rc11::core::Val>>> = None;
-    let mut prev_workers = 0usize;
-    for &w in workers {
-        let mut params = base_params.clone();
-        params.workers = w;
-        let mut res = service.check_parts(
-            &litmus.name,
-            &litmus.prog,
-            &litmus.observe,
-            &litmus.expected,
-            &params,
-        );
-        // The file was parsed once, before its first run.
-        res.attribute_parse(std::mem::take(&mut parse_nanos));
-        states = res.states;
-        peak_states = peak_states.max(states);
-        run_deadlocks = res.deadlocks;
-        wall = res.wall;
-        if let Some(tr) = trace {
-            if let Ok(mut w) = tr.lock() {
-                let _ = w.file_verdict(&res);
-            }
+    let mut res =
+        service.check_parts(&litmus.name, &litmus.prog, &litmus.observe, &litmus.expected, params);
+    // The file was parsed once, before its run.
+    res.attribute_parse(parse_nanos);
+    let states = res.states;
+    if let Some(tr) = trace {
+        if let Ok(mut w) = tr.lock() {
+            let _ = w.file_verdict(&res);
         }
-        for n in &res.notes {
-            if !notes.contains(n) {
-                notes.push(n.clone());
-            }
-        }
-        if !res.pass && first_divergence.is_none() {
-            first_divergence = Some(if res.stop == rc11::check::StopReason::WorkerFault {
-                // The request path contained an engine panic; its message
-                // is in the WorkerFault note.
-                let msg = res
-                    .notes
-                    .iter()
-                    .find_map(|n| match n {
-                        rc11::check::Note::WorkerFault { message } => Some(message.clone()),
-                        _ => None,
-                    })
-                    .unwrap_or_default();
-                format!("@{w} worker(s): panic contained: {msg}")
-            } else if res.stop == rc11::check::StopReason::StateCap {
-                format!("@{w} worker(s): truncated at --max-states {max_states}")
-            } else if !res.stop.is_complete() {
-                format!(
-                    "@{w} worker(s): stopped early ({}); \
-                     {states} states explored is a sound lower bound",
-                    res.stop
-                )
-            } else if res.deadlocks > 0 {
-                format!("@{w} worker(s): {} deadlocked configuration(s)", res.deadlocks)
-            } else {
-                let missing: Vec<_> = res.expected.difference(&res.observed).collect();
-                let extra: Vec<_> = res.observed.difference(&res.expected).collect();
-                format!("@{w} worker(s): missing {missing:?}, unexpected {extra:?}")
-            });
-        }
-        ok &= res.pass;
-        // All requested engine configurations must also agree with
-        // each other, not just with the expectation.
-        if let Some(pobs) = &observed {
-            if pobs != &res.observed {
-                ok = false;
-                first_divergence.get_or_insert(format!(
-                    "engines disagree: {prev_workers} vs {w} worker(s) observe different sets"
-                ));
-            }
-        }
-        observed = Some(res.observed);
-        prev_workers = w;
     }
+    let mut ok = res.pass;
+    let mut first_divergence = (!res.pass).then(|| {
+        if res.stop == rc11::check::StopReason::WorkerFault {
+            // The request path contained an engine panic; its message is
+            // in the WorkerFault note.
+            let msg = res
+                .notes
+                .iter()
+                .find_map(|n| match n {
+                    rc11::check::Note::WorkerFault { message } => Some(message.clone()),
+                    _ => None,
+                })
+                .unwrap_or_default();
+            format!("panic contained: {msg}")
+        } else if res.stop == rc11::check::StopReason::StateCap {
+            format!("truncated at --max-states {max_states}")
+        } else if !res.stop.is_complete() {
+            format!(
+                "stopped early ({}); {states} states explored is a sound lower bound",
+                res.stop
+            )
+        } else if res.deadlocks > 0 {
+            format!("{} deadlocked configuration(s)", res.deadlocks)
+        } else {
+            let missing: Vec<_> = res.expected.difference(&res.observed).collect();
+            let extra: Vec<_> = res.observed.difference(&res.expected).collect();
+            format!("missing {missing:?}, unexpected {extra:?}")
+        }
+    });
     // With --cross-check, re-decide the test with the reference explorer:
     // the outcome set and deadlock count must match it exactly, and no
     // reduced run may visit more states.
@@ -805,16 +728,17 @@ fn run_one(
             .collect();
         let divergence = if !oracle.stop.is_complete() {
             Some(format!("cross-check: reference truncated at --max-states {max_states}"))
-        } else if Some(&oracle_observed) != observed.as_ref() {
+        } else if oracle_observed != res.observed {
             Some("cross-check: observed set differs from the reference's".to_string())
-        } else if run_deadlocks != oracle.deadlocked.len() {
+        } else if res.deadlocks != oracle.deadlocked.len() {
             Some(format!(
-                "cross-check: {run_deadlocks} deadlock(s) vs the reference's {}",
+                "cross-check: {} deadlock(s) vs the reference's {}",
+                res.deadlocks,
                 oracle.deadlocked.len()
             ))
-        } else if peak_states > oracle.states {
+        } else if states > oracle.states {
             Some(format!(
-                "cross-check: {peak_states} reduced states exceed the reference's {}",
+                "cross-check: {states} reduced states exceed the reference's {}",
                 oracle.states
             ))
         } else {
@@ -829,9 +753,9 @@ fn run_one(
     FileRun {
         ok,
         states,
-        wall,
-        observed: observed.unwrap_or_default(),
-        notes,
+        wall: res.wall,
+        observed: res.observed,
+        notes: res.notes,
         first_divergence,
         reference_states,
     }
@@ -951,10 +875,6 @@ fn cmd_fuzz(raw: &[String]) -> ExitCode {
         Ok(v) => v,
         Err(e) => return fail_usage(&e),
     };
-    let workers = match opts.usize_list("--workers", &[2, 4]) {
-        Ok(v) => v,
-        Err(e) => return fail_usage(&e),
-    };
     let threads = match opts.usize_list("--threads", &[2, 4]) {
         Ok(v) if v.len() == 2 && v[0] >= 1 && v[0] <= v[1] => v,
         Ok(_) => return fail_usage("--threads: expected MIN,MAX with 1 <= MIN <= MAX"),
@@ -978,8 +898,8 @@ fn cmd_fuzz(raw: &[String]) -> ExitCode {
         return fail_usage(&format!("fuzz takes no positional arguments (got `{bad}`)"));
     }
 
-    // Injected worker panics are contained by the engines' catch_unwind
-    // harnesses, but the default panic hook would still print a backtrace
+    // Injected panics are contained by the request path's catch_unwind,
+    // but the default panic hook would still print a backtrace
     // per fault — hundreds of lines of noise over a chaos run. Filter
     // exactly the injected ones; real panics keep the default report.
     if chaos {
@@ -1005,7 +925,6 @@ fn cmd_fuzz(raw: &[String]) -> ExitCode {
         ..Default::default()
     };
     let diff_opts = DiffOptions {
-        workers,
         max_states,
         samples,
         chaos,
@@ -1014,10 +933,9 @@ fn cmd_fuzz(raw: &[String]) -> ExitCode {
 
     println!(
         "fuzzing {iters} programs from seed {seed} \
-         ({}–{} threads, ≤{stmts} statements/thread, workers {:?}{})",
+         ({}–{} threads, ≤{stmts} statements/thread{})",
         gen_opts.min_threads,
         gen_opts.max_threads,
-        diff_opts.workers,
         if chaos { ", chaos lane on" } else { "" }
     );
     let step = (iters / 10).max(1);
@@ -1115,11 +1033,6 @@ fn cmd_submit(raw: &[String]) -> ExitCode {
         Ok(None) => return fail_usage("submit: --addr is required"),
         Err(e) => return fail_usage(&e),
     };
-    let workers = match opts.parsed("--workers", 1usize) {
-        Ok(v) if v >= 1 => v,
-        Ok(_) => return fail_usage("--workers: must be at least 1"),
-        Err(e) => return fail_usage(&e),
-    };
     let no_cache = opts.flag(&["--no-cache"]);
     let expect_all_hits = opts.flag(&["--expect-all-hits"]);
     let want_stats = opts.flag(&["--stats"]);
@@ -1198,7 +1111,7 @@ fn cmd_submit(raw: &[String]) -> ExitCode {
                 continue;
             }
         };
-        let mut extra = vec![("workers", Json::Int(workers as i64))];
+        let mut extra = Vec::new();
         if no_cache {
             extra.push(("no_cache", Json::Bool(true)));
         }
@@ -1462,11 +1375,6 @@ fn cmd_trace_report(raw: &[String]) -> ExitCode {
     ] {
         println!("  {:<20} {}", c.name(), stats.counter(c));
     }
-    println!(
-        "engine counters: expansions {}, injector flushes {}, keep-local retained {}",
-        stats.counter(Counter::Expansions),
-        stats.counter(Counter::InjectorFlushes),
-        stats.counter(Counter::KeepLocalRetained)
-    );
+    println!("engine counters: expansions {}", stats.counter(Counter::Expansions));
     ExitCode::SUCCESS
 }

@@ -14,12 +14,13 @@
 //! One JSON object per line in each direction. Requests carry a `cmd`:
 //!
 //! * `{"cmd":"check","source":"litmus …", …}` — check a `.litmus`
-//!   source. Optional fields: `workers` (default 1), `max_states`,
-//!   `deadline_ms`, `max_transitions`, `max_mem_bytes`, `no_cache`
-//!   (default false: probe and populate the verdict cache), `telemetry`
-//!   (default false: attach a per-job sink; the response's `telemetry`
-//!   field carries its snapshot). Unknown fields are ignored. Every check
-//!   is an outcome query, so it runs the engines' full reduction.
+//!   source. Optional fields: `max_states`, `deadline_ms`,
+//!   `max_transitions`, `max_mem_bytes`, `no_cache` (default false: probe
+//!   and populate the verdict cache), `telemetry` (default false: attach a
+//!   per-job sink; the response's `telemetry` field carries its snapshot).
+//!   Unknown fields are ignored — among them `workers`, which older
+//!   clients send: every check runs the one exploration walk. Every check
+//!   is an outcome query, so it runs the walk's full reduction.
 //! * `{"cmd":"stats"}` — service counters: uptime, request and cache
 //!   hit/miss counts, states explored, states/s, the queue-depth gauge
 //!   and its peak since startup, the echoed config, and — when started
@@ -602,9 +603,6 @@ fn decode_params(request: &Json, kill: &CancelToken) -> Result<CheckParams, Stri
             Some(_) => Err(format!("check: {key} must be a boolean")),
         }
     };
-    if let Some(w) = usize_field("workers")? {
-        params.workers = w.max(1);
-    }
     if let Some(n) = usize_field("max_states")? {
         params.max_states = n;
     }
@@ -785,8 +783,8 @@ impl Client {
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad response: {e}")))
     }
 
-    /// `check` a `.litmus` source with extra request fields (`workers`,
-    /// `deadline_ms`, `no_cache`, …) merged in.
+    /// `check` a `.litmus` source with extra request fields
+    /// (`deadline_ms`, `no_cache`, …) merged in.
     pub fn check_with(&mut self, source: &str, extra: Vec<(&str, Json)>) -> io::Result<Json> {
         let mut fields = vec![("cmd", Json::Str("check".to_string())),
             ("source", Json::Str(source.to_string()))];

@@ -21,8 +21,8 @@
 //! * [`telemetry`] (rc11-telemetry) — the exploration telemetry spine:
 //!   sharded relaxed counters, phase timers, and serializable snapshots
 //!   behind `ExploreOptions::telemetry` (DESIGN.md §9);
-//! * [`check`] (rc11-check) — exhaustive (sequential & parallel) state-space
-//!   exploration, proof-outline checking with Owicki–Gries classification;
+//! * [`check`] (rc11-check) — exhaustive state-space exploration on one
+//!   walk, proof-outline checking with Owicki–Gries classification;
 //! * [`refine`] (rc11-refine) — contextual refinement (Section 6): trace
 //!   refinement, forward simulation, and the brute-force baseline;
 //! * [`locks`] (rc11-locks) — the sequence lock and ticket lock (plus
@@ -37,7 +37,7 @@
 //! fingerprint verdict cache (memory LRU over a checksummed disk spill).
 //!
 //! The `rc11` binary (`src/bin/rc11.rs`) batch-runs `.litmus` corpora
-//! under any engine configuration (`rc11 run corpus/ --workers 1,2,4,8`),
+//! (`rc11 run corpus/ --cross-check`),
 //! drives the generative differential-fuzz harness
 //! (`rc11 fuzz --seed S --iters N`), and hosts/queries the daemon
 //! (`rc11 serve`, `rc11 submit`).
@@ -62,9 +62,9 @@ pub mod prelude {
     pub use rc11_assert::dsl::*;
     pub use rc11_assert::{EvalCtx, OpPat, Pred, ProofOutline};
     pub use rc11_check::{
-        check_outline, check_outline_with, choose_engine, par_explore, sample_terminals, Budget,
-        CancelToken, ChaosState, CheckpointOpts, Engine, EngineReport, ExploreOptions, Explorer,
-        FaultPlan, Note, OutlineReport, Reduction, StopReason,
+        check_outline, sample_terminals, Budget, CancelToken, ChaosState, CheckpointOpts, Engine,
+        EngineReport, ExploreOptions, Explorer, FaultPlan, Note, OutlineReport, Reduction,
+        StopReason,
     };
     pub use rc11_core::{Combined, Comp, InitLoc, Loc, OpId, Tid, Val};
     pub use rc11_lang::builder::*;

@@ -1,17 +1,17 @@
-//! The committed `.litmus` corpus, held to the builder gallery and to both
-//! engines.
+//! The committed `.litmus` corpus, held to the builder gallery, the
+//! exploration walk and the reference oracle.
 //!
 //! Three layers of pinning:
 //!
 //! * **Round-trip**: every builder-gallery litmus has a text twin in
 //!   `corpus/` whose parsed program produces the *identical* verdict —
-//!   same expected set, same observed outcome set, same state count —
-//!   under both engines. A divergence is a bug in the parser (or a corpus
+//!   same expected set, same observed outcome set, same state count. A
+//!   divergence is a bug in the parser (or a corpus
 //!   file that drifted from its twin).
 //! * **Corpus-wide exactness**: every corpus file (the twins plus the
-//!   classics that exist only as text) passes — observed = expected — at
-//!   1, 2, 4 and 8 workers, and under the `rc11_check::reference` oracle.
-//!   Under `Reduction::None` the engines reproduce the oracle's counts
+//!   classics that exist only as text) passes — observed = expected —
+//!   under the walk and the `rc11_check::reference` oracle.
+//!   Under `Reduction::None` the walk reproduces the oracle's counts
 //!   exactly; under the default `Reduction::Full`, outcome queries keep
 //!   the oracle's terminal and deadlock sets and state queries hand their
 //!   callback every one of the oracle's states.
@@ -32,7 +32,7 @@ fn twin_path(name: &str) -> PathBuf {
     corpus_dir().join(format!("{}.litmus", name.to_lowercase().replace('+', "_")))
 }
 
-/// Unreduced, so the state count is the same at every worker count.
+/// Unreduced, so twin state counts are comparable exactly.
 fn observed(l: &litmus::Litmus, engine: &Engine) -> (BTreeSet<Vec<Val>>, usize) {
     let opts =
         ExploreOptions { record_traces: false, reduce: Reduction::None, ..Default::default() };
@@ -70,21 +70,19 @@ fn every_gallery_entry_has_a_text_twin_with_an_identical_verdict() {
             "{}: expected outcome sets drifted apart",
             builder.name
         );
-        for engine in [Engine::Sequential, Engine::Parallel { workers: 4 }] {
-            let (b_obs, b_states) = observed(&builder, &engine);
-            let (t_obs, t_states) = observed(&text, &engine);
-            assert_eq!(
-                t_obs, b_obs,
-                "{} ({engine:?}): parsed twin observes a different outcome set",
-                builder.name
-            );
-            assert_eq!(
-                t_states, b_states,
-                "{} ({engine:?}): parsed twin explores a different state space",
-                builder.name
-            );
-            assert_eq!(t_obs, text.expected, "{} ({engine:?}): twin verdict", builder.name);
-        }
+        let (b_obs, b_states) = observed(&builder, &Engine::Sequential);
+        let (t_obs, t_states) = observed(&text, &Engine::Sequential);
+        assert_eq!(
+            t_obs, b_obs,
+            "{}: parsed twin observes a different outcome set",
+            builder.name
+        );
+        assert_eq!(
+            t_states, b_states,
+            "{}: parsed twin explores a different state space",
+            builder.name
+        );
+        assert_eq!(t_obs, text.expected, "{}: twin verdict", builder.name);
     }
 }
 
@@ -112,39 +110,26 @@ fn corpus_inventory_is_large_parseable_and_uniquely_named() {
 }
 
 #[test]
-fn whole_corpus_is_exact_under_both_engines_at_every_worker_count() {
+fn whole_corpus_is_exact_under_the_walk() {
     let entries = litmus::load_dir(corpus_dir()).expect("corpus/ must exist");
     for (path, loaded) in entries {
         let l = loaded.unwrap_or_else(|e| panic!("{e}"));
-        let mut seq_observed = None;
-        for workers in [1usize, 2, 4, 8] {
-            let engine = choose_engine(workers);
-            let res = litmus::run_with(&l, &engine);
-            assert!(
-                res.pass,
-                "{} ({}) @ {workers} worker(s): observed {:?} ≠ expected {:?}",
-                l.name,
-                path.display(),
-                res.observed,
-                res.expected
-            );
-            if let Some(prev) = &seq_observed {
-                assert_eq!(
-                    prev, &res.observed,
-                    "{} @ {workers} worker(s): engines disagree",
-                    l.name
-                );
-            } else {
-                seq_observed = Some(res.observed);
-            }
-        }
+        let res = litmus::run_with(&l, &Engine::Sequential);
+        assert!(
+            res.pass,
+            "{} ({}): observed {:?} ≠ expected {:?}",
+            l.name,
+            path.display(),
+            res.observed,
+            res.expected
+        );
     }
 }
 
 /// Ablation A5: sleep sets prune transitions, never states. A state query
 /// (`explore_with`) under `Reduction::Full` runs sleep sets plus symmetry,
 /// so on every corpus file without symmetric threads its state count
-/// equals the oracle's exactly, at 1/2/4/8 workers, with no more
+/// equals the oracle's exactly, with no more
 /// transitions and the expected verdict.
 #[test]
 fn whole_corpus_is_exact_with_por_on() {
@@ -158,26 +143,24 @@ fn whole_corpus_is_exact_with_por_on() {
         }
         let objs = litmus::objects_for(&l);
         let oracle = reference::explore(&prog, objs, usize::MAX, |_, _| {});
-        for workers in [1usize, 2, 4, 8] {
-            let report = choose_engine(workers).explore_with(&prog, objs, &opts, |_, _| {});
-            let tag = format!("{} ({}) @ {workers} worker(s)", l.name, path.display());
-            assert!(!report.truncated() && report.deadlocked.is_empty(), "{tag}");
-            assert_eq!(report.states, oracle.states, "{tag}: sleep sets lost states");
-            assert!(
-                report.transitions <= oracle.transitions,
-                "{tag}: POR generated more transitions ({} > {})",
-                report.transitions,
-                oracle.transitions
-            );
-            assert_eq!(outcomes(&l, &report), l.expected, "{tag}: POR verdict");
-        }
+        let report = Engine::Sequential.explore_with(&prog, objs, &opts, |_, _| {});
+        let tag = format!("{} ({})", l.name, path.display());
+        assert!(!report.truncated() && report.deadlocked.is_empty(), "{tag}");
+        assert_eq!(report.states, oracle.states, "{tag}: sleep sets lost states");
+        assert!(
+            report.transitions <= oracle.transitions,
+            "{tag}: POR generated more transitions ({} > {})",
+            report.transitions,
+            oracle.transitions
+        );
+        assert_eq!(outcomes(&l, &report), l.expected, "{tag}: POR verdict");
     }
 }
 
 /// Ablation A6: a state query under `Reduction::Full` folds symmetric
 /// threads' orbits to one representative, yet its callback still sees
 /// every state the oracle reaches — the same canonical fingerprints, on
-/// every corpus file at 1/2/4/8 workers — while the state count may only
+/// every corpus file — while the state count may only
 /// shrink and the orbit-expanded terminal multiset equals the oracle's.
 #[test]
 fn whole_corpus_is_exact_with_symmetry_on() {
@@ -192,39 +175,32 @@ fn whole_corpus_is_exact_with_symmetry_on() {
             oracle_seen.insert(c.canonical_fingerprint());
         });
         let oracle_terminals = multiset(&oracle.terminated);
-        for workers in [1usize, 2, 4, 8] {
-            let seen = std::sync::Mutex::new(std::collections::HashSet::new());
-            let report = choose_engine(workers).explore_with(&prog, objs, &opts, |c, _| {
-                seen.lock().unwrap().insert(c.canonical_fingerprint());
-            });
-            let tag = format!("{} ({}) @ {workers} worker(s)", l.name, path.display());
-            assert!(!report.truncated() && report.deadlocked.is_empty(), "{tag}");
-            assert!(
-                report.states <= oracle.states,
-                "{tag}: symmetry grew the state count ({} > {})",
-                report.states,
-                oracle.states
-            );
-            assert_eq!(
-                seen.into_inner().unwrap(),
-                oracle_seen,
-                "{tag}: the callback missed or invented states"
-            );
-            assert_eq!(
-                multiset(&report.terminated),
-                oracle_terminals,
-                "{tag}: orbit expansion changed the terminal set"
-            );
-            assert_eq!(outcomes(&l, &report), l.expected, "{tag}: symmetry verdict");
-        }
+        let mut seen = std::collections::HashSet::new();
+        let report = Engine::Sequential.explore_with(&prog, objs, &opts, |c, _| {
+            seen.insert(c.canonical_fingerprint());
+        });
+        let tag = format!("{} ({})", l.name, path.display());
+        assert!(!report.truncated() && report.deadlocked.is_empty(), "{tag}");
+        assert!(
+            report.states <= oracle.states,
+            "{tag}: symmetry grew the state count ({} > {})",
+            report.states,
+            oracle.states
+        );
+        assert_eq!(seen, oracle_seen, "{tag}: the callback missed or invented states");
+        assert_eq!(
+            multiset(&report.terminated),
+            oracle_terminals,
+            "{tag}: orbit expansion changed the terminal set"
+        );
+        assert_eq!(outcomes(&l, &report), l.expected, "{tag}: symmetry verdict");
     }
 }
 
 /// Ablation A7: an outcome query (`explore`) under `Reduction::Full` runs
 /// persistent sets on top of sleep sets and symmetry. It may shed states
-/// as well as transitions, and counts may differ between engines (arrival
-/// order decides wake-up patterns), so the binding contract against the
-/// oracle is: states ≤, transitions ≤, terminal and deadlock **multisets
+/// as well as transitions, so the binding contract against the oracle
+/// is: states ≤, transitions ≤, terminal and deadlock **multisets
 /// bit-identical**, observed outcome set == expected. Under
 /// `Reduction::None` the same query reproduces the oracle's counts
 /// exactly.
@@ -239,33 +215,31 @@ fn whole_corpus_is_exact_with_dpor_on() {
         let objs = litmus::objects_for(&l);
         let oracle = reference::explore(&prog, objs, usize::MAX, |_, _| {});
         let oracle_terminals = multiset(&oracle.terminated);
-        for workers in [1usize, 2, 4, 8] {
-            let engine = choose_engine(workers);
-            let tag = format!("{} ({}) @ {workers} worker(s)", l.name, path.display());
-            let report = engine.explore(&prog, objs, &full);
-            assert!(!report.truncated() && report.deadlocked.is_empty(), "{tag}");
-            assert!(
-                report.states <= oracle.states && report.transitions <= oracle.transitions,
-                "{tag}: Full grew the counts ({} / {} > {} / {})",
-                report.states,
-                report.transitions,
-                oracle.states,
-                oracle.transitions
-            );
-            assert_eq!(
-                multiset(&report.terminated),
-                oracle_terminals,
-                "{tag}: Full changed the terminal multiset"
-            );
-            assert_eq!(outcomes(&l, &report), l.expected, "{tag}: Full verdict");
-            let report = engine.explore(&prog, objs, &none);
-            assert_eq!(
-                (report.states, report.transitions),
-                (oracle.states, oracle.transitions),
-                "{tag}: unreduced counts"
-            );
-            assert_eq!(multiset(&report.terminated), oracle_terminals, "{tag}: None terminals");
-        }
+        let engine = Engine::Sequential;
+        let tag = format!("{} ({})", l.name, path.display());
+        let report = engine.explore(&prog, objs, &full);
+        assert!(!report.truncated() && report.deadlocked.is_empty(), "{tag}");
+        assert!(
+            report.states <= oracle.states && report.transitions <= oracle.transitions,
+            "{tag}: Full grew the counts ({} / {} > {} / {})",
+            report.states,
+            report.transitions,
+            oracle.states,
+            oracle.transitions
+        );
+        assert_eq!(
+            multiset(&report.terminated),
+            oracle_terminals,
+            "{tag}: Full changed the terminal multiset"
+        );
+        assert_eq!(outcomes(&l, &report), l.expected, "{tag}: Full verdict");
+        let report = engine.explore(&prog, objs, &none);
+        assert_eq!(
+            (report.states, report.transitions),
+            (oracle.states, oracle.transitions),
+            "{tag}: unreduced counts"
+        );
+        assert_eq!(multiset(&report.terminated), oracle_terminals, "{tag}: None terminals");
     }
 }
 

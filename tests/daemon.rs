@@ -5,10 +5,12 @@
 //! * **Corpus-wide parity** — every corpus file submitted to a live
 //!   in-process daemon must come back with the reference's observed
 //!   outcome set, deadlock count and stop reason, with state and
-//!   transition counts never above the reference's, at 1 and 4 workers.
-//!   At 1 worker, where the fully reduced walk is deterministic, the
-//!   report must also equal the `Engine` path behind `rc11 run`
-//!   bit for bit: counts and notes included.
+//!   transition counts never above the reference's. The report must
+//!   also equal the `Engine` path behind `rc11 run` bit for bit: counts
+//!   and notes included.
+//! * **Ignored worker field** — a `workers` request field is accepted
+//!   and changes nothing: a `workers: 4` request answers exactly as a
+//!   `workers: 1` one does.
 //! * **Warm resubmission** — a second pass over the corpus is served
 //!   entirely from the cache (100% hit rate, zero new exploration) with
 //!   responses bit-identical to the cold pass; after a daemon restart on
@@ -25,7 +27,7 @@
 //!   serving. Never a crash, never an unbounded buffer.
 
 use rc11::check::wire::{parse_json, Json};
-use rc11::check::{choose_engine, reference, ExploreOptions};
+use rc11::check::{reference, Engine, ExploreOptions};
 use rc11::core::Val;
 use rc11::daemon::{start, Client, DaemonConfig, MAX_LINE};
 use rc11::lang::parse::val_literal;
@@ -124,72 +126,81 @@ fn daemon_reports_are_bit_identical_to_the_engine_path() {
             .map(|c| l.observe.iter().map(|&(t, r)| c.reg(t, r)).collect())
             .collect();
         let src = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{e}"));
-        for workers in [1usize, 4] {
-            // The daemon path, cache bypassed so every request explores.
-            let response = client
-                .check_with(
-                    &src,
-                    vec![
-                        ("workers", Json::Int(workers as i64)),
-                        ("no_cache", Json::Bool(true)),
-                    ],
-                )
-                .expect("daemon answers");
-            let what = format!("{} @{workers} worker(s)", l.name);
-            assert!(is_ok(&response), "{what}: {}", response.to_string_line());
-            assert_eq!(str_of(&response, "name"), l.name, "{what}");
-            assert_eq!(str_of(&response, "served"), "explored", "{what}");
-            // Against the oracle, at every worker count.
-            assert_eq!(
-                tuples_of(&response, "observed"),
-                rendered(&oracle_observed),
-                "{what}: observed set diverges from the reference"
-            );
-            assert_eq!(
-                int_of(&response, "deadlocks") as usize,
-                oracle.deadlocked.len(),
-                "{what}: deadlocks"
-            );
-            assert_eq!(str_of(&response, "stop"), oracle.stop.to_string(), "{what}: stop");
-            assert!(
-                int_of(&response, "states") as usize <= oracle.states
-                    && int_of(&response, "transitions") as usize <= oracle.transitions,
-                "{what}: counts above the reference's"
-            );
-            assert_eq!(
-                tuples_of(&response, "expected"),
-                rendered(&l.expected),
-                "{what}: expected sets diverge"
-            );
-            // The engine path `rc11 run` uses, at this worker count: the
-            // same verdict and notes, and — where the reduced walk is
-            // deterministic — the same counts.
-            let opts = ExploreOptions { record_traces: false, ..Default::default() };
-            let (res, _, _) = litmus::run_with_opts(l, &choose_engine(workers), &opts);
-            assert_eq!(
-                response.get("pass").and_then(Json::as_bool),
-                Some(res.pass),
-                "{what}: verdicts diverge"
-            );
-            if workers == 1 {
-                assert_eq!(int_of(&response, "states") as usize, res.states, "{what}: states");
-                assert_eq!(
-                    int_of(&response, "transitions") as usize,
-                    res.transitions,
-                    "{what}: transitions"
-                );
-            }
-            let note_strings: Vec<String> =
-                res.notes.iter().map(|n| n.to_string()).collect();
-            let response_notes: Vec<String> = response
-                .get("notes")
-                .and_then(Json::as_arr)
-                .expect("notes array")
-                .iter()
-                .map(|n| n.as_str().expect("note is a string").to_string())
-                .collect();
-            assert_eq!(response_notes, note_strings, "{what}: notes diverge");
-        }
+        // The daemon path, cache bypassed so every request explores.
+        let response = client
+            .check_with(&src, vec![("no_cache", Json::Bool(true))])
+            .expect("daemon answers");
+        let what = l.name.clone();
+        assert!(is_ok(&response), "{what}: {}", response.to_string_line());
+        assert_eq!(str_of(&response, "name"), l.name, "{what}");
+        assert_eq!(str_of(&response, "served"), "explored", "{what}");
+        // Against the oracle.
+        assert_eq!(
+            tuples_of(&response, "observed"),
+            rendered(&oracle_observed),
+            "{what}: observed set diverges from the reference"
+        );
+        assert_eq!(
+            int_of(&response, "deadlocks") as usize,
+            oracle.deadlocked.len(),
+            "{what}: deadlocks"
+        );
+        assert_eq!(str_of(&response, "stop"), oracle.stop.to_string(), "{what}: stop");
+        assert!(
+            int_of(&response, "states") as usize <= oracle.states
+                && int_of(&response, "transitions") as usize <= oracle.transitions,
+            "{what}: counts above the reference's"
+        );
+        assert_eq!(
+            tuples_of(&response, "expected"),
+            rendered(&l.expected),
+            "{what}: expected sets diverge"
+        );
+        // The engine path `rc11 run` uses: the same verdict, notes and
+        // counts.
+        let opts = ExploreOptions { record_traces: false, ..Default::default() };
+        let (res, _, _) = litmus::run_with_opts(l, &Engine::Sequential, &opts);
+        assert_eq!(
+            response.get("pass").and_then(Json::as_bool),
+            Some(res.pass),
+            "{what}: verdicts diverge"
+        );
+        assert_eq!(int_of(&response, "states") as usize, res.states, "{what}: states");
+        assert_eq!(
+            int_of(&response, "transitions") as usize,
+            res.transitions,
+            "{what}: transitions"
+        );
+        let note_strings: Vec<String> = res.notes.iter().map(|n| n.to_string()).collect();
+        let response_notes: Vec<String> = response
+            .get("notes")
+            .and_then(Json::as_arr)
+            .expect("notes array")
+            .iter()
+            .map(|n| n.as_str().expect("note is a string").to_string())
+            .collect();
+        assert_eq!(response_notes, note_strings, "{what}: notes diverge");
+    }
+    handle.stop();
+}
+
+/// A `workers` request field is accepted and ignored: every check runs
+/// the one exploration walk, so `workers: 4` answers exactly as
+/// `workers: 1` does.
+#[test]
+fn workers_field_is_accepted_and_ignored() {
+    let handle = start(&DaemonConfig::default()).expect("daemon starts");
+    let mut client = Client::connect(handle.addr()).expect("client connects");
+    for (name, src) in corpus_sources().iter().take(8) {
+        let ask = |client: &mut Client, workers: i64| {
+            let extra = vec![("workers", Json::Int(workers)), ("no_cache", Json::Bool(true))];
+            let response = client.check_with(src, extra).expect("daemon answers");
+            assert!(is_ok(&response), "{name}: {}", response.to_string_line());
+            response
+        };
+        let one = ask(&mut client, 1);
+        let four = ask(&mut client, 4);
+        assert_eq!(report_key(&one), report_key(&four), "{name}: workers changed the answer");
     }
     handle.stop();
 }

@@ -1,32 +1,35 @@
-//! The cross-engine differential suite.
+//! The differential suite: the one exploration walk against the oracle.
 //!
 //! The oracle is `rc11_check::reference`: a small breadth-first explorer
 //! over materialised canonical configurations in a std `HashSet`, with no
-//! fingerprints, reductions or threads. Under `Reduction::None` both
-//! engines — whose one dedup mode keys visited states on zero-rebuild
-//! canonical fingerprints — must agree with it **exactly** (states,
-//! transitions, terminal and deadlock counts, violation sets) on every
-//! litmus-gallery program and on the Figure-1/Figure-2 outline programs,
-//! at 1, 2, 4 and 8 workers, and with each other on the proof-outline
-//! reports. Under the default `Reduction::Full` they must keep the
-//! oracle's terminal, deadlock and violation sets with counts never above
-//! its own. Any divergence is a bug in an
-//! engine (most likely a lost or double-counted state, or a fingerprint
-//! hit confirmed wrongly), which is why CI also runs this suite under the
-//! optimized release build the benches use.
+//! fingerprints, reductions or threads. Under `Reduction::None` the walk
+//! — whose one dedup mode keys visited states on zero-rebuild canonical
+//! fingerprints — must agree with it **exactly** (states, transitions,
+//! terminal and deadlock counts, violation sets) on every litmus-gallery
+//! program and on the Figure-1/Figure-2 outline programs, and the
+//! proof-outline checker must report exactly the (annotation,
+//! configuration) failures the oracle's states exhibit. Under the default
+//! `Reduction::Full` the walk must keep the oracle's terminal, deadlock
+//! and violation sets with counts never above its own. Every violation
+//! trace the walk reports must replay step by step through `successors`.
+//! Any divergence is a bug in the walk (most likely a lost or
+//! double-counted state, or a fingerprint hit confirmed wrongly), which is
+//! why CI also runs this suite under the optimized release build the
+//! benches use.
 
-use rc11::check::reference;
+use rc11::assert::ProofOutline;
+use rc11::check::{reference, OutlineKind, Violation};
 use rc11::figures;
+use rc11::lang::machine::{successors, ObjectSemantics, StepOptions};
 use rc11::prelude::*;
 use rc11_check::fxhash::FxHashMap;
 use rc11_check::OgClass;
 use rc11_litmus as litmus;
+use std::collections::HashSet;
 
-const WORKERS: [usize; 4] = [1, 2, 4, 8];
-
-/// Violations keyed by (description, configuration): both engines call the
-/// check exactly once per distinct state, so these are sets, and they must
-/// match elementwise.
+/// Violations keyed by (description, configuration): the walk and the
+/// oracle call the check exactly once per distinct state, so these are
+/// sets, and they must match elementwise.
 fn violation_set(report: &EngineReport) -> FxHashMap<(String, Config), usize> {
     let mut set = FxHashMap::default();
     for v in &report.violations {
@@ -35,262 +38,8 @@ fn violation_set(report: &EngineReport) -> FxHashMap<(String, Config), usize> {
     set
 }
 
-fn assert_reports_agree(name: &str, workers: usize, seq: &EngineReport, par: &EngineReport) {
-    assert_eq!(par.states, seq.states, "{name} @ {workers} workers: states");
-    assert_eq!(par.transitions, seq.transitions, "{name} @ {workers} workers: transitions");
-    assert_eq!(
-        par.terminated.len(),
-        seq.terminated.len(),
-        "{name} @ {workers} workers: terminated"
-    );
-    assert_eq!(
-        par.deadlocked.len(),
-        seq.deadlocked.len(),
-        "{name} @ {workers} workers: deadlocked"
-    );
-    assert_eq!(par.truncated(), seq.truncated(), "{name} @ {workers} workers: truncated");
-    assert_eq!(
-        violation_set(par),
-        violation_set(seq),
-        "{name} @ {workers} workers: violation sets"
-    );
-}
-
-/// Every litmus-gallery program: full report parity at every worker count
-/// (unreduced, where counts are deterministic), with a violation-producing
-/// check (flag every terminal configuration) so violation-set parity is
-/// exercised on every program, not just the ones with interesting
-/// invariants.
-#[test]
-fn litmus_gallery_reports_agree_across_engines() {
-    for l in litmus::all() {
-        let prog = compile(&l.prog);
-        let objs = litmus::objects_for(&l);
-        let opts =
-            ExploreOptions { record_traces: false, reduce: Reduction::None, ..Default::default() };
-        let check = |cfg: &Config, out: &mut Vec<String>| {
-            if cfg.terminated(&prog) {
-                out.push("terminal".to_string());
-            }
-        };
-        let seq = Engine::Sequential.explore_with(&prog, objs, &opts, check);
-        assert!(!seq.terminated.is_empty(), "{}: gallery programs terminate", l.name);
-        assert_eq!(
-            seq.violations.len(),
-            seq.terminated.len(),
-            "{}: one flag per terminal state",
-            l.name
-        );
-        for workers in WORKERS {
-            let par = Engine::Parallel { workers }.explore_with(&prog, objs, &opts, check);
-            assert_reports_agree(&l.name, workers, &seq, &par);
-        }
-    }
-}
-
-/// The dedup differential: on the whole gallery, the engines'
-/// fingerprint dedup must reproduce the reference explorer's
-/// materialised-canonical dedup — states, transitions, terminal and
-/// deadlock counts and violation sets — under the sequential engine and
-/// under the parallel engine at every worker count, unreduced. This is the soundness
-/// gate for ablation A4: keying the visited structures on fingerprints
-/// must not change a single verdict.
-#[test]
-fn fingerprint_and_materialised_dedup_reports_agree() {
-    for l in litmus::all() {
-        let prog = compile(&l.prog);
-        let objs = litmus::objects_for(&l);
-        let check = |cfg: &Config, out: &mut Vec<String>| {
-            if cfg.terminated(&prog) {
-                out.push("terminal".to_string());
-            }
-        };
-        let opts =
-            ExploreOptions { record_traces: false, reduce: Reduction::None, ..Default::default() };
-        let oracle = reference::explore(&prog, objs, usize::MAX, check);
-
-        let seq = Engine::Sequential.explore_with(&prog, objs, &opts, check);
-        assert_reports_agree(&format!("{} [seq]", l.name), 1, &oracle, &seq);
-        for workers in WORKERS {
-            let par = Engine::Parallel { workers }.explore_with(&prog, objs, &opts, check);
-            assert_reports_agree(&format!("{} [par]", l.name), workers, &oracle, &par);
-        }
-    }
-}
-
-/// The same differential for the outline checker: on a valid outline and
-/// on one with violations, both engines' outline reports must count the
-/// reference explorer's states, transitions, terminals and deadlocks —
-/// under the default `Reduction::Full`, because an edge query runs no
-/// reduction.
-#[test]
-fn fingerprint_and_materialised_outline_reports_agree() {
-    for (name, f) in [("fig3-on-fig2", figures::fig2()), ("fig3-on-fig1", figures::fig1())] {
-        let outline = figures::fig3_outline(&f);
-        let prog = compile(&f.prog);
-        let oracle = reference::explore(&prog, &AbstractObjects, usize::MAX, |_, _| {});
-        let opts = ExploreOptions::default();
-        let engines = std::iter::once(Engine::Sequential)
-            .chain(WORKERS.map(|workers| Engine::Parallel { workers }));
-        for engine in engines {
-            let r = check_outline_with(&prog, &AbstractObjects, &outline, &opts, &engine);
-            let tag = format!("{name} ({engine:?})");
-            assert_eq!(r.states, oracle.states, "{tag}: states");
-            assert_eq!(r.transitions, oracle.transitions, "{tag}: transitions");
-            assert_eq!(r.terminated, oracle.terminated.len(), "{tag}: terminated");
-            assert_eq!(r.deadlocked, oracle.deadlocked.len(), "{tag}: deadlocked");
-            assert!(!r.truncated(), "{tag}: truncated");
-        }
-    }
-}
-
-/// Every litmus verdict (observed-outcome set) matches between engines,
-/// through the gallery's own engine-parametric runner. Under the default
-/// `Reduction::Full` the parallel state count depends on arrival order,
-/// so it is only bounded by the unreduced count.
-#[test]
-fn litmus_gallery_verdicts_agree_across_engines() {
-    for l in litmus::all() {
-        let seq = litmus::run_with(&l, &Engine::Sequential);
-        assert!(seq.pass, "{}: sequential verdict must already be exact", l.name);
-        let oracle =
-            reference::explore(&compile(&l.prog), litmus::objects_for(&l), usize::MAX, |_, _| {});
-        for workers in WORKERS {
-            let par = litmus::run_with(&l, &Engine::Parallel { workers });
-            assert_eq!(
-                par.observed, seq.observed,
-                "{} @ {workers} workers: outcome sets diverge",
-                l.name
-            );
-            assert!(par.states <= oracle.states, "{} @ {workers} workers: states", l.name);
-            assert!(par.pass, "{} @ {workers} workers: verdict", l.name);
-        }
-    }
-}
-
-/// Outline reports keyed by (annotation, configuration) → strongest class.
-/// The strongest classification is a max over all incoming edges, so it is
-/// deterministic even though the parallel engine visits edges in arbitrary
-/// order; only `mover` tie-breaks may differ.
-fn outline_violation_map(
-    report: &OutlineReport,
-) -> FxHashMap<(rc11::check::OutlineKind, Config), OgClass> {
-    let mut map = FxHashMap::default();
-    for v in &report.violations {
-        let prev = map.insert((v.kind.clone(), v.config.clone()), v.class);
-        assert!(prev.is_none(), "duplicate (kind, config) violation entry");
-    }
-    map
-}
-
-fn assert_outline_reports_agree(
-    name: &str,
-    workers: usize,
-    seq: &OutlineReport,
-    par: &OutlineReport,
-) {
-    assert_eq!(par.states, seq.states, "{name} @ {workers} workers: states");
-    assert_eq!(par.transitions, seq.transitions, "{name} @ {workers} workers: transitions");
-    assert_eq!(par.checks, seq.checks, "{name} @ {workers} workers: assertion evaluations");
-    assert_eq!(par.terminated, seq.terminated, "{name} @ {workers} workers: terminated");
-    assert_eq!(par.deadlocked, seq.deadlocked, "{name} @ {workers} workers: deadlocked");
-    assert_eq!(par.truncated(), seq.truncated(), "{name} @ {workers} workers: truncated");
-    assert_eq!(
-        outline_violation_map(par),
-        outline_violation_map(seq),
-        "{name} @ {workers} workers: violation maps"
-    );
-}
-
-fn check_outline_agreement(name: &str, prog: &CfgProgram, outline: &rc11::assert::ProofOutline) {
-    let opts = ExploreOptions::default();
-    let seq = check_outline_with(prog, &AbstractObjects, outline, &opts, &Engine::Sequential);
-    for workers in WORKERS {
-        let par =
-            check_outline_with(prog, &AbstractObjects, outline, &opts, &Engine::Parallel { workers });
-        assert_outline_reports_agree(name, workers, &seq, &par);
-    }
-}
-
-/// The valid Figure-3 outline over Figure 2's program: both engines find
-/// zero violations and identical statistics.
-#[test]
-fn fig3_outline_on_fig2_agrees_across_engines() {
-    let f = figures::fig2();
-    let outline = figures::fig3_outline(&f);
-    let prog = compile(&f.prog);
-    let seq = check_outline_with(
-        &prog,
-        &AbstractObjects,
-        &outline,
-        &ExploreOptions::default(),
-        &Engine::Sequential,
-    );
-    assert!(seq.valid(), "Figure-3 outline is valid sequentially");
-    check_outline_agreement("fig3-on-fig2", &prog, &outline);
-}
-
-/// The Figure-3 outline over the *unsynchronised* Figure-1 program: both
-/// engines find the same non-empty violation map, class by class.
-#[test]
-fn fig3_outline_on_fig1_violations_agree_across_engines() {
-    let f = figures::fig1();
-    let outline = figures::fig3_outline(&f);
-    let prog = compile(&f.prog);
-    let seq = check_outline_with(
-        &prog,
-        &AbstractObjects,
-        &outline,
-        &ExploreOptions::default(),
-        &Engine::Sequential,
-    );
-    assert!(!seq.violations.is_empty(), "relaxed MP must violate the Figure-3 outline");
-    check_outline_agreement("fig3-on-fig1", &prog, &outline);
-}
-
-/// The full Figure-7 outline (Lemma 4): valid under both engines with
-/// identical statistics.
-#[test]
-fn fig7_outline_agrees_across_engines() {
-    let f = figures::fig7();
-    let outline = figures::fig7_outline(&f);
-    let prog = compile(&f.prog);
-    let seq = check_outline_with(
-        &prog,
-        &AbstractObjects,
-        &outline,
-        &ExploreOptions::default(),
-        &Engine::Sequential,
-    );
-    assert!(seq.valid(), "Figure-7 outline is valid sequentially");
-    check_outline_agreement("fig7", &prog, &outline);
-}
-
-/// A deliberately interference-unsound annotation on Figure 7: both
-/// engines agree on the violation map, including the Interference
-/// classifications.
-#[test]
-fn fig7_naive_annotation_violations_agree_across_engines() {
-    use rc11::assert::ProofOutline;
-    let f = figures::fig7();
-    let prog = compile(&f.prog);
-    let outline = ProofOutline::new("naive", 2).pre(1, 1, dobs(1, f.d1, 0));
-    let seq = check_outline_with(
-        &prog,
-        &AbstractObjects,
-        &outline,
-        &ExploreOptions::default(),
-        &Engine::Sequential,
-    );
-    assert!(
-        seq.violations.iter().any(|v| v.class == OgClass::Interference),
-        "the naive annotation must fail by interference"
-    );
-    check_outline_agreement("fig7-naive", &prog, &outline);
-}
-
-/// Terminal configurations as a multiset (both engines push canonical
-/// forms; order is engine-dependent).
+/// Terminal configurations as a multiset (the walk and the oracle push
+/// canonical forms in different orders).
 fn config_multiset(cfgs: &[Config]) -> FxHashMap<Config, usize> {
     let mut set = FxHashMap::default();
     for c in cfgs {
@@ -299,14 +48,198 @@ fn config_multiset(cfgs: &[Config]) -> FxHashMap<Config, usize> {
     set
 }
 
+/// Flag every terminal configuration, so violation-set parity is
+/// exercised on every program, not just the ones with interesting
+/// invariants.
+fn flag_terminals(prog: &CfgProgram) -> impl Fn(&Config, &mut Vec<String>) + '_ {
+    move |cfg, out| {
+        if cfg.terminated(prog) {
+            out.push("terminal".to_string());
+        }
+    }
+}
+
+/// Replay `v`'s trace: every step must be a transition the semantics
+/// really offers from the previous configuration, starting at the initial
+/// configuration and ending at the violating one.
+fn assert_trace_replays(
+    prog: &CfgProgram,
+    objs: &dyn ObjectSemantics,
+    step: StepOptions,
+    v: &Violation,
+) {
+    let trace = v.trace.as_ref().expect("violation must carry a trace");
+    let mut cur = Config::initial(prog).canonical();
+    for (i, (tid, next)) in trace.iter().enumerate() {
+        let succs = successors(prog, objs, &cur, step);
+        assert!(
+            succs.iter().any(|(t, s)| t == tid && s.canonical() == *next),
+            "{}: step {i} by {tid:?} is not a real transition of the program",
+            v.what
+        );
+        cur = next.clone();
+    }
+    assert_eq!(cur, v.config, "{}: trace must end at the violating configuration", v.what);
+}
+
+fn assert_reports_agree(name: &str, oracle: &EngineReport, got: &EngineReport) {
+    assert_eq!(got.states, oracle.states, "{name}: states");
+    assert_eq!(got.transitions, oracle.transitions, "{name}: transitions");
+    assert_eq!(got.terminated.len(), oracle.terminated.len(), "{name}: terminated");
+    assert_eq!(got.deadlocked.len(), oracle.deadlocked.len(), "{name}: deadlocked");
+    assert_eq!(got.truncated(), oracle.truncated(), "{name}: truncated");
+    assert_eq!(violation_set(got), violation_set(oracle), "{name}: violation sets");
+}
+
+/// The dedup differential: on the whole gallery, the walk's fingerprint
+/// dedup must reproduce the reference explorer's materialised-canonical
+/// dedup — states, transitions, terminal and deadlock counts and
+/// violation sets — unreduced, with traces recorded (and replayable).
+/// This is the soundness gate for ablation A4: keying the visited
+/// structures on fingerprints must not change a single verdict.
+#[test]
+fn fingerprint_and_materialised_dedup_reports_agree() {
+    for l in litmus::all() {
+        let prog = compile(&l.prog);
+        let objs = litmus::objects_for(&l);
+        let check = flag_terminals(&prog);
+        let opts = ExploreOptions { reduce: Reduction::None, ..Default::default() };
+        let oracle = reference::explore(&prog, objs, usize::MAX, &check);
+        let walk = Engine::Sequential.explore_with(&prog, objs, &opts, &check);
+        assert!(!walk.terminated.is_empty(), "{}: gallery programs terminate", l.name);
+        assert_eq!(walk.violations.len(), walk.terminated.len(), "{}: one flag each", l.name);
+        assert_reports_agree(&l.name, &oracle, &walk);
+        for v in &walk.violations {
+            assert_trace_replays(&prog, objs, opts.step, v);
+        }
+    }
+}
+
+/// Every litmus verdict (observed-outcome set) of the walk, through the
+/// gallery's own runner, equals the reference oracle's, with the reduced
+/// state count bounded by the oracle's.
+#[test]
+fn litmus_gallery_verdicts_agree_across_engines() {
+    for l in litmus::all() {
+        let res = litmus::run_with(&l, &Engine::Sequential);
+        assert!(res.pass, "{}: the walk's verdict must be exact", l.name);
+        let oracle =
+            reference::explore(&compile(&l.prog), litmus::objects_for(&l), usize::MAX, |_, _| {});
+        let observed: std::collections::BTreeSet<Vec<Val>> = oracle
+            .terminated
+            .iter()
+            .map(|c| l.observe.iter().map(|&(t, r)| c.reg(t, r)).collect())
+            .collect();
+        assert_eq!(res.observed, observed, "{}: outcome sets diverge", l.name);
+        assert!(res.states <= oracle.states, "{}: states", l.name);
+    }
+}
+
+/// The reference explorer as an outline oracle: the (annotation,
+/// configuration) pairs where an annotation fails, over every reachable
+/// canonical configuration — exactly the keys the outline checker must
+/// report (every reachable configuration but the initial one has an
+/// incoming edge, and the initial one is classified on its own).
+fn reference_outline(
+    prog: &CfgProgram,
+    outline: &ProofOutline,
+) -> (EngineReport, HashSet<(OutlineKind, Config)>) {
+    let mut failures = HashSet::new();
+    let oracle = reference::explore(prog, &AbstractObjects, usize::MAX, |cfg, _| {
+        let ctx = EvalCtx { prog, cfg };
+        if !outline.invariant.eval(ctx) {
+            failures.insert((OutlineKind::Invariant, cfg.clone()));
+        }
+        for (t, anns) in outline.pre.iter().enumerate() {
+            for (&k, p) in anns {
+                if prog.threads[t].labels.get(&k) == Some(&cfg.pcs[t]) && !p.eval(ctx) {
+                    failures.insert((OutlineKind::Pre(t, k), cfg.clone()));
+                }
+            }
+        }
+        if cfg.terminated(prog) && !outline.post.eval(ctx) {
+            failures.insert((OutlineKind::Post, cfg.clone()));
+        }
+    });
+    (oracle, failures)
+}
+
+/// The outline checker's report against the reference outline oracle:
+/// the same states, transitions, terminals and deadlocks (an edge query
+/// runs no reduction, even under the default `Reduction::Full`), and
+/// exactly the oracle's (annotation, configuration) failures, each once.
+fn check_outline_agreement(name: &str, prog: &CfgProgram, outline: &ProofOutline) -> OutlineReport {
+    let r = check_outline(prog, &AbstractObjects, outline, &ExploreOptions::default());
+    let (oracle, failures) = reference_outline(prog, outline);
+    assert_eq!(r.states, oracle.states, "{name}: states");
+    assert_eq!(r.transitions, oracle.transitions, "{name}: transitions");
+    assert_eq!(r.terminated, oracle.terminated.len(), "{name}: terminated");
+    assert_eq!(r.deadlocked, oracle.deadlocked.len(), "{name}: deadlocked");
+    assert!(!r.truncated(), "{name}: truncated");
+    let got: HashSet<(OutlineKind, Config)> =
+        r.violations.iter().map(|v| (v.kind.clone(), v.config.clone())).collect();
+    assert_eq!(got.len(), r.violations.len(), "{name}: duplicate (kind, config) entries");
+    assert_eq!(got, failures, "{name}: violation keys");
+    r
+}
+
+/// The same differential for the outline checker on a valid outline and
+/// on one with violations.
+#[test]
+fn fingerprint_and_materialised_outline_reports_agree() {
+    for (name, f) in [("fig3-on-fig2", figures::fig2()), ("fig3-on-fig1", figures::fig1())] {
+        let outline = figures::fig3_outline(&f);
+        check_outline_agreement(name, &compile(&f.prog), &outline);
+    }
+}
+
+/// The valid Figure-3 outline over Figure 2's program: zero violations,
+/// the oracle's statistics.
+#[test]
+fn fig3_outline_on_fig2_agrees_across_engines() {
+    let f = figures::fig2();
+    let r = check_outline_agreement("fig3-on-fig2", &compile(&f.prog), &figures::fig3_outline(&f));
+    assert!(r.valid(), "Figure-3 outline is valid");
+}
+
+/// The Figure-3 outline over the *unsynchronised* Figure-1 program: the
+/// oracle's non-empty violation set.
+#[test]
+fn fig3_outline_on_fig1_violations_agree_across_engines() {
+    let f = figures::fig1();
+    let r = check_outline_agreement("fig3-on-fig1", &compile(&f.prog), &figures::fig3_outline(&f));
+    assert!(!r.violations.is_empty(), "relaxed MP must violate the Figure-3 outline");
+}
+
+/// The full Figure-7 outline (Lemma 4): valid, with the oracle's
+/// statistics.
+#[test]
+fn fig7_outline_agrees_across_engines() {
+    let f = figures::fig7();
+    let r = check_outline_agreement("fig7", &compile(&f.prog), &figures::fig7_outline(&f));
+    assert!(r.valid(), "Figure-7 outline is valid");
+}
+
+/// A deliberately interference-unsound annotation on Figure 7: the
+/// oracle's violation set, including Interference classifications.
+#[test]
+fn fig7_naive_annotation_violations_agree_across_engines() {
+    let f = figures::fig7();
+    let outline = ProofOutline::new("naive", 2).pre(1, 1, dobs(1, f.d1, 0));
+    let r = check_outline_agreement("fig7-naive", &compile(&f.prog), &outline);
+    assert!(
+        r.violations.iter().any(|v| v.class == OgClass::Interference),
+        "the naive annotation must fail by interference"
+    );
+}
+
 /// Ablation A5: sleep-set partial-order reduction prunes **transitions
 /// only**. A state query under `Reduction::Full` (sleep sets + symmetry)
 /// must keep the terminal and deadlock multisets and the violation set
-/// bit-identical to the unreduced reference search, under both engines,
-/// at every worker count — and the state count too, on every program
-/// without symmetric threads. The transition count must never grow, and
-/// must strictly shrink somewhere across the gallery (the reduction is
-/// real, not vacuous).
+/// bit-identical to the unreduced reference search — and the state count
+/// too, on every program without symmetric threads. The transition count
+/// must never grow, and must strictly shrink somewhere across the gallery
+/// (the reduction is real, not vacuous).
 #[test]
 fn por_prunes_transitions_but_preserves_reports() {
     let mut full_total = 0usize;
@@ -314,77 +247,45 @@ fn por_prunes_transitions_but_preserves_reports() {
     for l in litmus::all() {
         let prog = compile(&l.prog);
         let objs = litmus::objects_for(&l);
-        let check = |cfg: &Config, out: &mut Vec<String>| {
-            if cfg.terminated(&prog) {
-                out.push("terminal".to_string());
-            }
-        };
-        let oracle = reference::explore(&prog, objs, usize::MAX, check);
+        let check = flag_terminals(&prog);
+        let oracle = reference::explore(&prog, objs, usize::MAX, &check);
         full_total += oracle.transitions;
         let symmetric = !rc11::analyze::thread_symmetry(&prog).is_trivial();
-        let states_kept = |r: &EngineReport| {
-            if symmetric { r.states <= oracle.states } else { r.states == oracle.states }
-        };
 
         let opts = ExploreOptions { record_traces: false, ..Default::default() };
-        let seq = Engine::Sequential.explore_with(&prog, objs, &opts, check);
-        assert!(states_kept(&seq), "{}: POR lost states", l.name);
+        let walk = Engine::Sequential.explore_with(&prog, objs, &opts, &check);
+        if symmetric {
+            assert!(walk.states <= oracle.states, "{}: POR grew the states", l.name);
+        } else {
+            assert_eq!(walk.states, oracle.states, "{}: POR lost states", l.name);
+        }
         assert_eq!(
-            config_multiset(&seq.terminated),
+            config_multiset(&walk.terminated),
             config_multiset(&oracle.terminated),
             "{}: POR changed the terminal set",
             l.name
         );
         assert_eq!(
-            config_multiset(&seq.deadlocked),
+            config_multiset(&walk.deadlocked),
             config_multiset(&oracle.deadlocked),
             "{}: POR changed the deadlock set",
             l.name
         );
         assert_eq!(
-            violation_set(&seq),
+            violation_set(&walk),
             violation_set(&oracle),
             "{}: POR changed the violation set",
             l.name
         );
         assert!(
-            seq.transitions <= oracle.transitions,
+            walk.transitions <= oracle.transitions,
             "{}: POR generated more transitions ({} > {})",
             l.name,
-            seq.transitions,
+            walk.transitions,
             oracle.transitions
         );
-        assert!(!seq.truncated(), "{}", l.name);
-        por_total += seq.transitions;
-
-        for workers in WORKERS {
-            let par = Engine::Parallel { workers }.explore_with(&prog, objs, &opts, check);
-            assert!(states_kept(&par), "{} @ {workers} workers: POR lost states", l.name);
-            assert_eq!(
-                config_multiset(&par.terminated),
-                config_multiset(&oracle.terminated),
-                "{} @ {workers} workers: terminal set",
-                l.name
-            );
-            assert_eq!(
-                config_multiset(&par.deadlocked),
-                config_multiset(&oracle.deadlocked),
-                "{} @ {workers} workers: deadlock set",
-                l.name
-            );
-            assert_eq!(
-                violation_set(&par),
-                violation_set(&oracle),
-                "{} @ {workers} workers: violation set",
-                l.name
-            );
-            assert!(
-                par.transitions <= oracle.transitions,
-                "{} @ {workers} workers: more transitions under POR",
-                l.name
-            );
-            assert!(!par.truncated(), "{} @ {workers} workers", l.name);
-        }
+        assert!(!walk.truncated(), "{}", l.name);
+        por_total += walk.transitions;
     }
     assert!(
         por_total < full_total,
@@ -397,69 +298,50 @@ fn por_prunes_transitions_but_preserves_reports() {
 /// orbit, so the state count may only shrink — while the orbit expansion
 /// of terminals, deadlocks and check callbacks must keep the terminal and
 /// deadlock multisets and the violation set bit-identical to the
-/// unreduced reference search, under both engines, at every worker
-/// count (a state query under `Reduction::Full`, composed with sleep
-/// sets). The gallery's `2RMW` entry
-/// (two threads FAI-ing one location, identical modulo register renaming)
-/// must shed states strictly — the reduction is real, not vacuous.
+/// unreduced reference search (a state query under `Reduction::Full`,
+/// composed with sleep sets). The gallery's `2RMW` entry (two threads
+/// FAI-ing one location, identical modulo register renaming) must shed
+/// states strictly — the reduction is real, not vacuous.
 #[test]
 fn symmetry_preserves_reports_and_sheds_states() {
     let mut reduced_somewhere = false;
     for l in litmus::all() {
         let prog = compile(&l.prog);
         let objs = litmus::objects_for(&l);
-        let check = |cfg: &Config, out: &mut Vec<String>| {
-            if cfg.terminated(&prog) {
-                out.push("terminal".to_string());
-            }
-        };
+        let check = flag_terminals(&prog);
         let base = ExploreOptions { record_traces: false, ..Default::default() };
-        let oracle = reference::explore(&prog, objs, usize::MAX, check);
-
-        let tag = |workers: usize| format!("{} @ {workers} workers", l.name);
-        let seq = Engine::Sequential.explore_with(&prog, objs, &base, check);
-        if seq.states < oracle.states {
-            reduced_somewhere = true;
-        }
-        let assert_sym = |name: &str, r: &EngineReport| {
-            assert!(
-                r.states <= oracle.states,
-                "{name}: symmetry grew the state count ({} > {})",
-                r.states,
-                oracle.states
-            );
-            assert!(
-                r.transitions <= oracle.transitions,
-                "{name}: symmetry generated more transitions"
-            );
-            assert_eq!(
-                config_multiset(&r.terminated),
-                config_multiset(&oracle.terminated),
-                "{name}: orbit expansion changed the terminal multiset"
-            );
-            assert_eq!(
-                config_multiset(&r.deadlocked),
-                config_multiset(&oracle.deadlocked),
-                "{name}: orbit expansion changed the deadlock multiset"
-            );
-            assert_eq!(
-                violation_set(r),
-                violation_set(&oracle),
-                "{name}: symmetry changed the violation set"
-            );
-            assert!(!r.truncated(), "{name}: truncated");
-        };
-        assert_sym(&tag(1), &seq);
-        for workers in WORKERS {
-            let par = Engine::Parallel { workers }.explore_with(&prog, objs, &base, check);
-            assert_sym(&tag(workers), &par);
-        }
+        let oracle = reference::explore(&prog, objs, usize::MAX, &check);
+        let r = Engine::Sequential.explore_with(&prog, objs, &base, &check);
+        let name = &l.name;
+        reduced_somewhere |= r.states < oracle.states;
+        assert!(
+            r.states <= oracle.states,
+            "{name}: symmetry grew the state count ({} > {})",
+            r.states,
+            oracle.states
+        );
+        assert!(r.transitions <= oracle.transitions, "{name}: symmetry generated more transitions");
+        assert_eq!(
+            config_multiset(&r.terminated),
+            config_multiset(&oracle.terminated),
+            "{name}: orbit expansion changed the terminal multiset"
+        );
+        assert_eq!(
+            config_multiset(&r.deadlocked),
+            config_multiset(&oracle.deadlocked),
+            "{name}: orbit expansion changed the deadlock multiset"
+        );
+        assert_eq!(
+            violation_set(&r),
+            violation_set(&oracle),
+            "{name}: symmetry changed the violation set"
+        );
+        assert!(!r.truncated(), "{name}: truncated");
         if l.name == "2RMW" {
-            let sym = Engine::Sequential.explore_with(&prog, objs, &base, |_, _| {});
             assert!(
-                sym.states < oracle.states,
+                r.states < oracle.states,
                 "2RMW is fully symmetric; reduction must be real ({} vs {})",
-                sym.states,
+                r.states,
                 oracle.states
             );
         }
@@ -472,8 +354,7 @@ fn symmetry_preserves_reports_and_sheds_states() {
 /// the transition count may shrink — while the terminal and deadlock
 /// multisets must stay bit-identical to the unreduced reference search
 /// (every terminal and deadlock is still visited, and visited exactly
-/// once), under both engines, at every worker count, composed with
-/// symmetry. Strict shedding is asserted corpus-side
+/// once), composed with symmetry. Strict shedding is asserted corpus-side
 /// (`dpor_corpus_entries_shed_at_least_5x_transitions`): the gallery's
 /// programs are mostly single-component, where persistent sets
 /// legitimately degenerate to the full thread set.
@@ -484,32 +365,27 @@ fn dpor_preserves_reports_and_sheds_work() {
         let objs = litmus::objects_for(&l);
         let opts = ExploreOptions { record_traces: false, ..Default::default() };
         let oracle = reference::explore(&prog, objs, usize::MAX, |_, _| {});
-        let assert_dpor = |name: &str, r: &EngineReport| {
-            assert!(
-                r.states <= oracle.states,
-                "{name}: DPOR grew the state count ({} > {})",
-                r.states,
-                oracle.states
-            );
-            assert!(r.transitions <= oracle.transitions, "{name}: DPOR generated more transitions");
-            assert_eq!(
-                config_multiset(&r.terminated),
-                config_multiset(&oracle.terminated),
-                "{name}: DPOR changed the terminal multiset"
-            );
-            assert_eq!(
-                config_multiset(&r.deadlocked),
-                config_multiset(&oracle.deadlocked),
-                "{name}: DPOR changed the deadlock multiset"
-            );
-            assert!(r.violations.is_empty(), "{name}: an outcome query has no callback");
-            assert!(!r.truncated(), "{name}: truncated");
-        };
-        assert_dpor(&format!("{} [seq]", l.name), &Engine::Sequential.explore(&prog, objs, &opts));
-        for workers in WORKERS {
-            let par = Engine::Parallel { workers }.explore(&prog, objs, &opts);
-            assert_dpor(&format!("{} @ {workers} workers", l.name), &par);
-        }
+        let r = Engine::Sequential.explore(&prog, objs, &opts);
+        let name = &l.name;
+        assert!(
+            r.states <= oracle.states,
+            "{name}: DPOR grew the state count ({} > {})",
+            r.states,
+            oracle.states
+        );
+        assert!(r.transitions <= oracle.transitions, "{name}: DPOR generated more transitions");
+        assert_eq!(
+            config_multiset(&r.terminated),
+            config_multiset(&oracle.terminated),
+            "{name}: DPOR changed the terminal multiset"
+        );
+        assert_eq!(
+            config_multiset(&r.deadlocked),
+            config_multiset(&oracle.deadlocked),
+            "{name}: DPOR changed the deadlock multiset"
+        );
+        assert!(r.violations.is_empty(), "{name}: an outcome query has no callback");
+        assert!(!r.truncated(), "{name}: truncated");
     }
 }
 
@@ -517,9 +393,9 @@ fn dpor_preserves_reports_and_sheds_work() {
 /// its owner's thread id, so folding the two clients' orbit must rename
 /// the owner with the thread (otherwise the representative's holder could
 /// never release, and the walk would report deadlocks the program does
-/// not have). Both engines must reproduce the reference's terminal,
-/// deadlock and violation sets, and both engines' traces — for
-/// representatives and orbit members alike — replay step by step.
+/// not have). The walk must reproduce the reference's terminal, deadlock
+/// and violation sets, and its traces — for representatives and orbit
+/// members alike — replay step by step.
 #[test]
 fn full_violation_traces_replay_on_a_symmetric_lock_client() {
     let mut p = ProgramBuilder::new("lock2");
@@ -532,66 +408,43 @@ fn full_violation_traces_replay_on_a_symmetric_lock_client() {
     }
     let prog = compile(&p.build());
     assert!(!rc11::analyze::thread_symmetry(&prog).is_trivial(), "the clients are symmetric");
-    let check = |cfg: &Config, out: &mut Vec<String>| {
-        if cfg.terminated(&prog) {
-            out.push("terminal".to_string());
-        }
-    };
-    let oracle = reference::explore(&prog, &AbstractObjects, usize::MAX, check);
+    let check = flag_terminals(&prog);
+    let oracle = reference::explore(&prog, &AbstractObjects, usize::MAX, &check);
     let opts = ExploreOptions::default();
-    for engine in std::iter::once(Engine::Sequential)
-        .chain(WORKERS.map(|workers| Engine::Parallel { workers }))
-    {
-        for report in [
-            engine.explore(&prog, &AbstractObjects, &opts),
-            engine.explore_with(&prog, &AbstractObjects, &opts, check),
-        ] {
-            assert!(report.deadlocked.is_empty(), "{engine:?}: the lock never deadlocks");
-            assert_eq!(
-                config_multiset(&report.terminated),
-                config_multiset(&oracle.terminated),
-                "{engine:?}: terminal set"
-            );
-            assert!(report.states < oracle.states, "{engine:?}: the orbit folds");
-        }
-        let report = engine.explore_with(&prog, &AbstractObjects, &opts, check);
-        assert_eq!(violation_set(&report), violation_set(&oracle), "{engine:?}: violations");
-        for v in &report.violations {
-            let trace = v.trace.as_ref().expect("traces recorded");
-            let mut cur = Config::initial(&prog).canonical();
-            for (tid, next) in trace {
-                let succs =
-                    rc11::lang::machine::successors(&prog, &AbstractObjects, &cur, opts.step);
-                assert!(
-                    succs.iter().any(|(t, s)| t == tid && s.canonical() == *next),
-                    "{engine:?}: trace step by {tid:?} is not a real transition"
-                );
-                cur = next.clone();
-            }
-            assert_eq!(cur, v.config, "trace must end at the violation");
-        }
+    let walk = Engine::Sequential;
+    for report in [
+        walk.explore(&prog, &AbstractObjects, &opts),
+        walk.explore_with(&prog, &AbstractObjects, &opts, &check),
+    ] {
+        assert!(report.deadlocked.is_empty(), "the lock never deadlocks");
+        assert_eq!(
+            config_multiset(&report.terminated),
+            config_multiset(&oracle.terminated),
+            "terminal set"
+        );
+        assert!(report.states < oracle.states, "the orbit folds");
+    }
+    let report = walk.explore_with(&prog, &AbstractObjects, &opts, &check);
+    assert_eq!(violation_set(&report), violation_set(&oracle), "violations");
+    for v in &report.violations {
+        assert_trace_replays(&prog, &AbstractObjects, opts.step, v);
     }
 }
 
-/// Symmetry-reduced violation traces of `engine` are exactly replayable —
-/// for the orbit representative *and* for every expanded orbit member: the
+/// Symmetry-reduced violation traces are exactly replayable — for the
+/// orbit representative *and* for every expanded orbit member: the
 /// per-edge permutations compose into a concrete interleaving of the
-/// original program (the automorphisms fix the initial state). Both
-/// engines store each edge's permutation and share one reconstruction
-/// routine.
-fn assert_symmetry_traces_replay(engine: Engine) {
+/// original program (the automorphisms fix the initial state).
+#[test]
+fn symmetry_violation_traces_replay_sequentially() {
     // 2RMW: fully symmetric, so both the representative and a nontrivial
     // orbit member produce violations; SB+ra: trivial symmetry (the spec
     // is empty), pinning the identity path.
     for l in [litmus::two_rmw(), litmus::sb_ra()] {
         let prog = compile(&l.prog);
         let opts = ExploreOptions::default();
-        let check = |cfg: &Config, out: &mut Vec<String>| {
-            if cfg.terminated(&prog) {
-                out.push("terminal".to_string());
-            }
-        };
-        let report = engine.explore_with(&prog, &NoObjects, &opts, check);
+        let check = flag_terminals(&prog);
+        let report = Engine::Sequential.explore_with(&prog, &NoObjects, &opts, check);
         assert!(!report.violations.is_empty(), "{}: terminals exist", l.name);
         assert_eq!(
             report.violations.len(),
@@ -600,45 +453,17 @@ fn assert_symmetry_traces_replay(engine: Engine) {
             l.name
         );
         for v in &report.violations {
-            let trace = v.trace.as_ref().expect("traces recorded");
-            let mut cur = Config::initial(&prog).canonical();
-            for (tid, next) in trace {
-                let succs =
-                    rc11::lang::machine::successors(&prog, &NoObjects, &cur, opts.step);
-                assert!(
-                    succs.iter().any(|(t, s)| t == tid && s.canonical() == *next),
-                    "{}: symmetry trace step by {tid:?} is not a real transition",
-                    l.name
-                );
-                cur = next.clone();
-            }
-            assert_eq!(
-                cur, v.config,
-                "{}: trace must end at the violation",
-                l.name
-            );
+            assert_trace_replays(&prog, &NoObjects, opts.step, v);
         }
-    }
-}
-
-#[test]
-fn symmetry_violation_traces_replay_sequentially() {
-    assert_symmetry_traces_replay(Engine::Sequential);
-}
-
-#[test]
-fn symmetry_violation_traces_replay_in_parallel() {
-    for workers in WORKERS {
-        assert_symmetry_traces_replay(Engine::Parallel { workers });
     }
 }
 
 /// Satellite of A6: beyond 64 threads the sleep masks cannot represent
 /// the thread set, so `Reduction::Full` must *fall back* to search without
 /// sleep or persistent sets (and say so via `EngineReport::por_fallback`)
-/// instead of asserting. The 64
-/// empty threads compile to zero instructions, so the state space is the
-/// two real threads' — the fallback is observable without a blow-up.
+/// instead of asserting. The 64 empty threads compile to zero
+/// instructions, so the state space is the two real threads' — the
+/// fallback is observable without a blow-up.
 #[test]
 fn por_falls_back_beyond_64_threads() {
     let mut p = ProgramBuilder::new("Wide");
@@ -658,28 +483,30 @@ fn por_falls_back_beyond_64_threads() {
     let none = ExploreOptions { reduce: Reduction::None, ..base.clone() };
     let full = Engine::Sequential.explore(&prog, &NoObjects, &none);
     assert!(!full.por_fallback(), "fallback only reports when POR was due");
-    for engine in [Engine::Sequential, Engine::Parallel { workers: 4 }] {
-        for report in [
-            engine.explore(&prog, &NoObjects, &base),
-            engine.explore_with(&prog, &NoObjects, &base, |_, _| {}),
-        ] {
-            assert!(report.por_fallback(), "{engine:?}: must report the fallback");
-            assert_eq!(report.states, full.states, "{engine:?}: fallback is unreduced");
-            assert_eq!(report.transitions, full.transitions, "{engine:?}: fallback is unreduced");
-            assert_eq!(report.terminated.len(), full.terminated.len(), "{engine:?}: terminals");
-        }
+    let oracle = reference::explore(&prog, &NoObjects, usize::MAX, |_, _| {});
+    assert_reports_agree("Wide", &oracle, &full);
+    for report in [
+        Engine::Sequential.explore(&prog, &NoObjects, &base),
+        Engine::Sequential.explore_with(&prog, &NoObjects, &base, |_, _| {}),
+    ] {
+        assert!(report.por_fallback(), "must report the fallback");
+        assert_eq!(report.states, full.states, "fallback is unreduced");
+        assert_eq!(report.transitions, full.transitions, "fallback is unreduced");
+        assert_eq!(report.terminated.len(), full.terminated.len(), "terminals");
     }
 }
 
-/// Violations of a state query under `Reduction::Full` (sleep sets) still
-/// carry replayable traces: every step is a real transition and the trace
-/// ends at the violating configuration (paths may differ from the
-/// unreduced search — they are valid, not canonical).
+/// Violations of SB's weak outcome ("both reads zero") carry replayable
+/// traces under both settings of the reduction switch: every step is a
+/// real transition and the trace ends at the violating configuration.
+/// The walk records the *first* parent that discovered a state — a valid
+/// path from the initial configuration, not a shortest one — and sleep
+/// sets may pick other paths than the unreduced search, so validity and
+/// endpoints are checked, not lengths.
 #[test]
 fn por_violation_traces_replay() {
     let l = litmus::sb_ra();
     let prog = compile(&l.prog);
-    let opts = ExploreOptions::default();
     let check = |cfg: &Config, out: &mut Vec<String>| {
         if cfg.terminated(&prog)
             && l.observe.iter().all(|&(t, r)| cfg.reg(t, r) == rc11::core::Val::Int(0))
@@ -687,32 +514,23 @@ fn por_violation_traces_replay() {
             out.push("both zero".to_string());
         }
     };
-    for engine in [Engine::Sequential, Engine::Parallel { workers: 4 }] {
-        let report = engine.explore_with(&prog, &NoObjects, &opts, check);
-        assert!(!report.violations.is_empty(), "{engine:?}: SB weak outcome reachable");
+    let oracle = reference::explore(&prog, &NoObjects, usize::MAX, check);
+    for reduce in [Reduction::Full, Reduction::None] {
+        let opts = ExploreOptions { reduce, ..Default::default() };
+        let report = Engine::Sequential.explore_with(&prog, &NoObjects, &opts, check);
+        assert!(!report.violations.is_empty(), "{reduce:?}: SB weak outcome reachable");
+        assert_eq!(violation_set(&report), violation_set(&oracle), "{reduce:?}: violations");
         for v in &report.violations {
-            let trace = v.trace.as_ref().expect("traces recorded");
-            let mut cur = Config::initial(&prog).canonical();
-            for (tid, next) in trace {
-                let succs = rc11::lang::machine::successors(&prog, &NoObjects, &cur, opts.step);
-                assert!(
-                    succs.iter().any(|(t, s)| t == tid && s.canonical() == *next),
-                    "{engine:?}: POR trace step by {tid:?} is not a real transition"
-                );
-                cur = next.clone();
-            }
-            assert_eq!(cur, v.config, "{engine:?}: trace must end at the violation");
+            assert_trace_replays(&prog, &NoObjects, opts.step, v);
         }
     }
 }
 
-/// Cap parity: when `max_states` cuts a run short, both engines must
-/// return the same verdict — `truncated == true` and `states ==
-/// max_states` — even though the parallel engine's cap check is racy (its
-/// report reconciles any overshoot to the sequential engine's verdict).
-/// Transition and terminal counts legitimately differ under truncation
-/// (the engines drop different states), so only the verdict is compared.
-/// Unreduced, so every engine reaches the same total.
+/// Cap parity: when `max_states` cuts a run short, the walk and the
+/// reference oracle return the same verdict — truncated, with exactly
+/// `max_states` states. Transition and terminal counts legitimately
+/// differ under truncation (the two drop different states), so only the
+/// verdict is compared. Unreduced, so both reach the same total.
 #[test]
 fn truncated_runs_agree_on_the_verdict_across_engines() {
     let base =
@@ -728,51 +546,113 @@ fn truncated_runs_agree_on_the_verdict_across_engines() {
                 continue;
             }
             let opts = ExploreOptions { max_states: cap, ..base.clone() };
-            let seq = Engine::Sequential.explore(&prog, objs, &opts);
-            assert!(seq.truncated(), "{} cap {cap}: sequential must truncate", l.name);
-            assert_eq!(seq.states, cap, "{} cap {cap}: sequential states", l.name);
-            for workers in WORKERS {
-                let par = Engine::Parallel { workers }.explore(&prog, objs, &opts);
-                assert!(par.truncated(), "{} cap {cap} @ {workers} workers: truncated", l.name);
-                assert_eq!(par.states, cap, "{} cap {cap} @ {workers} workers: states", l.name);
-            }
+            let walk = Engine::Sequential.explore(&prog, objs, &opts);
+            assert_eq!(walk.stop, StopReason::StateCap, "{} cap {cap}: walk stop", l.name);
+            assert_eq!(walk.states, cap, "{} cap {cap}: walk states", l.name);
+            let oracle = reference::explore(&prog, objs, cap, |_, _| {});
+            assert_eq!(oracle.stop, walk.stop, "{} cap {cap}: oracle stop", l.name);
         }
     }
 }
 
-/// Trace parity in kind: with traces on, both engines attach a trace to
-/// every violation and each trace replays step by step through
-/// `successors`. Both engines record the *first* parent that discovered a
-/// state — a valid path from the initial configuration, not a shortest
-/// one — so validity and endpoints are compared, not lengths. Unreduced;
-/// the reduced traces are `por_violation_traces_replay`'s.
+/// A two-thread program where thread 1 writes data, then re-acquires the
+/// lock it still holds — guaranteeing a reachable deadlocked
+/// configuration — while thread 2 reads the data.
+fn deadlock_prog() -> CfgProgram {
+    let mut p = ProgramBuilder::new("deadlock-mp");
+    let x = p.client_var("x", 0);
+    let l = p.lock("l");
+    let t1 = ThreadBuilder::new();
+    // acquire; x := 1; acquire (blocks forever: double acquire).
+    p.add_thread(t1, seq([acquire(l), wr(x, 1), acquire(l)]));
+    let mut t2 = ThreadBuilder::new();
+    let r = t2.reg("r");
+    p.add_thread(t2, seq([rd(r, x)]));
+    compile(&p.build())
+}
+
+/// A known deadlock, flagged by the check callback at the stuck
+/// configurations themselves: the oracle's deadlocks, each with a trace
+/// that replays to it.
 #[test]
-fn violation_traces_replay_under_both_engines() {
-    let l = litmus::sb_ra();
-    let prog = compile(&l.prog);
-    let opts = ExploreOptions { reduce: Reduction::None, ..Default::default() };
+fn deadlock_configuration_has_replayable_trace() {
+    let prog = deadlock_prog();
+    let opts = ExploreOptions::default();
+    // Flag exactly the stuck configurations: no successors, not terminated.
     let check = |cfg: &Config, out: &mut Vec<String>| {
-        if cfg.terminated(&prog)
-            && l.observe.iter().all(|&(t, r)| cfg.reg(t, r) == rc11::core::Val::Int(0))
+        if successors(&prog, &AbstractObjects, cfg, opts.step).is_empty() && !cfg.terminated(&prog)
         {
-            out.push("both zero".to_string());
+            out.push("deadlock".to_string());
         }
     };
-    for engine in [Engine::Sequential, Engine::Parallel { workers: 4 }] {
-        let report = engine.explore_with(&prog, &NoObjects, &opts, check);
-        assert!(!report.violations.is_empty(), "{engine:?}: SB weak outcome reachable");
-        for v in &report.violations {
-            let trace = v.trace.as_ref().expect("traces recorded");
-            let mut cur = Config::initial(&prog).canonical();
-            for (tid, next) in trace {
-                let succs = rc11::lang::machine::successors(&prog, &NoObjects, &cur, opts.step);
-                assert!(
-                    succs.iter().any(|(t, s)| t == tid && s.canonical() == *next),
-                    "{engine:?}: trace step by {tid:?} is not a real transition"
-                );
-                cur = next.clone();
-            }
-            assert_eq!(cur, v.config, "{engine:?}: trace must end at the violation");
+    let oracle = reference::explore(&prog, &AbstractObjects, usize::MAX, check);
+    let walk = Engine::Sequential.explore_with(&prog, &AbstractObjects, &opts, check);
+    assert!(!walk.deadlocked.is_empty(), "the double acquire must deadlock");
+    assert_eq!(config_multiset(&walk.deadlocked), config_multiset(&oracle.deadlocked));
+    assert_eq!(violation_set(&walk), violation_set(&oracle));
+    for v in &walk.violations {
+        assert!(!v.trace.as_ref().expect("traces on").is_empty(), "not the initial state");
+        assert_trace_replays(&prog, &AbstractObjects, opts.step, v);
+    }
+}
+
+/// A known invariant violation mid-graph ("x never holds 2" over a thread
+/// writing 1 then 2, with an unrelated second thread), through
+/// [`Engine::check_invariant`]: the oracle's violating states, each with
+/// a replayable trace of at least the two writes.
+#[test]
+fn invariant_violation_has_replayable_trace() {
+    let mut p = ProgramBuilder::new("bad-invariant");
+    let x = p.client_var("x", 0);
+    let y = p.client_var("y", 0);
+    p.add_thread(ThreadBuilder::new(), seq([wr(x, 1), wr(x, 2)]));
+    p.add_thread(ThreadBuilder::new(), seq([wr(y, 7)]));
+    let prog = compile(&p.build());
+    let pred = pnot(pobs(0, x, 2));
+    let opts = ExploreOptions::default();
+    let walk = Engine::Sequential.check_invariant(&prog, &NoObjects, &opts, &pred);
+    let oracle = reference::explore(&prog, &NoObjects, usize::MAX, |cfg, out| {
+        if !pred.eval(EvalCtx { prog: &prog, cfg }) {
+            out.push("invariant violated".to_string());
         }
+    });
+    assert!(!walk.violations.is_empty(), "the invariant is genuinely violated");
+    assert_eq!(violation_set(&walk), violation_set(&oracle), "same violating states");
+    for v in &walk.violations {
+        assert!(v.trace.as_ref().expect("traces on").len() >= 2, "at least the two writes");
+        assert_trace_replays(&prog, &NoObjects, opts.step, v);
+    }
+}
+
+/// The `record_traces` knob: off means `trace: None` on every violation.
+#[test]
+fn violations_carry_no_trace_when_recording_is_off() {
+    let prog = deadlock_prog();
+    let opts = ExploreOptions { record_traces: false, ..Default::default() };
+    let report = Engine::Sequential.explore_with(&prog, &AbstractObjects, &opts, |cfg, out| {
+        if cfg.pcs.iter().all(|&pc| pc > 0) {
+            out.push("all threads moved".to_string());
+        }
+    });
+    assert!(!report.violations.is_empty());
+    assert!(report.violations.iter().all(|v| v.trace.is_none()));
+}
+
+/// Replayed traces carry full configurations, not just pcs: a register
+/// read in the deadlock program's thread 2 stays observable at the end of
+/// every replayed trace.
+#[test]
+fn replayed_traces_end_at_full_configurations() {
+    let prog = deadlock_prog();
+    let opts = ExploreOptions::default();
+    let report = Engine::Sequential.explore_with(&prog, &AbstractObjects, &opts, |cfg, out| {
+        if cfg.reg(1, Reg(0)) == Val::Int(1) {
+            out.push("t2 observed the published write".to_string());
+        }
+    });
+    assert!(!report.violations.is_empty(), "t2 can read x = 1 after the publish");
+    for v in &report.violations {
+        assert_trace_replays(&prog, &AbstractObjects, opts.step, v);
+        assert_eq!(v.config.reg(1, Reg(0)), Val::Int(1));
     }
 }

@@ -138,19 +138,21 @@ fn two_objects_compose() {
     }
 }
 
-/// Parallel exploration agrees with sequential on an object-heavy program.
+/// The exploration walk agrees with the reference oracle on an
+/// object-heavy program: the same terminal and deadlock sets under the
+/// default reduction, and the same counts unreduced.
 #[test]
-fn parallel_explorer_agrees_on_object_programs() {
+fn walk_agrees_with_reference_on_object_programs() {
     let f = rc11::figures::fig7();
     let prog = compile(&f.prog);
-    let seq_report = Explorer::new(&prog, &AbstractObjects).explore();
-    let par_report = par_explore(
-        &prog,
-        &AbstractObjects,
-        &ExploreOptions { record_traces: false, ..Default::default() },
-        4,
-        |_, _| {},
-    );
-    assert_eq!(par_report.states, seq_report.states);
-    assert_eq!(par_report.terminated.len(), seq_report.terminated.len());
+    let oracle = rc11::check::reference::explore(&prog, &AbstractObjects, usize::MAX, |_, _| {});
+    let set = |v: &[Config]| v.iter().cloned().collect::<std::collections::HashSet<_>>();
+    let full = Explorer::new(&prog, &AbstractObjects).explore();
+    assert_eq!(set(&full.terminated), set(&oracle.terminated));
+    assert_eq!(set(&full.deadlocked), set(&oracle.deadlocked));
+    assert!(full.states <= oracle.states);
+    let opts = ExploreOptions { reduce: Reduction::None, ..Default::default() };
+    let none = Explorer::new(&prog, &AbstractObjects).with_options(opts).explore();
+    assert_eq!((none.states, none.transitions), (oracle.states, oracle.transitions));
+    assert_eq!(none.terminated.len(), oracle.terminated.len());
 }

@@ -12,7 +12,7 @@
 //!   changing an initial value yields a different fingerprint and a
 //!   fresh exploration;
 //! * **Faults are contained, not cached** — an injected panic in the
-//!   *sequential* engine escapes to the request path's `catch_unwind`,
+//!   exploration walk escapes to the request path's `catch_unwind`,
 //!   comes back as a `worker-fault` report carrying the panic message,
 //!   and is never admitted to the cache.
 //!
@@ -198,8 +198,8 @@ observe T2.r1 T2.r2
 expected { (0, 0) (0, 1) (1, 1) }
 "#;
 
-/// The satellite-fix regression: an injected panic in the *sequential*
-/// engine (which has no per-worker containment) unwinds into the request
+/// The satellite-fix regression: an injected panic in the exploration
+/// walk (which has no internal containment) unwinds into the request
 /// path, which reports it as a worker fault with the panic message — and
 /// never caches it, so the next check of the same program explores and
 /// completes.
@@ -253,30 +253,4 @@ fn sequential_chaos_panic_is_contained_and_not_cached() {
     let warm = service.check_source(MP, &CheckParams::default()).expect("parses");
     assert_eq!(warm.served, Served::MemCache);
     assert!(warm.pass);
-}
-
-/// The parallel engine contains the same injected panic inside a worker
-/// (degraded `worker-fault` report, non-zero coverage) — the request
-/// path must pass that through rather than re-wrap it.
-#[test]
-fn parallel_chaos_fault_reports_pass_through() {
-    let service = CheckService::new();
-    let params = CheckParams {
-        workers: 2,
-        chaos: Some(ChaosState::new(FaultPlan {
-            worker_panic_at: Some(1),
-            ..FaultPlan::none()
-        })),
-        ..CheckParams::default()
-    };
-    let r = service.check_source(MP, &params).expect("parses");
-    assert_eq!(r.stop, StopReason::WorkerFault);
-    assert!(!r.pass);
-    assert!(
-        r.notes
-            .iter()
-            .any(|n| matches!(n, Note::WorkerFault { message } if message.contains("chaos"))),
-        "notes were {:?}",
-        r.notes
-    );
 }

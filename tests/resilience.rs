@@ -1,9 +1,9 @@
 //! Resilience-runtime integration tests: the budget/cancellation lattice,
-//! worker-fault containment, checkpoint/resume, and the seeded chaos
+//! fault containment, checkpoint/resume, and the seeded chaos
 //! differential, exercised end-to-end over the litmus gallery.
 //!
 //! The contract under test (see DESIGN.md, "Robustness runtime"): any
-//! early stop — budget trip, cancellation, contained worker fault — yields
+//! early stop — budget trip, cancellation, contained fault — yields
 //! a report that is a **sound lower bound** on the reachable space with an
 //! explicit non-`Complete` [`StopReason`], and a run that does complete
 //! under injected faults is **bit-identical** to the unfaulted oracle.
@@ -13,8 +13,8 @@
 
 use proptest::prelude::*;
 use rc11::check::{
-    choose_engine, Budget, CancelToken, ChaosState, CheckpointOpts, Engine, ExploreOptions,
-    FaultPlan, StopReason, Violation,
+    reference, Budget, CancelToken, ChaosState, CheckParams, CheckService, CheckpointOpts,
+    Engine, ExploreOptions, FaultPlan, StopReason, Violation,
 };
 use rc11::lang::cfg::CfgProgram;
 use rc11::lang::machine::{successors, Config, NoObjects, ObjectSemantics, StepOptions};
@@ -29,7 +29,7 @@ use std::time::Duration;
 /// real counterexamples, not artifacts of stopping early.
 fn assert_trace_replays(
     prog: &CfgProgram,
-    objs: &(dyn ObjectSemantics + Sync),
+    objs: &dyn ObjectSemantics,
     step: StepOptions,
     v: &Violation,
 ) {
@@ -46,25 +46,28 @@ fn assert_trace_replays(
     assert_eq!(cur, v.config, "trace must end at the violating configuration");
 }
 
-/// The chaos differential, gallery-wide: under seeded worker panics,
-/// stalls and checkpoint-write failures, every run either matches the
-/// unfaulted sequential run exactly or stops with an explicit
-/// non-`Complete` reason and sound lower bounds.
+/// The chaos differential, gallery-wide: under seeded expansion panics
+/// and checkpoint-write failures, every run through the request path
+/// (whose `catch_unwind` contains the panic) either matches the unfaulted
+/// run exactly or stops with an explicit non-`Complete` reason and sound
+/// lower bounds.
 #[test]
 fn chaos_faults_never_silently_corrupt_gallery_results() {
     let base = ExploreOptions { record_traces: false, ..Default::default() };
+    let service = CheckService::new();
+    let mut contained = 0;
     for l in litmus::all() {
         let (oracle, ostop, odead) = litmus::run_with_opts(&l, &Engine::Sequential, &base);
         assert!(ostop.is_complete(), "{}: oracle must complete", l.name);
         for seed in [1u64, 7, 42, 0x00C0_FFEE] {
             let plan = FaultPlan::from_seed(seed);
-            let opts =
-                ExploreOptions { chaos: Some(ChaosState::new(plan)), ..base.clone() };
-            let (res, stop, dead) =
-                litmus::run_with_opts(&l, &Engine::Parallel { workers: 2 }, &opts);
+            let params =
+                CheckParams { chaos: Some(ChaosState::new(plan)), ..CheckParams::default() };
+            let res = service.check_parts(&l.name, &l.prog, &l.observe, &l.expected, &params);
+            let stop = res.stop;
             if stop.is_complete() {
                 assert_eq!(
-                    (res.states, res.transitions, dead),
+                    (res.states, res.transitions, res.deadlocks),
                     (oracle.states, oracle.transitions, odead),
                     "{} seed {seed} ({plan:?}): a complete faulted run must match the oracle",
                     l.name
@@ -75,6 +78,7 @@ fn chaos_faults_never_silently_corrupt_gallery_results() {
                     l.name
                 );
             } else {
+                contained += usize::from(stop == StopReason::WorkerFault);
                 assert!(
                     res.states <= oracle.states,
                     "{} seed {seed} ({stop}): partial states exceed the oracle",
@@ -88,6 +92,7 @@ fn chaos_faults_never_silently_corrupt_gallery_results() {
             }
         }
     }
+    assert!(contained > 0, "some seeded panic must fire and be contained");
 }
 
 /// Checkpoint/resume, gallery-wide: interrupt a checkpointing sequential
@@ -153,10 +158,10 @@ fn interrupted_checkpointed_runs_resume_bit_identically() {
     assert!(resumed_any, "at least one gallery program must exercise resume");
 }
 
-/// `Engine::check_invariant` honours budgets identically on both engines:
-/// the same transition cap trips the same [`StopReason`] on each, partial
-/// violations are genuine (members of the full run's violation set), and
-/// the unbudgeted runs agree on the verdict.
+/// `Engine::check_invariant` honours budgets: unbudgeted, it finds exactly
+/// the reference oracle's violating configurations; under a transition
+/// cap it trips [`StopReason::TransitionCap`], and its partial violations
+/// are genuine (members of the oracle's violation set).
 #[test]
 fn check_invariant_honours_budgets_identically_across_engines() {
     use rc11::lang::builder::*;
@@ -175,43 +180,38 @@ fn check_invariant_honours_budgets_identically_across_engines() {
 
     let base = ExploreOptions::default();
     let seq_full = Engine::Sequential.check_invariant(&prog, &NoObjects, &base, &pred);
-    let par_full = choose_engine(4).check_invariant(&prog, &NoObjects, &base, &pred);
+    let oracle = reference::explore(&prog, &NoObjects, usize::MAX, |cfg, out| {
+        if !pred.eval(rc11_assert::EvalCtx { prog: &prog, cfg }) {
+            out.push("invariant violated".to_string());
+        }
+    });
     assert!(!seq_full.violations.is_empty(), "the invariant is genuinely violated");
-    assert!(seq_full.stop.is_complete() && par_full.stop.is_complete());
-    assert_eq!(par_full.violations.len(), seq_full.violations.len());
+    assert!(seq_full.stop.is_complete() && oracle.stop.is_complete());
+    let configs = |vs: &[Violation]| {
+        vs.iter().map(|v| v.config.clone()).collect::<std::collections::HashSet<_>>()
+    };
+    assert_eq!(configs(&seq_full.violations), configs(&oracle.violations));
 
     let cap = (seq_full.transitions / 2).max(1);
     let capped = ExploreOptions {
         budget: Budget { max_transitions: Some(cap), ..Default::default() },
         ..base.clone()
     };
-    let full_violations: Vec<&Config> =
-        seq_full.violations.iter().map(|v| &v.config).collect();
-    for (what, report) in [
-        ("sequential", Engine::Sequential.check_invariant(&prog, &NoObjects, &capped, &pred)),
-        ("parallel", choose_engine(4).check_invariant(&prog, &NoObjects, &capped, &pred)),
-    ] {
-        assert_eq!(
-            report.stop,
-            StopReason::TransitionCap,
-            "{what}: the cap must trip the same stop reason"
-        );
+    let full_violations = configs(&oracle.violations);
+    let report = Engine::Sequential.check_invariant(&prog, &NoObjects, &capped, &pred);
+    assert_eq!(report.stop, StopReason::TransitionCap, "the cap must trip its stop reason");
+    assert!(report.states <= seq_full.states, "budgeted run must be a lower bound");
+    for v in &report.violations {
         assert!(
-            report.states <= seq_full.states,
-            "{what}: budgeted run must be a lower bound"
+            full_violations.contains(&v.config),
+            "budgeted run reported a violation the oracle never found"
         );
-        for v in &report.violations {
-            assert!(
-                full_violations.contains(&&v.config),
-                "{what}: budgeted run reported a violation the full run never found"
-            );
-        }
     }
 }
 
-/// Degenerate budgets are still explicit verdicts, identically across
-/// engines: an already-expired deadline and a one-byte memory budget each
-/// stop before doing real work, with the matching [`StopReason`].
+/// Degenerate budgets are still explicit verdicts: an already-expired
+/// deadline and a one-byte memory budget each stop before doing real
+/// work, with the matching [`StopReason`].
 #[test]
 fn degenerate_budgets_stop_immediately_with_the_right_verdict() {
     let l = &litmus::all()[0];
@@ -223,20 +223,18 @@ fn degenerate_budgets_stop_immediately_with_the_right_verdict() {
         (StopReason::Deadline, Budget { deadline: Some(Duration::ZERO), ..Default::default() }),
         (StopReason::MemBudget, Budget { max_mem_bytes: Some(1), ..Default::default() }),
     ] {
-        for engine in [Engine::Sequential, Engine::Parallel { workers: 2 }] {
-            let opts = ExploreOptions { budget, ..base.clone() };
-            let report = engine.explore(&prog, objs, &opts);
-            assert_eq!(report.stop, want, "{engine:?}");
-            assert!(report.states <= full.states, "{engine:?}: still a lower bound");
-        }
+        let opts = ExploreOptions { budget, ..base.clone() };
+        let report = Engine::Sequential.explore(&prog, objs, &opts);
+        assert_eq!(report.stop, want);
+        assert!(report.states <= full.states, "still a lower bound");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24 })]
 
-    /// Cooperative cancellation at arbitrary seeded points, both engines:
-    /// a run whose token fired mid-exploration never claims `Complete`,
+    /// Cooperative cancellation at arbitrary seeded points: a run whose
+    /// token fired mid-exploration never claims `Complete`,
     /// its counts stay lower bounds, and every violation it did report
     /// replays step-by-step through `successors`. A token that never
     /// fired leaves the run bit-identical to an uncancelled one.
@@ -244,7 +242,6 @@ proptest! {
     fn cancelled_runs_are_sound_lower_bounds(
         li in 0usize..64,
         cancel_after in 1usize..300,
-        parallel in any::<bool>(),
     ) {
         let gallery = litmus::all();
         let l = &gallery[li % gallery.len()];
@@ -262,9 +259,7 @@ proptest! {
         let trigger = token.clone();
         let calls = AtomicUsize::new(0);
         let opts = ExploreOptions { cancel: token.clone(), ..base.clone() };
-        let engine =
-            if parallel { Engine::Parallel { workers: 2 } } else { Engine::Sequential };
-        let report = engine.explore_with(&prog, objs, &opts, |cfg, out| {
+        let report = Engine::Sequential.explore_with(&prog, objs, &opts, |cfg, out| {
             if calls.fetch_add(1, Ordering::Relaxed) + 1 == cancel_after {
                 trigger.cancel();
             }
@@ -274,7 +269,7 @@ proptest! {
         if token.is_cancelled() {
             prop_assert!(
                 !report.stop.is_complete(),
-                "{} ({engine:?}): a cancelled run must not claim Complete",
+                "{}: a cancelled run must not claim Complete",
                 l.name
             );
             prop_assert!(report.states <= oracle.states, "{}", l.name);
@@ -284,7 +279,7 @@ proptest! {
             }
         } else {
             // The token never fired: the walk saw no cancellation and
-            // must agree with the oracle (parallel order aside).
+            // must agree with the oracle.
             prop_assert_eq!(report.states, oracle.states, "{}", l.name);
             prop_assert_eq!(report.transitions, oracle.transitions, "{}", l.name);
             prop_assert_eq!(report.stop, StopReason::Complete);

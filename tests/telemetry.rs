@@ -4,15 +4,15 @@
 //!
 //! * **Bit-identity**: every corpus file explores to the *identical*
 //!   report with a sink attached and without one — states, transitions,
-//!   terminals, deadlocks, violations, stop reason — wherever the report
-//!   is deterministic: sequentially, or unreduced at 4 workers. Fully
-//!   reduced parallel counts depend on arrival order, so those runs are
-//!   held to the `rc11_check::reference` oracle instead: the same stop
-//!   reason, terminal and deadlock multisets, and counts never above it.
+//!   terminals, deadlocks, violations, stop reason — under both settings
+//!   of the reduction switch, and both runs are held to the
+//!   `rc11_check::reference` oracle: the same stop reason, terminal and
+//!   deadlock multisets, and counts never above it (exactly equal
+//!   unreduced).
 //! * **Counter consistency**: the snapshot a run attaches agrees with
-//!   the report it rides on (`states`/`transitions` match exactly),
-//!   per-worker expansion slots sum to the total expansion counter, and
-//!   reduction counters are zero under `Reduction::None`.
+//!   the report it rides on (`states`/`transitions` match exactly), the
+//!   one expansion slot holds the total expansion counter, and reduction
+//!   counters are zero under `Reduction::None`.
 //! * **Delta isolation**: one cumulative sink shared across several
 //!   runs (the `--progress` configuration) still attaches exact per-run
 //!   snapshots.
@@ -30,14 +30,13 @@ fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus")
 }
 
-const WORKERS: [usize; 2] = [1, 4];
-
 fn with_sink(opts: &ExploreOptions) -> (ExploreOptions, Arc<Telemetry>) {
     let tel = Telemetry::shared();
     (ExploreOptions { telemetry: Some(Arc::clone(&tel)), ..opts.clone() }, tel)
 }
 
-/// Configurations with their multiplicities (engines push in any order).
+/// Configurations with their multiplicities (orders differ from the
+/// oracle's).
 fn multiset(cfgs: &[Config]) -> std::collections::HashMap<Config, usize> {
     let mut m = std::collections::HashMap::new();
     for c in cfgs {
@@ -54,39 +53,38 @@ fn telemetry_is_report_bit_identical_corpus_wide() {
         let prog = compile(&l.prog);
         let objs = litmus::objects_for(&l);
         let oracle = reference::explore(&prog, objs, usize::MAX, |_, _| {});
-        for (workers, reduce) in WORKERS
-            .into_iter()
-            .flat_map(|w| [(w, Reduction::None), (w, Reduction::Full)])
-        {
-            let engine = choose_engine(workers);
+        for reduce in [Reduction::None, Reduction::Full] {
             let base = ExploreOptions { record_traces: false, reduce, ..Default::default() };
-            let off = engine.explore(&prog, objs, &base);
+            let off = Engine::Sequential.explore(&prog, objs, &base);
             let (on_opts, _tel) = with_sink(&base);
-            let on = engine.explore(&prog, objs, &on_opts);
-            let what =
-                format!("{} ({}) @ {workers} worker(s), {reduce:?}", l.name, path.display());
-            if workers == 1 || reduce == Reduction::None {
-                assert!(off.same_results(&on), "{what}: telemetry changed the report");
-                assert_eq!(off.terminated, on.terminated, "{what}: terminal configurations");
-                assert_eq!(off.violations, on.violations, "{what}: violations");
-            } else {
-                for (run, r) in [("off", &off), ("on", &on)] {
-                    assert_eq!(r.stop, oracle.stop, "{what} [{run}]: stop");
-                    assert!(
-                        r.states <= oracle.states && r.transitions <= oracle.transitions,
-                        "{what} [{run}]: counts above the oracle's"
-                    );
+            let on = Engine::Sequential.explore(&prog, objs, &on_opts);
+            let what = format!("{} ({}), {reduce:?}", l.name, path.display());
+            assert!(off.same_results(&on), "{what}: telemetry changed the report");
+            assert_eq!(off.terminated, on.terminated, "{what}: terminal configurations");
+            assert_eq!(off.violations, on.violations, "{what}: violations");
+            for (run, r) in [("off", &off), ("on", &on)] {
+                assert_eq!(r.stop, oracle.stop, "{what} [{run}]: stop");
+                assert!(
+                    r.states <= oracle.states && r.transitions <= oracle.transitions,
+                    "{what} [{run}]: counts above the oracle's"
+                );
+                if reduce == Reduction::None {
                     assert_eq!(
-                        multiset(&r.terminated),
-                        multiset(&oracle.terminated),
-                        "{what} [{run}]: terminal configurations"
-                    );
-                    assert_eq!(
-                        multiset(&r.deadlocked),
-                        multiset(&oracle.deadlocked),
-                        "{what} [{run}]: deadlocked configurations"
+                        (r.states, r.transitions),
+                        (oracle.states, oracle.transitions),
+                        "{what} [{run}]: unreduced counts"
                     );
                 }
+                assert_eq!(
+                    multiset(&r.terminated),
+                    multiset(&oracle.terminated),
+                    "{what} [{run}]: terminal configurations"
+                );
+                assert_eq!(
+                    multiset(&r.deadlocked),
+                    multiset(&oracle.deadlocked),
+                    "{what} [{run}]: deadlocked configurations"
+                );
             }
             assert!(off.telemetry.is_none(), "{what}: snapshot without a sink");
             assert!(on.telemetry.is_some(), "{what}: no snapshot despite a sink");
@@ -103,39 +101,31 @@ fn snapshot_counters_match_the_report() {
         let l = loaded.unwrap_or_else(|e| panic!("{e}"));
         let prog = compile(&l.prog);
         let objs = litmus::objects_for(&l);
-        for workers in WORKERS {
-            let engine = choose_engine(workers);
-            let base = ExploreOptions { record_traces: false, ..Default::default() };
-            let (opts, _tel) = with_sink(&base);
-            let report = engine.explore(&prog, objs, &opts);
-            let what = format!("{} ({}) @ {workers} worker(s)", l.name, path.display());
-            assert_eq!(report.stop, StopReason::Complete, "{what}: corpus runs complete");
-            let snap = report.telemetry.as_ref().unwrap_or_else(|| panic!("{what}: no snapshot"));
-            assert_eq!(
-                snap.get(Counter::States),
-                report.states as u64,
-                "{what}: snapshot states vs report states"
-            );
-            assert_eq!(
-                snap.get(Counter::Transitions),
-                report.transitions as u64,
-                "{what}: snapshot transitions vs report transitions"
-            );
-            let per_worker: u64 = snap.worker_expansions.iter().sum();
-            assert_eq!(
-                per_worker,
-                snap.get(Counter::Expansions),
-                "{what}: per-worker expansion slots must sum to the total"
-            );
-            assert!(
-                snap.worker_expansions.len() <= workers.max(1),
-                "{what}: more expansion slots than workers"
-            );
-            assert!(
-                snap.frontier_peak >= 1,
-                "{what}: the initial state must have registered on the frontier gauge"
-            );
-        }
+        let base = ExploreOptions { record_traces: false, ..Default::default() };
+        let (opts, _tel) = with_sink(&base);
+        let report = Engine::Sequential.explore(&prog, objs, &opts);
+        let what = format!("{} ({})", l.name, path.display());
+        assert_eq!(report.stop, StopReason::Complete, "{what}: corpus runs complete");
+        let snap = report.telemetry.as_ref().unwrap_or_else(|| panic!("{what}: no snapshot"));
+        assert_eq!(
+            snap.get(Counter::States),
+            report.states as u64,
+            "{what}: snapshot states vs report states"
+        );
+        assert_eq!(
+            snap.get(Counter::Transitions),
+            report.transitions as u64,
+            "{what}: snapshot transitions vs report transitions"
+        );
+        assert_eq!(
+            snap.worker_expansions,
+            vec![snap.get(Counter::Expansions)],
+            "{what}: the walk's one expansion slot must hold the total"
+        );
+        assert!(
+            snap.frontier_peak >= 1,
+            "{what}: the initial state must have registered on the frontier gauge"
+        );
     }
 }
 
@@ -146,26 +136,23 @@ fn prune_counters_are_zero_without_reductions() {
         let l = loaded.unwrap_or_else(|e| panic!("{e}"));
         let prog = compile(&l.prog);
         let objs = litmus::objects_for(&l);
-        for workers in WORKERS {
-            let engine = choose_engine(workers);
-            // Explicitly no reduction.
-            let base = ExploreOptions {
-                record_traces: false,
-                reduce: Reduction::None,
-                ..Default::default()
-            };
-            let (opts, _tel) = with_sink(&base);
-            let report = engine.explore(&prog, objs, &opts);
-            let snap = report.telemetry.as_ref().expect("sink attached");
-            let what = format!("{} ({}) @ {workers} worker(s)", l.name, path.display());
-            for c in [
-                Counter::SleepSetPrunes,
-                Counter::PersistentSheds,
-                Counter::SymmetryFolds,
-                Counter::CapDegradations,
-            ] {
-                assert_eq!(snap.get(c), 0, "{what}: {} without its reduction", c.name());
-            }
+        // Explicitly no reduction.
+        let base = ExploreOptions {
+            record_traces: false,
+            reduce: Reduction::None,
+            ..Default::default()
+        };
+        let (opts, _tel) = with_sink(&base);
+        let report = Engine::Sequential.explore(&prog, objs, &opts);
+        let snap = report.telemetry.as_ref().expect("sink attached");
+        let what = format!("{} ({})", l.name, path.display());
+        for c in [
+            Counter::SleepSetPrunes,
+            Counter::PersistentSheds,
+            Counter::SymmetryFolds,
+            Counter::CapDegradations,
+        ] {
+            assert_eq!(snap.get(c), 0, "{what}: {} without its reduction", c.name());
         }
     }
 }
@@ -177,17 +164,14 @@ fn reductions_do_register_on_their_counters() {
     let l = litmus::load_file(corpus_dir().join("sb_rlx.litmus")).unwrap_or_else(|e| panic!("{e}"));
     let prog = compile(&l.prog);
     let objs = litmus::objects_for(&l);
-    for workers in WORKERS {
-        let engine = choose_engine(workers);
-        let base = ExploreOptions { record_traces: false, ..Default::default() };
-        let (opts, _tel) = with_sink(&base);
-        let report = engine.explore(&prog, objs, &opts);
-        let snap = report.telemetry.as_ref().expect("sink attached");
-        assert!(
-            snap.get(Counter::SleepSetPrunes) + snap.get(Counter::PersistentSheds) > 0,
-            "@{workers} worker(s): the default reduction on SB must prune or shed something"
-        );
-    }
+    let base = ExploreOptions { record_traces: false, ..Default::default() };
+    let (opts, _tel) = with_sink(&base);
+    let report = Engine::Sequential.explore(&prog, objs, &opts);
+    let snap = report.telemetry.as_ref().expect("sink attached");
+    assert!(
+        snap.get(Counter::SleepSetPrunes) + snap.get(Counter::PersistentSheds) > 0,
+        "the default reduction on SB must prune or shed something"
+    );
 }
 
 #[test]
