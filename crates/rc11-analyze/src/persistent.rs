@@ -157,12 +157,67 @@ impl FutureFootprints {
     /// members still reaches every terminal and deadlock. Deterministic
     /// in `pcs` — every arrival at a state agrees.
     ///
+    /// One pass: each live thread's conflict row (the live threads whose
+    /// future footprints conflict with its own) is computed once, and
+    /// every seed is then closed with mask operations — `O(n²)` conflict
+    /// checks per call where re-evaluating them inside each seed's
+    /// closure loop costs `O(n⁴)`. [`FutureFootprints::persistent_mask_spec`]
+    /// keeps that formulation as the specification.
+    ///
     /// A member may be *blocked* (a lock acquire with no matching
     /// release): persistence guarantees nothing unblocks it from
     /// outside, but the engines must still detect "every member blocked,
     /// some outsider enabled" and grow the expansion — see the retry
     /// rule in `rc11-check`'s explorers.
     pub fn persistent_mask(&self, pcs: &[u32]) -> u64 {
+        let n = pcs.len().min(64);
+        let live = (0..n).filter(|&t| !self.halted(t, pcs)).fold(0u64, |m, t| m | 1 << t);
+        // `joins[m]`: the live threads that conflict with member `m`.
+        let mut joins = [0u64; 64];
+        let mut ms = live;
+        while ms != 0 {
+            let m = ms.trailing_zeros() as usize;
+            ms &= ms - 1;
+            let mut us = live & !(1u64 << m);
+            while us != 0 {
+                let u = us.trailing_zeros() as usize;
+                us &= us - 1;
+                if self.conflicts(u, pcs[u], m, pcs[m]) {
+                    joins[m] |= 1u64 << u;
+                }
+            }
+        }
+        let mut best: u64 = 0;
+        let mut seeds = live;
+        while seeds != 0 {
+            let seed = seeds.trailing_zeros() as usize;
+            seeds &= seeds - 1;
+            let mut p = 1u64 << seed;
+            let mut todo = p;
+            while todo != 0 {
+                let m = todo.trailing_zeros() as usize;
+                todo &= todo - 1;
+                let new = joins[m] & !p;
+                p |= new;
+                todo |= new;
+            }
+            if best == 0 || p.count_ones() < best.count_ones() {
+                best = p;
+            }
+            if best.count_ones() == 1 {
+                break; // no closure beats a singleton; earliest seed wins
+            }
+        }
+        best
+    }
+
+    /// [`FutureFootprints::persistent_mask`] as first formulated: grow
+    /// each seed's closure by re-checking every candidate against every
+    /// member until nothing joins. `O(n⁴)` conflict checks per call; kept
+    /// as the specification the one-pass version is property-tested
+    /// against (`tests/por_props.rs`), not for use on the walk.
+    #[doc(hidden)]
+    pub fn persistent_mask_spec(&self, pcs: &[u32]) -> u64 {
         let n = pcs.len().min(64);
         let mut best: u64 = 0;
         for seed in 0..n {

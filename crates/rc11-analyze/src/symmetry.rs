@@ -294,9 +294,27 @@ impl SymmetrySpec {
     /// immaterial — and an index tiebreak would *break* invariance.
     ///
     /// The keys are compared in place ([`SymmetrySpec::cmp_members`]), not
-    /// built: a probe allocates only the returned permutation.
+    /// built: only the returned permutation is allocated, and
+    /// [`SymmetrySpec::choose_into`] avoids even that.
     pub fn choose(&self, cfg: &Config, perms: &CanonPerms) -> Option<Vec<u8>> {
-        let mut sigma: Option<Vec<u8>> = None;
+        let mut sigma = Vec::new();
+        self.choose_sigma(cfg, &perms.client, &perms.lib, &mut sigma);
+        (!sigma.is_empty()).then_some(sigma)
+    }
+
+    /// [`SymmetrySpec::choose`] written into `perms.threads` (left empty
+    /// for the identity), reusing its buffer: the walk's probes install
+    /// the symmetry choice into one scratch [`CanonPerms`] without
+    /// allocating.
+    pub fn choose_into(&self, cfg: &Config, perms: &mut CanonPerms) {
+        let CanonPerms { client, lib, threads } = perms;
+        self.choose_sigma(cfg, client, lib, threads);
+    }
+
+    /// The canonical choice under the op permutations `client` and `lib`,
+    /// written into `sigma` (cleared, and left empty for the identity).
+    fn choose_sigma(&self, cfg: &Config, client: &[OpId], lib: &[OpId], sigma: &mut Vec<u8>) {
+        sigma.clear();
         // Thread ids are `u8`, so any group fits.
         let mut buf = [0u8; 256];
         for g in &self.groups {
@@ -306,48 +324,48 @@ impl SymmetrySpec {
             // them at 7 members).
             for i in 1..order.len() {
                 let mut j = i;
-                while j > 0 && self.cmp_members(cfg, perms, order[j - 1], order[j]).is_gt() {
+                while j > 0 && self.cmp_members(cfg, client, lib, order[j - 1], order[j]).is_gt() {
                     order.swap(j - 1, j);
                     j -= 1;
                 }
             }
             for (&dest, &old_t) in g.iter().zip(order.iter()) {
                 if dest != old_t {
-                    let sigma = sigma.get_or_insert_with(|| (0..self.n_threads as u8).collect());
+                    if sigma.is_empty() {
+                        sigma.extend((0..self.n_threads).map(|t| t as u8));
+                    }
                     sigma[old_t as usize] = dest;
                 }
             }
         }
-        sigma
     }
 
     /// Compare the sort keys of group members `a` and `b` at `cfg`, field
     /// by field and without materialising them: pc, register file in
     /// representative numbering, client then library thread view remapped
-    /// through `perms`, client then library authorship list. The order is
-    /// exactly the derived order of the test-only `ThreadKey`.
-    fn cmp_members(&self, cfg: &Config, perms: &CanonPerms, a: u8, b: u8) -> Ordering {
+    /// through the op permutations `cperm`/`lperm`, client then library
+    /// authorship list. The order is exactly the derived order of the
+    /// test-only `ThreadKey`.
+    fn cmp_members(&self, cfg: &Config, cperm: &[OpId], lperm: &[OpId], a: u8, b: u8) -> Ordering {
         let regs = |t: u8| {
-            let file = &cfg.locals[t as usize];
+            let file = cfg.locals(t as usize);
             self.maps.from_rep[t as usize].iter().map(move |&r| file[r as usize])
         };
         let (client, lib) = (cfg.mem.client(), cfg.mem.lib());
         let (ta, tb) = (Tid(a), Tid(b));
-        cfg.pcs[a as usize]
-            .cmp(&cfg.pcs[b as usize])
+        cfg.pc(a as usize)
+            .cmp(&cfg.pc(b as usize))
             .then_with(|| regs(a).cmp(regs(b)))
             .then_with(|| {
-                let view = |t| client.tview(t).remapped(&perms.client);
+                let view = |t| client.tview(t).remapped(cperm);
                 view(ta).cmp(view(tb))
             })
             .then_with(|| {
-                let view = |t| lib.tview(t).remapped(&perms.lib);
+                let view = |t| lib.tview(t).remapped(lperm);
                 view(ta).cmp(view(tb))
             })
-            .then_with(|| {
-                authorship(client, &perms.client, ta).cmp(authorship(client, &perms.client, tb))
-            })
-            .then_with(|| authorship(lib, &perms.lib, ta).cmp(authorship(lib, &perms.lib, tb)))
+            .then_with(|| authorship(client, cperm, ta).cmp(authorship(client, cperm, tb)))
+            .then_with(|| authorship(lib, lperm, ta).cmp(authorship(lib, lperm, tb)))
     }
 
     /// The materialised sort key of group member `t` at `cfg` — the
@@ -355,7 +373,7 @@ impl SymmetrySpec {
     #[cfg(test)]
     fn thread_key(&self, cfg: &Config, perms: &CanonPerms, t: u8) -> ThreadKey {
         let ti = t as usize;
-        let file = &cfg.locals[ti];
+        let file = cfg.locals(ti);
         let from_rep = &self.maps.from_rep[ti];
         let locals_rep: Vec<Val> = from_rep.iter().map(|&r| file[r as usize]).collect();
         let remap_view = |view: rc11_core::View<'_>, perm: &[rc11_core::OpId]| -> Vec<u32> {
@@ -365,7 +383,7 @@ impl SymmetrySpec {
         let client = cfg.mem.client();
         let lib = cfg.mem.lib();
         ThreadKey {
-            pc: cfg.pcs[ti],
+            pc: cfg.pc(ti),
             locals_rep,
             client_view: remap_view(client.tview(tid), &perms.client),
             lib_view: remap_view(lib.tview(tid), &perms.lib),
@@ -378,7 +396,7 @@ impl SymmetrySpec {
     /// the allocating formulation, kept as its specification.
     #[cfg(test)]
     fn choose_by_keys(&self, cfg: &Config, perms: &CanonPerms) -> Option<Vec<u8>> {
-        let mut sigma: Vec<u8> = (0..self.n_threads as u8).collect();
+        let mut sigma: Vec<u8> = (0..self.n_threads).map(|t| t as u8).collect();
         let mut changed = false;
         for g in &self.groups {
             let mut keyed: Vec<(ThreadKey, u8)> =
@@ -397,7 +415,7 @@ impl SymmetrySpec {
     /// identity included — the orbit expansion set. Bounded by the
     /// detection-time orbit cap.
     pub fn group_perms(&self) -> Vec<Vec<u8>> {
-        let identity: Vec<u8> = (0..self.n_threads as u8).collect();
+        let identity: Vec<u8> = (0..self.n_threads).map(|t| t as u8).collect();
         let mut out = vec![identity];
         for g in &self.groups {
             let perms_of_g = permutations(g);
@@ -668,7 +686,7 @@ mod tests {
         for (_, s) in &succs {
             let canon_of = |c: &Config| {
                 let mut perms = c.canonical_perms();
-                perms.threads = spec.choose(c, &perms);
+                spec.choose_into(c, &mut perms);
                 c.canonical_sym(&perms, spec.maps())
             };
             let mirror = s.permute_threads(&[1, 0], spec.maps());

@@ -367,16 +367,16 @@ impl Pred {
             Pred::Or(ps) => ps.iter().any(|p| p.eval(ctx)),
             Pred::Implies(a, b) => !a.eval(ctx) || b.eval(ctx),
 
-            Pred::RegEq { tid, reg, val } => cfg.locals[tid.idx()][reg.idx()] == *val,
+            Pred::RegEq { tid, reg, val } => cfg.locals(tid.idx())[reg.idx()] == *val,
             Pred::RegIn { tid, reg, vals } => {
-                vals.contains(&cfg.locals[tid.idx()][reg.idx()])
+                vals.contains(&cfg.locals(tid.idx())[reg.idx()])
             }
             Pred::AtLabel { tid, labels } => {
                 let th = &ctx.prog.threads[tid.idx()];
-                th.label_at(cfg.pcs[tid.idx()]).is_some_and(|k| labels.contains(&k))
+                th.label_at(cfg.pc(tid.idx())).is_some_and(|k| labels.contains(&k))
             }
             Pred::Terminated { tid } => {
-                cfg.pcs[tid.idx()] == ctx.prog.threads[tid.idx()].halt_pc()
+                cfg.pc(tid.idx()) == ctx.prog.threads[tid.idx()].halt_pc()
             }
 
             // ⟨x = n⟩t ≡ ∃w ∈ Obs(t, x). wrval(w) = n

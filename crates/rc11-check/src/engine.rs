@@ -117,6 +117,14 @@ pub struct Budget {
     pub max_mem_bytes: Option<usize>,
 }
 
+/// The approximate interned-state memory budget (1 GiB, in the units of
+/// [`Budget::max_mem_bytes`]) that the front ends — `rc11 run` and
+/// `rc11 serve` — apply when neither the user (`--mem-budget`) nor the
+/// request (`max_mem_bytes`) sets one, so a program whose state space
+/// explodes stops with [`StopReason::MemBudget`] instead of exhausting the
+/// machine. The library default, [`Budget::default`], stays unlimited.
+pub const DEFAULT_MEM_BUDGET: usize = 1 << 30;
+
 impl Budget {
     /// True iff no bound is set (the default).
     pub fn is_unlimited(&self) -> bool {
@@ -186,7 +194,15 @@ impl fmt::Display for Note {
                 write!(f, "por-fallback: {threads} threads exceed the 64-thread POR ceiling")
             }
             Note::SymmetryOrbitCap { orbit } => {
-                write!(f, "symmetry-fallback: orbit {orbit} exceeds cap, unreduced")
+                let cap = rc11_analyze::ORBIT_CAP;
+                // Orbit sizes saturate at `usize::MAX`: 21 symmetric
+                // threads already overflow the count.
+                if *orbit == usize::MAX {
+                    let bits = usize::BITS;
+                    write!(f, "symmetry-fallback: orbit ≥ 2^{bits} exceeds cap {cap}, unreduced")
+                } else {
+                    write!(f, "symmetry-fallback: orbit {orbit} exceeds cap {cap}, unreduced")
+                }
             }
             Note::WorkerFault { message } => write!(f, "worker-fault: {message}"),
             Note::CheckpointError { message } => write!(f, "checkpoint: {message}"),

@@ -54,13 +54,13 @@
 
 use crate::checkpoint::{self, CheckpointOpts, ViolationRec};
 use crate::engine::{Level, Note, Query, StopReason};
-use crate::fxhash::{CanonicalFingerprint, Fp128, FxHashMap, IdBucket};
+use crate::fxhash::{Fp128, FxHashMap, IdBucket};
 use crate::por::{self, ThreadMask};
 use crate::sym;
 use rc11_analyze::SymmetrySpec;
-use rc11_core::Tid;
+use rc11_core::{CanonPerms, Tid};
 use rc11_lang::cfg::CfgProgram;
-use rc11_lang::machine::{thread_successors, Config, ObjectSemantics};
+use rc11_lang::machine::{thread_successors, thread_successors_into, Config, ObjectSemantics};
 use rc11_telemetry::{Counter, Telemetry};
 use std::sync::Arc;
 use std::time::Instant;
@@ -68,18 +68,17 @@ use std::time::Instant;
 pub use crate::engine::{EngineReport as Report, ExploreOptions, Violation};
 
 /// One interned state: its canonical configuration (stored exactly once
-/// across the whole walk), the first-discovery parent edge, the
+/// across the whole walk), the first-discovery parent edge and the
 /// mask of threads expansion work has been queued for (the complement of
 /// the intersection of every arriving sleep set — always full without
-/// POR; see `crate::por` for the wake-up rule), and — under symmetry
-/// reduction — the group permutation the committing edge's raw successor
-/// was transported through (`None` = identity), from which
-/// [`reconstruct_trace`] rebuilds exactly replayable traces.
+/// POR; see `crate::por` for the wake-up rule). Under symmetry reduction
+/// the group permutation the committing edge's raw successor was
+/// transported through, from which [`reconstruct_trace`] rebuilds exactly
+/// replayable traces, lives beside the node in the [`Arena`]'s σ buffer.
 struct Node {
     cfg: Config,
     parent: Option<(u32, Tid)>,
     explored: ThreadMask,
-    sigma: Option<Vec<u8>>,
     /// Index of the committing successor within the parent edge's
     /// `thread_successors` result — the checkpoint replay key (0 for the
     /// root; see `crate::checkpoint`).
@@ -115,16 +114,16 @@ struct VisitedIndex {
 }
 
 /// The outcome of probing a successor against the visited index: already
-/// interned, or novel with the probe work (fingerprint + permutations)
-/// carried over for the insert.
+/// interned, or novel with its fingerprint carried over for the insert.
+/// Either way the probe's canonical permutations, symmetry choice
+/// included, stay in the walk's scratch [`CanonPerms`] for the caller.
 enum Probe {
     /// Already interned, under this arena id (POR duplicate hits consult
     /// the node's `explored` mask for the wake-up rule, after transporting
-    /// the arriving masks through the carried group permutation).
-    Dup(u32, Option<Vec<u8>>),
-    /// Not interned yet: the fingerprint and canonical permutations
-    /// [`VisitedIndex::commit`] reuses.
-    Novel(Fp128, rc11_core::CanonPerms),
+    /// the arriving masks through the scratch group permutation).
+    Dup(u32),
+    /// Not interned yet: the fingerprint [`VisitedIndex::commit`] reuses.
+    Novel(Fp128),
 }
 
 impl VisitedIndex {
@@ -135,10 +134,10 @@ impl VisitedIndex {
     /// Tally a duplicate probe hit (and, when the match went through a
     /// non-identity group permutation, a symmetry-orbit fold).
     #[inline]
-    fn count_dup(&self, sigma: &Option<Vec<u8>>) {
+    fn count_dup(&self, sigma: Option<&[u8]>) {
         if let Some(t) = &self.tel {
             t.incr(Counter::DupHits);
-            if sigma.as_deref().is_some_and(|s| !sym::is_identity(s)) {
+            if sigma.is_some_and(|s| !sym::is_identity(s)) {
                 t.incr(Counter::SymmetryFolds);
             }
         }
@@ -148,60 +147,56 @@ impl VisitedIndex {
     /// canonical form: one hash walk, plus a `canonical_eq` confirmation
     /// walk per candidate in the (almost always empty or single-entry,
     /// matching) bucket — `interned` reads the candidate's canonical
-    /// configuration out of the caller's arena. With a symmetry spec, the
-    /// walk first installs the canonical group permutation
-    /// (`sym::sym_perms`), so the whole orbit probes to one interned
+    /// configuration out of the caller's arena. The permutations are
+    /// computed into the scratch `perms`, allocation-free; with a symmetry
+    /// spec they include the canonical group permutation
+    /// (`sym::perms_into`), so the whole orbit probes to one interned
     /// representative.
     fn probe<'a>(
         &self,
         succ: &Config,
         symm: Option<&SymmetrySpec>,
+        perms: &mut CanonPerms,
         interned: impl Fn(u32) -> &'a Config,
     ) -> Probe {
-        let perms = match symm {
-            Some(spec) => sym::sym_perms(spec, succ),
-            None => succ.canonical_perms(),
-        };
-        let fp = match symm {
-            Some(spec) => sym::fingerprint_sym(succ, &perms, spec),
-            None => succ.fingerprint_with(&perms),
-        };
+        sym::perms_into(symm, succ, perms);
+        let fp = sym::fingerprint(succ, perms, symm);
         if let Some(bucket) = self.map.get(&fp) {
             for &id in bucket.ids() {
                 let eq = match symm {
-                    Some(spec) => succ.canonical_eq_sym(&perms, spec.maps(), interned(id)),
-                    None => succ.canonical_eq_with(&perms, interned(id)),
+                    Some(spec) => succ.canonical_eq_sym(perms, spec.maps(), interned(id)),
+                    None => succ.canonical_eq_with(perms, interned(id)),
                 };
                 if eq {
-                    self.count_dup(&perms.threads);
-                    return Probe::Dup(id, perms.threads);
+                    self.count_dup(perms.threads());
+                    return Probe::Dup(id);
                 }
             }
         }
-        Probe::Novel(fp, perms)
+        Probe::Novel(fp)
     }
 
     /// Intern a probed-novel successor under id `new_id`, returning its
     /// canonical configuration (materialised here, exactly once per
-    /// distinct state) for the caller to push into its arena, plus the
-    /// group permutation the successor was transported through (`None`
-    /// without symmetry or when the choice was the identity).
+    /// distinct state, from the probe's permutations in `perms`) for the
+    /// caller to push into its arena.
     fn commit(
         &mut self,
         probe: Probe,
         succ: &Config,
         symm: Option<&SymmetrySpec>,
+        perms: &CanonPerms,
         new_id: u32,
-    ) -> (Config, Option<Vec<u8>>) {
-        let Probe::Novel(fp, perms) = probe else {
+    ) -> Config {
+        let Probe::Novel(fp) = probe else {
             unreachable!("only a novel probe is committed")
         };
         if let Some(t) = &self.tel {
             t.incr(Counter::States);
         }
         let canon = match symm {
-            Some(spec) => succ.canonical_sym(&perms, spec.maps()),
-            None => succ.canonical_with(&perms),
+            Some(spec) => succ.canonical_sym(perms, spec.maps()),
+            None => succ.canonical_with(perms),
         };
         match self.map.entry(fp) {
             std::collections::hash_map::Entry::Occupied(mut e) => {
@@ -216,7 +211,7 @@ impl VisitedIndex {
                 e.insert(IdBucket::One(new_id));
             }
         }
-        (canon, perms.threads)
+        canon
     }
 }
 
@@ -227,13 +222,32 @@ impl VisitedIndex {
 /// spaces that keeps the allocator from interleaving freed arena buffers
 /// with live configurations, which measurably slowed both the walk and
 /// the arena's teardown (DESIGN.md, "The one walk").
+///
+/// Under symmetry reduction every node also has a group permutation σ —
+/// the one its committing edge's raw successor was transported through —
+/// kept as `width` bytes per node in one side buffer (`width` is the
+/// thread count under symmetry, else 0 and the buffer stays empty).
 #[derive(Default)]
 struct Arena {
     chunks: Vec<Vec<Node>>,
     len: usize,
+    width: usize,
+    sigmas: Vec<u8>,
 }
 
 impl Arena {
+    /// An empty arena keeping `width` bytes of σ per node.
+    fn new(width: usize) -> Arena {
+        Arena { width, ..Arena::default() }
+    }
+
+    /// Node `id`'s group permutation (`None` without symmetry).
+    #[inline]
+    fn sigma(&self, id: u32) -> Option<&[u8]> {
+        let w = self.width;
+        (w > 0).then(|| &self.sigmas[id as usize * w..(id as usize + 1) * w])
+    }
+
     /// The chunk and offset holding `id`.
     #[inline]
     fn locate(id: usize) -> (usize, usize) {
@@ -246,7 +260,15 @@ impl Arena {
         self.len
     }
 
-    fn push(&mut self, node: Node) {
+    /// Append `node`, with its group permutation `sigma` (`None` = the
+    /// identity) when the arena keeps them.
+    fn push(&mut self, node: Node, sigma: Option<&[u8]>) {
+        if self.width > 0 {
+            match sigma {
+                Some(sg) => self.sigmas.extend_from_slice(sg),
+                None => self.sigmas.extend((0..self.width).map(|t| t as u8)),
+            }
+        }
         let (k, _) = Arena::locate(self.len);
         if k == self.chunks.len() {
             self.chunks.push(Vec::with_capacity(1 << k));
@@ -334,9 +356,6 @@ impl<'a> Explorer<'a> {
         let tel0 = tel.as_ref().map(|t| t.snapshot());
         let mut report = Report::default();
         let mut index = VisitedIndex::new(tel.clone());
-        // The interned state arena: every canonical configuration stored
-        // exactly once, with its first-discovery parent edge.
-        let mut nodes = Arena::default();
         let mut buf: Vec<String> = Vec::new();
         let n_threads = self.prog.n_threads();
         // POR's thread masks cap at 64 bits; larger programs fall back to
@@ -359,10 +378,19 @@ impl<'a> Explorer<'a> {
             }
         }
         let symm = spec.as_ref();
+        // The interned state arena: every canonical configuration stored
+        // exactly once, with its first-discovery parent edge (and, under
+        // symmetry, its group permutation).
+        let sigma_width = if symm.is_some() { n_threads } else { 0 };
+        let mut nodes = Arena::new(sigma_width);
+        // Scratch canonical permutations, refilled by every probe (and by
+        // orbit expansion) instead of allocated per successor.
+        let mut perms = CanonPerms::default();
         let members = if query == Query::States { symm } else { None };
+        let group = members.map(SymmetrySpec::group_perms).unwrap_or_default();
         // The identity permutation: the orbit "member" a representative's
         // own trace is reconstructed for.
-        let identity: Vec<u8> = (0..n_threads as u8).collect();
+        let identity: Vec<u8> = (0..n_threads).map(|t| t as u8).collect();
         let statics = por.then(|| rc11_analyze::conflict_matrix(self.prog));
         let pers = (por && level.persistent).then(|| rc11_analyze::future_footprints(self.prog));
 
@@ -389,7 +417,8 @@ impl<'a> Explorer<'a> {
         let mut visit = |id: u32,
                          nodes: &Arena,
                          report: &mut Report,
-                         recs: &mut Vec<ViolationRec>| {
+                         recs: &mut Vec<ViolationRec>,
+                         perms: &mut CanonPerms| {
             let canon = &nodes[id as usize].cfg;
             check(canon, &mut buf);
             for what in buf.drain(..) {
@@ -405,7 +434,7 @@ impl<'a> Explorer<'a> {
                 });
             }
             let Some(spec) = members else { return };
-            for (pi, member) in sym::orbit_members(spec, canon) {
+            for (pi, member) in sym::orbit_members(spec, &group, canon, perms) {
                 check(&member, &mut buf);
                 for what in buf.drain(..) {
                     if ckpt.is_some() {
@@ -438,7 +467,7 @@ impl<'a> Explorer<'a> {
         let mut resumed = false;
         if let (Some(ck), Some(sig)) = (&ckpt, sig) {
             if let Some(data) = checkpoint::load(&ck.dir, sig) {
-                match self.replay_log(&data, symm) {
+                match self.replay_log(&data, symm, sigma_width, &mut perms) {
                     Ok((ix, ns)) => {
                         index = ix;
                         nodes = ns;
@@ -471,7 +500,7 @@ impl<'a> Explorer<'a> {
                     Err(message) => {
                         report.note(Note::CheckpointError { message });
                         index = VisitedIndex::new(tel.clone());
-                        nodes = Arena::default();
+                        nodes = Arena::new(sigma_width);
                     }
                 }
             }
@@ -479,21 +508,22 @@ impl<'a> Explorer<'a> {
 
         if !resumed {
             let init = Config::initial(self.prog).canonical();
-            let probe = index.probe(&init, symm, |id| &nodes[id as usize].cfg);
-            let (init, init_sigma) = index.commit(probe, &init, symm, 0);
-            let init_prop = pers.as_ref().map_or(full, |p| p.persistent_mask(&init.pcs));
+            let probe = index.probe(&init, symm, &mut perms, |id| &nodes[id as usize].cfg);
+            let init = index.commit(probe, &init, symm, &perms, 0);
+            let init_prop = pers.as_ref().map_or(full, |p| p.persistent_mask(init.pcs()));
             mem_bytes += init.approx_bytes() as u64;
-            nodes.push(Node {
-                cfg: init,
-                parent: None,
-                explored: init_prop,
-                sigma: init_sigma,
-                succ_idx: 0,
-            });
-            visit(0, &nodes, &mut report, &mut viol_recs);
+            let node = Node { cfg: init, parent: None, explored: init_prop, succ_idx: 0 };
+            nodes.push(node, perms.threads());
+            visit(0, &nodes, &mut report, &mut viol_recs, &mut perms);
             frontier.push((0, init_prop, 0, true));
         }
 
+        // Per-expansion scratch, reused across pops: one thread's
+        // successors, the terminal probe's successors, and (under POR) the
+        // lazily extracted footprints.
+        let mut succs: Vec<Config> = Vec::new();
+        let mut probe_buf: Vec<Config> = Vec::new();
+        let mut fps = por.then(|| por::LazyFootprints::new(n_threads));
         let mut pops: usize = 0;
         loop {
             // Budget and cancellation gates, between work items: any trip
@@ -544,7 +574,9 @@ impl<'a> Explorer<'a> {
             // the arena), never cloned. Each thread's successors are
             // generated together, shown to `on_edge`, then probed and
             // interned one by one while still hot in cache.
-            let mut fps = por.then(|| por::LazyFootprints::new(n_threads));
+            if let Some(fps) = &mut fps {
+                fps.reset();
+            }
             let mut any_succ = false;
             let mut earlier: ThreadMask = 0;
             for t in 0..n_threads {
@@ -552,7 +584,7 @@ impl<'a> Explorer<'a> {
                     continue;
                 }
                 let cfg = &nodes[id as usize].cfg;
-                let succs = thread_successors(self.prog, self.objs, cfg, t, self.opts.step);
+                thread_successors_into(self.prog, self.objs, cfg, t, self.opts.step, &mut succs);
                 report.transitions += succs.len();
                 if let Some(tl) = &tel {
                     tl.add(Counter::Transitions, succs.len() as u64);
@@ -577,14 +609,14 @@ impl<'a> Explorer<'a> {
                 for succ in &succs {
                     on_edge(cfg, tid, succ);
                 }
-                for (si, succ) in succs.into_iter().enumerate() {
+                for (si, succ) in succs.drain(..).enumerate() {
                     // The successor's persistent set (full without A7).
                     // A pure function of the program counters, computed on
                     // the raw successor and transported through σ with the
                     // sleep mask — symmetric threads have equal future
                     // footprints, so the remapped mask is exactly the
                     // stored representative's persistent set.
-                    let pmask = pers.as_ref().map_or(full, |p| p.persistent_mask(&succ.pcs));
+                    let pmask = pers.as_ref().map_or(full, |p| p.persistent_mask(succ.pcs()));
                     if por {
                         if let Some(tl) = &tel {
                             // Reduction attribution, per successor: threads
@@ -601,8 +633,10 @@ impl<'a> Explorer<'a> {
                         }
                     }
                     let (proposal, sleep) = (pmask & !child_sleep, child_sleep);
-                    let probe = match index.probe(&succ, symm, |id| &nodes[id as usize].cfg) {
-                        Probe::Dup(dup_id, dsigma) => {
+                    let probe =
+                        index.probe(&succ, symm, &mut perms, |id| &nodes[id as usize].cfg);
+                    let probe = match probe {
+                        Probe::Dup(dup_id) => {
                             if por {
                                 // Wake-up rule: threads this arrival would
                                 // explore but no earlier arrival queued —
@@ -612,7 +646,7 @@ impl<'a> Explorer<'a> {
                                 // true sleep set: under A7 `full & !prop`
                                 // would unsoundly sleep the merely
                                 // postponed outside-persistent threads.
-                                let (prop, slp) = remap(proposal, sleep, dsigma.as_deref());
+                                let (prop, slp) = remap(proposal, sleep, perms.threads());
                                 let missing = prop & !nodes[dup_id as usize].explored;
                                 if missing != 0 {
                                     nodes[dup_id as usize].explored |= missing;
@@ -628,22 +662,22 @@ impl<'a> Explorer<'a> {
                         continue;
                     }
                     let new_id = nodes.len() as u32;
-                    let (canon, sigma) = index.commit(probe, &succ, symm, new_id);
+                    let canon = index.commit(probe, &succ, symm, &perms, new_id);
                     mem_bytes += canon.approx_bytes() as u64;
                     // The explored/sleep masks live in the stored state's
                     // numbering: transport proposal and sleep through σ.
                     let (prop, slp) = match por {
-                        true => remap(proposal, sleep, sigma.as_deref()),
+                        true => remap(proposal, sleep, perms.threads()),
                         false => (proposal, sleep),
                     };
-                    nodes.push(Node {
+                    let node = Node {
                         cfg: canon,
                         parent: Some((id, tid)),
                         explored: prop,
-                        sigma,
                         succ_idx: si as u32,
-                    });
-                    visit(new_id, &nodes, &mut report, &mut viol_recs);
+                    };
+                    nodes.push(node, perms.threads());
+                    visit(new_id, &nodes, &mut report, &mut viol_recs, &mut perms);
                     frontier.push((new_id, prop, slp, true));
                 }
             }
@@ -663,6 +697,7 @@ impl<'a> Explorer<'a> {
                         cfg,
                         full & !mask,
                         self.opts.step,
+                        &mut probe_buf,
                     )
                 {
                     if cfg.terminated(self.prog) {
@@ -683,7 +718,14 @@ impl<'a> Explorer<'a> {
                     // so `rest` is zero and nothing changes.
                     let rest = full & !sleep & !nodes[id as usize].explored;
                     if rest != 0
-                        && por::has_any_successor(self.prog, self.objs, cfg, rest, self.opts.step)
+                        && por::has_any_successor(
+                            self.prog,
+                            self.objs,
+                            cfg,
+                            rest,
+                            self.opts.step,
+                            &mut probe_buf,
+                        )
                     {
                         nodes[id as usize].explored |= rest;
                         frontier.push((id, rest, sleep, false));
@@ -767,23 +809,20 @@ impl<'a> Explorer<'a> {
         &self,
         data: &checkpoint::CheckpointData,
         symm: Option<&SymmetrySpec>,
+        sigma_width: usize,
+        perms: &mut CanonPerms,
     ) -> Result<(VisitedIndex, Arena), String> {
         let mut index = VisitedIndex::new(self.opts.telemetry.clone());
-        let mut nodes = Arena::default();
+        let mut nodes = Arena::new(sigma_width);
         let root = match data.nodes.first() {
             Some(r) if r.parent == u32::MAX => r,
             _ => return Err("stale or corrupt checkpoint ignored (bad root)".into()),
         };
         let init = Config::initial(self.prog).canonical();
-        let probe = index.probe(&init, symm, |id| &nodes[id as usize].cfg);
-        let (init, init_sigma) = index.commit(probe, &init, symm, 0);
-        nodes.push(Node {
-            cfg: init,
-            parent: None,
-            explored: root.explored,
-            sigma: init_sigma,
-            succ_idx: 0,
-        });
+        let probe = index.probe(&init, symm, perms, |id| &nodes[id as usize].cfg);
+        let init = index.commit(probe, &init, symm, perms, 0);
+        let root_node = Node { cfg: init, parent: None, explored: root.explored, succ_idx: 0 };
+        nodes.push(root_node, perms.threads());
         for (k, rec) in data.nodes.iter().enumerate().skip(1) {
             if rec.parent as usize >= k {
                 return Err("stale or corrupt checkpoint ignored (forward parent)".into());
@@ -794,20 +833,20 @@ impl<'a> Explorer<'a> {
             let Some(succ) = succs.into_iter().nth(rec.succ_idx as usize) else {
                 return Err("stale or corrupt checkpoint ignored (replay diverged)".into());
             };
-            let probe = match index.probe(&succ, symm, |id| &nodes[id as usize].cfg) {
+            let probe = match index.probe(&succ, symm, perms, |id| &nodes[id as usize].cfg) {
                 Probe::Dup(..) => {
                     return Err("stale or corrupt checkpoint ignored (duplicate edge)".into())
                 }
                 novel => novel,
             };
-            let (canon, sigma) = index.commit(probe, &succ, symm, k as u32);
-            nodes.push(Node {
+            let canon = index.commit(probe, &succ, symm, perms, k as u32);
+            let node = Node {
                 cfg: canon,
                 parent: Some((rec.parent, Tid(rec.tid))),
                 explored: rec.explored,
-                sigma,
                 succ_idx: rec.succ_idx,
-            });
+            };
+            nodes.push(node, perms.threads());
         }
         let n = nodes.len();
         let in_range = data.frontier.iter().all(|&(id, ..)| (id as usize) < n)
@@ -932,7 +971,7 @@ fn reconstruct_trace(
                 } else {
                     node.cfg.permute_threads(tau, spec.maps()).canonical()
                 };
-                if let Some(sg) = &node.sigma {
+                if let Some(sg) = nodes.sigma(cur) {
                     *tau = sg.iter().map(|&s| tau[s as usize]).collect();
                 }
                 (Tid(tau[t.idx()]), m)

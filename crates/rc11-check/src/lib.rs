@@ -76,7 +76,7 @@ pub use chaos::{ChaosState, FaultPlan};
 pub use checkpoint::CheckpointOpts;
 pub use engine::{
     Budget, CancelToken, Engine, EngineReport, ExploreOptions, Note, Reduction, StopReason,
-    Violation,
+    Violation, DEFAULT_MEM_BUDGET,
 };
 pub use fuzz::{diff_one, fuzz, DiffOptions, DiffVerdict, FuzzFailure, FuzzReport};
 pub use gen::{generate, shrink, GProg, GRhs, GStmt, GenOptions};

@@ -134,7 +134,7 @@ impl<'a> Annots<'a> {
             out.push((OutlineKind::Invariant, None));
         }
         for (t, anns) in self.outline.pre.iter().enumerate() {
-            if let Some(&k) = self.label_starts[t].get(&cfg.pcs[t]) {
+            if let Some(&k) = self.label_starts[t].get(&cfg.pc(t)) {
                 if let Some(p) = anns.get(&k) {
                     checks += 1;
                     if !p.eval(ctx) {
@@ -158,7 +158,7 @@ impl<'a> Annots<'a> {
         match kind {
             OutlineKind::Invariant => self.outline.invariant.eval(ctx),
             OutlineKind::Pre(t, k) => {
-                self.label_starts[*t].get(&parent.pcs[*t]) == Some(k)
+                self.label_starts[*t].get(&parent.pc(*t)) == Some(k)
                     && self.outline.pre[*t][k].eval(ctx)
             }
             OutlineKind::Post => !parent.terminated(self.prog),

@@ -74,7 +74,7 @@
 use rc11_core::StepFootprint;
 use rc11_lang::cfg::CfgProgram;
 use rc11_lang::machine::{
-    thread_footprint, thread_successors, Config, ObjectSemantics, StepOptions,
+    thread_footprint, thread_successors_into, Config, ObjectSemantics, StepOptions,
 };
 
 /// A set of threads as a bitmask. Thread counts in this workspace are tiny
@@ -120,6 +120,11 @@ pub(crate) struct LazyFootprints {
 impl LazyFootprints {
     pub(crate) fn new(n_threads: usize) -> LazyFootprints {
         LazyFootprints { slots: vec![None; n_threads] }
+    }
+
+    /// Forget every cached footprint: ready for the next configuration.
+    pub(crate) fn reset(&mut self) {
+        self.slots.fill(None);
     }
 
     #[inline]
@@ -172,12 +177,16 @@ pub(crate) fn has_any_successor(
     cfg: &Config,
     mask: ThreadMask,
     step: StepOptions,
+    buf: &mut Vec<Config>,
 ) -> bool {
     let mut m = mask;
     while m != 0 {
         let t = m.trailing_zeros() as usize;
         m &= m - 1;
-        if !thread_successors(prog, objs, cfg, t, step).is_empty() {
+        thread_successors_into(prog, objs, cfg, t, step, buf);
+        let found = !buf.is_empty();
+        buf.clear();
+        if found {
             return true;
         }
     }

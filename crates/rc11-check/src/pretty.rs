@@ -13,14 +13,14 @@ pub fn render_config(prog: &CfgProgram, cfg: &Config) -> String {
     let mut out = String::new();
     let src = &prog.source;
     for (t, th) in prog.threads.iter().enumerate() {
-        let pc = cfg.pcs[t];
+        let pc = cfg.pc(t);
         let at = th
             .label_at(pc)
             .map(|k| format!("stmt {k}"))
             .unwrap_or_else(|| format!("pc {pc}"));
         let _ = write!(out, "T{}: {at}", t + 1);
         let names = &src.threads[t].reg_names;
-        for (i, v) in cfg.locals[t].iter().enumerate() {
+        for (i, v) in cfg.locals(t).iter().enumerate() {
             let name = names.get(i).map(String::as_str).unwrap_or("r?");
             let _ = write!(out, "  {name}={v}");
         }

@@ -46,21 +46,30 @@ pub(crate) fn active_spec(
     ((!spec.is_trivial()).then_some(spec), capped)
 }
 
-/// The canonical permutations of `succ` with the symmetry choice
-/// installed in `perms.threads`.
-pub(crate) fn sym_perms(spec: &SymmetrySpec, succ: &Config) -> CanonPerms {
-    let mut perms = succ.canonical_perms();
-    perms.threads = spec.choose(succ, &perms);
-    perms
+/// Fill the scratch `perms` with the canonical permutations of `succ` and,
+/// under a symmetry spec, the canonical group permutation
+/// ([`SymmetrySpec::choose_into`]). Reuses `perms`' buffers: a walk keeps
+/// one `CanonPerms` for all its probes.
+pub(crate) fn perms_into(symm: Option<&SymmetrySpec>, succ: &Config, perms: &mut CanonPerms) {
+    succ.canonical_perms_into(perms);
+    if let Some(spec) = symm {
+        spec.choose_into(succ, perms);
+    }
 }
 
-/// The symmetry-aware canonical fingerprint: hashes the canonical
-/// serialisation of the thread-permuted configuration (byte-identical to
-/// the plain fingerprint of `succ.permute_threads(σ).canonical()`).
-pub(crate) fn fingerprint_sym(succ: &Config, perms: &CanonPerms, spec: &SymmetrySpec) -> Fp128 {
-    let mut h = Fx128Hasher::default();
-    succ.hash_canonical_sym(perms, spec.maps(), &mut h);
-    h.finish128()
+/// The canonical fingerprint of `succ` under `perms` — symmetry-aware with
+/// a spec: it then hashes the canonical serialisation of the
+/// thread-permuted configuration (byte-identical to the plain fingerprint
+/// of `succ.permute_threads(σ).canonical()`).
+pub(crate) fn fingerprint(succ: &Config, perms: &CanonPerms, symm: Option<&SymmetrySpec>) -> Fp128 {
+    match symm {
+        Some(spec) => {
+            let mut h = Fx128Hasher::default();
+            succ.hash_canonical_sym(perms, spec.maps(), &mut h);
+            h.finish128()
+        }
+        None => succ.fingerprint_with(perms),
+    }
 }
 
 /// Transport a thread mask through `σ`: bit `t` of the input becomes bit
@@ -85,30 +94,38 @@ pub(crate) fn is_identity(sigma: &[u8]) -> bool {
 /// The distinct orbit members of canonical state `canon` *other than*
 /// `canon` itself, each paired with a group permutation producing it.
 /// States fixed by a subgroup yield fewer members than `orbit_size() - 1`.
+/// `group` is `spec.group_perms()`, computed once by the caller.
 ///
 /// Each member `σ(canon)` is fingerprinted and deduplicated by the
 /// zero-rebuild symmetry walks (`canon` is canonical, so its canonical
 /// permutations with `σ` installed describe exactly the canonical form of
 /// `canon.permute_threads(σ)`), and only novel members are materialised —
-/// once each, by `canonical_sym`.
-pub(crate) fn orbit_members(spec: &SymmetrySpec, canon: &Config) -> Vec<(Vec<u8>, Config)> {
+/// once each, by `canonical_sym`. The walks run on the caller's scratch
+/// `perms`, which is left holding `canon`'s permutations.
+pub(crate) fn orbit_members(
+    spec: &SymmetrySpec,
+    group: &[Vec<u8>],
+    canon: &Config,
+    perms: &mut CanonPerms,
+) -> Vec<(Vec<u8>, Config)> {
     // Members found so far, by fingerprint; `u32::MAX` stands for `canon`.
     const CANON: u32 = u32::MAX;
     let maps = spec.maps();
-    let mut perms = canon.canonical_perms();
+    canon.canonical_perms_into(perms);
     let mut seen: FxHashMap<Fp128, IdBucket> = FxHashMap::default();
-    seen.insert(canon.fingerprint_with(&perms), IdBucket::One(CANON));
+    seen.insert(canon.fingerprint_with(perms), IdBucket::One(CANON));
     let mut out: Vec<(Vec<u8>, Config)> = Vec::new();
-    for sigma in spec.group_perms() {
-        if is_identity(&sigma) {
+    for sigma in group {
+        if is_identity(sigma) {
             continue;
         }
-        perms.threads = Some(sigma);
-        let fp = fingerprint_sym(canon, &perms, spec);
+        perms.threads.clear();
+        perms.threads.extend_from_slice(sigma);
+        let fp = fingerprint(canon, perms, Some(spec));
         let known = seen.get(&fp).is_some_and(|bucket| {
             bucket.ids().iter().any(|&i| {
                 let seen_member = if i == CANON { canon } else { &out[i as usize].1 };
-                canon.canonical_eq_sym(&perms, maps, seen_member)
+                canon.canonical_eq_sym(perms, maps, seen_member)
             })
         });
         if known {
@@ -116,9 +133,9 @@ pub(crate) fn orbit_members(spec: &SymmetrySpec, canon: &Config) -> Vec<(Vec<u8>
         }
         let id = out.len() as u32;
         seen.entry(fp).and_modify(|bucket| bucket.push(id)).or_insert(IdBucket::One(id));
-        let member = canon.canonical_sym(&perms, maps);
-        out.push((perms.threads.take().expect("installed above"), member));
+        out.push((sigma.clone(), canon.canonical_sym(perms, maps)));
     }
+    perms.threads.clear();
     out
 }
 
@@ -127,9 +144,11 @@ pub(crate) fn orbit_members(spec: &SymmetrySpec, canon: &Config) -> Vec<(Vec<u8>
 /// have disjoint orbits, so no cross-entry dedup is needed and the result
 /// equals the unreduced search's set.
 pub(crate) fn expand_terminals(spec: &SymmetrySpec, cfgs: &mut Vec<Config>) {
+    let group = spec.group_perms();
+    let mut perms = CanonPerms::default();
     let mut extra = Vec::new();
     for c in cfgs.iter() {
-        for (_, m) in orbit_members(spec, c) {
+        for (_, m) in orbit_members(spec, &group, c, &mut perms) {
             extra.push(m);
         }
     }
@@ -170,17 +189,19 @@ mod tests {
         assert!(!spec.is_trivial());
         let init = Config::initial(&prog).canonical();
         // The initial configuration is fixed by the group: no members.
-        assert!(orbit_members(&spec, &init).is_empty());
+        let group = spec.group_perms();
+        let mut perms = CanonPerms::default();
+        assert!(orbit_members(&spec, &group, &init, &mut perms).is_empty());
         // After one step the orbit has exactly two states: the rep and its
         // mirror.
         let succs =
             rc11_lang::successors(&prog, &rc11_lang::NoObjects, &init, Default::default());
         assert!(!succs.is_empty());
         let canon = {
-            let perms = sym_perms(&spec, &succs[0].1);
+            perms_into(Some(&spec), &succs[0].1, &mut perms);
             succs[0].1.canonical_sym(&perms, spec.maps())
         };
-        let members = orbit_members(&spec, &canon);
+        let members = orbit_members(&spec, &group, &canon, &mut perms);
         assert_eq!(members.len(), 1, "one non-representative orbit member");
         assert_ne!(members[0].1, canon);
     }
@@ -201,7 +222,8 @@ mod tests {
         let succs =
             rc11_lang::successors(&prog, &rc11_lang::NoObjects, &init, Default::default());
         let canon = {
-            let perms = sym_perms(&spec, &succs[0].1);
+            let mut perms = CanonPerms::default();
+            perms_into(Some(&spec), &succs[0].1, &mut perms);
             succs[0].1.canonical_sym(&perms, spec.maps())
         };
         let mut set = vec![canon];

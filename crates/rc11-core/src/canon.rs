@@ -27,9 +27,9 @@
 //! materialised-canonical dedup (ablation A4 in DESIGN.md).
 
 use crate::combined::Combined;
-use crate::ids::{Loc, OpId, Tid};
+use crate::ids::{OpId, Tid};
 use crate::action::{MethodOp, OpAction};
-use crate::state::{row_mut, CState, OpRecord};
+use crate::state::{CState, OpRecord};
 use std::hash::{Hash, Hasher};
 
 /// The inverse of a thread permutation `sigma[old] = new`: `inv[new] = old`
@@ -43,25 +43,22 @@ pub fn invert_tperm(sigma: &[u8]) -> [u8; 256] {
     inv
 }
 
-/// Build the canonical permutation for one component: `perm[old] = new`,
-/// numbering ops by location then modification-order position.
-fn perm_of(st: &CState) -> Vec<OpId> {
-    let mut perm = vec![OpId(0); st.n_ops()];
-    let mut next = 0u32;
-    for li in 0..st.n_locs() {
-        for &w in st.mo(Loc(li as u16)) {
-            perm[w.idx()] = OpId(next);
-            next += 1;
-        }
+/// Fill `perm` with the canonical permutation of one component:
+/// `perm[old] = new`, numbering ops by location then modification-order
+/// position — their order in the flattened `mo` section. Reuses `perm`'s
+/// capacity.
+fn perm_into(st: &CState, perm: &mut Vec<OpId>) {
+    perm.clear();
+    perm.resize(st.n_ops(), OpId(0));
+    for (new, &w) in st.mo_all().iter().enumerate() {
+        perm[w.idx()] = OpId(new as u32);
     }
-    debug_assert_eq!(next as usize, st.n_ops());
-    perm
 }
 
 /// A non-initialisation op record with its thread ids permuted by
 /// `sigma[old] = new`: the executing thread and, for a lock acquire, the
 /// owner it records (release enabledness reads it back).
-fn permute_rec(rec: OpRecord, sigma: &[u8]) -> OpRecord {
+pub(crate) fn permute_rec(rec: OpRecord, sigma: &[u8]) -> OpRecord {
     let act = match rec.act {
         OpAction::Method(MethodOp::LockAcquire { n, tid }) => {
             OpAction::Method(MethodOp::LockAcquire { n, tid: Tid(sigma[tid.idx()]) })
@@ -71,63 +68,37 @@ fn permute_rec(rec: OpRecord, sigma: &[u8]) -> OpRecord {
     OpRecord { tid: Tid(sigma[rec.tid.idx()]), act, ..rec }
 }
 
-/// Rebuild a component state with ids renumbered by `perm` (own ids) and
-/// `perm_other` (ids appearing in cross-component view halves), and —
-/// when `tperm` is given — thread ids permuted by `tperm[old] = new`.
-/// Initialisation operations (modification-order position 0 on every
-/// location) belong to no thread and keep their dummy `Tid(0)`. Renumbering
-/// leaves every op's modification-order position, hence its rank, as is.
-fn renumber(st: &CState, perm: &[OpId], perm_other: &[OpId], tperm: Option<&[u8]>) -> CState {
-    let n = st.ops.len();
-    let (width, width_other) = (st.n_locs(), st.n_other);
-    let mut ops = st.ops.clone();
-    let mut rank = vec![0u32; n];
-    let mut cvd = vec![false; n];
-    let mut mview_own = vec![OpId(0); st.mview_own.len()];
-    let mut mview_other = vec![OpId(0); st.mview_other.len()];
-    for old in 0..n {
-        let new = perm[old].idx();
-        ops[new] = match tperm {
-            Some(sigma) if st.rank[old] > 0 => permute_rec(st.ops[old], sigma),
-            _ => st.ops[old],
-        };
-        rank[new] = st.rank[old];
-        cvd[new] = st.cvd[old];
-        st.mview_own(OpId(old as u32)).remap_into(perm, row_mut(&mut mview_own, width, new));
-        st.mview_other(OpId(old as u32))
-            .remap_into(perm_other, row_mut(&mut mview_other, width_other, new));
-    }
-
-    let mo = st.mo.iter().map(|locs| locs.iter().map(|w| perm[w.idx()]).collect()).collect();
-
-    let mut tview = vec![OpId(0); st.tview.len()];
-    for old_t in 0..st.n_threads {
-        let new_t = tperm.map_or(old_t, |sigma| sigma[old_t] as usize);
-        st.tview(Tid(old_t as u8)).remap_into(perm, row_mut(&mut tview, width, new_t));
-    }
-
-    CState { mo, ops, rank, tview, mview_own, mview_other, cvd, ..*st }
-}
-
 /// The canonical permutations of a [`Combined`] state: `perm[old] = new`
 /// for each component, numbering ops by `(location, mo-position)`.
 ///
 /// Computing the permutations is the cheap part of canonicalisation (two
 /// dense passes, no view cloning); they are reused across the fingerprint
 /// walk, the canonical-equality walk and — when a state turns out to be
-/// novel — the single materialising [`Combined::canonical_with`] call.
-#[derive(Debug, Clone)]
+/// novel — the single materialising [`Combined::canonical_with`] call. A
+/// caller probing many states keeps one `CanonPerms` as scratch and
+/// refills it with [`Combined::canonical_perms_into`], which allocates
+/// nothing once the buffers have grown to the largest state's size.
+#[derive(Debug, Clone, Default)]
 pub struct CanonPerms {
     /// Client-component permutation (`perm[old] = new`).
     pub client: Vec<OpId>,
     /// Library-component permutation (`perm[old] = new`).
     pub lib: Vec<OpId>,
-    /// Optional thread permutation (`threads[old tid] = new tid`) applied on
-    /// top of the op renumbering — the symmetry-reduction hook (ablation A6).
-    /// `None` means the identity. The op permutations commute with any
-    /// thread permutation because [`perm_of`] orders ops purely by
-    /// `(location, mo-position)`, which thread renaming leaves untouched.
-    pub threads: Option<Vec<u8>>,
+    /// Thread permutation (`threads[old tid] = new tid`) applied on top of
+    /// the op renumbering — the symmetry-reduction hook (ablation A6).
+    /// Empty means the identity. The op permutations commute with any
+    /// thread permutation because [`Combined::canonical_perms`] orders ops
+    /// purely by `(location, mo-position)`, which thread renaming leaves
+    /// untouched.
+    pub threads: Vec<u8>,
+}
+
+impl CanonPerms {
+    /// The thread permutation, or `None` for the identity.
+    #[inline]
+    pub fn threads(&self) -> Option<&[u8]> {
+        (!self.threads.is_empty()).then_some(&self.threads[..])
+    }
 }
 
 /// Stream one component's canonical serialisation into `h`: framing
@@ -146,23 +117,22 @@ fn hash_component<H: Hasher>(
     h.write_usize(st.n_locs());
     h.write_usize(st.n_threads);
     h.write_usize(st.n_ops());
-    for locs in &st.mo {
-        h.write_usize(locs.len());
+    for len in st.mo_lens() {
+        h.write_usize(len);
     }
-    for locs in &st.mo {
-        for (pos, &w) in locs.iter().enumerate() {
-            let rec = st.ops[w.idx()];
-            // mo-position 0 is the location's initialisation op, which
-            // belongs to no thread — its dummy tid stays fixed under any
-            // thread permutation.
-            match tperm {
-                Some(sigma) if pos > 0 => permute_rec(rec, sigma).hash(h),
-                _ => rec.hash(h),
-            }
-            h.write_u8(st.cvd[w.idx()] as u8);
-            st.mview_own(w).hash_remapped(perm, h);
-            st.mview_other(w).hash_remapped(perm_other, h);
+    for &w in st.mo_all() {
+        let rec = *st.op(w);
+        let (rank, covered, own, other) = st.op_row(w);
+        // mo-position 0 is the location's initialisation op, which
+        // belongs to no thread — its dummy tid stays fixed under any
+        // thread permutation.
+        match tperm {
+            Some(sigma) if rank > 0 => permute_rec(rec, sigma).hash(h),
+            _ => rec.hash(h),
         }
+        h.write_u8(covered as u8);
+        own.hash_remapped(perm, h);
+        other.hash_remapped(perm_other, h);
     }
     // Thread views in *canonical* slot order: new slot `j` holds the view
     // of the old thread `inv[j]`.
@@ -175,7 +145,7 @@ fn hash_component<H: Hasher>(
 
 /// True iff renumbering `st` through `perm`/`perm_other` would yield
 /// exactly `canon` — which must already be in canonical form (its `mo`
-/// vectors consecutive in `(location, mo-position)` order, as produced by
+/// section consecutive in `(location, mo-position)` order, as produced by
 /// [`Combined::canonical`]). Walks without materialising anything.
 fn component_canonical_eq(
     st: &CState,
@@ -188,30 +158,26 @@ fn component_canonical_eq(
         || st.n_locs() != canon.n_locs()
         || st.n_threads != canon.n_threads
         || st.n_other != canon.n_other
+        || !st.mo_lens().eq(canon.mo_lens())
     {
         return false;
     }
-    let mut new_id = 0u32;
-    for (locs, clocs) in st.mo.iter().zip(&canon.mo) {
-        if locs.len() != clocs.len() {
+    for (new_id, &w) in st.mo_all().iter().enumerate() {
+        let (rank, covered, own, other) = st.op_row(w);
+        let rec = match tperm {
+            // Init ops (mo-position 0) belong to no thread; see
+            // `hash_component`.
+            Some(sigma) if rank > 0 => permute_rec(*st.op(w), sigma),
+            _ => *st.op(w),
+        };
+        let c = OpId(new_id as u32);
+        let (_, c_covered, c_own, c_other) = canon.op_row(c);
+        if rec != *canon.op(c)
+            || covered != c_covered
+            || !own.eq_remapped(perm, c_own)
+            || !other.eq_remapped(perm_other, c_other)
+        {
             return false;
-        }
-        for (pos, &w) in locs.iter().enumerate() {
-            let rec = match tperm {
-                // Init ops (mo-position 0) belong to no thread; see
-                // `hash_component`.
-                Some(sigma) if pos > 0 => permute_rec(*st.op(w), sigma),
-                _ => *st.op(w),
-            };
-            let c = OpId(new_id);
-            if rec != *canon.op(c)
-                || st.is_covered(w) != canon.is_covered(c)
-                || !st.mview_own(w).eq_remapped(perm, canon.mview_own(c))
-                || !st.mview_other(w).eq_remapped(perm_other, canon.mview_other(c))
-            {
-                return false;
-            }
-            new_id += 1;
         }
     }
     let inv = tperm.map(invert_tperm);
@@ -226,7 +192,18 @@ impl Combined {
     /// with the identity thread permutation.
     #[must_use]
     pub fn canonical_perms(&self) -> CanonPerms {
-        CanonPerms { client: perm_of(self.client()), lib: perm_of(self.lib()), threads: None }
+        let mut perms = CanonPerms::default();
+        self.canonical_perms_into(&mut perms);
+        perms
+    }
+
+    /// [`Combined::canonical_perms`] written into `perms`, reusing its
+    /// buffers: the op permutations are recomputed and the thread
+    /// permutation reset to the identity.
+    pub fn canonical_perms_into(&self, perms: &mut CanonPerms) {
+        perm_into(self.client(), &mut perms.client);
+        perm_into(self.lib(), &mut perms.lib);
+        perms.threads.clear();
     }
 
     /// The canonical representative of this state: ids renumbered by
@@ -243,9 +220,9 @@ impl Combined {
     /// materialise the canonical form without recomputing the permutations.
     #[must_use]
     pub fn canonical_with(&self, perms: &CanonPerms) -> Combined {
-        let tperm = perms.threads.as_deref();
-        let client = renumber(self.client(), &perms.client, &perms.lib, tperm);
-        let lib = renumber(self.lib(), &perms.lib, &perms.client, tperm);
+        let tperm = perms.threads();
+        let client = self.client().renumbered(&perms.client, &perms.lib, tperm);
+        let lib = self.lib().renumbered(&perms.lib, &perms.client, tperm);
         Combined::from_parts(client, lib)
     }
 
@@ -259,8 +236,8 @@ impl Combined {
         let identity = |st: &CState| (0..st.n_ops() as u32).map(OpId).collect::<Vec<_>>();
         let cid = identity(self.client());
         let lid = identity(self.lib());
-        let client = renumber(self.client(), &cid, &lid, Some(sigma));
-        let lib = renumber(self.lib(), &lid, &cid, Some(sigma));
+        let client = self.client().renumbered(&cid, &lid, Some(sigma));
+        let lib = self.lib().renumbered(&lid, &cid, Some(sigma));
         Combined::from_parts(client, lib)
     }
 
@@ -270,7 +247,7 @@ impl Combined {
     /// wide-enough hash of this walk is a canonical fingerprint (the
     /// 128-bit instantiation lives in `rc11_check::fxhash`).
     pub fn hash_canonical_with<H: Hasher>(&self, perms: &CanonPerms, h: &mut H) {
-        let tperm = perms.threads.as_deref();
+        let tperm = perms.threads();
         hash_component(self.client(), &perms.client, &perms.lib, tperm, h);
         hash_component(self.lib(), &perms.lib, &perms.client, tperm, h);
     }
@@ -287,7 +264,7 @@ impl Combined {
     /// confirmation step of fingerprint deduplication.
     #[must_use]
     pub fn canonical_eq_with(&self, perms: &CanonPerms, canon: &Combined) -> bool {
-        let tperm = perms.threads.as_deref();
+        let tperm = perms.threads();
         component_canonical_eq(self.client(), &perms.client, &perms.lib, tperm, canon.client())
             && component_canonical_eq(self.lib(), &perms.lib, &perms.client, tperm, canon.lib())
     }
@@ -303,7 +280,7 @@ impl Combined {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{Comp, Tid};
+    use crate::ids::{Comp, Loc, Tid};
     use crate::state::InitLoc;
     use crate::val::Val;
 
@@ -376,7 +353,7 @@ mod tests {
             }
         };
         assert_eq!(owner(&swapped), Tid(1));
-        let perms = CanonPerms { threads: Some(vec![1, 0]), ..s.canonical_perms() };
+        let perms = CanonPerms { threads: vec![1, 0], ..s.canonical_perms() };
         let canon = swapped.canonical();
         assert_eq!(s.canonical_with(&perms), canon);
         assert!(s.canonical_eq_with(&perms, &canon));

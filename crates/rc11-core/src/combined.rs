@@ -54,6 +54,18 @@ impl Combined {
         Combined { states: [client, lib] }
     }
 
+    /// A copy of this state whose component `c` has room for one more
+    /// operation: the step that inserts it then reallocates nothing, so a
+    /// successor costs one allocation per buffer.
+    #[must_use]
+    pub fn with_room(&self, c: Comp) -> Combined {
+        let [client, lib] = &self.states;
+        match c {
+            Comp::Client => Combined { states: [client.clone_with_room(), lib.clone()] },
+            Comp::Lib => Combined { states: [client.clone(), lib.clone_with_room()] },
+        }
+    }
+
     /// The client component state `γ`.
     #[inline]
     pub fn client(&self) -> &CState {
@@ -156,7 +168,7 @@ impl Combined {
         rel: bool,
         after: OpId,
     ) -> Combined {
-        let mut next = self.clone();
+        let mut next = self.with_room(c);
         let (exec, ctx) = next.exec_ctx_mut(c);
         debug_assert!(!exec.is_covered(after), "write after a covered op violates atomicity");
         let new = exec.insert_after(after, OpRecord { loc, tid: t, act: OpAction::Write { v, rel } });
@@ -194,7 +206,7 @@ impl Combined {
     /// like an acquiring read (both component views join the `mview`).
     #[must_use]
     pub fn apply_update(&self, c: Comp, t: Tid, loc: Loc, v: Val, after: OpId) -> Combined {
-        let mut next = self.clone();
+        let mut next = self.with_room(c);
         let (exec, ctx) = next.exec_ctx_mut(c);
         debug_assert!(!exec.is_covered(after), "update of a covered op violates atomicity");
         let v_read = exec.op(after).act.wrval();

@@ -8,7 +8,15 @@
 
 use std::fmt;
 
-/// A thread identifier. Threads are dense small integers `0..n_threads`.
+/// The most threads a program may have: thread ids are `u8`, so a 257th
+/// thread would alias thread 0's views. Front ends reject larger programs.
+pub const MAX_THREADS: usize = u8::MAX as usize + 1;
+
+/// The most locations one component may have: [`Loc`] is a `u16`.
+pub const MAX_LOCS: usize = u16::MAX as usize + 1;
+
+/// A thread identifier. Threads are dense small integers `0..n_threads`
+/// (at most [`MAX_THREADS`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Tid(pub u8);
 
@@ -140,7 +148,7 @@ impl LocTable {
 
     /// Register a location; returns its dense index.
     pub fn add(&mut self, name: impl Into<String>, kind: LocKind) -> Loc {
-        assert!(self.names.len() < u16::MAX as usize, "too many locations");
+        assert!(self.names.len() < MAX_LOCS, "too many locations (at most {MAX_LOCS})");
         let loc = Loc(self.names.len() as u16);
         self.names.push(name.into());
         self.kinds.push(kind);

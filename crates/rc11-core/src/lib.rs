@@ -48,7 +48,7 @@ pub use action::{MethodOp, OpAction};
 pub use canon::CanonPerms;
 pub use combined::{Combined, ReadChoice};
 pub use footprint::{Access, AccessKind, StepFootprint};
-pub use ids::{Comp, Loc, LocKind, LocTable, OpId, Tid};
+pub use ids::{Comp, Loc, LocKind, LocTable, OpId, Tid, MAX_LOCS, MAX_THREADS};
 pub use state::{CState, InitLoc, OpRecord};
 pub use ts::Ts;
 pub use val::Val;

@@ -19,13 +19,27 @@
 //! implements the same rules with literal rational timestamps; the two are
 //! cross-validated in tests and benchmarked against each other.
 //!
-//! Layout: the three view tables are flat row-major buffers of [`OpId`]s —
-//! `tview` has one row per thread, `mview_own` and `mview_other` one row per
-//! operation. A row of `tview` or `mview_own` is as wide as this component's
-//! location count; a row of `mview_other` as wide as the *other*
-//! component's. Accessors hand rows out as borrowed [`View`]s, so cloning a
-//! state copies a fixed number of buffers however many threads and
-//! operations it holds.
+//! Layout: a state owns two heap buffers, whatever its thread, location or
+//! operation count — the op records, and one table of 32-bit words
+//! holding everything else in four sections:
+//!
+//! ```text
+//! [ mo offsets: n_locs + 1 ][ tview: n_threads × n_locs ]
+//! [ op rows: n_ops × (2 + n_locs + n_other) ][ mo: n_ops ]
+//! ```
+//!
+//! The offsets delimit each location's slice of the flattened `mo`
+//! section (the last one is `n_ops`). Row `t` of `tview` is thread `t`'s
+//! viewfront. Op row `w` is `[rank, cvd, mview_own…, mview_other…]`: the
+//! rank and covered flag of operation `w`, then both halves of its
+//! modification view — the own half as wide as this component's location
+//! count, the cross half as wide as the *other* component's. The words
+//! are typed [`OpId`] because nearly all of them are operation ids (view
+//! entries and `mo`); an offset, rank or covered flag is the plain number
+//! inside its `OpId`. Accessors hand rows out as borrowed
+//! [`View`]s, so cloning a state copies exactly two buffers, and the
+//! canonical form of a state (op ids in `(location, mo-position)` order)
+//! has a table that is a pure function of its content.
 
 use crate::action::{MethodOp, OpAction};
 use crate::ids::{Comp, Loc, OpId, Tid};
@@ -53,25 +67,20 @@ pub enum InitLoc {
     Obj,
 }
 
-/// Row `i` of a row-major table of the given width.
-#[inline]
-pub(crate) fn row(table: &[OpId], width: usize, i: usize) -> &[OpId] {
-    &table[i * width..(i + 1) * width]
-}
-
-/// Mutable row `i` of a row-major table of the given width.
-#[inline]
-pub(crate) fn row_mut(table: &mut [OpId], width: usize, i: usize) -> &mut [OpId] {
-    &mut table[i * width..(i + 1) * width]
-}
+/// Offset of the rank word within an op row.
+const RANK: usize = 0;
+/// Offset of the covered flag within an op row.
+const CVD: usize = 1;
+/// Offset of the own half of the modification view within an op row.
+const MVIEW: usize = 2;
 
 /// A component state (`γ` or `β`) of the fast engine.
 ///
 /// Invariants (checked by [`CState::check_invariants`] in tests):
-/// * `ops`, `rank`, `cvd` and the rows of `mview_own`, `mview_other` are
-///   parallel;
-/// * every location's `mo` vector permutes exactly the ops on that location,
-///   and `rank[w]` is `w`'s position in it;
+/// * the table has exactly the four sections of the module docs, sized by
+///   the location, thread, operation and other-component location counts;
+/// * every location's `mo` slice permutes exactly the ops on that
+///   location, and the rank in `w`'s op row is `w`'s position in it;
 /// * every view entry for location `x` is an operation on `x`;
 /// * thread views only move forward over time (monotonicity — enforced by
 ///   the transition rules, asserted in property tests).
@@ -79,24 +88,16 @@ pub(crate) fn row_mut(table: &mut [OpId], width: usize, i: usize) -> &mut [OpId]
 pub struct CState {
     /// Which component this is (`γ` = client, `β` = library).
     pub comp: Comp,
-    pub(crate) ops: Vec<OpRecord>,
-    /// Per-location modification order (timestamp order), oldest first.
-    pub(crate) mo: Vec<Vec<OpId>>,
-    /// Per-op position in its location's `mo` vector.
-    pub(crate) rank: Vec<u32>,
+    /// Number of locations (width of `tview` and `mview_own`).
+    pub(crate) n_locs: usize,
     /// Number of threads (rows of `tview`).
     pub(crate) n_threads: usize,
     /// The other component's location count (width of `mview_other`).
     pub(crate) n_other: usize,
-    /// Per-thread viewfronts over this component's locations, row-major.
-    pub(crate) tview: Vec<OpId>,
-    /// Per-op viewfronts over *this* component's locations, row-major.
-    pub(crate) mview_own: Vec<OpId>,
-    /// Per-op viewfronts over the *other* component's locations (entries
-    /// are op ids in the other component's state), row-major.
-    pub(crate) mview_other: Vec<OpId>,
-    /// Per-op covered flag (`cvd`).
-    pub(crate) cvd: Vec<bool>,
+    ops: Vec<OpRecord>,
+    /// Offsets, thread views, op rows and modification orders (see the
+    /// module docs).
+    tab: Vec<OpId>,
 }
 
 impl CState {
@@ -108,34 +109,136 @@ impl CState {
     /// (`γInit.mview_x = γInit.tview_t ∪ βInit.tview_t`).
     pub fn init(comp: Comp, inits: &[InitLoc], n_threads: usize, n_other: usize) -> CState {
         let n_locs = inits.len();
-        let mut ops = Vec::with_capacity(n_locs);
-        let mut mo = Vec::with_capacity(n_locs);
-        for (i, init) in inits.iter().enumerate() {
-            let loc = Loc(i as u16);
-            let act = match *init {
-                InitLoc::Var(v) => OpAction::Write { v, rel: false },
-                InitLoc::Obj => OpAction::Method(MethodOp::Init),
+        let ops = inits
+            .iter()
+            .enumerate()
+            .map(|(i, init)| {
+                let act = match *init {
+                    InitLoc::Var(v) => OpAction::Write { v, rel: false },
+                    InitLoc::Obj => OpAction::Method(MethodOp::Init),
+                };
+                // Initialising writes belong to no particular thread; use T0.
+                OpRecord { loc: Loc(i as u16), tid: Tid(0), act }
+            })
+            .collect();
+        let stride = MVIEW + n_locs + n_other;
+        let mut tab = Vec::with_capacity(n_locs + 1 + (n_threads + stride + 1) * n_locs);
+        let ids = |n: usize| (0..n as u32).map(OpId);
+        // Location `i`'s modification order is its initialising op alone.
+        tab.extend(ids(n_locs + 1));
+        for _ in 0..n_threads {
+            tab.extend(ids(n_locs));
+        }
+        for _ in 0..n_locs {
+            tab.extend([OpId(0), OpId(0)]);
+            tab.extend(ids(n_locs));
+            tab.extend(ids(n_other));
+        }
+        tab.extend(ids(n_locs));
+        CState { comp, n_locs, n_threads, n_other, ops, tab }
+    }
+
+    /// A copy with room for one more operation: inserting it (see
+    /// [`CState::insert_after`]) then grows neither buffer.
+    pub(crate) fn clone_with_room(&self) -> CState {
+        let mut ops = Vec::with_capacity(self.ops.len() + 1);
+        ops.extend_from_slice(&self.ops);
+        let mut tab = Vec::with_capacity(self.tab.len() + self.stride() + 1);
+        tab.extend_from_slice(&self.tab);
+        CState { ops, tab, ..*self }
+    }
+
+    // ------------------------------------------------------------------
+    // Table geometry
+    // ------------------------------------------------------------------
+
+    /// Words per op row.
+    #[inline]
+    pub(crate) fn stride(&self) -> usize {
+        MVIEW + self.n_locs + self.n_other
+    }
+
+    /// Start of the thread-view section.
+    #[inline]
+    fn tview_base(&self) -> usize {
+        self.n_locs + 1
+    }
+
+    /// Start of the op-row section.
+    #[inline]
+    fn rows_base(&self) -> usize {
+        self.n_locs + 1 + self.n_threads * self.n_locs
+    }
+
+    /// Start of `w`'s op row.
+    #[inline]
+    fn row_at(&self, w: OpId) -> usize {
+        self.rows_base() + w.idx() * self.stride()
+    }
+
+    /// Start of the flattened modification-order section.
+    #[inline]
+    fn mo_base(&self) -> usize {
+        self.rows_base() + self.ops.len() * self.stride()
+    }
+
+    /// Every location's modification order, location by location — the
+    /// canonical id order (canonicalisation numbers ops by position here).
+    #[inline]
+    pub(crate) fn mo_all(&self) -> &[OpId] {
+        &self.tab[self.mo_base()..]
+    }
+
+    /// The length of every location's modification order, in location
+    /// order.
+    pub(crate) fn mo_lens(&self) -> impl Iterator<Item = usize> + '_ {
+        self.tab[..=self.n_locs].windows(2).map(|pair| (pair[1].0 - pair[0].0) as usize)
+    }
+
+    /// This state with op ids renumbered by `perm` (own ids) and
+    /// `perm_other` (ids in cross-component view halves), and — when
+    /// `tperm` is given — thread ids permuted by `tperm[old] = new`: the
+    /// materialising step of canonicalisation (`crate::canon`).
+    /// Initialisation operations (modification-order position 0 on every
+    /// location) belong to no thread and keep their dummy `Tid(0)`.
+    /// Renumbering leaves every op's modification-order position, hence
+    /// its rank and the `mo` offsets, as is. Allocates exactly the two
+    /// buffers of the result.
+    pub(crate) fn renumbered(
+        &self,
+        perm: &[OpId],
+        perm_other: &[OpId],
+        tperm: Option<&[u8]>,
+    ) -> CState {
+        let (n, width, stride) = (self.ops.len(), self.n_locs, self.stride());
+        let mut ops = self.ops.clone();
+        let mut tab = vec![OpId(0); self.tab.len()];
+        tab[..=width].copy_from_slice(&self.tab[..=width]);
+        let tview = self.tview_base();
+        for old_t in 0..self.n_threads {
+            let new_t = tperm.map_or(old_t, |sigma| sigma[old_t] as usize);
+            let dst = tview + new_t * width;
+            self.tview(Tid(old_t as u8)).remap_into(perm, &mut tab[dst..dst + width]);
+        }
+        let rows = self.rows_base();
+        for (old, &rec) in self.ops.iter().enumerate() {
+            let (rank, covered, own, other) = self.op_row(OpId(old as u32));
+            let new = perm[old].idx();
+            ops[new] = match tperm {
+                Some(sigma) if rank > 0 => crate::canon::permute_rec(rec, sigma),
+                _ => rec,
             };
-            // Initialising writes belong to no particular thread; use T0.
-            ops.push(OpRecord { loc, tid: Tid(0), act });
-            mo.push(vec![OpId(i as u32)]);
+            let row = &mut tab[rows + new * stride..rows + (new + 1) * stride];
+            row[RANK] = OpId(rank);
+            row[CVD] = OpId(covered as u32);
+            let (own_dst, other_dst) = row[MVIEW..].split_at_mut(width);
+            own.remap_into(perm, own_dst);
+            other.remap_into(perm_other, other_dst);
         }
-        // `count` rows of the initial view over `width` locations.
-        let rows = |width: usize, count: usize| -> Vec<OpId> {
-            (0..count).flat_map(|_| (0..width as u32).map(OpId)).collect()
-        };
-        CState {
-            comp,
-            ops,
-            mo,
-            rank: vec![0; n_locs],
-            n_threads,
-            n_other,
-            tview: rows(n_locs, n_threads),
-            mview_own: rows(n_locs, n_locs),
-            mview_other: rows(n_other, n_locs),
-            cvd: vec![false; n_locs],
+        for (dst, &w) in tab[rows + n * stride..].iter_mut().zip(self.mo_all()) {
+            *dst = perm[w.idx()];
         }
+        CState { ops, tab, ..*self }
     }
 
     // ------------------------------------------------------------------
@@ -151,7 +254,7 @@ impl CState {
     /// Number of locations.
     #[inline]
     pub fn n_locs(&self) -> usize {
-        self.mo.len()
+        self.n_locs
     }
 
     /// Number of threads.
@@ -166,17 +269,9 @@ impl CState {
     /// rc11-check); an estimate, not an allocator-exact measurement.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        let view_entries = self.tview.len() + self.mview_own.len() + self.mview_other.len();
         size_of::<CState>()
             + self.ops.len() * size_of::<OpRecord>()
-            + self
-                .mo
-                .iter()
-                .map(|m| size_of::<Vec<OpId>>() + m.len() * size_of::<OpId>())
-                .sum::<usize>()
-            + self.rank.len() * size_of::<u32>()
-            + view_entries * size_of::<OpId>()
-            + self.cvd.len()
+            + self.tab.len() * size_of::<OpId>()
     }
 
     /// The record of operation `w`.
@@ -188,26 +283,29 @@ impl CState {
     /// The timestamp rank of `w` within its location's modification order.
     #[inline]
     pub fn rank_of(&self, w: OpId) -> u32 {
-        self.rank[w.idx()]
+        self.tab[self.row_at(w) + RANK].0
     }
 
     /// `cvd` membership: is `w` covered?
     #[inline]
     pub fn is_covered(&self, w: OpId) -> bool {
-        self.cvd[w.idx()]
+        self.tab[self.row_at(w) + CVD] != OpId(0)
     }
 
     /// Mark `w` covered (used by updates and by object semantics such as the
     /// Figure-6 `Acquire`, which covers the release it observed).
     #[inline]
     pub fn cover(&mut self, w: OpId) {
-        self.cvd[w.idx()] = true;
+        let at = self.row_at(w) + CVD;
+        self.tab[at] = OpId(1);
     }
 
     /// The modification order of `loc`, oldest first.
     #[inline]
     pub fn mo(&self, loc: Loc) -> &[OpId] {
-        &self.mo[loc.idx()]
+        let base = self.mo_base();
+        let (from, to) = (self.tab[loc.idx()].idx(), self.tab[loc.idx() + 1].idx());
+        &self.tab[base + from..base + to]
     }
 
     /// The operation with the maximal timestamp on `loc` — the paper's
@@ -215,33 +313,48 @@ impl CState {
     /// it).
     #[inline]
     pub fn max_op(&self, loc: Loc) -> OpId {
-        *self.mo[loc.idx()].last().expect("every location is initialised")
+        *self.mo(loc).last().expect("every location is initialised")
     }
 
     /// Thread `t`'s viewfront.
     #[inline]
     pub fn tview(&self, t: Tid) -> View<'_> {
-        View::new(row(&self.tview, self.n_locs(), t.idx()))
+        let at = self.tview_base() + t.idx() * self.n_locs;
+        View::new(&self.tab[at..at + self.n_locs])
     }
 
     /// Mutable thread viewfront (object semantics update it directly).
     #[inline]
     pub fn tview_mut(&mut self, t: Tid) -> ViewMut<'_> {
-        let width = self.n_locs();
-        ViewMut::new(row_mut(&mut self.tview, width, t.idx()))
+        let at = self.tview_base() + t.idx() * self.n_locs;
+        let n = self.n_locs;
+        ViewMut::new(&mut self.tab[at..at + n])
+    }
+
+    /// Operation `w`'s whole row, split: its rank, its covered flag, and
+    /// the own and cross halves of its modification view — one lookup
+    /// for the canonical walks, which read them all.
+    #[inline]
+    pub(crate) fn op_row(&self, w: OpId) -> (u32, bool, View<'_>, View<'_>) {
+        let at = self.row_at(w);
+        let row = &self.tab[at..at + self.stride()];
+        let (own, other) = row[MVIEW..].split_at(self.n_locs);
+        (row[RANK].0, row[CVD] != OpId(0), View::new(own), View::new(other))
     }
 
     /// The own-component half of `w`'s modification view.
     #[inline]
     pub fn mview_own(&self, w: OpId) -> View<'_> {
-        View::new(row(&self.mview_own, self.n_locs(), w.idx()))
+        let at = self.row_at(w) + MVIEW;
+        View::new(&self.tab[at..at + self.n_locs])
     }
 
     /// The cross-component half of `w`'s modification view (entries refer to
     /// the *other* component's operations).
     #[inline]
     pub fn mview_other(&self, w: OpId) -> View<'_> {
-        View::new(row(&self.mview_other, self.n_other, w.idx()))
+        let at = self.row_at(w) + MVIEW + self.n_locs;
+        View::new(&self.tab[at..at + self.n_other])
     }
 
     /// Synchronise thread `t` with operation `w` of this component:
@@ -251,14 +364,20 @@ impl CState {
     /// and what the object rules that synchronise do (Figure 6).
     pub fn sync_with(&mut self, w: OpId, t: Tid, ctx: &mut CState) {
         debug_assert_eq!(self.n_other, ctx.n_locs(), "context is not the other component");
-        let n = self.n_locs();
-        let rank = &self.rank;
-        ViewMut::new(row_mut(&mut self.tview, n, t.idx()))
-            .join(View::new(row(&self.mview_own, n, w.idx())), |x| rank[x.idx()]);
-        let no = self.n_other;
-        let ctx_rank = &ctx.rank;
-        ViewMut::new(row_mut(&mut ctx.tview, no, t.idx()))
-            .join(View::new(row(&self.mview_other, no, w.idx())), |x| ctx_rank[x.idx()]);
+        let (n, no, stride) = (self.n_locs, self.n_other, self.stride());
+        let tv = self.tview_base() + t.idx() * n;
+        let base = self.rows_base();
+        let src = w.idx() * stride + MVIEW;
+        // Thread views precede the op rows: split the table between them.
+        let (head, rows) = self.tab.split_at_mut(base);
+        let rows = &*rows;
+        let rank = |x: OpId| rows[x.idx() * stride + RANK].0;
+        ViewMut::new(&mut head[tv..tv + n]).join(View::new(&rows[src..src + n]), rank);
+        let other = View::new(&rows[src + n..src + n + no]);
+        let (ctv, cbase, cstride) = (ctx.tview_base() + t.idx() * no, ctx.rows_base(), ctx.stride());
+        let (chead, crows) = ctx.tab.split_at_mut(cbase);
+        let crows = &*crows;
+        ViewMut::new(&mut chead[ctv..ctv + no]).join(other, |x| crows[x.idx() * cstride + RANK].0);
     }
 
     /// Record thread `t`'s current views of both components as `w`'s
@@ -267,10 +386,12 @@ impl CState {
     /// are final.
     pub fn record_mview(&mut self, w: OpId, t: Tid, ctx: &CState) {
         debug_assert_eq!(self.n_other, ctx.n_locs(), "context is not the other component");
-        let n = self.n_locs();
-        row_mut(&mut self.mview_own, n, w.idx()).copy_from_slice(row(&self.tview, n, t.idx()));
-        let no = self.n_other;
-        row_mut(&mut self.mview_other, no, w.idx()).copy_from_slice(row(&ctx.tview, no, t.idx()));
+        let (n, no) = (self.n_locs, self.n_other);
+        let tv = self.tview_base() + t.idx() * n;
+        let ctv = ctx.tview_base() + t.idx() * no;
+        let dst = self.row_at(w) + MVIEW;
+        self.tab.copy_within(tv..tv + n, dst);
+        self.tab[dst + n..dst + n + no].copy_from_slice(&ctx.tab[ctv..ctv + no]);
     }
 
     // ------------------------------------------------------------------
@@ -281,14 +402,14 @@ impl CState {
     /// timestamp is at least the timestamp of `tview_t(x)`.
     pub fn obs(&self, t: Tid, loc: Loc) -> &[OpId] {
         let front = self.tview(t).get(loc);
-        let from = self.rank[front.idx()] as usize;
-        &self.mo[loc.idx()][from..]
+        let from = self.rank_of(front) as usize;
+        &self.mo(loc)[from..]
     }
 
     /// `Obs(t, x) \ cvd` — observable and not covered: the legal predecessors
     /// for a new write or update by `t` (Figure 5 Write/Update premises).
     pub fn obs_uncovered<'a>(&'a self, t: Tid, loc: Loc) -> impl Iterator<Item = OpId> + 'a {
-        self.obs(t, loc).iter().copied().filter(move |w| !self.cvd[w.idx()])
+        self.obs(t, loc).iter().copied().filter(move |&w| !self.is_covered(w))
     }
 
     // ------------------------------------------------------------------
@@ -299,26 +420,39 @@ impl CState {
     /// modification order — the fast-engine realisation of Figure 5's
     /// `fresh(q, q')`. Returns the new id.
     ///
-    /// The new operation's `mview` rows are placeholders, to be filled by
+    /// The new operation's `mview` halves are placeholders, to be filled by
     /// [`CState::record_mview`] once the executing thread's views are final.
     pub fn insert_after(&mut self, after: OpId, rec: OpRecord) -> OpId {
         debug_assert_eq!(self.op(after).loc, rec.loc, "predecessor on a different location");
-        let id = OpId(self.ops.len() as u32);
-        let loc = rec.loc;
-        let pos = self.rank[after.idx()] as usize + 1;
+        let id = self.ops.len();
+        let loc = rec.loc.idx();
+        let pos = self.rank_of(after) as usize + 1;
+        let (base, stride) = (self.rows_base(), self.stride());
+        let old_mo = self.mo_base();
+        let len = self.tab.len();
         self.ops.push(rec);
-        self.cvd.push(false);
-        self.rank.push(pos as u32);
-        let mo = &mut self.mo[loc.idx()];
-        mo.insert(pos, id);
-        for &w in &mo[pos + 1..] {
-            self.rank[w.idx()] += 1;
+        // The new op row goes where `mo` starts: shift `mo` up by a row
+        // (plus the slot the new entry needs) and fill the row in.
+        self.tab.resize(len + stride + 1, OpId(0));
+        self.tab.copy_within(old_mo..len, old_mo + stride);
+        let row = &mut self.tab[old_mo..old_mo + stride];
+        row.fill(OpId(0));
+        row[RANK] = OpId(pos as u32);
+        // Insert the id at position `pos` of the location's `mo` slice.
+        let (mo, new) = (old_mo + stride, OpId(id as u32));
+        let at = mo + self.tab[loc].idx() + pos;
+        self.tab.copy_within(at..mo + id, at + 1);
+        self.tab[at] = new;
+        for off in &mut self.tab[loc + 1..=self.n_locs] {
+            off.0 += 1;
         }
-        // Placeholder rows; callers overwrite via record_mview.
-        let (n, no) = (self.n_locs(), self.n_other);
-        self.mview_own.resize(self.mview_own.len() + n, OpId(0));
-        self.mview_other.resize(self.mview_other.len() + no, OpId(0));
-        id
+        // Every later op on the location moves one rank up.
+        let end = mo + self.tab[loc + 1].idx();
+        for i in at + 1..end {
+            let w = self.tab[i].idx();
+            self.tab[base + w * stride + RANK].0 += 1;
+        }
+        new
     }
 
     /// Append a new operation with the *maximal* timestamp on its location —
@@ -332,22 +466,28 @@ impl CState {
     /// Internal consistency check, used by tests and `debug_assert`s.
     pub fn check_invariants(&self) {
         let n = self.ops.len();
-        let n_locs = self.mo.len();
-        assert_eq!(self.rank.len(), n);
-        assert_eq!(self.cvd.len(), n);
-        assert_eq!(self.tview.len(), self.n_threads * n_locs);
-        assert_eq!(self.mview_own.len(), n * n_locs);
-        assert_eq!(self.mview_other.len(), n * self.n_other);
+        let n_locs = self.n_locs;
+        assert_eq!(
+            self.tab.len(),
+            n_locs + 1 + self.n_threads * n_locs + n * self.stride() + n,
+            "table sections out of shape"
+        );
+        assert_eq!(self.tab[0], OpId(0), "first mo offset");
+        assert_eq!(self.tab[n_locs].idx(), n, "last mo offset");
         let mut seen = vec![false; n];
-        for (li, mo) in self.mo.iter().enumerate() {
-            for (pos, &w) in mo.iter().enumerate() {
+        for li in 0..n_locs {
+            assert!(self.tab[li] <= self.tab[li + 1], "mo offsets decrease");
+            for (pos, &w) in self.mo(Loc(li as u16)).iter().enumerate() {
                 assert!(!seen[w.idx()], "op {w} appears twice in mo");
                 seen[w.idx()] = true;
-                assert_eq!(self.ops[w.idx()].loc.idx(), li, "op {w} in wrong mo vector");
-                assert_eq!(self.rank[w.idx()] as usize, pos, "rank out of sync for {w}");
+                assert_eq!(self.ops[w.idx()].loc.idx(), li, "op {w} in wrong mo slice");
+                assert_eq!(self.rank_of(w) as usize, pos, "rank out of sync for {w}");
             }
         }
-        assert!(seen.iter().all(|&s| s), "op missing from its mo vector");
+        assert!(seen.iter().all(|&s| s), "op missing from its mo slice");
+        for w in 0..n {
+            assert!(self.tab[self.row_at(OpId(w as u32)) + CVD].0 <= 1, "cvd flag not 0/1");
+        }
         for t in 0..self.n_threads {
             for (li, w) in self.tview(Tid(t as u8)).iter() {
                 assert_eq!(self.ops[w.idx()].loc.idx(), li, "tview entry on wrong location");

@@ -6,11 +6,12 @@
 //! view is a dense row with one [`OpId`] per location.
 //!
 //! Views are not stored one per heap box: a [`crate::state::CState`] keeps
-//! each of its view tables (thread views, and the two halves of every
-//! operation's modification view) as one row-major buffer, and hands out
-//! rows as borrowed [`View`]s (read) and [`ViewMut`]s (write). Cloning a
-//! state therefore copies three flat buffers, however many threads and
-//! operations it has.
+//! its thread views and both halves of every operation's modification view
+//! as rows of its one `u32` table (next to the modification orders, ranks
+//! and covered flags), and hands rows out as borrowed [`View`]s (read) and
+//! [`ViewMut`]s (write). Cloning a state therefore copies two buffers —
+//! op records and table — however many threads, locations and operations
+//! it has.
 //!
 //! The join `V1 ⊗ V2` keeps, per location, the later (higher-timestamp)
 //! entry. Timestamps in the fast engine are per-location *ranks*, supplied by

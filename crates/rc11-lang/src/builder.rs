@@ -33,7 +33,7 @@
 
 use crate::ast::{BinOp, Com, Exp, Method, ObjRef, Reg, UnOp, VarRef};
 use crate::program::{ObjKind, Program, ThreadDef};
-use rc11_core::{Comp, InitLoc, LocKind, LocTable, Val};
+use rc11_core::{Comp, InitLoc, Loc, LocKind, LocTable, Val, MAX_LOCS};
 
 /// Anything convertible to an expression: constants, registers, booleans.
 pub trait IntoExp {
@@ -81,6 +81,9 @@ pub struct ProgramBuilder {
     lib_inits: Vec<InitLoc>,
     objects: Vec<(rc11_core::Loc, ObjKind)>,
     threads: Vec<ThreadDef>,
+    /// The first construction error (a location past [`MAX_LOCS`]),
+    /// reported by [`ProgramBuilder::try_build`].
+    error: Option<String>,
 }
 
 impl ProgramBuilder {
@@ -94,27 +97,51 @@ impl ProgramBuilder {
             lib_inits: Vec::new(),
             objects: Vec::new(),
             threads: Vec::new(),
+            error: None,
         }
+    }
+
+    /// Number of locations declared so far in component `comp`.
+    pub fn n_locs(&self, comp: Comp) -> usize {
+        match comp {
+            Comp::Client => self.client_locs.len(),
+            Comp::Lib => self.lib_locs.len(),
+        }
+    }
+
+    /// Declare a location in `comp`. Past [`MAX_LOCS`] the location cannot
+    /// be named: the builder records the error for
+    /// [`ProgramBuilder::try_build`] and hands back a placeholder.
+    fn declare(&mut self, comp: Comp, name: &str, kind: LocKind, init: InitLoc) -> Loc {
+        if self.n_locs(comp) == MAX_LOCS {
+            let what = if comp == Comp::Client { "client" } else { "library" };
+            self.error
+                .get_or_insert_with(|| format!("too many {what} locations: at most {MAX_LOCS}"));
+            return Loc(u16::MAX);
+        }
+        let (locs, inits) = match comp {
+            Comp::Client => (&mut self.client_locs, &mut self.client_inits),
+            Comp::Lib => (&mut self.lib_locs, &mut self.lib_inits),
+        };
+        inits.push(init);
+        locs.add(name, kind)
     }
 
     /// Declare a client shared variable with an integer initial value.
     pub fn client_var(&mut self, name: &str, init: i64) -> VarRef {
-        let loc = self.client_locs.add(name, LocKind::Var);
-        self.client_inits.push(InitLoc::Var(Val::Int(init)));
+        let loc = self.declare(Comp::Client, name, LocKind::Var, InitLoc::Var(Val::Int(init)));
         VarRef { comp: Comp::Client, loc }
     }
 
     /// Declare a library shared variable with an integer initial value.
     pub fn lib_var(&mut self, name: &str, init: i64) -> VarRef {
-        let loc = self.lib_locs.add(name, LocKind::Var);
-        self.lib_inits.push(InitLoc::Var(Val::Int(init)));
+        let loc = self.declare(Comp::Lib, name, LocKind::Var, InitLoc::Var(Val::Int(init)));
         VarRef { comp: Comp::Lib, loc }
     }
 
     /// Declare an abstract object of the given kind (always library-side).
     pub fn object(&mut self, name: &str, kind: ObjKind) -> ObjRef {
-        let loc = self.lib_locs.add(name, LocKind::Obj);
-        self.lib_inits.push(InitLoc::Obj);
+        let loc = self.declare(Comp::Lib, name, LocKind::Obj, InitLoc::Obj);
         self.objects.push((loc, kind));
         ObjRef { loc }
     }
@@ -145,8 +172,20 @@ impl ProgramBuilder {
     }
 
     /// Finish and validate. Panics on malformed programs (tests construct
-    /// programs statically, so this is a construction-time assertion).
+    /// programs statically, so this is a construction-time assertion);
+    /// [`ProgramBuilder::try_build`] returns the error instead.
     pub fn build(self) -> Program {
+        let name = self.name.clone();
+        self.try_build().unwrap_or_else(|e| panic!("invalid program {name}: {e}"))
+    }
+
+    /// Finish and validate, reporting a malformed program — more than
+    /// [`rc11_core::MAX_THREADS`] threads or [`MAX_LOCS`] locations in a
+    /// component, out-of-range registers or variables — as an error.
+    pub fn try_build(self) -> Result<Program, String> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
         let prog = Program {
             name: self.name,
             client_locs: self.client_locs,
@@ -156,10 +195,8 @@ impl ProgramBuilder {
             objects: self.objects,
             threads: self.threads,
         };
-        if let Err(e) = prog.validate() {
-            panic!("invalid program {}: {e}", prog.name);
-        }
-        prog
+        prog.validate()?;
+        Ok(prog)
     }
 }
 

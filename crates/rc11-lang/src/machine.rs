@@ -80,25 +80,114 @@ impl SymMaps {
 
 /// A machine configuration: per-thread pcs, per-thread register files and
 /// the combined memory state.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// Layout: the control state lives in two flat buffers, read and written
+/// through accessors — `ctl` holds the `n` per-thread pcs followed by the
+/// `n + 1` offsets that delimit each thread's register file in `regs`,
+/// and `regs` holds every register file, thread by thread. With the two
+/// buffers of each component state (see [`rc11_core::CState`]), a
+/// configuration owns six heap buffers, whatever its thread, register,
+/// location or operation count, and cloning it makes six allocations.
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Config {
-    /// Per-thread program counters.
-    pub pcs: Vec<u32>,
-    /// Per-thread register files (`ρ`).
-    pub locals: Vec<Vec<Val>>,
+    /// Pcs, then register-file offsets into `regs`.
+    ctl: Vec<u32>,
+    /// Every thread's register file (`ρ`), thread by thread.
+    regs: Vec<Val>,
     /// The combined client–library memory state.
     pub mem: Combined,
 }
 
+impl std::fmt::Debug for Config {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let locals: Vec<&[Val]> = (0..self.n_threads()).map(|t| self.locals(t)).collect();
+        f.debug_struct("Config")
+            .field("pcs", &self.pcs())
+            .field("locals", &locals)
+            .field("mem", &self.mem)
+            .finish()
+    }
+}
+
 impl Config {
+    /// A configuration from its parts: per-thread pcs, per-thread register
+    /// files (one per pc) and memory.
+    pub fn from_parts(pcs: &[u32], locals: &[Vec<Val>], mem: Combined) -> Config {
+        assert_eq!(pcs.len(), locals.len(), "one register file per thread");
+        let mut ctl = Vec::with_capacity(2 * pcs.len() + 1);
+        ctl.extend_from_slice(pcs);
+        let mut end = 0u32;
+        ctl.push(0);
+        for file in locals {
+            end += file.len() as u32;
+            ctl.push(end);
+        }
+        Config { ctl, regs: locals.concat(), mem }
+    }
+
     /// The initial configuration of a compiled program.
     pub fn initial(prog: &CfgProgram) -> Config {
         let src = &prog.source;
-        Config {
-            pcs: vec![0; prog.n_threads()],
-            locals: src.initial_locals(),
-            mem: Combined::new(&src.client_inits, &src.lib_inits, prog.n_threads()),
-        }
+        Config::from_parts(
+            &vec![0; prog.n_threads()],
+            &src.initial_locals(),
+            Combined::new(&src.client_inits, &src.lib_inits, prog.n_threads()),
+        )
+    }
+
+    /// This configuration's control state with `mem` as its memory — how
+    /// a step builds its successor.
+    #[must_use]
+    pub fn with_mem(&self, mem: Combined) -> Config {
+        Config { ctl: self.ctl.clone(), regs: self.regs.clone(), mem }
+    }
+
+    /// Number of threads.
+    #[inline]
+    pub fn n_threads(&self) -> usize {
+        self.ctl.len() / 2
+    }
+
+    /// Per-thread program counters.
+    #[inline]
+    pub fn pcs(&self) -> &[u32] {
+        &self.ctl[..self.n_threads()]
+    }
+
+    /// Thread `t`'s program counter.
+    #[inline]
+    pub fn pc(&self, t: usize) -> u32 {
+        self.ctl[t]
+    }
+
+    /// Move thread `t` to `pc`.
+    #[inline]
+    pub fn set_pc(&mut self, t: usize, pc: u32) {
+        self.ctl[t] = pc;
+    }
+
+    /// Thread `t`'s register file (`ρ_t`).
+    #[inline]
+    pub fn locals(&self, t: usize) -> &[Val] {
+        let at = self.n_threads() + t;
+        &self.regs[self.ctl[at] as usize..self.ctl[at + 1] as usize]
+    }
+
+    /// Every thread's register file, materialised (diagnostics and tests).
+    pub fn register_files(&self) -> Vec<Vec<Val>> {
+        (0..self.n_threads()).map(|t| self.locals(t).to_vec()).collect()
+    }
+
+    /// Register value of thread `t`.
+    pub fn reg(&self, t: usize, r: Reg) -> Val {
+        self.locals(t)[r.idx()]
+    }
+
+    /// Set thread `t`'s register `r` to `v`.
+    #[inline]
+    pub fn set_reg(&mut self, t: usize, r: Reg, v: Val) {
+        let at = self.ctl[self.n_threads() + t] as usize + r.idx();
+        self.regs[at] = v;
     }
 
     /// Approximate heap footprint of this configuration in bytes — what an
@@ -108,12 +197,8 @@ impl Config {
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         size_of::<Config>()
-            + self.pcs.len() * size_of::<u32>()
-            + self
-                .locals
-                .iter()
-                .map(|l| size_of::<Vec<rc11_core::Val>>() + l.len() * size_of::<rc11_core::Val>())
-                .sum::<usize>()
+            + self.ctl.len() * size_of::<u32>()
+            + self.regs.len() * size_of::<Val>()
             + self.mem.approx_bytes()
     }
 
@@ -121,7 +206,7 @@ impl Config {
     /// pcs/locals as-is (they are already canonical).
     #[must_use]
     pub fn canonical(&self) -> Config {
-        Config { pcs: self.pcs.clone(), locals: self.locals.clone(), mem: self.mem.canonical() }
+        self.with_mem(self.mem.canonical())
     }
 
     /// The memory state's canonical permutations
@@ -133,16 +218,18 @@ impl Config {
         self.mem.canonical_perms()
     }
 
+    /// [`Config::canonical_perms`] written into a reusable scratch `perms`
+    /// ([`rc11_core::Combined::canonical_perms_into`]).
+    pub fn canonical_perms_into(&self, perms: &mut rc11_core::CanonPerms) {
+        self.mem.canonical_perms_into(perms);
+    }
+
     /// [`Config::canonical`] with precomputed permutations, so a caller
     /// that already fingerprinted this configuration materialises the
     /// canonical form without recomputing them.
     #[must_use]
     pub fn canonical_with(&self, perms: &rc11_core::CanonPerms) -> Config {
-        Config {
-            pcs: self.pcs.clone(),
-            locals: self.locals.clone(),
-            mem: self.mem.canonical_with(perms),
-        }
+        self.with_mem(self.mem.canonical_with(perms))
     }
 
     /// Stream this configuration's canonical serialisation into `h`
@@ -169,8 +256,8 @@ impl Config {
     /// collision-bucket confirmation step of fingerprint deduplication.
     #[must_use]
     pub fn canonical_eq_with(&self, perms: &rc11_core::CanonPerms, canon: &Config) -> bool {
-        self.pcs == canon.pcs
-            && self.locals == canon.locals
+        self.ctl == canon.ctl
+            && self.regs == canon.regs
             && self.mem.canonical_eq_with(perms, &canon.mem)
     }
 
@@ -195,13 +282,13 @@ impl Config {
         sym: Option<(&'a [u8], &'a SymMaps)>,
     ) -> (u32, impl ExactSizeIterator<Item = Val> + 'a) {
         let t = sym.map_or(j, |(inv, _)| inv[j] as usize);
-        let file = &self.locals[t];
+        let file = self.locals(t);
         let len = sym.map_or(file.len(), |(_, maps)| maps.to_rep[j].len());
         let regs = (0..len).map(move |k| match sym {
             None => file[k],
             Some((_, maps)) => file[maps.from_rep[t][maps.to_rep[j][k] as usize] as usize],
         });
-        (self.pcs[t], regs)
+        (self.pc(t), regs)
     }
 
     /// Stream the (possibly thread-permuted, see
@@ -211,7 +298,7 @@ impl Config {
     /// plain stream of the materialised permuted configuration.
     fn hash_control<H: std::hash::Hasher>(&self, sym: Option<(&[u8], &SymMaps)>, h: &mut H) {
         use std::hash::Hash;
-        let n = self.pcs.len();
+        let n = self.n_threads();
         h.write_usize(n);
         for j in 0..n {
             h.write_u32(self.control_slot(j, sym).0);
@@ -226,15 +313,22 @@ impl Config {
         }
     }
 
-    /// The control state `(pcs, locals)` materialised with threads
-    /// permuted by `sigma[old] = new` (see [`Config::control_slot`]).
-    fn permuted_control(&self, sigma: &[u8], maps: &SymMaps) -> (Vec<u32>, Vec<Vec<Val>>) {
+    /// This configuration with its control state permuted by
+    /// `sigma[old] = new` (see [`Config::control_slot`]) and `mem` as its
+    /// memory.
+    fn with_permuted_control(&self, sigma: &[u8], maps: &SymMaps, mem: Combined) -> Config {
         let inv = invert_tperm(sigma);
         let sym = Some((&inv[..], maps));
-        let n = self.pcs.len();
-        let pcs = (0..n).map(|j| self.control_slot(j, sym).0).collect();
-        let locals = (0..n).map(|j| self.control_slot(j, sym).1.collect()).collect();
-        (pcs, locals)
+        let n = self.n_threads();
+        let mut ctl = Vec::with_capacity(self.ctl.len());
+        ctl.extend((0..n).map(|j| self.control_slot(j, sym).0));
+        ctl.push(0);
+        let mut regs = Vec::with_capacity(self.regs.len());
+        for j in 0..n {
+            regs.extend(self.control_slot(j, sym).1);
+            ctl.push(regs.len() as u32);
+        }
+        Config { ctl, regs, mem }
     }
 
     /// Rebuild this configuration with threads permuted by
@@ -244,8 +338,7 @@ impl Config {
     /// the same future behaviour up to the same permutation.
     #[must_use]
     pub fn permute_threads(&self, sigma: &[u8], maps: &SymMaps) -> Config {
-        let (pcs, locals) = self.permuted_control(sigma, maps);
-        Config { pcs, locals, mem: self.mem.permute_threads(sigma) }
+        self.with_permuted_control(sigma, maps, self.mem.permute_threads(sigma))
     }
 
     /// [`Config::hash_canonical_with`] honouring the thread permutation in
@@ -254,14 +347,14 @@ impl Config {
     /// byte-identical input to `h` as the plain walk over
     /// `self.permute_threads(σ).canonical()` would, so sym-fingerprints and
     /// plain fingerprints of materialised sym-canonical forms coincide.
-    /// Falls back to the plain walk when `perms.threads` is `None`.
+    /// Falls back to the plain walk when `perms.threads` is the identity.
     pub fn hash_canonical_sym<H: std::hash::Hasher>(
         &self,
         perms: &rc11_core::CanonPerms,
         maps: &SymMaps,
         h: &mut H,
     ) {
-        match &perms.threads {
+        match perms.threads() {
             Some(sigma) => {
                 let inv = invert_tperm(sigma);
                 self.hash_control(Some((&inv[..], maps)), h);
@@ -281,16 +374,15 @@ impl Config {
         maps: &SymMaps,
         canon: &Config,
     ) -> bool {
-        match &perms.threads {
+        match perms.threads() {
             Some(sigma) => {
                 let inv = invert_tperm(sigma);
                 let sym = Some((&inv[..], maps));
-                let n = self.pcs.len();
-                n == canon.pcs.len()
-                    && n == canon.locals.len()
+                let n = self.n_threads();
+                n == canon.n_threads()
                     && (0..n).all(|j| {
                         let (pc, regs) = self.control_slot(j, sym);
-                        pc == canon.pcs[j] && regs.eq(canon.locals[j].iter().copied())
+                        pc == canon.pc(j) && regs.eq(canon.locals(j).iter().copied())
                     })
                     && self.mem.canonical_eq_with(perms, &canon.mem)
             }
@@ -302,26 +394,18 @@ impl Config {
     /// `perms.threads`: materialises the thread-permuted canonical form.
     #[must_use]
     pub fn canonical_sym(&self, perms: &rc11_core::CanonPerms, maps: &SymMaps) -> Config {
-        match &perms.threads {
-            Some(sigma) => {
-                let (pcs, locals) = self.permuted_control(sigma, maps);
-                Config { pcs, locals, mem: self.mem.canonical_with(perms) }
-            }
+        match perms.threads() {
+            Some(sigma) => self.with_permuted_control(sigma, maps, self.mem.canonical_with(perms)),
             None => self.canonical_with(perms),
         }
     }
 
     /// True iff every thread is at `Halt`.
     pub fn terminated(&self, prog: &CfgProgram) -> bool {
-        self.pcs
+        self.pcs()
             .iter()
             .enumerate()
             .all(|(t, &pc)| matches!(prog.threads[t].instrs[pc as usize], Instr::Halt))
-    }
-
-    /// Register value of thread `t`.
-    pub fn reg(&self, t: usize, r: Reg) -> Val {
-        self.locals[t][r.idx()]
     }
 }
 
@@ -342,33 +426,43 @@ impl Default for StepOptions {
     }
 }
 
+/// Execute one local instruction of thread `t` (an assignment or a jump)
+/// at its current pc; returns `false`, changing nothing, at a shared
+/// instruction or `Halt`.
+fn local_step(prog: &CfgProgram, cfg: &mut Config, t: usize) -> bool {
+    let pc = cfg.pc(t);
+    match &prog.threads[t].instrs[pc as usize] {
+        Instr::Assign(r, e) => {
+            let v = e.eval(cfg.locals(t)).expect("well-typed program");
+            cfg.set_reg(t, *r, v);
+            cfg.set_pc(t, pc + 1);
+        }
+        Instr::Jmp(target) => cfg.set_pc(t, *target),
+        Instr::JmpUnless { cond, target } => {
+            let b = cond
+                .eval(cfg.locals(t))
+                .expect("well-typed program")
+                .truthy()
+                .expect("boolean guard");
+            cfg.set_pc(t, if b { pc + 1 } else { *target });
+        }
+        _ => return false,
+    }
+    true
+}
+
 /// Execute local instructions of thread `t` starting at its current pc until
 /// a fusion barrier: a shared instruction, `Halt`, or a labelled pc (after
 /// at least one instruction has executed). Mutates `cfg` in place.
 fn run_local_chain(prog: &CfgProgram, cfg: &mut Config, t: usize, mut budget: u32) {
     let th = &prog.threads[t];
     loop {
-        let pc = cfg.pcs[t];
-        let instr = &th.instrs[pc as usize];
-        match instr {
-            Instr::Assign(r, e) => {
-                let v = e.eval(&cfg.locals[t]).expect("well-typed program");
-                cfg.locals[t][r.idx()] = v;
-                cfg.pcs[t] = pc + 1;
-            }
-            Instr::Jmp(target) => cfg.pcs[t] = *target,
-            Instr::JmpUnless { cond, target } => {
-                let b = cond
-                    .eval(&cfg.locals[t])
-                    .expect("well-typed program")
-                    .truthy()
-                    .expect("boolean guard");
-                cfg.pcs[t] = if b { pc + 1 } else { *target };
-            }
-            _ => return, // shared instruction or Halt: barrier
+        let pc = cfg.pc(t);
+        if !local_step(prog, cfg, t) {
+            return; // shared instruction or Halt: barrier
         }
         // Barrier at labelled pcs so proof-outline points are never skipped.
-        if th.label_at(cfg.pcs[t]).is_some() && th.label_at(pc) != th.label_at(cfg.pcs[t]) {
+        if th.label_at(cfg.pc(t)).is_some() && th.label_at(pc) != th.label_at(cfg.pc(t)) {
             return;
         }
         budget -= 1;
@@ -388,7 +482,7 @@ fn run_local_chain(prog: &CfgProgram, cfg: &mut Config, t: usize, mut budget: u3
 /// next shared access) touches nothing shared and reports a local
 /// footprint, as does a halted thread. The shared access an instruction
 /// performs is static — its location and component are fixed in the
-/// instruction — so the footprint depends only on `cfg.pcs[t]` **except**
+/// instruction — so the footprint depends only on `cfg.pc(t)` **except**
 /// for two state-dependent refinements. First, a `Cas` none of whose
 /// uncovered observable predecessors carries the expected value can only
 /// *fail*, i.e. only relaxed-read, and is footprinted as a read. Second,
@@ -412,7 +506,7 @@ fn run_local_chain(prog: &CfgProgram, cfg: &mut Config, t: usize, mut budget: u3
 /// still race on `mo`); the identities feed A7's DPOR trace battery.
 pub fn thread_footprint(prog: &CfgProgram, cfg: &Config, t: usize) -> StepFootprint {
     let tid = Tid(t as u8);
-    match &prog.threads[t].instrs[cfg.pcs[t] as usize] {
+    match &prog.threads[t].instrs[cfg.pc(t) as usize] {
         Instr::Halt | Instr::Assign(..) | Instr::Jmp(_) | Instr::JmpUnless { .. } => {
             StepFootprint::local(tid)
         }
@@ -423,9 +517,11 @@ pub fn thread_footprint(prog: &CfgProgram, cfg: &Config, t: usize) -> StepFootpr
             StepFootprint::access(tid, var.comp, var.loc, AccessKind::Read { acq: *acq })
         }
         Instr::Cas { var, expect, .. } => {
-            let u = expect.eval(&cfg.locals[t]).expect("well-typed program");
-            let preds = cfg.mem.update_preds(var.comp, tid, var.loc, Some(u));
-            let kind = if !preds.is_empty() {
+            let u = expect.eval(cfg.locals(t)).expect("well-typed program");
+            let st = cfg.mem.comp(var.comp);
+            let mut preds = st.obs_uncovered(tid, var.loc).filter(|&w| st.op(w).act.wrval() == u);
+            let (first, more) = (preds.next(), preds.next().is_some());
+            let kind = if first.is_some() {
                 AccessKind::Update
             } else {
                 // A spinning CAS that can only fail is a relaxed read
@@ -436,12 +532,13 @@ pub fn thread_footprint(prog: &CfgProgram, cfg: &Config, t: usize) -> StepFootpr
             };
             // With exactly one matching uncovered predecessor, the success
             // branch's cover is already determined by this state.
-            let covers = (preds.len() == 1).then(|| preds[0]);
+            let covers = first.filter(|_| !more);
             StepFootprint::access_covering(tid, var.comp, var.loc, kind, covers)
         }
         Instr::Fai { var, .. } => {
-            let preds = cfg.mem.update_preds(var.comp, tid, var.loc, None);
-            let covers = (preds.len() == 1).then(|| preds[0]);
+            let mut preds = cfg.mem.comp(var.comp).obs_uncovered(tid, var.loc);
+            let (first, more) = (preds.next(), preds.next().is_some());
+            let covers = first.filter(|_| !more);
             StepFootprint::access_covering(tid, var.comp, var.loc, AccessKind::Update, covers)
         }
         Instr::Method { obj, method, sync, .. } => {
@@ -498,8 +595,8 @@ pub fn thread_footprint(prog: &CfgProgram, cfg: &Config, t: usize) -> StepFootpr
     }
 }
 
-/// All successor configurations of `cfg` by a step of thread `t`, or `None`
-/// entries filtered out. An empty result means `t` is blocked or halted.
+/// All successor configurations of `cfg` by a step of thread `t`. An
+/// empty result means `t` is blocked or halted.
 pub fn thread_successors(
     prog: &CfgProgram,
     objs: &dyn ObjectSemantics,
@@ -507,20 +604,43 @@ pub fn thread_successors(
     t: usize,
     opts: StepOptions,
 ) -> Vec<Config> {
+    let mut out = Vec::new();
+    thread_successors_into(prog, objs, cfg, t, opts, &mut out);
+    out
+}
+
+/// [`thread_successors`] appended to `out`, so a caller expanding many
+/// configurations reuses one buffer. Each successor is one copy of `cfg`
+/// made with room for the operation its step inserts
+/// ([`rc11_core::Combined::with_room`]); nothing else is allocated.
+pub fn thread_successors_into(
+    prog: &CfgProgram,
+    objs: &dyn ObjectSemantics,
+    cfg: &Config,
+    t: usize,
+    opts: StepOptions,
+    out: &mut Vec<Config>,
+) {
     let th = &prog.threads[t];
     let tid = Tid(t as u8);
-    let pc = cfg.pcs[t];
+    let pc = cfg.pc(t);
     let instr = &th.instrs[pc as usize];
-    let ls = &cfg.locals[t];
+    let ls = cfg.locals(t);
 
-    let finish = |mut c: Config| -> Config {
+    // Finish a successor: set the destination register, advance the pc,
+    // run the fused local chain behind the step.
+    let mut push = |mem: Combined, reg: Option<Reg>, val: Val| {
+        let mut c = cfg.with_mem(mem);
+        if let Some(r) = reg {
+            c.set_reg(t, r, val);
+        }
+        c.set_pc(t, pc + 1);
         if opts.fuse_local {
             run_local_chain(prog, &mut c, t, 100_000);
         }
-        c
+        out.push(c);
     };
 
-    let mut out = Vec::new();
     match instr {
         Instr::Halt => {}
         // A leading local instruction: one deterministic (fused) step.
@@ -529,79 +649,46 @@ pub fn thread_successors(
             if opts.fuse_local {
                 run_local_chain(prog, &mut c, t, 100_000);
             } else {
-                // Single local step.
-                let th = &prog.threads[t];
-                let pc = c.pcs[t];
-                match &th.instrs[pc as usize] {
-                    Instr::Assign(r, e) => {
-                        let v = e.eval(&c.locals[t]).expect("well-typed program");
-                        c.locals[t][r.idx()] = v;
-                        c.pcs[t] = pc + 1;
-                    }
-                    Instr::Jmp(target) => c.pcs[t] = *target,
-                    Instr::JmpUnless { cond, target } => {
-                        let b = cond
-                            .eval(&c.locals[t])
-                            .expect("well-typed program")
-                            .truthy()
-                            .expect("boolean guard");
-                        c.pcs[t] = if b { pc + 1 } else { *target };
-                    }
-                    _ => unreachable!(),
-                }
+                local_step(prog, &mut c, t);
             }
             out.push(c);
         }
         Instr::Write { var, exp, rel } => {
             let v = exp.eval(ls).expect("well-typed program");
-            for w in cfg.mem.write_preds(var.comp, tid, var.loc) {
-                let mem = cfg.mem.apply_write(var.comp, tid, var.loc, v, *rel, w);
-                let mut c = Config { pcs: cfg.pcs.clone(), locals: cfg.locals.clone(), mem };
-                c.pcs[t] = pc + 1;
-                out.push(finish(c));
+            for w in cfg.mem.comp(var.comp).obs_uncovered(tid, var.loc) {
+                push(cfg.mem.apply_write(var.comp, tid, var.loc, v, *rel, w), None, v);
             }
         }
         Instr::Read { reg, var, acq } => {
-            for choice in cfg.mem.read_choices(var.comp, tid, var.loc) {
-                let mem = cfg.mem.apply_read(var.comp, tid, var.loc, *acq, choice.from);
-                let mut c = Config { pcs: cfg.pcs.clone(), locals: cfg.locals.clone(), mem };
-                c.locals[t][reg.idx()] = choice.val;
-                c.pcs[t] = pc + 1;
-                out.push(finish(c));
+            let st = cfg.mem.comp(var.comp);
+            for &from in st.obs(tid, var.loc) {
+                let mem = cfg.mem.apply_read(var.comp, tid, var.loc, *acq, from);
+                push(mem, Some(*reg), st.op(from).act.wrval());
             }
         }
         Instr::Cas { reg, var, expect, new } => {
             let u = expect.eval(ls).expect("well-typed program");
             let v = new.eval(ls).expect("well-typed program");
+            let st = cfg.mem.comp(var.comp);
             // Failure: a plain relaxed read of any value ≠ u (Figure 4).
-            for choice in cfg.mem.read_choices(var.comp, tid, var.loc) {
-                if choice.val == u {
+            for &from in st.obs(tid, var.loc) {
+                if st.op(from).act.wrval() == u {
                     continue;
                 }
-                let mem = cfg.mem.apply_read(var.comp, tid, var.loc, false, choice.from);
-                let mut c = Config { pcs: cfg.pcs.clone(), locals: cfg.locals.clone(), mem };
-                c.locals[t][reg.idx()] = Val::Bool(false);
-                c.pcs[t] = pc + 1;
-                out.push(finish(c));
+                let mem = cfg.mem.apply_read(var.comp, tid, var.loc, false, from);
+                push(mem, Some(*reg), Val::Bool(false));
             }
             // Success: an RA update of an uncovered observable op with value u.
-            for w in cfg.mem.update_preds(var.comp, tid, var.loc, Some(u)) {
-                let mem = cfg.mem.apply_update(var.comp, tid, var.loc, v, w);
-                let mut c = Config { pcs: cfg.pcs.clone(), locals: cfg.locals.clone(), mem };
-                c.locals[t][reg.idx()] = Val::Bool(true);
-                c.pcs[t] = pc + 1;
-                out.push(finish(c));
+            for w in st.obs_uncovered(tid, var.loc).filter(|&w| st.op(w).act.wrval() == u) {
+                push(cfg.mem.apply_update(var.comp, tid, var.loc, v, w), Some(*reg), Val::Bool(true));
             }
         }
         Instr::Fai { reg, var } => {
-            for w in cfg.mem.update_preds(var.comp, tid, var.loc, None) {
+            for w in cfg.mem.comp(var.comp).obs_uncovered(tid, var.loc) {
                 let old = cfg.mem.wrval_of(var.comp, w);
                 let old_n = old.as_int().expect("FAI over integer variable");
                 let mem = cfg.mem.apply_update(var.comp, tid, var.loc, Val::Int(old_n + 1), w);
-                let mut c = Config { pcs: cfg.pcs.clone(), locals: cfg.locals.clone(), mem };
-                c.locals[t][reg.idx()] = old;
-                c.pcs[t] = pc + 1;
-                out.push(finish(c));
+                push(mem, Some(*reg), old);
             }
         }
         Instr::Method { reg, obj, method, arg, sync } => {
@@ -612,16 +699,10 @@ pub fn thread_successors(
             let argv = arg.as_ref().map(|e| e.eval(ls).expect("well-typed program"));
             for (ret, mem) in objs.method_steps(&cfg.mem, tid, obj.loc, kind, *method, argv, *sync)
             {
-                let mut c = Config { pcs: cfg.pcs.clone(), locals: cfg.locals.clone(), mem };
-                if let Some(r) = reg {
-                    c.locals[t][r.idx()] = ret;
-                }
-                c.pcs[t] = pc + 1;
-                out.push(finish(c));
+                push(mem, *reg, ret);
             }
         }
     }
-    out
 }
 
 /// All successors of `cfg` across all threads, tagged with the moving
@@ -632,11 +713,10 @@ pub fn successors(
     cfg: &Config,
     opts: StepOptions,
 ) -> Vec<(Tid, Config)> {
-    let mut out = Vec::new();
+    let (mut out, mut buf) = (Vec::new(), Vec::new());
     for t in 0..prog.n_threads() {
-        for c in thread_successors(prog, objs, cfg, t, opts) {
-            out.push((Tid(t as u8), c));
-        }
+        thread_successors_into(prog, objs, cfg, t, opts, &mut buf);
+        out.extend(buf.drain(..).map(|c| (Tid(t as u8), c)));
     }
     out
 }
@@ -778,7 +858,7 @@ mod tests {
         let prog = mk_prog(vec![(t1, 2), (t2, 1)]);
         let summarise = |terms: Vec<Config>| {
             let mut v: Vec<(Vec<Val>, Vec<Val>)> =
-                terms.into_iter().map(|c| (c.locals[0].clone(), c.locals[1].clone())).collect();
+                terms.into_iter().map(|c| (c.locals(0).to_vec(), c.locals(1).to_vec())).collect();
             v.sort();
             v.dedup();
             v

@@ -49,7 +49,7 @@
 use crate::ast::{BinOp, Com, Exp, Method, ObjRef, Reg, UnOp, VarRef};
 use crate::builder::{ProgramBuilder, ThreadBuilder};
 use crate::program::{ObjKind, Program};
-use rc11_core::Val;
+use rc11_core::{Comp, Val, MAX_LOCS, MAX_THREADS};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -643,6 +643,8 @@ impl Parser {
                     self.bump();
                     let (vname, vspan) = self.expect_ident("a variable name")?;
                     self.check_fresh(&vname, vspan)?;
+                    let comp = if kw == "var" { Comp::Client } else { Comp::Lib };
+                    self.check_loc_room(&pb, comp, vspan)?;
                     self.expect(&Tok::Assign, "after the variable name")?;
                     let init = self.parse_int_literal("as the initial value")?;
                     let var = if kw == "var" {
@@ -669,6 +671,7 @@ impl Parser {
                     };
                     let (oname, ospan) = self.expect_ident("an object name")?;
                     self.check_fresh(&oname, ospan)?;
+                    self.check_loc_room(&pb, Comp::Lib, ospan)?;
                     let obj = pb.object(&oname, kind);
                     self.decls.push((oname, Decl::Obj(obj, kind)));
                 }
@@ -679,6 +682,12 @@ impl Parser {
                         return Err(
                             self.err(tspan, format!("duplicate thread name `{tname}`"))
                         );
+                    }
+                    if self.threads.len() == MAX_THREADS {
+                        return Err(self.err(
+                            tspan,
+                            format!("too many threads: at most {MAX_THREADS} (thread ids are 8-bit)"),
+                        ));
                     }
                     self.threads.push(ThreadCtx {
                         name: tname,
@@ -805,11 +814,19 @@ impl Parser {
             });
             pb.add_thread(ctx.tb, body);
         }
-        let prog = pb.build();
-        if let Err(e) = prog.validate() {
-            return Err(ParseError { msg: e, span: Span { line: 1, col: 1 } });
-        }
+        let prog =
+            pb.try_build().map_err(|msg| ParseError { msg, span: Span { line: 1, col: 1 } })?;
         Ok(ParsedLitmus { name, about, prog, observe, observe_names, expected, lint: self.lint })
+    }
+
+    /// Reject a declaration past the [`MAX_LOCS`] locations component
+    /// `comp` can name.
+    fn check_loc_room(&self, pb: &ProgramBuilder, comp: Comp, span: Span) -> Result<(), ParseError> {
+        if pb.n_locs(comp) == MAX_LOCS {
+            let what = if comp == Comp::Client { "client" } else { "library" };
+            return Err(self.err(span, format!("too many {what} locations: at most {MAX_LOCS}")));
+        }
+        Ok(())
     }
 
     fn check_fresh(&self, name: &str, span: Span) -> Result<(), ParseError> {

@@ -76,10 +76,18 @@ impl Program {
         self.threads.iter().map(|t| t.reg_inits.clone()).collect()
     }
 
-    /// Sanity-check the program: register indices within bounds, variable
-    /// references within the location tables, objects only accessed through
-    /// method calls, plain variables never used as objects.
+    /// Sanity-check the program: at most [`rc11_core::MAX_THREADS`]
+    /// threads, register indices within bounds, variable references within
+    /// the location tables, objects only accessed through method calls,
+    /// plain variables never used as objects.
     pub fn validate(&self) -> Result<(), String> {
+        if self.threads.len() > rc11_core::MAX_THREADS {
+            return Err(format!(
+                "{} threads: at most {} (thread ids are 8-bit)",
+                self.threads.len(),
+                rc11_core::MAX_THREADS
+            ));
+        }
         for (ti, th) in self.threads.iter().enumerate() {
             if let Some(max) = th.body.max_reg() {
                 if max >= th.n_regs {

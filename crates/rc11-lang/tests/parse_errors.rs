@@ -224,3 +224,56 @@ fn nesting_at_the_depth_cap_parses() {
     );
     parse_litmus(&src).expect("nesting at the cap is accepted");
 }
+
+/// A relaxed message-passing test with `n` threads: a writer, a reader,
+/// and `n - 2` idle threads between them, one thread per line from line 4.
+fn wide_mp(n: usize) -> String {
+    let mut src = String::from("litmus \"wide\"\nvar d = 0\nvar f = 0\n");
+    src.push_str("thread W { d = 1; f = 1; }\n");
+    for i in 0..n - 2 {
+        src.push_str(&format!("thread I{i} {{ skip; }}\n"));
+    }
+    src.push_str("thread R { a = f; b = d; }\n");
+    src.push_str("observe R.a R.b\nexpected { (0,0) (0,1) (1,0) (1,1) }\n");
+    src
+}
+
+/// Thread ids are 8-bit: a 257th thread would alias thread 0's views and
+/// lose outcomes, so it is rejected where it is declared.
+#[test]
+fn thread_past_the_id_range_is_rejected_at_its_name() {
+    assert!(parse_litmus(&wide_mp(256)).is_ok(), "256 threads fit the id range");
+    let e = err(&wide_mp(257));
+    assert_eq!((e.span.line, e.span.col), (4 + 256, 8), "{e}");
+    assert!(e.msg.contains("too many threads: at most 256"), "{}", e.msg);
+}
+
+/// The builder reports the same limits as errors: more than 256 threads,
+/// or more locations in a component than `Loc` can name.
+#[test]
+fn builder_rejects_thread_and_location_counts_past_their_id_range() {
+    use rc11_lang::builder::{ProgramBuilder, ThreadBuilder};
+    use rc11_lang::Com;
+    let threads = |n: usize| {
+        let mut p = ProgramBuilder::new("threads");
+        for _ in 0..n {
+            p.add_thread(ThreadBuilder::new(), Com::Skip);
+        }
+        p.try_build()
+    };
+    assert!(threads(256).is_ok());
+    let e = threads(257).expect_err("257 threads must be rejected");
+    assert!(e.contains("257 threads: at most 256"), "{e}");
+
+    let locations = |n: usize| {
+        let mut p = ProgramBuilder::new("locations");
+        for i in 0..n {
+            p.lib_var(&format!("x{i}"), 0);
+        }
+        p.add_thread(ThreadBuilder::new(), Com::Skip);
+        p.try_build()
+    };
+    assert!(locations(rc11_core::MAX_LOCS).is_ok());
+    let e = locations(rc11_core::MAX_LOCS + 1).expect_err("a 65537th location must be rejected");
+    assert!(e.contains("too many library locations: at most 65536"), "{e}");
+}

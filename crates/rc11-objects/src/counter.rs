@@ -26,7 +26,7 @@ pub fn inc_steps(mem: &Combined, t: Tid, c: Loc) -> Vec<(Val, Combined)> {
         return Vec::new();
     };
 
-    let mut next = mem.clone();
+    let mut next = mem.with_room(Comp::Lib);
     let (exec, ctx) = next.exec_ctx_mut(Comp::Lib);
     let new = exec.insert_at_max(OpRecord {
         loc: c,

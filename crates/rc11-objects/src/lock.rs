@@ -43,7 +43,7 @@ pub fn acquire_steps(mem: &Combined, t: Tid, l: Loc) -> Vec<(u32, Combined)> {
     };
     let n = n_prev + 1;
 
-    let mut next = mem.clone();
+    let mut next = mem.with_room(Comp::Lib);
     let (exec, ctx) = next.exec_ctx_mut(Comp::Lib);
     let b = MethodOp::LockAcquire { n, tid: t };
     let new = exec.insert_at_max(OpRecord { loc: l, tid: t, act: OpAction::Method(b) });
@@ -71,7 +71,7 @@ pub fn release_steps(mem: &Combined, t: Tid, l: Loc) -> Vec<(u32, Combined)> {
         _ => return Vec::new(),
     };
 
-    let mut next = mem.clone();
+    let mut next = mem.with_room(Comp::Lib);
     let (exec, ctx) = next.exec_ctx_mut(Comp::Lib);
     let a = MethodOp::LockRelease { n };
     let new = exec.insert_at_max(OpRecord { loc: l, tid: t, act: OpAction::Method(a) });

@@ -32,7 +32,7 @@ pub fn front(mem: &Combined, q: Loc) -> Option<(OpId, Val, bool)> {
 
 /// All `enq` outcomes (always exactly one).
 pub fn enq_steps(mem: &Combined, t: Tid, q: Loc, v: Val, rel: bool) -> Vec<Combined> {
-    let mut next = mem.clone();
+    let mut next = mem.with_room(Comp::Lib);
     let (exec, ctx) = next.exec_ctx_mut(Comp::Lib);
     let new = exec.insert_at_max(OpRecord {
         loc: q,
@@ -50,7 +50,7 @@ pub fn deq_steps(mem: &Combined, t: Tid, q: Loc, acq: bool) -> Vec<(Val, Combine
     match front(mem, q) {
         None => vec![(Val::Empty, mem.clone())],
         Some((w, v, rel)) => {
-            let mut next = mem.clone();
+            let mut next = mem.with_room(Comp::Lib);
             let (exec, ctx) = next.exec_ctx_mut(Comp::Lib);
             let new = exec.insert_after(
                 w,

@@ -27,7 +27,7 @@ pub fn write_steps(mem: &Combined, t: Tid, r: Loc, v: Val, rel: bool) -> Vec<Com
     preds
         .into_iter()
         .map(|w| {
-            let mut next = mem.clone();
+            let mut next = mem.with_room(Comp::Lib);
             let (exec, ctx) = next.exec_ctx_mut(Comp::Lib);
             let new = exec.insert_after(
                 w,

@@ -40,7 +40,7 @@ pub fn top(mem: &Combined, s: Loc) -> Option<(OpId, Val, bool)> {
 
 /// All `push` outcomes (always exactly one).
 pub fn push_steps(mem: &Combined, t: Tid, s: Loc, v: Val, rel: bool) -> Vec<Combined> {
-    let mut next = mem.clone();
+    let mut next = mem.with_room(Comp::Lib);
     let (exec, ctx) = next.exec_ctx_mut(Comp::Lib);
     let new = exec.insert_at_max(OpRecord {
         loc: s,
@@ -58,7 +58,7 @@ pub fn pop_steps(mem: &Combined, t: Tid, s: Loc, acq: bool) -> Vec<(Val, Combine
     match top(mem, s) {
         None => vec![(Val::Empty, mem.clone())],
         Some((w, v, rel)) => {
-            let mut next = mem.clone();
+            let mut next = mem.with_room(Comp::Lib);
             let (exec, ctx) = next.exec_ctx_mut(Comp::Lib);
             let new = exec.insert_after(
                 w,

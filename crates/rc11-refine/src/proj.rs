@@ -51,11 +51,11 @@ impl ClientProj {
     /// Extract the projection of `cfg`.
     pub fn of(cfg: &Config, shape: &ClientShape) -> ClientProj {
         let st = cfg.mem.client();
-        let locals = cfg
-            .locals
+        let locals = shape
+            .n_client_regs
             .iter()
-            .zip(&shape.n_client_regs)
-            .map(|(ls, &n)| ls[..n as usize].to_vec())
+            .enumerate()
+            .map(|(t, &n)| cfg.locals(t)[..n as usize].to_vec())
             .collect();
         let history = (0..shape.n_client_locs)
             .map(|l| {
@@ -160,8 +160,9 @@ mod tests {
         // Two configs differing only past the client register count project
         // equally.
         let (shape, init, _, _) = shape_and_cfg();
-        let mut b = init.clone();
-        b.locals[0].push(rc11_core::Val::Int(99)); // fake impl register
+        let mut files = init.register_files();
+        files[0].push(rc11_core::Val::Int(99)); // fake impl register
+        let b = Config::from_parts(init.pcs(), &files, init.mem.clone());
         let pa = ClientProj::of(&init, &shape);
         let pb = ClientProj::of(&b, &shape);
         assert_eq!(pa, pb);

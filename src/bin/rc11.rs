@@ -24,7 +24,7 @@ use rc11::analyze::{lint as analyze_lint, render_diagnostic, Severity};
 use rc11::check::gen::GenOptions;
 use rc11::check::fuzz::{fuzz, DiffOptions};
 use rc11::check::wire::Json;
-use rc11::check::{CheckParams, CheckService, VerdictCache};
+use rc11::check::{Budget, CheckParams, CheckService, VerdictCache, DEFAULT_MEM_BUDGET};
 use rc11::daemon::{self, DaemonConfig};
 use rc11::lang::parse::parse_litmus;
 use rc11::litmus::{self, Litmus};
@@ -81,7 +81,10 @@ RUN OPTIONS:
   --max-transitions <N>      transition budget per engine run (same
                              stopped-early contract)
   --mem-budget <BYTES>       approximate interned-state memory budget per
-                             engine run (same stopped-early contract)
+                             engine run (same stopped-early contract;
+                             default 1073741824, i.e. 1 GiB, so a state
+                             space that explodes stops as `mem-budget`
+                             instead of exhausting the machine)
   --checkpoint <DIR>         periodically checkpoint the exploration into
                              DIR; an interrupted run resumes from DIR and
                              finishes with a report identical to an
@@ -170,9 +173,11 @@ SERVE OPTIONS:
   DESIGN.md §8): check / stats / ping / shutdown. Every check goes
   through the same request path as `rc11 run` — parse, canonicalise,
   fingerprint, cache-probe, explore — so syntactically different but
-  canonically identical submissions are served from the cache. Shutdown
-  cancels in-flight work and drains the queue with explicit `cancelled`
-  responses; disk-spilled verdicts survive a kill at any point.
+  canonically identical submissions are served from the cache. A check
+  that sets no `max_mem_bytes` runs under the same 1 GiB default memory
+  budget as `rc11 run`. Shutdown cancels in-flight work and drains the
+  queue with explicit `cancelled` responses; disk-spilled verdicts
+  survive a kill at any point.
 
 SUBMIT OPTIONS:
   --addr <HOST:PORT>         daemon address (required)
@@ -254,34 +259,33 @@ impl Opts {
 // rc11 run
 // ---------------------------------------------------------------------
 
+/// The per-run budget `rc11 run` takes from `--deadline`,
+/// `--max-transitions` and `--mem-budget`; without `--mem-budget` the
+/// memory bound is [`DEFAULT_MEM_BUDGET`].
+fn run_budget(opts: &mut Opts) -> Result<Budget, String> {
+    let deadline = match opts.value_of("--deadline")? {
+        None => None,
+        Some(v) => match v.parse::<f64>() {
+            Ok(secs) if secs > 0.0 => Some(std::time::Duration::from_secs_f64(secs)),
+            _ => return Err(format!("--deadline: invalid value `{v}`")),
+        },
+    };
+    let max_transitions = match opts.value_of("--max-transitions")? {
+        None => None,
+        Some(v) => Some(v.parse().map_err(|_| format!("--max-transitions: invalid value `{v}`"))?),
+    };
+    let max_mem_bytes = Some(opts.parsed("--mem-budget", DEFAULT_MEM_BUDGET)?);
+    Ok(Budget { deadline, max_transitions, max_mem_bytes })
+}
+
 fn cmd_run(raw: &[String]) -> ExitCode {
     let mut opts = Opts { args: raw.to_vec() };
     let max_states = match opts.parsed("--max-states", 5_000_000usize) {
         Ok(v) => v,
         Err(e) => return fail_usage(&e),
     };
-    let deadline = match opts.value_of("--deadline") {
-        Ok(None) => None,
-        Ok(Some(v)) => match v.parse::<f64>() {
-            Ok(secs) if secs > 0.0 => Some(std::time::Duration::from_secs_f64(secs)),
-            _ => return fail_usage(&format!("--deadline: invalid value `{v}`")),
-        },
-        Err(e) => return fail_usage(&e),
-    };
-    let max_transitions = match opts.value_of("--max-transitions") {
-        Ok(None) => None,
-        Ok(Some(v)) => match v.parse::<usize>() {
-            Ok(n) => Some(n),
-            Err(_) => return fail_usage(&format!("--max-transitions: invalid value `{v}`")),
-        },
-        Err(e) => return fail_usage(&e),
-    };
-    let mem_budget = match opts.value_of("--mem-budget") {
-        Ok(None) => None,
-        Ok(Some(v)) => match v.parse::<usize>() {
-            Ok(n) => Some(n),
-            Err(_) => return fail_usage(&format!("--mem-budget: invalid value `{v}`")),
-        },
+    let budget = match run_budget(&mut opts) {
+        Ok(b) => b,
         Err(e) => return fail_usage(&e),
     };
     let checkpoint = match opts.value_of("--checkpoint") {
@@ -378,7 +382,6 @@ fn cmd_run(raw: &[String]) -> ExitCode {
         },
         None => CheckService::new(),
     };
-    let budget = rc11::check::Budget { deadline, max_transitions, max_mem_bytes: mem_budget };
     let params = CheckParams {
         max_states,
         budget,
@@ -1377,4 +1380,42 @@ fn cmd_trace_report(raw: &[String]) -> ExitCode {
     }
     println!("engine counters: expansions {}", stats.counter(Counter::Expansions));
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rc11::check::StopReason;
+
+    fn budget_of(args: &[&str]) -> Budget {
+        let mut opts = Opts { args: args.iter().map(|a| a.to_string()).collect() };
+        run_budget(&mut opts).expect("options parse")
+    }
+
+    /// Seventy identical relaxed readers: no symmetry (the orbit is past
+    /// the cap) and no sleep sets (past 64 threads), so the walk faces
+    /// 2^70 states.
+    fn seventy_readers() -> String {
+        let threads: String = (0..70).map(|i| format!("thread T{i} {{ r = x; }}\n")).collect();
+        format!("litmus \"wide\"\nvar x = 0\n{threads}observe T0.r\nexpected {{ (0) }}\n")
+    }
+
+    /// `rc11 run` bounds every run's memory by default; an explicit
+    /// `--mem-budget` replaces the default, and a state space that
+    /// explodes stops on it with `StopReason::MemBudget`.
+    #[test]
+    fn run_applies_the_default_memory_budget() {
+        let default = budget_of(&["corpus/"]);
+        assert_eq!(default.max_mem_bytes, Some(DEFAULT_MEM_BUDGET));
+        assert_eq!((default.deadline, default.max_transitions), (None, None));
+
+        let small = budget_of(&["--mem-budget", "2000000", "corpus/"]);
+        assert_eq!(small.max_mem_bytes, Some(2_000_000));
+
+        let src = seventy_readers();
+        let l = parse_litmus(&src).expect("parses");
+        let params = CheckParams { budget: small, ..CheckParams::default() };
+        let r = CheckService::new().check_parts(&l.name, &l.prog, &l.observe, &l.expected, &params);
+        assert_eq!(r.stop, StopReason::MemBudget);
+    }
 }

@@ -15,8 +15,9 @@
 //!
 //! * `{"cmd":"check","source":"litmus …", …}` — check a `.litmus`
 //!   source. Optional fields: `max_states`, `deadline_ms`,
-//!   `max_transitions`, `max_mem_bytes`, `no_cache` (default false: probe
-//!   and populate the verdict cache), `telemetry` (default false: attach a
+//!   `max_transitions`, `max_mem_bytes` (default
+//!   [`rc11_check::DEFAULT_MEM_BUDGET`], 1 GiB), `no_cache` (default
+//!   false: probe and populate the verdict cache), `telemetry` (default false: attach a
 //!   per-job sink; the response's `telemetry` field carries its snapshot).
 //!   Unknown fields are ignored — among them `workers`, which older
 //!   clients send: every check runs the one exploration walk. Every check
@@ -55,6 +56,7 @@ use rc11_check::telemetry::snapshot_json;
 use rc11_check::wire::{obj, parse_json, Json};
 use rc11_check::{
     CancelToken, CheckParams, CheckResponse, CheckService, Served, StatsSnapshot, VerdictCache,
+    DEFAULT_MEM_BUDGET,
 };
 use rc11_core::Val;
 use rc11_lang::parse::val_literal;
@@ -612,9 +614,7 @@ fn decode_params(request: &Json, kill: &CancelToken) -> Result<CheckParams, Stri
     if let Some(n) = usize_field("max_transitions")? {
         params.budget.max_transitions = Some(n);
     }
-    if let Some(n) = usize_field("max_mem_bytes")? {
-        params.budget.max_mem_bytes = Some(n);
-    }
+    params.budget.max_mem_bytes = Some(usize_field("max_mem_bytes")?.unwrap_or(DEFAULT_MEM_BUDGET));
     if let Some(b) = bool_field("no_cache")? {
         params.use_cache = !b;
     }
@@ -812,5 +812,22 @@ impl Client {
     /// Ask the daemon to stop (it acknowledges, then drains and exits).
     pub fn shutdown(&mut self) -> io::Result<Json> {
         self.request(&obj(vec![("cmd", Json::Str("shutdown".to_string()))]))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A check request that sets no `max_mem_bytes` runs under the
+    /// default memory budget; one that sets it gets exactly that.
+    #[test]
+    fn checks_default_to_the_memory_budget() {
+        let kill = CancelToken::default();
+        let plain = parse_json(r#"{"cmd":"check","source":""}"#).expect("json");
+        let params = decode_params(&plain, &kill).expect("decodes");
+        assert_eq!(params.budget.max_mem_bytes, Some(DEFAULT_MEM_BUDGET));
+        let set = parse_json(r#"{"cmd":"check","source":"","max_mem_bytes":4096}"#).expect("json");
+        assert_eq!(decode_params(&set, &kill).expect("decodes").budget.max_mem_bytes, Some(4096));
     }
 }

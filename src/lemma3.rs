@@ -74,7 +74,7 @@ fn holds(p: &Pred, prog: &CfgProgram, cfg: &Config) -> bool {
 }
 
 fn with_mem(cfg: &Config, mem: Combined) -> Config {
-    Config { pcs: cfg.pcs.clone(), locals: cfg.locals.clone(), mem }
+    cfg.with_mem(mem)
 }
 
 /// Check all six rules over the harness; panics on the first violation.

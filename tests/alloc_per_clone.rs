@@ -1,29 +1,61 @@
-//! Structural allocation check for the flat state layout: cloning a
-//! configuration costs a fixed number of heap allocations, whatever the
-//! length of its history. Thread views and both halves of every
-//! operation's modification view live in one buffer per table, so a
-//! longer history grows buffers, not their number.
+//! Allocation checks for the flat state layout.
 //!
-//! The count comes from a counting global allocator, which is why this
-//! check is its own test binary: the allocator wraps `System` for the
-//! whole process and must not count other tests' allocations.
+//! * Cloning a configuration costs a small fixed number of heap
+//!   allocations — one per buffer — whatever the length of its history,
+//!   its thread count or its location count: each component state keeps
+//!   its op records and one `u32` table (modification orders, ranks,
+//!   covers and every view), and the control state keeps its pcs and
+//!   register files in two flat buffers.
+//! * One `counter5` request (five ticket-lock clients, fully reduced)
+//!   makes a bounded number of allocations per explored state: successor
+//!   generation copies each configuration once, and the walk's probes
+//!   (canonical permutations, symmetry choice, fingerprint, equality
+//!   confirmation) reuse scratch buffers.
+//!
+//! The counts come from a counting global allocator, which is why these
+//! checks are their own test binary. The counter is thread-local, so
+//! tests running concurrently on other threads do not disturb it.
 
+use rc11::check::{CheckParams, CheckService};
 use rc11::prelude::*;
 use rc11_lang::machine::successors;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::collections::BTreeSet;
 
-/// `System`, counting calls to `alloc`.
+/// `System`, counting calls to `alloc` and `realloc` on the calling
+/// thread.
 struct Counting;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+}
+
+fn allocs() -> usize {
+    ALLOCS.with(Cell::get)
+}
 
 // SAFETY: every call is forwarded unchanged to `System`; the counter is a
-// relaxed atomic with no effect on the allocation itself.
+// const-initialised thread-local `Cell` with no destructor, so touching it
+// never allocates and has no effect on the allocation itself.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -34,13 +66,67 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// The most allocations one `Config::clone` may make: two buffers per
+/// component state plus two for the control state.
+const MAX_CLONE_ALLOCS: usize = 6;
+
+/// The most allocations one `counter5` request may make per explored
+/// state.
+const MAX_REQUEST_ALLOCS_PER_STATE: f64 = 40.0;
+
 /// Allocations made by one `Config::clone`.
 fn clone_allocs(cfg: &Config) -> usize {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     let copy = cfg.clone();
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     drop(copy);
     after - before
+}
+
+/// Follow the first successor of the lowest-numbered thread that has one,
+/// for up to `steps` steps.
+fn run_first(
+    prog: &CfgProgram,
+    objs: &dyn rc11_lang::machine::ObjectSemantics,
+    steps: usize,
+) -> Config {
+    let mut cfg = Config::initial(prog);
+    for _ in 0..steps {
+        match successors(prog, objs, &cfg, StepOptions::default()).into_iter().next() {
+            Some((_, next)) => cfg = next,
+            None => break,
+        }
+    }
+    cfg
+}
+
+/// The ticket-lock counter client with `n` threads, and its observed
+/// registers.
+fn counter(n: usize) -> (Program, Vec<(usize, Reg)>) {
+    let (client, lock) = rc11::refine::harness::counter_client(n);
+    let prog = instantiate(&client, lock, &rc11::locks::ticket());
+    (prog, (0..n).map(|t| (t, Reg(0))).collect())
+}
+
+/// Every ordering of `0..n`: the counter client's outcome set (each thread
+/// reads a distinct value under mutual exclusion).
+fn permutations(n: usize) -> BTreeSet<Vec<Val>> {
+    fn go(prefix: &mut Vec<Val>, n: usize, out: &mut BTreeSet<Vec<Val>>) {
+        if prefix.len() == n {
+            out.insert(prefix.clone());
+            return;
+        }
+        for v in 0..n as i64 {
+            if !prefix.contains(&Val::Int(v)) {
+                prefix.push(Val::Int(v));
+                go(prefix, n, out);
+                prefix.pop();
+            }
+        }
+    }
+    let mut out = BTreeSet::new();
+    go(&mut Vec::new(), n, &mut out);
+    out
 }
 
 #[test]
@@ -75,4 +161,53 @@ fn config_clone_allocations_do_not_grow_with_history() {
     let (short, long) = (clone_allocs(&init), clone_allocs(&cfg));
     assert!(short > 0, "the counter must see the clone");
     assert_eq!(short, long, "a longer history must not add allocations per clone");
+    assert!(long <= MAX_CLONE_ALLOCS, "{long} allocations per clone");
+}
+
+/// The clone cost is the same small constant on a 2-thread program, the
+/// 5-thread ticket-lock counter and the 4-thread TTAS spinlock, however
+/// many threads, locations and operations each holds.
+#[test]
+fn config_clone_allocations_do_not_grow_with_threads_or_locations() {
+    let mut p = ProgramBuilder::new("pair");
+    let x = p.client_var("x", 0);
+    for i in 0..2 {
+        p.add_thread(ThreadBuilder::new(), seq([wr(x, i + 1)]));
+    }
+    let pair = compile(&p.build());
+    let counter5 = compile(&counter(5).0);
+    let ttas4 =
+        compile(&parse_litmus(include_str!("../corpus/ttas4.litmus")).expect("corpus parses").prog);
+
+    for (name, prog) in [("pair", &pair), ("counter5", &counter5), ("ttas4", &ttas4)] {
+        let counts: Vec<usize> =
+            [0, 12].iter().map(|&steps| clone_allocs(&run_first(prog, &AbstractObjects, steps))).collect();
+        println!("{name}: {counts:?} allocations per clone (initial, after 12 steps)");
+        assert!(counts[0] > 0, "{name}: the counter must see the clone");
+        assert_eq!(counts[0], counts[1], "{name}: a longer history must not add allocations");
+        assert!(counts[0] <= MAX_CLONE_ALLOCS, "{name}: {} allocations per clone", counts[0]);
+    }
+}
+
+/// One fully reduced `counter5` request, as the deep benchmark issues it
+/// (no cache), stays under the per-state allocation bound.
+#[test]
+fn counter5_request_allocations_per_state_are_bounded() {
+    let (prog, observe) = counter(5);
+    let known = permutations(5);
+    let params = CheckParams { use_cache: false, ..CheckParams::default() };
+    let svc = CheckService::new();
+    let before = allocs();
+    let r = svc.check_parts("counter5", &prog, &observe, &known, &params);
+    let made = allocs() - before;
+    assert!(r.pass, "counter5 verdict: {:?}", r.observed);
+    let per_state = made as f64 / r.states as f64;
+    println!(
+        "counter5: {made} allocations over {} states ({per_state:.1} per state, {} transitions)",
+        r.states, r.transitions
+    );
+    assert!(
+        per_state <= MAX_REQUEST_ALLOCS_PER_STATE,
+        "{per_state:.1} allocations per state (bound {MAX_REQUEST_ALLOCS_PER_STATE})"
+    );
 }

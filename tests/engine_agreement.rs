@@ -152,7 +152,7 @@ fn reference_outline(
         }
         for (t, anns) in outline.pre.iter().enumerate() {
             for (&k, p) in anns {
-                if prog.threads[t].labels.get(&k) == Some(&cfg.pcs[t]) && !p.eval(ctx) {
+                if prog.threads[t].labels.get(&k) == Some(&cfg.pc(t)) && !p.eval(ctx) {
                     failures.insert((OutlineKind::Pre(t, k), cfg.clone()));
                 }
             }
@@ -630,7 +630,7 @@ fn violations_carry_no_trace_when_recording_is_off() {
     let prog = deadlock_prog();
     let opts = ExploreOptions { record_traces: false, ..Default::default() };
     let report = Engine::Sequential.explore_with(&prog, &AbstractObjects, &opts, |cfg, out| {
-        if cfg.pcs.iter().all(|&pc| pc > 0) {
+        if cfg.pcs().iter().all(|&pc| pc > 0) {
             out.push("all threads moved".to_string());
         }
     });

@@ -64,7 +64,7 @@ fn holds(p: &Pred, prog: &CfgProgram, cfg: &Config) -> bool {
 }
 
 fn with_mem(cfg: &Config, mem: Combined) -> Config {
-    Config { pcs: cfg.pcs.clone(), locals: cfg.locals.clone(), mem }
+    cfg.with_mem(mem)
 }
 
 /// All six rules via the reusable `rc11::lemma3` module (the benches time

@@ -32,7 +32,7 @@ use rc11::core::StepFootprint;
 use rc11::lang::machine::{successors, thread_footprint, thread_successors, Config, NoObjects, ObjectSemantics, StepOptions};
 use rc11::lang::{compile, CfgProgram};
 use rc11_litmus as litmus;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 fn corpus_dir() -> std::path::PathBuf {
     std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus")
@@ -94,18 +94,18 @@ fn check_state(
 ) -> Result<(), String> {
     let n = prog.n_threads();
     let fp: Vec<StepFootprint> = (0..n).map(|t| thread_footprint(prog, s, t)).collect();
-    let p = fps.persistent_mask(&s.pcs);
+    let p = fps.persistent_mask(s.pcs());
     let in_p = |t: usize| p & (1u64 << t) != 0;
 
     // Containment: dynamic conflicts are a subset of static future
     // conflicts at the same pcs.
     for t in 0..n {
         for w in t + 1..n {
-            if fp[t].may_conflict(&fp[w]) && !fps.conflicts(t, s.pcs[t], w, s.pcs[w]) {
+            if fp[t].may_conflict(&fp[w]) && !fps.conflicts(t, s.pc(t), w, s.pc(w)) {
                 return Err(format!(
                     "threads {t} and {w} conflict dynamically at pcs {:?} but their \
                      static future footprints are disjoint",
-                    s.pcs
+                    s.pcs()
                 ));
             }
         }
@@ -114,7 +114,7 @@ fn check_state(
     // Commutation: every non-halted outsider commutes with every member,
     // in both orders, as canonical successor multisets.
     for u in 0..n {
-        if in_p(u) || fps.halted(u, &s.pcs) {
+        if in_p(u) || fps.halted(u, s.pcs()) {
             continue;
         }
         for m in 0..n {
@@ -125,7 +125,7 @@ fn check_state(
                 return Err(format!(
                     "outsider {u} dynamically conflicts with persistent member {m} \
                      at pcs {:?}",
-                    s.pcs
+                    s.pcs()
                 ));
             }
             let um = two_step_multiset(prog, objs, s, u, m);
@@ -134,7 +134,7 @@ fn check_state(
                 return Err(format!(
                     "outsider {u} and member {m} do not commute at pcs {:?} \
                      ({} vs {} two-step successors)",
-                    s.pcs,
+                    s.pcs(),
                     um.values().sum::<usize>(),
                     mu.values().sum::<usize>()
                 ));
@@ -149,11 +149,11 @@ fn check_state(
     if let Some(t) = moved {
         if in_p(t) {
             for w in 0..n {
-                if w != t && !fps.halted(w, &s.pcs) && fp[t].may_conflict(&fp[w]) && !in_p(w) {
+                if w != t && !fps.halted(w, s.pcs()) && fp[t].may_conflict(&fp[w]) && !in_p(w) {
                     return Err(format!(
                         "executed member {t} conflicts with {w}, which the \
                          persistent set {p:#b} omits at pcs {:?}",
-                        s.pcs
+                        s.pcs()
                     ));
                 }
             }
@@ -230,6 +230,44 @@ fn persistent_sets_do_reduce_disjoint_components() {
     let prog = compile(&l.prog);
     let fps = future_footprints(&prog);
     let init = Config::initial(&prog);
-    let p = fps.persistent_mask(&init.pcs);
+    let p = fps.persistent_mask(init.pcs());
     assert!(p == 0b0011 || p == 0b1100, "one TTAS pair, not all four threads: {p:#b}");
+}
+
+/// The one-pass `persistent_mask` returns exactly the mask of its
+/// closure-loop specification on every reachable pc vector of `ttas4`,
+/// `sym_inc3` and the ticket-lock `counter5` client — same seed order,
+/// same tie-break.
+#[test]
+fn persistent_mask_matches_its_closure_spec_on_reachable_pcs() {
+    let from_corpus = |file: &str| {
+        let l = litmus::load_file(corpus_dir().join(file)).unwrap_or_else(|e| panic!("{e}"));
+        compile(&l.prog)
+    };
+    let counter5 = {
+        let (client, lock) = rc11::refine::harness::counter_client(5);
+        compile(&rc11::lang::instantiate(&client, lock, &rc11::locks::ticket()))
+    };
+    for (name, prog) in [
+        ("ttas4", from_corpus("ttas4.litmus")),
+        ("sym_inc3", from_corpus("sym_inc3.litmus")),
+        ("counter5", counter5),
+    ] {
+        // A state query runs its check on every reachable configuration
+        // (orbit members included under symmetry reduction).
+        let mut seen: HashSet<Vec<u32>> = HashSet::new();
+        let report = rc11::check::Explorer::new(&prog, &NoObjects).explore_with(|cfg, _| {
+            seen.insert(cfg.pcs().to_vec());
+        });
+        assert!(report.stop.is_complete(), "{name}: walk stopped early");
+        let fps = future_footprints(&prog);
+        for pcs in &seen {
+            assert_eq!(
+                fps.persistent_mask(pcs),
+                fps.persistent_mask_spec(pcs),
+                "{name}: masks differ at pcs {pcs:?}"
+            );
+        }
+        assert!(seen.len() > 10, "{name}: only {} pc vectors", seen.len());
+    }
 }

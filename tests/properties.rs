@@ -69,7 +69,7 @@ fn cfg_terminals(prog: &CfgProgram, fuse: bool) -> HashSet<Outcome> {
     while let Some(c) = frontier.pop() {
         let succs = successors(prog, &NoObjects, &c, StepOptions { fuse_local: fuse });
         if succs.is_empty() {
-            out.insert((c.locals.clone(), c.mem.canonical()));
+            out.insert((c.register_files(), c.mem.canonical()));
             continue;
         }
         for (_, s) in succs {
@@ -333,7 +333,7 @@ proptest! {
                 .collect();
             for (sigma, member) in group.iter().zip(&orbit) {
                 let perms = rc11::core::CanonPerms {
-                    threads: Some(sigma.clone()),
+                    threads: sigma.clone(),
                     ..state.canonical_perms()
                 };
                 prop_assert_eq!(

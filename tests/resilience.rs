@@ -230,6 +230,25 @@ fn degenerate_budgets_stop_immediately_with_the_right_verdict() {
     }
 }
 
+/// A symmetric group too large for the orbit cap degrades to the
+/// unreduced walk with a note. Twenty-one identical threads already
+/// saturate the orbit count (21! > 2^64); the note says so instead of
+/// printing the saturated `usize::MAX`.
+#[test]
+fn saturated_orbit_note_reads_as_a_bound() {
+    let threads: String = (0..21).map(|i| format!("thread T{i} {{ r = x; }}\n")).collect();
+    let src = format!("litmus \"sym21\"\nvar x = 0\n{threads}observe T0.r\nexpected {{ (0) }}\n");
+    let prog = compile(&rc11::lang::parse_litmus(&src).expect("parses").prog);
+    let opts = ExploreOptions { max_states: 2, record_traces: false, ..Default::default() };
+    let report = Engine::Sequential.explore(&prog, &NoObjects, &opts);
+    let notes: Vec<String> = report.notes.iter().map(ToString::to_string).collect();
+    let note = notes
+        .iter()
+        .find(|n| n.starts_with("symmetry-fallback"))
+        .unwrap_or_else(|| panic!("no orbit-cap note in {notes:?}"));
+    assert_eq!(note, "symmetry-fallback: orbit ≥ 2^64 exceeds cap 10000, unreduced");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24 })]
 

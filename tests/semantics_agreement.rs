@@ -47,7 +47,7 @@ fn cfg_terminals(
     while let Some(c) = frontier.pop() {
         let succs = successors(prog, objs, &c, opts);
         if succs.is_empty() {
-            out.insert((c.locals.clone(), c.mem.canonical()));
+            out.insert((c.register_files(), c.mem.canonical()));
             continue;
         }
         for (_, s) in succs {
