@@ -5,9 +5,11 @@
 //! A4
 //! (`canon_vs_fingerprint`): the per-successor cost of materialised
 //! canonicalisation + key clone (what visited-dedup used to pay on every
-//! edge) against the zero-rebuild canonical fingerprint that replaced it,
-//! measured over real successor configurations of a ticket-lock client
-//! and recorded into `BENCH_explore.json`.
+//! edge) against the walk's paths over the canonical encoding that
+//! replaced it — encode and fingerprint (every successor), plus the word
+//! comparison that confirms a duplicate, plus the copy that interns a
+//! novel state — measured over real successor configurations of a
+//! ticket-lock client and recorded into `BENCH_explore.json`.
 //!
 //! Both memory engines execute the same deterministic transition script;
 //! the fast engine additionally pays for canonicalisation, which is what
@@ -18,9 +20,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rc11::prelude::*;
-use rc11_check::fxhash::{CanonicalFingerprint, FxHashSet};
+use rc11_check::fxhash::{fingerprint, FxHashSet};
 use rc11_core::lit::{step as lit_step, LitCombined};
-use rc11_core::{Combined, Comp, InitLoc, Loc, Tid, Val};
+use rc11_core::{CanonPerms, Combined, Comp, InitLoc, Loc, Tid, Val};
 use rc11_lang::machine::successors;
 use rc11_refine::harness;
 use std::time::Instant;
@@ -154,11 +156,12 @@ fn bench_exploration(c: &mut Criterion) {
 ///   (rebuilding every op record, `mo` vector and view) and clone it as a
 ///   map key, what materialised-canonical dedup (today only the reference
 ///   oracle) pays on every edge;
-/// * `fingerprint_only` — the engines' duplicate-hit fast path: one
-///   zero-rebuild hash walk;
-/// * `fingerprint_plus_confirm` — the engines' full duplicate path
-///   including the collision-bucket `canonical_eq` confirmation walk
-///   against the interned representative.
+/// * `fingerprint_only` — what the walk pays for every successor: encode
+///   it canonically into a reused word buffer and hash the words;
+/// * `fingerprint_plus_confirm` — the walk's full duplicate path: plus
+///   comparing the words with the interned representative's;
+/// * `fingerprint_plus_intern` — the walk's novel path: plus copying the
+///   words into a word arena.
 ///
 /// The acceptance bar (checked here, not just plotted): fingerprinting is
 /// strictly faster per successor than materialised canonicalisation.
@@ -189,13 +192,28 @@ fn bench_canon_vs_fingerprint(c: &mut Criterion) {
             }
         }
     }
-    // The interned representatives the confirmation walk compares against.
-    let interned: Vec<Config> = raw_succs.iter().map(|s| s.canonical()).collect();
+    // The interned encodings the confirmation compares against.
+    let encode = |cfg: &Config, perms: &mut CanonPerms, words: &mut Vec<u32>| {
+        cfg.mem.canonical_perms_into(perms);
+        words.clear();
+        cfg.encode_canonical(perms, None, words);
+    };
+    let interned: Vec<Vec<u32>> = raw_succs
+        .iter()
+        .map(|s| {
+            let mut words = Vec::new();
+            encode(&s.canonical(), &mut CanonPerms::default(), &mut words);
+            words
+        })
+        .collect();
+    let arena_words: usize = interned.iter().map(Vec::len).sum();
     eprintln!("[canon_vs_fingerprint] measuring over {} real successors", raw_succs.len());
 
     // Each per-successor workload is defined once and measured twice: by
     // the criterion group (plotted lines) and by the best-of-5 sweep below
     // (the BENCH_explore.json headline numbers) — so the two can't drift.
+    // The encoding paths reuse scratch permutations and words, as the walk
+    // does.
     let canon_workload = || {
         for s in &raw_succs {
             let canon = black_box(s).canonical();
@@ -203,16 +221,29 @@ fn bench_canon_vs_fingerprint(c: &mut Criterion) {
         }
     };
     let fp_workload = || {
+        let (mut perms, mut words) = (CanonPerms::default(), Vec::new());
         for s in &raw_succs {
-            black_box(black_box(s).canonical_fingerprint());
+            encode(black_box(s), &mut perms, &mut words);
+            black_box(fingerprint(&words));
         }
     };
     let confirm_workload = || {
+        let (mut perms, mut words) = (CanonPerms::default(), Vec::new());
         for (s, canon) in raw_succs.iter().zip(&interned) {
-            let perms = s.canonical_perms();
-            black_box(s.fingerprint_with(&perms));
-            assert!(s.canonical_eq_with(&perms, black_box(canon)));
+            encode(black_box(s), &mut perms, &mut words);
+            black_box(fingerprint(&words));
+            assert!(words == *black_box(canon));
         }
+    };
+    let intern_workload = || {
+        let (mut perms, mut words) = (CanonPerms::default(), Vec::new());
+        let mut arena: Vec<u32> = Vec::with_capacity(arena_words);
+        for s in &raw_succs {
+            encode(black_box(s), &mut perms, &mut words);
+            black_box(fingerprint(&words));
+            arena.extend_from_slice(&words);
+        }
+        black_box(arena);
     };
 
     let mut g = c.benchmark_group("canon_vs_fingerprint");
@@ -220,6 +251,7 @@ fn bench_canon_vs_fingerprint(c: &mut Criterion) {
     g.bench_function("canonicalise_and_clone", |b| b.iter(canon_workload));
     g.bench_function("fingerprint_only", |b| b.iter(fp_workload));
     g.bench_function("fingerprint_plus_confirm", |b| b.iter(confirm_workload));
+    g.bench_function("fingerprint_plus_intern", |b| b.iter(intern_workload));
     g.finish();
 
     // Headline numbers for the perf trajectory: best-of-5 wall clock over
@@ -236,10 +268,13 @@ fn bench_canon_vs_fingerprint(c: &mut Criterion) {
     let canon_ns = best_ns_per_succ(&canon_workload);
     let fp_ns = best_ns_per_succ(&fp_workload);
     let confirm_ns = best_ns_per_succ(&confirm_workload);
+    let intern_ns = best_ns_per_succ(&intern_workload);
     eprintln!(
         "[canon_vs_fingerprint] canonicalise+clone {canon_ns:.0} ns/succ, \
-         fingerprint {fp_ns:.0} ns/succ ({:.2}x), fingerprint+confirm {confirm_ns:.0} ns/succ",
-        canon_ns / fp_ns
+         encode+hash {fp_ns:.0} ns/succ ({:.2}x), +compare {confirm_ns:.0} ns/succ, \
+         +copy {intern_ns:.0} ns/succ, {:.0} words per state",
+        canon_ns / fp_ns,
+        arena_words as f64 / raw_succs.len() as f64
     );
     bench::record_bench_json(
         "canon_vs_fingerprint",
@@ -247,6 +282,8 @@ fn bench_canon_vs_fingerprint(c: &mut Criterion) {
             ("canonicalise_and_clone_ns_per_succ", canon_ns),
             ("fingerprint_only_ns_per_succ", fp_ns),
             ("fingerprint_plus_confirm_ns_per_succ", confirm_ns),
+            ("fingerprint_plus_intern_ns_per_succ", intern_ns),
+            ("words_per_state", arena_words as f64 / raw_succs.len() as f64),
             ("speedup_fingerprint_vs_canonical", canon_ns / fp_ns),
         ],
     );

@@ -641,7 +641,7 @@ mod tests {
             let mut frontier = vec![Config::initial(&prog)];
             let (mut states, mut moved) = (0, 0);
             while let Some(cfg) = frontier.pop() {
-                let perms = cfg.canonical_perms();
+                let perms = cfg.mem.canonical_perms();
                 let sigma = spec.choose(&cfg, &perms);
                 assert_eq!(sigma, spec.choose_by_keys(&cfg, &perms), "at {cfg:?}");
                 states += 1;
@@ -677,7 +677,7 @@ mod tests {
         let spec = thread_symmetry(&prog);
         let init = Config::initial(&prog);
         // Initial state: all keys equal, the choice is the identity.
-        let perms = init.canonical_perms();
+        let perms = init.mem.canonical_perms();
         assert!(spec.choose(&init, &perms).is_none());
 
         // Every orbit member of any reachable state canonicalises (with the
@@ -685,9 +685,11 @@ mod tests {
         let succs = rc11_lang::successors(&prog, &rc11_lang::NoObjects, &init, Default::default());
         for (_, s) in &succs {
             let canon_of = |c: &Config| {
-                let mut perms = c.canonical_perms();
+                let mut perms = c.mem.canonical_perms();
                 spec.choose_into(c, &mut perms);
-                c.canonical_sym(&perms, spec.maps())
+                let mut words = Vec::new();
+                c.encode_canonical(&perms, Some(spec.maps()), &mut words);
+                Config::decode(&words)
             };
             let mirror = s.permute_threads(&[1, 0], spec.maps());
             assert_eq!(canon_of(s), canon_of(&mirror), "orbit members must coincide");

@@ -111,9 +111,11 @@ pub struct Budget {
     pub deadline: Option<Duration>,
     /// Cap on generated transitions.
     pub max_transitions: Option<usize>,
-    /// Cap on the approximate interned-arena footprint in bytes
-    /// ([`rc11_lang::machine::Config::approx_bytes`] summed over interned
-    /// states).
+    /// Cap on the interned store's footprint in bytes: every interned
+    /// state's canonical encoding plus its node. The initial configuration
+    /// is charged first, by its size computed from the program
+    /// ([`rc11_lang::machine::Config::initial_bytes`]): one too large for
+    /// the cap stops the walk with no state built.
     pub max_mem_bytes: Option<usize>,
 }
 
@@ -129,6 +131,12 @@ impl Budget {
     /// True iff no bound is set (the default).
     pub fn is_unlimited(&self) -> bool {
         self.deadline.is_none() && self.max_transitions.is_none() && self.max_mem_bytes.is_none()
+    }
+
+    /// True iff `prog`'s initial configuration alone exceeds the memory
+    /// cap, judged without building it ([`Config::initial_bytes`]).
+    pub fn refuses_initial(&self, prog: &CfgProgram) -> bool {
+        self.max_mem_bytes.is_some_and(|cap| Config::initial_bytes(prog) > cap)
     }
 }
 
@@ -282,11 +290,12 @@ impl Level {
 
 /// Exploration limits and knobs.
 ///
-/// There is no dedup knob: the walk deduplicates visited states on
-/// zero-rebuild 128-bit canonical fingerprints ([`crate::fxhash::Fp128`]),
-/// confirm every fingerprint hit with a `canonical_eq` walk against the
-/// interned representative, and intern each canonical configuration
-/// exactly once (ablation A4 in DESIGN.md). The differential suites hold
+/// There is no dedup knob: the walk encodes every successor canonically
+/// as words, deduplicates on 128-bit fingerprints of those words
+/// ([`crate::fxhash::Fp128`]), confirms every fingerprint hit by
+/// comparing the words with the interned representative's, and interns
+/// each canonical configuration's words exactly once (ablation A4 in
+/// DESIGN.md). The differential suites hold
 /// that path to [`crate::reference`], a small breadth-first explorer over
 /// materialised canonical forms that no option selects.
 #[derive(Debug, Clone)]

@@ -7,22 +7,25 @@
 //! the paper's "for all executions" quantifier: every lemma is checked at
 //! every reachable configuration.
 //!
-//! Deduplication has one mode, keyed on zero-rebuild **canonical
-//! fingerprints**: each successor is hashed in canonical order without
-//! materialising the canonical form, the visited map sends `Fp128 → state
-//! ids`, and every canonical configuration is **interned exactly once** in
-//! the node arena (which doubles as the parent-pointer store for trace
-//! reconstruction). A fingerprint hit is confirmed with a zero-rebuild
-//! `canonical_eq` walk against the interned representative(s) in its
-//! (rare) collision bucket, so verdicts equal those of
-//! [`crate::reference`], the breadth-first oracle over materialised
-//! canonical forms (ablation A4 in DESIGN.md).
+//! Deduplication has one mode, over **canonical encodings**: each
+//! successor is encoded once, in canonical order, into a reused word
+//! buffer (`Config::encode_canonical`, the word format of
+//! `rc11_core::canon`); the visited map sends the words' `Fp128`
+//! fingerprint to state ids, a fingerprint hit is confirmed by comparing
+//! the words with the interned representative's, and a novel state is
+//! **interned exactly once** by copying its words into the arena (which
+//! doubles as the parent-pointer store for trace reconstruction). No
+//! configuration is stored: one is decoded from its words where it is
+//! consumed — to expand it, to run a state query's check, to report a
+//! terminal, deadlock or violation, to rebuild a trace. Verdicts equal
+//! those of [`crate::reference`], the breadth-first oracle over
+//! materialised canonical forms (ablation A4 in DESIGN.md).
 //!
 //! Under [`Reduction::Full`](crate::engine::Reduction) the walk layers on
 //! the reductions the query allows (see
 //! [`Reduction`](crate::engine::Reduction)). Sleep-set partial-order
 //! reduction (`crate::por`, ablation A5): work items carry sleep/expansion
-//! thread masks, arena nodes remember which threads have been expanded
+//! thread masks, interned nodes remember which threads have been expanded
 //! (for the wake-up rule on duplicate hits), and commuted sibling orders
 //! are pruned before their successors are generated — transitions shrink,
 //! states and verdicts provably do not.
@@ -54,7 +57,7 @@
 
 use crate::checkpoint::{self, CheckpointOpts, ViolationRec};
 use crate::engine::{Level, Note, Query, StopReason};
-use crate::fxhash::{Fp128, FxHashMap, IdBucket};
+use crate::fxhash::{fingerprint, Fp128, FxHashMap, IdBucket};
 use crate::por::{self, ThreadMask};
 use crate::sym;
 use rc11_analyze::SymmetrySpec;
@@ -67,16 +70,18 @@ use std::time::Instant;
 
 pub use crate::engine::{EngineReport as Report, ExploreOptions, Violation};
 
-/// One interned state: its canonical configuration (stored exactly once
-/// across the whole walk), the first-discovery parent edge and the
-/// mask of threads expansion work has been queued for (the complement of
-/// the intersection of every arriving sleep set — always full without
-/// POR; see `crate::por` for the wake-up rule). Under symmetry reduction
-/// the group permutation the committing edge's raw successor was
-/// transported through, from which [`reconstruct_trace`] rebuilds exactly
-/// replayable traces, lives beside the node in the [`Arena`]'s σ buffer.
+/// One interned state: where its canonical encoding lives in the
+/// [`Store`]'s word chunks (stored exactly once across the whole walk),
+/// the first-discovery parent edge and the mask of threads expansion work
+/// has been queued for (the complement of the intersection of every
+/// arriving sleep set — always full without POR; see `crate::por` for
+/// the wake-up rule). Under symmetry reduction the group permutation the
+/// committing edge's raw successor was transported through, from which
+/// [`reconstruct_trace`] rebuilds exactly replayable traces, lives beside
+/// the node in the [`Store`]'s σ buffer.
 struct Node {
-    cfg: Config,
+    /// Word chunk, first word and word count of the encoding.
+    words: (u32, u32, u32),
     parent: Option<(u32, Tid)>,
     explored: ThreadMask,
     /// Index of the committing successor within the parent edge's
@@ -99,146 +104,65 @@ fn remap(
     }
 }
 
-/// The walk's visited index: a fingerprint → arena-ids map. The index
-/// never owns the interned configurations — the walk keeps them in its
-/// [`Arena`] and hands lookups an `interned(id)` accessor — so each
-/// canonical configuration is stored exactly once.
-///
-/// The optional telemetry sink is injected at construction so dedup
-/// events — dup hits, symmetry-orbit folds, confirmed fingerprint
-/// collisions, interned states — are tallied where they happen, without
-/// threading a sink through every probe/commit signature.
-struct VisitedIndex {
-    map: FxHashMap<Fp128, IdBucket>,
-    tel: Option<Arc<Telemetry>>,
-}
-
-/// The outcome of probing a successor against the visited index: already
-/// interned, or novel with its fingerprint carried over for the insert.
-/// Either way the probe's canonical permutations, symmetry choice
-/// included, stay in the walk's scratch [`CanonPerms`] for the caller.
-enum Probe {
-    /// Already interned, under this arena id (POR duplicate hits consult
-    /// the node's `explored` mask for the wake-up rule, after transporting
-    /// the arriving masks through the scratch group permutation).
-    Dup(u32),
-    /// Not interned yet: the fingerprint [`VisitedIndex::commit`] reuses.
-    Novel(Fp128),
-}
-
-impl VisitedIndex {
-    fn new(tel: Option<Arc<Telemetry>>) -> VisitedIndex {
-        VisitedIndex { map: FxHashMap::default(), tel }
-    }
-
-    /// Tally a duplicate probe hit (and, when the match went through a
-    /// non-identity group permutation, a symmetry-orbit fold).
-    #[inline]
-    fn count_dup(&self, sigma: Option<&[u8]>) {
-        if let Some(t) = &self.tel {
-            t.incr(Counter::DupHits);
-            if sigma.is_some_and(|s| !sym::is_identity(s)) {
-                t.incr(Counter::SymmetryFolds);
-            }
+/// Decode `words` into the scratch configuration, creating it on first
+/// use: the walk reuses one configuration per purpose instead of
+/// allocating one per decoded state.
+fn decode_scratch<'c>(scratch: &'c mut Option<Config>, words: &[u32]) -> &'c Config {
+    match scratch {
+        Some(cfg) => {
+            cfg.decode_into(words);
+            cfg
         }
-    }
-
-    /// Probe a raw (non-canonical) successor without materialising its
-    /// canonical form: one hash walk, plus a `canonical_eq` confirmation
-    /// walk per candidate in the (almost always empty or single-entry,
-    /// matching) bucket — `interned` reads the candidate's canonical
-    /// configuration out of the caller's arena. The permutations are
-    /// computed into the scratch `perms`, allocation-free; with a symmetry
-    /// spec they include the canonical group permutation
-    /// (`sym::perms_into`), so the whole orbit probes to one interned
-    /// representative.
-    fn probe<'a>(
-        &self,
-        succ: &Config,
-        symm: Option<&SymmetrySpec>,
-        perms: &mut CanonPerms,
-        interned: impl Fn(u32) -> &'a Config,
-    ) -> Probe {
-        sym::perms_into(symm, succ, perms);
-        let fp = sym::fingerprint(succ, perms, symm);
-        if let Some(bucket) = self.map.get(&fp) {
-            for &id in bucket.ids() {
-                let eq = match symm {
-                    Some(spec) => succ.canonical_eq_sym(perms, spec.maps(), interned(id)),
-                    None => succ.canonical_eq_with(perms, interned(id)),
-                };
-                if eq {
-                    self.count_dup(perms.threads());
-                    return Probe::Dup(id);
-                }
-            }
-        }
-        Probe::Novel(fp)
-    }
-
-    /// Intern a probed-novel successor under id `new_id`, returning its
-    /// canonical configuration (materialised here, exactly once per
-    /// distinct state, from the probe's permutations in `perms`) for the
-    /// caller to push into its arena.
-    fn commit(
-        &mut self,
-        probe: Probe,
-        succ: &Config,
-        symm: Option<&SymmetrySpec>,
-        perms: &CanonPerms,
-        new_id: u32,
-    ) -> Config {
-        let Probe::Novel(fp) = probe else {
-            unreachable!("only a novel probe is committed")
-        };
-        if let Some(t) = &self.tel {
-            t.incr(Counter::States);
-        }
-        let canon = match symm {
-            Some(spec) => succ.canonical_sym(perms, spec.maps()),
-            None => succ.canonical_with(perms),
-        };
-        match self.map.entry(fp) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                // Two distinct canonical states share this Fp128: a real,
-                // confirmed fingerprint collision.
-                if let Some(t) = &self.tel {
-                    t.incr(Counter::FpCollisions);
-                }
-                e.get_mut().push(new_id);
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(IdBucket::One(new_id));
-            }
-        }
-        canon
+        None => scratch.insert(Config::decode(words)),
     }
 }
 
-/// The interned-state arena: [`Node`]s addressed by `u32` ids in chunks
-/// of doubling size (chunk `k` holds ids `2^k - 1 .. 2^(k+1) - 1`). A node
-/// is never moved once pushed: growth allocates the next chunk instead of
-/// reallocating and copying every node, as a flat `Vec` would. On deep
-/// spaces that keeps the allocator from interleaving freed arena buffers
-/// with live configurations, which measurably slowed both the walk and
-/// the arena's teardown (DESIGN.md, "The one walk").
+/// The walk's store of interned states: each canonical configuration's
+/// encoding, kept exactly once in chunks of `u32` words, its [`Node`]
+/// under a `u32` id, and the visited index from fingerprints to ids. A
+/// word chunk is never reallocated — growth opens the next, twice as
+/// large — so interning copies the words once and allocates nothing
+/// until a chunk fills, and dropping the store frees a handful of
+/// buffers however many states it holds (DESIGN.md, "The one walk").
 ///
 /// Under symmetry reduction every node also has a group permutation σ —
 /// the one its committing edge's raw successor was transported through —
 /// kept as `width` bytes per node in one side buffer (`width` is the
-/// thread count under symmetry, else 0 and the buffer stays empty).
+/// thread count under symmetry, else 0 and the buffer stays empty). The
+/// optional telemetry sink tallies dedup events where they happen.
 #[derive(Default)]
-struct Arena {
-    chunks: Vec<Vec<Node>>,
-    len: usize,
+struct Store {
+    index: FxHashMap<Fp128, IdBucket>,
+    nodes: Vec<Node>,
+    words: Vec<Vec<u32>>,
     width: usize,
     sigmas: Vec<u8>,
+    tel: Option<Arc<Telemetry>>,
 }
 
-impl Arena {
-    /// An empty arena keeping `width` bytes of σ per node.
-    fn new(width: usize) -> Arena {
-        Arena { width, ..Arena::default() }
+/// Words in the store's first chunk of encodings; each later chunk
+/// doubles, up to `MAX_CHUNK_WORDS` unless one encoding needs more.
+const FIRST_CHUNK_WORDS: usize = 1 << 12;
+const MAX_CHUNK_WORDS: usize = 1 << 20;
+
+/// The outcome of probing a successor against the store: already
+/// interned, or novel with its fingerprint carried over for the insert.
+/// Either way the probe's canonical permutations, symmetry choice
+/// included, stay in the walk's scratch [`CanonPerms`], and its encoding
+/// in the scratch words, for the caller.
+enum Probe {
+    /// Already interned, under this id (POR duplicate hits consult the
+    /// node's `explored` mask for the wake-up rule, after transporting
+    /// the arriving masks through the scratch group permutation).
+    Dup(u32),
+    /// Not interned yet: the fingerprint [`Store::insert`] reuses.
+    Novel(Fp128),
+}
+
+impl Store {
+    /// An empty store keeping `width` bytes of σ per node.
+    fn new(width: usize, tel: Option<Arc<Telemetry>>) -> Store {
+        Store { width, tel, ..Store::default() }
     }
 
     /// Node `id`'s group permutation (`None` without symmetry).
@@ -248,56 +172,99 @@ impl Arena {
         (w > 0).then(|| &self.sigmas[id as usize * w..(id as usize + 1) * w])
     }
 
-    /// The chunk and offset holding `id`.
+    /// Node `id`'s canonical encoding.
     #[inline]
-    fn locate(id: usize) -> (usize, usize) {
-        let x = id + 1;
-        let k = (usize::BITS - 1 - x.leading_zeros()) as usize;
-        (k, x - (1 << k))
+    fn words(&self, id: u32) -> &[u32] {
+        let (chunk, start, len) = self.nodes[id as usize].words;
+        &self.words[chunk as usize][start as usize..(start + len) as usize]
     }
 
-    fn len(&self) -> usize {
-        self.len
+    /// Probe a raw (non-canonical) successor: encode it canonically into
+    /// the scratch `words` — with a symmetry spec under its canonical
+    /// group permutation (`sym::encode`), so the whole orbit probes to one
+    /// interned representative — fingerprint the words, and compare them
+    /// with the words of each candidate in the (almost always empty or
+    /// single-entry, matching) bucket. Allocation-free once the scratch
+    /// buffers have grown.
+    fn probe(
+        &self,
+        succ: &Config,
+        symm: Option<&SymmetrySpec>,
+        perms: &mut CanonPerms,
+        words: &mut Vec<u32>,
+    ) -> Probe {
+        sym::encode(symm, succ, perms, words);
+        let fp = fingerprint(words);
+        let bucket = self.index.get(&fp).map_or(&[][..], IdBucket::ids);
+        let Some(&id) = bucket.iter().find(|&&id| self.words(id) == &words[..]) else {
+            return Probe::Novel(fp);
+        };
+        if let Some(t) = &self.tel {
+            t.incr(Counter::DupHits);
+            // A match through a non-identity group permutation folded a
+            // symmetric orbit member.
+            if perms.threads().is_some_and(|s| !sym::is_identity(s)) {
+                t.incr(Counter::SymmetryFolds);
+            }
+        }
+        Probe::Dup(id)
     }
 
-    /// Append `node`, with its group permutation `sigma` (`None` = the
-    /// identity) when the arena keeps them.
-    fn push(&mut self, node: Node, sigma: Option<&[u8]>) {
+    /// Intern a probed-novel encoding under the next id, with its group
+    /// permutation (`None` = the identity), first-discovery edge, explored
+    /// mask and replay key, and return the id. The words are copied into
+    /// the last chunk, or a new one when it lacks room.
+    fn insert(
+        &mut self,
+        fp: Fp128,
+        words: &[u32],
+        sigma: Option<&[u8]>,
+        parent: Option<(u32, Tid)>,
+        explored: ThreadMask,
+        succ_idx: u32,
+    ) -> u32 {
+        let id = self.nodes.len() as u32;
+        if let Some(t) = &self.tel {
+            t.incr(Counter::States);
+        }
+        match self.index.entry(fp) {
+            std::collections::hash_map::Entry::Occupied(mut e) => {
+                // Two distinct canonical states share this Fp128: a real,
+                // confirmed fingerprint collision.
+                if let Some(t) = &self.tel {
+                    t.incr(Counter::FpCollisions);
+                }
+                e.get_mut().push(id);
+            }
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert(IdBucket::One(id));
+            }
+        }
+        let last = self.words.last();
+        if last.is_none_or(|c| c.capacity() - c.len() < words.len()) {
+            let next = last.map_or(FIRST_CHUNK_WORDS, |c| (2 * c.capacity()).min(MAX_CHUNK_WORDS));
+            self.words.push(Vec::with_capacity(next.max(words.len())));
+        }
+        let k = self.words.len() - 1;
+        let chunk = &mut self.words[k];
+        let start = chunk.len() as u32;
+        chunk.extend_from_slice(words);
+        let len = u32::try_from(words.len()).expect("an encoding past 2^32 words");
         if self.width > 0 {
             match sigma {
                 Some(sg) => self.sigmas.extend_from_slice(sg),
                 None => self.sigmas.extend((0..self.width).map(|t| t as u8)),
             }
         }
-        let (k, _) = Arena::locate(self.len);
-        if k == self.chunks.len() {
-            self.chunks.push(Vec::with_capacity(1 << k));
-        }
-        self.chunks[k].push(node);
-        self.len += 1;
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &Node> {
-        self.chunks.iter().flatten()
+        self.nodes.push(Node { words: (k as u32, start, len), parent, explored, succ_idx });
+        id
     }
 }
 
-impl std::ops::Index<usize> for Arena {
-    type Output = Node;
-
-    #[inline]
-    fn index(&self, id: usize) -> &Node {
-        let (k, off) = Arena::locate(id);
-        &self.chunks[k][off]
-    }
-}
-
-impl std::ops::IndexMut<usize> for Arena {
-    #[inline]
-    fn index_mut(&mut self, id: usize) -> &mut Node {
-        let (k, off) = Arena::locate(id);
-        &mut self.chunks[k][off]
-    }
+/// What interning `words` costs the memory budget: the words and the
+/// node that points at them.
+fn interned_bytes(words: &[u32]) -> u64 {
+    (std::mem::size_of_val(words) + std::mem::size_of::<Node>()) as u64
 }
 
 /// The explorer.
@@ -334,9 +301,11 @@ impl<'a> Explorer<'a> {
     /// * `on_edge(parent, tid, successor)` — every generated edge, visited
     ///   or not, with the successor handed **raw** (non-canonical): the
     ///   outline checker's per-edge classification;
-    /// * `check(config, buf)` — each interned canonical configuration once,
-    ///   at first discovery (the initial one included), plus — for state
-    ///   queries under symmetry — every other member of its orbit.
+    /// * `check(config, buf)` — state queries only: each interned
+    ///   canonical configuration once, at first discovery (the initial one
+    ///   included), plus — under symmetry — every other member of its
+    ///   orbit. Other queries never call it, so they decode no state just
+    ///   to show it.
     ///
     /// Checkpoints are taken only for outcome and state queries: an edge
     /// query's caller keeps state (the outline recorder) no checkpoint
@@ -355,7 +324,6 @@ impl<'a> Explorer<'a> {
         let tel = self.opts.telemetry.clone();
         let tel0 = tel.as_ref().map(|t| t.snapshot());
         let mut report = Report::default();
-        let mut index = VisitedIndex::new(tel.clone());
         let mut buf: Vec<String> = Vec::new();
         let n_threads = self.prog.n_threads();
         // POR's thread masks cap at 64 bits; larger programs fall back to
@@ -378,15 +346,20 @@ impl<'a> Explorer<'a> {
             }
         }
         let symm = spec.as_ref();
-        // The interned state arena: every canonical configuration stored
+        // The interned state arena: every canonical encoding stored
         // exactly once, with its first-discovery parent edge (and, under
         // symmetry, its group permutation).
         let sigma_width = if symm.is_some() { n_threads } else { 0 };
-        let mut nodes = Arena::new(sigma_width);
-        // Scratch canonical permutations, refilled by every probe (and by
-        // orbit expansion) instead of allocated per successor.
+        let mut store = Store::new(sigma_width, tel.clone());
+        // Scratch canonical permutations and encoding, refilled by every
+        // probe, and scratch configurations: the one being expanded and
+        // the one a state query checks.
         let mut perms = CanonPerms::default();
-        let members = if query == Query::States { symm } else { None };
+        let mut words: Vec<u32> = Vec::new();
+        let mut expanding: Option<Config> = None;
+        let mut checking: Option<Config> = None;
+        let checks = query == Query::States;
+        let members = if checks { symm } else { None };
         let group = members.map(SymmetrySpec::group_perms).unwrap_or_default();
         // The identity permutation: the orbit "member" a representative's
         // own trace is reconstructed for.
@@ -403,23 +376,26 @@ impl<'a> Explorer<'a> {
         let mut mem_bytes: u64 = 0;
         let ckpt = self.opts.checkpoint.clone().filter(|_| query != Query::Edges);
         let sig = ckpt.as_ref().map(|_| self.checkpoint_sig(level));
-        // Terminal and deadlocked states by id (configurations are cloned
-        // out once, after the walk), and violations as references for the
+        // Terminal and deadlocked states by id (configurations are decoded
+        // once, after the walk), and violations as references for the
         // checkpoint (`crate::checkpoint` stores ids, not configurations).
         let mut term_ids: Vec<u32> = Vec::new();
         let mut dead_ids: Vec<u32> = Vec::new();
         let mut viol_recs: Vec<ViolationRec> = Vec::new();
 
-        // Run `check` on interned state `id` (and, for state queries under
-        // symmetry, on every other member of its orbit: observation tuples
-        // and invariants may distinguish thread identities the reduction
+        // Run `check` on interned state `id` (and, under symmetry, on
+        // every other member of its orbit: observation tuples and
+        // invariants may distinguish thread identities the reduction
         // modded out), recording what it reports.
         let mut visit = |id: u32,
-                         nodes: &Arena,
+                         store: &Store,
                          report: &mut Report,
                          recs: &mut Vec<ViolationRec>,
                          perms: &mut CanonPerms| {
-            let canon = &nodes[id as usize].cfg;
+            if !checks {
+                return;
+            }
+            let canon = decode_scratch(&mut checking, store.words(id));
             check(canon, &mut buf);
             for what in buf.drain(..) {
                 if ckpt.is_some() {
@@ -429,7 +405,7 @@ impl<'a> Explorer<'a> {
                     what,
                     config: canon.clone(),
                     trace: self.opts.record_traces.then(|| {
-                        reconstruct_trace(nodes, id, symm.map(|s| (s, &identity[..])))
+                        reconstruct_trace(store, id, symm.map(|s| (s, &identity[..])))
                     }),
                 });
             }
@@ -445,7 +421,7 @@ impl<'a> Explorer<'a> {
                         what,
                         config: member.clone(),
                         trace: self.opts.record_traces.then(|| {
-                            reconstruct_trace(nodes, id, Some((spec, &pi[..])))
+                            reconstruct_trace(store, id, Some((spec, &pi[..])))
                         }),
                     });
                 }
@@ -460,33 +436,38 @@ impl<'a> Explorer<'a> {
         // starts from the state's persistent set instead of `full`.
         let mut frontier: Vec<(u32, ThreadMask, ThreadMask, bool)> = Vec::new();
 
+        // The initial configuration is charged against the budget before
+        // it is built: a program too large for the budget stops with no
+        // state rather than allocating it.
+        let too_large = budget.refuses_initial(self.prog);
+        if too_large {
+            report.stop.bump(StopReason::MemBudget);
+        }
+
         // Resume from a matching checkpoint, or seed afresh. A resumed run
         // restores the exact mid-run state of the interrupted one (arena,
         // index, frontier, counters, report entries), so continuing it
         // produces a report bit-identical to an uninterrupted run's.
         let mut resumed = false;
-        if let (Some(ck), Some(sig)) = (&ckpt, sig) {
+        if let (false, Some(ck), Some(sig)) = (too_large, &ckpt, sig) {
             if let Some(data) = checkpoint::load(&ck.dir, sig) {
-                match self.replay_log(&data, symm, sigma_width, &mut perms) {
-                    Ok((ix, ns)) => {
-                        index = ix;
-                        nodes = ns;
+                match self.replay_log(&data, symm, sigma_width, &mut perms, &mut words) {
+                    Ok(replayed) => {
+                        store = replayed;
                         report.transitions = data.transitions as usize;
                         mem_bytes = data.mem_bytes;
                         frontier = data.frontier.clone();
                         term_ids = data.terminated.clone();
                         dead_ids = data.deadlocked.clone();
                         for vr in &data.violations {
-                            let node = &nodes[vr.node as usize];
+                            let canon = Config::decode(store.words(vr.node));
                             let config = match (&vr.pi, symm) {
-                                (Some(pi), Some(spec)) => {
-                                    node.cfg.permute_threads(pi, spec.maps()).canonical()
-                                }
-                                _ => node.cfg.clone(),
+                                (Some(pi), Some(spec)) => sym::permuted(&canon, pi, spec.maps()),
+                                _ => canon,
                             };
                             let trace = self.opts.record_traces.then(|| {
                                 let pi = vr.pi.as_deref().unwrap_or(&identity);
-                                reconstruct_trace(&nodes, vr.node, symm.map(|s| (s, pi)))
+                                reconstruct_trace(&store, vr.node, symm.map(|s| (s, pi)))
                             });
                             report.violations.push(Violation {
                                 what: vr.what.clone(),
@@ -499,22 +480,21 @@ impl<'a> Explorer<'a> {
                     }
                     Err(message) => {
                         report.note(Note::CheckpointError { message });
-                        index = VisitedIndex::new(tel.clone());
-                        nodes = Arena::new(sigma_width);
+                        store = Store::new(sigma_width, tel.clone());
                     }
                 }
             }
         }
 
-        if !resumed {
-            let init = Config::initial(self.prog).canonical();
-            let probe = index.probe(&init, symm, &mut perms, |id| &nodes[id as usize].cfg);
-            let init = index.commit(probe, &init, symm, &perms, 0);
+        if !resumed && !too_large {
+            let init = Config::initial(self.prog);
+            let Probe::Novel(fp) = store.probe(&init, symm, &mut perms, &mut words) else {
+                unreachable!("the store is empty")
+            };
             let init_prop = pers.as_ref().map_or(full, |p| p.persistent_mask(init.pcs()));
-            mem_bytes += init.approx_bytes() as u64;
-            let node = Node { cfg: init, parent: None, explored: init_prop, succ_idx: 0 };
-            nodes.push(node, perms.threads());
-            visit(0, &nodes, &mut report, &mut viol_recs, &mut perms);
+            mem_bytes += interned_bytes(&words);
+            store.insert(fp, &words, perms.threads(), None, init_prop, 0);
+            visit(0, &store, &mut report, &mut viol_recs, &mut perms);
             frontier.push((0, init_prop, 0, true));
         }
 
@@ -547,7 +527,7 @@ impl<'a> Explorer<'a> {
             if let (Some(ck), Some(sig)) = (&ckpt, sig) {
                 if pops > 0 && pops.is_multiple_of(ck.every.max(1)) {
                     self.save_checkpoint(
-                        ck, sig, &mut report, &nodes, &frontier, mem_bytes, &term_ids,
+                        ck, sig, &mut report, &store, &frontier, mem_bytes, &term_ids,
                         &dead_ids, &viol_recs,
                     );
                 }
@@ -569,21 +549,20 @@ impl<'a> Explorer<'a> {
             if let Some(chaos) = &self.opts.chaos {
                 chaos.on_expansion();
             }
-            // Expand: the configuration is read in place from the arena
-            // (re-borrowed per thread, since interning successors grows
-            // the arena), never cloned. Each thread's successors are
-            // generated together, shown to `on_edge`, then probed and
+            // Expand: the configuration is decoded from its words into the
+            // scratch `expanding` configuration. Each thread's successors
+            // are generated together, shown to `on_edge`, then probed and
             // interned one by one while still hot in cache.
             if let Some(fps) = &mut fps {
                 fps.reset();
             }
+            let cfg = decode_scratch(&mut expanding, store.words(id));
             let mut any_succ = false;
             let mut earlier: ThreadMask = 0;
             for t in 0..n_threads {
                 if por && mask & (1u64 << t) == 0 {
                     continue;
                 }
-                let cfg = &nodes[id as usize].cfg;
                 thread_successors_into(self.prog, self.objs, cfg, t, self.opts.step, &mut succs);
                 report.transitions += succs.len();
                 if let Some(tl) = &tel {
@@ -633,9 +612,7 @@ impl<'a> Explorer<'a> {
                         }
                     }
                     let (proposal, sleep) = (pmask & !child_sleep, child_sleep);
-                    let probe =
-                        index.probe(&succ, symm, &mut perms, |id| &nodes[id as usize].cfg);
-                    let probe = match probe {
+                    let fp = match store.probe(&succ, symm, &mut perms, &mut words) {
                         Probe::Dup(dup_id) => {
                             if por {
                                 // Wake-up rule: threads this arrival would
@@ -647,37 +624,30 @@ impl<'a> Explorer<'a> {
                                 // would unsoundly sleep the merely
                                 // postponed outside-persistent threads.
                                 let (prop, slp) = remap(proposal, sleep, perms.threads());
-                                let missing = prop & !nodes[dup_id as usize].explored;
+                                let missing = prop & !store.nodes[dup_id as usize].explored;
                                 if missing != 0 {
-                                    nodes[dup_id as usize].explored |= missing;
+                                    store.nodes[dup_id as usize].explored |= missing;
                                     frontier.push((dup_id, missing, slp, false));
                                 }
                             }
                             continue;
                         }
-                        novel => novel,
+                        Probe::Novel(fp) => fp,
                     };
-                    if nodes.len() >= self.opts.max_states {
+                    if store.nodes.len() >= self.opts.max_states {
                         report.stop.bump(StopReason::StateCap);
                         continue;
                     }
-                    let new_id = nodes.len() as u32;
-                    let canon = index.commit(probe, &succ, symm, &perms, new_id);
-                    mem_bytes += canon.approx_bytes() as u64;
+                    mem_bytes += interned_bytes(&words);
                     // The explored/sleep masks live in the stored state's
                     // numbering: transport proposal and sleep through σ.
                     let (prop, slp) = match por {
                         true => remap(proposal, sleep, perms.threads()),
                         false => (proposal, sleep),
                     };
-                    let node = Node {
-                        cfg: canon,
-                        parent: Some((id, tid)),
-                        explored: prop,
-                        succ_idx: si as u32,
-                    };
-                    nodes.push(node, perms.threads());
-                    visit(new_id, &nodes, &mut report, &mut viol_recs, &mut perms);
+                    let sigma = perms.threads();
+                    let new_id = store.insert(fp, &words, sigma, Some((id, tid)), prop, si as u32);
+                    visit(new_id, &store, &mut report, &mut viol_recs, &mut perms);
                     frontier.push((new_id, prop, slp, true));
                 }
             }
@@ -689,7 +659,6 @@ impl<'a> Explorer<'a> {
                 // and is not terminal; see `por::has_any_successor` for
                 // why the probe stays out of the transition count).
                 // Without POR, `mask` is full and this probes nothing.
-                let cfg = &nodes[id as usize].cfg;
                 if first
                     && !por::has_any_successor(
                         self.prog,
@@ -716,7 +685,7 @@ impl<'a> Explorer<'a> {
                     // covered from a sibling state (the A5 argument).
                     // Without A7 `explored` already covers `full & !sleep`,
                     // so `rest` is zero and nothing changes.
-                    let rest = full & !sleep & !nodes[id as usize].explored;
+                    let rest = full & !sleep & !store.nodes[id as usize].explored;
                     if rest != 0
                         && por::has_any_successor(
                             self.prog,
@@ -727,7 +696,7 @@ impl<'a> Explorer<'a> {
                             &mut probe_buf,
                         )
                     {
-                        nodes[id as usize].explored |= rest;
+                        store.nodes[id as usize].explored |= rest;
                         frontier.push((id, rest, sleep, false));
                     }
                 }
@@ -750,12 +719,12 @@ impl<'a> Explorer<'a> {
                 checkpoint::remove(&ck.dir);
             } else {
                 self.save_checkpoint(
-                    ck, sig, &mut report, &nodes, &frontier, mem_bytes, &term_ids, &dead_ids,
+                    ck, sig, &mut report, &store, &frontier, mem_bytes, &term_ids, &dead_ids,
                     &viol_recs,
                 );
             }
         }
-        let configs = |ids: &[u32]| ids.iter().map(|&id| nodes[id as usize].cfg.clone()).collect();
+        let configs = |ids: &[u32]| ids.iter().map(|&id| Config::decode(store.words(id))).collect();
         report.terminated = configs(&term_ids);
         report.deadlocked = configs(&dead_ids);
         // Terminal/deadlock sets are reported in unreduced terms: expand
@@ -766,11 +735,10 @@ impl<'a> Explorer<'a> {
             sym::expand_terminals(spec, &mut report.terminated);
             sym::expand_terminals(spec, &mut report.deadlocked);
         }
-        report.states = nodes.len();
+        report.states = store.nodes.len();
         // Free the store before stamping `wall`: its teardown is part of
         // the walk's cost, not of whatever the caller does next.
-        drop(nodes);
-        drop(index);
+        drop(store);
         report.wall = run_start.elapsed();
         if let (Some(t), Some(t0)) = (&tel, &tel0) {
             report.telemetry = Some(t.snapshot().delta(t0));
@@ -811,44 +779,37 @@ impl<'a> Explorer<'a> {
         symm: Option<&SymmetrySpec>,
         sigma_width: usize,
         perms: &mut CanonPerms,
-    ) -> Result<(VisitedIndex, Arena), String> {
-        let mut index = VisitedIndex::new(self.opts.telemetry.clone());
-        let mut nodes = Arena::new(sigma_width);
-        let root = match data.nodes.first() {
-            Some(r) if r.parent == u32::MAX => r,
-            _ => return Err("stale or corrupt checkpoint ignored (bad root)".into()),
-        };
-        let init = Config::initial(self.prog).canonical();
-        let probe = index.probe(&init, symm, perms, |id| &nodes[id as usize].cfg);
-        let init = index.commit(probe, &init, symm, perms, 0);
-        let root_node = Node { cfg: init, parent: None, explored: root.explored, succ_idx: 0 };
-        nodes.push(root_node, perms.threads());
-        for (k, rec) in data.nodes.iter().enumerate().skip(1) {
-            if rec.parent as usize >= k {
-                return Err("stale or corrupt checkpoint ignored (forward parent)".into());
-            }
-            let cfg = &nodes[rec.parent as usize].cfg;
-            let succs =
-                thread_successors(self.prog, self.objs, cfg, rec.tid as usize, self.opts.step);
-            let Some(succ) = succs.into_iter().nth(rec.succ_idx as usize) else {
-                return Err("stale or corrupt checkpoint ignored (replay diverged)".into());
-            };
-            let probe = match index.probe(&succ, symm, perms, |id| &nodes[id as usize].cfg) {
-                Probe::Dup(..) => {
-                    return Err("stale or corrupt checkpoint ignored (duplicate edge)".into())
+        words: &mut Vec<u32>,
+    ) -> Result<Store, String> {
+        let mut store = Store::new(sigma_width, self.opts.telemetry.clone());
+        let mut parent: Option<Config> = None;
+        for (k, rec) in data.nodes.iter().enumerate() {
+            let (succ, edge) = if k == 0 {
+                if rec.parent != u32::MAX {
+                    return Err("stale or corrupt checkpoint ignored (bad root)".into());
                 }
-                novel => novel,
+                (Config::initial(self.prog), None)
+            } else {
+                if rec.parent as usize >= k {
+                    return Err("stale or corrupt checkpoint ignored (forward parent)".into());
+                }
+                let cfg = decode_scratch(&mut parent, store.words(rec.parent));
+                let succs =
+                    thread_successors(self.prog, self.objs, cfg, rec.tid as usize, self.opts.step);
+                let Some(succ) = succs.into_iter().nth(rec.succ_idx as usize) else {
+                    return Err("stale or corrupt checkpoint ignored (replay diverged)".into());
+                };
+                (succ, Some((rec.parent, Tid(rec.tid))))
             };
-            let canon = index.commit(probe, &succ, symm, perms, k as u32);
-            let node = Node {
-                cfg: canon,
-                parent: Some((rec.parent, Tid(rec.tid))),
-                explored: rec.explored,
-                succ_idx: rec.succ_idx,
+            let Probe::Novel(fp) = store.probe(&succ, symm, perms, words) else {
+                return Err("stale or corrupt checkpoint ignored (duplicate edge)".into());
             };
-            nodes.push(node, perms.threads());
+            store.insert(fp, words, perms.threads(), edge, rec.explored, rec.succ_idx);
         }
-        let n = nodes.len();
+        let n = store.nodes.len();
+        if n == 0 {
+            return Err("stale or corrupt checkpoint ignored (bad root)".into());
+        }
         let in_range = data.frontier.iter().all(|&(id, ..)| (id as usize) < n)
             && data.terminated.iter().all(|&id| (id as usize) < n)
             && data.deadlocked.iter().all(|&id| (id as usize) < n)
@@ -856,7 +817,7 @@ impl<'a> Explorer<'a> {
         if !in_range {
             return Err("stale or corrupt checkpoint ignored (id out of range)".into());
         }
-        Ok((index, nodes))
+        Ok(store)
     }
 
     /// Snapshot the discovery log to the checkpoint directory. Failures —
@@ -869,7 +830,7 @@ impl<'a> Explorer<'a> {
         ck: &CheckpointOpts,
         sig: u64,
         report: &mut Report,
-        nodes: &Arena,
+        store: &Store,
         frontier: &[(u32, ThreadMask, ThreadMask, bool)],
         mem_bytes: u64,
         term_ids: &[u32],
@@ -887,7 +848,8 @@ impl<'a> Explorer<'a> {
         let data = checkpoint::CheckpointData {
             transitions: report.transitions as u64,
             mem_bytes,
-            nodes: nodes
+            nodes: store
+                .nodes
                 .iter()
                 .map(|n| checkpoint::NodeRec {
                     parent: n.parent.map_or(u32::MAX, |(p, _)| p),
@@ -938,7 +900,7 @@ impl<'a> Explorer<'a> {
 }
 
 /// Rebuild the step sequence from the root to state `last` by walking the
-/// arena's first-discovery edges.
+/// arena's first-discovery edges, decoding each state on the path.
 ///
 /// Under symmetry reduction (`sym = Some((spec, π))`) the arena holds one
 /// representative per orbit, with each node remembering the group
@@ -954,7 +916,7 @@ impl<'a> Explorer<'a> {
 /// bottoms out at the true initial state — the symmetry trace-replay test
 /// in `tests/engine_agreement.rs` steps every entry to confirm it.
 fn reconstruct_trace(
-    nodes: &Arena,
+    store: &Store,
     last: u32,
     sym: Option<(&SymmetrySpec, &[u8])>,
 ) -> Vec<(Tid, Config)> {
@@ -962,21 +924,22 @@ fn reconstruct_trace(
     let mut rev = Vec::new();
     let mut cur = last;
     loop {
-        let node = &nodes[cur as usize];
+        let node = &store.nodes[cur as usize];
         let Some((parent, t)) = node.parent else { break };
+        let canon = Config::decode(store.words(cur));
         let step = match (&mut tau, sym) {
             (Some(tau), Some((spec, _))) => {
                 let m = if sym::is_identity(tau) {
-                    node.cfg.clone()
+                    canon
                 } else {
-                    node.cfg.permute_threads(tau, spec.maps()).canonical()
+                    sym::permuted(&canon, tau, spec.maps())
                 };
-                if let Some(sg) = nodes.sigma(cur) {
+                if let Some(sg) = store.sigma(cur) {
                     *tau = sg.iter().map(|&s| tau[s as usize]).collect();
                 }
                 (Tid(tau[t.idx()]), m)
             }
-            _ => (t, node.cfg.clone()),
+            _ => (t, canon),
         };
         rev.push(step);
         cur = parent;
@@ -1082,18 +1045,25 @@ mod tests {
         assert!(!report.ok());
     }
 
-    /// The arena's chunk geometry: ids map to distinct (chunk, offset)
-    /// slots, chunk `k` holding exactly `2^k` of them, so pushes never
-    /// move a node.
+    /// Interned encodings come back exactly as inserted, whatever their
+    /// sizes, and filling a chunk opens the next instead of moving the
+    /// words already interned.
     #[test]
-    fn arena_ids_tile_the_chunks() {
-        let mut seen = std::collections::HashSet::new();
-        for id in 0..4_096 {
-            let (k, off) = Arena::locate(id);
-            assert!(off < 1 << k, "offset {off} outside chunk {k}");
-            assert!(seen.insert((k, off)), "id {id} shares a slot");
+    fn interned_encodings_stay_in_place() {
+        let mut store = Store::new(0, None);
+        let mut inserted = Vec::new();
+        for i in 0..2_000u32 {
+            let words: Vec<u32> = (0..(i * 37) % 1_500).map(|w| w ^ i).collect();
+            store.insert(fingerprint(&words), &words, None, None, 0, 0);
+            inserted.push(words);
         }
-        assert_eq!(Arena::locate(u32::MAX as usize - 1), (31, (1 << 31) - 1));
+        let firsts: Vec<*const u32> = store.words.iter().map(|c| c.as_ptr()).collect();
+        assert!(firsts.len() > 3, "{} chunks", firsts.len());
+        for (id, words) in inserted.iter().enumerate() {
+            assert_eq!(store.words(id as u32), &words[..]);
+        }
+        store.insert(fingerprint(&[7; 10]), &[7; 10], None, None, 0, 0);
+        assert!(store.words.iter().zip(&firsts).all(|(c, &p)| c.as_ptr() == p), "a chunk moved");
     }
 
     #[test]

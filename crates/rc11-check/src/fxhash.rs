@@ -9,16 +9,14 @@
 //!
 //! [`Fx128Hasher`] runs two independently seeded rotate–xor–multiply lanes
 //! over the same word stream and finalises them with an avalanche mix into
-//! a 128-bit [`Fp128`]. Both exploration engines key their visited
-//! structures on the [`Fp128`] of a configuration's *canonical
-//! serialisation* (the zero-rebuild walk of `rc11_core::canon`), via
-//! [`CanonicalFingerprint::canonical_fingerprint`] — see DESIGN.md
-//! ablation A4. Fingerprint equality is confirmed against the interned
-//! canonical representative before a state is treated as visited, so a
-//! 128-bit collision can cost a bucket walk but never an unsound verdict.
+//! a 128-bit [`Fp128`]. The exploration walk keys its visited index on
+//! the [`Fp128`] of a configuration's *canonical encoding* (the word
+//! format of `rc11_core::canon`), via [`fingerprint`] — see DESIGN.md
+//! ablation A4. A fingerprint hit is confirmed by comparing the encoding
+//! with the interned representative's words before a state is treated as
+//! visited, so a 128-bit collision can cost a bucket walk but never an
+//! unsound verdict.
 
-use rc11_core::{CanonPerms, Combined};
-use rc11_lang::machine::Config;
 use std::hash::{BuildHasherDefault, Hasher};
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -36,61 +34,71 @@ impl FxHasher {
     }
 }
 
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        // Mix the length in first: the remainder below is zero-padded to a
-        // full word, so within a single `write` call any zero-extended tail
-        // would collide (e.g. raw write of [1,2,3] vs [1,2,3,0,0]). std's
-        // derived Hash guards slices with a length prefix of its own, but
-        // raw `Hasher::write` callers get no such protection.
-        self.add_to_hash(bytes.len() as u64);
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.add_to_hash(u64::from_le_bytes(c.try_into().unwrap()));
+/// `Hasher` for a rotate–xor–multiply hasher with an `add_to_hash(u64)`
+/// step: every integer is one word, raw bytes are length-prefixed words,
+/// and `finish` is `$finish(self)`.
+macro_rules! word_hasher {
+    ($hasher:ty, $finish:expr) => {
+        impl Hasher for $hasher {
+            #[inline]
+            fn write(&mut self, bytes: &[u8]) {
+                // Mix the length in first: the remainder below is
+                // zero-padded to a full word, so within a single `write`
+                // call any zero-extended tail would collide (e.g. raw write
+                // of [1,2,3] vs [1,2,3,0,0]). std's derived Hash guards
+                // slices with a length prefix of its own, but raw
+                // `Hasher::write` callers get no such protection.
+                self.add_to_hash(bytes.len() as u64);
+                let mut chunks = bytes.chunks_exact(8);
+                for c in &mut chunks {
+                    self.add_to_hash(u64::from_le_bytes(c.try_into().unwrap()));
+                }
+                let rem = chunks.remainder();
+                if !rem.is_empty() {
+                    let mut buf = [0u8; 8];
+                    buf[..rem.len()].copy_from_slice(rem);
+                    self.add_to_hash(u64::from_le_bytes(buf));
+                }
+            }
+
+            #[inline]
+            fn write_u8(&mut self, i: u8) {
+                self.add_to_hash(i as u64);
+            }
+
+            #[inline]
+            fn write_u16(&mut self, i: u16) {
+                self.add_to_hash(i as u64);
+            }
+
+            #[inline]
+            fn write_u32(&mut self, i: u32) {
+                self.add_to_hash(i as u64);
+            }
+
+            #[inline]
+            fn write_u64(&mut self, i: u64) {
+                self.add_to_hash(i);
+            }
+
+            #[inline]
+            fn write_usize(&mut self, i: usize) {
+                self.add_to_hash(i as u64);
+            }
+
+            #[inline]
+            fn finish(&self) -> u64 {
+                $finish(self)
+            }
         }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut buf = [0u8; 8];
-            buf[..rem.len()].copy_from_slice(rem);
-            self.add_to_hash(u64::from_le_bytes(buf));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, i: u8) {
-        self.add_to_hash(i as u64);
-    }
-
-    #[inline]
-    fn write_u16(&mut self, i: u16) {
-        self.add_to_hash(i as u64);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, i: u32) {
-        self.add_to_hash(i as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, i: u64) {
-        self.add_to_hash(i);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, i: usize) {
-        self.add_to_hash(i as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
+    };
 }
 
+word_hasher!(FxHasher, |h: &FxHasher| h.hash);
+
 /// A 128-bit canonical fingerprint: the finalised output of
-/// [`Fx128Hasher`]. The engines use it as the visited-map key in place of
-/// a full canonical [`Config`] clone.
+/// [`Fx128Hasher`]. The walk uses it as the visited-map key in place of
+/// the canonical encoding itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Fp128 {
     /// High 64 bits.
@@ -150,104 +158,23 @@ impl Fx128Hasher {
     }
 }
 
-impl Hasher for Fx128Hasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        // Same length-prefix discipline as `FxHasher::write`: the tail is
-        // zero-padded to a word, so the length mix keeps zero-extended
-        // streams distinct.
-        self.add_to_hash(bytes.len() as u64);
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.add_to_hash(u64::from_le_bytes(c.try_into().unwrap()));
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut buf = [0u8; 8];
-            buf[..rem.len()].copy_from_slice(rem);
-            self.add_to_hash(u64::from_le_bytes(buf));
-        }
-    }
+// `finish` is the low finalised lane; prefer `Fx128Hasher::finish128`.
+word_hasher!(Fx128Hasher, |h: &Fx128Hasher| h.finish128().lo);
 
-    #[inline]
-    fn write_u8(&mut self, i: u8) {
-        self.add_to_hash(i as u64);
-    }
-
-    #[inline]
-    fn write_u16(&mut self, i: u16) {
-        self.add_to_hash(i as u64);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, i: u32) {
-        self.add_to_hash(i as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, i: u64) {
-        self.add_to_hash(i);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, i: usize) {
-        self.add_to_hash(i as u64);
-    }
-
-    /// The low finalised lane; prefer [`Fx128Hasher::finish128`].
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.finish128().lo
-    }
-}
-
-/// Canonical fingerprinting: the 128-bit hash of a state's canonical form,
-/// computed by the zero-rebuild walk — no renumbered state, no view
-/// clones, no allocation beyond the two permutation vectors.
-///
-/// Contract (property-tested in `crates/rc11-core/tests/
-/// fingerprint_props.rs` and enforced end-to-end by the fingerprint-on/off
-/// differential in `tests/engine_agreement.rs`):
-/// `a.canonical() == b.canonical()` ⟺ `a.canonical_fingerprint() ==
-/// b.canonical_fingerprint()`, up to 128-bit hash collisions — which the
-/// engines survive by confirming hits with `canonical_eq`.
-pub trait CanonicalFingerprint {
-    /// The canonical fingerprint, with precomputed canonical permutations
-    /// (shared with the equality walk and any later materialisation).
-    fn fingerprint_with(&self, perms: &CanonPerms) -> Fp128;
-
-    /// The canonical fingerprint, computing the permutations internally.
-    fn canonical_fingerprint(&self) -> Fp128;
-}
-
-impl CanonicalFingerprint for Combined {
-    fn fingerprint_with(&self, perms: &CanonPerms) -> Fp128 {
-        let mut h = Fx128Hasher::default();
-        self.hash_canonical_with(perms, &mut h);
-        h.finish128()
-    }
-
-    fn canonical_fingerprint(&self) -> Fp128 {
-        self.fingerprint_with(&self.canonical_perms())
-    }
-}
-
-impl CanonicalFingerprint for Config {
-    fn fingerprint_with(&self, perms: &CanonPerms) -> Fp128 {
-        let mut h = Fx128Hasher::default();
-        self.hash_canonical_with(perms, &mut h);
-        h.finish128()
-    }
-
-    fn canonical_fingerprint(&self) -> Fp128 {
-        self.fingerprint_with(&self.canonical_perms())
-    }
+/// The canonical fingerprint of an encoding: its [`Fx128Hasher`] hash
+/// ([`rc11_core::canon::hash_words`]). Equal canonical forms encode, and
+/// so fingerprint, equal; the converse holds up to 128-bit collisions,
+/// which the walk survives by comparing the words themselves.
+pub fn fingerprint(words: &[u32]) -> Fp128 {
+    let mut h = Fx128Hasher::default();
+    rc11_core::canon::hash_words(words, &mut h);
+    h.finish128()
 }
 
 /// The interned-arena state ids behind one fingerprint, as used by the
 /// exploration walk. Almost always a single id; a
-/// genuine 128-bit collision grows the bucket, and lookups confirm
-/// canonical equality against each interned candidate before declaring a
+/// genuine 128-bit collision grows the bucket, and lookups compare the
+/// encoding with each interned candidate's words before declaring a
 /// state visited.
 pub(crate) enum IdBucket {
     /// The common case: one state per fingerprint, no heap allocation.
@@ -374,12 +301,17 @@ mod tests {
         }
     }
 
-    /// `canonical_fingerprint` respects canonicalisation end to end: equal
+    /// `fingerprint` respects canonicalisation end to end: equal
     /// canonical forms fingerprint equal, distinct ones distinct, and the
     /// fingerprint is stable under materialised canonicalisation.
     #[test]
     fn canonical_fingerprint_tracks_canonical_forms() {
-        use rc11_core::{Comp, InitLoc, Loc, OpId, Tid, Val};
+        use rc11_core::{Combined, Comp, InitLoc, Loc, OpId, Tid, Val};
+        let fp = |s: &Combined| {
+            let mut words = Vec::new();
+            s.encode_canonical(&s.canonical_perms(), &mut words);
+            fingerprint(&words)
+        };
         let base = Combined::new(
             &[InitLoc::Var(Val::Int(0)), InitLoc::Var(Val::Int(0))],
             &[],
@@ -394,8 +326,8 @@ mod tests {
         let c = base.apply_write(Comp::Client, Tid(0), Loc(0), Val::Int(9), false, OpId(0));
 
         assert_eq!(a.canonical(), b.canonical());
-        assert_eq!(a.canonical_fingerprint(), b.canonical_fingerprint());
-        assert_ne!(a.canonical_fingerprint(), c.canonical_fingerprint());
-        assert_eq!(a.canonical_fingerprint(), a.canonical().canonical_fingerprint());
+        assert_eq!(fp(&a), fp(&b));
+        assert_ne!(fp(&a), fp(&c));
+        assert_eq!(fp(&a), fp(&a.canonical()));
     }
 }

@@ -17,8 +17,9 @@
 //!   (`rc11 run --checkpoint`): resumed runs report bit-identically to
 //!   uninterrupted ones;
 //! * [`explore::Explorer`] — the one exploration walk: exhaustive search
-//!   over canonical configurations deduplicated on zero-rebuild canonical
-//!   fingerprints (ablation A4), with invariant checking, per-edge hooks,
+//!   over canonical configurations, interned as their canonical word
+//!   encodings and deduplicated on fingerprints of those words (ablation
+//!   A4), with invariant checking, per-edge hooks,
 //!   terminal-outcome collection and counterexample traces. Every query —
 //!   outcomes, per-state checks, proof outlines — runs on it;
 //! * [`outline_check`] — proof-outline validity (Figures 3, 7; Lemma 4)
@@ -47,9 +48,9 @@
 //!   `--trace` JSONL stream ([`telemetry::TraceWriter`]) and its
 //!   validating aggregator ([`telemetry::read_trace`]);
 //! * [`fxhash`] — the integer-friendly hasher behind all the maps, its
-//!   128-bit extension [`fxhash::Fx128Hasher`] and the zero-rebuild
-//!   canonical fingerprint surface
-//!   ([`fxhash::CanonicalFingerprint`]/[`fxhash::Fp128`]).
+//!   128-bit extension [`fxhash::Fx128Hasher`] and the canonical
+//!   fingerprint of an encoding ([`fxhash::fingerprint`] into an
+//!   [`fxhash::Fp128`]).
 
 #![warn(missing_docs)]
 
@@ -81,7 +82,7 @@ pub use engine::{
 pub use fuzz::{diff_one, fuzz, DiffOptions, DiffVerdict, FuzzFailure, FuzzReport};
 pub use gen::{generate, shrink, GProg, GRhs, GStmt, GenOptions};
 pub use explore::{Explorer, Report};
-pub use fxhash::{CanonicalFingerprint, Fp128, Fx128Hasher};
+pub use fxhash::{fingerprint, Fp128, Fx128Hasher};
 pub use outline_check::{check_outline, OgClass, OutlineKind, OutlineReport, OutlineViolation};
 pub use random::{random_walk, sample_terminals, SampleError};
 pub use request::{option_words, CheckParams, CheckResponse, CheckService, Served, StatsSnapshot};

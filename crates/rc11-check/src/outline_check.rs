@@ -248,11 +248,15 @@ pub fn check_outline(
 
     // The initial configuration has no incoming edge: its failures are
     // classified `Initial`, which only it gets. `on_edge` covers the rest.
-    let init = Config::initial(prog).canonical();
-    let (fails, n) = annots.failures(&init);
-    checks += n;
-    for (kind, _) in fails {
-        recorder.record(kind, &init, OgClass::Initial, None);
+    // One too large for the memory budget is never built: the walk then
+    // stops at once with no state.
+    if !opts.budget.refuses_initial(prog) {
+        let init = Config::initial(prog).canonical();
+        let (fails, n) = annots.failures(&init);
+        checks += n;
+        for (kind, _) in fails {
+            recorder.record(kind, &init, OgClass::Initial, None);
+        }
     }
 
     let report = Explorer::new(prog, objs).with_options(opts.clone()).walk(

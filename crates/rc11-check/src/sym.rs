@@ -2,7 +2,7 @@
 //!
 //! Detection and the per-state canonical choice live in
 //! [`rc11_analyze::symmetry`]; this module holds the engine-side glue:
-//! the symmetry-aware fingerprint, the transport of POR thread masks into
+//! the symmetry-aware canonical encoding, the transport of POR thread masks into
 //! representative numbering, and orbit expansion — the enumeration of a
 //! representative's distinct non-representative orbit members, which the
 //! walk uses to run the check callback on *every* state of the orbit and
@@ -21,12 +21,12 @@
 //! mask through the committing `σ` (bit `t` → bit `σ[t]`), so sleep sets
 //! always live in the stored state's own thread numbering.
 
-use crate::fxhash::{CanonicalFingerprint, Fp128, Fx128Hasher, FxHashMap, IdBucket};
+use crate::fxhash::{fingerprint, Fp128, FxHashMap, IdBucket};
 use crate::por::ThreadMask;
 use rc11_analyze::{thread_symmetry, SymmetrySpec};
 use rc11_core::CanonPerms;
 use rc11_lang::cfg::CfgProgram;
-use rc11_lang::machine::Config;
+use rc11_lang::machine::{Config, SymMaps};
 
 /// The symmetry reduction to run with: a non-trivial spec when the option
 /// is on and the program actually has symmetric threads, else `None` (the
@@ -46,30 +46,34 @@ pub(crate) fn active_spec(
     ((!spec.is_trivial()).then_some(spec), capped)
 }
 
-/// Fill the scratch `perms` with the canonical permutations of `succ` and,
-/// under a symmetry spec, the canonical group permutation
-/// ([`SymmetrySpec::choose_into`]). Reuses `perms`' buffers: a walk keeps
-/// one `CanonPerms` for all its probes.
-pub(crate) fn perms_into(symm: Option<&SymmetrySpec>, succ: &Config, perms: &mut CanonPerms) {
-    succ.canonical_perms_into(perms);
+/// Encode `cfg` canonically into the scratch `words` (cleared first):
+/// the walk's one canonical step per successor. Under a symmetry spec the
+/// encoding is that of the orbit representative — the canonical group
+/// permutation ([`SymmetrySpec::choose_into`]) joins the op permutations
+/// in the scratch `perms`, where the caller finds it afterwards. Reuses
+/// both buffers: a walk keeps one of each for all its probes.
+pub(crate) fn encode(
+    symm: Option<&SymmetrySpec>,
+    cfg: &Config,
+    perms: &mut CanonPerms,
+    words: &mut Vec<u32>,
+) {
+    cfg.mem.canonical_perms_into(perms);
     if let Some(spec) = symm {
-        spec.choose_into(succ, perms);
+        spec.choose_into(cfg, perms);
     }
+    words.clear();
+    cfg.encode_canonical(perms, symm.map(SymmetrySpec::maps), words);
 }
 
-/// The canonical fingerprint of `succ` under `perms` — symmetry-aware with
-/// a spec: it then hashes the canonical serialisation of the
-/// thread-permuted configuration (byte-identical to the plain fingerprint
-/// of `succ.permute_threads(σ).canonical()`).
-pub(crate) fn fingerprint(succ: &Config, perms: &CanonPerms, symm: Option<&SymmetrySpec>) -> Fp128 {
-    match symm {
-        Some(spec) => {
-            let mut h = Fx128Hasher::default();
-            succ.hash_canonical_sym(perms, spec.maps(), &mut h);
-            h.finish128()
-        }
-        None => succ.fingerprint_with(perms),
-    }
+/// The canonical form of `cfg` with its threads permuted by `sigma`,
+/// decoded from the encoding under `sigma`: how trace steps and resumed
+/// violations rebuild a non-representative orbit member.
+pub(crate) fn permuted(cfg: &Config, sigma: &[u8], maps: &SymMaps) -> Config {
+    let perms = CanonPerms { threads: sigma.to_vec(), ..cfg.mem.canonical_perms() };
+    let mut words = Vec::new();
+    cfg.encode_canonical(&perms, Some(maps), &mut words);
+    Config::decode(&words)
 }
 
 /// Transport a thread mask through `σ`: bit `t` of the input becomes bit
@@ -96,24 +100,27 @@ pub(crate) fn is_identity(sigma: &[u8]) -> bool {
 /// States fixed by a subgroup yield fewer members than `orbit_size() - 1`.
 /// `group` is `spec.group_perms()`, computed once by the caller.
 ///
-/// Each member `σ(canon)` is fingerprinted and deduplicated by the
-/// zero-rebuild symmetry walks (`canon` is canonical, so its canonical
-/// permutations with `σ` installed describe exactly the canonical form of
-/// `canon.permute_threads(σ)`), and only novel members are materialised —
-/// once each, by `canonical_sym`. The walks run on the caller's scratch
-/// `perms`, which is left holding `canon`'s permutations.
+/// Each member `σ(canon)` is encoded with σ installed in `canon`'s
+/// canonical permutations (`canon` is canonical, so that encoding is
+/// exactly the canonical form of `canon.permute_threads(σ)`), deduplicated
+/// by fingerprint and word comparison against the members found so far,
+/// and only a novel member is decoded. The scratch `perms` is
+/// overwritten.
 pub(crate) fn orbit_members(
     spec: &SymmetrySpec,
     group: &[Vec<u8>],
     canon: &Config,
     perms: &mut CanonPerms,
 ) -> Vec<(Vec<u8>, Config)> {
-    // Members found so far, by fingerprint; `u32::MAX` stands for `canon`.
-    const CANON: u32 = u32::MAX;
-    let maps = spec.maps();
-    canon.canonical_perms_into(perms);
+    let maps = Some(spec.maps());
+    canon.mem.canonical_perms_into(perms);
+    // Every distinct member's words back to back, `canon`'s first: member
+    // `k` is `words[starts[k]..starts[k + 1]]`.
+    let mut words = Vec::new();
+    canon.encode_canonical(perms, maps, &mut words);
+    let mut starts = vec![0, words.len()];
     let mut seen: FxHashMap<Fp128, IdBucket> = FxHashMap::default();
-    seen.insert(canon.fingerprint_with(perms), IdBucket::One(CANON));
+    seen.insert(fingerprint(&words), IdBucket::One(0));
     let mut out: Vec<(Vec<u8>, Config)> = Vec::new();
     for sigma in group {
         if is_identity(sigma) {
@@ -121,21 +128,21 @@ pub(crate) fn orbit_members(
         }
         perms.threads.clear();
         perms.threads.extend_from_slice(sigma);
-        let fp = fingerprint(canon, perms, Some(spec));
-        let known = seen.get(&fp).is_some_and(|bucket| {
-            bucket.ids().iter().any(|&i| {
-                let seen_member = if i == CANON { canon } else { &out[i as usize].1 };
-                canon.canonical_eq_sym(perms, maps, seen_member)
-            })
-        });
-        if known {
+        let at = words.len();
+        canon.encode_canonical(perms, maps, &mut words);
+        let (known, member) = words.split_at(at);
+        let fp = fingerprint(member);
+        let member_words = |k: u32| &known[starts[k as usize]..starts[k as usize + 1]];
+        let known = |bucket: &IdBucket| bucket.ids().iter().any(|&k| member_words(k) == member);
+        if seen.get(&fp).is_some_and(known) {
+            words.truncate(at);
             continue;
         }
-        let id = out.len() as u32;
+        let id = (starts.len() - 1) as u32;
         seen.entry(fp).and_modify(|bucket| bucket.push(id)).or_insert(IdBucket::One(id));
-        out.push((sigma.clone(), canon.canonical_sym(perms, maps)));
+        starts.push(words.len());
+        out.push((sigma.clone(), Config::decode(&words[at..])));
     }
-    perms.threads.clear();
     out
 }
 
@@ -198,8 +205,9 @@ mod tests {
             rc11_lang::successors(&prog, &rc11_lang::NoObjects, &init, Default::default());
         assert!(!succs.is_empty());
         let canon = {
-            perms_into(Some(&spec), &succs[0].1, &mut perms);
-            succs[0].1.canonical_sym(&perms, spec.maps())
+            let mut words = Vec::new();
+            encode(Some(&spec), &succs[0].1, &mut perms, &mut words);
+            Config::decode(&words)
         };
         let members = orbit_members(&spec, &group, &canon, &mut perms);
         assert_eq!(members.len(), 1, "one non-representative orbit member");
@@ -222,9 +230,9 @@ mod tests {
         let succs =
             rc11_lang::successors(&prog, &rc11_lang::NoObjects, &init, Default::default());
         let canon = {
-            let mut perms = CanonPerms::default();
-            perms_into(Some(&spec), &succs[0].1, &mut perms);
-            succs[0].1.canonical_sym(&perms, spec.maps())
+            let (mut perms, mut words) = (CanonPerms::default(), Vec::new());
+            encode(Some(&spec), &succs[0].1, &mut perms, &mut words);
+            Config::decode(&words)
         };
         let mut set = vec![canon];
         expand_terminals(&spec, &mut set);

@@ -1,5 +1,5 @@
-//! Canonical renumbering of operation ids — and the zero-rebuild canonical
-//! walk behind fingerprint deduplication.
+//! Canonical renumbering of operation ids — and the one canonical
+//! encoding the explorer stores, hashes and compares.
 //!
 //! Operation ids are assigned in *insertion* order, so two interleavings
 //! that produce the same memory state (same per-location histories, views
@@ -10,27 +10,40 @@
 //! states on canonical forms; without this, every interleaving would look
 //! fresh and exploration would never converge (ablation A1 in DESIGN.md).
 //!
-//! Materialising the canonical form ([`Combined::canonical`]) clones every
-//! op record, `mo` vector and view — far too expensive to pay once per
-//! generated successor. This module therefore also provides the
-//! **zero-rebuild canonical walk**: given the canonical permutations
-//! ([`Combined::canonical_perms`]), [`Combined::hash_canonical_with`]
-//! streams the canonical serialisation of a state into any
-//! [`std::hash::Hasher`] without constructing it, and
-//! [`Combined::canonical_eq_with`] compares a state against an
-//! already-canonical representative entry by entry. Both walk ops in
-//! `(location, mo-position)` order per component — exactly the canonical id
-//! order — remapping view entries through the permutations on the fly. The
-//! exploration engines (rc11-check) key their visited structures on the
-//! resulting 128-bit fingerprints and fall back to `canonical_eq` inside a
-//! fingerprint bucket, so deduplication decisions are bit-identical to
-//! materialised-canonical dedup (ablation A4 in DESIGN.md).
+//! [`Combined::canonical`] *materialises* the canonical form through
+//! `CState::renumbered`: the reference the oracle explorer
+//! (`rc11_check::reference`) and the property tests use.
+//! [`Combined::encode_canonical`] *encodes* it, in one walk and under an
+//! optional thread permutation (symmetry reduction, A6), as `u32` words
+//! appended to a reused buffer; [`Combined::decode_into`] is its inverse.
+//! Two states encode equal exactly when their canonical forms are equal,
+//! so the walk in rc11-check fingerprints, compares and stores words
+//! (ablation A4 in DESIGN.md). The two share nothing but the permutations.
+//!
+//! The word format of one component, in order:
+//!
+//! ```text
+//! [ n_locs, n_threads, n_other, n_ops ]
+//! [ mo offsets: n_locs + 1 ][ tview: n_threads × n_locs ]
+//! [ op rows: n_ops × (1 + n_locs + n_other) ][ op payloads… ]
+//! ```
+//!
+//! Ops appear in canonical id order, so the modification orders are
+//! `0..n_ops` and are not written, and an op's rank is its position in
+//! its location's range of ids. An op row is a header word — location in
+//! bits 0–15, thread in 16–23, action kind in 24–27, the release/acquire
+//! flag in bit 28, the covered flag in bit 29 — then both halves of its
+//! modification view. The payloads follow in the same order: the
+//! action's values ([`encode_val`]) and, for lock operations, their index
+//! and owner. A `Combined` is the client component followed by the
+//! library one; rc11-lang's `Config` prefixes the control state.
 
-use crate::combined::Combined;
-use crate::ids::{OpId, Tid};
 use crate::action::{MethodOp, OpAction};
+use crate::combined::Combined;
+use crate::ids::{Comp, Loc, OpId, Tid};
 use crate::state::{CState, OpRecord};
-use std::hash::{Hash, Hasher};
+use crate::val::Val;
+use std::hash::Hasher;
 
 /// The inverse of a thread permutation `sigma[old] = new`: `inv[new] = old`
 /// (thread ids are `u8`, so a fixed array holds any permutation without
@@ -72,12 +85,10 @@ pub(crate) fn permute_rec(rec: OpRecord, sigma: &[u8]) -> OpRecord {
 /// for each component, numbering ops by `(location, mo-position)`.
 ///
 /// Computing the permutations is the cheap part of canonicalisation (two
-/// dense passes, no view cloning); they are reused across the fingerprint
-/// walk, the canonical-equality walk and — when a state turns out to be
-/// novel — the single materialising [`Combined::canonical_with`] call. A
-/// caller probing many states keeps one `CanonPerms` as scratch and
-/// refills it with [`Combined::canonical_perms_into`], which allocates
-/// nothing once the buffers have grown to the largest state's size.
+/// dense passes, no view cloning); the encoding walk reads them. A caller
+/// encoding many states keeps one `CanonPerms` as scratch and refills it
+/// with [`Combined::canonical_perms_into`], which allocates nothing once
+/// the buffers have grown to the largest state's size.
 #[derive(Debug, Clone, Default)]
 pub struct CanonPerms {
     /// Client-component permutation (`perm[old] = new`).
@@ -101,90 +112,245 @@ impl CanonPerms {
     }
 }
 
-/// Stream one component's canonical serialisation into `h`: framing
-/// (loc/thread/op counts and per-location `mo` lengths — which fully
-/// determine the canonical `mo` vectors, since canonical ids are
-/// consecutive in `(location, mo-position)` order), then every op record,
-/// covered flag and modification-view pair in canonical id order with view
-/// entries remapped on the fly, then the remapped thread views.
-fn hash_component<H: Hasher>(
-    st: &CState,
-    perm: &[OpId],
-    perm_other: &[OpId],
-    tperm: Option<&[u8]>,
-    h: &mut H,
-) {
-    h.write_usize(st.n_locs());
-    h.write_usize(st.n_threads);
-    h.write_usize(st.n_ops());
-    for len in st.mo_lens() {
-        h.write_usize(len);
-    }
-    for &w in st.mo_all() {
-        let rec = *st.op(w);
-        let (rank, covered, own, other) = st.op_row(w);
-        // mo-position 0 is the location's initialisation op, which
-        // belongs to no thread — its dummy tid stays fixed under any
-        // thread permutation.
-        match tperm {
-            Some(sigma) if rank > 0 => permute_rec(rec, sigma).hash(h),
-            _ => rec.hash(h),
-        }
-        h.write_u8(covered as u8);
-        own.hash_remapped(perm, h);
-        other.hash_remapped(perm_other, h);
-    }
-    // Thread views in *canonical* slot order: new slot `j` holds the view
-    // of the old thread `inv[j]`.
-    let inv = tperm.map(invert_tperm);
-    for j in 0..st.n_threads {
-        let old_t = inv.as_ref().map_or(j, |inv| inv[j] as usize);
-        st.tview(Tid(old_t as u8)).hash_remapped(perm, h);
+/// Value tags: the low three bits of a value's first word. A small
+/// integer is the tag-0 word itself (the value shifted up past the tag);
+/// other tags fill the whole word, and a larger integer's two halves
+/// follow its tag.
+const VAL_SMALL_INT: u32 = 0;
+const VAL_INT: u32 = 1;
+const VAL_FALSE: u32 = 2;
+const VAL_TRUE: u32 = 3;
+const VAL_EMPTY: u32 = 4;
+const VAL_BOT: u32 = 5;
+
+/// The integers one tagged word holds.
+const SMALL_INTS: std::ops::Range<i64> = -(1 << 28)..1 << 28;
+
+/// Append the words of `v`: one word, or three for an integer outside
+/// [`SMALL_INTS`]. Every value has exactly one encoding.
+#[inline]
+pub fn encode_val(v: Val, out: &mut Vec<u32>) {
+    match v {
+        Val::Int(n) if SMALL_INTS.contains(&n) => out.push((n as i32 as u32) << 3 | VAL_SMALL_INT),
+        Val::Int(n) => out.extend([VAL_INT, n as u32, (n >> 32) as u32]),
+        Val::Bool(false) => out.push(VAL_FALSE),
+        Val::Bool(true) => out.push(VAL_TRUE),
+        Val::Empty => out.push(VAL_EMPTY),
+        Val::Bot => out.push(VAL_BOT),
     }
 }
 
-/// True iff renumbering `st` through `perm`/`perm_other` would yield
-/// exactly `canon` — which must already be in canonical form (its `mo`
-/// section consecutive in `(location, mo-position)` order, as produced by
-/// [`Combined::canonical`]). Walks without materialising anything.
-fn component_canonical_eq(
-    st: &CState,
-    perm: &[OpId],
-    perm_other: &[OpId],
-    tperm: Option<&[u8]>,
-    canon: &CState,
-) -> bool {
-    if st.n_ops() != canon.n_ops()
-        || st.n_locs() != canon.n_locs()
-        || st.n_threads != canon.n_threads
-        || st.n_other != canon.n_other
-        || !st.mo_lens().eq(canon.mo_lens())
-    {
-        return false;
+/// A cursor over encoded words, the decoding side of the codec. Reading
+/// past the end panics: decoders only ever read words an encoder wrote.
+#[derive(Debug)]
+pub struct WordReader<'a>(&'a [u32]);
+
+impl<'a> WordReader<'a> {
+    /// A reader at the start of `words`.
+    pub fn new(words: &'a [u32]) -> WordReader<'a> {
+        WordReader(words)
     }
-    for (new_id, &w) in st.mo_all().iter().enumerate() {
-        let (rank, covered, own, other) = st.op_row(w);
-        let rec = match tperm {
-            // Init ops (mo-position 0) belong to no thread; see
-            // `hash_component`.
-            Some(sigma) if rank > 0 => permute_rec(*st.op(w), sigma),
-            _ => *st.op(w),
-        };
-        let c = OpId(new_id as u32);
-        let (_, c_covered, c_own, c_other) = canon.op_row(c);
-        if rec != *canon.op(c)
-            || covered != c_covered
-            || !own.eq_remapped(perm, c_own)
-            || !other.eq_remapped(perm_other, c_other)
-        {
-            return false;
+
+    /// The next `n` words.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> &'a [u32] {
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        head
+    }
+
+    /// The next word.
+    #[inline]
+    pub fn word(&mut self) -> u32 {
+        self.take(1)[0]
+    }
+
+    /// The next value (see [`encode_val`]).
+    #[inline]
+    pub fn val(&mut self) -> Val {
+        let w = self.word();
+        if w & 7 == VAL_SMALL_INT {
+            return Val::Int(((w as i32) >> 3) as i64);
+        }
+        match w {
+            VAL_INT => {
+                let lo = self.word() as u64;
+                let hi = self.word() as u64;
+                Val::Int((hi << 32 | lo) as i64)
+            }
+            VAL_FALSE => Val::Bool(false),
+            VAL_TRUE => Val::Bool(true),
+            VAL_EMPTY => Val::Empty,
+            VAL_BOT => Val::Bot,
+            tag => panic!("not a value tag: {tag}"),
         }
     }
-    let inv = tperm.map(invert_tperm);
-    (0..st.n_threads).all(|j| {
-        let old_t = inv.as_ref().map_or(j, |inv| inv[j] as usize);
-        st.tview(Tid(old_t as u8)).eq_remapped(perm, canon.tview(Tid(j as u8)))
-    })
+
+    /// True once every word has been read.
+    pub fn is_done(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+/// Feed `words` into `h`: their count, then two words per `write_u64`.
+/// Every canonical fingerprint is this hash of an encoding.
+pub fn hash_words<H: Hasher>(words: &[u32], h: &mut H) {
+    h.write_usize(words.len());
+    let mut pairs = words.chunks_exact(2);
+    for p in &mut pairs {
+        h.write_u64(p[0] as u64 | (p[1] as u64) << 32);
+    }
+    if let [last] = pairs.remainder() {
+        h.write_u32(*last);
+    }
+}
+
+/// The op actions carrying one value and a release/acquire flag, by
+/// action kind (bits 24–27 of an op's header word); the kinds after them
+/// are `UPDATE`, `INIT`, `ACQUIRE` and `RELEASE`.
+const VALUED: [fn(Val, bool) -> OpAction; 7] = [
+    |v, rel| OpAction::Write { v, rel },
+    |v, rel| OpAction::Method(MethodOp::Push { v, rel }),
+    |v, acq| OpAction::Method(MethodOp::Pop { v, acq }),
+    |v, rel| OpAction::Method(MethodOp::RegWrite { v, rel }),
+    |v, _| OpAction::Method(MethodOp::CtrInc { v }),
+    |v, rel| OpAction::Method(MethodOp::Enq { v, rel }),
+    |v, acq| OpAction::Method(MethodOp::Deq { v, acq }),
+];
+const UPDATE: u32 = 7;
+const INIT: u32 = 8;
+const ACQUIRE: u32 = 9;
+const RELEASE: u32 = 10;
+
+/// The header word of an op (see the module docs), appending the
+/// payload of its action to `out`.
+#[inline]
+fn encode_op(rec: OpRecord, covered: bool, out: &mut Vec<u32>) -> u32 {
+    use MethodOp as M;
+    let valued = |kind: u32, v: Val, flag: bool, out: &mut Vec<u32>| {
+        encode_val(v, out);
+        (kind, flag)
+    };
+    let (kind, flag) = match rec.act {
+        OpAction::Write { v, rel } => valued(0, v, rel, out),
+        OpAction::Method(M::Push { v, rel }) => valued(1, v, rel, out),
+        OpAction::Method(M::Pop { v, acq }) => valued(2, v, acq, out),
+        OpAction::Method(M::RegWrite { v, rel }) => valued(3, v, rel, out),
+        OpAction::Method(M::CtrInc { v }) => valued(4, v, false, out),
+        OpAction::Method(M::Enq { v, rel }) => valued(5, v, rel, out),
+        OpAction::Method(M::Deq { v, acq }) => valued(6, v, acq, out),
+        OpAction::Update { v_read, v } => {
+            encode_val(v_read, out);
+            encode_val(v, out);
+            (UPDATE, false)
+        }
+        OpAction::Method(M::Init) => (INIT, false),
+        OpAction::Method(M::LockAcquire { n, tid }) => {
+            out.extend([n, tid.0 as u32]);
+            (ACQUIRE, false)
+        }
+        OpAction::Method(M::LockRelease { n }) => {
+            out.push(n);
+            (RELEASE, false)
+        }
+    };
+    rec.loc.0 as u32
+        | (rec.tid.0 as u32) << 16
+        | kind << 24
+        | (flag as u32) << 28
+        | (covered as u32) << 29
+}
+
+/// The op with header word `head`, reading its payload from `r` (the
+/// inverse of [`encode_op`]).
+fn decode_op(head: u32, r: &mut WordReader<'_>) -> OpRecord {
+    let act = match head >> 24 & 0xf {
+        UPDATE => {
+            let v_read = r.val();
+            OpAction::Update { v_read, v: r.val() }
+        }
+        INIT => OpAction::Method(MethodOp::Init),
+        ACQUIRE => {
+            let n = r.word();
+            OpAction::Method(MethodOp::LockAcquire { n, tid: Tid(r.word() as u8) })
+        }
+        RELEASE => OpAction::Method(MethodOp::LockRelease { n: r.word() }),
+        kind => VALUED[kind as usize](r.val(), head >> 28 & 1 != 0),
+    };
+    OpRecord { loc: Loc(head as u16), tid: Tid((head >> 16) as u8), act }
+}
+
+impl CState {
+    /// Append this component's canonical encoding (see the module docs):
+    /// op ids renumbered by `perm` (own) and `perm_other` (cross view
+    /// halves), thread ids by `tperm` when given. Initialisation ops
+    /// (mo-position 0) belong to no thread and keep their dummy tid.
+    fn encode_canonical(
+        &self,
+        perm: &[OpId],
+        perm_other: &[OpId],
+        tperm: Option<&[u8]>,
+        out: &mut Vec<u32>,
+    ) {
+        let (n_locs, n) = (self.n_locs, self.n_ops());
+        out.extend([n_locs, self.n_threads, self.n_other, n].map(|x| x as u32));
+        // Renumbering keeps every op's mo position, hence the offsets.
+        out.extend(self.tab[..=n_locs].iter().map(|o| o.0));
+        // Thread views in canonical slot order: slot `j` holds the view of
+        // the old thread `inv[j]`.
+        let inv = tperm.map(invert_tperm);
+        for j in 0..self.n_threads {
+            let old_t = inv.as_ref().map_or(j, |inv| inv[j] as usize);
+            out.extend(self.tview(Tid(old_t as u8)).as_slice().iter().map(|e| perm[e.idx()].0));
+        }
+        // One row per op in canonical id order, its payload appended after
+        // the rows.
+        let width = 1 + n_locs + self.n_other;
+        let mut row = out.len();
+        out.resize(row + n * width, 0);
+        for &w in self.mo_all() {
+            let (rank, covered, own, other) = self.op_row(w);
+            let rec = match tperm {
+                Some(sigma) if rank > 0 => permute_rec(*self.op(w), sigma),
+                _ => *self.op(w),
+            };
+            out[row] = encode_op(rec, covered, out);
+            let (own_dst, other_dst) = out[row + 1..row + width].split_at_mut(n_locs);
+            for (d, e) in own_dst.iter_mut().zip(own.as_slice()) {
+                *d = perm[e.idx()].0;
+            }
+            for (d, e) in other_dst.iter_mut().zip(other.as_slice()) {
+                *d = perm_other[e.idx()].0;
+            }
+            row += width;
+        }
+    }
+
+    /// Overwrite this state with the component encoded at `r`, reusing
+    /// both buffers: the table is rebuilt with each op's rank (its
+    /// position in its location's `mo`) and covered flag.
+    fn decode_from(&mut self, r: &mut WordReader<'_>) {
+        let [n_locs, n_threads, n_other, n] = [0; 4].map(|_| r.word() as usize);
+        (self.n_locs, self.n_threads, self.n_other) = (n_locs, n_threads, n_other);
+        let head = n_locs + 1 + n_threads * n_locs;
+        let width = 1 + n_locs + n_other;
+        self.tab.clear();
+        self.tab.reserve(head + n * (1 + width) + n);
+        self.tab.extend(r.take(head).iter().map(|&w| OpId(w)));
+        let rows = r.take(n * width);
+        self.ops.clear();
+        self.ops.reserve(n);
+        for loc in 0..n_locs {
+            let (from, to) = (self.tab[loc].idx(), self.tab[loc + 1].idx());
+            for (rank, row) in rows[from * width..to * width].chunks_exact(width).enumerate() {
+                self.ops.push(decode_op(row[0], r));
+                self.tab.extend([rank as u32, row[0] >> 29 & 1].map(OpId));
+                self.tab.extend(row[1..].iter().map(|&w| OpId(w)));
+            }
+        }
+        // In canonical numbering every location's `mo` is its id range.
+        self.tab.extend((0..n as u32).map(OpId));
+    }
 }
 
 impl Combined {
@@ -206,23 +372,16 @@ impl Combined {
         perms.threads.clear();
     }
 
-    /// The canonical representative of this state: ids renumbered by
-    /// `(location, mo-position)` in both components, cross-references
-    /// remapped consistently. Idempotent; structurally-equal states have
-    /// equal canonical forms (tested by property tests).
+    /// The canonical representative of this state, materialised: ids
+    /// renumbered by `(location, mo-position)` in both components,
+    /// cross-references remapped consistently. Idempotent;
+    /// structurally-equal states have equal canonical forms (tested by
+    /// property tests). The reference the encoding is tested against.
     #[must_use]
     pub fn canonical(&self) -> Combined {
-        self.canonical_with(&self.canonical_perms())
-    }
-
-    /// [`Combined::canonical`] with precomputed permutations — lets a
-    /// caller that already fingerprinted a state (and found it novel)
-    /// materialise the canonical form without recomputing the permutations.
-    #[must_use]
-    pub fn canonical_with(&self, perms: &CanonPerms) -> Combined {
-        let tperm = perms.threads();
-        let client = self.client().renumbered(&perms.client, &perms.lib, tperm);
-        let lib = self.lib().renumbered(&perms.lib, &perms.client, tperm);
+        let perms = self.canonical_perms();
+        let client = self.client().renumbered(&perms.client, &perms.lib, None);
+        let lib = self.lib().renumbered(&perms.lib, &perms.client, None);
         Combined::from_parts(client, lib)
     }
 
@@ -230,7 +389,8 @@ impl Combined {
     /// (op ids untouched): per-op `tid`s renamed (initialisation ops keep
     /// their dummy tid) and thread viewfronts moved to their new slots.
     /// Only sound as a state-space symmetry when `sigma` is a program
-    /// automorphism — the detection side lives in `rc11-analyze`.
+    /// automorphism — the detection side lives in `rc11-analyze`. The
+    /// reference for encoding under a thread permutation.
     #[must_use]
     pub fn permute_threads(&self, sigma: &[u8]) -> Combined {
         let identity = |st: &CState| (0..st.n_ops() as u32).map(OpId).collect::<Vec<_>>();
@@ -241,39 +401,23 @@ impl Combined {
         Combined::from_parts(client, lib)
     }
 
-    /// Stream this state's *canonical* serialisation into `h` without
-    /// materialising the canonical form. Two states feed identical byte
-    /// streams into `h` iff their canonical forms are equal, so a
-    /// wide-enough hash of this walk is a canonical fingerprint (the
-    /// 128-bit instantiation lives in `rc11_check::fxhash`).
-    pub fn hash_canonical_with<H: Hasher>(&self, perms: &CanonPerms, h: &mut H) {
+    /// Append the canonical encoding of this state under `perms` to `out`:
+    /// the words of `self.permute_threads(σ).canonical()`, σ being
+    /// `perms.threads`, without building it. `perms` must be this state's
+    /// canonical permutations. Two states encode to equal words iff their
+    /// (thread-permuted) canonical forms are equal.
+    pub fn encode_canonical(&self, perms: &CanonPerms, out: &mut Vec<u32>) {
         let tperm = perms.threads();
-        hash_component(self.client(), &perms.client, &perms.lib, tperm, h);
-        hash_component(self.lib(), &perms.lib, &perms.client, tperm, h);
+        self.client().encode_canonical(&perms.client, &perms.lib, tperm, out);
+        self.lib().encode_canonical(&perms.lib, &perms.client, tperm, out);
     }
 
-    /// [`Combined::hash_canonical_with`], computing the permutations
-    /// internally.
-    pub fn hash_canonical<H: Hasher>(&self, h: &mut H) {
-        self.hash_canonical_with(&self.canonical_perms(), h);
-    }
-
-    /// True iff `self.canonical() == *canon`, decided by a zero-rebuild
-    /// walk. `canon` **must already be canonical** (as stored in the
-    /// engines' interned state arenas); this is the collision-bucket
-    /// confirmation step of fingerprint deduplication.
-    #[must_use]
-    pub fn canonical_eq_with(&self, perms: &CanonPerms, canon: &Combined) -> bool {
-        let tperm = perms.threads();
-        component_canonical_eq(self.client(), &perms.client, &perms.lib, tperm, canon.client())
-            && component_canonical_eq(self.lib(), &perms.lib, &perms.client, tperm, canon.lib())
-    }
-
-    /// [`Combined::canonical_eq_with`], computing the permutations
-    /// internally.
-    #[must_use]
-    pub fn canonical_eq(&self, canon: &Combined) -> bool {
-        self.canonical_eq_with(&self.canonical_perms(), canon)
+    /// Overwrite this state with the one encoded at `r` (the inverse of
+    /// [`Combined::encode_canonical`]), reusing its buffers: once they
+    /// have grown to the largest state decoded, nothing allocates.
+    pub fn decode_into(&mut self, r: &mut WordReader<'_>) {
+        self.comp_mut(Comp::Client).decode_from(r);
+        self.comp_mut(Comp::Lib).decode_from(r);
     }
 }
 
@@ -289,6 +433,25 @@ mod tests {
 
     fn base() -> Combined {
         Combined::new(&[InitLoc::Var(Val::Int(0)), InitLoc::Var(Val::Int(0))], &[], 2)
+    }
+
+    /// The canonical encoding of `s` under `perms`.
+    fn encode_with(s: &Combined, perms: &CanonPerms) -> Vec<u32> {
+        let mut words = Vec::new();
+        s.encode_canonical(perms, &mut words);
+        words
+    }
+
+    fn encode(s: &Combined) -> Vec<u32> {
+        encode_with(s, &s.canonical_perms())
+    }
+
+    fn decode(words: &[u32]) -> Combined {
+        let mut r = WordReader::new(words);
+        let mut s = Combined::new(&[], &[], 1);
+        s.decode_into(&mut r);
+        assert!(r.is_done(), "decoding left words unread");
+        s
     }
 
     /// Independent writes to different variables commute up to ids; the
@@ -336,8 +499,8 @@ mod tests {
     }
 
     /// A thread permutation renames a held lock's owner along with the
-    /// acquiring op's thread, in the materialised form and in the
-    /// zero-rebuild walks alike.
+    /// acquiring op's thread, in the materialised form and in the encoding
+    /// alike.
     #[test]
     fn permutation_renames_the_lock_owner() {
         let mut s = Combined::new(&[], &[InitLoc::Obj], 2);
@@ -355,23 +518,13 @@ mod tests {
         assert_eq!(owner(&swapped), Tid(1));
         let perms = CanonPerms { threads: vec![1, 0], ..s.canonical_perms() };
         let canon = swapped.canonical();
-        assert_eq!(s.canonical_with(&perms), canon);
-        assert!(s.canonical_eq_with(&perms, &canon));
-        assert!(!s.canonical_eq_with(&s.canonical_perms(), &canon));
+        assert_eq!(decode(&encode_with(&s, &perms)), canon);
+        assert_eq!(encode_with(&s, &perms), encode(&canon));
+        assert_ne!(encode(&s), encode(&canon));
     }
 
-    /// A 64-bit instantiation of the canonical walk, for tests only (the
-    /// engines use the 128-bit `Fx128Hasher` in rc11-check).
-    fn walk_hash(s: &Combined) -> u64 {
-        use std::hash::Hasher;
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        s.hash_canonical(&mut h);
-        h.finish()
-    }
-
-    /// The zero-rebuild walk agrees with materialised canonicalisation:
-    /// equal canonical forms ⟺ equal walk hashes, and `canonical_eq`
-    /// decides exactly `self.canonical() == canon`.
+    /// The encoding agrees with materialised canonicalisation: it decodes
+    /// to the canonical form, and equal canonical forms ⟺ equal words.
     #[test]
     fn walk_agrees_with_materialised_canonicalisation() {
         let s = base();
@@ -384,18 +537,16 @@ mod tests {
         let c = s.apply_write(Comp::Client, Tid(0), X, Val::Int(3), false, OpId(0));
 
         assert_eq!(a.canonical(), b.canonical());
-        assert_eq!(walk_hash(&a), walk_hash(&b), "equal canonical forms, equal walk");
-        assert_ne!(walk_hash(&a), walk_hash(&c), "distinct canonical forms, distinct walk");
-
-        assert!(a.canonical_eq(&b.canonical()));
-        assert!(b.canonical_eq(&a.canonical()));
-        assert!(!c.canonical_eq(&a.canonical()));
-        assert!(!a.canonical_eq(&c.canonical()));
+        assert_eq!(encode(&a), encode(&b), "equal canonical forms, equal words");
+        assert_ne!(encode(&a), encode(&c), "distinct canonical forms, distinct words");
+        for st in [&a, &b, &c] {
+            assert_eq!(decode(&encode(st)), st.canonical());
+        }
     }
 
-    /// The walk hash is stable under canonicalisation (the canonical form's
-    /// permutations are the identity), and `canonical_with` reusing
-    /// precomputed permutations equals `canonical`.
+    /// The encoding is stable under canonicalisation (the canonical form's
+    /// permutations are the identity), and decoding into a used state
+    /// overwrites it completely.
     #[test]
     fn walk_is_stable_under_canonicalisation() {
         let s = base()
@@ -403,24 +554,69 @@ mod tests {
             .apply_update(Comp::Client, Tid(1), X, Val::Int(2), OpId(0))
             .apply_read(Comp::Client, Tid(0), Y, true, OpId(1));
         let canon = s.canonical();
-        assert_eq!(walk_hash(&s), walk_hash(&canon));
-        assert!(s.canonical_eq(&canon));
-        assert!(canon.canonical_eq(&canon));
+        assert_eq!(encode(&s), encode(&canon));
 
-        let perms = s.canonical_perms();
-        assert_eq!(s.canonical_with(&perms), canon);
+        let mut scratch = Combined::new(&[InitLoc::Obj], &[InitLoc::Var(Val::Bot)], 3);
+        scratch.decode_into(&mut WordReader::new(&encode(&s)));
+        assert_eq!(scratch, canon);
     }
 
     /// Covered flags are part of the canonical identity: states differing
-    /// *only* in `cvd` must neither walk-hash equal nor canonical-eq.
+    /// *only* in `cvd` must not encode equal.
     #[test]
     fn walk_distinguishes_covered_flags() {
         let s = base().apply_write(Comp::Client, Tid(0), X, Val::Int(1), true, OpId(0));
         let mut covered = s.clone();
         covered.comp_mut(Comp::Client).cover(OpId(0));
-        assert_ne!(walk_hash(&s), walk_hash(&covered));
-        assert!(!s.canonical_eq(&covered.canonical()));
-        assert!(!covered.canonical_eq(&s.canonical()));
+        assert_ne!(encode(&s), encode(&covered));
+    }
+
+    /// Every value and every op-record kind survives the word codec.
+    #[test]
+    fn op_records_round_trip() {
+        let small = SMALL_INTS.start..SMALL_INTS.end;
+        let ints =
+            [-1, 0, 7, small.start, small.end - 1, small.start - 1, small.end, i64::MAX, i64::MIN];
+        let mut vals: Vec<Val> = ints.iter().map(|&n| Val::Int(n)).collect();
+        vals.extend([Val::Bool(true), Val::Bool(false), Val::Empty, Val::Bot]);
+        let mut acts = vec![OpAction::Method(MethodOp::Init)];
+        acts.push(OpAction::Method(MethodOp::LockAcquire { n: 7, tid: Tid(255) }));
+        acts.push(OpAction::Method(MethodOp::LockRelease { n: u32::MAX }));
+        for &v in &vals {
+            for flag in [false, true] {
+                acts.push(OpAction::Write { v, rel: flag });
+                acts.push(OpAction::Update { v_read: Val::Int(3), v });
+                acts.push(OpAction::Method(MethodOp::Push { v, rel: flag }));
+                acts.push(OpAction::Method(MethodOp::Pop { v, acq: flag }));
+                acts.push(OpAction::Method(MethodOp::RegWrite { v, rel: flag }));
+                acts.push(OpAction::Method(MethodOp::CtrInc { v }));
+                acts.push(OpAction::Method(MethodOp::Enq { v, rel: flag }));
+                acts.push(OpAction::Method(MethodOp::Deq { v, acq: flag }));
+            }
+        }
+        let recs: Vec<OpRecord> = acts
+            .into_iter()
+            .map(|act| OpRecord { loc: Loc(65_535), tid: Tid(200), act })
+            .collect();
+        let mut payload = Vec::new();
+        let heads: Vec<u32> = (recs.iter().enumerate())
+            .map(|(i, &rec)| encode_op(rec, i % 3 == 0, &mut payload))
+            .collect();
+        let mut r = WordReader::new(&payload);
+        let back: Vec<OpRecord> = heads.iter().map(|&head| decode_op(head, &mut r)).collect();
+        assert!(r.is_done());
+        assert_eq!(back, recs);
+        assert!(heads.iter().enumerate().all(|(i, &head)| (head >> 29 & 1 == 1) == (i % 3 == 0)));
+        // One word for small integers and the other values, three else.
+        let lens: Vec<usize> = vals
+            .iter()
+            .map(|&v| {
+                let mut words = Vec::new();
+                encode_val(v, &mut words);
+                words.len()
+            })
+            .collect();
+        assert_eq!(lens, [1, 1, 1, 1, 1, 3, 3, 3, 3, 1, 1, 1, 1]);
     }
 
     /// Differing *orders on the same variable* must NOT be identified.
@@ -440,5 +636,6 @@ mod tests {
             s.apply_write(Comp::Client, Tid(1), X, Val::Int(2), false, OpId(0))
         };
         assert_ne!(a.canonical(), b.canonical());
+        assert_ne!(encode(&a), encode(&b));
     }
 }

@@ -46,8 +46,8 @@ impl Combined {
     }
 
     /// Reassemble a combined state from its two components (used by
-    /// canonicalisation). The components must agree on thread count and be
-    /// tagged `Client`/`Lib` respectively.
+    /// canonicalisation and decoding). The components must agree on
+    /// thread count and be tagged `Client`/`Lib` respectively.
     pub(crate) fn from_parts(client: CState, lib: CState) -> Combined {
         debug_assert_eq!(client.comp, Comp::Client);
         debug_assert_eq!(lib.comp, Comp::Lib);

@@ -94,10 +94,10 @@ pub struct CState {
     pub(crate) n_threads: usize,
     /// The other component's location count (width of `mview_other`).
     pub(crate) n_other: usize,
-    ops: Vec<OpRecord>,
+    pub(crate) ops: Vec<OpRecord>,
     /// Offsets, thread views, op rows and modification orders (see the
     /// module docs).
-    tab: Vec<OpId>,
+    pub(crate) tab: Vec<OpId>,
 }
 
 impl CState {
@@ -121,8 +121,7 @@ impl CState {
                 OpRecord { loc: Loc(i as u16), tid: Tid(0), act }
             })
             .collect();
-        let stride = MVIEW + n_locs + n_other;
-        let mut tab = Vec::with_capacity(n_locs + 1 + (n_threads + stride + 1) * n_locs);
+        let mut tab = Vec::with_capacity(Self::init_words(n_locs, n_threads, n_other));
         let ids = |n: usize| (0..n as u32).map(OpId);
         // Location `i`'s modification order is its initialising op alone.
         tab.extend(ids(n_locs + 1));
@@ -136,6 +135,22 @@ impl CState {
         }
         tab.extend(ids(n_locs));
         CState { comp, n_locs, n_threads, n_other, ops, tab }
+    }
+
+    /// The table length of [`CState::init`]'s state.
+    fn init_words(n_locs: usize, n_threads: usize, n_other: usize) -> usize {
+        n_locs + 1 + (n_threads + MVIEW + n_locs + n_other + 1) * n_locs
+    }
+
+    /// The [`CState::approx_bytes`] of the state [`CState::init`] builds
+    /// for these counts, computed without building it — its table grows
+    /// with the square of the location count, so a caller with a memory
+    /// budget checks this first.
+    pub fn init_bytes(n_locs: usize, n_threads: usize, n_other: usize) -> usize {
+        use std::mem::size_of;
+        size_of::<CState>()
+            + n_locs * size_of::<OpRecord>()
+            + Self::init_words(n_locs, n_threads, n_other) * size_of::<OpId>()
     }
 
     /// A copy with room for one more operation: inserting it (see
@@ -189,16 +204,10 @@ impl CState {
         &self.tab[self.mo_base()..]
     }
 
-    /// The length of every location's modification order, in location
-    /// order.
-    pub(crate) fn mo_lens(&self) -> impl Iterator<Item = usize> + '_ {
-        self.tab[..=self.n_locs].windows(2).map(|pair| (pair[1].0 - pair[0].0) as usize)
-    }
-
     /// This state with op ids renumbered by `perm` (own ids) and
     /// `perm_other` (ids in cross-component view halves), and — when
     /// `tperm` is given — thread ids permuted by `tperm[old] = new`: the
-    /// materialising step of canonicalisation (`crate::canon`).
+    /// materialised reference form of canonicalisation (`crate::canon`).
     /// Initialisation operations (modification-order position 0 on every
     /// location) belong to no thread and keep their dummy `Tid(0)`.
     /// Renumbering leaves every op's modification-order position, hence
@@ -263,10 +272,9 @@ impl CState {
         self.n_threads
     }
 
-    /// Approximate heap footprint of this component state in bytes — the
-    /// per-state cost an interned arena pays to hold it. Used by the
-    /// exploration engines' memory budget (`StopReason::MemBudget` in
-    /// rc11-check); an estimate, not an allocator-exact measurement.
+    /// Approximate heap footprint of this component state in bytes (its
+    /// two buffers and the struct holding them); an estimate, not an
+    /// allocator-exact measurement.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         size_of::<CState>()
@@ -333,7 +341,7 @@ impl CState {
 
     /// Operation `w`'s whole row, split: its rank, its covered flag, and
     /// the own and cross halves of its modification view — one lookup
-    /// for the canonical walks, which read them all.
+    /// for the canonical encoding, which reads them all.
     #[inline]
     pub(crate) fn op_row(&self, w: OpId) -> (u32, bool, View<'_>, View<'_>) {
         let at = self.row_at(w);
@@ -520,6 +528,16 @@ mod tests {
         assert_eq!(st.max_op(Loc(1)), OpId(1));
         assert_eq!(st.tview(Tid(0)).get(Loc(0)), OpId(0));
         assert!(!st.is_covered(OpId(0)));
+    }
+
+    /// `init_bytes` predicts the built state's footprint exactly.
+    #[test]
+    fn init_bytes_matches_the_built_state() {
+        for (locs, threads, other) in [(0, 1, 0), (2, 2, 0), (5, 3, 4), (40, 7, 9)] {
+            let inits = vec![InitLoc::Var(Val::Int(0)); locs];
+            let st = CState::init(Comp::Lib, &inits, threads, other);
+            assert_eq!(CState::init_bytes(locs, threads, other), st.approx_bytes());
+        }
     }
 
     #[test]

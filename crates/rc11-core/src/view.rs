@@ -58,8 +58,8 @@ impl<'a> View<'a> {
         self.0.iter().copied().enumerate()
     }
 
-    /// The entries remapped through an id permutation, lazily — for
-    /// comparing remapped views without materialising them.
+    /// The entries remapped through an id permutation, lazily — what the
+    /// canonical encoding writes and the symmetry choice compares.
     #[inline]
     pub fn remapped(self, perm: &'a [OpId]) -> impl Iterator<Item = OpId> + 'a {
         self.0.iter().map(move |e| perm[e.idx()])
@@ -73,25 +73,6 @@ impl<'a> View<'a> {
         for (d, e) in dst.iter_mut().zip(self.0) {
             *d = perm[e.idx()];
         }
-    }
-
-    /// Feed the permutation-remapped entries into `h` without materialising
-    /// the remapped view — the per-view step of the zero-rebuild canonical
-    /// fingerprint (DESIGN.md ablation A4).
-    #[inline]
-    pub fn hash_remapped<H: std::hash::Hasher>(self, perm: &[OpId], h: &mut H) {
-        for e in self.0 {
-            h.write_u32(perm[e.idx()].0);
-        }
-    }
-
-    /// True iff remapping `self` through `perm` would yield exactly `other`,
-    /// without materialising the remapped view — the per-view step of
-    /// zero-rebuild canonical equality confirmation.
-    #[inline]
-    pub fn eq_remapped(self, perm: &[OpId], other: View<'_>) -> bool {
-        self.0.len() == other.0.len()
-            && self.0.iter().zip(other.0).all(|(e, o)| perm[e.idx()] == *o)
     }
 
     /// Raw slice access (read-only), for hashing and debugging.
@@ -177,32 +158,5 @@ mod tests {
         View::new(&v).remap_into(&perm, &mut out);
         assert_eq!(out, [OpId(1), OpId(2)]);
         assert!(View::new(&v).remapped(&perm).eq(out));
-    }
-
-    /// `hash_remapped` and `eq_remapped` agree with materialised remapping.
-    #[test]
-    fn remapped_hash_and_eq_match_materialised_remap() {
-        use std::hash::Hasher;
-        let v = View::new(&[OpId(0), OpId(2), OpId(1)]);
-        let perm = [OpId(2), OpId(0), OpId(1)];
-        let mut materialised = [OpId(0); 3];
-        v.remap_into(&perm, &mut materialised);
-        let materialised = View::new(&materialised);
-
-        assert!(v.eq_remapped(&perm, materialised));
-        assert!(!v.eq_remapped(&perm, v));
-
-        // The streamed hash equals hashing the materialised entries the
-        // same way (one write_u32 per entry).
-        let hash_entries = |entries: &[OpId]| {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            for e in entries {
-                h.write_u32(e.0);
-            }
-            h.finish()
-        };
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        v.hash_remapped(&perm, &mut h);
-        assert_eq!(h.finish(), hash_entries(materialised.as_slice()));
     }
 }

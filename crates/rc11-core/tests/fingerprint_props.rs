@@ -1,14 +1,16 @@
-//! Property tests for the zero-rebuild canonical fingerprint (ablation A4):
-//! on randomly generated transition scripts,
+//! Property tests for the canonical encoding (ablation A4): on randomly
+//! generated transition scripts and for every thread permutation σ,
 //!
-//! `a.canonical() == b.canonical()  ⟺  fingerprint(a) == fingerprint(b)`,
+//! * `decode(encode(s, σ)) == s.permute_threads(σ).canonical()` — the
+//!   encoding is the materialised canonical form, written as words;
+//! * `encode(a, σ) == encode(b, τ)  ⟺  a.permute_threads(σ).canonical()
+//!   == b.permute_threads(τ).canonical()`, and the same for their
+//!   fingerprints.
 //!
-//! together with the supporting equalities the engines lean on —
-//! fingerprint stability under materialised canonicalisation, and
-//! `canonical_eq` deciding exactly materialised-canonical equality. The
-//! `⟸` direction is a no-collision claim for the generated family (the
-//! engines tolerate collisions via bucket confirmation; the differential
-//! suite `tests/engine_agreement.rs` covers that fallback end to end).
+//! The fingerprint `⟸` direction is a no-collision claim for the
+//! generated family (the walk tolerates collisions by comparing words;
+//! the differential suite `tests/engine_agreement.rs` covers the walk end
+//! to end).
 //!
 //! Two generators exercise both directions meaningfully:
 //!
@@ -19,8 +21,9 @@
 //!   location) swapped, so canonical forms coincide by construction (`⟹`).
 
 use proptest::prelude::*;
-use rc11_check::CanonicalFingerprint;
-use rc11_core::{Comp, Combined, InitLoc, Loc, Tid, Val};
+use rc11_check::fingerprint;
+use rc11_core::canon::WordReader;
+use rc11_core::{CanonPerms, Comp, Combined, InitLoc, Loc, Tid, Val};
 
 const N_LOCS: usize = 2;
 const N_THREADS: usize = 2;
@@ -121,26 +124,57 @@ fn commute(script: &[RStep]) -> Vec<RStep> {
     out
 }
 
+/// Every thread permutation of the generated states.
+const SIGMAS: [[u8; N_THREADS]; 2] = [[0, 1], [1, 0]];
+
+/// The canonical encoding of `s` with its threads permuted by `sigma`.
+fn encode(s: &Combined, sigma: &[u8]) -> Vec<u32> {
+    let perms = CanonPerms { threads: sigma.to_vec(), ..s.canonical_perms() };
+    let mut words = Vec::new();
+    s.encode_canonical(&perms, &mut words);
+    words
+}
+
+fn decode(words: &[u32]) -> Combined {
+    let mut r = WordReader::new(words);
+    let mut s = Combined::new(&[], &[], 1);
+    s.decode_into(&mut r);
+    assert!(r.is_done(), "decoding left words unread");
+    s
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// The central biconditional on random pairs: equal canonical forms
-    /// iff equal fingerprints — and `canonical_eq` decides it too.
+    /// The central biconditional on random pairs, under every pair of
+    /// thread permutations: equal canonical forms iff equal encodings iff
+    /// equal fingerprints — and every encoding decodes to its form.
     #[test]
     fn canonical_equality_iff_fingerprint_equality(
         a in prop::collection::vec(rstep(), 0..7),
         b in prop::collection::vec(rstep(), 0..7),
     ) {
         let (sa, sb) = (run(&a), run(&b));
-        let canon_eq = sa.canonical() == sb.canonical();
-        let fp_eq = sa.canonical_fingerprint() == sb.canonical_fingerprint();
-        prop_assert_eq!(canon_eq, fp_eq, "canonical equality and fingerprint equality diverged");
-        prop_assert_eq!(sa.canonical_eq(&sb.canonical()), canon_eq);
-        prop_assert_eq!(sb.canonical_eq(&sa.canonical()), canon_eq);
+        for sigma in SIGMAS {
+            let wa = encode(&sa, &sigma);
+            let ca = sa.permute_threads(&sigma).canonical();
+            prop_assert_eq!(&decode(&wa), &ca);
+            for tau in SIGMAS {
+                let wb = encode(&sb, &tau);
+                let canon_eq = ca == sb.permute_threads(&tau).canonical();
+                prop_assert_eq!(wa == wb, canon_eq, "encoding and canonical equality diverged");
+                prop_assert_eq!(
+                    fingerprint(&wa) == fingerprint(&wb),
+                    canon_eq,
+                    "fingerprint and canonical equality diverged"
+                );
+            }
+        }
     }
 
     /// Commuted interleavings of one script: canonical forms coincide, so
-    /// fingerprints must too (the `⟹` direction on guaranteed-equal pairs).
+    /// encodings and fingerprints must too (the `⟹` direction on
+    /// guaranteed-equal pairs).
     #[test]
     fn commuted_interleavings_fingerprint_equal(
         script in prop::collection::vec(rstep(), 0..8),
@@ -148,27 +182,32 @@ proptest! {
         let a = run(&script);
         let b = run(&commute(&script));
         prop_assert_eq!(a.canonical(), b.canonical(), "commuted steps must not change the state");
-        prop_assert_eq!(a.canonical_fingerprint(), b.canonical_fingerprint());
-        prop_assert!(a.canonical_eq(&b.canonical()));
+        for sigma in SIGMAS {
+            let (wa, wb) = (encode(&a, &sigma), encode(&b, &sigma));
+            prop_assert_eq!(fingerprint(&wa), fingerprint(&wb));
+            prop_assert_eq!(&wa, &wb);
+            prop_assert_eq!(decode(&wb), a.permute_threads(&sigma).canonical());
+        }
     }
 
-    /// Stability: fingerprinting is invariant under materialised
-    /// canonicalisation, `canonical_eq` accepts the state's own canonical
-    /// form, and the permutation-reusing entry points agree with the
-    /// self-contained ones.
+    /// Stability: the encoding is invariant under materialised
+    /// canonicalisation and equals the plain encoding of the permuted
+    /// state, and decoding into a reused state gives what a fresh decode
+    /// gives.
     #[test]
     fn fingerprint_is_stable_under_canonicalisation(
         script in prop::collection::vec(rstep(), 0..8),
     ) {
         let s = run(&script);
         let canon = s.canonical();
-        prop_assert_eq!(s.canonical_fingerprint(), canon.canonical_fingerprint());
-        prop_assert!(s.canonical_eq(&canon));
-        prop_assert!(canon.canonical_eq(&canon));
-
-        let perms = s.canonical_perms();
-        prop_assert_eq!(s.fingerprint_with(&perms), s.canonical_fingerprint());
-        prop_assert!(s.canonical_eq_with(&perms, &canon));
-        prop_assert_eq!(s.canonical_with(&perms), canon);
+        prop_assert_eq!(encode(&s, &[]), encode(&canon, &[]));
+        let mut scratch = initial();
+        for sigma in SIGMAS {
+            let words = encode(&s, &sigma);
+            prop_assert_eq!(&words, &encode(&s.permute_threads(&sigma), &[]));
+            prop_assert_eq!(&words, &encode(&canon, &sigma));
+            scratch.decode_into(&mut WordReader::new(&words));
+            prop_assert_eq!(&scratch, &decode(&words));
+        }
     }
 }

@@ -206,7 +206,7 @@ proptest! {
                         let sab = b.apply(&sa);
                         let sba = a.apply(&sb);
                         prop_assert!(
-                            sab.canonical_eq(&sba.canonical()),
+                            sab.canonical() == sba.canonical(),
                             "orders diverge: {a:?} then {b:?} vs the reverse"
                         );
                         checked += 1;

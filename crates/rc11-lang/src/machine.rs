@@ -11,8 +11,9 @@
 use crate::ast::{Method, Reg};
 use crate::cfg::{CfgProgram, Instr};
 use crate::program::ObjKind;
-use rc11_core::canon::invert_tperm;
-use rc11_core::{AccessKind, Combined, Loc, StepFootprint, Tid, Val};
+use rc11_core::canon::{encode_val, hash_words, invert_tperm, WordReader};
+use rc11_core::{AccessKind, CState, CanonPerms, Combined, Loc, StepFootprint, Tid, Val};
+use std::cell::RefCell;
 
 /// Execution semantics of abstract objects (Section 4), supplied by the
 /// objects crate. Given the call description and current memory, returns
@@ -57,8 +58,8 @@ impl ObjectSemantics for NoObjects {
 /// numbering and the *representative* numbering of its thread-symmetry
 /// group (first-use order of the group's representative member). Threads
 /// outside any symmetry group carry identity maps. Produced by the
-/// detection pass in `rc11-analyze`; consumed by the symmetry-aware
-/// canonicalisation walks below.
+/// detection pass in `rc11-analyze`; consumed by the canonical encoding
+/// under a thread permutation ([`Config::encode_canonical`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SymMaps {
     /// `to_rep[t][r]` — the representative-numbering index of thread `t`'s
@@ -190,10 +191,8 @@ impl Config {
         self.regs[at] = v;
     }
 
-    /// Approximate heap footprint of this configuration in bytes — what an
-    /// interned state arena pays to hold it. Feeds the exploration
-    /// engines' approximate memory budget (`Budget::max_mem_bytes` /
-    /// `StopReason::MemBudget` in rc11-check).
+    /// Approximate heap footprint of this configuration in bytes (its six
+    /// buffers and the struct holding them).
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         size_of::<Config>()
@@ -202,202 +201,143 @@ impl Config {
             + self.mem.approx_bytes()
     }
 
-    /// Canonical form for visited-state deduplication: memory canonicalised,
-    /// pcs/locals as-is (they are already canonical).
+    /// The [`Config::approx_bytes`] of [`Config::initial`]'s configuration,
+    /// computed without building it: its memory has a modification-view
+    /// row per location as wide as the location count.
+    pub fn initial_bytes(prog: &CfgProgram) -> usize {
+        use std::mem::size_of;
+        let src = &prog.source;
+        let n = prog.n_threads();
+        let regs: usize = src.threads.iter().map(|t| t.n_regs as usize).sum();
+        let (client, lib) = (src.client_inits.len(), src.lib_inits.len());
+        size_of::<Config>()
+            + (2 * n + 1) * size_of::<u32>()
+            + regs * size_of::<Val>()
+            + CState::init_bytes(client, n, lib)
+            + CState::init_bytes(lib, n, client)
+    }
+
+    /// Canonical form for visited-state deduplication, materialised:
+    /// memory canonicalised ([`Combined::canonical`]), pcs/locals as-is
+    /// (they are already canonical). The reference the encoding is tested
+    /// against.
     #[must_use]
     pub fn canonical(&self) -> Config {
         self.with_mem(self.mem.canonical())
     }
 
-    /// The memory state's canonical permutations
-    /// ([`rc11_core::Combined::canonical_perms`]) — the shared input of the
-    /// zero-rebuild fingerprint/equality walks and of
-    /// [`Config::canonical_with`].
-    #[must_use]
-    pub fn canonical_perms(&self) -> rc11_core::CanonPerms {
-        self.mem.canonical_perms()
-    }
-
-    /// [`Config::canonical_perms`] written into a reusable scratch `perms`
-    /// ([`rc11_core::Combined::canonical_perms_into`]).
-    pub fn canonical_perms_into(&self, perms: &mut rc11_core::CanonPerms) {
-        self.mem.canonical_perms_into(perms);
-    }
-
-    /// [`Config::canonical`] with precomputed permutations, so a caller
-    /// that already fingerprinted this configuration materialises the
-    /// canonical form without recomputing them.
-    #[must_use]
-    pub fn canonical_with(&self, perms: &rc11_core::CanonPerms) -> Config {
-        self.with_mem(self.mem.canonical_with(perms))
-    }
-
-    /// Stream this configuration's canonical serialisation into `h`
-    /// without materialising it: pcs and locals as-is (already canonical),
-    /// memory via the zero-rebuild canonical walk. Two configurations feed
-    /// identical streams iff their canonical forms are equal.
-    pub fn hash_canonical_with<H: std::hash::Hasher>(
-        &self,
-        perms: &rc11_core::CanonPerms,
-        h: &mut H,
-    ) {
-        self.hash_control(None, h);
-        self.mem.hash_canonical_with(perms, h);
-    }
-
-    /// [`Config::hash_canonical_with`], computing the permutations
-    /// internally.
-    pub fn hash_canonical<H: std::hash::Hasher>(&self, h: &mut H) {
-        self.hash_canonical_with(&self.canonical_perms(), h);
-    }
-
-    /// True iff `self.canonical() == *canon`, decided without building the
-    /// canonical form. `canon` must already be canonical — this is the
-    /// collision-bucket confirmation step of fingerprint deduplication.
-    #[must_use]
-    pub fn canonical_eq_with(&self, perms: &rc11_core::CanonPerms, canon: &Config) -> bool {
-        self.ctl == canon.ctl
-            && self.regs == canon.regs
-            && self.mem.canonical_eq_with(perms, &canon.mem)
-    }
-
-    /// [`Config::canonical_eq_with`], computing the permutations
-    /// internally.
-    #[must_use]
-    pub fn canonical_eq(&self, canon: &Config) -> bool {
-        self.canonical_eq_with(&self.canonical_perms(), canon)
-    }
-
-    /// Slot `j` of the control state `(pcs, locals)` — as is, or under a
-    /// thread permutation `sym = (inv, maps)` given by its inverse
-    /// (`inv[new] = old`): slot `j` then holds thread `inv[j]`'s pc and its
-    /// register file re-expressed in slot `j`'s numbering via `maps`
-    /// (`file'[k] = file_t[from_rep_t[to_rep_j[k]]]`). Only meaningful when
-    /// the permutation maps threads within symmetry groups (equal
-    /// instruction streams modulo the register renaming), which is what
-    /// `rc11-analyze` detects.
-    fn control_slot<'a>(
-        &'a self,
-        j: usize,
-        sym: Option<(&'a [u8], &'a SymMaps)>,
-    ) -> (u32, impl ExactSizeIterator<Item = Val> + 'a) {
-        let t = sym.map_or(j, |(inv, _)| inv[j] as usize);
-        let file = self.locals(t);
-        let len = sym.map_or(file.len(), |(_, maps)| maps.to_rep[j].len());
-        let regs = (0..len).map(move |k| match sym {
-            None => file[k],
-            Some((_, maps)) => file[maps.from_rep[t][maps.to_rep[j][k] as usize] as usize],
-        });
-        (self.pc(t), regs)
-    }
-
-    /// Stream the (possibly thread-permuted, see
-    /// [`Config::control_slot`]) control state into `h` slot by slot: the
-    /// pcs, then the register files, each list length-prefixed. The plain
-    /// and symmetry-aware walks share this, so a permuted stream equals the
-    /// plain stream of the materialised permuted configuration.
-    fn hash_control<H: std::hash::Hasher>(&self, sym: Option<(&[u8], &SymMaps)>, h: &mut H) {
-        use std::hash::Hash;
+    /// Append the canonical encoding of this configuration to `out`: the
+    /// control state — thread count, pcs, then each register file's length
+    /// and values — then the memory ([`Combined::encode_canonical`], whose
+    /// canonical permutations `perms` must hold). With a thread
+    /// permutation σ in `perms.threads` these are the words of
+    /// `self.permute_threads(σ, maps).canonical()` (`None` maps read as the
+    /// identity): slot `j` holds thread `σ⁻¹(j)`'s pc and register file in
+    /// slot `j`'s numbering, meaningful only within symmetry groups.
+    pub fn encode_canonical(&self, perms: &CanonPerms, maps: Option<&SymMaps>, out: &mut Vec<u32>) {
         let n = self.n_threads();
-        h.write_usize(n);
+        let inv = perms.threads().map(invert_tperm);
+        let slot = |j: usize| inv.as_ref().map_or(j, |inv| inv[j] as usize);
+        out.reserve(1 + 2 * n + 3 * self.regs.len());
+        out.push(n as u32);
+        out.extend((0..n).map(|j| self.pc(slot(j))));
         for j in 0..n {
-            h.write_u32(self.control_slot(j, sym).0);
-        }
-        h.write_usize(n);
-        for j in 0..n {
-            let (_, regs) = self.control_slot(j, sym);
-            h.write_usize(regs.len());
-            for v in regs {
-                v.hash(h);
+            let t = slot(j);
+            let file = self.locals(t);
+            out.push(file.len() as u32);
+            match maps {
+                Some(maps) if t != j => {
+                    debug_assert_eq!(maps.to_rep[j].len(), file.len(), "asymmetric threads");
+                    for &k in &maps.to_rep[j] {
+                        encode_val(file[maps.from_rep[t][k as usize] as usize], out);
+                    }
+                }
+                _ => file.iter().for_each(|&v| encode_val(v, out)),
             }
         }
+        self.mem.encode_canonical(perms, out);
     }
 
-    /// This configuration with its control state permuted by
-    /// `sigma[old] = new` (see [`Config::control_slot`]) and `mem` as its
-    /// memory.
-    fn with_permuted_control(&self, sigma: &[u8], maps: &SymMaps, mem: Combined) -> Config {
-        let inv = invert_tperm(sigma);
-        let sym = Some((&inv[..], maps));
-        let n = self.n_threads();
-        let mut ctl = Vec::with_capacity(self.ctl.len());
-        ctl.extend((0..n).map(|j| self.control_slot(j, sym).0));
-        ctl.push(0);
-        let mut regs = Vec::with_capacity(self.regs.len());
-        for j in 0..n {
-            regs.extend(self.control_slot(j, sym).1);
-            ctl.push(regs.len() as u32);
+    /// The configuration encoded in `words` (the inverse of
+    /// [`Config::encode_canonical`]).
+    #[must_use]
+    pub fn decode(words: &[u32]) -> Config {
+        let mem = Combined::new(&[], &[], 1);
+        let mut cfg = Config { ctl: Vec::new(), regs: Vec::new(), mem };
+        cfg.decode_into(words);
+        cfg
+    }
+
+    /// [`Config::decode`] into this configuration, reusing its buffers:
+    /// once they have grown to the largest configuration decoded, nothing
+    /// allocates.
+    pub fn decode_into(&mut self, words: &[u32]) {
+        let mut r = WordReader::new(words);
+        let n = r.word() as usize;
+        self.ctl.clear();
+        self.ctl.reserve(2 * n + 1);
+        self.ctl.extend_from_slice(r.take(n));
+        self.ctl.push(0);
+        self.regs.clear();
+        for _ in 0..n {
+            let len = r.word();
+            self.regs.extend((0..len).map(|_| r.val()));
+            self.ctl.push(self.regs.len() as u32);
         }
-        Config { ctl, regs, mem }
+        self.mem.decode_into(&mut r);
+        debug_assert!(r.is_done(), "words left after the memory");
+    }
+
+    /// This configuration's canonical encoding, written into `words`
+    /// through the scratch `perms`.
+    fn encode_into(&self, perms: &mut CanonPerms, words: &mut Vec<u32>) {
+        self.mem.canonical_perms_into(perms);
+        words.clear();
+        self.encode_canonical(perms, None, words);
+    }
+
+    /// Feed this configuration's canonical encoding into `h`
+    /// ([`rc11_core::canon::hash_words`], the walk's fingerprint input):
+    /// configurations with equal canonical forms hash equal.
+    pub fn hash_canonical<H: std::hash::Hasher>(&self, h: &mut H) {
+        SCRATCH.with_borrow_mut(|(perms, words, _)| {
+            self.encode_into(perms, words);
+            hash_words(words, h);
+        })
+    }
+
+    /// True iff `self.canonical() == *canon` for a canonical `canon`,
+    /// decided on the two encodings.
+    #[must_use]
+    pub fn canonical_eq(&self, canon: &Config) -> bool {
+        SCRATCH.with_borrow_mut(|(perms, mine, theirs)| {
+            self.encode_into(perms, mine);
+            canon.encode_into(perms, theirs);
+            mine == theirs
+        })
     }
 
     /// Rebuild this configuration with threads permuted by
-    /// `sigma[old] = new`: control state via [`SymMaps`]-aware slot moves,
-    /// memory via [`rc11_core::Combined::permute_threads`]. When `sigma` is
-    /// a program automorphism the result is a reachable configuration with
-    /// the same future behaviour up to the same permutation.
+    /// `sigma[old] = new`: control state via [`SymMaps`]-aware slot moves
+    /// (see [`Config::encode_canonical`]), memory via
+    /// [`rc11_core::Combined::permute_threads`]. When `sigma` is a program
+    /// automorphism the result is a reachable configuration with the same
+    /// future behaviour up to the same permutation. The reference for
+    /// encoding under a thread permutation.
     #[must_use]
     pub fn permute_threads(&self, sigma: &[u8], maps: &SymMaps) -> Config {
-        self.with_permuted_control(sigma, maps, self.mem.permute_threads(sigma))
-    }
-
-    /// [`Config::hash_canonical_with`] honouring the thread permutation in
-    /// `perms.threads`: streams the canonical serialisation of the
-    /// thread-permuted configuration without building it. Feeds
-    /// byte-identical input to `h` as the plain walk over
-    /// `self.permute_threads(σ).canonical()` would, so sym-fingerprints and
-    /// plain fingerprints of materialised sym-canonical forms coincide.
-    /// Falls back to the plain walk when `perms.threads` is the identity.
-    pub fn hash_canonical_sym<H: std::hash::Hasher>(
-        &self,
-        perms: &rc11_core::CanonPerms,
-        maps: &SymMaps,
-        h: &mut H,
-    ) {
-        match perms.threads() {
-            Some(sigma) => {
-                let inv = invert_tperm(sigma);
-                self.hash_control(Some((&inv[..], maps)), h);
-                self.mem.hash_canonical_with(perms, h);
-            }
-            None => self.hash_canonical_with(perms, h),
-        }
-    }
-
-    /// [`Config::canonical_eq_with`] honouring the thread permutation in
-    /// `perms.threads` (see [`Config::hash_canonical_sym`]); compares the
-    /// permuted control state slot by slot without building it.
-    #[must_use]
-    pub fn canonical_eq_sym(
-        &self,
-        perms: &rc11_core::CanonPerms,
-        maps: &SymMaps,
-        canon: &Config,
-    ) -> bool {
-        match perms.threads() {
-            Some(sigma) => {
-                let inv = invert_tperm(sigma);
-                let sym = Some((&inv[..], maps));
-                let n = self.n_threads();
-                n == canon.n_threads()
-                    && (0..n).all(|j| {
-                        let (pc, regs) = self.control_slot(j, sym);
-                        pc == canon.pc(j) && regs.eq(canon.locals(j).iter().copied())
-                    })
-                    && self.mem.canonical_eq_with(perms, &canon.mem)
-            }
-            None => self.canonical_eq_with(perms, canon),
-        }
-    }
-
-    /// [`Config::canonical_with`] honouring the thread permutation in
-    /// `perms.threads`: materialises the thread-permuted canonical form.
-    #[must_use]
-    pub fn canonical_sym(&self, perms: &rc11_core::CanonPerms, maps: &SymMaps) -> Config {
-        match perms.threads() {
-            Some(sigma) => self.with_permuted_control(sigma, maps, self.mem.canonical_with(perms)),
-            None => self.canonical_with(perms),
-        }
+        let inv = invert_tperm(sigma);
+        let n = self.n_threads();
+        let pcs: Vec<u32> = (0..n).map(|j| self.pc(inv[j] as usize)).collect();
+        let locals: Vec<Vec<Val>> = (0..n)
+            .map(|j| {
+                let t = inv[j] as usize;
+                let file = self.locals(t);
+                let from_rep = &maps.from_rep[t];
+                maps.to_rep[j].iter().map(|&k| file[from_rep[k as usize] as usize]).collect()
+            })
+            .collect();
+        Config::from_parts(&pcs, &locals, self.mem.permute_threads(sigma))
     }
 
     /// True iff every thread is at `Halt`.
@@ -407,6 +347,12 @@ impl Config {
             .enumerate()
             .all(|(t, &pc)| matches!(prog.threads[t].instrs[pc as usize], Instr::Halt))
     }
+}
+
+thread_local! {
+    /// Scratch permutations and encodings for [`Config::hash_canonical`]
+    /// and [`Config::canonical_eq`], so they allocate nothing once grown.
+    static SCRATCH: RefCell<(CanonPerms, Vec<u32>, Vec<u32>)> = RefCell::default();
 }
 
 /// Step-generation options.
@@ -777,6 +723,39 @@ mod tests {
             }
         }
         terminals
+    }
+
+    /// `initial_bytes` predicts the initial configuration's footprint
+    /// exactly, and every reachable configuration decodes from its
+    /// encoding to its canonical form, into fresh or reused buffers.
+    #[test]
+    fn initial_bytes_and_encoding_round_trip() {
+        let t1 = Com::Write { var: x(), exp: Exp::Val(Val::Int(-7)), rel: true }
+            .then(Com::Read { reg: Reg(1), var: x(), acq: true });
+        let (expect, new) = (Exp::Val(Val::Int(0)), Exp::Val(Val::Int(1)));
+        let t2 = Com::Cas { reg: Reg(0), var: x(), expect, new };
+        let prog = mk_prog(vec![(t1, 2), (t2, 1)]);
+        let init = Config::initial(&prog);
+        assert_eq!(Config::initial_bytes(&prog), init.approx_bytes());
+        let mut scratch = init.clone();
+        let mut states = 0;
+        let mut frontier = vec![init];
+        let mut seen = std::collections::HashSet::new();
+        while let Some(c) = frontier.pop() {
+            let mut words = Vec::new();
+            c.encode_into(&mut CanonPerms::default(), &mut words);
+            assert_eq!(Config::decode(&words), c.canonical());
+            scratch.decode_into(&words);
+            assert_eq!(scratch, c.canonical());
+            assert!(c.canonical_eq(&c.canonical()));
+            states += 1;
+            for (_, s) in successors(&prog, &NoObjects, &c, StepOptions::default()) {
+                if seen.insert(s.canonical()) {
+                    frontier.push(s);
+                }
+            }
+        }
+        assert!(states > 5, "{states} states");
     }
 
     #[test]

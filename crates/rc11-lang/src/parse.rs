@@ -50,7 +50,7 @@ use crate::ast::{BinOp, Com, Exp, Method, ObjRef, Reg, UnOp, VarRef};
 use crate::builder::{ProgramBuilder, ThreadBuilder};
 use crate::program::{ObjKind, Program};
 use rc11_core::{Comp, Val, MAX_LOCS, MAX_THREADS};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// A source position: 1-based line and column (`0:0` when unknown, e.g.
@@ -159,7 +159,7 @@ pub fn parse_litmus(src: &str) -> Result<ParsedLitmus, ParseError> {
         toks,
         pos: 0,
         depth: 0,
-        decls: Vec::new(),
+        decls: HashMap::new(),
         threads: Vec::new(),
         lint: LintInfo { allows: scan_allows(src), ..LintInfo::default() },
     };
@@ -537,7 +537,8 @@ struct Parser {
     pos: usize,
     /// Current nesting depth (see [`MAX_DEPTH`]).
     depth: usize,
-    decls: Vec<(String, Decl)>,
+    /// Declared variables and objects by name.
+    decls: HashMap<String, Decl>,
     threads: Vec<ThreadCtx>,
     lint: LintInfo,
 }
@@ -606,7 +607,7 @@ impl Parser {
     }
 
     fn lookup_decl(&self, name: &str) -> Option<Decl> {
-        self.decls.iter().find(|(n, _)| n == name).map(|(_, d)| *d)
+        self.decls.get(name).copied()
     }
 
     fn parse(mut self) -> Result<ParsedLitmus, ParseError> {
@@ -653,7 +654,7 @@ impl Parser {
                         pb.lib_var(&vname, init)
                     };
                     self.lint.vars.push((var, vname.clone(), vspan));
-                    self.decls.push((vname, Decl::Var(var)));
+                    self.decls.insert(vname, Decl::Var(var));
                 }
                 Tok::Ident(kw)
                     if matches!(
@@ -673,7 +674,7 @@ impl Parser {
                     self.check_fresh(&oname, ospan)?;
                     self.check_loc_room(&pb, Comp::Lib, ospan)?;
                     let obj = pb.object(&oname, kind);
-                    self.decls.push((oname, Decl::Obj(obj, kind)));
+                    self.decls.insert(oname, Decl::Obj(obj, kind));
                 }
                 Tok::Ident(kw) if kw == "thread" => {
                     self.bump();

@@ -110,8 +110,8 @@ RUN OPTIONS:
   -q, --quiet                only print failures and the final summary
 
   Every check runs on one exploration walk, which deduplicates visited
-  states one way: zero-rebuild canonical fingerprints, each hit confirmed
-  against the interned state. There is no dedup switch, and no reduction
+  states one way: fingerprints of their canonical encodings, each hit
+  confirmed against the interned state's words. There is no dedup switch, and no reduction
   switch: every check is an outcome query, so the walk always runs its
   full reduction (sleep sets,
   persistent sets, thread symmetry), which keeps outcome sets and

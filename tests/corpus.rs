@@ -17,7 +17,7 @@
 //!   callback every one of the oracle's states.
 //! * **Inventory**: ≥ 30 files, unique test names, every file parses.
 
-use rc11::check::{reference, CanonicalFingerprint};
+use rc11::check::reference;
 use rc11::prelude::*;
 use rc11_litmus as litmus;
 use std::collections::BTreeSet;
@@ -159,8 +159,8 @@ fn whole_corpus_is_exact_with_por_on() {
 
 /// Ablation A6: a state query under `Reduction::Full` folds symmetric
 /// threads' orbits to one representative, yet its callback still sees
-/// every state the oracle reaches — the same canonical fingerprints, on
-/// every corpus file — while the state count may only
+/// every state the oracle reaches — the same canonical configurations,
+/// on every corpus file — while the state count may only
 /// shrink and the orbit-expanded terminal multiset equals the oracle's.
 #[test]
 fn whole_corpus_is_exact_with_symmetry_on() {
@@ -172,12 +172,12 @@ fn whole_corpus_is_exact_with_symmetry_on() {
         let objs = litmus::objects_for(&l);
         let mut oracle_seen = std::collections::HashSet::new();
         let oracle = reference::explore(&prog, objs, usize::MAX, |c, _| {
-            oracle_seen.insert(c.canonical_fingerprint());
+            oracle_seen.insert(c.canonical());
         });
         let oracle_terminals = multiset(&oracle.terminated);
         let mut seen = std::collections::HashSet::new();
         let report = Engine::Sequential.explore_with(&prog, objs, &opts, |c, _| {
-            seen.insert(c.canonical_fingerprint());
+            seen.insert(c.canonical());
         });
         let tag = format!("{} ({})", l.name, path.display());
         assert!(!report.truncated() && report.deadlocked.is_empty(), "{tag}");

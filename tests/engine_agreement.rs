@@ -3,8 +3,8 @@
 //! The oracle is `rc11_check::reference`: a small breadth-first explorer
 //! over materialised canonical configurations in a std `HashSet`, with no
 //! fingerprints, reductions or threads. Under `Reduction::None` the walk
-//! — whose one dedup mode keys visited states on zero-rebuild canonical
-//! fingerprints — must agree with it **exactly** (states, transitions,
+//! — whose one dedup mode keys visited states on fingerprints of their
+//! canonical encodings — must agree with it **exactly** (states, transitions,
 //! terminal and deadlock counts, violation sets) on every litmus-gallery
 //! program and on the Figure-1/Figure-2 outline programs, and the
 //! proof-outline checker must report exactly the (annotation,

@@ -206,7 +206,7 @@ proptest! {
                                     "{:?} disabled outcome {} of {:?}", b, ai, a
                                 );
                                 prop_assert!(
-                                    sab.canonical_eq(&a_after[ai].1.canonical()),
+                                    sab.canonical() == a_after[ai].1.canonical(),
                                     "orders diverge: {:?}[{}] vs {:?}[{}]", a, ai, b, bi
                                 );
                             }

@@ -293,23 +293,26 @@ fn reachable(prog: &CfgProgram) -> Vec<Config> {
     out
 }
 
-/// A 64-bit instantiation of a canonical walk, for comparing walks.
-fn walk_hash(walk: impl FnOnce(&mut std::collections::hash_map::DefaultHasher)) -> u64 {
-    use std::hash::Hasher;
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    walk(&mut h);
-    h.finish()
+/// The canonical encoding of `cfg` under `perms` and `maps`.
+fn encode(
+    cfg: &Config,
+    perms: &rc11::core::CanonPerms,
+    maps: Option<&rc11_lang::SymMaps>,
+) -> Vec<u32> {
+    let mut words = Vec::new();
+    cfg.encode_canonical(perms, maps, &mut words);
+    words
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The symmetry-aware walks agree with materialising (DESIGN.md A6):
-    /// on every reachable state of a program with cloned threads and for
-    /// every σ in its symmetry group, `hash_canonical_sym` streams exactly
-    /// what the plain walk over `permute_threads(σ).canonical()` streams,
-    /// and `canonical_eq_sym` holds against a canonical form iff that form
-    /// is the materialised one.
+    /// The encoding under a thread permutation agrees with materialising
+    /// (DESIGN.md A6): on every reachable state of a program with cloned
+    /// threads and for every σ in its symmetry group, decoding
+    /// `encode(state, σ)` yields `permute_threads(σ).canonical()`, the
+    /// words equal the plain encoding of that form, and two members'
+    /// encodings are equal exactly when the materialised members are.
     #[test]
     fn symmetry_walks_match_the_materialised_permutation(
         body in prop::collection::vec(rinstr(), 1..4),
@@ -331,22 +334,28 @@ proptest! {
                 .iter()
                 .map(|sigma| state.permute_threads(sigma, maps).canonical())
                 .collect();
-            for (sigma, member) in group.iter().zip(&orbit) {
-                let perms = rc11::core::CanonPerms {
-                    threads: sigma.clone(),
-                    ..state.canonical_perms()
-                };
+            let encoded: Vec<Vec<u32>> = group
+                .iter()
+                .map(|sigma| {
+                    let perms = rc11::core::CanonPerms {
+                        threads: sigma.clone(),
+                        ..state.mem.canonical_perms()
+                    };
+                    encode(&state, &perms, Some(maps))
+                })
+                .collect();
+            for (words, member) in encoded.iter().zip(&orbit) {
+                prop_assert_eq!(&Config::decode(words), member);
                 prop_assert_eq!(
-                    walk_hash(|h| state.hash_canonical_sym(&perms, maps, h)),
-                    walk_hash(|h| member.hash_canonical(h)),
-                    "sym walk differs from the plain walk of the permuted form"
+                    words,
+                    &encode(member, &member.mem.canonical_perms(), None),
+                    "permuted encoding differs from the plain encoding of the permuted form"
                 );
-                prop_assert_eq!(&state.canonical_sym(&perms, maps), member);
-                for other in &orbit {
+                for (other_words, other) in encoded.iter().zip(&orbit) {
                     prop_assert_eq!(
-                        state.canonical_eq_sym(&perms, maps, other),
+                        words == other_words,
                         member == other,
-                        "canonical_eq_sym disagrees with materialised equality"
+                        "encoding equality disagrees with materialised equality"
                     );
                 }
             }

@@ -230,6 +230,46 @@ fn degenerate_budgets_stop_immediately_with_the_right_verdict() {
     }
 }
 
+/// Every location's initial operation has a modification view as wide as
+/// the location count, so a program's initial state grows with the square
+/// of its declarations: 3,000 `var`s need about 36 MB before the first
+/// step. Under a memory budget that size is charged before the state is
+/// built, so the walk, the outline checker (which evaluates no initial
+/// annotation) and `rc11 run --mem-budget` stop on `mem-budget` with 0
+/// states instead of allocating it.
+#[test]
+fn many_locations_stop_on_the_memory_budget_before_the_initial_state() {
+    let vars: String = (0..3_000).map(|i| format!("var x{i} = 0\n")).collect();
+    let src = format!(
+        "litmus \"wide\"\n{vars}thread T {{ r = x0; }}\nobserve T.r\nexpected {{ (0) }}\n"
+    );
+    let prog = compile(&rc11::lang::parse_litmus(&src).expect("parses").prog);
+    assert!(Config::initial_bytes(&prog) > 30_000_000);
+    let budget = Budget { max_mem_bytes: Some(1_000_000), ..Default::default() };
+    let opts = ExploreOptions { budget, ..Default::default() };
+    let report = Engine::Sequential.explore(&prog, &NoObjects, &opts);
+    assert_eq!(report.stop, StopReason::MemBudget);
+    assert_eq!(report.states, 0);
+    let outline = rc11::assert::ProofOutline::new("wide", 1);
+    let checked = rc11::check::check_outline(&prog, &NoObjects, &outline, &opts);
+    assert_eq!((checked.stop, checked.states, checked.checks), (StopReason::MemBudget, 0, 0));
+
+    let dir = std::env::temp_dir().join(format!("rc11-wide-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let wide = dir.join("wide.litmus");
+    std::fs::write(&wide, src).expect("write wide file");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_rc11"))
+        .arg("run")
+        .arg(&wide)
+        .args(["--mem-budget", "1000000"])
+        .output()
+        .expect("rc11 runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "a stopped-early row, not a crash: {stdout}");
+    assert!(stdout.contains("stopped early (mem-budget); 0 states explored"), "{stdout}");
+}
+
 /// A symmetric group too large for the orbit cap degrades to the
 /// unreduced walk with a note. Twenty-one identical threads already
 /// saturate the orbit count (21! > 2^64); the note says so instead of
