@@ -154,14 +154,14 @@ pub const MAX_DEPTH: usize = 64;
 
 /// Parse one `.litmus` source text.
 pub fn parse_litmus(src: &str) -> Result<ParsedLitmus, ParseError> {
-    let toks = Lexer::new(src).lex()?;
+    let (toks, allows) = Lexer::new(src).lex()?;
     let parser = Parser {
         toks,
         pos: 0,
         depth: 0,
         decls: HashMap::new(),
         threads: Vec::new(),
-        lint: LintInfo { allows: scan_allows(src), ..LintInfo::default() },
+        lint: LintInfo { allows, ..LintInfo::default() },
     };
     parser.parse()
 }
@@ -181,27 +181,6 @@ pub fn const_bool(e: &Exp) -> Option<bool> {
     }
 }
 
-/// Collect rule names from `// lint: allow(rule, …)` comments. Comments
-/// are invisible to the lexer, so the directive is read off the raw text.
-fn scan_allows(src: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    for line in src.lines() {
-        let Some(comment) = line.split_once("//").map(|(_, c)| c) else { continue };
-        let Some(rest) = comment.trim().strip_prefix("lint:") else { continue };
-        let Some(args) = rest.trim().strip_prefix("allow(").and_then(|r| r.split(')').next())
-        else {
-            continue;
-        };
-        for rule in args.split(',') {
-            let rule = rule.trim();
-            if !rule.is_empty() {
-                out.push(rule.to_string());
-            }
-        }
-    }
-    out
-}
-
 /// Print a value in the form the `expected { … }` block parses back —
 /// the printer dual of the value-literal grammar, used by everything that
 /// emits `.litmus` text (the fuzz repro printer, `rc11 run
@@ -219,11 +198,16 @@ pub fn val_literal(v: &Val) -> String {
 // Lexer
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
+/// A token. Identifiers and string literals borrow their text from the
+/// source, so a token is a small `Copy` value: the parser peeks at tokens
+/// by reference and takes them by copy, and a `String` is made only where
+/// the parsed test stores a name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tok<'a> {
+    Ident(&'a str),
     Int(i64),
-    Str(String),
+    /// A string literal's contents, without the quotes.
+    Str(&'a str),
     /// `=`
     Assign,
     /// `=rel`
@@ -253,7 +237,7 @@ enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "`{s}`"),
@@ -287,206 +271,207 @@ impl fmt::Display for Tok {
     }
 }
 
+/// One pass over the source bytes. ASCII, which is all of the grammar, is
+/// matched byte by byte; any other character (legal only as whitespace or
+/// inside comments and strings) is decoded where it is met. Columns count
+/// characters, not bytes.
 struct Lexer<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
+    src: &'a str,
+    /// Byte offset of the next unread character.
+    pos: usize,
     line: u32,
     col: u32,
+    /// Rule names from `// lint: allow(…)` comments, in source order.
+    allows: Vec<String>,
 }
+
+/// The token stream and the lint directives read from the comments.
+type Lexed<'a> = (Vec<(Tok<'a>, Span)>, Vec<String>);
 
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
-        Lexer { chars: src.chars().peekable(), line: 1, col: 1 }
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.chars.next()?;
-        if c == '\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
-        Some(c)
-    }
-
-    fn peek(&mut self) -> Option<char> {
-        self.chars.peek().copied()
-    }
-
-    fn err(&self, span: Span, msg: impl Into<String>) -> ParseError {
-        ParseError { msg: msg.into(), span }
+        Lexer { src, pos: 0, line: 1, col: 1, allows: Vec::new() }
     }
 
     fn span(&self) -> Span {
         Span { line: self.line, col: self.col }
     }
 
-    fn ident(&mut self, first: char) -> String {
-        let mut s = String::new();
-        s.push(first);
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || c == '_' {
-                s.push(c);
-                self.bump();
-            } else {
-                break;
-            }
-        }
+    fn err(span: Span, msg: impl Into<String>) -> ParseError {
+        ParseError { msg: msg.into(), span }
+    }
+
+    /// The byte after the next one, if any.
+    fn byte_after(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos + 1).copied()
+    }
+
+    /// Consume `n` bytes of ASCII text on the current line.
+    fn advance(&mut self, n: usize) {
+        self.pos += n;
+        self.col += n as u32;
+    }
+
+    /// Consume an `n`-byte punctuation token.
+    fn punct(&mut self, n: usize, tok: Tok<'a>) -> Tok<'a> {
+        self.advance(n);
+        tok
+    }
+
+    /// Consume the run of ASCII bytes matching `pred` from the next byte.
+    fn take_while(&mut self, pred: impl Fn(u8) -> bool) -> &'a str {
+        let rest = &self.src.as_bytes()[self.pos..];
+        let n = rest.iter().position(|&b| !pred(b)).unwrap_or(rest.len());
+        let s = &self.src[self.pos..self.pos + n];
+        self.advance(n);
         s
     }
 
-    /// Tokenise the whole input.
-    fn lex(mut self) -> Result<Vec<(Tok, Span)>, ParseError> {
-        let mut out = Vec::new();
-        loop {
-            // Skip whitespace and `//` comments.
-            loop {
-                match self.peek() {
-                    Some(c) if c.is_whitespace() => {
-                        self.bump();
-                    }
-                    Some('/') => {
-                        let span = self.span();
-                        self.bump();
-                        if self.peek() == Some('/') {
-                            while let Some(c) = self.bump() {
-                                if c == '\n' {
-                                    break;
-                                }
-                            }
-                        } else {
-                            return Err(self.err(span, "unexpected character `/`"));
-                        }
-                    }
-                    _ => break,
-                }
+    /// Consume the identifier starting at the next byte.
+    fn ident(&mut self) -> &'a str {
+        self.take_while(|b| b.is_ascii_alphanumeric() || b == b'_')
+    }
+
+    /// Skip a `//` comment (the next two bytes) up to its newline, reading
+    /// any `lint: allow(rule, …)` directive it holds.
+    fn comment(&mut self) {
+        let rest = &self.src[self.pos + 2..];
+        let body = &rest[..rest.find('\n').unwrap_or(rest.len())];
+        self.scan_allow(body);
+        self.pos += 2 + body.len();
+        self.col += 2 + body.chars().count() as u32;
+    }
+
+    /// Collect the rule names of a `lint: allow(rule, …)` comment body.
+    fn scan_allow(&mut self, body: &str) {
+        let Some(rest) = body.trim_start().strip_prefix("lint:") else { return };
+        let Some(args) = rest.trim_start().strip_prefix("allow(") else { return };
+        let args = args.split(')').next().unwrap_or_default();
+        for rule in args.split(',') {
+            let rule = rule.trim();
+            if !rule.is_empty() {
+                self.allows.push(rule.to_string());
             }
+        }
+    }
+
+    /// Tokenise the whole input.
+    fn lex(mut self) -> Result<Lexed<'a>, ParseError> {
+        let bytes = self.src.as_bytes();
+        // About one token per four bytes of source, comments included.
+        let mut out = Vec::with_capacity(self.src.len() / 4 + 1);
+        loop {
             let span = self.span();
-            let Some(c) = self.bump() else {
+            let Some(&b) = bytes.get(self.pos) else {
                 out.push((Tok::Eof, span));
-                return Ok(out);
+                return Ok((out, self.allows));
             };
-            let tok = match c {
-                '(' => Tok::LParen,
-                ')' => Tok::RParen,
-                '{' => Tok::LBrace,
-                '}' => Tok::RBrace,
-                ',' => Tok::Comma,
-                ';' => Tok::Semi,
-                '.' => Tok::Dot,
-                '+' => Tok::Plus,
-                '-' => Tok::Minus,
-                '*' => Tok::Star,
-                '%' => Tok::Percent,
-                '=' => match self.peek() {
-                    Some('=') => {
-                        self.bump();
-                        Tok::EqEq
-                    }
-                    // An annotation glued to the `=`: `=rel` / `=acq`.
-                    // Other identifiers glued to `=` are ordinary
-                    // assignments (`r1=x;`) — except annotation-like names
-                    // from other memory models (`=rlx`, `=sc`, …), which
-                    // get the targeted diagnostic instead of a confusing
-                    // undeclared-identifier error downstream.
-                    Some(a) if a.is_ascii_alphabetic() => {
-                        let ident_span = self.span();
-                        let first = self.bump().unwrap();
-                        let ann = self.ident(first);
-                        match ann.as_str() {
-                            "rel" => Tok::AssignRel,
-                            "acq" => Tok::AssignAcq,
-                            "rlx" | "sc" | "con" | "acqrel" | "acq_rel" | "relacq" | "rel_acq" => {
-                                return Err(self.err(
-                                    span,
-                                    format!(
-                                        "unknown access annotation `={ann}` \
-                                         (expected `=rel` or `=acq`)"
-                                    ),
-                                ))
-                            }
-                            _ => {
-                                // `r1=x`: an assignment with no space —
-                                // emit both tokens and move on.
-                                out.push((Tok::Assign, span));
-                                out.push((Tok::Ident(ann), ident_span));
-                                continue;
-                            }
+            let tok = match b {
+                b'\n' => {
+                    self.pos += 1;
+                    self.line += 1;
+                    self.col = 1;
+                    continue;
+                }
+                // ASCII whitespace as `char::is_whitespace` has it: tab,
+                // vertical tab, form feed, carriage return and space.
+                b'\t'..=b'\r' | b' ' => {
+                    self.advance(1);
+                    continue;
+                }
+                b'/' if self.byte_after() == Some(b'/') => {
+                    self.comment();
+                    continue;
+                }
+                b'/' => return Err(Self::err(span, "unexpected character `/`")),
+                b'(' => self.punct(1, Tok::LParen),
+                b')' => self.punct(1, Tok::RParen),
+                b'{' => self.punct(1, Tok::LBrace),
+                b'}' => self.punct(1, Tok::RBrace),
+                b',' => self.punct(1, Tok::Comma),
+                b';' => self.punct(1, Tok::Semi),
+                b'.' => self.punct(1, Tok::Dot),
+                b'+' => self.punct(1, Tok::Plus),
+                b'-' => self.punct(1, Tok::Minus),
+                b'*' => self.punct(1, Tok::Star),
+                b'%' => self.punct(1, Tok::Percent),
+                b'=' if self.byte_after() == Some(b'=') => self.punct(2, Tok::EqEq),
+                b'!' if self.byte_after() == Some(b'=') => self.punct(2, Tok::NotEq),
+                b'<' if self.byte_after() == Some(b'=') => self.punct(2, Tok::Le),
+                b'>' if self.byte_after() == Some(b'=') => self.punct(2, Tok::Ge),
+                b'!' => self.punct(1, Tok::Bang),
+                b'<' => self.punct(1, Tok::Lt),
+                b'>' => self.punct(1, Tok::Gt),
+                b'&' if self.byte_after() == Some(b'&') => self.punct(2, Tok::AndAnd),
+                b'|' if self.byte_after() == Some(b'|') => self.punct(2, Tok::OrOr),
+                b'&' => {
+                    return Err(Self::err(span, "unexpected character `&` (did you mean `&&`?)"))
+                }
+                b'|' => {
+                    return Err(Self::err(span, "unexpected character `|` (did you mean `||`?)"))
+                }
+                // An annotation glued to the `=`: `=rel` / `=acq`. Other
+                // identifiers glued to `=` are ordinary assignments
+                // (`r1=x;`) — except annotation-like names from other
+                // memory models (`=rlx`, `=sc`, …), which get the targeted
+                // diagnostic instead of a confusing undeclared-identifier
+                // error downstream.
+                b'=' if self.byte_after().is_some_and(|a| a.is_ascii_alphabetic()) => {
+                    self.advance(1);
+                    let ident_span = self.span();
+                    match self.ident() {
+                        "rel" => Tok::AssignRel,
+                        "acq" => Tok::AssignAcq,
+                        ann @ ("rlx" | "sc" | "con" | "acqrel" | "acq_rel" | "relacq"
+                        | "rel_acq") => {
+                            return Err(Self::err(
+                                span,
+                                format!(
+                                    "unknown access annotation `={ann}` \
+                                     (expected `=rel` or `=acq`)"
+                                ),
+                            ))
+                        }
+                        name => {
+                            out.push((Tok::Assign, span));
+                            out.push((Tok::Ident(name), ident_span));
+                            continue;
                         }
                     }
-                    _ => Tok::Assign,
-                },
-                '!' => {
-                    if self.peek() == Some('=') {
-                        self.bump();
-                        Tok::NotEq
-                    } else {
-                        Tok::Bang
-                    }
                 }
-                '<' => {
-                    if self.peek() == Some('=') {
-                        self.bump();
-                        Tok::Le
-                    } else {
-                        Tok::Lt
-                    }
-                }
-                '>' => {
-                    if self.peek() == Some('=') {
-                        self.bump();
-                        Tok::Ge
-                    } else {
-                        Tok::Gt
-                    }
-                }
-                '&' => {
-                    if self.peek() == Some('&') {
-                        self.bump();
-                        Tok::AndAnd
-                    } else {
-                        return Err(self.err(span, "unexpected character `&` (did you mean `&&`?)"));
-                    }
-                }
-                '|' => {
-                    if self.peek() == Some('|') {
-                        self.bump();
-                        Tok::OrOr
-                    } else {
-                        return Err(self.err(span, "unexpected character `|` (did you mean `||`?)"));
-                    }
-                }
-                '"' => {
-                    let mut s = String::new();
-                    loop {
-                        match self.bump() {
-                            Some('"') => break,
-                            Some('\n') | None => {
-                                return Err(self.err(span, "unterminated string literal"))
-                            }
-                            Some(c) => s.push(c),
-                        }
-                    }
+                b'=' => self.punct(1, Tok::Assign),
+                b'"' => {
+                    // A string ends at the next `"` on its line.
+                    let body = &self.src[self.pos + 1..];
+                    let end = body.bytes().position(|c| c == b'"' || c == b'\n');
+                    let Some(end) = end.filter(|&e| body.as_bytes()[e] == b'"') else {
+                        return Err(Self::err(span, "unterminated string literal"));
+                    };
+                    let s = &body[..end];
+                    self.pos += end + 2;
+                    self.col += 2 + s.chars().count() as u32;
                     Tok::Str(s)
                 }
-                c if c.is_ascii_digit() => {
-                    let mut n = String::new();
-                    n.push(c);
-                    while let Some(d) = self.peek() {
-                        if d.is_ascii_digit() {
-                            n.push(d);
-                            self.bump();
-                        } else {
-                            break;
-                        }
-                    }
-                    let v: i64 = n
-                        .parse()
-                        .map_err(|_| self.err(span, format!("integer literal `{n}` overflows")))?;
+                b'0'..=b'9' => {
+                    let digits = self.take_while(|b| b.is_ascii_digit());
+                    let v: i64 = digits.parse().map_err(|_| {
+                        Self::err(span, format!("integer literal `{digits}` overflows"))
+                    })?;
                     Tok::Int(v)
                 }
-                c if c.is_ascii_alphabetic() || c == '_' => Tok::Ident(self.ident(c)),
-                other => return Err(self.err(span, format!("unexpected character `{other}`"))),
+                b'a'..=b'z' | b'A'..=b'Z' | b'_' => Tok::Ident(self.ident()),
+                0x80.. => {
+                    let c = self.src[self.pos..].chars().next().expect("a char starts here");
+                    if !c.is_whitespace() {
+                        return Err(Self::err(span, format!("unexpected character `{c}`")));
+                    }
+                    self.pos += c.len_utf8();
+                    self.col += 1;
+                    continue;
+                }
+                other => {
+                    return Err(Self::err(span, format!("unexpected character `{}`", other as char)))
+                }
             };
             out.push((tok, span));
         }
@@ -505,50 +490,50 @@ enum Decl {
 }
 
 /// Per-thread parsing state: register names in allocation order.
-struct ThreadCtx {
-    name: String,
+struct ThreadCtx<'a> {
+    name: &'a str,
     span: Span,
     tb: ThreadBuilder,
-    regs: Vec<(String, Span)>,
+    regs: Vec<(&'a str, Span)>,
 }
 
-impl ThreadCtx {
+impl<'a> ThreadCtx<'a> {
     /// Resolve a register name, or `None` if never assigned.
     fn lookup(&self, name: &str) -> Option<Reg> {
-        self.regs.iter().position(|(r, _)| r == name).map(|i| Reg(i as u16))
+        self.regs.iter().position(|&(r, _)| r == name).map(|i| Reg(i as u16))
     }
 
     /// Resolve a register name as an assignment target, declaring it on
     /// first use (initialised to `⊥`).
-    fn target(&mut self, name: &str, span: Span) -> Reg {
+    fn target(&mut self, name: &'a str, span: Span) -> Reg {
         match self.lookup(name) {
             Some(r) => r,
             None => {
                 let r = self.tb.reg(name);
-                self.regs.push((name.to_string(), span));
+                self.regs.push((name, span));
                 r
             }
         }
     }
 }
 
-struct Parser {
-    toks: Vec<(Tok, Span)>,
+struct Parser<'a> {
+    toks: Vec<(Tok<'a>, Span)>,
     pos: usize,
     /// Current nesting depth (see [`MAX_DEPTH`]).
     depth: usize,
     /// Declared variables and objects by name.
-    decls: HashMap<String, Decl>,
-    threads: Vec<ThreadCtx>,
+    decls: HashMap<&'a str, Decl>,
+    threads: Vec<ThreadCtx<'a>>,
     lint: LintInfo,
 }
 
-impl Parser {
-    fn peek(&self) -> &Tok {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> &Tok<'a> {
         &self.toks[self.pos].0
     }
 
-    fn peek2(&self) -> &Tok {
+    fn peek2(&self) -> &Tok<'a> {
         &self.toks[(self.pos + 1).min(self.toks.len() - 1)].0
     }
 
@@ -556,8 +541,8 @@ impl Parser {
         self.toks[self.pos].1
     }
 
-    fn bump(&mut self) -> (Tok, Span) {
-        let t = self.toks[self.pos].clone();
+    fn bump(&mut self) -> (Tok<'a>, Span) {
+        let t = self.toks[self.pos];
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
@@ -578,9 +563,9 @@ impl Parser {
         Ok(())
     }
 
-    fn expect(&mut self, want: &Tok, what: &str) -> Result<Span, ParseError> {
+    fn expect(&mut self, want: Tok<'a>, what: &str) -> Result<Span, ParseError> {
         let span = self.span();
-        if self.peek() == want {
+        if *self.peek() == want {
             self.bump();
             Ok(span)
         } else {
@@ -588,7 +573,7 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<(String, Span), ParseError> {
+    fn expect_ident(&mut self, what: &str) -> Result<(&'a str, Span), ParseError> {
         let span = self.span();
         match self.bump().0 {
             Tok::Ident(s) => Ok((s, span)),
@@ -598,7 +583,7 @@ impl Parser {
 
     /// Accept a keyword (a specific identifier).
     fn eat_kw(&mut self, kw: &str) -> bool {
-        if matches!(self.peek(), Tok::Ident(s) if s == kw) {
+        if *self.peek() == Tok::Ident(kw) {
             self.bump();
             true
         } else {
@@ -616,7 +601,7 @@ impl Parser {
             return Err(self.err(self.span(), "a litmus file must start with `litmus \"name\"`"));
         }
         let name = match self.bump() {
-            (Tok::Str(s), _) => s,
+            (Tok::Str(s), _) => s.to_string(),
             (other, span) => {
                 return Err(self.err(span, format!("expected the test name string, found {other}")))
             }
@@ -624,7 +609,7 @@ impl Parser {
         let mut about = String::new();
         if self.eat_kw("about") {
             about = match self.bump() {
-                (Tok::Str(s), _) => s,
+                (Tok::Str(s), _) => s.to_string(),
                 (other, span) => {
                     return Err(
                         self.err(span, format!("expected the about string, found {other}"))
@@ -639,31 +624,26 @@ impl Parser {
         let mut bodies: Vec<Com> = Vec::new();
         loop {
             let span = self.span();
-            match self.peek().clone() {
-                Tok::Ident(kw) if kw == "var" || kw == "libvar" => {
+            match *self.peek() {
+                Tok::Ident(kw @ ("var" | "libvar")) => {
                     self.bump();
                     let (vname, vspan) = self.expect_ident("a variable name")?;
-                    self.check_fresh(&vname, vspan)?;
+                    self.check_fresh(vname, vspan)?;
                     let comp = if kw == "var" { Comp::Client } else { Comp::Lib };
                     self.check_loc_room(&pb, comp, vspan)?;
-                    self.expect(&Tok::Assign, "after the variable name")?;
+                    self.expect(Tok::Assign, "after the variable name")?;
                     let init = self.parse_int_literal("as the initial value")?;
                     let var = if kw == "var" {
-                        pb.client_var(&vname, init)
+                        pb.client_var(vname, init)
                     } else {
-                        pb.lib_var(&vname, init)
+                        pb.lib_var(vname, init)
                     };
-                    self.lint.vars.push((var, vname.clone(), vspan));
+                    self.lint.vars.push((var, vname.to_string(), vspan));
                     self.decls.insert(vname, Decl::Var(var));
                 }
-                Tok::Ident(kw)
-                    if matches!(
-                        kw.as_str(),
-                        "lock" | "stack" | "queue" | "register" | "counter"
-                    ) =>
-                {
+                Tok::Ident(kw @ ("lock" | "stack" | "queue" | "register" | "counter")) => {
                     self.bump();
-                    let kind = match kw.as_str() {
+                    let kind = match kw {
                         "lock" => ObjKind::Lock,
                         "stack" => ObjKind::Stack,
                         "queue" => ObjKind::Queue,
@@ -671,12 +651,12 @@ impl Parser {
                         _ => ObjKind::Counter,
                     };
                     let (oname, ospan) = self.expect_ident("an object name")?;
-                    self.check_fresh(&oname, ospan)?;
+                    self.check_fresh(oname, ospan)?;
                     self.check_loc_room(&pb, Comp::Lib, ospan)?;
-                    let obj = pb.object(&oname, kind);
+                    let obj = pb.object(oname, kind);
                     self.decls.insert(oname, Decl::Obj(obj, kind));
                 }
-                Tok::Ident(kw) if kw == "thread" => {
+                Tok::Ident("thread") => {
                     self.bump();
                     let (tname, tspan) = self.expect_ident("a thread name")?;
                     if self.threads.iter().any(|t| t.name == tname) {
@@ -696,14 +676,14 @@ impl Parser {
                         tb: ThreadBuilder::new(),
                         regs: Vec::new(),
                     });
-                    self.expect(&Tok::LBrace, "to open the thread body")?;
+                    self.expect(Tok::LBrace, "to open the thread body")?;
                     let ti = self.threads.len() - 1;
                     let body = self.parse_stmts(ti)?;
-                    self.expect(&Tok::RBrace, "to close the thread body")?;
+                    self.expect(Tok::RBrace, "to close the thread body")?;
                     bodies.push(body);
                 }
-                Tok::Ident(kw) if kw == "observe" => break,
-                Tok::Ident(kw) if kw == "expected" => {
+                Tok::Ident("observe") => break,
+                Tok::Ident("expected") => {
                     return Err(self.err(
                         span,
                         "`expected` must come after an `observe` line naming the outcome tuple",
@@ -732,25 +712,25 @@ impl Parser {
         let mut observe: Vec<(usize, Reg)> = Vec::new();
         let mut observe_names: Vec<(String, String)> = Vec::new();
         loop {
-            match self.peek() {
+            match *self.peek() {
                 Tok::Ident(s) if s != "expected" => {
                     let (tname, tspan) = self.expect_ident("a thread name")?;
                     let Some(ti) = self.threads.iter().position(|t| t.name == tname) else {
                         return Err(self.err(tspan, format!("unknown thread `{tname}` in observe")));
                     };
-                    self.expect(&Tok::Dot, "between thread and register")?;
+                    self.expect(Tok::Dot, "between thread and register")?;
                     let (rname, rspan) = self.expect_ident("a register name")?;
-                    let Some(reg) = self.threads[ti].lookup(&rname) else {
+                    let Some(reg) = self.threads[ti].lookup(rname) else {
                         return Err(self.err(
                             rspan,
                             format!("thread `{tname}` has no register `{rname}`"),
                         ));
                     };
                     observe.push((ti, reg));
-                    observe_names.push((tname, rname));
+                    observe_names.push((tname.to_string(), rname.to_string()));
                     self.lint.observe_spans.push(tspan);
                     // Optional separating comma.
-                    if self.peek() == &Tok::Comma {
+                    if *self.peek() == Tok::Comma {
                         self.bump();
                     }
                 }
@@ -766,10 +746,10 @@ impl Parser {
         if !self.eat_kw("expected") {
             return Err(self.err(self.span(), "expected the `expected { … }` block"));
         }
-        self.expect(&Tok::LBrace, "to open the expected outcome set")?;
+        self.expect(Tok::LBrace, "to open the expected outcome set")?;
         let mut expected: BTreeSet<Vec<Val>> = BTreeSet::new();
-        while self.peek() != &Tok::RBrace {
-            let tspan = self.expect(&Tok::LParen, "to open an outcome tuple")?;
+        while *self.peek() != Tok::RBrace {
+            let tspan = self.expect(Tok::LParen, "to open an outcome tuple")?;
             let mut tuple = Vec::new();
             loop {
                 tuple.push(self.parse_val_literal()?);
@@ -794,12 +774,12 @@ impl Parser {
                 ));
             }
             expected.insert(tuple);
-            if self.peek() == &Tok::Comma {
+            if *self.peek() == Tok::Comma {
                 self.bump();
             }
         }
-        self.expect(&Tok::RBrace, "to close the expected outcome set")?;
-        if self.peek() != &Tok::Eof {
+        self.expect(Tok::RBrace, "to close the expected outcome set")?;
+        if *self.peek() != Tok::Eof {
             return Err(self.err(
                 self.span(),
                 format!("trailing input after the expected block: {}", self.peek()),
@@ -809,9 +789,9 @@ impl Parser {
         // Assemble the program.
         for (ctx, body) in self.threads.drain(..).zip(bodies) {
             self.lint.threads.push(ThreadLintInfo {
-                name: ctx.name.clone(),
+                name: ctx.name.to_string(),
                 span: ctx.span,
-                regs: ctx.regs.clone(),
+                regs: ctx.regs.iter().map(|&(r, span)| (r.to_string(), span)).collect(),
             });
             pb.add_thread(ctx.tb, body);
         }
@@ -838,7 +818,7 @@ impl Parser {
     }
 
     fn parse_int_literal(&mut self, what: &str) -> Result<i64, ParseError> {
-        let neg = if self.peek() == &Tok::Minus {
+        let neg = if *self.peek() == Tok::Minus {
             self.bump();
             true
         } else {
@@ -851,11 +831,11 @@ impl Parser {
     }
 
     fn parse_val_literal(&mut self) -> Result<Val, ParseError> {
-        match self.peek().clone() {
+        match *self.peek() {
             Tok::Ident(s) => {
                 let span = self.span();
                 self.bump();
-                match s.as_str() {
+                match s {
                     "true" => Ok(Val::Bool(true)),
                     "false" => Ok(Val::Bool(false)),
                     "empty" => Ok(Val::Empty),
@@ -883,7 +863,7 @@ impl Parser {
         // language has no `break`); flag the first one per block.
         let mut diverged = false;
         let mut flagged = false;
-        while self.peek() != &Tok::RBrace && self.peek() != &Tok::Eof {
+        while *self.peek() != Tok::RBrace && *self.peek() != Tok::Eof {
             let span = self.span();
             if diverged && !flagged {
                 self.lint.unreachable.push(span);
@@ -899,81 +879,81 @@ impl Parser {
     }
 
     fn parse_block(&mut self, ti: usize) -> Result<Com, ParseError> {
-        let span = self.expect(&Tok::LBrace, "to open a block")?;
+        let span = self.expect(Tok::LBrace, "to open a block")?;
         self.nest(span)?;
         let body = self.parse_stmts(ti)?;
         self.depth -= 1;
-        self.expect(&Tok::RBrace, "to close a block")?;
+        self.expect(Tok::RBrace, "to close a block")?;
         Ok(body)
     }
 
     fn parse_stmt(&mut self, ti: usize) -> Result<Com, ParseError> {
         let span = self.span();
-        match self.peek().clone() {
-            Tok::Ident(kw) if kw == "if" => {
+        match *self.peek() {
+            Tok::Ident("if") => {
                 self.bump();
-                self.expect(&Tok::LParen, "to open the condition")?;
+                self.expect(Tok::LParen, "to open the condition")?;
                 let cond = self.parse_exp(ti)?;
-                self.expect(&Tok::RParen, "to close the condition")?;
+                self.expect(Tok::RParen, "to close the condition")?;
                 let then_ = self.parse_block(ti)?;
                 let else_ = if self.eat_kw("else") { self.parse_block(ti)? } else { Com::Skip };
                 Ok(Com::If { cond, then_: Box::new(then_), else_: Box::new(else_) })
             }
-            Tok::Ident(kw) if kw == "while" => {
+            Tok::Ident("while") => {
                 self.bump();
                 self.lint.loop_spans.push(span);
-                self.expect(&Tok::LParen, "to open the condition")?;
+                self.expect(Tok::LParen, "to open the condition")?;
                 let cond = self.parse_exp(ti)?;
-                self.expect(&Tok::RParen, "to close the condition")?;
+                self.expect(Tok::RParen, "to close the condition")?;
                 let body = self.parse_block(ti)?;
                 Ok(Com::While { cond, body: Box::new(body) })
             }
-            Tok::Ident(kw) if kw == "do" => {
+            Tok::Ident("do") => {
                 self.bump();
                 self.lint.loop_spans.push(span);
                 let body = self.parse_block(ti)?;
                 if !self.eat_kw("until") {
                     return Err(self.err(self.span(), "expected `until` after a `do` block"));
                 }
-                self.expect(&Tok::LParen, "to open the until-condition")?;
+                self.expect(Tok::LParen, "to open the until-condition")?;
                 let cond = self.parse_exp(ti)?;
-                self.expect(&Tok::RParen, "to close the until-condition")?;
-                self.expect(&Tok::Semi, "after `do … until (…)`")?;
+                self.expect(Tok::RParen, "to close the until-condition")?;
+                self.expect(Tok::Semi, "after `do … until (…)`")?;
                 Ok(Com::DoUntil { body: Box::new(body), cond })
             }
-            Tok::Ident(kw) if kw == "skip" => {
+            Tok::Ident("skip") => {
                 self.bump();
-                self.expect(&Tok::Semi, "after `skip`")?;
+                self.expect(Tok::Semi, "after `skip`")?;
                 Ok(Com::Skip)
             }
             Tok::Ident(name) => {
                 // `name.method(...)` | `name = …` | `name =rel …` | `name =acq …`
-                if self.peek2() == &Tok::Dot {
+                if *self.peek2() == Tok::Dot {
                     let stmt = self.parse_method_call(ti, None)?;
-                    self.expect(&Tok::Semi, "after a method call")?;
+                    self.expect(Tok::Semi, "after a method call")?;
                     return Ok(stmt);
                 }
                 self.bump();
                 match self.bump() {
                     (Tok::AssignRel, _) => {
                         // Release write: LHS must be a shared variable.
-                        let var = self.resolve_var(&name, span)?;
+                        let var = self.resolve_var(name, span)?;
                         let exp = self.parse_exp(ti)?;
-                        self.expect(&Tok::Semi, "after a write")?;
+                        self.expect(Tok::Semi, "after a write")?;
                         Ok(Com::Write { var, exp, rel: true })
                     }
                     (Tok::AssignAcq, aspan) => {
                         // Acquire read: LHS register, RHS shared variable.
                         let (vname, vspan) = self.expect_ident("a shared variable to read")?;
-                        let var = self.resolve_var(&vname, vspan)?;
-                        if self.lookup_decl(&name).is_some() {
+                        let var = self.resolve_var(vname, vspan)?;
+                        if self.lookup_decl(name).is_some() {
                             return Err(self.err(
                                 aspan,
                                 format!("`{name}` is a shared location, not a register"),
                             ));
                         }
-                        let reg = self.threads[ti].target(&name, span);
-                        self.expect(&Tok::Semi, "after a read")?;
+                        let reg = self.threads[ti].target(name, span);
+                        self.expect(Tok::Semi, "after a read")?;
                         Ok(Com::Read { reg, var, acq: true })
                     }
                     (Tok::Assign, _) => self.parse_assign_rhs(ti, name, span),
@@ -989,11 +969,16 @@ impl Parser {
 
     /// After `name =`: write (if `name` is a var), or read / CAS / FAI /
     /// method-with-result / local assignment (if `name` is a register).
-    fn parse_assign_rhs(&mut self, ti: usize, name: String, span: Span) -> Result<Com, ParseError> {
-        match self.lookup_decl(&name) {
+    fn parse_assign_rhs(
+        &mut self,
+        ti: usize,
+        name: &'a str,
+        span: Span,
+    ) -> Result<Com, ParseError> {
+        match self.lookup_decl(name) {
             Some(Decl::Var(var)) => {
                 let exp = self.parse_exp(ti)?;
-                self.expect(&Tok::Semi, "after a write")?;
+                self.expect(Tok::Semi, "after a write")?;
                 Ok(Com::Write { var, exp, rel: false })
             }
             Some(Decl::Obj(..)) => {
@@ -1001,61 +986,58 @@ impl Parser {
             }
             None => {
                 // Destination is a register.
-                match self.peek().clone() {
+                match *self.peek() {
                     // `r = cas(x, u, v);`
-                    Tok::Ident(kw) if kw == "cas" && self.peek2() == &Tok::LParen => {
+                    Tok::Ident("cas") if *self.peek2() == Tok::LParen => {
                         self.bump();
                         self.bump();
                         let (vname, vspan) = self.expect_ident("the CAS target variable")?;
-                        let var = self.resolve_var(&vname, vspan)?;
-                        self.expect(&Tok::Comma, "after the CAS target")?;
+                        let var = self.resolve_var(vname, vspan)?;
+                        self.expect(Tok::Comma, "after the CAS target")?;
                         let expect = self.parse_exp(ti)?;
-                        self.expect(&Tok::Comma, "after the CAS expected value")?;
+                        self.expect(Tok::Comma, "after the CAS expected value")?;
                         let new = self.parse_exp(ti)?;
-                        self.expect(&Tok::RParen, "to close the CAS")?;
-                        self.expect(&Tok::Semi, "after a CAS")?;
-                        let reg = self.threads[ti].target(&name, span);
+                        self.expect(Tok::RParen, "to close the CAS")?;
+                        self.expect(Tok::Semi, "after a CAS")?;
+                        let reg = self.threads[ti].target(name, span);
                         Ok(Com::Cas { reg, var, expect, new })
                     }
                     // `r = fai(x);`
-                    Tok::Ident(kw) if kw == "fai" && self.peek2() == &Tok::LParen => {
+                    Tok::Ident("fai") if *self.peek2() == Tok::LParen => {
                         self.bump();
                         self.bump();
                         let (vname, vspan) = self.expect_ident("the FAI target variable")?;
-                        let var = self.resolve_var(&vname, vspan)?;
-                        self.expect(&Tok::RParen, "to close the FAI")?;
-                        self.expect(&Tok::Semi, "after a FAI")?;
-                        let reg = self.threads[ti].target(&name, span);
+                        let var = self.resolve_var(vname, vspan)?;
+                        self.expect(Tok::RParen, "to close the FAI")?;
+                        self.expect(Tok::Semi, "after a FAI")?;
+                        let reg = self.threads[ti].target(name, span);
                         Ok(Com::Fai { reg, var })
                     }
                     // `r = obj.method(...);`
                     Tok::Ident(oname)
-                        if self.peek2() == &Tok::Dot
-                            && matches!(self.lookup_decl(&oname), Some(Decl::Obj(..))) =>
+                        if *self.peek2() == Tok::Dot
+                            && matches!(self.lookup_decl(oname), Some(Decl::Obj(..))) =>
                     {
                         let stmt = self.parse_method_call(ti, Some((name, span)))?;
-                        self.expect(&Tok::Semi, "after a method call")?;
+                        self.expect(Tok::Semi, "after a method call")?;
                         Ok(stmt)
                     }
                     // `r = x;` — a read if `x` is a declared variable.
                     Tok::Ident(vname)
-                        if matches!(self.lookup_decl(&vname), Some(Decl::Var(_)))
-                            && matches!(
-                                self.peek2(),
-                                Tok::Semi
-                            ) =>
+                        if matches!(self.lookup_decl(vname), Some(Decl::Var(_)))
+                            && *self.peek2() == Tok::Semi =>
                     {
                         self.bump();
-                        let var = self.resolve_var(&vname, span).unwrap();
+                        let var = self.resolve_var(vname, span).unwrap();
                         self.bump(); // the semicolon
-                        let reg = self.threads[ti].target(&name, span);
+                        let reg = self.threads[ti].target(name, span);
                         Ok(Com::Read { reg, var, acq: false })
                     }
                     // Otherwise: a local assignment over registers.
                     _ => {
                         let exp = self.parse_exp(ti)?;
-                        self.expect(&Tok::Semi, "after an assignment")?;
-                        let reg = self.threads[ti].target(&name, span);
+                        self.expect(Tok::Semi, "after an assignment")?;
+                        let reg = self.threads[ti].target(name, span);
                         Ok(Com::Assign(reg, exp))
                     }
                 }
@@ -1067,20 +1049,20 @@ impl Parser {
     fn parse_method_call(
         &mut self,
         ti: usize,
-        result: Option<(String, Span)>,
+        result: Option<(&'a str, Span)>,
     ) -> Result<Com, ParseError> {
         let (oname, ospan) = self.expect_ident("an object name")?;
-        let (obj, kind) = match self.lookup_decl(&oname) {
+        let (obj, kind) = match self.lookup_decl(oname) {
             Some(Decl::Obj(o, k)) => (o, k),
             Some(Decl::Var(_)) => {
                 return Err(self.err(ospan, format!("`{oname}` is a variable, not an object")))
             }
             None => return Err(self.err(ospan, format!("undeclared object `{oname}`"))),
         };
-        self.expect(&Tok::Dot, "after the object name")?;
+        self.expect(Tok::Dot, "after the object name")?;
         let (mname, mspan) = self.expect_ident("a method name")?;
         // Method table: name → (method, sync, needs_arg, has_result).
-        let (method, sync, needs_arg, has_result) = match (kind, mname.as_str()) {
+        let (method, sync, needs_arg, has_result) = match (kind, mname) {
             (ObjKind::Lock, "acquire") => (Method::Acquire, true, false, true),
             (ObjKind::Lock, "acquirev") => (Method::AcquireV, true, false, true),
             (ObjKind::Lock, "release") => (Method::Release, true, false, false),
@@ -1110,16 +1092,16 @@ impl Parser {
                 format!("method `{mname}` returns no value; drop the `… =` binding"),
             ));
         }
-        self.expect(&Tok::LParen, "to open the argument list")?;
+        self.expect(Tok::LParen, "to open the argument list")?;
         let arg = if needs_arg {
             let e = self.parse_exp(ti)?;
             Some(e)
         } else {
             None
         };
-        self.expect(&Tok::RParen, "to close the argument list")?;
+        self.expect(Tok::RParen, "to close the argument list")?;
         let reg = match result {
-            Some((rname, rspan)) => Some(self.threads[ti].target(&rname, rspan)),
+            Some((rname, rspan)) => Some(self.threads[ti].target(rname, rspan)),
             None => None,
         };
         Ok(Com::MethodCall { reg, obj, method, arg, sync })
@@ -1148,7 +1130,7 @@ impl Parser {
 
     fn parse_or(&mut self, ti: usize) -> Result<Exp, ParseError> {
         let mut e = self.parse_and(ti)?;
-        while self.peek() == &Tok::OrOr {
+        while *self.peek() == Tok::OrOr {
             self.bump();
             let r = self.parse_and(ti)?;
             e = Exp::Bin(BinOp::Or, Box::new(e), Box::new(r));
@@ -1158,7 +1140,7 @@ impl Parser {
 
     fn parse_and(&mut self, ti: usize) -> Result<Exp, ParseError> {
         let mut e = self.parse_cmp(ti)?;
-        while self.peek() == &Tok::AndAnd {
+        while *self.peek() == Tok::AndAnd {
             self.bump();
             let r = self.parse_cmp(ti)?;
             e = Exp::Bin(BinOp::And, Box::new(e), Box::new(r));
@@ -1243,18 +1225,18 @@ impl Parser {
             Tok::Int(n) => Ok(Exp::Val(Val::Int(n))),
             Tok::LParen => {
                 let e = self.parse_exp(ti)?;
-                self.expect(&Tok::RParen, "to close the parenthesised expression")?;
+                self.expect(Tok::RParen, "to close the parenthesised expression")?;
                 Ok(e)
             }
-            Tok::Ident(s) => match s.as_str() {
+            Tok::Ident(s) => match s {
                 "true" => Ok(Exp::Val(Val::Bool(true))),
                 "false" => Ok(Exp::Val(Val::Bool(false))),
                 "empty" => Ok(Exp::Val(Val::Empty)),
                 "bot" => Ok(Exp::Val(Val::Bot)),
                 "even" => {
-                    self.expect(&Tok::LParen, "to open `even(…)`")?;
+                    self.expect(Tok::LParen, "to open `even(…)`")?;
                     let e = self.parse_exp(ti)?;
-                    self.expect(&Tok::RParen, "to close `even(…)`")?;
+                    self.expect(Tok::RParen, "to close `even(…)`")?;
                     Ok(Exp::Un(UnOp::Even, Box::new(e)))
                 }
                 name => {

@@ -277,3 +277,161 @@ fn builder_rejects_thread_and_location_counts_past_their_id_range() {
     let e = locations(rc11_core::MAX_LOCS + 1).expect_err("a 65537th location must be rejected");
     assert!(e.contains("too many library locations: at most 65536"), "{e}");
 }
+
+// ---------------------------------------------------------------------
+// Lexer behaviour: columns, whitespace, literals and comments.
+// ---------------------------------------------------------------------
+
+/// Columns count characters, not bytes: a token after non-ASCII text on
+/// the same line sits one column per character to its right.
+#[test]
+fn columns_count_chars_after_non_ascii_text() {
+    // `é` and `→` are 2- and 3-byte characters.
+    let e = err("litmus \"é→x\" @\n");
+    assert_eq!((e.span.line, e.span.col), (1, 14));
+    assert_eq!(e.msg, "unexpected character `@`");
+
+    let e = err("litmus \"e\"\nabout \"ünïcödé\" var x = 0 thread T { r = zz; }\n");
+    assert_eq!((e.span.line, e.span.col), (2, 42));
+    assert!(e.msg.contains("undeclared variable or register `zz`"), "{}", e.msg);
+}
+
+/// A tab is one column, like any other character.
+#[test]
+fn a_tab_is_one_column() {
+    let e = err("litmus \"e\"\nvar\tx =\t@\n");
+    assert_eq!((e.span.line, e.span.col), (2, 9));
+    assert_eq!(e.msg, "unexpected character `@`");
+}
+
+/// CRLF line endings: `\r` is whitespace, and lines still count from the
+/// `\n`.
+#[test]
+fn crlf_line_endings_keep_lines_and_columns() {
+    let src = "litmus \"e\"\r\nvar x = 0\r\nthread T {\r\n  r = x;\r\n}\r\nobserve T.r\r\nexpected { (0) }\r\n";
+    let p = parse_litmus(src).expect("CRLF source parses");
+    assert_eq!(p.lint.threads[0].span.line, 3);
+    assert_eq!((p.lint.expected_span.line, p.lint.expected_span.col), (7, 1));
+
+    let e = err("litmus \"e\"\r\nvar x = 0\r\nthread T {\r\n  r = zz;\r\n}\r\n");
+    assert_eq!((e.span.line, e.span.col), (4, 7));
+    assert!(e.msg.contains("undeclared variable or register `zz`"), "{}", e.msg);
+}
+
+/// Unicode whitespace (no-break space U+00A0, ideographic space U+3000)
+/// separates tokens like a space, one column each.
+#[test]
+fn unicode_whitespace_separates_tokens() {
+    let src = "litmus\u{a0}\"e\"\nvar\u{3000}x\u{a0}=\u{3000}0\nthread T { r = x; }\nobserve T.r\nexpected { (0) }\n";
+    let p = parse_litmus(src).expect("Unicode whitespace separates tokens");
+    assert_eq!(p.lint.vars[0].1, "x");
+    assert_eq!((p.lint.vars[0].2.line, p.lint.vars[0].2.col), (2, 5));
+
+    let e = err("litmus \"e\"\nvar\u{3000}x\u{a0}=\u{3000}@\n");
+    assert_eq!((e.span.line, e.span.col), (2, 9));
+    assert_eq!(e.msg, "unexpected character `@`");
+}
+
+/// A string literal must close on its own line; the error points at the
+/// opening quote.
+#[test]
+fn unterminated_strings_are_rejected_at_the_opening_quote() {
+    let e = err("litmus \"e\nvar x = 0\n");
+    assert_eq!((e.span.line, e.span.col), (1, 8));
+    assert_eq!(e.msg, "unterminated string literal");
+
+    let e = err("litmus \"e\"\nabout \"no end");
+    assert_eq!((e.span.line, e.span.col), (2, 7));
+    assert_eq!(e.msg, "unterminated string literal");
+}
+
+/// An integer literal past `i64` is refused at its first digit, naming the
+/// digits.
+#[test]
+fn overflowing_integer_literals_are_rejected() {
+    let e = err("litmus \"e\"\nvar x = 9223372036854775808\n");
+    assert_eq!((e.span.line, e.span.col), (2, 9));
+    assert_eq!(e.msg, "integer literal `9223372036854775808` overflows");
+
+    let p = parse_litmus(
+        "litmus \"e\"\nvar x = 9223372036854775807\nthread T { r = x; }\nobserve T.r\nexpected { (-9223372036854775807) }\n",
+    )
+    .expect("i64::MAX parses");
+    assert!(p.expected.contains(&vec![rc11_core::Val::Int(-i64::MAX)]));
+}
+
+/// `&`, `|` and `/` only exist doubled.
+#[test]
+fn lone_and_or_and_slash_are_rejected() {
+    for (c, msg) in [
+        ('&', "unexpected character `&` (did you mean `&&`?)"),
+        ('|', "unexpected character `|` (did you mean `||`?)"),
+        ('/', "unexpected character `/`"),
+    ] {
+        let e = err(&format!("litmus \"e\"\nthread T {{ r = 1 {c} 2; }}\n"));
+        assert_eq!((e.span.line, e.span.col), (2, 18), "{c}");
+        assert_eq!(e.msg, msg);
+    }
+}
+
+/// `=rlx` is refused at the `=` wherever it appears, glued or not; a name
+/// that merely starts like an annotation is an ordinary assignment.
+#[test]
+fn rlx_annotation_is_rejected_at_the_equals_sign() {
+    let e = err("litmus \"e\"\nvar x = 0\nthread T {\tx=rlx 1; }\n");
+    assert_eq!((e.span.line, e.span.col), (3, 13));
+    assert_eq!(e.msg, "unknown access annotation `=rlx` (expected `=rel` or `=acq`)");
+
+    let e = err("litmus \"e\"\nvar x = 0\nthread T { r =rlx_ ; }\n");
+    assert_eq!((e.span.line, e.span.col), (3, 15));
+    assert!(e.msg.contains("undeclared variable or register `rlx_`"), "{}", e.msg);
+}
+
+/// A NUL byte is an unexpected character like any other.
+#[test]
+fn a_nul_byte_is_an_unexpected_character() {
+    let e = err("litmus \"e\"\nvar x = \0\n");
+    assert_eq!((e.span.line, e.span.col), (2, 9));
+    assert_eq!(e.msg, "unexpected character `\0`");
+}
+
+/// A file that ends in a `//` comment with no newline reports its
+/// end-of-input error just past the comment.
+#[test]
+fn end_of_input_after_a_final_comment_has_its_span() {
+    let e = err("litmus \"e\"\nvar x = 0\n// trailing é");
+    assert_eq!((e.span.line, e.span.col), (3, 14));
+    assert!(e.msg.ends_with("`thread`, or `observe`, found end of input"), "{}", e.msg);
+}
+
+/// `// lint: allow(…)` directives are read from leading, trailing and
+/// last-line comments, in source order.
+#[test]
+fn lint_allows_come_from_every_comment() {
+    let src = "// lint: allow(a, b)\n\
+               litmus \"e\"\n\
+               var x = 0 //lint:allow( c )\n\
+               thread T { r = x; }   //  lint:  allow(d\n\
+               // not a directive: lint: allow(z)\n\
+               /// lint: allow(z)\n\
+               observe T.r\n\
+               expected { (0) }\n\
+               // lint: allow(e,,f)";
+    let p = parse_litmus(src).expect("parses");
+    assert_eq!(p.lint.allows, ["a", "b", "c", "d", "e", "f"]);
+}
+
+/// `//` inside a string literal starts no comment, so no directive is read
+/// from it; a real comment later on the same line still counts.
+#[test]
+fn a_slash_slash_inside_a_string_is_not_a_comment() {
+    let src = "litmus \"e\"\n\
+               about \"see // lint: allow(s)\" // lint: allow(c)\n\
+               var x = 0\n\
+               thread T { r = x; }\n\
+               observe T.r\n\
+               expected { (0) }\n";
+    let p = parse_litmus(src).expect("parses");
+    assert_eq!(p.about, "see // lint: allow(s)");
+    assert_eq!(p.lint.allows, ["c"]);
+}

@@ -15,12 +15,16 @@
 //!   makes a bounded number of allocations per explored state: successor
 //!   generation copies each configuration once, and everything else the
 //!   walk does per state reuses scratch buffers.
+//! * The `.litmus` front end allocates only what the parsed test keeps:
+//!   tokens borrow the source, so parsing a corpus file, and a warm
+//!   request that parses it and is answered from the verdict cache, stay
+//!   under a per-file allocation bar.
 //!
 //! The counts come from a counting global allocator, which is why these
 //! checks are their own test binary. The counter is thread-local, so
 //! tests running concurrently on other threads do not disturb it.
 
-use rc11::check::{fingerprint, CheckParams, CheckService};
+use rc11::check::{fingerprint, CheckParams, CheckService, Served, VerdictCache};
 use rc11::prelude::*;
 use rc11_lang::machine::successors;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -77,6 +81,15 @@ const MAX_CLONE_ALLOCS: usize = 6;
 /// The most allocations one `counter5` request may make per explored
 /// state (23.8 measured).
 const MAX_REQUEST_ALLOCS_PER_STATE: f64 = 26.0;
+
+/// The most allocations `parse_litmus` may make per corpus file, on
+/// average (55.7 measured; 157.9 with owned `String` tokens).
+const MAX_PARSE_ALLOCS_PER_FILE: f64 = 80.0;
+
+/// The most allocations a warm `check_source` (parse, canonical words,
+/// memory hit) may make per corpus file, on average (85.0 measured; 187.2
+/// with owned `String` tokens).
+const MAX_WARM_REQUEST_ALLOCS_PER_FILE: f64 = 93.0;
 
 /// Allocations made by one `Config::clone`.
 fn clone_allocs(cfg: &Config) -> usize {
@@ -265,5 +278,65 @@ fn counter5_request_allocations_per_state_are_bounded() {
     assert!(
         per_state <= MAX_REQUEST_ALLOCS_PER_STATE,
         "{per_state:.1} allocations per state (bound {MAX_REQUEST_ALLOCS_PER_STATE})"
+    );
+}
+
+/// Every corpus source, read before any counting starts.
+fn corpus_sources() -> Vec<(String, String)> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("corpus dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "litmus"))
+        .collect();
+    files.sort();
+    files
+        .into_iter()
+        .map(|p| {
+            let src = std::fs::read_to_string(&p).expect("corpus file");
+            (p.display().to_string(), src)
+        })
+        .collect()
+}
+
+/// Parsing a corpus file, and a warm request for it, allocate little more
+/// than the parsed test stores: names, the program tree, the outcome set
+/// and the canonical words.
+#[test]
+fn front_end_allocations_per_corpus_file_are_bounded() {
+    let sources = corpus_sources();
+    assert_eq!(sources.len(), 58, "the corpus has 58 files");
+    let mut parse_allocs = 0;
+    for (path, src) in &sources {
+        let before = allocs();
+        let parsed = parse_litmus(src);
+        parse_allocs += allocs() - before;
+        parsed.unwrap_or_else(|e| panic!("{path}: {e}"));
+    }
+
+    let params = CheckParams::default();
+    let svc = CheckService::with_cache(VerdictCache::new(4096));
+    for (path, src) in &sources {
+        svc.check_source(src, &params).unwrap_or_else(|e| panic!("{path}: {e}"));
+    }
+    let mut warm_allocs = 0;
+    for (path, src) in &sources {
+        let before = allocs();
+        let r = svc.check_source(src, &params);
+        warm_allocs += allocs() - before;
+        let r = r.unwrap_or_else(|e| panic!("{path}: {e}"));
+        assert_eq!(r.served, Served::MemCache, "{path}: a resubmission is a memory hit");
+    }
+
+    let n = sources.len() as f64;
+    let (parse, warm) = (parse_allocs as f64 / n, warm_allocs as f64 / n);
+    println!("front end: {parse:.1} allocations per parse, {warm:.1} per warm request");
+    assert!(
+        parse <= MAX_PARSE_ALLOCS_PER_FILE,
+        "{parse:.1} allocations per parse (bound {MAX_PARSE_ALLOCS_PER_FILE})"
+    );
+    assert!(
+        warm <= MAX_WARM_REQUEST_ALLOCS_PER_FILE,
+        "{warm:.1} allocations per warm request (bound {MAX_WARM_REQUEST_ALLOCS_PER_FILE})"
     );
 }

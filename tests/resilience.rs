@@ -380,3 +380,50 @@ fn deeply_nested_litmus_file_is_unreadable_not_a_crash() {
     );
     assert!(stdout.contains("1 passed, 0 failed, 1 unreadable"), "{stdout}");
 }
+
+/// Hostile input for the `.litmus` lexer: a 1 MiB comment line, a 1 MiB
+/// identifier, a 1 MiB string literal, a 100,000-digit integer and
+/// 100,000 tokens on one line. Each is a parse or a spanned error, never a
+/// panic or a stack overflow.
+#[test]
+fn hostile_lexer_inputs_parse_or_fail_with_a_span() {
+    use rc11::lang::parse::parse_litmus;
+    const MIB: usize = 1 << 20;
+    let tail = "var x = 0\nthread T { r = x; }\nobserve T.r\nexpected { (0) }\n";
+
+    let src = format!("litmus \"c\"\n// {}\n{tail}", "c".repeat(MIB));
+    let p = parse_litmus(&src).expect("a long comment is skipped");
+    assert_eq!(p.lint.vars[0].2.line, 3);
+
+    let ident = "v".repeat(MIB);
+    let src = format!("litmus \"i\"\nvar {ident} = 0\n{tail}");
+    let p = parse_litmus(&src).expect("a long identifier is a name");
+    assert_eq!(p.lint.vars[0].1, ident);
+    assert_eq!((p.lint.vars[1].2.line, p.lint.vars[1].2.col), (3, 5));
+
+    let text = "s".repeat(MIB);
+    let p = parse_litmus(&format!("litmus \"{text}\" {tail}")).expect("a long string is a name");
+    assert_eq!(p.name, text);
+    assert_eq!(p.lint.vars[0].2.col as usize, 8 + MIB + 2 + 4 + 1);
+
+    let digits = "7".repeat(100_000);
+    let e = parse_litmus(&format!("litmus \"n\"\nvar x = {digits}\n"))
+        .expect_err("a 100,000-digit literal overflows");
+    assert_eq!((e.span.line, e.span.col), (2, 9));
+    assert_eq!(e.msg, format!("integer literal `{digits}` overflows"));
+
+    // Over 100,000 tokens on one line: 25,000 `skip;` and 16,667 outcome
+    // tuples. Both are flat; a chain of that many statements or operators
+    // would instead deepen the program tree, a limit of the tree passes
+    // after the lexer.
+    let src = format!(
+        "litmus \"t\" var x = 0 thread T {{ r = x; {}}} observe T.r expected {{ {}}}",
+        "skip; ".repeat(25_000),
+        "(0) ".repeat(16_667)
+    );
+    let p = parse_litmus(&src).expect("a long line of tokens parses");
+    assert_eq!(p.expected.len(), 1);
+    let e = parse_litmus(&format!("{src} @")).expect_err("trailing garbage is refused");
+    assert_eq!((e.span.line as usize, e.span.col as usize), (1, src.chars().count() + 2));
+    assert_eq!(e.msg, "unexpected character `@`");
+}
