@@ -412,27 +412,51 @@ impl SymmetrySpec {
     }
 
     /// All group permutations (full `sigma` vectors over every thread),
-    /// identity included — the orbit expansion set. Bounded by the
-    /// detection-time orbit cap.
+    /// identity included — the orbit expansion set, in the order of
+    /// [`SymmetrySpec::group_perms_flat`].
     pub fn group_perms(&self) -> Vec<Vec<u8>> {
-        let identity: Vec<u8> = (0..self.n_threads).map(|t| t as u8).collect();
-        let mut out = vec![identity];
+        self.group_perms_flat().chunks_exact(self.n_threads).map(<[u8]>::to_vec).collect()
+    }
+
+    /// [`SymmetrySpec::group_perms`] back to back, `n_threads` bytes per
+    /// permutation, in one buffer. The identity comes first; the first
+    /// group's arrangement varies slowest, and each group's members run
+    /// through their arrangements in lexicographic order. Bounded by the
+    /// detection-time orbit cap.
+    pub fn group_perms_flat(&self) -> Vec<u8> {
+        let n = self.n_threads;
+        let mut out: Vec<u8> = (0..n).map(|t| t as u8).collect();
         for g in &self.groups {
-            let perms_of_g = permutations(g);
-            let mut next = Vec::with_capacity(out.len() * perms_of_g.len());
-            for base in &out {
-                for p in &perms_of_g {
-                    let mut sigma = base.clone();
-                    for (i, &m) in g.iter().enumerate() {
-                        sigma[m as usize] = p[i];
+            let mut next = Vec::with_capacity(out.len() * orbit_of(std::slice::from_ref(g)));
+            let mut arr = g.clone();
+            for base in out.chunks_exact(n) {
+                // `g` is sorted, so it is the first arrangement.
+                arr.copy_from_slice(g);
+                loop {
+                    let at = next.len();
+                    next.extend_from_slice(base);
+                    for (&m, &to) in g.iter().zip(&arr) {
+                        next[at + m as usize] = to;
                     }
-                    next.push(sigma);
+                    if !next_arrangement(&mut arr) {
+                        break;
+                    }
                 }
             }
             out = next;
         }
         out
     }
+}
+
+/// Step `items` to its next arrangement in lexicographic order, or return
+/// `false` (leaving it as is) when it is the last.
+fn next_arrangement(items: &mut [u8]) -> bool {
+    let Some(i) = items.windows(2).rposition(|w| w[0] < w[1]) else { return false };
+    let j = items.iter().rposition(|&x| x > items[i]).expect("items[i + 1] is larger");
+    items.swap(i, j);
+    items[i + 1..].reverse();
+    true
 }
 
 /// The permutation-invariant per-thread sort key (see
@@ -459,24 +483,6 @@ fn authorship<'a>(st: &'a CState, perm: &'a [OpId], tid: Tid) -> impl Iterator<I
             .filter(move |&&w| st.op(w).tid == tid)
             .map(move |&w| perm[w.idx()])
     })
-}
-
-/// All permutations of `items` (each returned as a reordering of the input
-/// slice), in a deterministic order.
-fn permutations(items: &[u8]) -> Vec<Vec<u8>> {
-    if items.len() <= 1 {
-        return vec![items.to_vec()];
-    }
-    let mut out = Vec::new();
-    for (i, &first) in items.iter().enumerate() {
-        let mut rest = items.to_vec();
-        rest.remove(i);
-        for mut tail in permutations(&rest) {
-            tail.insert(0, first);
-            out.push(tail);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -509,6 +515,37 @@ mod tests {
         assert_eq!(spec.groups(), &[vec![0, 1, 2]]);
         assert_eq!(spec.orbit_size(), 6);
         assert_eq!(spec.group_perms().len(), 6);
+    }
+
+    /// The group's permutations come in a fixed order — the identity
+    /// first, the first group varying slowest, each group's arrangements
+    /// lexicographic — which orbit expansion, and so the order of
+    /// reported terminal states, follows.
+    #[test]
+    fn group_permutations_come_in_a_fixed_order() {
+        let spec = SymmetrySpec {
+            groups: vec![vec![0, 3], vec![1, 2, 4]],
+            maps: SymMaps::identity(&[0; 5]),
+            n_threads: 5,
+            capped: None,
+        };
+        let rows: Vec<[u8; 5]> = vec![
+            [0, 1, 2, 3, 4],
+            [0, 1, 4, 3, 2],
+            [0, 2, 1, 3, 4],
+            [0, 2, 4, 3, 1],
+            [0, 4, 1, 3, 2],
+            [0, 4, 2, 3, 1],
+            [3, 1, 2, 0, 4],
+            [3, 1, 4, 0, 2],
+            [3, 2, 1, 0, 4],
+            [3, 2, 4, 0, 1],
+            [3, 4, 1, 0, 2],
+            [3, 4, 2, 0, 1],
+        ];
+        let expected: Vec<Vec<u8>> = rows.iter().map(|r| r.to_vec()).collect();
+        assert_eq!(spec.group_perms(), expected);
+        assert_eq!(spec.group_perms_flat(), expected.concat());
     }
 
     #[test]

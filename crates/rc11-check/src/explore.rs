@@ -63,7 +63,9 @@ use crate::sym;
 use rc11_analyze::SymmetrySpec;
 use rc11_core::{CanonPerms, Tid};
 use rc11_lang::cfg::CfgProgram;
-use rc11_lang::machine::{thread_successors, thread_successors_into, Config, ObjectSemantics};
+use rc11_lang::machine::{
+    thread_successors, thread_successors_into, Config, ObjectSemantics, SuccessorPool,
+};
 use rc11_telemetry::{Counter, Telemetry};
 use std::sync::Arc;
 use std::time::Instant;
@@ -195,8 +197,7 @@ impl Store {
     ) -> Probe {
         sym::encode(symm, succ, perms, words);
         let fp = fingerprint(words);
-        let bucket = self.index.get(&fp).map_or(&[][..], IdBucket::ids);
-        let Some(&id) = bucket.iter().find(|&&id| self.words(id) == &words[..]) else {
+        let Some(id) = self.lookup(fp, words) else {
             return Probe::Novel(fp);
         };
         if let Some(t) = &self.tel {
@@ -206,6 +207,23 @@ impl Store {
             if perms.threads().is_some_and(|s| !sym::is_identity(s)) {
                 t.incr(Counter::SymmetryFolds);
             }
+        }
+        Probe::Dup(id)
+    }
+
+    /// The id interned under fingerprint `fp` with exactly these words.
+    fn lookup(&self, fp: Fp128, words: &[u32]) -> Option<u32> {
+        let bucket = self.index.get(&fp).map_or(&[][..], IdBucket::ids);
+        bucket.iter().copied().find(|&id| self.words(id) == words)
+    }
+
+    /// The probe of a successor equal to the configuration `id` it was
+    /// generated from (a spin that changed nothing), answered without
+    /// encoding it: a duplicate of `id` under the identity permutation,
+    /// tallied as the full probe would tally it.
+    fn self_loop(&self, id: u32) -> Probe {
+        if let Some(t) = &self.tel {
+            t.incr(Counter::DupHits);
         }
         Probe::Dup(id)
     }
@@ -259,6 +277,21 @@ impl Store {
         self.nodes.push(Node { words: (k as u32, start, len), parent, explored, succ_idx });
         id
     }
+}
+
+/// Does `succ`, a successor equal to interned state `id`, probe to `id`
+/// under the identity permutation? The full probe the walk's self-loop
+/// rule skips, without its telemetry: the rule's `debug_assert`.
+fn self_loop_probes_home(
+    store: &Store,
+    id: u32,
+    succ: &Config,
+    symm: Option<&SymmetrySpec>,
+    perms: &mut CanonPerms,
+    words: &mut Vec<u32>,
+) -> bool {
+    sym::encode(symm, succ, perms, words);
+    store.lookup(fingerprint(words), words) == Some(id) && perms.threads().is_none()
 }
 
 /// What interning `words` costs the memory budget: the words and the
@@ -359,13 +392,12 @@ impl<'a> Explorer<'a> {
         let mut expanding: Option<Config> = None;
         let mut checking: Option<Config> = None;
         let checks = query == Query::States;
-        let members = if checks { symm } else { None };
-        let group = members.map(SymmetrySpec::group_perms).unwrap_or_default();
+        let mut orbits = symm.map(sym::Orbits::new);
         // The identity permutation: the orbit "member" a representative's
         // own trace is reconstructed for.
         let identity: Vec<u8> = (0..n_threads).map(|t| t as u8).collect();
         let statics = por.then(|| rc11_analyze::conflict_matrix(self.prog));
-        let pers = (por && level.persistent).then(|| rc11_analyze::future_footprints(self.prog));
+        let mut pers = (por && level.persistent).then(|| por::PersistentMemo::new(self.prog));
 
         // Resilience machinery: budgets are checked between work items (so
         // every stop lands on a clean item boundary and the report is a
@@ -390,8 +422,7 @@ impl<'a> Explorer<'a> {
         let mut visit = |id: u32,
                          store: &Store,
                          report: &mut Report,
-                         recs: &mut Vec<ViolationRec>,
-                         perms: &mut CanonPerms| {
+                         recs: &mut Vec<ViolationRec>| {
             if !checks {
                 return;
             }
@@ -409,23 +440,24 @@ impl<'a> Explorer<'a> {
                     }),
                 });
             }
-            let Some(spec) = members else { return };
-            for (pi, member) in sym::orbit_members(spec, &group, canon, perms) {
-                check(&member, &mut buf);
+            let Some(orbits) = &mut orbits else { return };
+            let spec = orbits.spec();
+            orbits.for_each_member(canon, |pi, member| {
+                check(member, &mut buf);
                 for what in buf.drain(..) {
                     if ckpt.is_some() {
-                        let pi = Some(pi.clone());
+                        let pi = Some(pi.to_vec());
                         recs.push(ViolationRec { what: what.clone(), node: id, pi });
                     }
                     report.violations.push(Violation {
                         what,
                         config: member.clone(),
                         trace: self.opts.record_traces.then(|| {
-                            reconstruct_trace(store, id, Some((spec, &pi[..])))
+                            reconstruct_trace(store, id, Some((spec, pi)))
                         }),
                     });
                 }
-            }
+            });
         };
 
         // Work items: `(node, threads to expand, arriving sleep set,
@@ -462,7 +494,7 @@ impl<'a> Explorer<'a> {
                         for vr in &data.violations {
                             let canon = Config::decode(store.words(vr.node));
                             let config = match (&vr.pi, symm) {
-                                (Some(pi), Some(spec)) => sym::permuted(&canon, pi, spec.maps()),
+                                (Some(pi), Some(spec)) => canon.permute_threads(pi, spec.maps()),
                                 _ => canon,
                             };
                             let trace = self.opts.record_traces.then(|| {
@@ -491,18 +523,18 @@ impl<'a> Explorer<'a> {
             let Probe::Novel(fp) = store.probe(&init, symm, &mut perms, &mut words) else {
                 unreachable!("the store is empty")
             };
-            let init_prop = pers.as_ref().map_or(full, |p| p.persistent_mask(init.pcs()));
+            let init_prop = pers.as_mut().map_or(full, |p| p.mask(init.pcs()));
             mem_bytes += interned_bytes(&words);
             store.insert(fp, &words, perms.threads(), None, init_prop, 0);
-            visit(0, &store, &mut report, &mut viol_recs, &mut perms);
+            visit(0, &store, &mut report, &mut viol_recs);
             frontier.push((0, init_prop, 0, true));
         }
 
         // Per-expansion scratch, reused across pops: one thread's
         // successors, the terminal probe's successors, and (under POR) the
         // lazily extracted footprints.
-        let mut succs: Vec<Config> = Vec::new();
-        let mut probe_buf: Vec<Config> = Vec::new();
+        let mut succs = SuccessorPool::default();
+        let mut probe_buf = SuccessorPool::default();
         let mut fps = por.then(|| por::LazyFootprints::new(n_threads));
         let mut pops: usize = 0;
         loop {
@@ -585,17 +617,18 @@ impl<'a> Explorer<'a> {
                     _ => 0,
                 };
                 let tid = Tid(t as u8);
-                for succ in &succs {
+                for succ in succs.iter() {
                     on_edge(cfg, tid, succ);
                 }
-                for (si, succ) in succs.drain(..).enumerate() {
+                for (si, succ) in succs.iter().enumerate() {
                     // The successor's persistent set (full without A7).
                     // A pure function of the program counters, computed on
-                    // the raw successor and transported through σ with the
-                    // sleep mask — symmetric threads have equal future
-                    // footprints, so the remapped mask is exactly the
-                    // stored representative's persistent set.
-                    let pmask = pers.as_ref().map_or(full, |p| p.persistent_mask(succ.pcs()));
+                    // the raw successor (memoised per pc tuple) and
+                    // transported through σ with the sleep mask —
+                    // symmetric threads have equal future footprints, so
+                    // the remapped mask is exactly the stored
+                    // representative's persistent set.
+                    let pmask = pers.as_mut().map_or(full, |p| p.mask(succ.pcs()));
                     if por {
                         if let Some(tl) = &tel {
                             // Reduction attribution, per successor: threads
@@ -612,7 +645,20 @@ impl<'a> Explorer<'a> {
                         }
                     }
                     let (proposal, sleep) = (pmask & !child_sleep, child_sleep);
-                    let fp = match store.probe(&succ, symm, &mut perms, &mut words) {
+                    // A successor equal to the state being expanded (a
+                    // spin that changed nothing) is a duplicate of it
+                    // under the identity, known without encoding it.
+                    let self_loop = succ == cfg;
+                    let probe = if self_loop {
+                        debug_assert!(
+                            self_loop_probes_home(&store, id, succ, symm, &mut perms, &mut words),
+                            "a self-loop did not probe to its own state under the identity"
+                        );
+                        store.self_loop(id)
+                    } else {
+                        store.probe(succ, symm, &mut perms, &mut words)
+                    };
+                    let fp = match probe {
                         Probe::Dup(dup_id) => {
                             if por {
                                 // Wake-up rule: threads this arrival would
@@ -623,7 +669,8 @@ impl<'a> Explorer<'a> {
                                 // true sleep set: under A7 `full & !prop`
                                 // would unsoundly sleep the merely
                                 // postponed outside-persistent threads.
-                                let (prop, slp) = remap(proposal, sleep, perms.threads());
+                                let sigma = if self_loop { None } else { perms.threads() };
+                                let (prop, slp) = remap(proposal, sleep, sigma);
                                 let missing = prop & !store.nodes[dup_id as usize].explored;
                                 if missing != 0 {
                                     store.nodes[dup_id as usize].explored |= missing;
@@ -647,7 +694,7 @@ impl<'a> Explorer<'a> {
                     };
                     let sigma = perms.threads();
                     let new_id = store.insert(fp, &words, sigma, Some((id, tid)), prop, si as u32);
-                    visit(new_id, &store, &mut report, &mut viol_recs, &mut perms);
+                    visit(new_id, &store, &mut report, &mut viol_recs);
                     frontier.push((new_id, prop, slp, true));
                 }
             }
@@ -731,9 +778,9 @@ impl<'a> Explorer<'a> {
         // each representative's orbit back out (orbits of distinct
         // representatives are disjoint, so this is exactly the unreduced
         // search's set).
-        if let Some(spec) = symm {
-            sym::expand_terminals(spec, &mut report.terminated);
-            sym::expand_terminals(spec, &mut report.deadlocked);
+        if let Some(orbits) = &mut orbits {
+            orbits.expand(&mut report.terminated);
+            orbits.expand(&mut report.deadlocked);
         }
         report.states = store.nodes.len();
         // Free the store before stamping `wall`: its teardown is part of
@@ -932,7 +979,7 @@ fn reconstruct_trace(
                 let m = if sym::is_identity(tau) {
                     canon
                 } else {
-                    sym::permuted(&canon, tau, spec.maps())
+                    canon.permute_threads(tau, spec.maps())
                 };
                 if let Some(sg) = store.sigma(cur) {
                     *tau = sg.iter().map(|&s| tau[s as usize]).collect();
@@ -1064,6 +1111,69 @@ mod tests {
         }
         store.insert(fingerprint(&[7; 10]), &[7; 10], None, None, 0, 0);
         assert!(store.words.iter().zip(&firsts).all(|(c, &p)| c.as_ptr() == p), "a chunk moved");
+    }
+
+    /// The self-loop rule's premise, checked without the walk's
+    /// `debug_assert`: on the corpus and on generated programs (symmetric
+    /// ones included), every successor equal to the interned state it was
+    /// generated from probes to that state under the identity
+    /// permutation. Each program's space is interned by a breadth-first
+    /// search over the store, up to a cap.
+    #[test]
+    fn self_loops_probe_to_their_own_state_under_the_identity() {
+        let (mut self_loops, mut symmetric_loops) = (0, 0);
+        // Three identical ticket-lock clients: symmetric, and spinning.
+        let ticket = rc11_lang::parse_litmus(
+            "litmus \"ticket3\" var next = 0 var serving = 0 var c = 0
+             thread A { t = fai(next); do { s =acq serving; } until (s == t);
+                        r = c; c = r + 1; serving =rel t + 1; }
+             thread B { t = fai(next); do { s =acq serving; } until (s == t);
+                        r = c; c = r + 1; serving =rel t + 1; }
+             thread C { t = fai(next); do { s =acq serving; } until (s == t);
+                        r = c; c = r + 1; serving =rel t + 1; }
+             observe A.r B.r C.r expected { (0,1,2) }",
+        )
+        .expect("ticket3 parses");
+        let mut programs = crate::test_programs(100);
+        programs.push(("ticket3".into(), compile(&ticket.prog)));
+        for (name, prog) in programs {
+            let (spec, _) = sym::active_spec(&prog, true);
+            let symm = spec.as_ref();
+            let width = if symm.is_some() { prog.n_threads() } else { 0 };
+            let mut store = Store::new(width, None);
+            let (mut perms, mut words) = (CanonPerms::default(), Vec::new());
+            let init = Config::initial(&prog);
+            let Probe::Novel(fp) = store.probe(&init, symm, &mut perms, &mut words) else {
+                unreachable!("the store is empty")
+            };
+            store.insert(fp, &words, perms.threads(), None, 0, 0);
+            let mut pool = SuccessorPool::default();
+            let mut next = 0;
+            while next < store.nodes.len() && next < 2_000 {
+                let id = next as u32;
+                next += 1;
+                let cfg = Config::decode(store.words(id));
+                for t in 0..prog.n_threads() {
+                    let (objs, step) = (crate::objects_of(&prog), Default::default());
+                    thread_successors_into(&prog, objs, &cfg, t, step, &mut pool);
+                    for succ in pool.iter() {
+                        let probe = store.probe(succ, symm, &mut perms, &mut words);
+                        if *succ == cfg {
+                            let home = matches!(probe, Probe::Dup(d) if d == id);
+                            assert!(home, "{name}: state {id}");
+                            assert_eq!(perms.threads(), None, "{name}: state {id}");
+                            self_loops += 1;
+                            symmetric_loops += usize::from(symm.is_some());
+                        } else if let Probe::Novel(fp) = probe {
+                            let edge = Some((id, Tid(t as u8)));
+                            store.insert(fp, &words, perms.threads(), edge, 0, 0);
+                        }
+                    }
+                }
+            }
+        }
+        let counts = format!("{self_loops} self-loops, {symmetric_loops} under symmetry");
+        assert!(self_loops > 100 && symmetric_loops > 10, "{counts}");
     }
 
     #[test]

@@ -88,3 +88,43 @@ pub use random::{random_walk, sample_terminals, SampleError};
 pub use request::{option_words, CheckParams, CheckResponse, CheckService, Served, StatsSnapshot};
 pub use telemetry::{read_trace, snapshot_from_json, snapshot_json, TraceStats, TraceWriter};
 pub use wire::{obj, parse_json, Json, JsonError};
+
+/// Programs the unit tests share: every corpus file compiled, in file
+/// order, then `n` generated programs whose threads are clones of one
+/// body (the symmetric ones the thread-symmetry code needs), each named.
+#[cfg(test)]
+pub(crate) fn test_programs(n: u64) -> Vec<(String, rc11_lang::cfg::CfgProgram)> {
+    use rc11_lang::{compile, parse_litmus};
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("corpus dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "litmus"))
+        .collect();
+    files.sort();
+    let mut out: Vec<_> = files
+        .iter()
+        .map(|path| {
+            let src = std::fs::read_to_string(path).expect("corpus file");
+            let prog = compile(&parse_litmus(&src).expect("corpus parses").prog);
+            (path.display().to_string(), prog)
+        })
+        .collect();
+    let opts = GenOptions { clone_threads: true, ..GenOptions::default() };
+    for seed in 0..n {
+        out.push((format!("seed {seed}"), compile(&generate(seed, &opts).to_program("gen"))));
+    }
+    out
+}
+
+/// The object semantics `prog` runs under: none, or the abstract objects.
+#[cfg(test)]
+pub(crate) fn objects_of(
+    prog: &rc11_lang::cfg::CfgProgram,
+) -> &'static dyn rc11_lang::ObjectSemantics {
+    if prog.source.objects.is_empty() {
+        &rc11_lang::NoObjects
+    } else {
+        &rc11_objects::AbstractObjects
+    }
+}

@@ -71,10 +71,12 @@
 //! (interference vs inherited is an edge property), and sleep sets prune
 //! exactly edges. Its edge query runs at the unreduced level.
 
+use crate::fxhash::FxHashMap;
+use rc11_analyze::FutureFootprints;
 use rc11_core::StepFootprint;
 use rc11_lang::cfg::CfgProgram;
 use rc11_lang::machine::{
-    thread_footprint, thread_successors_into, Config, ObjectSemantics, StepOptions,
+    thread_footprint, thread_successors_into, Config, ObjectSemantics, StepOptions, SuccessorPool,
 };
 
 /// A set of threads as a bitmask. Thread counts in this workspace are tiny
@@ -177,20 +179,45 @@ pub(crate) fn has_any_successor(
     cfg: &Config,
     mask: ThreadMask,
     step: StepOptions,
-    buf: &mut Vec<Config>,
+    pool: &mut SuccessorPool,
 ) -> bool {
     let mut m = mask;
     while m != 0 {
         let t = m.trailing_zeros() as usize;
         m &= m - 1;
-        thread_successors_into(prog, objs, cfg, t, step, buf);
-        let found = !buf.is_empty();
-        buf.clear();
-        if found {
+        thread_successors_into(prog, objs, cfg, t, step, pool);
+        if !pool.is_empty() {
             return true;
         }
     }
     false
+}
+
+/// Persistent sets (A7) memoised for one walk. A state's persistent set
+/// is a pure function of its program counters
+/// ([`FutureFootprints::persistent_mask`]), and a walk meets few distinct
+/// pc tuples against many successors, so each tuple's mask is computed
+/// once and looked up after.
+pub(crate) struct PersistentMemo {
+    fps: FutureFootprints,
+    masks: FxHashMap<Box<[u32]>, ThreadMask>,
+}
+
+impl PersistentMemo {
+    /// An empty memo over `prog`'s future footprints.
+    pub(crate) fn new(prog: &CfgProgram) -> PersistentMemo {
+        PersistentMemo { fps: rc11_analyze::future_footprints(prog), masks: FxHashMap::default() }
+    }
+
+    /// `persistent_mask(pcs)`, computed on the first call with these pcs.
+    pub(crate) fn mask(&mut self, pcs: &[u32]) -> ThreadMask {
+        if let Some(&mask) = self.masks.get(pcs) {
+            return mask;
+        }
+        let mask = self.fps.persistent_mask(pcs);
+        self.masks.insert(pcs.into(), mask);
+        mask
+    }
 }
 
 /// The sleep set a successor inherits over an edge by thread `t`:
@@ -291,5 +318,30 @@ mod tests {
             }
         }
         assert!(seen.len() > 4, "walked a non-trivial space");
+    }
+
+    /// The memo answers exactly what it memoises: after being asked for
+    /// every reachable state's pcs (and again, from the table), each
+    /// stored mask equals `persistent_mask` and its specification.
+    #[test]
+    fn memoised_persistent_masks_equal_persistent_mask() {
+        let mut stored = 0;
+        for (name, prog) in crate::test_programs(30) {
+            let mut memo = PersistentMemo::new(&prog);
+            let mut asked = Vec::new();
+            crate::reference::explore(&prog, crate::objects_of(&prog), 1_000, |cfg, _| {
+                asked.push((cfg.pcs().to_vec(), memo.mask(cfg.pcs())));
+            });
+            for (pcs, mask) in &asked {
+                assert_eq!(memo.mask(pcs), *mask, "{name}: {pcs:?}");
+            }
+            for (pcs, &mask) in &memo.masks {
+                assert_eq!(mask, memo.fps.persistent_mask(pcs), "{name}: {pcs:?}");
+                assert_eq!(mask, memo.fps.persistent_mask_spec(pcs), "{name}: {pcs:?}");
+            }
+            assert!(memo.masks.len() <= asked.len(), "{name}");
+            stored += memo.masks.len();
+        }
+        assert!(stored > 1_000, "{stored} pc tuples memoised");
     }
 }

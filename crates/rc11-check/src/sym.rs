@@ -21,7 +21,9 @@
 //! mask through the committing `σ` (bit `t` → bit `σ[t]`), so sleep sets
 //! always live in the stored state's own thread numbering.
 
-use crate::fxhash::{fingerprint, Fp128, FxHashMap, IdBucket};
+#[cfg(test)]
+use crate::fxhash::{fingerprint, Fp128, IdBucket};
+use crate::fxhash::FxHashMap;
 use crate::por::ThreadMask;
 use rc11_analyze::{thread_symmetry, SymmetrySpec};
 use rc11_core::CanonPerms;
@@ -66,16 +68,6 @@ pub(crate) fn encode(
     cfg.encode_canonical(perms, symm.map(SymmetrySpec::maps), words);
 }
 
-/// The canonical form of `cfg` with its threads permuted by `sigma`,
-/// decoded from the encoding under `sigma`: how trace steps and resumed
-/// violations rebuild a non-representative orbit member.
-pub(crate) fn permuted(cfg: &Config, sigma: &[u8], maps: &SymMaps) -> Config {
-    let perms = CanonPerms { threads: sigma.to_vec(), ..cfg.mem.canonical_perms() };
-    let mut words = Vec::new();
-    cfg.encode_canonical(&perms, Some(maps), &mut words);
-    Config::decode(&words)
-}
-
 /// Transport a thread mask through `σ`: bit `t` of the input becomes bit
 /// `σ[t]` of the output. Only meaningful under POR (masks then hold bits
 /// `< n_threads` only, matching `σ`'s length).
@@ -95,41 +87,165 @@ pub(crate) fn is_identity(sigma: &[u8]) -> bool {
     sigma.iter().enumerate().all(|(i, &v)| v as usize == i)
 }
 
-/// The distinct orbit members of canonical state `canon` *other than*
-/// `canon` itself, each paired with a group permutation producing it.
-/// States fixed by a subgroup yield fewer members than `orbit_size() - 1`.
-/// `group` is `spec.group_perms()`, computed once by the caller.
+/// Orbit expansion over one symmetry spec: the enumeration of a canonical
+/// representative's distinct orbit members other than itself, each with
+/// the first group permutation (in [`SymmetrySpec::group_perms_flat`]
+/// order) producing it. A walk keeps one, so the group, its index and the
+/// member scratch are built once.
 ///
-/// Each member `σ(canon)` is encoded with σ installed in `canon`'s
-/// canonical permutations (`canon` is canonical, so that encoding is
-/// exactly the canonical form of `canon.permute_threads(σ)`), deduplicated
-/// by fingerprint and word comparison against the members found so far,
-/// and only a novel member is decoded. The scratch `perms` is
-/// overwritten.
-pub(crate) fn orbit_members(
-    spec: &SymmetrySpec,
-    group: &[Vec<u8>],
-    canon: &Config,
-    perms: &mut CanonPerms,
-) -> Vec<(Vec<u8>, Config)> {
+/// Members are built by permutation, not by encoding: a thread
+/// permutation leaves op ids untouched, so `σ(canon)`
+/// ([`Config::permuted_into`]) of a canonical `canon` is already the
+/// canonical form of that member. Duplicates are excluded through the
+/// representative's stabiliser `Stab = { g : g(canon) = canon }`:
+/// `σ(canon) = τ(canon)` iff `σ ∈ τ·Stab`, so each distinct member is
+/// produced by the first permutation of its coset `σ·Stab`, and the
+/// identity's coset — `Stab` itself — produces `canon`. With a trivial
+/// stabiliser (every thread distinguishable, the common case) every
+/// non-identity permutation is a new member.
+pub(crate) struct Orbits<'s> {
+    spec: &'s SymmetrySpec,
+    /// Every group permutation, `n` bytes each, back to back.
+    group: Vec<u8>,
+    n: usize,
+    /// Each group permutation's position in `group`, built the first time
+    /// a representative has a non-trivial stabiliser.
+    index: FxHashMap<Vec<u8>, u32>,
+    /// Scratch: the stabiliser's positions in `group`, which positions an
+    /// earlier coset already produced, a composed permutation and the
+    /// member being built.
+    stab: Vec<u32>,
+    done: Vec<bool>,
+    composed: Vec<u8>,
+    member: Option<Config>,
+}
+
+impl<'s> Orbits<'s> {
+    /// Orbit expansion over `spec`'s group.
+    pub(crate) fn new(spec: &'s SymmetrySpec) -> Orbits<'s> {
+        Orbits {
+            spec,
+            group: spec.group_perms_flat(),
+            n: spec.n_threads(),
+            index: FxHashMap::default(),
+            stab: Vec::new(),
+            done: Vec::new(),
+            composed: Vec::new(),
+            member: None,
+        }
+    }
+
+    /// The spec the orbits are taken under.
+    pub(crate) fn spec(&self) -> &'s SymmetrySpec {
+        self.spec
+    }
+
+    /// Expand a terminal/deadlock set in place: append every distinct
+    /// non-representative orbit member of each entry. Distinct
+    /// representatives have disjoint orbits, so no cross-entry dedup is
+    /// needed and the result equals the unreduced search's set.
+    pub(crate) fn expand(&mut self, cfgs: &mut Vec<Config>) {
+        let mut extra = Vec::new();
+        for c in cfgs.iter() {
+            self.for_each_member(c, |_, m| extra.push(m.clone()));
+        }
+        cfgs.extend(extra);
+    }
+
+    /// Call `f(σ, member)` for each distinct orbit member of the canonical
+    /// representative `canon` other than `canon` itself, in group order,
+    /// `σ` being the first group permutation producing it. States fixed by
+    /// a subgroup yield fewer members than `orbit_size() - 1`. `member` is
+    /// scratch, overwritten by the next call: clone it to keep it.
+    pub(crate) fn for_each_member(&mut self, canon: &Config, mut f: impl FnMut(&[u8], &Config)) {
+        let maps = self.spec.maps();
+        let member = self.member.get_or_insert_with(|| canon.clone());
+        self.stab.clear();
+        for (k, g) in self.group.chunks_exact(self.n).enumerate() {
+            if fixes_control(canon, g, maps) {
+                canon.permuted_into(g, maps, member);
+                if member == canon {
+                    self.stab.push(k as u32);
+                }
+            }
+        }
+        if self.stab.len() == 1 {
+            for g in self.group.chunks_exact(self.n).filter(|g| !is_identity(g)) {
+                canon.permuted_into(g, maps, member);
+                f(g, member);
+            }
+            return;
+        }
+        if self.index.is_empty() {
+            let perms = self.group.chunks_exact(self.n).enumerate();
+            self.index = perms.map(|(k, g)| (g.to_vec(), k as u32)).collect();
+        }
+        self.done.clear();
+        self.done.resize(self.group.len() / self.n, false);
+        for (k, sigma) in self.group.chunks_exact(self.n).enumerate() {
+            if self.done[k] {
+                continue;
+            }
+            // Mark the coset σ·Stab: every permutation in it produces
+            // the same member as σ.
+            for &s in &self.stab {
+                let s = &self.group[s as usize * self.n..][..self.n];
+                self.composed.clear();
+                self.composed.extend(s.iter().map(|&t| sigma[t as usize]));
+                self.done[self.index[&self.composed] as usize] = true;
+            }
+            if !self.stab.contains(&(k as u32)) {
+                canon.permuted_into(sigma, maps, member);
+                f(sigma, member);
+            }
+        }
+    }
+}
+
+/// The control-state half of `g(canon) = canon`: every thread `g` moves
+/// has the pc and, in representative numbering, the register file of
+/// the thread it moves to. A cheap necessary condition that rules out
+/// most permutations before their memory is built.
+fn fixes_control(canon: &Config, g: &[u8], maps: &SymMaps) -> bool {
+    g.iter().enumerate().all(|(t, &j)| {
+        let j = j as usize;
+        if t == j {
+            return true;
+        }
+        let (ft, fj) = (canon.locals(t), canon.locals(j));
+        let (rt, rj) = (&maps.from_rep[t], &maps.from_rep[j]);
+        canon.pc(t) == canon.pc(j)
+            && rt.len() == rj.len()
+            && rt.iter().zip(rj).all(|(&a, &b)| ft[a as usize] == fj[b as usize])
+    })
+}
+
+/// The distinct orbit members of canonical state `canon` other than
+/// `canon`, each with the first group permutation producing it, by the
+/// encode→decode construction: each member `σ(canon)` is encoded with σ
+/// installed in `canon`'s canonical permutations, deduplicated by
+/// fingerprint and word comparison against the members found so far, and
+/// decoded. The specification [`Orbits::for_each_member`] is tested
+/// against.
+#[cfg(test)]
+pub(crate) fn orbit_members_spec(spec: &SymmetrySpec, canon: &Config) -> Vec<(Vec<u8>, Config)> {
     let maps = Some(spec.maps());
-    canon.mem.canonical_perms_into(perms);
+    let mut perms = canon.mem.canonical_perms();
     // Every distinct member's words back to back, `canon`'s first: member
     // `k` is `words[starts[k]..starts[k + 1]]`.
     let mut words = Vec::new();
-    canon.encode_canonical(perms, maps, &mut words);
+    canon.encode_canonical(&perms, maps, &mut words);
     let mut starts = vec![0, words.len()];
     let mut seen: FxHashMap<Fp128, IdBucket> = FxHashMap::default();
     seen.insert(fingerprint(&words), IdBucket::One(0));
     let mut out: Vec<(Vec<u8>, Config)> = Vec::new();
-    for sigma in group {
-        if is_identity(sigma) {
+    for sigma in spec.group_perms() {
+        if is_identity(&sigma) {
             continue;
         }
-        perms.threads.clear();
-        perms.threads.extend_from_slice(sigma);
+        perms.threads.clone_from(&sigma);
         let at = words.len();
-        canon.encode_canonical(perms, maps, &mut words);
+        canon.encode_canonical(&perms, maps, &mut words);
         let (known, member) = words.split_at(at);
         let fp = fingerprint(member);
         let member_words = |k: u32| &known[starts[k as usize]..starts[k as usize + 1]];
@@ -141,25 +257,9 @@ pub(crate) fn orbit_members(
         let id = (starts.len() - 1) as u32;
         seen.entry(fp).and_modify(|bucket| bucket.push(id)).or_insert(IdBucket::One(id));
         starts.push(words.len());
-        out.push((sigma.clone(), Config::decode(&words[at..])));
+        out.push((sigma, Config::decode(&words[at..])));
     }
     out
-}
-
-/// Expand a terminal/deadlock set in place: append every distinct
-/// non-representative orbit member of each entry. Distinct representatives
-/// have disjoint orbits, so no cross-entry dedup is needed and the result
-/// equals the unreduced search's set.
-pub(crate) fn expand_terminals(spec: &SymmetrySpec, cfgs: &mut Vec<Config>) {
-    let group = spec.group_perms();
-    let mut perms = CanonPerms::default();
-    let mut extra = Vec::new();
-    for c in cfgs.iter() {
-        for (_, m) in orbit_members(spec, &group, c, &mut perms) {
-            extra.push(m);
-        }
-    }
-    cfgs.extend(extra);
 }
 
 #[cfg(test)]
@@ -181,6 +281,13 @@ mod tests {
         assert_eq!(remap_mask(0, &[1, 0]), 0);
     }
 
+    /// The members [`Orbits::for_each_member`] lists for `canon`, kept.
+    fn members_of(orbits: &mut Orbits<'_>, canon: &Config) -> Vec<(Vec<u8>, Config)> {
+        let mut out = Vec::new();
+        orbits.for_each_member(canon, |sigma, m| out.push((sigma.to_vec(), m.clone())));
+        out
+    }
+
     #[test]
     fn orbit_members_cover_the_symmetric_successors() {
         let (prog, spec) = spec_of(
@@ -196,20 +303,19 @@ mod tests {
         assert!(!spec.is_trivial());
         let init = Config::initial(&prog).canonical();
         // The initial configuration is fixed by the group: no members.
-        let group = spec.group_perms();
-        let mut perms = CanonPerms::default();
-        assert!(orbit_members(&spec, &group, &init, &mut perms).is_empty());
+        let mut orbits = Orbits::new(&spec);
+        assert!(members_of(&mut orbits, &init).is_empty());
         // After one step the orbit has exactly two states: the rep and its
         // mirror.
         let succs =
             rc11_lang::successors(&prog, &rc11_lang::NoObjects, &init, Default::default());
         assert!(!succs.is_empty());
         let canon = {
-            let mut words = Vec::new();
+            let (mut perms, mut words) = (CanonPerms::default(), Vec::new());
             encode(Some(&spec), &succs[0].1, &mut perms, &mut words);
             Config::decode(&words)
         };
-        let members = orbit_members(&spec, &group, &canon, &mut perms);
+        let members = members_of(&mut orbits, &canon);
         assert_eq!(members.len(), 1, "one non-representative orbit member");
         assert_ne!(members[0].1, canon);
     }
@@ -235,8 +341,43 @@ mod tests {
             Config::decode(&words)
         };
         let mut set = vec![canon];
-        expand_terminals(&spec, &mut set);
+        Orbits::new(&spec).expand(&mut set);
         assert_eq!(set.len(), 2);
         assert_ne!(set[0], set[1]);
+    }
+
+    /// Hold orbit expansion by permutation to the encode→decode
+    /// specification, members and permutations in order, on up to `cap`
+    /// canonical states of `prog` (the reference explorer's, so
+    /// representatives and non-representatives alike); returns the number
+    /// of states with a non-trivial stabiliser.
+    fn orbits_agree_with_spec(name: &str, prog: &CfgProgram, cap: usize) -> usize {
+        let spec = thread_symmetry(prog);
+        let mut orbits = Orbits::new(&spec);
+        let mut stabilised = 0;
+        crate::reference::explore(prog, crate::objects_of(prog), cap, |canon, _| {
+            let members = members_of(&mut orbits, canon);
+            assert_eq!(members, orbit_members_spec(&spec, canon), "{name}: {canon:?}");
+            stabilised += usize::from(members.len() + 1 < spec.orbit_size());
+        });
+        stabilised
+    }
+
+    /// Every symmetric corpus file, and generated programs whose threads
+    /// are clones of one body.
+    #[test]
+    fn orbit_members_by_permutation_equal_the_encode_decode_construction() {
+        let (mut corpus, mut generated, mut stabilised) = (0, 0, 0);
+        for (name, prog) in crate::test_programs(200) {
+            if thread_symmetry(&prog).is_trivial() {
+                continue;
+            }
+            let is_corpus = !name.starts_with("seed");
+            *(if is_corpus { &mut corpus } else { &mut generated }) += 1;
+            stabilised += orbits_agree_with_spec(&name, &prog, if is_corpus { 3_000 } else { 500 });
+        }
+        assert!(corpus >= 5, "{corpus} symmetric corpus files");
+        assert!(generated >= 20, "{generated} symmetric generated programs");
+        assert!(stabilised > 0, "no state with a non-trivial stabiliser was compared");
     }
 }

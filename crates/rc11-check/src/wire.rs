@@ -354,14 +354,17 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one whole UTF-8 scalar (input is &str, so
-                    // boundaries are valid).
+                    // Copy the run up to the next quote or backslash at
+                    // once, so decoding stays linear in the line. Both are
+                    // ASCII, which never occurs inside a multi-byte
+                    // scalar, so the run ends on a scalar boundary.
                     let rest = &self.src[self.pos..];
-                    let s = std::str::from_utf8(rest)
+                    let len = rest.iter().position(|&b| b == b'"' || b == b'\\');
+                    let run = &rest[..len.unwrap_or(rest.len())];
+                    let run = std::str::from_utf8(run)
                         .map_err(|_| self.err("invalid utf-8 in string"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += run.len();
                 }
             }
         }
@@ -460,6 +463,42 @@ mod tests {
         assert!(err.msg.contains("nesting"), "{err}");
         let err = parse_json(&"{\"a\":".repeat(MAX_DEPTH + 1)).unwrap_err();
         assert!(err.msg.contains("nesting"), "{err}");
+    }
+
+    /// A request line near `rc11d`'s 4 MiB line cap decodes in time
+    /// linear in its length: plain runs are copied whole, escapes and
+    /// multi-byte scalars included.
+    #[test]
+    fn a_four_mib_string_round_trips() {
+        let unit = "thread A { r = x; } // é → ✓ \"q\" \\ \t\n";
+        let source = unit.repeat((4 << 20) / unit.len());
+        assert!(source.len() > (4 << 20) - unit.len());
+        let v = obj(vec![("cmd", Json::Str("check".into())), ("source", Json::Str(source))]);
+        let line = v.to_string_line();
+        let started = std::time::Instant::now();
+        assert_eq!(parse_json(&line).unwrap(), v);
+        let took = started.elapsed();
+        assert!(took < std::time::Duration::from_secs(5), "decoding took {took:?}");
+    }
+
+    /// Truncated strings and escapes fail with the same message and
+    /// offset as before: the run copy stops at the end of the input, and
+    /// multi-byte scalars never split.
+    #[test]
+    fn truncated_strings_keep_their_errors() {
+        for (src, msg, at) in [
+            ("\"open", "unterminated string", 5),
+            ("\"caf\u{e9}", "unterminated string", 6),
+            ("\"\u{2713}\u{2713}", "unterminated string", 7),
+            ("\"a\\", "bad escape", 3),
+            ("\"a\\u12", "truncated \\u escape", 3),
+            ("\"a\\uzzzz\"", "bad \\u escape", 3),
+            ("\"a\\q\"", "bad escape", 3),
+            ("[\"\u{e9}, 1", "unterminated string", 7),
+        ] {
+            let err = parse_json(src).unwrap_err();
+            assert_eq!((err.msg.as_str(), err.at), (msg, at), "{src:?}");
+        }
     }
 
     #[test]

@@ -27,9 +27,23 @@ pub struct ReadChoice {
 }
 
 /// The combined memory state: client component + library component.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct Combined {
     states: [CState; 2],
+}
+
+impl Clone for Combined {
+    fn clone(&self) -> Combined {
+        Combined { states: self.states.clone() }
+    }
+
+    /// Component by component, reusing every buffer (see
+    /// [`CState`]'s `clone_from`).
+    fn clone_from(&mut self, src: &Combined) {
+        let ([c, l], [sc, sl]) = (&mut self.states, &src.states);
+        c.clone_from(sc);
+        l.clone_from(sl);
+    }
 }
 
 impl Combined {
@@ -63,6 +77,16 @@ impl Combined {
         match c {
             Comp::Client => Combined { states: [client.clone_with_room(), lib.clone()] },
             Comp::Lib => Combined { states: [client.clone(), lib.clone_with_room()] },
+        }
+    }
+
+    /// Overwrite `out` with this state's threads permuted by
+    /// `sigma[old] = new`, reusing `out`'s buffers: what
+    /// [`Combined::permute_threads`] builds. Op ids are untouched, so the
+    /// permutation of a canonical state is canonical.
+    pub fn permuted_into(&self, sigma: &[u8], out: &mut Combined) {
+        for (st, o) in self.states.iter().zip(&mut out.states) {
+            st.permuted_into(sigma, o);
         }
     }
 
@@ -126,23 +150,30 @@ impl Combined {
             .collect()
     }
 
-    /// Apply a read (`rd` / `rd^A`) of `loc` by `t` reading from `from`.
+    /// Apply a read (`rd` / `rd^A`) of `loc` by `t` reading from `from`:
+    /// [`Combined::step_read`] on a copy.
+    #[must_use]
+    pub fn apply_read(&self, c: Comp, t: Tid, loc: Loc, acq: bool, from: OpId) -> Combined {
+        let mut next = self.clone();
+        next.step_read(c, t, loc, acq, from);
+        next
+    }
+
+    /// Take a read (`rd` / `rd^A`) of `loc` by `t` reading from `from`, in
+    /// place.
     ///
     /// An acquiring read of a releasing write synchronises: the executing
     /// component's thread view joins the write's own-half `mview`, and the
     /// *context* thread view joins the cross-half — this is how library
     /// synchronisation updates client views and vice versa.
-    #[must_use]
-    pub fn apply_read(&self, c: Comp, t: Tid, loc: Loc, acq: bool, from: OpId) -> Combined {
-        let mut next = self.clone();
-        let (exec, ctx) = next.exec_ctx_mut(c);
+    pub fn step_read(&mut self, c: Comp, t: Tid, loc: Loc, acq: bool, from: OpId) {
+        let (exec, ctx) = self.exec_ctx_mut(c);
         let sync = acq && exec.op(from).act.is_releasing();
         if sync {
             exec.sync_with(from, t, ctx);
         } else {
             exec.tview_mut(t).set(loc, from);
         }
-        next
     }
 
     // ------------------------------------------------------------------
@@ -154,10 +185,9 @@ impl Combined {
         self.comp(c).obs_uncovered(t, loc).collect()
     }
 
-    /// Apply a write (`wr` / `wr^R`) of `v` to `loc`, placed immediately
-    /// after `after`. The writer's view moves to the new write, and the new
-    /// write's modification view records the writer's views of *both*
-    /// components (`mview' = tview' ∪ β.tview_t`).
+    /// Apply a write (`wr` / `wr^R`) of `v` to `loc` after `after`:
+    /// [`Combined::step_write`] on a copy made with room for the new
+    /// operation.
     #[must_use]
     pub fn apply_write(
         &self,
@@ -169,12 +199,20 @@ impl Combined {
         after: OpId,
     ) -> Combined {
         let mut next = self.with_room(c);
-        let (exec, ctx) = next.exec_ctx_mut(c);
+        next.step_write(c, t, loc, v, rel, after);
+        next
+    }
+
+    /// Take a write (`wr` / `wr^R`) of `v` to `loc`, placed immediately
+    /// after `after`, in place. The writer's view moves to the new write,
+    /// and the new write's modification view records the writer's views
+    /// of *both* components (`mview' = tview' ∪ β.tview_t`).
+    pub fn step_write(&mut self, c: Comp, t: Tid, loc: Loc, v: Val, rel: bool, after: OpId) {
+        let (exec, ctx) = self.exec_ctx_mut(c);
         debug_assert!(!exec.is_covered(after), "write after a covered op violates atomicity");
         let new = exec.insert_after(after, OpRecord { loc, tid: t, act: OpAction::Write { v, rel } });
         exec.tview_mut(t).set(loc, new);
         exec.record_mview(new, t, ctx);
-        next
     }
 
     // ------------------------------------------------------------------
@@ -197,17 +235,26 @@ impl Combined {
         self.comp(c).op(w).act.wrval()
     }
 
-    /// Apply an update (`upd^RA`) writing `v`, interacting with `after`.
+    /// Apply an update (`upd^RA`) writing `v`, interacting with `after`:
+    /// [`Combined::step_update`] on a copy made with room for the new
+    /// operation.
+    #[must_use]
+    pub fn apply_update(&self, c: Comp, t: Tid, loc: Loc, v: Val, after: OpId) -> Combined {
+        let mut next = self.with_room(c);
+        next.step_update(c, t, loc, v, after);
+        next
+    }
+
+    /// Take an update (`upd^RA`) writing `v`, interacting with `after`, in
+    /// place.
     ///
     /// Combines Read and Write: the interacted-with operation becomes
     /// covered (no later write may intervene — atomicity of read-modify-
     /// write), the updater's view includes the new operation, and if the
     /// covered operation was releasing, the update additionally synchronises
     /// like an acquiring read (both component views join the `mview`).
-    #[must_use]
-    pub fn apply_update(&self, c: Comp, t: Tid, loc: Loc, v: Val, after: OpId) -> Combined {
-        let mut next = self.with_room(c);
-        let (exec, ctx) = next.exec_ctx_mut(c);
+    pub fn step_update(&mut self, c: Comp, t: Tid, loc: Loc, v: Val, after: OpId) {
+        let (exec, ctx) = self.exec_ctx_mut(c);
         debug_assert!(!exec.is_covered(after), "update of a covered op violates atomicity");
         let v_read = exec.op(after).act.wrval();
         let sync = exec.op(after).act.is_releasing();
@@ -219,7 +266,6 @@ impl Combined {
             exec.sync_with(after, t, ctx);
         }
         exec.record_mview(new, t, ctx);
-        next
     }
 }
 

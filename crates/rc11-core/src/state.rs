@@ -84,7 +84,7 @@ const MVIEW: usize = 2;
 /// * every view entry for location `x` is an operation on `x`;
 /// * thread views only move forward over time (monotonicity — enforced by
 ///   the transition rules, asserted in property tests).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct CState {
     /// Which component this is (`γ` = client, `β` = library).
     pub comp: Comp,
@@ -98,6 +98,22 @@ pub struct CState {
     /// Offsets, thread views, op rows and modification orders (see the
     /// module docs).
     pub(crate) tab: Vec<OpId>,
+}
+
+impl Clone for CState {
+    fn clone(&self) -> CState {
+        CState { ops: self.ops.clone(), tab: self.tab.clone(), ..*self }
+    }
+
+    /// Field-wise, reusing both buffers: refilling a state that has grown
+    /// to the source's size allocates nothing (how the walk's successor
+    /// pool reuses its configurations).
+    fn clone_from(&mut self, src: &CState) {
+        (self.comp, self.n_locs, self.n_threads, self.n_other) =
+            (src.comp, src.n_locs, src.n_threads, src.n_other);
+        self.ops.clone_from(&src.ops);
+        self.tab.clone_from(&src.tab);
+    }
 }
 
 impl CState {
@@ -161,6 +177,26 @@ impl CState {
         let mut tab = Vec::with_capacity(self.tab.len() + self.stride() + 1);
         tab.extend_from_slice(&self.tab);
         CState { ops, tab, ..*self }
+    }
+
+    /// Overwrite `out` with this state's threads permuted by
+    /// `sigma[old] = new`, reusing `out`'s buffers: the op records of
+    /// non-initialisation operations renamed ([`crate::canon`]'s
+    /// `permute_rec`) and each thread view moved to its new row. Op ids
+    /// are untouched, so a canonical state stays canonical. The in-place
+    /// form of [`CState::renumbered`] under identity op permutations.
+    pub(crate) fn permuted_into(&self, sigma: &[u8], out: &mut CState) {
+        out.clone_from(self);
+        for (w, rec) in self.ops.iter().enumerate() {
+            if self.rank_of(OpId(w as u32)) > 0 {
+                out.ops[w] = crate::canon::permute_rec(*rec, sigma);
+            }
+        }
+        let (base, width) = (self.tview_base(), self.n_locs);
+        for (t, &new_t) in sigma.iter().enumerate() {
+            let (from, to) = (base + t * width, base + new_t as usize * width);
+            out.tab[to..to + width].copy_from_slice(&self.tab[from..from + width]);
+        }
     }
 
     // ------------------------------------------------------------------

@@ -112,7 +112,10 @@ impl fmt::Display for EvalError {
 impl std::error::Error for EvalError {}
 
 impl Exp {
-    /// Evaluate under a register valuation — `⟦E⟧ls` in the paper.
+    /// Evaluate under a register valuation — `⟦E⟧ls` in the paper. The
+    /// recursion only evaluates operands; applying an operator is a
+    /// separate, non-recursive step, so each level of a deep expression
+    /// costs one small stack frame.
     pub fn eval(&self, ls: &[Val]) -> Result<Val, EvalError> {
         match self {
             Exp::Val(v) => Ok(*v),
@@ -120,50 +123,10 @@ impl Exp {
                 .get(r.idx())
                 .copied()
                 .ok_or_else(|| EvalError(format!("register {r} out of range"))),
-            Exp::Un(op, e) => {
-                let v = e.eval(ls)?;
-                match op {
-                    UnOp::Not => v
-                        .as_bool()
-                        .map(|b| Val::Bool(!b))
-                        .ok_or_else(|| EvalError(format!("¬ applied to {v}"))),
-                    UnOp::Neg => v
-                        .as_int()
-                        .map(|n| Val::Int(-n))
-                        .ok_or_else(|| EvalError(format!("- applied to {v}"))),
-                    UnOp::Even => v
-                        .as_int()
-                        .map(|n| Val::Bool(n % 2 == 0))
-                        .ok_or_else(|| EvalError(format!("even applied to {v}"))),
-                }
-            }
+            Exp::Un(op, e) => apply_un(*op, e.eval(ls)?),
             Exp::Bin(op, a, b) => {
                 let va = a.eval(ls)?;
-                let vb = b.eval(ls)?;
-                let int = |v: Val, what: &str| {
-                    v.as_int().ok_or_else(|| EvalError(format!("{what} applied to {v}")))
-                };
-                let boolean = |v: Val, what: &str| {
-                    v.as_bool().ok_or_else(|| EvalError(format!("{what} applied to {v}")))
-                };
-                Ok(match op {
-                    BinOp::Add => Val::Int(int(va, "+")? + int(vb, "+")?),
-                    BinOp::Sub => Val::Int(int(va, "-")? - int(vb, "-")?),
-                    BinOp::Mul => Val::Int(int(va, "*")? * int(vb, "*")?),
-                    BinOp::Mod => {
-                        let d = int(vb, "%")?;
-                        if d == 0 {
-                            return Err(EvalError("modulo by zero".into()));
-                        }
-                        Val::Int(int(va, "%")? % d)
-                    }
-                    BinOp::Eq => Val::Bool(va == vb),
-                    BinOp::Ne => Val::Bool(va != vb),
-                    BinOp::Lt => Val::Bool(int(va, "<")? < int(vb, "<")?),
-                    BinOp::Le => Val::Bool(int(va, "≤")? <= int(vb, "≤")?),
-                    BinOp::And => Val::Bool(boolean(va, "∧")? && boolean(vb, "∧")?),
-                    BinOp::Or => Val::Bool(boolean(va, "∨")? || boolean(vb, "∨")?),
-                })
+                apply_bin(*op, va, b.eval(ls)?)
             }
         }
     }
@@ -181,6 +144,52 @@ impl Exp {
             }
         }
     }
+}
+
+/// `op v`, for [`Exp::eval`].
+fn apply_un(op: UnOp, v: Val) -> Result<Val, EvalError> {
+    match op {
+        UnOp::Not => v
+            .as_bool()
+            .map(|b| Val::Bool(!b))
+            .ok_or_else(|| EvalError(format!("¬ applied to {v}"))),
+        UnOp::Neg => v
+            .as_int()
+            .map(|n| Val::Int(-n))
+            .ok_or_else(|| EvalError(format!("- applied to {v}"))),
+        UnOp::Even => v
+            .as_int()
+            .map(|n| Val::Bool(n % 2 == 0))
+            .ok_or_else(|| EvalError(format!("even applied to {v}"))),
+    }
+}
+
+/// `va op vb`, for [`Exp::eval`].
+fn apply_bin(op: BinOp, va: Val, vb: Val) -> Result<Val, EvalError> {
+    let int = |v: Val, what: &str| {
+        v.as_int().ok_or_else(|| EvalError(format!("{what} applied to {v}")))
+    };
+    let boolean = |v: Val, what: &str| {
+        v.as_bool().ok_or_else(|| EvalError(format!("{what} applied to {v}")))
+    };
+    Ok(match op {
+        BinOp::Add => Val::Int(int(va, "+")? + int(vb, "+")?),
+        BinOp::Sub => Val::Int(int(va, "-")? - int(vb, "-")?),
+        BinOp::Mul => Val::Int(int(va, "*")? * int(vb, "*")?),
+        BinOp::Mod => {
+            let d = int(vb, "%")?;
+            if d == 0 {
+                return Err(EvalError("modulo by zero".into()));
+            }
+            Val::Int(int(va, "%")? % d)
+        }
+        BinOp::Eq => Val::Bool(va == vb),
+        BinOp::Ne => Val::Bool(va != vb),
+        BinOp::Lt => Val::Bool(int(va, "<")? < int(vb, "<")?),
+        BinOp::Le => Val::Bool(int(va, "≤")? <= int(vb, "≤")?),
+        BinOp::And => Val::Bool(boolean(va, "∧")? && boolean(vb, "∧")?),
+        BinOp::Or => Val::Bool(boolean(va, "∨")? || boolean(vb, "∨")?),
+    })
 }
 
 /// The methods of the abstract objects shipped with this reproduction.

@@ -35,7 +35,8 @@ pub use canon_prog::{canonical_litmus_words, canonical_words};
 pub use cfg::{compile, CfgProgram, Instr, ThreadCfg};
 pub use inline::{instantiate, CallSite, ObjectImpl};
 pub use machine::{
-    successors, thread_successors, Config, NoObjects, ObjectSemantics, StepOptions, SymMaps,
+    successors, thread_successors, Config, NoObjects, ObjectSemantics, StepOptions, SuccessorPool,
+    SymMaps,
 };
 pub use parse::{parse_litmus, LintInfo, ParseError, ParsedLitmus, Span, ThreadLintInfo};
 pub use program::{ObjKind, Program, ThreadDef};

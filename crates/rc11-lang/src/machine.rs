@@ -12,7 +12,7 @@ use crate::ast::{Method, Reg};
 use crate::cfg::{CfgProgram, Instr};
 use crate::program::ObjKind;
 use rc11_core::canon::{encode_val, hash_words, invert_tperm, WordReader};
-use rc11_core::{AccessKind, CState, CanonPerms, Combined, Loc, StepFootprint, Tid, Val};
+use rc11_core::{AccessKind, CState, CanonPerms, Combined, Comp, Loc, StepFootprint, Tid, Val};
 use std::cell::RefCell;
 
 /// Execution semantics of abstract objects (Section 4), supplied by the
@@ -88,8 +88,9 @@ impl SymMaps {
 /// and `regs` holds every register file, thread by thread. With the two
 /// buffers of each component state (see [`rc11_core::CState`]), a
 /// configuration owns six heap buffers, whatever its thread, register,
-/// location or operation count, and cloning it makes six allocations.
-#[derive(Clone, PartialEq, Eq, Hash)]
+/// location or operation count, and cloning it makes six allocations;
+/// `clone_from` reuses all six ([`SuccessorPool`]).
+#[derive(PartialEq, Eq, Hash)]
 pub struct Config {
     /// Pcs, then register-file offsets into `regs`.
     ctl: Vec<u32>,
@@ -97,6 +98,20 @@ pub struct Config {
     regs: Vec<Val>,
     /// The combined client–library memory state.
     pub mem: Combined,
+}
+
+impl Clone for Config {
+    fn clone(&self) -> Config {
+        Config { ctl: self.ctl.clone(), regs: self.regs.clone(), mem: self.mem.clone() }
+    }
+
+    /// Buffer by buffer: a configuration that has grown to the source's
+    /// size is refilled without allocating.
+    fn clone_from(&mut self, src: &Config) {
+        self.ctl.clone_from(&src.ctl);
+        self.regs.clone_from(&src.regs);
+        self.mem.clone_from(&src.mem);
+    }
 }
 
 impl std::fmt::Debug for Config {
@@ -318,26 +333,38 @@ impl Config {
     }
 
     /// Rebuild this configuration with threads permuted by
-    /// `sigma[old] = new`: control state via [`SymMaps`]-aware slot moves
-    /// (see [`Config::encode_canonical`]), memory via
-    /// [`rc11_core::Combined::permute_threads`]. When `sigma` is a program
-    /// automorphism the result is a reachable configuration with the same
-    /// future behaviour up to the same permutation. The reference for
-    /// encoding under a thread permutation.
+    /// `sigma[old] = new` ([`Config::permuted_into`] on a copy). When
+    /// `sigma` is a program automorphism the result is a reachable
+    /// configuration with the same future behaviour up to the same
+    /// permutation.
     #[must_use]
     pub fn permute_threads(&self, sigma: &[u8], maps: &SymMaps) -> Config {
+        let mut out = self.clone();
+        self.permuted_into(sigma, maps, &mut out);
+        out
+    }
+
+    /// Overwrite `out` with this configuration's threads permuted by
+    /// `sigma[old] = new`, reusing its buffers: slot `j` takes thread
+    /// `σ⁻¹(j)`'s pc and register file in slot `j`'s numbering (through
+    /// [`SymMaps`], meaningful only within symmetry groups, as in
+    /// [`Config::encode_canonical`]), and the memory is
+    /// [`rc11_core::Combined::permuted_into`]. Op ids are untouched, so a
+    /// canonical configuration permutes to a canonical one: this is how an
+    /// orbit member of an interned representative is built.
+    pub fn permuted_into(&self, sigma: &[u8], maps: &SymMaps, out: &mut Config) {
         let inv = invert_tperm(sigma);
         let n = self.n_threads();
-        let pcs: Vec<u32> = (0..n).map(|j| self.pc(inv[j] as usize)).collect();
-        let locals: Vec<Vec<Val>> = (0..n)
-            .map(|j| {
-                let t = inv[j] as usize;
-                let file = self.locals(t);
-                let from_rep = &maps.from_rep[t];
-                maps.to_rep[j].iter().map(|&k| file[from_rep[k as usize] as usize]).collect()
-            })
-            .collect();
-        Config::from_parts(&pcs, &locals, self.mem.permute_threads(sigma))
+        out.ctl.clear();
+        out.ctl.extend((0..n).map(|j| self.pc(inv[j] as usize)));
+        out.ctl.push(0);
+        out.regs.clear();
+        for (&t, to_rep) in inv.iter().zip(&maps.to_rep) {
+            let (file, from_rep) = (self.locals(t as usize), &maps.from_rep[t as usize]);
+            out.regs.extend(to_rep.iter().map(|&k| file[from_rep[k as usize] as usize]));
+            out.ctl.push(out.regs.len() as u32);
+        }
+        self.mem.permuted_into(sigma, &mut out.mem);
     }
 
     /// True iff every thread is at `Halt`.
@@ -541,6 +568,71 @@ pub fn thread_footprint(prog: &CfgProgram, cfg: &Config, t: usize) -> StepFootpr
     }
 }
 
+/// A reusable pool of successor configurations: it derefs to the current
+/// successors, and keeps spare configurations behind them for their
+/// buffers. A successor is written into the
+/// next slot by a field-wise `clone_from` of its parent and an in-place
+/// step, so once every slot has grown to the states it holds, generating
+/// a successor allocates nothing. A new slot is a copy of the parent
+/// made with room for the operation its step inserts
+/// ([`rc11_core::Combined::with_room`]), so even a cold pool makes one
+/// allocation per buffer and successor.
+#[derive(Default)]
+pub struct SuccessorPool {
+    cfgs: Vec<Config>,
+    len: usize,
+}
+
+impl std::ops::Deref for SuccessorPool {
+    type Target = [Config];
+
+    fn deref(&self) -> &[Config] {
+        &self.cfgs[..self.len]
+    }
+}
+
+impl SuccessorPool {
+    /// Forget the current successors, keeping every slot's buffers.
+    pub fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// The current successors, moved out (the pool keeps none of their
+    /// buffers): how the allocating wrappers hand them over.
+    pub fn take(&mut self) -> Vec<Config> {
+        let taken = self.cfgs.drain(..self.len).collect();
+        self.len = 0;
+        taken
+    }
+
+    /// The next slot, holding a copy of `parent` — made with room for one
+    /// more operation of component `room` when the slot is new.
+    fn push_copy(&mut self, parent: &Config, room: Option<Comp>) -> &mut Config {
+        if self.len == self.cfgs.len() {
+            let mem = room.map_or_else(|| parent.mem.clone(), |c| parent.mem.with_room(c));
+            self.cfgs.push(parent.with_mem(mem));
+        } else {
+            self.cfgs[self.len].clone_from(parent);
+        }
+        self.len += 1;
+        &mut self.cfgs[self.len - 1]
+    }
+
+    /// The next slot, holding `parent`'s control state and `mem`.
+    fn push_with_mem(&mut self, parent: &Config, mem: Combined) -> &mut Config {
+        if self.len == self.cfgs.len() {
+            self.cfgs.push(parent.with_mem(mem));
+        } else {
+            let slot = &mut self.cfgs[self.len];
+            slot.ctl.clone_from(&parent.ctl);
+            slot.regs.clone_from(&parent.regs);
+            slot.mem = mem;
+        }
+        self.len += 1;
+        &mut self.cfgs[self.len - 1]
+    }
+}
+
 /// All successor configurations of `cfg` by a step of thread `t`. An
 /// empty result means `t` is blocked or halted.
 pub fn thread_successors(
@@ -550,66 +642,68 @@ pub fn thread_successors(
     t: usize,
     opts: StepOptions,
 ) -> Vec<Config> {
-    let mut out = Vec::new();
-    thread_successors_into(prog, objs, cfg, t, opts, &mut out);
-    out
+    let mut pool = SuccessorPool::default();
+    thread_successors_into(prog, objs, cfg, t, opts, &mut pool);
+    pool.take()
 }
 
-/// [`thread_successors`] appended to `out`, so a caller expanding many
-/// configurations reuses one buffer. Each successor is one copy of `cfg`
-/// made with room for the operation its step inserts
-/// ([`rc11_core::Combined::with_room`]); nothing else is allocated.
+/// [`thread_successors`] written into `pool` (whose previous successors
+/// it forgets), in the same order: each successor is a pool slot refilled
+/// from `cfg` and stepped in place (see [`SuccessorPool`]), so a walk
+/// expanding many configurations through one pool stops allocating once
+/// the pool has grown.
 pub fn thread_successors_into(
     prog: &CfgProgram,
     objs: &dyn ObjectSemantics,
     cfg: &Config,
     t: usize,
     opts: StepOptions,
-    out: &mut Vec<Config>,
+    pool: &mut SuccessorPool,
 ) {
     let th = &prog.threads[t];
     let tid = Tid(t as u8);
     let pc = cfg.pc(t);
     let instr = &th.instrs[pc as usize];
     let ls = cfg.locals(t);
+    pool.clear();
 
     // Finish a successor: set the destination register, advance the pc,
     // run the fused local chain behind the step.
-    let mut push = |mem: Combined, reg: Option<Reg>, val: Val| {
-        let mut c = cfg.with_mem(mem);
+    let finish = |c: &mut Config, reg: Option<Reg>, val: Val| {
         if let Some(r) = reg {
             c.set_reg(t, r, val);
         }
         c.set_pc(t, pc + 1);
         if opts.fuse_local {
-            run_local_chain(prog, &mut c, t, 100_000);
+            run_local_chain(prog, c, t, 100_000);
         }
-        out.push(c);
     };
 
     match instr {
         Instr::Halt => {}
         // A leading local instruction: one deterministic (fused) step.
         Instr::Assign(..) | Instr::Jmp(_) | Instr::JmpUnless { .. } => {
-            let mut c = cfg.clone();
+            let c = pool.push_copy(cfg, None);
             if opts.fuse_local {
-                run_local_chain(prog, &mut c, t, 100_000);
+                run_local_chain(prog, c, t, 100_000);
             } else {
-                local_step(prog, &mut c, t);
+                local_step(prog, c, t);
             }
-            out.push(c);
         }
         Instr::Write { var, exp, rel } => {
             let v = exp.eval(ls).expect("well-typed program");
             for w in cfg.mem.comp(var.comp).obs_uncovered(tid, var.loc) {
-                push(cfg.mem.apply_write(var.comp, tid, var.loc, v, *rel, w), None, v);
+                let c = pool.push_copy(cfg, Some(var.comp));
+                c.mem.step_write(var.comp, tid, var.loc, v, *rel, w);
+                finish(c, None, v);
             }
         }
         Instr::Read { reg, var, acq } => {
             let st = cfg.mem.comp(var.comp);
             for &from in st.obs(tid, var.loc) {
-                let mem = cfg.mem.apply_read(var.comp, tid, var.loc, *acq, from);
-                push(mem, Some(*reg), st.op(from).act.wrval());
+                let c = pool.push_copy(cfg, None);
+                c.mem.step_read(var.comp, tid, var.loc, *acq, from);
+                finish(c, Some(*reg), st.op(from).act.wrval());
             }
         }
         Instr::Cas { reg, var, expect, new } => {
@@ -621,20 +715,24 @@ pub fn thread_successors_into(
                 if st.op(from).act.wrval() == u {
                     continue;
                 }
-                let mem = cfg.mem.apply_read(var.comp, tid, var.loc, false, from);
-                push(mem, Some(*reg), Val::Bool(false));
+                let c = pool.push_copy(cfg, None);
+                c.mem.step_read(var.comp, tid, var.loc, false, from);
+                finish(c, Some(*reg), Val::Bool(false));
             }
             // Success: an RA update of an uncovered observable op with value u.
             for w in st.obs_uncovered(tid, var.loc).filter(|&w| st.op(w).act.wrval() == u) {
-                push(cfg.mem.apply_update(var.comp, tid, var.loc, v, w), Some(*reg), Val::Bool(true));
+                let c = pool.push_copy(cfg, Some(var.comp));
+                c.mem.step_update(var.comp, tid, var.loc, v, w);
+                finish(c, Some(*reg), Val::Bool(true));
             }
         }
         Instr::Fai { reg, var } => {
             for w in cfg.mem.comp(var.comp).obs_uncovered(tid, var.loc) {
                 let old = cfg.mem.wrval_of(var.comp, w);
                 let old_n = old.as_int().expect("FAI over integer variable");
-                let mem = cfg.mem.apply_update(var.comp, tid, var.loc, Val::Int(old_n + 1), w);
-                push(mem, Some(*reg), old);
+                let c = pool.push_copy(cfg, Some(var.comp));
+                c.mem.step_update(var.comp, tid, var.loc, Val::Int(old_n + 1), w);
+                finish(c, Some(*reg), old);
             }
         }
         Instr::Method { reg, obj, method, arg, sync } => {
@@ -645,7 +743,7 @@ pub fn thread_successors_into(
             let argv = arg.as_ref().map(|e| e.eval(ls).expect("well-typed program"));
             for (ret, mem) in objs.method_steps(&cfg.mem, tid, obj.loc, kind, *method, argv, *sync)
             {
-                push(mem, *reg, ret);
+                finish(pool.push_with_mem(cfg, mem), *reg, ret);
             }
         }
     }
@@ -659,10 +757,10 @@ pub fn successors(
     cfg: &Config,
     opts: StepOptions,
 ) -> Vec<(Tid, Config)> {
-    let (mut out, mut buf) = (Vec::new(), Vec::new());
+    let (mut out, mut pool) = (Vec::new(), SuccessorPool::default());
     for t in 0..prog.n_threads() {
-        thread_successors_into(prog, objs, cfg, t, opts, &mut buf);
-        out.extend(buf.drain(..).map(|c| (Tid(t as u8), c)));
+        thread_successors_into(prog, objs, cfg, t, opts, &mut pool);
+        out.extend(pool.take().into_iter().map(|c| (Tid(t as u8), c)));
     }
     out
 }

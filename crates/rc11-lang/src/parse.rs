@@ -152,6 +152,18 @@ pub struct ThreadLintInfo {
 /// printing) inherits the bound.
 pub const MAX_DEPTH: usize = 64;
 
+/// The tallest statement or expression tree the parser builds. Every
+/// statement in a block and every binary operator adds a level to the
+/// left-nested `Com::Seq`/`Exp::Bin` tree, on top of the nesting
+/// [`MAX_DEPTH`] counts, and every later pass over the tree (validation,
+/// compilation, canonical words, lint, evaluation, drop) recurses once per
+/// level. A taller tree is refused with a spanned error when it first
+/// grows past the bound. At this height a whole request (parse, checks,
+/// compilation, exploration) fits a 2 MiB thread stack, the size of an
+/// `rc11d` worker's, more than ten times over in a release build and
+/// about three times over in a debug build.
+pub const MAX_HEIGHT: usize = 512;
+
 /// Parse one `.litmus` source text.
 pub fn parse_litmus(src: &str) -> Result<ParsedLitmus, ParseError> {
     let (toks, allows) = Lexer::new(src).lex()?;
@@ -159,6 +171,7 @@ pub fn parse_litmus(src: &str) -> Result<ParsedLitmus, ParseError> {
         toks,
         pos: 0,
         depth: 0,
+        height: 0,
         decls: HashMap::new(),
         threads: Vec::new(),
         lint: LintInfo { allows, ..LintInfo::default() },
@@ -522,6 +535,9 @@ struct Parser<'a> {
     pos: usize,
     /// Current nesting depth (see [`MAX_DEPTH`]).
     depth: usize,
+    /// Height of the statement or expression tree the last statement or
+    /// expression parser returned (see [`MAX_HEIGHT`]).
+    height: usize,
     /// Declared variables and objects by name.
     decls: HashMap<&'a str, Decl>,
     threads: Vec<ThreadCtx<'a>>,
@@ -559,6 +575,22 @@ impl<'a> Parser<'a> {
         self.depth += 1;
         if self.depth > MAX_DEPTH {
             return Err(self.err(span, format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        Ok(())
+    }
+
+    /// Record `height` as the height of the tree just built, refusing it
+    /// at `span` past [`MAX_HEIGHT`].
+    fn grow(&mut self, height: usize, span: Span) -> Result<(), ParseError> {
+        self.height = height;
+        if height > MAX_HEIGHT {
+            return Err(self.err(
+                span,
+                format!(
+                    "statements and operators nest deeper than {MAX_HEIGHT} levels \
+                     (each statement in a block and each binary operator adds one)"
+                ),
+            ));
         }
         Ok(())
     }
@@ -858,7 +890,7 @@ impl<'a> Parser<'a> {
     // -----------------------------------------------------------------
 
     fn parse_stmts(&mut self, ti: usize) -> Result<Com, ParseError> {
-        let mut out = Com::Skip;
+        let (mut out, mut height) = (Com::Skip, 1);
         // Statements after a `while (true) { … }` can never run (the
         // language has no `break`); flag the first one per block.
         let mut diverged = false;
@@ -873,8 +905,16 @@ impl<'a> Parser<'a> {
             if let Com::While { cond, .. } = &s {
                 diverged = diverged || const_bool(cond) == Some(true);
             }
+            // `then` drops a `skip` on either side, else adds a `Seq`.
+            height = match (&out, &s) {
+                (Com::Skip, _) => self.height,
+                (_, Com::Skip) => height,
+                _ => 1 + height.max(self.height),
+            };
+            self.grow(height, span)?;
             out = out.then(s);
         }
+        self.height = height;
         Ok(out)
     }
 
@@ -894,9 +934,12 @@ impl<'a> Parser<'a> {
                 self.bump();
                 self.expect(Tok::LParen, "to open the condition")?;
                 let cond = self.parse_exp(ti)?;
+                let tallest = self.height;
                 self.expect(Tok::RParen, "to close the condition")?;
                 let then_ = self.parse_block(ti)?;
+                let tallest = tallest.max(self.height);
                 let else_ = if self.eat_kw("else") { self.parse_block(ti)? } else { Com::Skip };
+                self.grow(1 + tallest.max(self.height), span)?;
                 Ok(Com::If { cond, then_: Box::new(then_), else_: Box::new(else_) })
             }
             Tok::Ident("while") => {
@@ -904,14 +947,17 @@ impl<'a> Parser<'a> {
                 self.lint.loop_spans.push(span);
                 self.expect(Tok::LParen, "to open the condition")?;
                 let cond = self.parse_exp(ti)?;
+                let tallest = self.height;
                 self.expect(Tok::RParen, "to close the condition")?;
                 let body = self.parse_block(ti)?;
+                self.grow(1 + tallest.max(self.height), span)?;
                 Ok(Com::While { cond, body: Box::new(body) })
             }
             Tok::Ident("do") => {
                 self.bump();
                 self.lint.loop_spans.push(span);
                 let body = self.parse_block(ti)?;
+                let tallest = self.height;
                 if !self.eat_kw("until") {
                     return Err(self.err(self.span(), "expected `until` after a `do` block"));
                 }
@@ -919,11 +965,13 @@ impl<'a> Parser<'a> {
                 let cond = self.parse_exp(ti)?;
                 self.expect(Tok::RParen, "to close the until-condition")?;
                 self.expect(Tok::Semi, "after `do … until (…)`")?;
+                self.grow(1 + tallest.max(self.height), span)?;
                 Ok(Com::DoUntil { body: Box::new(body), cond })
             }
             Tok::Ident("skip") => {
                 self.bump();
                 self.expect(Tok::Semi, "after `skip`")?;
+                self.height = 1;
                 Ok(Com::Skip)
             }
             Tok::Ident(name) => {
@@ -940,6 +988,7 @@ impl<'a> Parser<'a> {
                         let var = self.resolve_var(name, span)?;
                         let exp = self.parse_exp(ti)?;
                         self.expect(Tok::Semi, "after a write")?;
+                        self.height += 1;
                         Ok(Com::Write { var, exp, rel: true })
                     }
                     (Tok::AssignAcq, aspan) => {
@@ -954,6 +1003,7 @@ impl<'a> Parser<'a> {
                         }
                         let reg = self.threads[ti].target(name, span);
                         self.expect(Tok::Semi, "after a read")?;
+                        self.height = 1;
                         Ok(Com::Read { reg, var, acq: true })
                     }
                     (Tok::Assign, _) => self.parse_assign_rhs(ti, name, span),
@@ -979,6 +1029,7 @@ impl<'a> Parser<'a> {
             Some(Decl::Var(var)) => {
                 let exp = self.parse_exp(ti)?;
                 self.expect(Tok::Semi, "after a write")?;
+                self.height += 1;
                 Ok(Com::Write { var, exp, rel: false })
             }
             Some(Decl::Obj(..)) => {
@@ -995,11 +1046,13 @@ impl<'a> Parser<'a> {
                         let var = self.resolve_var(vname, vspan)?;
                         self.expect(Tok::Comma, "after the CAS target")?;
                         let expect = self.parse_exp(ti)?;
+                        let tallest = self.height;
                         self.expect(Tok::Comma, "after the CAS expected value")?;
                         let new = self.parse_exp(ti)?;
                         self.expect(Tok::RParen, "to close the CAS")?;
                         self.expect(Tok::Semi, "after a CAS")?;
                         let reg = self.threads[ti].target(name, span);
+                        self.height = 1 + tallest.max(self.height);
                         Ok(Com::Cas { reg, var, expect, new })
                     }
                     // `r = fai(x);`
@@ -1011,6 +1064,7 @@ impl<'a> Parser<'a> {
                         self.expect(Tok::RParen, "to close the FAI")?;
                         self.expect(Tok::Semi, "after a FAI")?;
                         let reg = self.threads[ti].target(name, span);
+                        self.height = 1;
                         Ok(Com::Fai { reg, var })
                     }
                     // `r = obj.method(...);`
@@ -1031,6 +1085,7 @@ impl<'a> Parser<'a> {
                         let var = self.resolve_var(vname, span).unwrap();
                         self.bump(); // the semicolon
                         let reg = self.threads[ti].target(name, span);
+                        self.height = 1;
                         Ok(Com::Read { reg, var, acq: false })
                     }
                     // Otherwise: a local assignment over registers.
@@ -1038,6 +1093,7 @@ impl<'a> Parser<'a> {
                         let exp = self.parse_exp(ti)?;
                         self.expect(Tok::Semi, "after an assignment")?;
                         let reg = self.threads[ti].target(name, span);
+                        self.height += 1;
                         Ok(Com::Assign(reg, exp))
                     }
                 }
@@ -1095,8 +1151,10 @@ impl<'a> Parser<'a> {
         self.expect(Tok::LParen, "to open the argument list")?;
         let arg = if needs_arg {
             let e = self.parse_exp(ti)?;
+            self.height += 1;
             Some(e)
         } else {
+            self.height = 1;
             None
         };
         self.expect(Tok::RParen, "to close the argument list")?;
@@ -1131,8 +1189,10 @@ impl<'a> Parser<'a> {
     fn parse_or(&mut self, ti: usize) -> Result<Exp, ParseError> {
         let mut e = self.parse_and(ti)?;
         while *self.peek() == Tok::OrOr {
-            self.bump();
+            let (_, span) = self.bump();
+            let left = self.height;
             let r = self.parse_and(ti)?;
+            self.grow(1 + left.max(self.height), span)?;
             e = Exp::Bin(BinOp::Or, Box::new(e), Box::new(r));
         }
         Ok(e)
@@ -1141,8 +1201,10 @@ impl<'a> Parser<'a> {
     fn parse_and(&mut self, ti: usize) -> Result<Exp, ParseError> {
         let mut e = self.parse_cmp(ti)?;
         while *self.peek() == Tok::AndAnd {
-            self.bump();
+            let (_, span) = self.bump();
+            let left = self.height;
             let r = self.parse_cmp(ti)?;
+            self.grow(1 + left.max(self.height), span)?;
             e = Exp::Bin(BinOp::And, Box::new(e), Box::new(r));
         }
         Ok(e)
@@ -1160,8 +1222,10 @@ impl<'a> Parser<'a> {
             _ => None,
         };
         if let Some((op, swap)) = op {
-            self.bump();
+            let (_, span) = self.bump();
+            let left = self.height;
             let r = self.parse_add(ti)?;
+            self.grow(1 + left.max(self.height), span)?;
             let (a, b) = if swap { (r, e) } else { (e, r) };
             return Ok(Exp::Bin(op, Box::new(a), Box::new(b)));
         }
@@ -1176,8 +1240,10 @@ impl<'a> Parser<'a> {
                 Tok::Minus => BinOp::Sub,
                 _ => break,
             };
-            self.bump();
+            let (_, span) = self.bump();
+            let left = self.height;
             let r = self.parse_mul(ti)?;
+            self.grow(1 + left.max(self.height), span)?;
             e = Exp::Bin(op, Box::new(e), Box::new(r));
         }
         Ok(e)
@@ -1191,8 +1257,10 @@ impl<'a> Parser<'a> {
                 Tok::Percent => BinOp::Mod,
                 _ => break,
             };
-            self.bump();
+            let (_, span) = self.bump();
+            let left = self.height;
             let r = self.parse_unary(ti)?;
+            self.grow(1 + left.max(self.height), span)?;
             e = Exp::Bin(op, Box::new(e), Box::new(r));
         }
         Ok(e)
@@ -1205,11 +1273,13 @@ impl<'a> Parser<'a> {
                 self.nest(span)?;
                 let e = self.parse_unary(ti)?;
                 self.depth -= 1;
+                self.height += 1;
                 if op == Tok::Bang {
                     return Ok(Exp::Un(UnOp::Not, Box::new(e)));
                 }
                 // Fold constant negation so `-3` is a literal.
                 if let Exp::Val(Val::Int(n)) = e {
+                    self.height = 1;
                     Ok(Exp::Val(Val::Int(-n)))
                 } else {
                     Ok(Exp::Un(UnOp::Neg, Box::new(e)))
@@ -1221,6 +1291,8 @@ impl<'a> Parser<'a> {
 
     fn parse_primary(&mut self, ti: usize) -> Result<Exp, ParseError> {
         let span = self.span();
+        // A leaf; `(…)` and `even(…)` overwrite it.
+        self.height = 1;
         match self.bump().0 {
             Tok::Int(n) => Ok(Exp::Val(Val::Int(n))),
             Tok::LParen => {
@@ -1237,6 +1309,7 @@ impl<'a> Parser<'a> {
                     self.expect(Tok::LParen, "to open `even(…)`")?;
                     let e = self.parse_exp(ti)?;
                     self.expect(Tok::RParen, "to close `even(…)`")?;
+                    self.height += 1;
                     Ok(Exp::Un(UnOp::Even, Box::new(e)))
                 }
                 name => {

@@ -225,6 +225,70 @@ fn nesting_at_the_depth_cap_parses() {
     parse_litmus(&src).expect("nesting at the cap is accepted");
 }
 
+/// Run `f` on a thread with a 2 MiB stack, the size of an `rc11d`
+/// worker's: an input that overflows it aborts the whole test binary.
+fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(f)
+        .expect("spawn")
+        .join()
+        .expect("no panic")
+}
+
+/// One thread whose body is `body`, observing its register `r`.
+fn one_thread(body: &str) -> String {
+    format!("litmus \"long\"\nvar x = 0\nthread T {{\n{body}}}\nobserve T.r\nexpected {{ (1) }}\n")
+}
+
+/// Statement sequences are bounded with the nesting: 15,000 statements,
+/// whose left-nested `Seq` tree once overflowed a 2 MiB stack and aborted
+/// the process, are refused at the first statement past the bound.
+#[test]
+fn a_statement_sequence_past_the_height_bound_is_a_spanned_error() {
+    use rc11_lang::parse::MAX_HEIGHT;
+    let e = on_small_stack(|| err(&one_thread(&"r = 1;\n".repeat(15_000))));
+    // Statement k is on line 3 + k; each is 2 levels tall (assignment and
+    // literal), and a sequence of k of them k + 1.
+    assert_eq!((e.span.line as usize, e.span.col), (3 + MAX_HEIGHT, 1));
+    assert!(e.msg.contains(&format!("nest deeper than {MAX_HEIGHT} levels")), "{}", e.msg);
+}
+
+/// Operator chains share the bound: a 15,000-term sum is refused at the
+/// first operator past it, and so are chains of every other operator.
+#[test]
+fn an_operator_chain_past_the_height_bound_is_a_spanned_error() {
+    use rc11_lang::parse::MAX_HEIGHT;
+    for op in ["+", "-", "*", "%", "&&", "||"] {
+        let sum = vec!["1"; 15_000].join(&format!(" {op} "));
+        let src = one_thread(&format!("r = {sum};\n"));
+        let e = on_small_stack(move || err(&src));
+        assert_eq!(e.span.line, 4, "{op}: {e}");
+        assert!(e.msg.contains(&format!("nest deeper than {MAX_HEIGHT} levels")), "{op}: {e}");
+        if op == "+" {
+            // `r = 1 + 1 …`: term k starts at column 5 + (k - 1) * 4, and
+            // the operator after term MAX_HEIGHT makes the chain one too
+            // tall.
+            assert_eq!(e.span.col as usize, 5 + MAX_HEIGHT * 4 - 2, "{e}");
+        }
+    }
+}
+
+/// Trees at the bound still parse, sequences and chains alike, and so do
+/// shorter sequences of taller statements.
+#[test]
+fn trees_at_the_height_bound_parse() {
+    use rc11_lang::parse::MAX_HEIGHT;
+    let statements = one_thread(&"r = 1;\n".repeat(MAX_HEIGHT - 1));
+    let sum = one_thread(&format!("r = {};\n", vec!["1"; MAX_HEIGHT - 1].join(" + ")));
+    let mixed = one_thread(&format!("r = 1 + 1 + 1;\n{}", "r = 1;\n".repeat(MAX_HEIGHT - 4)));
+    for src in [statements, sum, mixed] {
+        on_small_stack(move || parse_litmus(&src).map(drop)).expect("a tree at the bound parses");
+    }
+    let e = err(&one_thread(&"r = 1;\n".repeat(MAX_HEIGHT)));
+    assert!(e.msg.contains("nest deeper than"), "{e}");
+}
+
 /// A relaxed message-passing test with `n` threads: a writer, a reader,
 /// and `n - 2` idle threads between them, one thread per line from line 4.
 fn wide_mp(n: usize) -> String {

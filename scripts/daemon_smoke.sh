@@ -12,6 +12,10 @@
 #   4. Clean shutdown over the wire; the daemon process must exit.
 #   5. Restart on the same cache directory; a third pass with
 #      --expect-all-hits must be served entirely from the disk spill.
+#   6. Hostile requests over a raw connection: a check whose `source` is
+#      a 1 MiB JSON string, and one whose source holds 15,000 statements.
+#      Each must come back as a structured error within a few seconds,
+#      and the daemon must still answer `ping` afterwards.
 #
 # The daemon runs with --metrics throughout, so the smoke also covers the
 # extended observability surface (DESIGN.md §9): the stats payload must
@@ -76,6 +80,32 @@ stop_daemon() {
     exit 1
 }
 
+# Send one JSON request line (read from file $1) to the daemon over a raw
+# bash TCP connection and print the single response line, failing unless
+# it arrives within $2 seconds.
+raw_request() {
+    local line_file=$1 timeout=$2 reply
+    exec 3<>"/dev/tcp/${ADDR%:*}/${ADDR##*:}"
+    cat "$line_file" >&3
+    if ! IFS= read -r -t "$timeout" reply <&3; then
+        exec 3<&-
+        echo "daemon_smoke: no response within ${timeout}s to $(basename "$line_file")" >&2
+        exit 1
+    fi
+    exec 3<&-
+    printf '%s\n' "$reply"
+}
+
+# The response must be a structured error: `"ok":false` with a message.
+must_be_error() {
+    local reply=$1 what=$2
+    case "$reply" in
+        *'"ok":false'*'"error":'*) ;;
+        *) echo "daemon_smoke: $what: expected a structured error, got: ${reply:0:200}" >&2
+           exit 1 ;;
+    esac
+}
+
 # Grep the raw stats JSON (the `stats: {...}` line of `submit --stats`)
 # for a required substring.
 stats_must_have() {
@@ -126,6 +156,33 @@ stats_must_have "$STATS" '"states_explored":0' "disk hits must not explore"
 stats_must_have "$STATS" '"metrics":true' "config echo must survive restart"
 "$RC11" top "$ADDR" --once | grep -q "metrics on" \
     || { echo "daemon_smoke: top after restart failed" >&2; exit 1; }
+
+echo "== hostile requests: structured errors, and the daemon survives =="
+# A check whose source is one 1 MiB JSON string (not a litmus test).
+{
+    printf '{"cmd":"check","source":"'
+    head -c $((1 << 20)) /dev/zero | tr '\0' 'a'
+    printf '"}\n'
+} > "$WORK/huge_string.json"
+# A check whose source holds 15,000 statements in one thread (newlines
+# JSON-escaped), past the parser's statement-sequence bound.
+{
+    printf '{"cmd":"check","source":"litmus \\"long\\"\\nvar x = 0\\nthread T {\\n'
+    printf 'r = 1;\\n%.0s' $(seq 1 15000)
+    printf '}\\nobserve T.r\\nexpected { (1) }\\n"}\n'
+} > "$WORK/long_source.json"
+printf '{"cmd":"ping"}\n' > "$WORK/ping.json"
+for req in huge_string long_source; do
+    REPLY=$(raw_request "$WORK/$req.json" 5)
+    echo "$req: ${REPLY:0:160}"
+    must_be_error "$REPLY" "$req"
+done
+REPLY=$(raw_request "$WORK/ping.json" 5)
+echo "ping: $REPLY"
+case "$REPLY" in
+    *'"pong":true'*) ;;
+    *) echo "daemon_smoke: no pong after the hostile requests: $REPLY" >&2; exit 1 ;;
+esac
 stop_daemon
 
 echo "daemon_smoke: OK"

@@ -11,10 +11,15 @@
 //!   canonical encoding are written into reused buffers, fingerprinted,
 //!   and copied into a word chunk with room; decoding a state back into a
 //!   reused configuration allocates nothing either.
+//! * Successors are generated into a reused pool: expanding every
+//!   reachable `counter5` state through one pool allocates nothing once
+//!   the pool has grown, and pooled successors equal freshly generated
+//!   ones, in order.
 //! * One `counter5` request (five ticket-lock clients, fully reduced)
-//!   makes a bounded number of allocations per explored state: successor
-//!   generation copies each configuration once, and everything else the
-//!   walk does per state reuses scratch buffers.
+//!   makes a bounded number of allocations per explored state: the walk
+//!   generates successors into its pool and reuses scratch buffers for
+//!   everything else it does per state, so what remains is the store's
+//!   growth, the request's own set-up and the reported terminal states.
 //! * The `.litmus` front end allocates only what the parsed test keeps:
 //!   tokens borrow the source, so parsing a corpus file, and a warm
 //!   request that parses it and is answered from the verdict cache, stay
@@ -26,7 +31,9 @@
 
 use rc11::check::{fingerprint, CheckParams, CheckService, Served, VerdictCache};
 use rc11::prelude::*;
-use rc11_lang::machine::successors;
+use rc11_lang::machine::{
+    successors, thread_successors, thread_successors_into, SuccessorPool,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeSet;
@@ -79,8 +86,9 @@ static GLOBAL: Counting = Counting;
 const MAX_CLONE_ALLOCS: usize = 6;
 
 /// The most allocations one `counter5` request may make per explored
-/// state (23.8 measured).
-const MAX_REQUEST_ALLOCS_PER_STATE: f64 = 26.0;
+/// state (3.0 measured; 23.8 when every successor was a fresh copy and
+/// orbit members were decoded from their encodings).
+const MAX_REQUEST_ALLOCS_PER_STATE: f64 = 6.0;
 
 /// The most allocations `parse_litmus` may make per corpus file, on
 /// average (55.7 measured; 157.9 with owned `String` tokens).
@@ -256,6 +264,72 @@ fn interning_and_decoding_a_state_allocate_nothing() {
             assert_eq!(allocs() - before, 0, "decoding {} states allocated", raw.len());
         }
     }
+}
+
+/// Every state a state query on `prog` visits: each interned canonical
+/// configuration and, under symmetry, every other member of its orbit.
+fn reachable(prog: &CfgProgram) -> Vec<Config> {
+    let mut states = Vec::new();
+    let opts = ExploreOptions::default();
+    let report = Engine::Sequential.explore_with(prog, &AbstractObjects, &opts, |c, _| {
+        states.push(c.clone());
+    });
+    assert!(report.stop.is_complete());
+    states
+}
+
+/// The ticket-lock `counter5` client and the TTAS spinlock `ttas4`,
+/// compiled.
+fn counter5_and_ttas4() -> [(&'static str, CfgProgram); 2] {
+    let ttas4 =
+        compile(&parse_litmus(include_str!("../corpus/ttas4.litmus")).expect("corpus parses").prog);
+    [("counter5", compile(&counter(5).0)), ("ttas4", ttas4)]
+}
+
+/// A pooled successor is its slot refilled from the parent and stepped in
+/// place; whatever the slot held before, the result equals a freshly
+/// generated successor, in the same order, on every reachable state.
+#[test]
+fn pooled_successors_equal_fresh_ones() {
+    for (name, prog) in counter5_and_ttas4() {
+        let (mut pool, step) = (SuccessorPool::default(), StepOptions::default());
+        let mut compared = 0;
+        for cfg in &reachable(&prog) {
+            for t in 0..prog.n_threads() {
+                thread_successors_into(&prog, &AbstractObjects, cfg, t, step, &mut pool);
+                let fresh = thread_successors(&prog, &AbstractObjects, cfg, t, step);
+                assert_eq!(&pool[..], &fresh[..], "{name}: thread {t} at {cfg:?}");
+                compared += fresh.len();
+            }
+        }
+        println!("{name}: {compared} pooled successors compared");
+        assert!(compared > 1_000, "{name}: {compared} successors");
+    }
+}
+
+/// Expanding every reachable `counter5` state through one pool allocates
+/// only while the pool grows: a second pass over the same states, once
+/// every slot has grown to the largest successor it holds, allocates
+/// nothing.
+#[test]
+fn expanding_through_the_pool_allocates_nothing_once_grown() {
+    let prog = compile(&counter(5).0);
+    let states = reachable(&prog);
+    let (mut pool, step) = (SuccessorPool::default(), StepOptions::default());
+    let mut made = Vec::new();
+    for _ in 0..2 {
+        let before = allocs();
+        for cfg in &states {
+            for t in 0..prog.n_threads() {
+                thread_successors_into(&prog, &AbstractObjects, cfg, t, step, &mut pool);
+            }
+        }
+        made.push(allocs() - before);
+    }
+    let n = states.len();
+    println!("counter5: {made:?} allocations expanding {n} states (first pass, second)");
+    assert!(made[0] > 0, "the counter must see the pool grow");
+    assert_eq!(made[1], 0, "a grown pool allocated");
 }
 
 /// One fully reduced `counter5` request, as the deep benchmark issues it

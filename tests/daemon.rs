@@ -26,7 +26,7 @@
 //!   `MAX_LINE` come back as error responses and the daemon keeps
 //!   serving. Never a crash, never an unbounded buffer.
 
-use rc11::check::wire::{parse_json, Json};
+use rc11::check::wire::{obj, parse_json, Json};
 use rc11::check::{reference, Engine, ExploreOptions};
 use rc11::core::Val;
 use rc11::daemon::{start, Client, DaemonConfig, MAX_LINE};
@@ -320,6 +320,44 @@ fn deeply_nested_request_line_is_an_error_not_a_crash() {
     assert_eq!(ask(r#"{"cmd":"ping"}"#).get("pong").and_then(Json::as_bool), Some(true));
     let mut client = Client::connect(handle.addr()).expect("second client connects");
     assert!(client.ping().expect("daemon still answers"));
+    handle.stop();
+}
+
+/// JSON strings decode in time linear in the line: a check whose source
+/// is a string of nearly `MAX_LINE` bytes (quadratic decoding once held a
+/// connection for minutes) is answered at once with a parse error, lines
+/// whose bytes are not UTF-8 — invalid, or a scalar cut short — are
+/// refused as before, and the connection keeps serving throughout.
+#[test]
+fn long_strings_and_bad_utf8_lines_are_answered_promptly() {
+    let handle = start(&DaemonConfig::default()).expect("daemon starts");
+    let stream = TcpStream::connect(handle.addr()).expect("client connects");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    let mut ask = |line: &[u8]| -> Json {
+        writer.write_all(line).expect("send line");
+        writer.write_all(b"\n").expect("send newline");
+        writer.flush().expect("flush");
+        let mut response = String::new();
+        assert!(reader.read_line(&mut response).expect("read response") > 0, "daemon hung up");
+        parse_json(&response).expect("response is JSON")
+    };
+    let source = "é".repeat((MAX_LINE - 64) / 2);
+    let line = obj(vec![("cmd", Json::Str("check".into())), ("source", Json::Str(source))]);
+    let started = std::time::Instant::now();
+    let long = ask(line.to_string_line().as_bytes());
+    let took = started.elapsed();
+    assert!(str_of(&long, "error").starts_with("parse:"), "{}", long.to_string_line());
+    assert!(took < std::time::Duration::from_secs(10), "answered after {took:?}");
+    let invalid = &b"{\"cmd\":\"check\",\"source\":\"\xff\"}"[..];
+    let cut_short = &b"{\"cmd\":\"ping\",\"x\":\"\xc3"[..];
+    for bad in [invalid, cut_short] {
+        let refused = ask(bad);
+        assert_eq!(str_of(&refused, "error"), "bad request: line is not UTF-8");
+    }
+    let truncated = ask("{\"cmd\":\"ping\",\"x\":\"é".as_bytes());
+    assert!(str_of(&truncated, "error").contains("unterminated string"), "{truncated:?}");
+    assert_eq!(ask(br#"{"cmd":"ping"}"#).get("pong").and_then(Json::as_bool), Some(true));
     handle.stop();
 }
 

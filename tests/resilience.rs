@@ -427,3 +427,43 @@ fn hostile_lexer_inputs_parse_or_fail_with_a_span() {
     assert_eq!((e.span.line as usize, e.span.col as usize), (1, src.chars().count() + 2));
     assert_eq!(e.msg, "unexpected character `@`");
 }
+
+/// Long statement sequences and operator chains through the whole request
+/// path, on a 2 MiB thread like an `rc11d` worker's: 15,000 statements or
+/// a 15,000-term sum (which once overflowed that stack and aborted the
+/// process) are structured errors, and programs at the parser's height
+/// bound are checked — every pass over their trees fits the stack.
+#[test]
+fn long_sequences_and_chains_are_refused_or_checked_on_a_worker_stack() {
+    use rc11::lang::parse::MAX_HEIGHT;
+    let program = |body: String| {
+        let head = "litmus \"long\"\nvar x = 0\nthread T {\n";
+        format!("{head}{body}x = r;\n}}\nobserve T.r\nexpected {{ (1) }}\n")
+    };
+    let sum = |terms: usize| format!("r = {} - {};\n", vec!["1"; terms - 1].join(" + "), terms - 2);
+    let cases = [
+        (program("r = 1;\n".repeat(15_000)), false),
+        (program(sum(15_000)), false),
+        (program("r = 1;\n".repeat(MAX_HEIGHT - 2)), true),
+        (program(sum(MAX_HEIGHT - 2)), true),
+    ];
+    for (src, ok) in cases {
+        let lines = src.lines().count();
+        let r = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || CheckService::new().check_source(&src, &CheckParams::default()))
+            .expect("spawn")
+            .join()
+            .expect("no panic");
+        match r {
+            Ok(resp) => {
+                assert!(ok, "{lines} lines: checked, but past the bound");
+                assert!(resp.pass, "{lines} lines: {:?}", resp.observed);
+            }
+            Err(e) => {
+                assert!(!ok, "{lines} lines: {e}");
+                assert!(e.contains(&format!("nest deeper than {MAX_HEIGHT} levels")), "{e}");
+            }
+        }
+    }
+}
